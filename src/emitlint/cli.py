@@ -83,6 +83,21 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 # ----------------------------------------------------------- config handling
 
+def _json_type(value) -> str:
+    """JSON name of a decoded value's type, for error messages."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "a boolean"
+    if isinstance(value, (int, float)):
+        return "a number"
+    if isinstance(value, str):
+        return "a string"
+    if isinstance(value, list):
+        return "an array"
+    return "an object"
+
+
 def _parse_check_ids(raw: str) -> frozenset[CheckId]:
     ids = []
     for part in raw.split(","):
@@ -103,10 +118,25 @@ def load_config(ns: argparse.Namespace) -> CheckConfig:
     if getattr(ns, "config", None):
         with open(ns.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{ns.config}: top level must be a JSON object, "
+                             f"not {_json_type(data)}")
         if "overuseThreshold" in data:
-            threshold = Fraction(str(data["overuseThreshold"]))
+            value = data["overuseThreshold"]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f'{ns.config}: "overuseThreshold" must be a '
+                                 f"number, not {_json_type(value)}")
+            threshold = Fraction(str(value))
         if "enabled" in data:
-            enabled = _parse_check_ids(",".join(data["enabled"]))
+            ids = data["enabled"]
+            if not isinstance(ids, list):
+                raise ValueError(f'{ns.config}: "enabled" must be a JSON '
+                                 f"array of check ids, not {_json_type(ids)}")
+            for item in ids:
+                if not isinstance(item, str):
+                    raise ValueError(f'{ns.config}: "enabled" items must be '
+                                     f"strings, not {_json_type(item)}")
+            enabled = _parse_check_ids(",".join(ids))
         if "debugEventFormB" in data:
             form_b = bool(data["debugEventFormB"])
     if getattr(ns, "overuse_threshold", None):
@@ -184,7 +214,7 @@ def _format_diag_text(diag: Diagnostic, color: bool) -> str:
 def run_lint(ns: argparse.Namespace) -> int:
     try:
         cfg = load_config(ns)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"emitlint: {exc}", file=sys.stderr)
         return EXIT_ERROR
     errors: list[str] = []
@@ -253,37 +283,62 @@ def run_metrics(ns: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ diff cmd
 
 def load_manifest(path: str) -> tuple[list[Revision], list[str]]:
+    """Revisions of a manifest, plus one message per revision skipped because
+    an entry or a pair is not an object or a file cannot be read. Raises
+    ValueError when the top level is not an object or "revisions" or a
+    revision's "pairs" is not an array."""
     base = Path(path).parent
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: top level must be a JSON object, "
+                         f"not {_json_type(data)}")
+    entries = data.get("revisions", [])
+    if not isinstance(entries, list):
+        raise ValueError(f'{path}: "revisions" must be a JSON array, '
+                         f"not {_json_type(entries)}")
     revisions: list[Revision] = []
     errors: list[str] = []
-    for entry in data.get("revisions", []):
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            errors.append(f"revisions[{index}]: must be a JSON object, "
+                          f"not {_json_type(entry)}")
+            continue
         rev_id = str(entry.get("id", f"rev{len(revisions)}"))
-        pairs: list[FilePair] = []
-        ok = True
-        for pair in entry.get("pairs", []):
-            before = after = None
-            try:
-                if pair.get("beforeFile"):
-                    before = SourceFile.load(base / pair["beforeFile"])
-                    before.path = pair.get("path", pair["beforeFile"])
-                if pair.get("afterFile"):
-                    after = SourceFile.load(base / pair["afterFile"])
-                    after.path = pair.get("path", pair["afterFile"])
-            except OSError as exc:
-                errors.append(f"revision {rev_id}: {exc}")
-                ok = False
-                break
-            if before is None and after is None:
-                errors.append(f"revision {rev_id}: pair with no files")
-                ok = False
-                break
-            pairs.append(FilePair(pair.get("path", ""), before, after))
-        if ok:
-            revisions.append(Revision(rev_id, entry.get("message"),
-                                      tuple(pairs)))
+        raw_pairs = entry.get("pairs", [])
+        if not isinstance(raw_pairs, list):
+            raise ValueError(f'{path}: revision {rev_id}: "pairs" must be a '
+                             f"JSON array, not {_json_type(raw_pairs)}")
+        try:
+            pairs = tuple(_load_pair(base, pair) for pair in raw_pairs)
+        except (OSError, ValueError) as exc:
+            errors.append(f"revision {rev_id}: {exc}")
+            continue
+        revisions.append(Revision(rev_id, entry.get("message"), pairs))
     return revisions, errors
+
+
+def _load_pair(base: Path, pair) -> FilePair:
+    if not isinstance(pair, dict):
+        raise ValueError(f"pair must be a JSON object, not {_json_type(pair)}")
+    sides: list[SourceFile | None] = []
+    for key in ("beforeFile", "afterFile"):
+        name = pair.get(key)
+        if not name:
+            sides.append(None)
+            continue
+        if not isinstance(name, str):
+            raise ValueError(f'"{key}" must be a string, '
+                             f"not {_json_type(name)}")
+        try:
+            file = SourceFile.load(base / name)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{base / name}: {exc}") from None
+        file.path = pair.get("path", name)
+        sides.append(file)
+    if sides == [None, None]:
+        raise ValueError("pair with no files")
+    return FilePair(pair.get("path", ""), *sides)
 
 
 def _change_to_dict(change) -> dict:
@@ -342,7 +397,7 @@ def summarize_reports(reports: list[RevisionReport]) -> dict:
 def run_diff(ns: argparse.Namespace) -> int:
     try:
         revisions, errors = load_manifest(ns.manifest)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"emitlint: {exc}", file=sys.stderr)
         return EXIT_ERROR
     for err in errors:

@@ -18,6 +18,14 @@ the revision is an emit line (or blank/comment); failing that, it is
 heuristically independent when none of its changed argument tokens is
 reassigned or passed to a call on the revision's other changed lines, and
 dependent otherwise.
+
+Each revision is analyzed once. `RevisionAnalysis` diffs every file pair once
+and lexes every present side once; the line kinds, regex emit matches,
+changed emits, emit-only flag and kill sets that churn, pairing and
+independence read all come from it. `analyze_revision` builds one per
+revision; the standalone functions (`churn`, `pair_emit_changes`,
+`is_emit_only_revision`, `passes_variable_kill_test`,
+`classify_independence`) each build one and read a single result.
 """
 
 from __future__ import annotations
@@ -30,8 +38,8 @@ import re
 
 from .lexer import TokenKind, classify_word, lex
 from .scan import (
-    LINE_BLANK, LINE_COMMENT, classify_lines, count_loc, extract_emits_regex,
-    match_line_range, RegexEmitMatch,
+    LINE_BLANK, LINE_CODE, LINE_COMMENT, RegexEmitMatch, _classify_lines,
+    _extract_emits_regex, match_line_range,
 )
 from .source import SourceFile
 
@@ -138,7 +146,7 @@ def replay(diff: LineDiff) -> str:
     return "\n".join(op.text for op in diff.ops if op.kind in ("keep", "add"))
 
 
-# -------------------------------------------------------------------- churn
+# ----------------------------------------------------------- revision model
 
 @dataclass(frozen=True)
 class FilePair:
@@ -163,43 +171,6 @@ class ChurnReport:
     total_emits: int
     emit_churn_rate: Fraction
 
-
-def _kind_at(kinds: list[str], line: int | None) -> str:
-    if line is None or not 1 <= line <= len(kinds):
-        return LINE_BLANK
-    return kinds[line - 1]
-
-
-def churn(rev: Revision) -> ChurnReport:
-    churned_loc = total_loc = churned_emits = total_emits = 0
-    for pair in rev.file_pairs:
-        diff = diff_lines(pair.before, pair.after)
-        before_kinds = classify_lines(pair.before) if pair.before else []
-        after_kinds = classify_lines(pair.after) if pair.after else []
-        deleted = {op.before_line for op in diff.ops if op.kind == "delete"}
-        added = {op.after_line for op in diff.ops if op.kind == "add"}
-        churned_loc += sum(1 for line in deleted
-                           if _kind_at(before_kinds, line) == "code")
-        churned_loc += sum(1 for line in added
-                           if _kind_at(after_kinds, line) == "code")
-        primary = pair.after if pair.after is not None else pair.before
-        total_loc += count_loc(primary).code_lines
-        before_matches = extract_emits_regex(pair.before) if pair.before else []
-        after_matches = extract_emits_regex(pair.after) if pair.after else []
-        churned_emits += sum(1 for m in before_matches
-                             if match_line_range(m) & deleted)
-        churned_emits += sum(1 for m in after_matches
-                             if match_line_range(m) & added)
-        total_emits += len(after_matches if pair.after is not None
-                           else before_matches)
-    loc_rate = Fraction(churned_loc, total_loc) if total_loc else Fraction(0)
-    emit_rate = Fraction(churned_emits, total_emits) if total_emits \
-        else Fraction(0)
-    return ChurnReport(churned_loc, total_loc, loc_rate, churned_emits,
-                       total_emits, emit_rate)
-
-
-# ----------------------------------------------------------- change taxonomy
 
 class ChangeCategory(Enum):
     PARAMETER_CHANGE = "ParameterChange"
@@ -259,23 +230,114 @@ def _changed_tokens(before: RegexEmitMatch | None,
     return tokens
 
 
-def _changed_emits(pair: FilePair) -> tuple[list[RegexEmitMatch],
-                                            list[RegexEmitMatch]]:
-    diff = diff_lines(pair.before, pair.after)
-    deleted = {op.before_line for op in diff.ops if op.kind == "delete"}
-    added = {op.after_line for op in diff.ops if op.kind == "add"}
-    before_matches = extract_emits_regex(pair.before) if pair.before else []
-    after_matches = extract_emits_regex(pair.after) if pair.after else []
-    gone = [m for m in before_matches if match_line_range(m) & deleted]
-    new = [m for m in after_matches if match_line_range(m) & added]
-    return gone, new
+# ---------------------------------------------------------- shared analysis
+
+def _kind_at(kinds: list[str], line: int) -> str:
+    if not 1 <= line <= len(kinds):
+        return LINE_BLANK
+    return kinds[line - 1]
 
 
-def pair_emit_changes(rev: Revision) -> list[EventUseChange]:
-    """Match deleted-side and added-side emits into classified changes."""
-    changes: list[EventUseChange] = []
-    for pair in rev.file_pairs:
-        gone, new = _changed_emits(pair)
+@dataclass(frozen=True)
+class SideAnalysis:
+    """One side of a file pair. The file is lexed once; its comment and string
+    ranges feed both the line kinds and the regex emit matches."""
+    file: SourceFile
+    changed: frozenset[int]  # deleted lines before, added lines after
+    kinds: list[str]
+    matches: list[RegexEmitMatch]
+    emit_lines: frozenset[int]
+
+    @classmethod
+    def build(cls, file: SourceFile, changed: set[int]) -> SideAnalysis:
+        lexed = lex(file)
+        matches = _extract_emits_regex(file, lexed)
+        emit_lines: set[int] = set()
+        for m in matches:
+            emit_lines |= match_line_range(m)
+        return cls(file, frozenset(changed), _classify_lines(file, lexed),
+                   matches, frozenset(emit_lines))
+
+    def churned_loc(self) -> int:
+        return sum(1 for line in self.changed
+                   if _kind_at(self.kinds, line) == LINE_CODE)
+
+    def changed_emits(self) -> list[RegexEmitMatch]:
+        return [m for m in self.matches if match_line_range(m) & self.changed]
+
+    def emit_only(self) -> bool:
+        """Every changed line is an emit line, a blank line or a comment."""
+        return all(line in self.emit_lines
+                   or _kind_at(self.kinds, line) in (LINE_BLANK, LINE_COMMENT)
+                   for line in self.changed)
+
+    def kill_chunks(self, whole_file: bool) -> list[str]:
+        """Changed non-emit line runs (the whole file in whole-file mode),
+        joined per run so multi-line constructs stay scannable."""
+        lines = range(1, self.file.line_count + 1) if whole_file \
+            else self.changed
+        chunks: list[str] = []
+        run: list[str] = []
+        last = None
+        for line in sorted(set(lines) - self.emit_lines):
+            if last is not None and line != last + 1 and run:
+                chunks.append("\n".join(run))
+                run = []
+            run.append(self.file.line_text(line))
+            last = line
+        if run:
+            chunks.append("\n".join(run))
+        return chunks
+
+
+@dataclass(frozen=True)
+class PairAnalysis:
+    """A file pair diffed once, each present side lexed once, and the kill
+    sets of its changed chunks."""
+    pair: FilePair
+    diff: LineDiff
+    before: SideAnalysis | None
+    after: SideAnalysis | None
+    assigned: frozenset[str]
+    passed: frozenset[str]
+
+    @classmethod
+    def build(cls, pair: FilePair, whole_file: bool) -> PairAnalysis:
+        diff = diff_lines(pair.before, pair.after)
+        deleted = {op.before_line for op in diff.ops if op.kind == "delete"}
+        added = {op.after_line for op in diff.ops if op.kind == "add"}
+        before = SideAnalysis.build(pair.before, deleted) \
+            if pair.before is not None else None
+        after = SideAnalysis.build(pair.after, added) \
+            if pair.after is not None else None
+        assigned: set[str] = set()
+        passed: set[str] = set()
+        for side in (before, after):
+            if side is None:
+                continue
+            for chunk in side.kill_chunks(whole_file):
+                a, p = _scan_kill_sets(chunk)
+                assigned |= a
+                passed |= p
+        return cls(pair, diff, before, after, frozenset(assigned),
+                   frozenset(passed))
+
+    @property
+    def sides(self) -> list[SideAnalysis]:
+        return [s for s in (self.before, self.after) if s is not None]
+
+    @property
+    def primary(self) -> SideAnalysis:
+        """The after side, or the before side of a deleted file."""
+        return self.after if self.after is not None else self.before
+
+    def changes(self) -> list[EventUseChange]:
+        """Match deleted-side and added-side emits into classified
+        changes."""
+        gone = self.before.changed_emits() if self.before else []
+        new = self.after.changed_emits() if self.after else []
+        path = self.pair.path
+        changes: list[EventUseChange] = []
         matched_d: set[int] = set()
         matched_a: set[int] = set()
 
@@ -298,7 +360,7 @@ def pair_emit_changes(rev: Revision) -> list[EventUseChange]:
                 matched_a.add(ai)
                 d, a = gone[di], new[ai]
                 changes.append(EventUseChange(
-                    pair.path, category, d, a,
+                    path, category, d, a,
                     _changed_tokens(d, a, category)))
 
         take(lambda d, a: d.event_name == a.event_name
@@ -312,71 +374,67 @@ def pair_emit_changes(rev: Revision) -> list[EventUseChange]:
         for di, d in enumerate(gone):
             if di not in matched_d:
                 changes.append(EventUseChange(
-                    pair.path, ChangeCategory.DELETION, d, None,
+                    path, ChangeCategory.DELETION, d, None,
                     _changed_tokens(d, None, ChangeCategory.DELETION)))
         for ai, a in enumerate(new):
             if ai not in matched_a:
                 changes.append(EventUseChange(
-                    pair.path, ChangeCategory.ADDITION, None, a,
+                    path, ChangeCategory.ADDITION, None, a,
                     _changed_tokens(None, a, ChangeCategory.ADDITION)))
-    return changes
+        return changes
 
 
-# --------------------------------------------------------------- independence
+@dataclass(frozen=True)
+class RevisionAnalysis:
+    """Everything churn, pairing and independence read, computed once per
+    revision: one PairAnalysis per file pair, whether the revision changes
+    emit lines only, and the kill sets unioned over all pairs."""
+    pairs: tuple[PairAnalysis, ...]
+    emit_only: bool
+    assigned: frozenset[str]
+    passed: frozenset[str]
 
-def is_emit_only_revision(rev: Revision) -> bool:
-    """True when every changed line in the revision is an emit line, a blank
-    line, or a comment line."""
-    for pair in rev.file_pairs:
-        diff = diff_lines(pair.before, pair.after)
-        for side, file in (("delete", pair.before), ("add", pair.after)):
-            lines = {op.before_line if side == "delete" else op.after_line
-                     for op in diff.ops if op.kind == side}
-            if not lines:
-                continue
-            if file is None:
-                return False
-            kinds = classify_lines(file)
-            emit_lines: set[int] = set()
-            for m in extract_emits_regex(file):
-                emit_lines |= match_line_range(m)
-            for line in lines:
-                if line in emit_lines:
-                    continue
-                if _kind_at(kinds, line) in (LINE_BLANK, LINE_COMMENT):
-                    continue
-                return False
-    return True
+    @classmethod
+    def build(cls, rev: Revision,
+              whole_file: bool = False) -> RevisionAnalysis:
+        pairs = tuple(PairAnalysis.build(p, whole_file)
+                      for p in rev.file_pairs)
+        return cls(
+            pairs,
+            all(side.emit_only() for pa in pairs for side in pa.sides),
+            frozenset().union(*(pa.assigned for pa in pairs)),
+            frozenset().union(*(pa.passed for pa in pairs)))
 
+    def churn(self) -> ChurnReport:
+        churned_loc = total_loc = churned_emits = total_emits = 0
+        for pa in self.pairs:
+            for side in pa.sides:
+                churned_loc += side.churned_loc()
+                churned_emits += len(side.changed_emits())
+            total_loc += pa.primary.kinds.count(LINE_CODE)
+            total_emits += len(pa.primary.matches)
+        loc_rate = Fraction(churned_loc, total_loc) if total_loc \
+            else Fraction(0)
+        emit_rate = Fraction(churned_emits, total_emits) if total_emits \
+            else Fraction(0)
+        return ChurnReport(churned_loc, total_loc, loc_rate, churned_emits,
+                           total_emits, emit_rate)
 
-def _changed_chunks(pair: FilePair, whole_file: bool) -> list[str]:
-    """Changed non-emit line runs on both sides (whole files in whole-file
-    mode), joined per run so multi-line constructs stay scannable."""
-    chunks: list[str] = []
-    diff = diff_lines(pair.before, pair.after) if not whole_file else None
-    for side, file in (("delete", pair.before), ("add", pair.after)):
-        if file is None:
-            continue
-        if whole_file:
-            lines = set(range(1, file.line_count + 1))
-        else:
-            lines = {op.before_line if side == "delete" else op.after_line
-                     for op in diff.ops if op.kind == side}
-        emit_lines: set[int] = set()
-        for m in extract_emits_regex(file):
-            emit_lines |= match_line_range(m)
-        lines -= emit_lines
-        run: list[str] = []
-        last = None
-        for line in sorted(lines):
-            if last is not None and line != last + 1 and run:
-                chunks.append("\n".join(run))
-                run = []
-            run.append(file.line_text(line))
-            last = line
-        if run:
-            chunks.append("\n".join(run))
-    return chunks
+    def changes(self) -> list[EventUseChange]:
+        return [ch for pa in self.pairs for ch in pa.changes()]
+
+    def passes_kill_test(self, change: EventUseChange) -> bool:
+        tokens = [t for t in change.changed_arg_tokens
+                  if classify_word(t) == TokenKind.IDENTIFIER]
+        return not any(t in self.assigned or t in self.passed
+                       for t in tokens)
+
+    def independence(self, change: EventUseChange) -> Independence:
+        if self.emit_only:
+            return Independence.ABSOLUTE_INDEPENDENT
+        if self.passes_kill_test(change):
+            return Independence.HEURISTIC_INDEPENDENT
+        return Independence.DEPENDENT
 
 
 def _scan_kill_sets(chunk: str) -> tuple[set[str], set[str]]:
@@ -416,32 +474,35 @@ def _scan_kill_sets(chunk: str) -> tuple[set[str], set[str]]:
     return assigned, passed
 
 
+
+# ----------------------------------------------------------- public readers
+
+def churn(rev: Revision) -> ChurnReport:
+    return RevisionAnalysis.build(rev).churn()
+
+
+def pair_emit_changes(rev: Revision) -> list[EventUseChange]:
+    """Match deleted-side and added-side emits into classified changes."""
+    return RevisionAnalysis.build(rev).changes()
+
+
+def is_emit_only_revision(rev: Revision) -> bool:
+    """True when every changed line in the revision is an emit line, a blank
+    line, or a comment line."""
+    return RevisionAnalysis.build(rev).emit_only
+
+
 def passes_variable_kill_test(rev: Revision, change: EventUseChange,
                               whole_file: bool = False) -> bool:
     """True when none of the change's argument tokens is reassigned or passed
     to a call on the revision's changed lines (whole files in whole-file
     mode). Vacuously true when the change has no identifier tokens."""
-    tokens = [t for t in change.changed_arg_tokens
-              if classify_word(t) == TokenKind.IDENTIFIER]
-    if not tokens:
-        return True
-    assigned: set[str] = set()
-    passed: set[str] = set()
-    for pair in rev.file_pairs:
-        for chunk in _changed_chunks(pair, whole_file):
-            a, p = _scan_kill_sets(chunk)
-            assigned |= a
-            passed |= p
-    return not any(t in assigned or t in passed for t in tokens)
+    return RevisionAnalysis.build(rev, whole_file).passes_kill_test(change)
 
 
 def classify_independence(rev: Revision, change: EventUseChange,
                           whole_file: bool = False) -> Independence:
-    if is_emit_only_revision(rev):
-        return Independence.ABSOLUTE_INDEPENDENT
-    if passes_variable_kill_test(rev, change, whole_file):
-        return Independence.HEURISTIC_INDEPENDENT
-    return Independence.DEPENDENT
+    return RevisionAnalysis.build(rev, whole_file).independence(change)
 
 
 # ------------------------------------------------------------------ reports
@@ -455,8 +516,8 @@ class RevisionReport:
 
 def analyze_revision(rev: Revision,
                      whole_file_kill: bool = False) -> RevisionReport:
-    changes = pair_emit_changes(rev)
+    analysis = RevisionAnalysis.build(rev, whole_file_kill)
+    changes = analysis.changes()
     for change in changes:
-        change.independence = classify_independence(rev, change,
-                                                    whole_file_kill)
-    return RevisionReport(rev.id, churn(rev), changes)
+        change.independence = analysis.independence(change)
+    return RevisionReport(rev.id, analysis.churn(), changes)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .lexer import lex
+from .lexer import LexResult, lex
 from .source import SourceFile, Span
 
 EMIT_PATTERN = re.compile(r"\s+emit\s+(\w+)\s*\(([\s\S]*?)\)\s*")
@@ -46,8 +46,11 @@ class RegexEmitMatch:
 
 def classify_lines(file: SourceFile) -> list[str]:
     """Per-line classification, index 0 = line 1."""
-    result = lex(file)
-    ranges = result.comment_ranges
+    return _classify_lines(file, lex(file))
+
+
+def _classify_lines(file: SourceFile, lexed: LexResult) -> list[str]:
+    ranges = lexed.comment_ranges
     kinds: list[str] = []
     ci = 0
     for line in range(1, file.line_count + 1):
@@ -89,8 +92,12 @@ def extract_emits_regex(file: SourceFile) -> list[RegexEmitMatch]:
     the file is therefore not missed. Reported spans run from the emit keyword
     through the closing parenthesis.
     """
-    result = lex(file)
-    covered = sorted(result.comment_ranges + result.string_ranges)
+    return _extract_emits_regex(file, lex(file))
+
+
+def _extract_emits_regex(file: SourceFile,
+                         lexed: LexResult) -> list[RegexEmitMatch]:
+    covered = sorted(lexed.comment_ranges + lexed.string_ranges)
     padded = "\n" + file.text
     matches: list[RegexEmitMatch] = []
     for m in EMIT_PATTERN.finditer(padded):

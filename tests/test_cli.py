@@ -292,6 +292,114 @@ def test_diff_unreadable_manifest_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+def _write_manifest(tmp_path, data) -> str:
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(data))
+    return str(manifest)
+
+
+def _fine_revision(tmp_path) -> dict:
+    (tmp_path / "g1.sol").write_text("contract C {\n    uint a;\n}\n")
+    (tmp_path / "g2.sol").write_text("contract C {\n    uint b;\n}\n")
+    return {"id": "fine", "pairs": [{"path": "g.sol", "beforeFile": "g1.sol",
+                                     "afterFile": "g2.sol"}]}
+
+
+@pytest.mark.parametrize("data,message", [
+    ([{"id": "r", "pairs": []}],
+     "top level must be a JSON object, not an array"),
+    ({"revisions": {"id": "r"}},
+     '"revisions" must be a JSON array, not an object'),
+    ({"revisions": [{"id": "r", "pairs": "x.sol"}]},
+     'revision r: "pairs" must be a JSON array, not a string'),
+])
+def test_diff_malformed_manifest_shape_exit_two(capsys, tmp_path, data,
+                                                message):
+    code, out, err = run(capsys, "diff", "--manifest",
+                         _write_manifest(tmp_path, data))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"emitlint: {tmp_path / 'manifest.json'}: {message}"]
+
+
+def _non_object_pair(tmp_path) -> tuple[dict, str]:
+    return ({"id": "bad", "pairs": ["x.sol"]},
+            "emitlint: revision bad: pair must be a JSON object, not a string")
+
+
+def _non_utf8_file(tmp_path) -> tuple[dict, str]:
+    (tmp_path / "latin.sol").write_bytes(b"contract C { \xff }\n")
+    return ({"id": "bad", "pairs": [{"path": "l.sol",
+                                     "beforeFile": "latin.sol"}]},
+            f"emitlint: revision bad: {tmp_path / 'latin.sol'}: 'utf-8' "
+            f"codec can't decode byte 0xff in position 13: invalid start byte")
+
+
+def _non_string_file_name(tmp_path) -> tuple[dict, str]:
+    return ({"id": "bad", "pairs": [{"path": "x.sol", "beforeFile": 5}]},
+            'emitlint: revision bad: "beforeFile" must be a string, '
+            "not a number")
+
+
+def _non_object_revision(tmp_path) -> tuple[dict, str]:
+    return ("bad", "emitlint: revisions[0]: must be a JSON object, "
+                   "not a string")
+
+
+_BAD_REVISIONS = [_non_object_pair, _non_utf8_file, _non_string_file_name,
+                  _non_object_revision]
+
+
+@pytest.mark.parametrize("make_bad", _BAD_REVISIONS)
+def test_diff_bad_pair_skips_revision(capsys, tmp_path, make_bad):
+    bad, message = make_bad(tmp_path)
+    manifest = _write_manifest(
+        tmp_path, {"revisions": [bad, _fine_revision(tmp_path)]})
+    code, out, err = run(capsys, "diff", "--manifest", manifest)
+    assert code == 0
+    assert "revision fine" in out
+    assert "revision bad" not in out
+    assert err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("make_bad", _BAD_REVISIONS)
+def test_diff_bad_pair_only_revision_exit_two(capsys, tmp_path, make_bad):
+    bad, message = make_bad(tmp_path)
+    manifest = _write_manifest(tmp_path, {"revisions": [bad]})
+    code, _, err = run(capsys, "diff", "--manifest", manifest)
+    assert code == 2
+    assert err.splitlines() == [message]
+
+
+def test_diff_deeply_nested_manifest_exit_two(capsys, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("[" * 100_000)
+    code, _, err = run(capsys, "diff", "--manifest", str(manifest))
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"enabled": "GAS_STORAGE_PARAM"},
+     '"enabled" must be a JSON array of check ids, not a string'),
+    ({"overuseThreshold": "lots"},
+     '"overuseThreshold" must be a number, not a string'),
+    ({"enabled": ["GAS_STORAGE_PARAM", 3]},
+     '"enabled" items must be strings, not a number'),
+    (["GAS_STORAGE_PARAM"], "top level must be a JSON object, not an array"),
+])
+def test_lint_malformed_config_exit_two(capsys, tmp_path, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "lint", str(fixture_path("lint_tree")),
+                         "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"emitlint: {path}: {message}"]
+
+
 def test_usage_error_exit_two(capsys):
     assert main(["lint"]) == 2
     capsys.readouterr()

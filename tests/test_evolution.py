@@ -306,3 +306,213 @@ def test_analyze_revision_fills_independence_and_churn():
     assert len(report.changes) == 1
     assert report.changes[0].independence == ABS
     assert report.churn.total_loc > 0
+
+
+# ------------------------------------------------- shared revision analysis
+
+import emitlint.evolution as evolution
+import emitlint.scan as scan
+from emitlint.lexer import TokenKind, classify_word
+from emitlint.scan import (
+    LINE_CODE, classify_lines, count_loc, extract_emits_regex,
+    match_line_range,
+)
+
+from helpers import make_snippet, shop
+
+
+def _oracle_changed_lines(pair):
+    diff = diff_lines(pair.before, pair.after)
+    return ({op.before_line for op in diff.ops if op.kind == "delete"},
+            {op.after_line for op in diff.ops if op.kind == "add"})
+
+
+def _oracle_emit_lines(file):
+    lines = set()
+    for m in extract_emits_regex(file):
+        lines |= match_line_range(m)
+    return lines
+
+
+def _oracle_code_line(file, line):
+    kinds = classify_lines(file)
+    return 1 <= line <= len(kinds) and kinds[line - 1] == LINE_CODE
+
+
+def _oracle_churn(rev):
+    """Churn recomputed side by side from the public scans, each of which
+    lexes the file again."""
+    loc = total_loc = emits = total_emits = 0
+    for pair in rev.file_pairs:
+        for file, lines in zip((pair.before, pair.after),
+                               _oracle_changed_lines(pair)):
+            if file is None:
+                continue
+            loc += sum(1 for line in lines if _oracle_code_line(file, line))
+            emits += sum(1 for m in extract_emits_regex(file)
+                         if match_line_range(m) & lines)
+        primary = pair.after if pair.after is not None else pair.before
+        total_loc += count_loc(primary).code_lines
+        total_emits += len(extract_emits_regex(primary))
+    return loc, total_loc, emits, total_emits
+
+
+def _oracle_label(rev, change, whole_file):
+    emit_only = all(
+        line in _oracle_emit_lines(file)
+        or not _oracle_code_line(file, line)
+        for pair in rev.file_pairs
+        for file, lines in zip((pair.before, pair.after),
+                               _oracle_changed_lines(pair))
+        for line in lines)
+    if emit_only:
+        return ABS
+    killed = set()
+    for pair in rev.file_pairs:
+        for file, lines in zip((pair.before, pair.after),
+                               _oracle_changed_lines(pair)):
+            if file is None:
+                continue
+            if whole_file:
+                lines = set(range(1, file.line_count + 1))
+            runs = []
+            for line in sorted(lines - _oracle_emit_lines(file)):
+                if runs and line == runs[-1][-1] + 1:
+                    runs[-1].append(line)
+                else:
+                    runs.append([line])
+            for run in runs:
+                chunk = "\n".join(file.line_text(line) for line in run)
+                assigned, passed = evolution._scan_kill_sets(chunk)
+                killed |= assigned | passed
+    tokens = [t for t in change.changed_arg_tokens
+              if classify_word(t) == TokenKind.IDENTIFIER]
+    return DEP if any(t in killed for t in tokens) else HEU
+
+
+def _random_revisions(count):
+    """Seeded line edits of the snippet corpus: emits moved, dropped and
+    duplicated next to comments, calls and reassignments."""
+    rng = random.Random(20230824)
+    extras = ["a = b;", "emit Moved(a, b);", "// emit Plain();", "b++;",
+              "wrap(a);", "emit Checked(msg.sender,\n    a);", "/* note */",
+              '"emit Noted(x)";', ""]
+    revs = []
+    for i in range(count):
+        lines = make_snippet(i).split("\n")
+        after = list(lines)
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randrange(len(after))
+            roll = rng.random()
+            if roll < 0.4:
+                after.insert(k, rng.choice(extras))
+            elif roll < 0.7:
+                del after[k]
+            else:
+                after[k] = rng.choice(extras)
+        revs.append(make_revision(f"rand{i}",
+                                  ("s.sol", "\n".join(lines),
+                                   "\n".join(after))))
+    return revs
+
+
+_DIFFERENTIAL_REVISIONS = [
+    (name, shop_revision(before, after, name))
+    for name, _, before, after in TAXONOMY_CASES + COMPOUND_CASES
+] + [
+    (name, shop_revision(before, after, name))
+    for name, before, after, _, _ in INDEPENDENCE_CASES
+] + [
+    ("comment-and-emit", shop_revision(
+        ["// old note", "emit Priced(value);"],
+        ["// new note", "emit Priced(price);"], "comment-and-emit")),
+    ("multi-line-emit", shop_revision(
+        ["emit Sold(to,", "    amount);", "stock = amount;"],
+        ["emit Sold(to,", "    value);", "stock = amount;"],
+        "multi-line-emit")),
+    ("file-deleted", make_revision("file-deleted",
+                                   ("s.sol", make_snippet(4), None))),
+    ("file-added", make_revision("file-added",
+                                 ("s.sol", None, make_snippet(5)))),
+] + [(rev.id, rev) for rev in _random_revisions(30)]
+
+
+def _change_key(change):
+    return (change.path, change.category, change.before_emit,
+            change.after_emit, change.changed_arg_tokens)
+
+
+@pytest.mark.parametrize("whole_file", [False, True])
+@pytest.mark.parametrize("name,rev", _DIFFERENTIAL_REVISIONS,
+                         ids=[n for n, _ in _DIFFERENTIAL_REVISIONS])
+def test_analyze_revision_agrees_with_public_readers(name, rev, whole_file):
+    report = analyze_revision(rev, whole_file)
+    assert report.churn == churn(rev)
+    c = report.churn
+    assert (c.churned_loc, c.total_loc, c.churned_emits,
+            c.total_emits) == _oracle_churn(rev)
+    standalone = pair_emit_changes(rev)
+    assert [_change_key(ch) for ch in report.changes] == \
+        [_change_key(ch) for ch in standalone]
+    for change in report.changes:
+        assert change.independence == classify_independence(
+            rev, change, whole_file)
+        assert change.independence == _oracle_label(rev, change, whole_file)
+        if change.independence != ABS:
+            assert (change.independence == HEU) == \
+                passes_variable_kill_test(rev, change, whole_file)
+    emit_only = is_emit_only_revision(rev)
+    assert all((ch.independence == ABS) == emit_only
+               for ch in report.changes)
+
+
+def test_kill_sets_are_unioned_across_pairs():
+    """A reassignment in one file makes an emit change in another file
+    dependent: the kill test reads the revision's changed lines, not the
+    pair's."""
+    pair_a = ("a.sol", shop(["emit Send(msg.sender, id1);"]),
+              shop(["emit Send(msg.sender, id2);"]))
+    pair_b = ("b.sol", shop(["price = value;"]),
+              shop(["price = value;", "id2 = compute();"]))
+    alone = make_revision("a", pair_a)
+    assert classify_independence(alone, pair_emit_changes(alone)[0]) == ABS
+    both = make_revision("ab", pair_a, pair_b)
+    report = analyze_revision(both)
+    assert [ch.path for ch in report.changes] == ["a.sol"]
+    assert report.changes[0].independence == DEP
+    unrelated = make_revision("ac", pair_a,
+                              ("b.sol", shop(["price = value;"]),
+                               shop(["price = value;", "stock = 1;"])))
+    assert analyze_revision(unrelated).changes[0].independence == HEU
+
+
+@pytest.mark.parametrize("whole_file", [False, True])
+def test_analyze_revision_diffs_and_lexes_each_side_once(monkeypatch,
+                                                         whole_file):
+    diffs = []
+    lexed = []
+    real_diff, real_lex = evolution.diff_lines, evolution.lex
+
+    def counting_diff(before, after):
+        diffs.append((before, after))
+        return real_diff(before, after)
+
+    def counting_lex(file):
+        if file.path != "<chunk>":  # kill-scan chunks are exempt
+            lexed.append(id(file))
+        return real_lex(file)
+
+    monkeypatch.setattr(evolution, "diff_lines", counting_diff)
+    monkeypatch.setattr(evolution, "lex", counting_lex)
+    monkeypatch.setattr(scan, "lex", counting_lex)
+    rev = make_revision(
+        "three",
+        ("a.sol", make_snippet(1), make_snippet(1).replace("a > b", "a < b")),
+        ("b.sol", None, make_snippet(2)),
+        ("c.sol", make_snippet(3), "x = 1;\n" + make_snippet(3)))
+    report = analyze_revision(rev, whole_file)
+    assert report.changes
+    assert len(diffs) == len(rev.file_pairs)
+    present = [id(f) for p in rev.file_pairs for f in (p.before, p.after)
+               if f is not None]
+    assert sorted(lexed) == sorted(present)
