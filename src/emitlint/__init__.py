@@ -9,10 +9,7 @@ between revisions by category and independence.
 from .checks import (
     CheckConfig, CheckId, Diagnostic, Severity, Suggestion, run_checks,
 )
-from .dataflow import (
-    EqualityFact, KillEvent, KillKind, UnsupportedConstruct,
-    brute_force_equalities, equalities_at,
-)
+from .dataflow import EqualityFact, KillEvent, KillKind, equalities_at
 from .evolution import (
     ChangeCategory, ChurnReport, DiffOp, EventUseChange, FilePair,
     Independence, LineDiff, Revision, RevisionReport, analyze_revision,
@@ -27,8 +24,7 @@ from .scan import (
 )
 from .source import SourceFile, Span
 from .symbols import (
-    LocationClass, ScopeTree, Symbol, SymbolKind, build_symbols,
-    in_scope_memory_symbols, resolve,
+    LocationClass, ScopeTree, Symbol, SymbolKind, build_symbols, resolve,
 )
 
 __version__ = "0.1.0"
@@ -40,10 +36,8 @@ __all__ = [
     "LocStats", "LocationClass", "ParseError", "ProjectMetrics",
     "RegexEmitMatch", "Revision", "RevisionReport", "ScopeTree", "Severity",
     "SourceFile", "SourceUnit", "Span", "Suggestion", "Symbol", "SymbolKind",
-    "Token", "TokenKind", "UnsupportedConstruct", "analyze_revision",
-    "brute_force_equalities", "build_symbols", "churn",
+    "Token", "TokenKind", "analyze_revision", "build_symbols", "churn",
     "classify_independence", "compute_metrics", "count_loc", "diff_lines",
-    "equalities_at", "extract_emits_regex", "in_scope_memory_symbols",
-    "pair_emit_changes", "parse", "parse_file", "resolve", "run_checks",
-    "tokenize",
+    "equalities_at", "extract_emits_regex", "pair_emit_changes", "parse",
+    "parse_file", "resolve", "run_checks", "tokenize",
 ]

@@ -8,22 +8,21 @@ informational, and the leftover-debug patterns are hints.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional
 
 from .dataflow import equalities_at, kill_names
-from .metrics import count_file_emits
+from .metrics import FileAnalysis
 from .nodes import (
     Assignment, Block, Call, EmitStmt, Expr, FunctionDef, Identifier,
     IndexAccess, Literal, LiteralKind, MemberAccess, SourceUnit, Stmt,
-    identifier_names, root_identifier, walk_statements,
-    walk_stmt_expressions,
+    identifier_names, iter_emits, iter_functions, root_identifier,
+    walk_statements, walk_stmt_expressions,
 )
-from .parser import parse_file
-from .scan import LocStats, count_loc
+from .scan import LocStats
 from .source import SourceFile, Span
 from .symbols import (
     LocationClass, ScopeTree, Symbol, SymbolKind, build_symbols, resolve,
@@ -91,20 +90,6 @@ class CheckConfig:
 def _sort_key(diag: Diagnostic):
     return (diag.file, diag.span.start_line, diag.span.start_col,
             diag.check_id.value, diag.message)
-
-
-def iter_functions(unit: SourceUnit) -> Iterator[FunctionDef]:
-    for contract in unit.contracts:
-        for fn in contract.functions:
-            yield fn
-
-
-def iter_emits(fn: FunctionDef) -> Iterator[EmitStmt]:
-    if fn.body is None:
-        return
-    for stmt in walk_statements(fn.body):
-        if isinstance(stmt, EmitStmt):
-            yield stmt
 
 
 def iter_blocks(fn: FunctionDef) -> Iterator[Block]:
@@ -358,31 +343,26 @@ def check_debug_event(unit: SourceUnit, tree: ScopeTree, cfg: CheckConfig,
 
 @dataclass
 class FileCheckResult:
-    file: SourceFile
-    unit: SourceUnit
+    analysis: FileAnalysis
     tree: ScopeTree
-    loc: LocStats
-    emit_count: int
-    emit_count_method: str
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    diagnostics: list[Diagnostic]
 
 
-def run_checks(file: SourceFile, cfg: CheckConfig | None = None,
-               unit: SourceUnit | None = None) -> FileCheckResult:
-    """Parse one file and run every enabled check, diagnostics sorted by
+def run_checks(file: SourceFile,
+               cfg: CheckConfig | None = None) -> FileCheckResult:
+    """Analyze one file and run every enabled check, diagnostics sorted by
     position then check id."""
     cfg = cfg or CheckConfig()
-    if unit is None:
-        unit = parse_file(file)
+    analysis = FileAnalysis.build(file)
+    unit = analysis.unit
     tree = build_symbols(unit)
-    loc = count_loc(file)
-    emit_count, method = count_file_emits(file, unit)
 
     diags: list[Diagnostic] = []
     if CheckId.GAS_STORAGE_PARAM in cfg.enabled:
         diags += check_gas_storage_param(unit, tree, file.path)
     if CheckId.EVENT_OVERUSE in cfg.enabled:
-        diags += check_overuse(loc, emit_count, cfg, file.path)
+        diags += check_overuse(analysis.loc, analysis.emit_count, cfg,
+                               file.path)
     for fn in iter_functions(unit):
         if CheckId.EMIT_BEFORE_OP in cfg.enabled:
             diags += check_emit_before_op(fn, tree, file.path)
@@ -391,4 +371,4 @@ def run_checks(file: SourceFile, cfg: CheckConfig | None = None,
     if CheckId.DEBUG_EVENT in cfg.enabled:
         diags += check_debug_event(unit, tree, cfg, file.path)
     diags.sort(key=_sort_key)
-    return FileCheckResult(file, unit, tree, loc, emit_count, method, diags)
+    return FileCheckResult(analysis, tree, diags)

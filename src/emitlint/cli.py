@@ -138,7 +138,10 @@ def load_config(ns: argparse.Namespace) -> CheckConfig:
                                      f"strings, not {_json_type(item)}")
             enabled = _parse_check_ids(",".join(ids))
         if "debugEventFormB" in data:
-            form_b = bool(data["debugEventFormB"])
+            form_b = data["debugEventFormB"]
+            if not isinstance(form_b, bool):
+                raise ValueError(f'{ns.config}: "debugEventFormB" must be a '
+                                 f"boolean, not {_json_type(form_b)}")
     if getattr(ns, "overuse_threshold", None):
         threshold = Fraction(ns.overuse_threshold)
     if getattr(ns, "enable", None):
@@ -171,6 +174,16 @@ def collect_source_files(paths: list[str],
         except (OSError, UnicodeDecodeError) as exc:
             errors.append(f"{fp}: {exc}")
     return files
+
+
+def _load_files(paths: list[str]) -> tuple[list[SourceFile], list[str]]:
+    """collect_source_files, printing one stderr line per path or file that
+    could not be read."""
+    errors: list[str] = []
+    files = collect_source_files(paths, errors)
+    for err in errors:
+        print(f"emitlint: {err}", file=sys.stderr)
+    return files, errors
 
 
 # ------------------------------------------------------------------ lint cmd
@@ -217,10 +230,7 @@ def run_lint(ns: argparse.Namespace) -> int:
     except (ValueError, OSError, RecursionError) as exc:
         print(f"emitlint: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    errors: list[str] = []
-    files = collect_source_files(ns.paths, errors)
-    for err in errors:
-        print(f"emitlint: {err}", file=sys.stderr)
+    files, _ = _load_files(ns.paths)
     diagnostics: list[Diagnostic] = []
     for file in files:
         diagnostics.extend(run_checks(file, cfg).diagnostics)
@@ -262,22 +272,19 @@ def _metrics_to_dict(pm: ProjectMetrics) -> dict:
 
 
 def run_metrics(ns: argparse.Namespace) -> int:
-    errors: list[str] = []
-    files = collect_source_files(ns.paths, errors)
-    for err in errors:
-        print(f"emitlint: {err}", file=sys.stderr)
+    files, errors = _load_files(ns.paths)
     pm = compute_metrics(files)
     if ns.format == "json":
         print(json.dumps(_metrics_to_dict(pm), indent=2))
-        return EXIT_OK
-    print(f"files analyzed: {pm.file_count}")
-    print(f"code lines: {pm.total_code_loc}")
-    print(f"emit statements: {pm.total_emit_count}")
-    print(f"emits per code line: {float(pm.emit_per_loc):.3f}")
-    for f in pm.per_file:
-        print(f"  {f.path}: {f.emit_count} emits / {f.code_loc} code lines "
-              f"= {float(f.emit_per_loc):.3f} ({f.method})")
-    return EXIT_OK
+    else:
+        print(f"files analyzed: {pm.file_count}")
+        print(f"code lines: {pm.total_code_loc}")
+        print(f"emit statements: {pm.total_emit_count}")
+        print(f"emits per code line: {float(pm.emit_per_loc):.3f}")
+        for f in pm.per_file:
+            print(f"  {f.path}: {f.emit_count} emits / {f.code_loc} code "
+                  f"lines = {float(f.emit_per_loc):.3f} ({f.method})")
+    return EXIT_ERROR if errors and not files else EXIT_OK
 
 
 # ------------------------------------------------------------------ diff cmd

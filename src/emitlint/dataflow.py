@@ -10,21 +10,21 @@ at every loop header, and after any compound or unparsed statement that does
 not itself contain the emit. Dropping everything at those points is stricter
 than necessary but never claims a false equality.
 
-The module also hosts a tiny concrete interpreter over integer stores that
-serves as the independent cross-check for the analysis in tests.
+Every kill notion here (resolved kill events, the name-level kill sets that
+REDUNDANT_EVENT uses, and the effects of a branch condition) derives from
+one walker over a statement's own expressions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Iterator
 
 from .nodes import (
-    Assignment, Block, Call, EmitStmt, Expr, ExprStmt, For, FunctionDef,
-    Identifier, If, Literal, LiteralKind, LocalVarDecl, MemberAccess, Stmt,
-    Unary, Unparsed, While, root_identifier, statement_children, walk_expr,
-    walk_stmt_expressions,
+    Assignment, Block, Call, EmitStmt, ExprStmt, For, FunctionDef,
+    Identifier, If, LocalVarDecl, MemberAccess, Stmt, Unary, Unparsed, While,
+    root_identifier, statement_children, walk_expr, walk_stmt_expressions,
 )
 from .source import Span
 from .symbols import LocationClass, ScopeTree, Symbol, SymbolKind, resolve
@@ -61,59 +61,45 @@ def _resolve_variable(name: str, at: Span, tree: ScopeTree) -> Symbol | None:
     return None
 
 
-def kill_events(stmt: Stmt, tree: ScopeTree) -> list[KillEvent]:
-    """Kill events produced by one statement, victims resolved to symbols."""
-    events: list[KillEvent] = []
-
-    def victim(expr: Expr, kind: KillKind) -> None:
-        root = root_identifier(expr)
-        if root is None:
-            return
-        sym = _resolve_variable(root.name, root.span, tree)
-        if sym is not None:
-            events.append(KillEvent(kind, sym, root.span))
-
+def _kills(stmt: Stmt) -> Iterator[tuple[KillKind, Identifier]]:
+    """Kind and root identifier of every write the statement's own
+    expressions may make, in walk order."""
     for expr in walk_stmt_expressions(stmt):
         if isinstance(expr, Assignment):
             kind = (KillKind.REASSIGNED if expr.op == "="
                     else KillKind.COMPOUND_ASSIGNED)
-            victim(expr.lhs, kind)
+            targets = [expr.lhs]
         elif isinstance(expr, Unary) and expr.op in ("++", "--"):
-            victim(expr.operand, KillKind.INC_DEC)
+            kind, targets = KillKind.INC_DEC, [expr.operand]
         elif isinstance(expr, Call):
-            for arg in expr.args:
-                for node in walk_expr(arg):
-                    if isinstance(node, Identifier):
-                        victim(node, KillKind.PASSED_AS_CALL_ARGUMENT)
+            kind = KillKind.PASSED_AS_CALL_ARGUMENT
+            targets = [node for arg in expr.args for node in walk_expr(arg)
+                       if isinstance(node, Identifier)]
             # A member call can mutate its receiver.
             if isinstance(expr.callee, MemberAccess):
-                victim(expr.callee.base, KillKind.PASSED_AS_CALL_ARGUMENT)
+                targets.append(expr.callee.base)
+        else:
+            continue
+        for target in targets:
+            root = root_identifier(target)
+            if root is not None:
+                yield kind, root
+
+
+def kill_events(stmt: Stmt, tree: ScopeTree) -> list[KillEvent]:
+    """Kill events produced by one statement, victims resolved to symbols."""
+    events: list[KillEvent] = []
+    for kind, root in _kills(stmt):
+        sym = _resolve_variable(root.name, root.span, tree)
+        if sym is not None:
+            events.append(KillEvent(kind, sym, root.span))
     return events
 
 
 def kill_names(stmt: Stmt) -> set[str]:
     """Raw identifier names a statement may invalidate (unresolved form of
     kill_events, used by name-level suppression in checks)."""
-    names: set[str] = set()
-
-    def root_name(expr: Expr) -> None:
-        root = root_identifier(expr)
-        if root is not None:
-            names.add(root.name)
-
-    for expr in walk_stmt_expressions(stmt):
-        if isinstance(expr, Assignment):
-            root_name(expr.lhs)
-        elif isinstance(expr, Unary) and expr.op in ("++", "--"):
-            root_name(expr.operand)
-        elif isinstance(expr, Call):
-            for arg in expr.args:
-                for node in walk_expr(arg):
-                    if isinstance(node, Identifier):
-                        names.add(node.name)
-            if isinstance(expr.callee, MemberAccess):
-                root_name(expr.callee.base)
-    return names
+    return {root.name for _, root in _kills(stmt)}
 
 
 def has_call(stmt: Stmt) -> bool:
@@ -155,40 +141,26 @@ def _contains(stmt: Stmt, target: Stmt) -> bool:
 _FactMap = dict[tuple[Symbol, Symbol], EqualityFact]
 
 
+def _kill_own_effects(stmt: Stmt, facts: _FactMap,
+                      tree: ScopeTree) -> _FactMap:
+    """A copy of facts without those the statement's own expressions kill;
+    empty when they contain a call (a callee can write storage)."""
+    if has_call(stmt):
+        return {}
+    victims = {event.victim for event in kill_events(stmt, tree)}
+    return {key: fact for key, fact in facts.items()
+            if fact.storage_sym not in victims
+            and fact.memory_sym not in victims}
+
+
 def _apply_stmt(stmt: Stmt, facts: _FactMap, tree: ScopeTree) -> _FactMap:
     if isinstance(stmt, (Unparsed, Block, If, For, While)):
         # Opaque or compound statement on the path: drop everything.
         return {}
-    facts = dict(facts)
-    victims = {event.victim for event in kill_events(stmt, tree)}
-    if victims:
-        facts = {key: fact for key, fact in facts.items()
-                 if fact.storage_sym not in victims
-                 and fact.memory_sym not in victims}
-    if has_call(stmt):
-        return {}
+    facts = _kill_own_effects(stmt, facts, tree)
     pair = _gen_pair(stmt, tree)
     if pair is not None:
         facts[pair] = EqualityFact(pair[0], pair[1], stmt.span)
-    return facts
-
-
-def _apply_cond(cond: Expr, facts: _FactMap, tree: ScopeTree) -> _FactMap:
-    """Effects of evaluating a branch condition before entering the branch."""
-    if any(isinstance(e, Call) for e in walk_expr(cond)):
-        return {}
-    victims: set[Symbol] = set()
-    for expr in walk_expr(cond):
-        if isinstance(expr, Unary) and expr.op in ("++", "--"):
-            root = root_identifier(expr.operand)
-            if root is not None:
-                sym = _resolve_variable(root.name, root.span, tree)
-                if sym is not None:
-                    victims.add(sym)
-    if victims:
-        facts = {key: fact for key, fact in facts.items()
-                 if fact.storage_sym not in victims
-                 and fact.memory_sym not in victims}
     return facts
 
 
@@ -201,7 +173,8 @@ def _walk(stmts: list[Stmt], target: Stmt, facts: _FactMap,
             if isinstance(stmt, Block):
                 return _walk(stmt.stmts, target, facts, tree)
             if isinstance(stmt, If):
-                facts = _apply_cond(stmt.cond, facts, tree)
+                # The condition is the if statement's own expression.
+                facts = _kill_own_effects(stmt, facts, tree)
                 branch = stmt.then if _contains(stmt.then, target) \
                     else stmt.otherwise
                 return _walk([branch], target, facts, tree)
@@ -223,67 +196,3 @@ def equalities_at(emit: EmitStmt, fn: FunctionDef,
     if not found:
         return []
     return list(facts.values())
-
-
-# ------------------------------------------------------------------ oracle
-
-class UnsupportedConstruct(Exception):
-    """The function body exceeds the straight-line fragment the concrete
-    interpreter handles."""
-
-
-def _eval(expr: Expr, store: dict[str, int]) -> int:
-    if isinstance(expr, Identifier):
-        if expr.name not in store:
-            raise UnsupportedConstruct(f"unknown variable {expr.name!r}")
-        return store[expr.name]
-    if isinstance(expr, Literal) and expr.kind == LiteralKind.NUMBER:
-        return int(expr.text.replace("_", ""), 0)
-    raise UnsupportedConstruct("expression beyond identifiers and literals")
-
-
-def _exec(stmt: Stmt, store: dict[str, int]) -> None:
-    if isinstance(stmt, EmitStmt):
-        return  # probes are no-ops
-    if isinstance(stmt, LocalVarDecl):
-        store[stmt.name] = _eval(stmt.init, store) if stmt.init is not None else 0
-        return
-    if isinstance(stmt, ExprStmt) and isinstance(stmt.expr, Assignment):
-        assign = stmt.expr
-        if assign.op != "=" or not isinstance(assign.lhs, Identifier):
-            raise UnsupportedConstruct("only plain assignments are supported")
-        if assign.lhs.name not in store:
-            raise UnsupportedConstruct(
-                f"assignment to undeclared variable {assign.lhs.name!r}")
-        store[assign.lhs.name] = _eval(assign.rhs, store)
-        return
-    raise UnsupportedConstruct(f"unsupported statement {type(stmt).__name__}")
-
-
-def _equal_pairs(store: dict[str, int]) -> set[tuple[str, str]]:
-    names = sorted(store)
-    return {
-        (a, b)
-        for i, a in enumerate(names)
-        for b in names[i + 1:]
-        if store[a] == store[b]
-    }
-
-
-def brute_force_equalities(fn: FunctionDef,
-                           inputs: Mapping[str, int]) -> list[set[tuple[str, str]]]:
-    """Concretely interpret a straight-line body and report the exact
-    variable equalities holding before each top-level statement; the final
-    entry is the state after the last statement. Emit statements act as
-    probes. Raises UnsupportedConstruct beyond assignments among declared
-    variables and number literals.
-    """
-    if fn.body is None:
-        raise UnsupportedConstruct("function has no body")
-    store = dict(inputs)
-    tables: list[set[tuple[str, str]]] = []
-    for stmt in fn.body.stmts:
-        tables.append(_equal_pairs(store))
-        _exec(stmt, store)
-    tables.append(_equal_pairs(store))
-    return tables

@@ -142,10 +142,6 @@ def diff_lines(before: SourceFile | None, after: SourceFile | None) -> LineDiff:
     return LineDiff(ops)
 
 
-def replay(diff: LineDiff) -> str:
-    return "\n".join(op.text for op in diff.ops if op.kind in ("keep", "add"))
-
-
 # ----------------------------------------------------------- revision model
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Emit-density metrics per file and per project.
+"""Per-file analysis and emit-density metrics per file and per project.
 
 Emits are counted from the AST when the file parses without fatal errors;
 otherwise the textual matcher is used, skipping hits inside comments and
@@ -10,10 +10,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .nodes import EmitStmt, SourceUnit, walk_statements
-from .parser import has_fatal_errors, parse_file
-from .scan import count_loc, extract_emits_regex
+from .lexer import LexResult, lex
+from .nodes import SourceUnit, iter_emits, iter_functions
+from .parser import _parse_lexed, has_fatal_errors
+from .scan import LocStats, _count_loc, _extract_emits_regex
 from .source import SourceFile
+
+
+@dataclass(frozen=True)
+class FileAnalysis:
+    """One file lexed once; the tokens feed the parse, and the comment and
+    string ranges feed the line counts and, on fallback, the regex count.
+    The lex result itself is not kept: nothing reads it later, and holding
+    the tokens through the checks raises peak memory."""
+    file: SourceFile
+    unit: SourceUnit
+    loc: LocStats
+    emit_count: int
+    method: str  # "ast" | "regex"
+
+    @classmethod
+    def build(cls, file: SourceFile) -> FileAnalysis:
+        lexed = lex(file)
+        unit = _parse_lexed(file, lexed)
+        count, method = count_file_emits(file, unit, lexed)
+        return cls(file, unit, _count_loc(file, lexed), count, method)
 
 
 @dataclass(frozen=True)
@@ -35,37 +56,31 @@ class ProjectMetrics:
 
 
 def count_ast_emits(unit: SourceUnit) -> int:
-    count = 0
-    for contract in unit.contracts:
-        for fn in contract.functions:
-            if fn.body is None:
-                continue
-            for stmt in walk_statements(fn.body):
-                if isinstance(stmt, EmitStmt):
-                    count += 1
-    return count
+    return sum(1 for fn in iter_functions(unit) for _ in iter_emits(fn))
 
 
-def count_file_emits(file: SourceFile,
-                     unit: SourceUnit | None = None) -> tuple[int, str]:
+def count_file_emits(file: SourceFile, unit: SourceUnit | None = None,
+                     lexed: LexResult | None = None) -> tuple[int, str]:
+    """Emit count and the method used. unit and lexed, when given, must come
+    from this file; the file is lexed only when one of them is needed and
+    missing."""
     if unit is None:
-        unit = parse_file(file)
-    if has_fatal_errors(unit):
-        count = sum(1 for m in extract_emits_regex(file)
-                    if not m.in_comment_or_string)
-        return count, "regex"
-    return count_ast_emits(unit), "ast"
+        lexed = lexed or lex(file)
+        unit = _parse_lexed(file, lexed)
+    if not has_fatal_errors(unit):
+        return count_ast_emits(unit), "ast"
+    matches = _extract_emits_regex(file, lexed or lex(file))
+    return sum(1 for m in matches if not m.in_comment_or_string), "regex"
 
 
 def compute_metrics(files: list[SourceFile]) -> ProjectMetrics:
     per_file: list[FileMetrics] = []
     for file in files:
-        loc = count_loc(file)
-        count, method = count_file_emits(file)
-        ratio = Fraction(count, loc.code_lines) if loc.code_lines > 0 \
-            else Fraction(0)
-        per_file.append(FileMetrics(file.path, loc.code_lines, count, ratio,
-                                    method))
+        analysis = FileAnalysis.build(file)
+        code_loc, count = analysis.loc.code_lines, analysis.emit_count
+        ratio = Fraction(count, code_loc) if code_loc > 0 else Fraction(0)
+        per_file.append(FileMetrics(file.path, code_loc, count, ratio,
+                                    analysis.method))
     total_loc = sum(f.code_loc for f in per_file)
     total_emits = sum(f.emit_count for f in per_file)
     ratio = Fraction(total_emits, total_loc) if total_loc > 0 else Fraction(0)

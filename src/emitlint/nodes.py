@@ -282,6 +282,19 @@ def walk_statements(root: Stmt) -> Iterator[Stmt]:
         stack.extend(reversed(statement_children(stmt)))
 
 
+def iter_functions(unit: SourceUnit) -> Iterator[FunctionDef]:
+    for contract in unit.contracts:
+        yield from contract.functions
+
+
+def iter_emits(fn: FunctionDef) -> Iterator[EmitStmt]:
+    if fn.body is None:
+        return
+    for stmt in walk_statements(fn.body):
+        if isinstance(stmt, EmitStmt):
+            yield stmt
+
+
 def own_expressions(stmt: Stmt) -> list[Expr]:
     """Expressions attached directly to the statement (child statements'
     expressions are not included)."""

@@ -11,7 +11,9 @@ whatever parses around the damage.
 
 from __future__ import annotations
 
-from .lexer import Token, TokenKind, is_elementary_type, lex
+from contextlib import contextmanager
+
+from .lexer import LexResult, Token, TokenKind, is_elementary_type, lex
 from .nodes import (
     Assignment, Binary, Block, Call, Conditional, ContractDef, ContractKind,
     DataLocation, Directive, EmitStmt, EventDef, EventParam, Expr, ExprStmt,
@@ -46,9 +48,13 @@ _UNARY_OPS = frozenset({"!", "~", "-", "+", "++", "--"})
 _HEX_ADDRESS_LEN = 42  # 0x + 40 hex digits
 
 # Adversarial nesting must not exhaust the interpreter stack; beyond these
-# depths the region is skipped as damage instead.
+# depths the region is skipped as damage instead. Links of right-recursive
+# chains (assignments, conditional else-branches, '**', prefix operators)
+# are counted apart from nested expressions, so bounding them leaves the
+# nesting limit where it was.
 _MAX_STMT_DEPTH = 120
 _MAX_EXPR_DEPTH = 80
+_MAX_CHAIN_DEPTH = 100
 
 
 class _Fail(Exception):
@@ -67,6 +73,7 @@ class Parser:
         self.errors: list[ParseError] = []
         self.stmt_depth = 0
         self.expr_depth = 0
+        self.chain_depth = 0
 
     # ------------------------------------------------------------- utilities
 
@@ -132,17 +139,18 @@ class Parser:
             self._damage(f"expected '{lexeme}' {what}")
         return tok
 
-    def _skip_balanced_braces(self) -> None:
-        """Consume a '{'-opened region through its matching '}'."""
-        if not self._check(TokenKind.PUNCT, "{"):
+    def _skip_group(self, open_: str, close: str) -> None:
+        """Consume an open_-opened region through its matching close; nothing
+        when the next token is not open_."""
+        if not self._check(TokenKind.PUNCT, open_):
             return
         depth = 0
         while not self._at_end():
             tok = self._advance()
             if tok.kind == TokenKind.PUNCT:
-                if tok.lexeme == "{":
+                if tok.lexeme == open_:
                     depth += 1
-                elif tok.lexeme == "}":
+                elif tok.lexeme == close:
                     depth -= 1
                     if depth == 0:
                         return
@@ -239,8 +247,7 @@ class Parser:
                     if part is None:
                         break
                     path += "." + part.lexeme
-                if self._check(TokenKind.PUNCT, "("):
-                    self._skip_parens()
+                self._skip_group("(", ")")
                 bases.append(path)
                 if not self._match(TokenKind.PUNCT, ","):
                     break
@@ -256,20 +263,6 @@ class Parser:
         self._match(TokenKind.PUNCT, "}")
         contract.span = self._span_from(start)
         return contract
-
-    def _skip_parens(self) -> None:
-        if not self._check(TokenKind.PUNCT, "("):
-            return
-        depth = 0
-        while not self._at_end():
-            tok = self._advance()
-            if tok.kind == TokenKind.PUNCT:
-                if tok.lexeme == "(":
-                    depth += 1
-                elif tok.lexeme == ")":
-                    depth -= 1
-                    if depth == 0:
-                        return
 
     # ---------------------------------------------------------------- members
 
@@ -289,7 +282,7 @@ class Parser:
         if self._kw("struct") or self._kw("enum"):
             self._advance()
             self._match(TokenKind.IDENTIFIER)
-            self._skip_balanced_braces()
+            self._skip_group("{", "}")
             return
         if self._kw("using"):
             self._skip_to_semicolon()
@@ -337,7 +330,7 @@ class Parser:
                     self._advance()
                 elif tok.lexeme == "override":
                     self._advance()
-                    self._skip_parens()
+                    self._skip_group("(", ")")
                 else:
                     break
             name_tok = self._peek()
@@ -350,8 +343,9 @@ class Parser:
                 try:
                     init = self._parse_expression()
                 except _Fail:
+                    # An unsupported initializer ends where an argument does.
                     self.i = expr_mark
-                    self._skip_initializer()
+                    self._skip_call_arg()
             if self._match(TokenKind.PUNCT, ";") is None:
                 self._record("expected ';' after state variable declaration")
                 self._skip_to_semicolon()
@@ -361,22 +355,6 @@ class Parser:
         except _Fail:
             self.i = mark
             return None
-
-    def _skip_initializer(self) -> None:
-        """Consume an unsupported initializer up to the terminating ';'."""
-        depth = 0
-        while not self._at_end():
-            tok = self._peek()
-            if tok.kind == TokenKind.PUNCT:
-                if tok.lexeme in "([{":
-                    depth += 1
-                elif tok.lexeme in ")]}":
-                    if depth == 0:
-                        return
-                    depth -= 1
-                elif tok.lexeme in ";," and depth == 0:
-                    return
-            self._advance()
 
     def _parse_event(self) -> EventDef | None:
         start = self.i
@@ -474,7 +452,7 @@ class Parser:
                     continue
                 if tok.lexeme == "override":
                     self._advance()
-                    self._skip_parens()
+                    self._skip_group("(", ")")
                     continue
                 if tok.lexeme == "returns":
                     self._advance()
@@ -486,8 +464,7 @@ class Parser:
                 self._advance()
                 while self._match(TokenKind.PUNCT, "."):
                     self._match(TokenKind.IDENTIFIER)
-                if self._check(TokenKind.PUNCT, "("):
-                    self._skip_parens()
+                self._skip_group("(", ")")
                 continue
             self._advance()  # tolerate unknown header tokens
         body: Block | None = None
@@ -593,7 +570,7 @@ class Parser:
         if self.stmt_depth >= _MAX_STMT_DEPTH:
             self._record("statement nesting too deep; region skipped")
             if self._check(TokenKind.PUNCT, "{"):
-                self._skip_balanced_braces()
+                self._skip_group("{", "}")
             else:
                 self._skip_to_semicolon()
             if self.i == start and not self._at_end():
@@ -653,16 +630,15 @@ class Parser:
             if word == "assembly":
                 self._advance()
                 self._match(TokenKind.STRING)
-                self._skip_parens()
-                self._skip_balanced_braces()
+                self._skip_group("(", ")")
+                self._skip_group("{", "}")
                 return self._unparsed_stmt(start, "inline assembly block skipped")
             if word == "try":
                 self._skip_try()
                 return self._unparsed_stmt(start, "try/catch statement skipped")
             if word == "do":
                 self._advance()
-                if self._check(TokenKind.PUNCT, "{"):
-                    self._skip_balanced_braces()
+                self._skip_group("{", "}")
                 self._skip_to_semicolon()
                 return self._unparsed_stmt(start, "do/while statement skipped")
             if word in ("break", "continue"):
@@ -711,11 +687,11 @@ class Parser:
         self._advance()  # 'try'
         while not self._at_end() and not self._check(TokenKind.PUNCT, "{"):
             self._advance()
-        self._skip_balanced_braces()
+        self._skip_group("{", "}")
         while self._kw("catch"):
             while not self._at_end() and not self._check(TokenKind.PUNCT, "{"):
                 self._advance()
-            self._skip_balanced_braces()
+            self._skip_group("{", "}")
 
     def _parse_if(self) -> Stmt:
         start = self.i
@@ -826,6 +802,18 @@ class Parser:
         finally:
             self.expr_depth -= 1
 
+    @contextmanager
+    def _chain_link(self):
+        """One more link of a right-recursive chain. A context manager, not
+        a wrapper call, so each link costs one interpreter frame."""
+        if self.chain_depth >= _MAX_CHAIN_DEPTH:
+            raise _Fail()
+        self.chain_depth += 1
+        try:
+            yield
+        finally:
+            self.chain_depth -= 1
+
     def _parse_assignment(self) -> Expr:
         start = self.i
         lhs = self._parse_conditional()
@@ -833,7 +821,8 @@ class Parser:
         if tok is not None and tok.kind == TokenKind.OPERATOR and \
                 tok.lexeme in _ASSIGN_OPS:
             self._advance()
-            rhs = self._parse_assignment()
+            with self._chain_link():
+                rhs = self._parse_assignment()
             return Assignment(lhs, rhs, tok.lexeme, self._span_from(start))
         return lhs
 
@@ -845,7 +834,8 @@ class Parser:
             then = self._parse_expression()
             if self._match(TokenKind.PUNCT, ":") is None:
                 raise _Fail()
-            otherwise = self._parse_conditional()
+            with self._chain_link():
+                otherwise = self._parse_conditional()
             return Conditional(cond, then, otherwise, self._span_from(start))
         return cond
 
@@ -861,8 +851,11 @@ class Parser:
                 return lhs
             self._advance()
             # '**' binds right; everything else binds left.
-            next_min = prec if tok.lexeme == "**" else prec + 1
-            rhs = self._parse_binary(next_min)
+            if tok.lexeme == "**":
+                with self._chain_link():
+                    rhs = self._parse_binary(prec)
+            else:
+                rhs = self._parse_binary(prec + 1)
             lhs = Binary(tok.lexeme, lhs, rhs, self._span_from(start))
 
     def _parse_unary(self) -> Expr:
@@ -871,7 +864,8 @@ class Parser:
                 tok.lexeme in _UNARY_OPS:
             start = self.i
             self._advance()
-            operand = self._parse_unary()
+            with self._chain_link():
+                operand = self._parse_unary()
             return Unary(tok.lexeme, operand, self._span_from(start))
         return self._parse_postfix()
 
@@ -1033,11 +1027,13 @@ def parse(tokens: list[Token], file: SourceFile) -> SourceUnit:
 
 def parse_file(file: SourceFile) -> SourceUnit:
     """Lex and parse, folding lex errors into the unit's error list."""
-    result = lex(file)
-    unit = parse(result.tokens, file)
-    lex_errors = [ParseError(err.kind, err.span, "error")
-                  for err in result.errors]
-    unit.parse_errors[:0] = lex_errors
+    return _parse_lexed(file, lex(file))
+
+
+def _parse_lexed(file: SourceFile, lexed: LexResult) -> SourceUnit:
+    unit = parse(lexed.tokens, file)
+    unit.parse_errors[:0] = [ParseError(err.kind, err.span, "error")
+                             for err in lexed.errors]
     return unit
 
 

@@ -75,7 +75,11 @@ def _classify_lines(file: SourceFile, lexed: LexResult) -> list[str]:
 
 
 def count_loc(file: SourceFile) -> LocStats:
-    kinds = classify_lines(file)
+    return _count_loc(file, lex(file))
+
+
+def _count_loc(file: SourceFile, lexed: LexResult) -> LocStats:
+    kinds = _classify_lines(file, lexed)
     return LocStats(
         total_lines=len(kinds),
         code_lines=kinds.count(LINE_CODE),

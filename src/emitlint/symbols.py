@@ -257,25 +257,3 @@ def resolve(name: str, at: Span, tree: ScopeTree) -> Symbol | None:
                 return sym
         scope = tree.scopes[scope.parent_id] if scope.parent_id is not None else None
     return BUILTINS.get(name)
-
-
-def in_scope_memory_symbols(at: Span, tree: ScopeTree) -> list[Symbol]:
-    """Memory-class parameters and locals visible at the position: innermost
-    scope first, declaration order within each scope, shadowed names omitted."""
-    result: list[Symbol] = []
-    seen: set[str] = set()
-    scope = tree.innermost_scope_at(at.start_line, at.start_col)
-    while scope is not None:
-        for sym in scope.symbols:
-            if sym.kind not in (SymbolKind.PARAM, SymbolKind.LOCAL_VAR):
-                continue
-            if sym.location_class != LocationClass.MEMORY:
-                continue
-            if not _visible_in_scope(sym, at):
-                continue
-            if sym.name in seen:
-                continue
-            seen.add(sym.name)
-            result.append(sym)
-        scope = tree.scopes[scope.parent_id] if scope.parent_id is not None else None
-    return result

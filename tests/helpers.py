@@ -1,17 +1,25 @@
 """Shared test utilities: structural AST comparison, deterministic snippet
-corpus, random straight-line function generation, and revision builders."""
+corpus, random straight-line function generation, revision builders, and the
+independent oracles the analyses are checked against."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import Mapping
 
-from emitlint.evolution import FilePair, Revision
-from emitlint.nodes import EmitStmt, walk_statements
+from emitlint.evolution import FilePair, LineDiff, Revision
+from emitlint.nodes import (
+    Assignment, EmitStmt, Expr, ExprStmt, FunctionDef, Identifier, Literal,
+    LiteralKind, LocalVarDecl, Stmt, walk_statements,
+)
 from emitlint.parser import parse_file
-from emitlint.source import SourceFile
-from emitlint.symbols import build_symbols
+from emitlint.source import SourceFile, Span
+from emitlint.symbols import (
+    LocationClass, ScopeTree, Symbol, SymbolKind, _visible_in_scope,
+    build_symbols,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -237,3 +245,94 @@ def shop(body_lines) -> str:
 def shop_revision(before_body, after_body, rev_id: str = "r") -> Revision:
     return make_revision(rev_id, ("shop.sol", shop(before_body),
                                   shop(after_body)))
+
+
+# ------------------------------------------------------------------ oracles
+
+def replay(diff: LineDiff) -> str:
+    """The after text rebuilt from a diff's kept and added lines."""
+    return "\n".join(op.text for op in diff.ops if op.kind in ("keep", "add"))
+
+
+def in_scope_memory_symbols(at: Span, tree: ScopeTree) -> list[Symbol]:
+    """Memory-class parameters and locals visible at the position: innermost
+    scope first, declaration order within each scope, shadowed names omitted."""
+    result: list[Symbol] = []
+    seen: set[str] = set()
+    scope = tree.innermost_scope_at(at.start_line, at.start_col)
+    while scope is not None:
+        for sym in scope.symbols:
+            if sym.kind not in (SymbolKind.PARAM, SymbolKind.LOCAL_VAR):
+                continue
+            if sym.location_class != LocationClass.MEMORY:
+                continue
+            if not _visible_in_scope(sym, at):
+                continue
+            if sym.name in seen:
+                continue
+            seen.add(sym.name)
+            result.append(sym)
+        scope = tree.scopes[scope.parent_id] if scope.parent_id is not None else None
+    return result
+
+
+class UnsupportedConstruct(Exception):
+    """The function body exceeds the straight-line fragment the concrete
+    interpreter handles."""
+
+
+def _eval(expr: Expr, store: dict[str, int]) -> int:
+    if isinstance(expr, Identifier):
+        if expr.name not in store:
+            raise UnsupportedConstruct(f"unknown variable {expr.name!r}")
+        return store[expr.name]
+    if isinstance(expr, Literal) and expr.kind == LiteralKind.NUMBER:
+        return int(expr.text.replace("_", ""), 0)
+    raise UnsupportedConstruct("expression beyond identifiers and literals")
+
+
+def _exec(stmt: Stmt, store: dict[str, int]) -> None:
+    if isinstance(stmt, EmitStmt):
+        return  # probes are no-ops
+    if isinstance(stmt, LocalVarDecl):
+        store[stmt.name] = _eval(stmt.init, store) if stmt.init is not None else 0
+        return
+    if isinstance(stmt, ExprStmt) and isinstance(stmt.expr, Assignment):
+        assign = stmt.expr
+        if assign.op != "=" or not isinstance(assign.lhs, Identifier):
+            raise UnsupportedConstruct("only plain assignments are supported")
+        if assign.lhs.name not in store:
+            raise UnsupportedConstruct(
+                f"assignment to undeclared variable {assign.lhs.name!r}")
+        store[assign.lhs.name] = _eval(assign.rhs, store)
+        return
+    raise UnsupportedConstruct(f"unsupported statement {type(stmt).__name__}")
+
+
+def _equal_pairs(store: dict[str, int]) -> set[tuple[str, str]]:
+    names = sorted(store)
+    return {
+        (a, b)
+        for i, a in enumerate(names)
+        for b in names[i + 1:]
+        if store[a] == store[b]
+    }
+
+
+def brute_force_equalities(fn: FunctionDef,
+                           inputs: Mapping[str, int]) -> list[set[tuple[str, str]]]:
+    """Concretely interpret a straight-line body and report the exact
+    variable equalities holding before each top-level statement; the final
+    entry is the state after the last statement. Emit statements act as
+    probes. Raises UnsupportedConstruct beyond assignments among declared
+    variables and number literals.
+    """
+    if fn.body is None:
+        raise UnsupportedConstruct("function has no body")
+    store = dict(inputs)
+    tables: list[set[tuple[str, str]]] = []
+    for stmt in fn.body.stmts:
+        tables.append(_equal_pairs(store))
+        _exec(stmt, store)
+    tables.append(_equal_pairs(store))
+    return tables

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from emitlint.checks import CheckConfig, CheckId, check_overuse, run_checks
 from emitlint.cli import main
-from emitlint.dataflow import brute_force_equalities, equalities_at
+from emitlint.dataflow import equalities_at
 from emitlint.evolution import churn, classify_independence, \
     is_emit_only_revision, pair_emit_changes, passes_variable_kill_test
 from emitlint.metrics import count_ast_emits
@@ -20,8 +20,8 @@ from emitlint.source import SourceFile
 
 from conftest import fixture_path
 from helpers import (
-    distinct_inputs, gen_straight_line_contract, make_revision, parsed,
-    shop_revision, snippet_corpus,
+    brute_force_equalities, distinct_inputs, gen_straight_line_contract,
+    make_revision, parsed, shop_revision, snippet_corpus,
 )
 from revision_cases import (
     ABS, EXPECTED_HEURISTIC_MISMATCHES, INDEPENDENCE_CASES, TAXONOMY_CASES,

@@ -87,7 +87,8 @@ def test_gas_suggestion_is_memory_class_and_backed_by_fact():
     """Suggestion safety: the named replacement is an in-scope memory-class
     variable equal to the storage variable at the emit."""
     from emitlint.dataflow import equalities_at
-    from emitlint.symbols import LocationClass, in_scope_memory_symbols, resolve
+    from emitlint.symbols import LocationClass, resolve
+    from helpers import in_scope_memory_symbols
 
     file, unit, tree = parsed(SETDELAY_TEXT)
     fn = unit.contracts[0].functions[0]
@@ -432,5 +433,5 @@ def test_diagnostics_sorted_and_deterministic():
 def test_run_checks_on_malformed_file_does_not_crash():
     file = fixture_file("robust", "broken.sol")
     result = run_checks(file)
-    assert result.unit.parse_errors
+    assert result.analysis.unit.parse_errors
     assert isinstance(result.diagnostics, list)

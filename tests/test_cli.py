@@ -1,4 +1,6 @@
 import json
+import sys
+from collections import Counter
 
 import pytest
 
@@ -193,6 +195,50 @@ def test_metrics_no_files_zeros_exit_zero(capsys, tmp_path):
     assert "files analyzed: 0" in out
 
 
+def test_metrics_unreadable_only_path_exit_two(capsys):
+    code, out, err = run(capsys, "metrics", "nope.sol")
+    assert code == 2
+    assert "files analyzed: 0" in out
+    assert err.splitlines() == ["emitlint: nope.sol: no such file or directory"]
+
+
+_DAMAGED = """contract D {
+    event E(uint v);
+    function f(uint v) public {
+        emit E(v);
+        uint = = ;
+    }
+"""
+
+
+@pytest.mark.parametrize("command", ["lint", "metrics"])
+def test_each_file_is_lexed_once(capsys, monkeypatch, tmp_path, command):
+    """One full-file lex per file feeds parsing, line counts and, for a
+    damaged file, the regex emit count."""
+    (tmp_path / "clean.sol").write_text(
+        fixture_path("lint_tree", "a.sol").read_text())
+    (tmp_path / "damaged.sol").write_text(_DAMAGED)
+    from emitlint import lexer
+    real_lex = lexer.lex
+    lexed = Counter()
+
+    def counting_lex(file):
+        lexed[file.path] += 1
+        return real_lex(file)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("emitlint") and getattr(module, "lex", None) \
+                is real_lex:
+            monkeypatch.setattr(module, "lex", counting_lex)
+    code, out, _ = run(capsys, command, str(tmp_path), "--format", "json")
+    assert code in (0, 1)
+    assert sorted(lexed.values()) == [1, 1], lexed
+    if command == "metrics":
+        methods = {row["path"].rsplit("/", 1)[-1]: row["method"]
+                   for row in json.loads(out)["perFile"]}
+        assert methods == {"clean.sol": "ast", "damaged.sol": "regex"}
+
+
 def test_metrics_json_per_file_rows(capsys):
     code, out, _ = run(capsys, "metrics", str(fixture_path("lint_tree")),
                        "--format", "json")
@@ -210,7 +256,7 @@ def test_metrics_multi_dir_totals_equal_manual_sum(capsys):
     code, out, _ = run(capsys, "metrics", str(fixture_path("gas")),
                        str(fixture_path("lint_tree")), "--format", "json")
     data = json.loads(out)
-    assert data["fileCount"] == 14
+    assert data["fileCount"] == 15
     assert data["totalEmitCount"] == sum(f["emitCount"]
                                          for f in data["perFile"])
 
@@ -389,6 +435,8 @@ def test_diff_deeply_nested_manifest_exit_two(capsys, tmp_path):
     ({"enabled": ["GAS_STORAGE_PARAM", 3]},
      '"enabled" items must be strings, not a number'),
     (["GAS_STORAGE_PARAM"], "top level must be a JSON object, not an array"),
+    ({"debugEventFormB": "false"},
+     '"debugEventFormB" must be a boolean, not a string'),
 ])
 def test_lint_malformed_config_exit_two(capsys, tmp_path, config, message):
     path = tmp_path / "config.json"

@@ -2,14 +2,12 @@ import random
 
 import pytest
 
-from emitlint.dataflow import (
-    KillKind, UnsupportedConstruct, brute_force_equalities, equalities_at,
-    kill_events, kill_names,
-)
+from emitlint.dataflow import KillKind, equalities_at, kill_events, kill_names
 from emitlint.nodes import EmitStmt
 
 from helpers import (
-    distinct_inputs, emits_of, gen_straight_line_contract, parsed,
+    UnsupportedConstruct, brute_force_equalities, distinct_inputs, emits_of,
+    gen_straight_line_contract, parsed,
 )
 
 

@@ -6,10 +6,10 @@ import pytest
 from emitlint.evolution import (
     ChangeCategory, analyze_revision, churn, classify_independence,
     diff_lines, is_emit_only_revision, pair_emit_changes,
-    passes_variable_kill_test, replay,
+    passes_variable_kill_test,
 )
 
-from helpers import make_revision, src
+from helpers import make_revision, replay, src
 
 
 # ------------------------------------------------------------------ diffing

@@ -1,6 +1,8 @@
+from emitlint.checks import run_checks
 from emitlint.nodes import (
-    Assignment, Call, ContractKind, DataLocation, ExprStmt, Identifier,
-    LocalVarDecl, MemberAccess, Unparsed, walk_statements,
+    Assignment, Binary, Call, Conditional, ContractKind, DataLocation,
+    ExprStmt, Identifier, LocalVarDecl, MemberAccess, Unary, Unparsed,
+    walk_expr, walk_statements,
 )
 from emitlint.parser import has_fatal_errors, parse_file
 
@@ -372,7 +374,6 @@ def test_pipeline_never_raises_on_mutated_input():
     accept any byte soup without raising."""
     import random
 
-    from emitlint.checks import run_checks
     from emitlint.scan import count_loc, extract_emits_regex
 
     base = fixture_file("realistic_token.sol").text
@@ -406,3 +407,26 @@ def test_pathological_nesting_is_bounded_not_fatal_to_the_process():
                  + "(" * 5000 + "1" + ")" * 5000 + "; } }")
     unit = parse_file(src(deep_expr, "deepexpr.sol"))
     assert unit.parse_errors
+
+    # Right-recursive chains: 80 links parse in full, 2000 are damage.
+    chains = {
+        "unary minus": ("- ", "x", Unary, 0),
+        "unary not": ("!", "c", Unary, 0),
+        "assignment": ("x = ", "x", Assignment, 1),
+        "conditional": ("c ? x : ", "x", Conditional, 0),
+        "power": ("x ** ", "x", Binary, 0),
+    }
+    for name, (link, end, node_type, extra) in chains.items():
+        for links in (80, 2000):
+            file = src("contract C { function f(uint x, bool c) public { "
+                       f"x = {link * links}{end}; }} }}", "chain.sol")
+            unit = parse_file(file)
+            run_checks(file)
+            if links == 2000:
+                assert unit.parse_errors, name
+                continue
+            assert unit.parse_errors == [], name
+            stmt = unit.contracts[0].functions[0].body.stmts[0]
+            nodes = [e for e in walk_expr(stmt.expr)
+                     if isinstance(e, node_type)]
+            assert len(nodes) == links + extra, name

@@ -1,10 +1,10 @@
 from emitlint.nodes import DataLocation
 from emitlint.symbols import (
-    BUILTINS, LocationClass, SymbolKind, in_scope_memory_symbols,
-    is_reference_type, location_class_for, resolve,
+    BUILTINS, LocationClass, SymbolKind, is_reference_type,
+    location_class_for, resolve,
 )
 
-from helpers import emits_of, parsed, snippet_corpus
+from helpers import emits_of, in_scope_memory_symbols, parsed, snippet_corpus
 
 
 SETDELAY_TEXT = """contract Timelock {
