@@ -225,7 +225,7 @@ def check_emit_before_op(fn: FunctionDef, tree: ScopeTree,
 # ---------------------------------------------------------- redundancy check
 
 def _arg_key(arg: Expr, emit: EmitStmt, tree: ScopeTree,
-             file: SourceFile | None):
+             file: SourceFile):
     if isinstance(arg, Identifier):
         sym = resolve(arg.name, emit.span, tree)
         if sym is not None:
@@ -233,13 +233,11 @@ def _arg_key(arg: Expr, emit: EmitStmt, tree: ScopeTree,
         return ("name", arg.name)
     if isinstance(arg, Literal):
         return ("lit", arg.text)
-    if file is not None:
-        return ("expr", "".join(file.span_text(arg.span).split()))
-    return ("expr", repr(arg))
+    return ("expr", "".join(file.span_text(arg.span).split()))
 
 
 def _arg_multiset(emit: EmitStmt, tree: ScopeTree,
-                  file: SourceFile | None) -> Counter:
+                  file: SourceFile) -> Counter:
     return Counter(_arg_key(arg, emit, tree, file) for arg in emit.args)
 
 
@@ -252,7 +250,7 @@ def _arg_names(emit: EmitStmt) -> set[str]:
 
 
 def check_redundant_event(fn: FunctionDef, tree: ScopeTree, path: str,
-                          file: SourceFile | None = None) -> list[Diagnostic]:
+                          file: SourceFile) -> list[Diagnostic]:
     """Emit pairs in one block where one emit's arguments are wholly included
     in the other's, with no statement between them invalidating a shared
     argument. The included emit is reported."""

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .checks import CheckConfig, CheckId, Diagnostic, run_checks
+from .checks import CheckConfig, CheckId, Diagnostic, _sort_key, run_checks
 from .evolution import (
     FilePair, Independence, Revision, RevisionReport, analyze_revision,
 )
@@ -234,9 +234,7 @@ def run_lint(ns: argparse.Namespace) -> int:
     diagnostics: list[Diagnostic] = []
     for file in files:
         diagnostics.extend(run_checks(file, cfg).diagnostics)
-    diagnostics.sort(key=lambda d: (d.file, d.span.start_line,
-                                    d.span.start_col, d.check_id.value,
-                                    d.message))
+    diagnostics.sort(key=_sort_key)
     if ns.format == "json":
         print(json.dumps([_diag_to_dict(d) for d in diagnostics], indent=2))
     else:

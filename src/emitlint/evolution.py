@@ -36,7 +36,7 @@ from enum import Enum
 from fractions import Fraction
 import re
 
-from .lexer import TokenKind, classify_word, lex
+from .lexer import ASSIGN_OPS, TokenKind, classify_word, lex
 from .scan import (
     LINE_BLANK, LINE_CODE, LINE_COMMENT, RegexEmitMatch, _classify_lines,
     _extract_emits_regex, match_line_range,
@@ -46,10 +46,6 @@ from .source import SourceFile
 _NEG = -(10 ** 9)
 
 _IDENT_TOKEN_RE = re.compile(r"[A-Za-z_]\w*")
-
-_ASSIGN_OPS = frozenset({
-    "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=",
-})
 
 
 # ------------------------------------------------------------------ diffing
@@ -440,7 +436,7 @@ def _scan_kill_sets(chunk: str) -> tuple[set[str], set[str]]:
     passed: set[str] = set()
     toks = lex(SourceFile.from_text("<chunk>", chunk)).tokens
     for idx, tok in enumerate(toks):
-        if tok.kind == TokenKind.OPERATOR and tok.lexeme in _ASSIGN_OPS:
+        if tok.kind == TokenKind.OPERATOR and tok.lexeme in ASSIGN_OPS:
             j = idx - 1
             while j >= 0:
                 prev = toks[j]

@@ -65,7 +65,6 @@ _ELEMENTARY_RE = re.compile(
     r"|u?fixed(\d+x\d+)?)$"
 )
 
-_WORD_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 _NUMBER_RE = re.compile(r"0[xX][0-9a-fA-F_]+|\d[\d_]*(\.\d+)?([eE][+-]?\d+)?")
 
 # Longest-match-first operator table.
@@ -76,7 +75,40 @@ _OPERATORS = (
     "=", "+", "-", "*", "/", "%", "!", "<", ">", "&", "|", "^", "~",
 )
 
-_PUNCT = frozenset("(){}[];,.?:")
+ASSIGN_OPS = frozenset({
+    "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=",
+})
+
+# One named alternative per token class. At each offset the first
+# alternative that matches wins, and every character starts some match, so
+# `finditer` walks the whole text with no gaps.
+_TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in (
+    ("space", r"[ \t\r\n]+"),
+    ("comment", r"//[^\n]*|/\*(?s:.*?)\*/"),
+    ("open_comment", r"/\*(?s:.*)"),
+    # A backslash escapes any next character, a newline included.
+    ("string", r'"[^"\\\n]*(?:\\(?s:.)[^"\\\n]*)*"'
+               r"|'[^'\\\n]*(?:\\(?s:.)[^'\\\n]*)*'"),
+    # Reached only when no closing quote matched, so it runs to the next
+    # unescaped newline or to EOF, taking a trailing backslash with it.
+    ("open_string", r"""["'][^\\\n]*(?:\\(?s:.)[^\\\n]*)*\\?"""),
+    ("word", r"[A-Za-z_$][A-Za-z0-9_$]*"),
+    ("number", _NUMBER_RE.pattern),
+    ("operator", "|".join(map(re.escape, _OPERATORS))),
+    ("punct", r"[(){}\[\];,.?:]"),
+    # Characters that start none of the classes above.
+    ("bad", r"""[^ \t\r\n"'A-Za-z_$\d=+\-*/%!<>&|^~(){}\[\];,.?:]+"""),
+)))
+
+_TOKEN_KINDS = {
+    "string": TokenKind.STRING, "number": TokenKind.NUMBER,
+    "operator": TokenKind.OPERATOR, "punct": TokenKind.PUNCT,
+}
+_ERROR_KINDS = {
+    "open_comment": "UnterminatedComment",
+    "open_string": "UnterminatedString",
+    "bad": "UnexpectedCharacter",
+}
 
 
 def is_elementary_type(word: str) -> bool:
@@ -90,101 +122,28 @@ def classify_word(word: str) -> TokenKind:
 
 
 def lex(file: SourceFile) -> LexResult:
-    text = file.text
-    n = len(text)
     tokens: list[Token] = []
     errors: list[LexError] = []
     comments: list[tuple[int, int]] = []
     strings: list[tuple[int, int]] = []
-
-    def span(a: int, b: int) -> Span:
-        return file.span_from_offsets(a, b)
-
-    i = 0
-    bad_start = -1
-
-    def flush_bad(end: int) -> None:
-        nonlocal bad_start
-        if bad_start >= 0:
-            errors.append(LexError("UnexpectedCharacter", span(bad_start, end)))
-            bad_start = -1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            flush_bad(i)
-            i += 1
+    span = file.span_from_offsets
+    for m in _TOKEN_RE.finditer(file.text):
+        group = m.lastgroup
+        if group == "space":
             continue
-        if text.startswith("//", i):
-            flush_bad(i)
-            j = text.find("\n", i)
-            j = n if j == -1 else j
-            comments.append((i, j))
-            i = j
+        a, b = m.span()
+        if group == "word":
+            word = m.group()
+            tokens.append(Token(classify_word(word), word, span(a, b)))
             continue
-        if text.startswith("/*", i):
-            flush_bad(i)
-            j = text.find("*/", i + 2)
-            if j == -1:
-                errors.append(LexError("UnterminatedComment", span(i, n)))
-                comments.append((i, n))
-                i = n
-            else:
-                comments.append((i, j + 2))
-                i = j + 2
-            continue
-        if ch in "'\"":
-            flush_bad(i)
-            j = i + 1
-            closed = False
-            while j < n:
-                c = text[j]
-                if c == "\\" and j + 1 < n:
-                    j += 2
-                    continue
-                if c == ch:
-                    closed = True
-                    j += 1
-                    break
-                if c == "\n":
-                    break
-                j += 1
-            if closed:
-                tokens.append(Token(TokenKind.STRING, text[i:j], span(i, j)))
-                strings.append((i, j))
-            else:
-                errors.append(LexError("UnterminatedString", span(i, j)))
-                strings.append((i, j))
-            i = j
-            continue
-        m = _WORD_RE.match(text, i)
-        if m:
-            flush_bad(i)
-            word = m.group(0)
-            tokens.append(Token(classify_word(word), word, span(i, m.end())))
-            i = m.end()
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            flush_bad(i)
-            tokens.append(Token(TokenKind.NUMBER, m.group(0), span(i, m.end())))
-            i = m.end()
-            continue
-        op = next((o for o in _OPERATORS if text.startswith(o, i)), None)
-        if op:
-            flush_bad(i)
-            tokens.append(Token(TokenKind.OPERATOR, op, span(i, i + len(op))))
-            i += len(op)
-            continue
-        if ch in _PUNCT:
-            flush_bad(i)
-            tokens.append(Token(TokenKind.PUNCT, ch, span(i, i + 1)))
-            i += 1
-            continue
-        if bad_start < 0:
-            bad_start = i
-        i += 1
-    flush_bad(n)
+        if group in ("comment", "open_comment"):
+            comments.append((a, b))
+        elif group in ("string", "open_string"):
+            strings.append((a, b))
+        if group in _TOKEN_KINDS:
+            tokens.append(Token(_TOKEN_KINDS[group], m.group(), span(a, b)))
+        elif group in _ERROR_KINDS:
+            errors.append(LexError(_ERROR_KINDS[group], span(a, b)))
     return LexResult(tokens, errors, comments, strings)
 
 

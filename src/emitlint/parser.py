@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from .lexer import LexResult, Token, TokenKind, is_elementary_type, lex
+from .lexer import (
+    ASSIGN_OPS, LexResult, Token, TokenKind, is_elementary_type, lex,
+)
 from .nodes import (
     Assignment, Binary, Block, Call, Conditional, ContractDef, ContractKind,
     DataLocation, Directive, EmitStmt, EventDef, EventParam, Expr, ExprStmt,
@@ -30,9 +32,6 @@ _LOCATIONS = {
     "storage": DataLocation.STORAGE,
     "calldata": DataLocation.CALLDATA,
 }
-_ASSIGN_OPS = frozenset({
-    "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=",
-})
 _BINARY_PREC = {
     "||": 1, "&&": 2,
     "==": 3, "!=": 3,
@@ -49,9 +48,9 @@ _HEX_ADDRESS_LEN = 42  # 0x + 40 hex digits
 
 # Adversarial nesting must not exhaust the interpreter stack; beyond these
 # depths the region is skipped as damage instead. Links of right-recursive
-# chains (assignments, conditional else-branches, '**', prefix operators)
-# are counted apart from nested expressions, so bounding them leaves the
-# nesting limit where it was.
+# chains (assignments, conditional else-branches, binary right operands,
+# prefix operators, nested mapping types) are counted apart from nested
+# expressions, so bounding them leaves the nesting limit where it was.
 _MAX_STMT_DEPTH = 120
 _MAX_EXPR_DEPTH = 80
 _MAX_CHAIN_DEPTH = 100
@@ -513,10 +512,12 @@ class Parser:
             self._advance()
             if self._match(TokenKind.PUNCT, "(") is None:
                 raise _Fail()
-            key = self._parse_type_name()
+            with self._chain_link():
+                key = self._parse_type_name()
             if self._match(TokenKind.OPERATOR, "=>") is None:
                 raise _Fail()
-            value = self._parse_type_name()
+            with self._chain_link():
+                value = self._parse_type_name()
             if self._match(TokenKind.PUNCT, ")") is None:
                 raise _Fail()
             base = f"mapping({key} => {value})"
@@ -819,7 +820,7 @@ class Parser:
         lhs = self._parse_conditional()
         tok = self._peek()
         if tok is not None and tok.kind == TokenKind.OPERATOR and \
-                tok.lexeme in _ASSIGN_OPS:
+                tok.lexeme in ASSIGN_OPS:
             self._advance()
             with self._chain_link():
                 rhs = self._parse_assignment()
@@ -851,11 +852,9 @@ class Parser:
                 return lhs
             self._advance()
             # '**' binds right; everything else binds left.
-            if tok.lexeme == "**":
-                with self._chain_link():
-                    rhs = self._parse_binary(prec)
-            else:
-                rhs = self._parse_binary(prec + 1)
+            with self._chain_link():
+                rhs = self._parse_binary(prec if tok.lexeme == "**"
+                                         else prec + 1)
             lhs = Binary(tok.lexeme, lhs, rhs, self._span_from(start))
 
     def _parse_unary(self) -> Expr:

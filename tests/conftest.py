@@ -1,10 +1,4 @@
 import sys
 from pathlib import Path
 
-FIXTURES = Path(__file__).parent / "fixtures"
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-
-def fixture_path(*parts: str) -> Path:
-    return FIXTURES.joinpath(*parts)

@@ -5,11 +5,16 @@ independent oracles the analyses are checked against."""
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Mapping
 
 from emitlint.evolution import FilePair, LineDiff, Revision
+from emitlint.lexer import (
+    _NUMBER_RE, _OPERATORS, LexError, LexResult, Token, TokenKind,
+    classify_word,
+)
 from emitlint.nodes import (
     Assignment, EmitStmt, Expr, ExprStmt, FunctionDef, Identifier, Literal,
     LiteralKind, LocalVarDecl, Stmt, walk_statements,
@@ -24,8 +29,12 @@ from emitlint.symbols import (
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def fixture_path(*parts: str) -> Path:
+    return FIXTURES.joinpath(*parts)
+
+
 def fixture_file(*parts: str) -> SourceFile:
-    return SourceFile.load(FIXTURES.joinpath(*parts))
+    return SourceFile.load(fixture_path(*parts))
 
 
 def src(text: str, path: str = "test.sol") -> SourceFile:
@@ -336,3 +345,110 @@ def brute_force_equalities(fn: FunctionDef,
         _exec(stmt, store)
     tables.append(_equal_pairs(store))
     return tables
+
+
+# ------------------------------------------------------- reference lexer
+
+_WORD_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
+_PUNCT = frozenset("(){}[];,.?:")
+
+
+def reference_lex(file: SourceFile) -> LexResult:
+    """The hand-written per-character lexer that `lexer.lex` replaced; the
+    differential lexer test compares the two."""
+    text = file.text
+    n = len(text)
+    tokens: list[Token] = []
+    errors: list[LexError] = []
+    comments: list[tuple[int, int]] = []
+    strings: list[tuple[int, int]] = []
+
+    def span(a: int, b: int) -> Span:
+        return file.span_from_offsets(a, b)
+
+    i = 0
+    bad_start = -1
+
+    def flush_bad(end: int) -> None:
+        nonlocal bad_start
+        if bad_start >= 0:
+            errors.append(LexError("UnexpectedCharacter", span(bad_start, end)))
+            bad_start = -1
+
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            flush_bad(i)
+            i += 1
+            continue
+        if text.startswith("//", i):
+            flush_bad(i)
+            j = text.find("\n", i)
+            j = n if j == -1 else j
+            comments.append((i, j))
+            i = j
+            continue
+        if text.startswith("/*", i):
+            flush_bad(i)
+            j = text.find("*/", i + 2)
+            if j == -1:
+                errors.append(LexError("UnterminatedComment", span(i, n)))
+                comments.append((i, n))
+                i = n
+            else:
+                comments.append((i, j + 2))
+                i = j + 2
+            continue
+        if ch in "'\"":
+            flush_bad(i)
+            j = i + 1
+            closed = False
+            while j < n:
+                c = text[j]
+                if c == "\\" and j + 1 < n:
+                    j += 2
+                    continue
+                if c == ch:
+                    closed = True
+                    j += 1
+                    break
+                if c == "\n":
+                    break
+                j += 1
+            if closed:
+                tokens.append(Token(TokenKind.STRING, text[i:j], span(i, j)))
+                strings.append((i, j))
+            else:
+                errors.append(LexError("UnterminatedString", span(i, j)))
+                strings.append((i, j))
+            i = j
+            continue
+        m = _WORD_RE.match(text, i)
+        if m:
+            flush_bad(i)
+            word = m.group(0)
+            tokens.append(Token(classify_word(word), word, span(i, m.end())))
+            i = m.end()
+            continue
+        m = _NUMBER_RE.match(text, i)
+        if m:
+            flush_bad(i)
+            tokens.append(Token(TokenKind.NUMBER, m.group(0), span(i, m.end())))
+            i = m.end()
+            continue
+        op = next((o for o in _OPERATORS if text.startswith(o, i)), None)
+        if op:
+            flush_bad(i)
+            tokens.append(Token(TokenKind.OPERATOR, op, span(i, i + len(op))))
+            i += len(op)
+            continue
+        if ch in _PUNCT:
+            flush_bad(i)
+            tokens.append(Token(TokenKind.PUNCT, ch, span(i, i + 1)))
+            i += 1
+            continue
+        if bad_start < 0:
+            bad_start = i
+        i += 1
+    flush_bad(n)
+    return LexResult(tokens, errors, comments, strings)

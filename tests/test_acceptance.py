@@ -18,10 +18,10 @@ from emitlint.parser import parse_file
 from emitlint.scan import EMIT_PATTERN, LocStats, extract_emits_regex
 from emitlint.source import SourceFile
 
-from conftest import fixture_path
 from helpers import (
-    brute_force_equalities, distinct_inputs, gen_straight_line_contract,
-    make_revision, parsed, shop_revision, snippet_corpus,
+    brute_force_equalities, distinct_inputs, fixture_path,
+    gen_straight_line_contract, make_revision, parsed, shop_revision,
+    snippet_corpus,
 )
 from revision_cases import (
     ABS, EXPECTED_HEURISTIC_MISMATCHES, INDEPENDENCE_CASES, TAXONOMY_CASES,

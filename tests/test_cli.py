@@ -6,7 +6,7 @@ import pytest
 
 from emitlint.cli import main
 
-from conftest import fixture_path
+from helpers import fixture_path
 
 
 @pytest.fixture(autouse=True)
@@ -425,6 +425,25 @@ def test_diff_deeply_nested_manifest_exit_two(capsys, tmp_path):
     assert code == 2
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,summary", [
+    ("lint", "1 file(s) analyzed, 0 finding(s)"),
+    ("metrics", "files analyzed: 1"),
+])
+def test_deeply_nested_source_is_damage_not_a_traceback(capsys, tmp_path,
+                                                         command, summary):
+    ladder = "x"
+    for _ in range(60):
+        ladder = f"(x || x && x == x < x | x ^ x & x << x + x * {ladder})"
+    mapping = "mapping(uint => " * 2000 + "uint" + ")" * 2000
+    target = tmp_path / "deep.sol"
+    target.write_text(f"contract C {{\n    {mapping} m;\n"
+                      f"    function f(uint x) public {{ x = {ladder}; }}\n}}\n")
+    code, out, err = run(capsys, command, str(target))
+    assert code == 0
+    assert err == ""
+    assert summary in out.splitlines()
 
 
 @pytest.mark.parametrize("config,message", [

@@ -1,6 +1,9 @@
-from emitlint.lexer import TokenKind, lex, tokenize
+import random
 
-from helpers import snippet_corpus, src
+from emitlint.lexer import TokenKind, lex, tokenize
+from emitlint.source import SourceFile
+
+from helpers import FIXTURES, reference_lex, snippet_corpus, src
 
 
 def kinds(tokens):
@@ -123,3 +126,58 @@ def test_tokens_ordered_and_nonoverlapping_with_reconstruction():
 def test_determinism():
     file = src(open(__file__).read().replace("\x00", ""), "self.sol")
     assert lex(file).tokens == lex(file).tokens
+
+
+# Fragments that exercise every lexer rule and its edges: quotes and
+# escapes (an escaped LF or CRLF continues a string), comment openers and
+# closers, line endings, characters that start no token (form feed,
+# vertical tab, NBSP, U+2028, NUL, '@#', a backtick), number prefixes, a
+# non-ASCII digit, and operators that share a prefix.
+_LEX_FRAGMENTS = (
+    '"', "'", "\\", "\\\n", "\\\r\n", "/*", "*/", "//", "/", "*",
+    "\n", "\r\n", "\r", "\t", " ", "\f", "\v", "\u00a0", "\u2028", "\x00",
+    "@#", "$", "`", "0x", "0xAb_", "1e", "1e18", "2.5", ".5", "1_0", "\u0663",
+    ">>=", "<<=", "=>", "**", "&&", "||", "!=", "=", "-", "~", "emit",
+    "uint8", "x", "\u00e9",
+)
+
+
+def _mutated_sources(bases: list[str], count: int, seed: int) -> list[str]:
+    """Token soup, and windows of the bases with fragments spliced in; one
+    in ten ends in a backslash."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        if rng.random() < 0.3:
+            text = "".join(rng.choice(_LEX_FRAGMENTS)
+                           for _ in range(rng.randint(0, 24)))
+        else:
+            base = rng.choice(bases)
+            start = rng.randrange(len(base) + 1)
+            text = base[start:start + rng.randint(0, 100)]
+            for _ in range(rng.randint(1, 4)):
+                i = rng.randrange(len(text) + 1)
+                cut = rng.choice((0, 0, 1, 3))
+                text = text[:i] + rng.choice(_LEX_FRAGMENTS) + text[i + cut:]
+        if rng.random() < 0.1:
+            text += "\\"
+        texts.append(text)
+    return texts
+
+
+def test_master_regex_matches_reference_lexer():
+    """Tokens (kind, lexeme, span), errors, comment ranges and string ranges
+    equal those of the hand-written reference lexer."""
+    files = [SourceFile.load(p) for p in sorted(FIXTURES.rglob("*.sol"))]
+    files += snippet_corpus()
+    mutated = _mutated_sources([f.text for f in files], 20_000, seed=4)
+    for fragment in _LEX_FRAGMENTS:
+        assert any(fragment in text for text in mutated), repr(fragment)
+    files += [src(text) for text in mutated]
+    error_kinds = set()
+    for file in files:
+        expected = reference_lex(file)
+        assert lex(file) == expected, repr(file.text)
+        error_kinds.update(e.kind for e in expected.errors)
+    assert error_kinds == {"UnterminatedString", "UnterminatedComment",
+                           "UnexpectedCharacter"}

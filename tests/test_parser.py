@@ -430,3 +430,33 @@ def test_pathological_nesting_is_bounded_not_fatal_to_the_process():
             nodes = [e for e in walk_expr(stmt.expr)
                      if isinstance(e, node_type)]
             assert len(nodes) == links + extra, name
+
+    # A precedence ladder nests one chain link per operator: 8 levels of
+    # 10 operators parse in full, 60 levels (deeper than the interpreter
+    # stack allows) are damage.
+    for levels in (8, 60):
+        expr = "x"
+        for _ in range(levels):
+            expr = f"(x || x && x == x < x | x ^ x & x << x + x * {expr})"
+        file = src("contract C { function f(uint x) public { "
+                   f"x = {expr}; }} }}", "ladder.sol")
+        unit = parse_file(file)
+        run_checks(file)
+        if levels == 60:
+            assert unit.parse_errors
+            continue
+        assert unit.parse_errors == []
+        stmt = unit.contracts[0].functions[0].body.stmts[0]
+        assert sum(isinstance(e, Binary) for e in walk_expr(stmt.expr)) == 80
+
+    # Nested mapping types: one link per level.
+    for levels in (80, 2000):
+        type_name = "mapping(uint => " * levels + "uint" + ")" * levels
+        file = src(f"contract C {{ {type_name} m; }}", "mapping.sol")
+        unit = parse_file(file)
+        run_checks(file)
+        if levels == 2000:
+            assert unit.parse_errors
+            continue
+        assert unit.parse_errors == []
+        assert unit.contracts[0].state_vars[0].type_name == type_name
