@@ -65,7 +65,9 @@ _ELEMENTARY_RE = re.compile(
     r"|u?fixed(\d+x\d+)?)$"
 )
 
-_NUMBER_RE = re.compile(r"0[xX][0-9a-fA-F_]+|\d[\d_]*(\.\d+)?([eE][+-]?\d+)?")
+# Solidity numbers are ASCII: `\d` would also take other scripts' digits.
+_NUMBER_RE = re.compile(
+    r"0[xX][0-9a-fA-F_]+|[0-9][0-9_]*(\.[0-9]+)?([eE][+-]?[0-9]+)?")
 
 # Longest-match-first operator table.
 _OPERATORS = (
@@ -97,7 +99,7 @@ _TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in (
     ("operator", "|".join(map(re.escape, _OPERATORS))),
     ("punct", r"[(){}\[\];,.?:]"),
     # Characters that start none of the classes above.
-    ("bad", r"""[^ \t\r\n"'A-Za-z_$\d=+\-*/%!<>&|^~(){}\[\];,.?:]+"""),
+    ("bad", r"""[^ \t\r\n"'A-Za-z_$0-9=+\-*/%!<>&|^~(){}\[\];,.?:]+"""),
 )))
 
 _TOKEN_KINDS = {

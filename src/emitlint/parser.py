@@ -1021,7 +1021,16 @@ class Parser:
 
 def parse(tokens: list[Token], file: SourceFile) -> SourceUnit:
     """Parse a token stream produced by tokenize() on the same file."""
-    return Parser(tokens, file).parse_unit()
+    parser = Parser(tokens, file)
+    try:
+        return parser.parse_unit()
+    except RecursionError:
+        # Statement, expression and chain nesting each stay within their own
+        # limit, yet together they can exhaust the interpreter stack. The
+        # whole file is then damage, so the analyses fall back as on any
+        # fatal parse error.
+        parser._record("nesting too deep to parse; file skipped")
+        return SourceUnit([], [], parser.errors, file.full_span())
 
 
 def parse_file(file: SourceFile) -> SourceUnit:

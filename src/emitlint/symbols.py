@@ -12,6 +12,7 @@ the derived contract's scope; cross-file inheritance is out of scope.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -62,6 +63,11 @@ class Scope:
     span: Span
     depth: int
     symbols: list[Symbol] = field(default_factory=list)
+    # Child scopes in source order and their start positions, for bisection.
+    children: list[Scope] = field(default_factory=list, repr=False,
+                                  compare=False)
+    child_starts: list[tuple[int, int]] = field(default_factory=list,
+                                                repr=False, compare=False)
 
 
 @dataclass
@@ -70,11 +76,17 @@ class ScopeTree:
     warnings: list[DuplicateDeclaration] = field(default_factory=list)
 
     def innermost_scope_at(self, line: int, col: int) -> Scope:
-        best = self.scopes[0]
-        for scope in self.scopes:
-            if scope.span.contains_point(line, col) and scope.depth >= best.depth:
-                best = scope
-        return best
+        """Deepest scope whose span holds the point; the root when none does.
+        Each scope's span lies inside its parent's, and siblings cover
+        disjoint token ranges in source order, so one bisection per level
+        finds the only child that can hold the point."""
+        scope = self.scopes[0]
+        while scope.children:
+            i = bisect_right(scope.child_starts, (line, col)) - 1
+            if i < 0 or not scope.children[i].span.contains_point(line, col):
+                break
+            scope = scope.children[i]
+        return scope
 
 
 _ZERO_SPAN = Span(0, 0, 0, 0)
@@ -130,6 +142,9 @@ class _Builder:
             depth=parent.depth + 1 if parent else 0,
         )
         self.tree.scopes.append(scope)
+        if parent is not None:
+            parent.children.append(scope)
+            parent.child_starts.append(span.start)
         return scope
 
     def _add(self, scope: Scope, sym: Symbol, unique: bool = True) -> None:

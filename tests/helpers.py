@@ -12,8 +12,7 @@ from typing import Mapping
 
 from emitlint.evolution import FilePair, LineDiff, Revision
 from emitlint.lexer import (
-    _NUMBER_RE, _OPERATORS, LexError, LexResult, Token, TokenKind,
-    classify_word,
+    _OPERATORS, LexError, LexResult, Token, TokenKind, classify_word,
 )
 from emitlint.nodes import (
     Assignment, EmitStmt, Expr, ExprStmt, FunctionDef, Identifier, Literal,
@@ -22,7 +21,7 @@ from emitlint.nodes import (
 from emitlint.parser import parse_file
 from emitlint.source import SourceFile, Span
 from emitlint.symbols import (
-    LocationClass, ScopeTree, Symbol, SymbolKind, _visible_in_scope,
+    LocationClass, Scope, ScopeTree, Symbol, SymbolKind, _visible_in_scope,
     build_symbols,
 )
 
@@ -285,6 +284,16 @@ def in_scope_memory_symbols(at: Span, tree: ScopeTree) -> list[Symbol]:
     return result
 
 
+def reference_scope_at(tree: ScopeTree, line: int, col: int) -> Scope:
+    """The linear scan over every scope that `ScopeTree.innermost_scope_at`
+    replaced; the differential scope test compares the two."""
+    best = tree.scopes[0]
+    for scope in tree.scopes:
+        if scope.span.contains_point(line, col) and scope.depth >= best.depth:
+            best = scope
+    return best
+
+
 class UnsupportedConstruct(Exception):
     """The function body exceeds the straight-line fragment the concrete
     interpreter handles."""
@@ -350,6 +359,10 @@ def brute_force_equalities(fn: FunctionDef,
 # ------------------------------------------------------- reference lexer
 
 _WORD_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
+# Its own copy of the number pattern, so the differential test also checks
+# the lexer's: ASCII digits only.
+_NUMBER_RE = re.compile(
+    r"0[xX][0-9a-fA-F_]+|[0-9][0-9_]*(\.[0-9]+)?([eE][+-]?[0-9]+)?")
 _PUNCT = frozenset("(){}[];,.?:")
 
 

@@ -437,13 +437,20 @@ def test_deeply_nested_source_is_damage_not_a_traceback(capsys, tmp_path,
     for _ in range(60):
         ladder = f"(x || x && x == x < x | x ^ x & x << x + x * {ladder})"
     mapping = "mapping(uint => " * 2000 + "uint" + ")" * 2000
-    target = tmp_path / "deep.sol"
-    target.write_text(f"contract C {{\n    {mapping} m;\n"
-                      f"    function f(uint x) public {{ x = {ladder}; }}\n}}\n")
-    code, out, err = run(capsys, command, str(target))
-    assert code == 0
-    assert err == ""
-    assert summary in out.splitlines()
+    # Within each nesting limit on its own, over the interpreter stack
+    # taken together.
+    combined = ("{" * 118 + "x = " + "(" * 79 + "!" * 99 + "y" + ")" * 79
+                + ";" + "}" * 118)
+    for text in (f"contract C {{\n    {mapping} m;\n"
+                 f"    function f(uint x) public {{ x = {ladder}; }}\n}}\n",
+                 f"contract C {{\n    function f(bool x, bool y) public "
+                 f"{combined}\n}}\n"):
+        target = tmp_path / "deep.sol"
+        target.write_text(text)
+        code, out, err = run(capsys, command, str(target))
+        assert code == 0
+        assert err == ""
+        assert summary in out.splitlines()
 
 
 @pytest.mark.parametrize("config,message", [

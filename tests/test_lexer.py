@@ -70,6 +70,15 @@ def test_unexpected_characters_reported_once_per_run():
     assert [e.kind for e in result.errors] == ["UnexpectedCharacter"]
 
 
+def test_non_ascii_digits_are_unexpected_characters():
+    """Solidity numbers are ASCII; a run of Arabic-Indic digits, alone or
+    after an ASCII digit, is one lex error, not a number."""
+    result = lex(src("uint x = \u0663\u0664; uint y = 1\u0663;"))
+    assert [e.kind for e in result.errors] == ["UnexpectedCharacter"] * 2
+    assert [t.lexeme for t in result.tokens
+            if t.kind == TokenKind.NUMBER] == ["1"]
+
+
 def test_operators_longest_match():
     toks = tokenize(src("a >>= b << c != d ** e"))
     ops = [t.lexeme for t in toks if t.kind == TokenKind.OPERATOR]

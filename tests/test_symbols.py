@@ -1,10 +1,21 @@
+import bisect
+import math
+import random
+
+from emitlint import symbols
+from emitlint.checks import run_checks
 from emitlint.nodes import DataLocation
+from emitlint.parser import has_fatal_errors
+from emitlint.source import SourceFile, Span
 from emitlint.symbols import (
-    BUILTINS, LocationClass, SymbolKind, is_reference_type,
+    BUILTINS, LocationClass, ScopeTree, SymbolKind, is_reference_type,
     location_class_for, resolve,
 )
 
-from helpers import emits_of, in_scope_memory_symbols, parsed, snippet_corpus
+from helpers import (
+    FIXTURES, emits_of, in_scope_memory_symbols, parsed, reference_scope_at,
+    snippet_corpus, src,
+)
 
 
 SETDELAY_TEXT = """contract Timelock {
@@ -261,3 +272,152 @@ def test_location_class_for_table():
                               DataLocation.CALLDATA) == LocationClass.MEMORY
     assert location_class_for(SymbolKind.EVENT_NAME, "",
                               DataLocation.DEFAULT) == LocationClass.NOT_APPLICABLE
+
+
+def _record_lookups(monkeypatch, files):
+    """Run every check on each file; returns the check results and
+    (tree, line, col) for every scope lookup `resolve` made."""
+    lookup = ScopeTree.innermost_scope_at
+    calls = []
+
+    def recording(tree, line, col):
+        calls.append((tree, line, col))
+        return lookup(tree, line, col)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ScopeTree, "innermost_scope_at", recording)
+        results = [run_checks(file) for file in files]
+    return results, calls
+
+
+# Line-level damage: block and branch headers with and without braces,
+# stray braces, and deleted or repeated lines.
+_HEADERS = (
+    "for (uint i = 0; i < a; i++)", "for (uint i = 0; i < a; i++) {",
+    "for (;;) {", "if (a > b)", "if (a > b) {", "} else {", "else", "else {",
+    "while (a > 0) {", "unchecked {",
+)
+_MUTATIONS = ("delete", "repeat", "open_brace", "close_brace", "header")
+
+
+def _mutated_sources(bases: list[str], count: int, seed: int):
+    rng = random.Random(seed)
+    used = set()
+    texts = []
+    for _ in range(count):
+        lines = rng.choice(bases).splitlines()
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice(_MUTATIONS)
+            used.add(kind)
+            i = rng.randrange(len(lines) + 1)
+            if kind == "delete" and i < len(lines):
+                del lines[i]
+            elif kind == "repeat" and i < len(lines):
+                lines.insert(i, lines[i])
+            elif kind == "header":
+                lines.insert(i, rng.choice(_HEADERS))
+            elif kind != "delete":
+                brace = "{" if kind == "open_brace" else "}"
+                if i < len(lines) and rng.random() < 0.5:
+                    line = lines[i]
+                    j = rng.randrange(len(line) + 1)
+                    lines[i] = line[:j] + brace + line[j:]
+                else:
+                    lines.insert(i, brace)
+        texts.append("\n".join(lines) + "\n")
+    assert used == set(_MUTATIONS)
+    return texts
+
+
+def test_descent_finds_the_scope_the_linear_scan_finds(monkeypatch):
+    """At every position `resolve` is asked about, on clean and damaged
+    files, the tree descent returns the very scope the linear scan does."""
+    files = [SourceFile.load(p) for p in sorted(FIXTURES.rglob("*.sol"))]
+    files += snippet_corpus()
+    mutated = _mutated_sources([f.text for f in files], 2_400, seed=5)
+    files += [src(text) for text in mutated]
+    results, calls = _record_lookups(monkeypatch, files)
+    depths = set()
+    for tree, line, col in calls:
+        found = tree.innermost_scope_at(line, col)
+        assert found is reference_scope_at(tree, line, col), (line, col)
+        depths.add(found.depth)
+    assert len(calls) > 5_000
+    assert max(depths) >= 6
+    for result in results:
+        tree = result.tree
+        for scope in tree.scopes:
+            # Scope boundaries too: a start is inside, an end is not.
+            for point in (scope.span.start, scope.span.end):
+                assert tree.innermost_scope_at(*point) is \
+                    reference_scope_at(tree, *point), point
+            # What the descent relies on: children lie inside their parent
+            # and siblings are disjoint, in source order.
+            assert all(scope.span.contains(child.span)
+                       for child in scope.children)
+            assert all(a.span.end <= b.span.start for a, b in
+                       zip(scope.children, scope.children[1:]))
+    assert sum(has_fatal_errors(result.analysis.unit)
+               for result in results[-len(mutated):]) > 500
+
+
+def _wide_contract(n_functions: int) -> SourceFile:
+    lines = ["contract Wide {", "    uint total;", "    event E(uint a, uint b);"]
+    for i in range(n_functions):
+        lines += [
+            f"    function f{i}(uint a, uint b) public {{",
+            "        uint c = a;",
+            "        if (a > b) {",
+            "            for (uint i = 0; i < a; i++) {",
+            "                { emit E(a, c); }",
+            "            }",
+            "        } else {",
+            "            total = b;",
+            "            emit E(b, total);",
+            "        }",
+            "    }",
+        ]
+    lines.append("}")
+    return src("\n".join(lines) + "\n", f"wide_{n_functions}.sol")
+
+
+def test_lookup_work_grows_with_depth_not_scope_count(monkeypatch):
+    """Spans compared per lookup (bisection reads plus the one containment
+    test per level) stay within depth x log2(children), however many scopes
+    the file has."""
+    compared = 0
+    contains_point = Span.contains_point
+
+    class CountedReads(list):
+        def __getitem__(self, index):
+            nonlocal compared
+            compared += 1
+            return list.__getitem__(self, index)
+
+    def counting_contains(span, line, col):
+        nonlocal compared
+        compared += 1
+        return contains_point(span, line, col)
+
+    def counting_bisect(starts, point):
+        return bisect.bisect_right(CountedReads(starts), point)
+
+    per_lookup = {}
+    for n_functions in (100, 1_000):
+        _, calls = _record_lookups(monkeypatch, [_wide_contract(n_functions)])
+        tree = calls[0][0]
+        assert len(tree.scopes) > 5 * n_functions
+        levels = 1 + max(scope.depth for scope in tree.scopes)
+        widest = max(len(scope.children) for scope in tree.scopes)
+        assert widest == n_functions
+        counts = []
+        with monkeypatch.context() as patch:
+            patch.setattr(Span, "contains_point", counting_contains)
+            patch.setattr(symbols, "bisect_right", counting_bisect)
+            for _, line, col in calls:
+                compared = 0
+                tree.innermost_scope_at(line, col)
+                counts.append(compared)
+        assert max(counts) <= 2 * levels * math.log2(widest)
+        per_lookup[n_functions] = sum(counts) / len(counts)
+    assert per_lookup[1_000] < 2 * per_lookup[100]
