@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .dataflow import equalities_at, kill_names
+from .dataflow import equalities_at, kill_names, resolve_variable
 from .metrics import FileAnalysis
 from .nodes import (
     Assignment, Block, Call, EmitStmt, Expr, FunctionDef, Identifier,
@@ -25,7 +25,7 @@ from .nodes import (
 from .scan import LocStats
 from .source import SourceFile, Span
 from .symbols import (
-    LocationClass, ScopeTree, Symbol, SymbolKind, build_symbols, resolve,
+    LocationClass, ScopeTree, Symbol, build_symbols, resolve,
 )
 
 SLOAD_GAS = 800
@@ -163,10 +163,8 @@ def _emit_arg_symbols(emit: EmitStmt, tree: ScopeTree) -> set[Symbol]:
     syms: set[Symbol] = set()
     for arg in emit.args:
         for name in identifier_names(arg):
-            sym = resolve(name, emit.span, tree)
-            if sym is not None and sym.kind in (
-                    SymbolKind.STATE_VAR, SymbolKind.PARAM,
-                    SymbolKind.LOCAL_VAR):
+            sym = resolve_variable(name, emit.span, tree)
+            if sym is not None:
                 syms.add(sym)
     return syms
 
@@ -242,11 +240,7 @@ def _arg_multiset(emit: EmitStmt, tree: ScopeTree,
 
 
 def _arg_names(emit: EmitStmt) -> set[str]:
-    names: set[str] = set()
-    for arg in emit.args:
-        if isinstance(arg, Identifier):
-            names.add(arg.name)
-    return names
+    return {arg.name for arg in emit.args if isinstance(arg, Identifier)}
 
 
 def check_redundant_event(fn: FunctionDef, tree: ScopeTree, path: str,

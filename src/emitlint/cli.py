@@ -98,6 +98,14 @@ def _json_type(value) -> str:
     return "an object"
 
 
+def _checked(value, kind, what: str):
+    """value when it has the JSON type kind (a boolean is not a number);
+    otherwise ValueError "<what>, not <the type found>"."""
+    if isinstance(value, kind) and isinstance(value, bool) == (kind is bool):
+        return value
+    raise ValueError(f"{what}, not {_json_type(value)}")
+
+
 def _parse_check_ids(raw: str) -> frozenset[CheckId]:
     ids = []
     for part in raw.split(","):
@@ -116,32 +124,23 @@ def load_config(ns: argparse.Namespace) -> CheckConfig:
     enabled = frozenset(CheckId)
     form_b = False
     if getattr(ns, "config", None):
-        with open(ns.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError(f"{ns.config}: top level must be a JSON object, "
-                             f"not {_json_type(data)}")
+        where = ns.config
+        with open(where, "r", encoding="utf-8") as fh:
+            data = _checked(json.load(fh), dict,
+                            f"{where}: top level must be a JSON object")
         if "overuseThreshold" in data:
-            value = data["overuseThreshold"]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f'{ns.config}: "overuseThreshold" must be a '
-                                 f"number, not {_json_type(value)}")
-            threshold = Fraction(str(value))
+            threshold = Fraction(str(_checked(
+                data["overuseThreshold"], (int, float),
+                f'{where}: "overuseThreshold" must be a number')))
         if "enabled" in data:
-            ids = data["enabled"]
-            if not isinstance(ids, list):
-                raise ValueError(f'{ns.config}: "enabled" must be a JSON '
-                                 f"array of check ids, not {_json_type(ids)}")
-            for item in ids:
-                if not isinstance(item, str):
-                    raise ValueError(f'{ns.config}: "enabled" items must be '
-                                     f"strings, not {_json_type(item)}")
-            enabled = _parse_check_ids(",".join(ids))
+            ids = _checked(data["enabled"], list, f'{where}: "enabled" must '
+                           "be a JSON array of check ids")
+            enabled = _parse_check_ids(",".join(
+                _checked(item, str, f'{where}: "enabled" items must be '
+                         "strings") for item in ids))
         if "debugEventFormB" in data:
-            form_b = data["debugEventFormB"]
-            if not isinstance(form_b, bool):
-                raise ValueError(f'{ns.config}: "debugEventFormB" must be a '
-                                 f"boolean, not {_json_type(form_b)}")
+            form_b = _checked(data["debugEventFormB"], bool,
+                              f'{where}: "debugEventFormB" must be a boolean')
     if getattr(ns, "overuse_threshold", None):
         threshold = Fraction(ns.overuse_threshold)
     if getattr(ns, "enable", None):
@@ -294,26 +293,22 @@ def load_manifest(path: str) -> tuple[list[Revision], list[str]]:
     revision's "pairs" is not an array."""
     base = Path(path).parent
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: top level must be a JSON object, "
-                         f"not {_json_type(data)}")
-    entries = data.get("revisions", [])
-    if not isinstance(entries, list):
-        raise ValueError(f'{path}: "revisions" must be a JSON array, '
-                         f"not {_json_type(entries)}")
+        data = _checked(json.load(fh), dict,
+                        f"{path}: top level must be a JSON object")
+    entries = _checked(data.get("revisions", []), list,
+                       f'{path}: "revisions" must be a JSON array')
     revisions: list[Revision] = []
     errors: list[str] = []
     for index, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            errors.append(f"revisions[{index}]: must be a JSON object, "
-                          f"not {_json_type(entry)}")
+        try:
+            _checked(entry, dict, f"revisions[{index}]: must be a JSON object")
+        except ValueError as exc:
+            errors.append(str(exc))
             continue
         rev_id = str(entry.get("id", f"rev{len(revisions)}"))
-        raw_pairs = entry.get("pairs", [])
-        if not isinstance(raw_pairs, list):
-            raise ValueError(f'{path}: revision {rev_id}: "pairs" must be a '
-                             f"JSON array, not {_json_type(raw_pairs)}")
+        raw_pairs = _checked(entry.get("pairs", []), list,
+                             f'{path}: revision {rev_id}: "pairs" must be a '
+                             "JSON array")
         try:
             pairs = tuple(_load_pair(base, pair) for pair in raw_pairs)
         except (OSError, ValueError) as exc:
@@ -324,17 +319,14 @@ def load_manifest(path: str) -> tuple[list[Revision], list[str]]:
 
 
 def _load_pair(base: Path, pair) -> FilePair:
-    if not isinstance(pair, dict):
-        raise ValueError(f"pair must be a JSON object, not {_json_type(pair)}")
+    _checked(pair, dict, "pair must be a JSON object")
     sides: list[SourceFile | None] = []
     for key in ("beforeFile", "afterFile"):
         name = pair.get(key)
         if not name:
             sides.append(None)
             continue
-        if not isinstance(name, str):
-            raise ValueError(f'"{key}" must be a string, '
-                             f"not {_json_type(name)}")
+        _checked(name, str, f'"{key}" must be a string')
         try:
             file = SourceFile.load(base / name)
         except UnicodeDecodeError as exc:

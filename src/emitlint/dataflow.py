@@ -54,7 +54,9 @@ class KillEvent:
 _VARIABLE_KINDS = (SymbolKind.STATE_VAR, SymbolKind.PARAM, SymbolKind.LOCAL_VAR)
 
 
-def _resolve_variable(name: str, at: Span, tree: ScopeTree) -> Symbol | None:
+def resolve_variable(name: str, at: Span, tree: ScopeTree) -> Symbol | None:
+    """resolve(), kept only when it finds a state variable, a parameter or a
+    local variable."""
     sym = resolve(name, at, tree)
     if sym is not None and sym.kind in _VARIABLE_KINDS:
         return sym
@@ -90,7 +92,7 @@ def kill_events(stmt: Stmt, tree: ScopeTree) -> list[KillEvent]:
     """Kill events produced by one statement, victims resolved to symbols."""
     events: list[KillEvent] = []
     for kind, root in _kills(stmt):
-        sym = _resolve_variable(root.name, root.span, tree)
+        sym = resolve_variable(root.name, root.span, tree)
         if sym is not None:
             events.append(KillEvent(kind, sym, root.span))
     return events
@@ -115,11 +117,11 @@ def _gen_pair(stmt: Stmt, tree: ScopeTree) -> tuple[Symbol, Symbol] | None:
         if not isinstance(assign.lhs, Identifier) or \
                 not isinstance(assign.rhs, Identifier):
             return None
-        left = _resolve_variable(assign.lhs.name, assign.lhs.span, tree)
-        right = _resolve_variable(assign.rhs.name, assign.rhs.span, tree)
+        left = resolve_variable(assign.lhs.name, assign.lhs.span, tree)
+        right = resolve_variable(assign.rhs.name, assign.rhs.span, tree)
     elif isinstance(stmt, LocalVarDecl) and isinstance(stmt.init, Identifier):
-        left = _resolve_variable(stmt.name, stmt.span, tree)
-        right = _resolve_variable(stmt.init.name, stmt.init.span, tree)
+        left = resolve_variable(stmt.name, stmt.span, tree)
+        right = resolve_variable(stmt.init.name, stmt.init.span, tree)
     else:
         return None
     if left is None or right is None:

@@ -23,9 +23,8 @@ Each revision is analyzed once. `RevisionAnalysis` diffs every file pair once
 and lexes every present side once; the line kinds, regex emit matches,
 changed emits, emit-only flag and kill sets that churn, pairing and
 independence read all come from it. `analyze_revision` builds one per
-revision; the standalone functions (`churn`, `pair_emit_changes`,
-`is_emit_only_revision`, `passes_variable_kill_test`,
-`classify_independence`) each build one and read a single result.
+revision; `churn`, `pair_emit_changes` and `classify_independence` each
+build one and read a single result.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ import re
 
 from .lexer import ASSIGN_OPS, TokenKind, classify_word, lex
 from .scan import (
-    LINE_BLANK, LINE_CODE, LINE_COMMENT, RegexEmitMatch, _classify_lines,
-    _extract_emits_regex, match_line_range,
+    LINE_BLANK, LINE_CODE, LINE_COMMENT, RegexEmitMatch, classify_lines,
+    extract_emits_regex, match_line_range,
 )
 from .source import SourceFile
 
@@ -69,7 +68,7 @@ def _split_lines(file: SourceFile | None) -> list[str]:
     return file.text.split("\n")
 
 
-def _myers(a: list[str], b: list[str]) -> list[tuple[str, int | None, int | None]]:
+def _myers(a: list[str], b: list[str]) -> list[DiffOp]:
     n, m = len(a), len(b)
     v: dict[int, int] = {1: 0}
     trace: list[dict[int, int]] = []
@@ -93,7 +92,7 @@ def _myers(a: list[str], b: list[str]) -> list[tuple[str, int | None, int | None
                 break
         if done:
             break
-    ops: list[tuple[str, int | None, int | None]] = []
+    ops: list[DiffOp] = []
     x, y = n, m
     for d in range(final_d, 0, -1):
         vd = trace[d]
@@ -105,16 +104,16 @@ def _myers(a: list[str], b: list[str]) -> list[tuple[str, int | None, int | None
         prev_x = vd.get(prev_k, 0)
         prev_y = prev_x - prev_k
         while x > prev_x and y > prev_y:
-            ops.append(("keep", x - 1, y - 1))
+            ops.append(DiffOp("keep", x, y, a[x - 1]))
             x -= 1
             y -= 1
         if x == prev_x:
-            ops.append(("add", None, prev_y))
+            ops.append(DiffOp("add", None, prev_y + 1, b[prev_y]))
         else:
-            ops.append(("delete", prev_x, None))
+            ops.append(DiffOp("delete", prev_x + 1, None, a[prev_x]))
         x, y = prev_x, prev_y
     while x > 0 and y > 0:
-        ops.append(("keep", x - 1, y - 1))
+        ops.append(DiffOp("keep", x, y, a[x - 1]))
         x -= 1
         y -= 1
     ops.reverse()
@@ -124,18 +123,7 @@ def _myers(a: list[str], b: list[str]) -> list[tuple[str, int | None, int | None
 def diff_lines(before: SourceFile | None, after: SourceFile | None) -> LineDiff:
     """Minimal LCS line diff; replaying keeps and adds reproduces the after
     text exactly."""
-    a = _split_lines(before)
-    b = _split_lines(after)
-    raw = _myers(a, b)
-    ops = []
-    for kind, bi, ai in raw:
-        if kind == "keep":
-            ops.append(DiffOp("keep", bi + 1, ai + 1, a[bi]))
-        elif kind == "delete":
-            ops.append(DiffOp("delete", bi + 1, None, a[bi]))
-        else:
-            ops.append(DiffOp("add", None, ai + 1, b[ai]))
-    return LineDiff(ops)
+    return LineDiff(_myers(_split_lines(before), _split_lines(after)))
 
 
 # ----------------------------------------------------------- revision model
@@ -243,11 +231,11 @@ class SideAnalysis:
     @classmethod
     def build(cls, file: SourceFile, changed: set[int]) -> SideAnalysis:
         lexed = lex(file)
-        matches = _extract_emits_regex(file, lexed)
+        matches = extract_emits_regex(file, lexed)
         emit_lines: set[int] = set()
         for m in matches:
             emit_lines |= match_line_range(m)
-        return cls(file, frozenset(changed), _classify_lines(file, lexed),
+        return cls(file, frozenset(changed), classify_lines(file, lexed),
                    matches, frozenset(emit_lines))
 
     def churned_loc(self) -> int:
@@ -416,6 +404,10 @@ class RevisionAnalysis:
         return [ch for pa in self.pairs for ch in pa.changes()]
 
     def passes_kill_test(self, change: EventUseChange) -> bool:
+        """True when none of the change's argument tokens is reassigned or
+        passed to a call on the revision's changed lines (whole files in
+        whole-file mode). Vacuously true when the change has no identifier
+        tokens."""
         tokens = [t for t in change.changed_arg_tokens
                   if classify_word(t) == TokenKind.IDENTIFIER]
         return not any(t in self.assigned or t in self.passed
@@ -476,20 +468,6 @@ def churn(rev: Revision) -> ChurnReport:
 def pair_emit_changes(rev: Revision) -> list[EventUseChange]:
     """Match deleted-side and added-side emits into classified changes."""
     return RevisionAnalysis.build(rev).changes()
-
-
-def is_emit_only_revision(rev: Revision) -> bool:
-    """True when every changed line in the revision is an emit line, a blank
-    line, or a comment line."""
-    return RevisionAnalysis.build(rev).emit_only
-
-
-def passes_variable_kill_test(rev: Revision, change: EventUseChange,
-                              whole_file: bool = False) -> bool:
-    """True when none of the change's argument tokens is reassigned or passed
-    to a call on the revision's changed lines (whole files in whole-file
-    mode). Vacuously true when the change has no identifier tokens."""
-    return RevisionAnalysis.build(rev, whole_file).passes_kill_test(change)
 
 
 def classify_independence(rev: Revision, change: EventUseChange,

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from .lexer import LexResult, lex
 from .nodes import SourceUnit, iter_emits, iter_functions
-from .parser import _parse_lexed, has_fatal_errors
-from .scan import LocStats, _count_loc, _extract_emits_regex
+from .parser import has_fatal_errors, parse_file
+from .scan import LocStats, count_loc, extract_emits_regex
 from .source import SourceFile
 
 
@@ -32,9 +32,9 @@ class FileAnalysis:
     @classmethod
     def build(cls, file: SourceFile) -> FileAnalysis:
         lexed = lex(file)
-        unit = _parse_lexed(file, lexed)
+        unit = parse_file(file, lexed)
         count, method = count_file_emits(file, unit, lexed)
-        return cls(file, unit, _count_loc(file, lexed), count, method)
+        return cls(file, unit, count_loc(file, lexed), count, method)
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,10 @@ def count_file_emits(file: SourceFile, unit: SourceUnit | None = None,
     missing."""
     if unit is None:
         lexed = lexed or lex(file)
-        unit = _parse_lexed(file, lexed)
+        unit = parse_file(file, lexed)
     if not has_fatal_errors(unit):
         return count_ast_emits(unit), "ast"
-    matches = _extract_emits_regex(file, lexed or lex(file))
+    matches = extract_emits_regex(file, lexed)
     return sum(1 for m in matches if not m.in_comment_or_string), "regex"
 
 

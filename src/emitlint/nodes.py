@@ -306,9 +306,7 @@ def own_expressions(stmt: Stmt) -> list[Expr]:
         return [stmt.init] if stmt.init is not None else []
     if isinstance(stmt, Return):
         return [stmt.expr] if stmt.expr is not None else []
-    if isinstance(stmt, If):
-        return [stmt.cond]
-    if isinstance(stmt, While):
+    if isinstance(stmt, (If, While)):
         return [stmt.cond]
     if isinstance(stmt, For):
         return [e for e in (stmt.cond, stmt.post) if e is not None]

@@ -119,10 +119,11 @@ class Parser:
     def _span_from(self, start_idx: int) -> Span:
         if start_idx >= len(self.toks):
             return self._here_span()
-        last = min(self.i - 1, len(self.toks) - 1)
-        if last < start_idx:
-            last = start_idx
-        return Span.cover(self.toks[start_idx].span, self.toks[last].span)
+        # Tokens are in source order: the first starts it, the last ends it.
+        first = self.toks[start_idx].span
+        last = self.toks[max(start_idx, min(self.i, len(self.toks)) - 1)].span
+        return Span(first.start_line, first.start_col, last.end_line,
+                    last.end_col)
 
     def _record(self, message: str, severity: str = "error",
                 span: Span | None = None) -> None:
@@ -138,11 +139,11 @@ class Parser:
             self._damage(f"expected '{lexeme}' {what}")
         return tok
 
-    def _skip_group(self, open_: str, close: str) -> None:
+    def _skip_group(self, open_: str, close: str) -> bool:
         """Consume an open_-opened region through its matching close; nothing
-        when the next token is not open_."""
+        when the next token is not open_. True when the close was found."""
         if not self._check(TokenKind.PUNCT, open_):
-            return
+            return False
         depth = 0
         while not self._at_end():
             tok = self._advance()
@@ -152,7 +153,8 @@ class Parser:
                 elif tok.lexeme == close:
                     depth -= 1
                     if depth == 0:
-                        return
+                        return True
+        return False
 
     def _skip_to_semicolon(self) -> None:
         """Consume tokens through the next ';' at bracket depth zero; stop
@@ -186,8 +188,10 @@ class Parser:
         while not self._at_end():
             if self._kw("pragma") or self._kw("import"):
                 start = self.i
-                kind = self._advance().lexeme
-                self._skip_to_semicolon()
+                kind = self._peek().lexeme
+                if not self._skip_directive():
+                    self._record(f"expected ';' after {kind} directive",
+                                 span=self._span_from(start))
                 pragmas.append(Directive(kind, self._raw_text(start),
                                          self._span_from(start)))
                 continue
@@ -201,6 +205,17 @@ class Parser:
             self._record("unexpected token at file level")
             self._skip_top_level()
         return SourceUnit(pragmas, contracts, self.errors, self.file.full_span())
+
+    def _skip_directive(self) -> bool:
+        """Consume a pragma or import through its ';'. No directive holds a
+        keyword, so one without a ';' ends before the next keyword or at end
+        of input; False then."""
+        self._advance()  # 'pragma' or 'import'
+        while not self._at_end() and not self._check(TokenKind.KEYWORD):
+            if self._match(TokenKind.PUNCT, ";"):
+                return True
+            self._advance()
+        return False
 
     def _skip_top_level(self) -> None:
         depth = 0
@@ -536,22 +551,10 @@ class Parser:
         else:
             raise _Fail()
         while self._check(TokenKind.PUNCT, "["):
-            self._advance()
-            inner: list[str] = []
-            depth = 0
-            while not self._at_end():
-                t = self._peek()
-                if t.kind == TokenKind.PUNCT and t.lexeme == "[":
-                    depth += 1
-                elif t.kind == TokenKind.PUNCT and t.lexeme == "]":
-                    if depth == 0:
-                        break
-                    depth -= 1
-                inner.append(t.lexeme)
-                self._advance()
-            if self._match(TokenKind.PUNCT, "]") is None:
+            start = self.i
+            if not self._skip_group("[", "]"):
                 raise _Fail()
-            base += "[" + "".join(inner) + "]"
+            base += "".join(t.lexeme for t in self.toks[start:self.i])
         return base
 
     # ------------------------------------------------------------- statements
@@ -685,14 +688,13 @@ class Parser:
             self._damage(message)
 
     def _skip_try(self) -> None:
-        self._advance()  # 'try'
-        while not self._at_end() and not self._check(TokenKind.PUNCT, "{"):
-            self._advance()
-        self._skip_group("{", "}")
-        while self._kw("catch"):
+        """The try clause, then each catch clause: head and braced body."""
+        while True:
             while not self._at_end() and not self._check(TokenKind.PUNCT, "{"):
                 self._advance()
             self._skip_group("{", "}")
+            if not self._kw("catch"):
+                return
 
     def _parse_if(self) -> Stmt:
         start = self.i
@@ -1033,12 +1035,11 @@ def parse(tokens: list[Token], file: SourceFile) -> SourceUnit:
         return SourceUnit([], [], parser.errors, file.full_span())
 
 
-def parse_file(file: SourceFile) -> SourceUnit:
-    """Lex and parse, folding lex errors into the unit's error list."""
-    return _parse_lexed(file, lex(file))
-
-
-def _parse_lexed(file: SourceFile, lexed: LexResult) -> SourceUnit:
+def parse_file(file: SourceFile,
+               lexed: LexResult | None = None) -> SourceUnit:
+    """Lex (unless lexed, from this file, is given) and parse, folding lex
+    errors into the unit's error list."""
+    lexed = lexed or lex(file)
     unit = parse(lexed.tokens, file)
     unit.parse_errors[:0] = [ParseError(err.kind, err.span, "error")
                              for err in lexed.errors]

@@ -44,13 +44,11 @@ class RegexEmitMatch:
     in_comment_or_string: bool
 
 
-def classify_lines(file: SourceFile) -> list[str]:
-    """Per-line classification, index 0 = line 1."""
-    return _classify_lines(file, lex(file))
-
-
-def _classify_lines(file: SourceFile, lexed: LexResult) -> list[str]:
-    ranges = lexed.comment_ranges
+def classify_lines(file: SourceFile,
+                   lexed: LexResult | None = None) -> list[str]:
+    """Per-line classification, index 0 = line 1. lexed, when given, must
+    come from this file."""
+    ranges = (lexed or lex(file)).comment_ranges
     kinds: list[str] = []
     ci = 0
     for line in range(1, file.line_count + 1):
@@ -74,12 +72,8 @@ def _classify_lines(file: SourceFile, lexed: LexResult) -> list[str]:
     return kinds
 
 
-def count_loc(file: SourceFile) -> LocStats:
-    return _count_loc(file, lex(file))
-
-
-def _count_loc(file: SourceFile, lexed: LexResult) -> LocStats:
-    kinds = _classify_lines(file, lexed)
+def count_loc(file: SourceFile, lexed: LexResult | None = None) -> LocStats:
+    kinds = classify_lines(file, lexed)
     return LocStats(
         total_lines=len(kinds),
         code_lines=kinds.count(LINE_CODE),
@@ -88,19 +82,17 @@ def _count_loc(file: SourceFile, lexed: LexResult) -> LocStats:
     )
 
 
-def extract_emits_regex(file: SourceFile) -> list[RegexEmitMatch]:
-    """All textual emit matches in source order.
+def extract_emits_regex(file: SourceFile, lexed: LexResult | None = None
+                        ) -> list[RegexEmitMatch]:
+    """All textual emit matches in source order; lexed, when given, must come
+    from this file.
 
     The pattern requires whitespace before the emit keyword, so the text is
     searched with one synthetic leading newline; a match at the very start of
     the file is therefore not missed. Reported spans run from the emit keyword
     through the closing parenthesis.
     """
-    return _extract_emits_regex(file, lex(file))
-
-
-def _extract_emits_regex(file: SourceFile,
-                         lexed: LexResult) -> list[RegexEmitMatch]:
+    lexed = lexed or lex(file)
     covered = sorted(lexed.comment_ranges + lexed.string_ranges)
     padded = "\n" + file.text
     matches: list[RegexEmitMatch] = []

@@ -39,12 +39,6 @@ class Span:
             return self.end_line - 1
         return self.end_line
 
-    @staticmethod
-    def cover(a: Span, b: Span) -> Span:
-        start = min(a.start, b.start)
-        end = max(a.end, b.end)
-        return Span(start[0], start[1], end[0], end[1])
-
 
 @dataclass
 class SourceFile:

@@ -10,8 +10,8 @@ from pathlib import Path
 from emitlint.checks import CheckConfig, CheckId, check_overuse, run_checks
 from emitlint.cli import main
 from emitlint.dataflow import equalities_at
-from emitlint.evolution import churn, classify_independence, \
-    is_emit_only_revision, pair_emit_changes, passes_variable_kill_test
+from emitlint.evolution import RevisionAnalysis, churn, \
+    classify_independence, pair_emit_changes
 from emitlint.metrics import count_ast_emits
 from emitlint.nodes import EmitStmt
 from emitlint.parser import parse_file
@@ -219,7 +219,7 @@ def test_criterion_6_independence_labeling(capsys):
     mismatched = set()
     for name, before, after, expect_absolute, hand_label in INDEPENDENCE_CASES:
         rev = shop_revision(before, after, name)
-        if is_emit_only_revision(rev) == expect_absolute:
+        if RevisionAnalysis.build(rev).emit_only == expect_absolute:
             absolute_correct += 1
         changes = pair_emit_changes(rev)
         assert changes, name
@@ -229,7 +229,8 @@ def test_criterion_6_independence_labeling(capsys):
         else:
             mismatched.add(name)
         if label == ABS:
-            assert passes_variable_kill_test(rev, changes[0]), name
+            assert RevisionAnalysis.build(rev).passes_kill_test(
+                changes[0]), name
     assert absolute_correct == 20
     assert heuristic_matches >= 18, mismatched
     assert mismatched == EXPECTED_HEURISTIC_MISMATCHES

@@ -34,6 +34,23 @@ def test_lint_fig5d_text_output(capsys):
     assert "pos_01_setdelay.sol:11:" in line
 
 
+def test_directive_without_semicolon_does_not_hide_the_file(capsys,
+                                                           tmp_path):
+    """With no ';' after its pragma, the setDelay contract keeps its finding,
+    and metrics falls back to the textual count instead of reporting 0."""
+    text = fixture_path("gas", "pos_01_setdelay.sol").read_text()
+    damaged = tmp_path / "nosemi.sol"
+    damaged.write_text(text.replace("pragma solidity ^0.8.0;",
+                                    "pragma solidity ^0.8.0", 1))
+    code, out, _ = run(capsys, "lint", str(damaged))
+    assert code == 1
+    assert "nosemi.sol:11:9: warning GAS_STORAGE_PARAM" in out
+    assert out.endswith("1 finding(s)\n")
+    code, out, _ = run(capsys, "metrics", str(damaged), "--format", "json")
+    row = json.loads(out)["perFile"][0]
+    assert code == 0 and (row["emitCount"], row["method"]) == (1, "regex")
+
+
 def test_lint_clean_file_exit_zero(capsys):
     code, out, _ = run(capsys, "lint", str(fixture_path("lint_tree", "b.sol")))
     assert code == 0

@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from emitlint.evolution import (
-    ChangeCategory, analyze_revision, churn, classify_independence,
-    diff_lines, is_emit_only_revision, pair_emit_changes,
-    passes_variable_kill_test,
+    ChangeCategory, RevisionAnalysis, analyze_revision, churn,
+    classify_independence, diff_lines, pair_emit_changes,
 )
 
 from helpers import make_revision, replay, src
@@ -260,7 +259,7 @@ def test_independence_case_count():
 def test_absolute_dimension_matches_ground_truth_20_of_20():
     for name, before, after, expect_absolute, _ in INDEPENDENCE_CASES:
         rev = shop_revision(before, after)
-        assert is_emit_only_revision(rev) == expect_absolute, name
+        assert RevisionAnalysis.build(rev).emit_only == expect_absolute, name
 
 
 def test_heuristic_labels_match_hand_labels_at_least_18_of_20():
@@ -284,7 +283,8 @@ def test_absolute_implies_heuristic_pass_on_all_cases():
         rev = shop_revision(before, after)
         for change in pair_emit_changes(rev):
             if classify_independence(rev, change) == ABS:
-                assert passes_variable_kill_test(rev, change), name
+                assert RevisionAnalysis.build(rev).passes_kill_test(
+                    change), name
 
 
 def test_whole_file_kill_mode_is_stricter():
@@ -460,8 +460,9 @@ def test_analyze_revision_agrees_with_public_readers(name, rev, whole_file):
         assert change.independence == _oracle_label(rev, change, whole_file)
         if change.independence != ABS:
             assert (change.independence == HEU) == \
-                passes_variable_kill_test(rev, change, whole_file)
-    emit_only = is_emit_only_revision(rev)
+                RevisionAnalysis.build(rev, whole_file).passes_kill_test(
+                    change)
+    emit_only = RevisionAnalysis.build(rev).emit_only
     assert all((ch.independence == ABS) == emit_only
                for ch in report.changes)
 

@@ -229,6 +229,31 @@ def test_missing_semicolon_is_fatal():
     assert has_fatal_errors(unit)
 
 
+def test_directive_without_semicolon_ends_before_the_next_keyword():
+    """A pragma or import with no ';' is an error and ends before the next
+    keyword (no directive holds one) instead of swallowing the file."""
+    body = "contract C { event E(); function f() public { emit E(); } }"
+    for directive in ("pragma solidity ^0.8.0", 'import "./a.sol"',
+                      "pragma solidity (^0.8.0"):
+        _, unit, _ = parsed(f"{directive}\n{body}\n")
+        kind = directive.split()[0]
+        assert [d.text for d in unit.pragmas] == [directive]
+        assert [(e.message, e.severity) for e in unit.parse_errors] == \
+            [(f"expected ';' after {kind} directive", "error")]
+        assert [c.name for c in unit.contracts] == ["C"]
+        assert len(emits_of(unit.contracts[0].functions[0])) == 1
+    _, unit, _ = parsed(f"pragma solidity (^0.8.0;\n{body}\n")
+    assert unit.pragmas[0].text == "pragma solidity (^0.8.0;"
+    assert unit.parse_errors == [] and len(unit.contracts) == 1
+    _, unit, _ = parsed('import {A, B as C} from "./x.sol";\n'
+                        f"pragma solidity ^0.8.0;\n{body}\n")
+    assert [d.kind for d in unit.pragmas] == ["import", "pragma"]
+    assert unit.parse_errors == [] and len(unit.contracts) == 1
+    _, unit, _ = parsed("pragma solidity ^0.8.0")
+    assert [e.message for e in unit.parse_errors] == \
+        ["expected ';' after pragma directive"]
+
+
 def test_tuple_statement_skipped_as_warning():
     text = """contract C {
     function f() public {

@@ -1,11 +1,12 @@
-from emitlint.metrics import count_ast_emits
+from emitlint.lexer import lex
+from emitlint.metrics import count_ast_emits, count_file_emits
 from emitlint.parser import parse_file
 from emitlint.scan import (
     EMIT_PATTERN, LINE_BLANK, LINE_CODE, LINE_COMMENT, classify_lines,
     count_loc, extract_emits_regex,
 )
 
-from helpers import fixture_file, snippet_corpus, src
+from helpers import FIXTURES, fixture_file, snippet_corpus, src
 
 
 def test_emit_pattern_is_the_fixed_expression():
@@ -154,3 +155,20 @@ def test_crlf_input_classifies_like_lf():
 def test_digit_led_match_is_dropped():
     # \w+ would accept a digit-led name; such hits are not emit statements.
     assert extract_emits_regex(src(" emit 9bad(x);")) == []
+
+
+def test_a_given_lex_gives_what_a_fresh_lex_gives():
+    """Each per-file question answers the same whether it lexes the file
+    itself or is handed the file's one lex."""
+    files = [fixture_file(p.relative_to(FIXTURES))
+             for p in sorted(FIXTURES.rglob("*.sol"))] + snippet_corpus()
+    for file in files:
+        lexed = lex(file)
+        assert classify_lines(file) == classify_lines(file, lexed), file.path
+        assert count_loc(file) == count_loc(file, lexed), file.path
+        assert extract_emits_regex(file) == \
+            extract_emits_regex(file, lexed), file.path
+        assert repr(parse_file(file)) == repr(parse_file(file, lexed)), \
+            file.path
+        assert count_file_emits(file) == \
+            count_file_emits(file, lexed=lexed), file.path
