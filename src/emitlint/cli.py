@@ -320,6 +320,7 @@ def load_manifest(path: str) -> tuple[list[Revision], list[str]]:
 
 def _load_pair(base: Path, pair) -> FilePair:
     _checked(pair, dict, "pair must be a JSON object")
+    path = _checked(pair.get("path", ""), str, '"path" must be a string')
     sides: list[SourceFile | None] = []
     for key in ("beforeFile", "afterFile"):
         name = pair.get(key)
@@ -335,7 +336,7 @@ def _load_pair(base: Path, pair) -> FilePair:
         sides.append(file)
     if sides == [None, None]:
         raise ValueError("pair with no files")
-    return FilePair(pair.get("path", ""), *sides)
+    return FilePair(path, *sides)
 
 
 def _change_to_dict(change) -> dict:

@@ -27,11 +27,15 @@ class TokenKind(Enum):
     OPERATOR = "Operator"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
+    """A token with its half-open character-offset range. Line and column
+    are computed only where a span is kept: `file.span_from_offsets(start,
+    end)`."""
     kind: TokenKind
     lexeme: str
-    span: Span
+    start: int
+    end: int
 
 
 @dataclass(frozen=True)
@@ -128,7 +132,6 @@ def lex(file: SourceFile) -> LexResult:
     errors: list[LexError] = []
     comments: list[tuple[int, int]] = []
     strings: list[tuple[int, int]] = []
-    span = file.span_from_offsets
     for m in _TOKEN_RE.finditer(file.text):
         group = m.lastgroup
         if group == "space":
@@ -136,16 +139,17 @@ def lex(file: SourceFile) -> LexResult:
         a, b = m.span()
         if group == "word":
             word = m.group()
-            tokens.append(Token(classify_word(word), word, span(a, b)))
+            tokens.append(Token(classify_word(word), word, a, b))
             continue
         if group in ("comment", "open_comment"):
             comments.append((a, b))
         elif group in ("string", "open_string"):
             strings.append((a, b))
         if group in _TOKEN_KINDS:
-            tokens.append(Token(_TOKEN_KINDS[group], m.group(), span(a, b)))
+            tokens.append(Token(_TOKEN_KINDS[group], m.group(), a, b))
         elif group in _ERROR_KINDS:
-            errors.append(LexError(_ERROR_KINDS[group], span(a, b)))
+            errors.append(LexError(_ERROR_KINDS[group],
+                                  file.span_from_offsets(a, b)))
     return LexResult(tokens, errors, comments, strings)
 
 

@@ -108,22 +108,28 @@ class Parser:
             return self._advance()
         return None
 
+    def _tok_span(self, tok: Token) -> Span:
+        return self.file.span_from_offsets(tok.start, tok.end)
+
     def _here_span(self) -> Span:
         tok = self._peek()
         if tok is not None:
-            return tok.span
+            return self._tok_span(tok)
         if self.toks:
-            return self.toks[-1].span
+            return self._tok_span(self.toks[-1])
         return self.file.full_span()
+
+    def _offsets_from(self, start_idx: int) -> tuple[int, int]:
+        """Offsets from token start_idx through the last consumed token;
+        tokens are in source order, so the first starts it and the last
+        ends it."""
+        last = self.toks[max(start_idx, min(self.i, len(self.toks)) - 1)]
+        return self.toks[start_idx].start, last.end
 
     def _span_from(self, start_idx: int) -> Span:
         if start_idx >= len(self.toks):
             return self._here_span()
-        # Tokens are in source order: the first starts it, the last ends it.
-        first = self.toks[start_idx].span
-        last = self.toks[max(start_idx, min(self.i, len(self.toks)) - 1)].span
-        return Span(first.start_line, first.start_col, last.end_line,
-                    last.end_col)
+        return self.file.span_from_offsets(*self._offsets_from(start_idx))
 
     def _record(self, message: str, severity: str = "error",
                 span: Span | None = None) -> None:
@@ -177,8 +183,10 @@ class Parser:
             self._advance()
 
     def _raw_text(self, start_idx: int) -> str:
-        span = self._span_from(start_idx)
-        return self.file.span_text(span)
+        if start_idx >= len(self.toks):
+            return self.file.span_text(self._here_span())
+        a, b = self._offsets_from(start_idx)
+        return self.file.text[a:b]
 
     # ------------------------------------------------------------- top level
 
@@ -675,7 +683,8 @@ class Parser:
             inner = self._expr_or_damage("unsupported revert statement")
             self._expect_punct(";", "after revert statement")
             span = self._span_from(rstart)
-            call = Call(Identifier(rtok.lexeme, rtok.span), [inner], span)
+            callee = Identifier(rtok.lexeme, self._tok_span(rtok))
+            call = Call(callee, [inner], span)
             return ExprStmt(call, span)
         expr = self._expr_or_damage("unsupported or malformed statement")
         self._expect_punct(";", "after expression statement")
@@ -990,21 +999,21 @@ class Parser:
             kind = LiteralKind.NUMBER
             if len(text) == _HEX_ADDRESS_LEN and text.lower().startswith("0x"):
                 kind = LiteralKind.HEX_ADDRESS
-            return Literal(kind, text, tok.span)
+            return Literal(kind, text, self._tok_span(tok))
         if tok.kind == TokenKind.STRING:
             self._advance()
-            return Literal(LiteralKind.STRING, tok.lexeme, tok.span)
+            return Literal(LiteralKind.STRING, tok.lexeme, self._tok_span(tok))
         if tok.kind == TokenKind.KEYWORD and tok.lexeme in ("true", "false"):
             self._advance()
-            return Literal(LiteralKind.BOOL, tok.lexeme, tok.span)
+            return Literal(LiteralKind.BOOL, tok.lexeme, self._tok_span(tok))
         if tok.kind == TokenKind.IDENTIFIER:
             self._advance()
-            return Identifier(tok.lexeme, tok.span)
+            return Identifier(tok.lexeme, self._tok_span(tok))
         if tok.kind == TokenKind.KEYWORD and (
                 is_elementary_type(tok.lexeme) or tok.lexeme == "payable"):
             # Type cast callee: address(x), uint(x), payable(x), ...
             self._advance()
-            return Identifier(tok.lexeme, tok.span)
+            return Identifier(tok.lexeme, self._tok_span(tok))
         if tok.kind == TokenKind.KEYWORD and tok.lexeme == "new":
             start = self.i
             self._advance()

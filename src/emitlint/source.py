@@ -8,7 +8,10 @@ text of a span can be sliced directly out of the file.
 from __future__ import annotations
 
 import bisect
+import re
 from dataclasses import dataclass
+
+_NEWLINE_RE = re.compile("\n")
 
 
 @dataclass(frozen=True)
@@ -51,9 +54,7 @@ class SourceFile:
         if text.startswith("﻿"):
             text = text[1:]
         starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                starts.append(i + 1)
+        starts += [m.end() for m in _NEWLINE_RE.finditer(text)]
         return cls(path, text, starts)
 
     @classmethod

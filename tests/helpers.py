@@ -4,19 +4,21 @@ independent oracles the analyses are checked against."""
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from emitlint.evolution import FilePair, LineDiff, Revision
 from emitlint.lexer import (
-    _OPERATORS, LexError, LexResult, Token, TokenKind, classify_word,
+    _OPERATORS, LexError, LexResult, TokenKind, classify_word,
 )
 from emitlint.nodes import (
-    Assignment, EmitStmt, Expr, ExprStmt, FunctionDef, Identifier, Literal,
-    LiteralKind, LocalVarDecl, Stmt, walk_statements,
+    Assignment, Binary, Block, EmitStmt, Expr, ExprStmt, FunctionDef,
+    Identifier, If, Literal, LiteralKind, LocalVarDecl, Stmt,
+    walk_statements,
 )
 from emitlint.parser import parse_file
 from emitlint.source import SourceFile, Span
@@ -52,6 +54,21 @@ def emits_of(fn) -> list[EmitStmt]:
     if fn.body is None:
         return []
     return [s for s in walk_statements(fn.body) if isinstance(s, EmitStmt)]
+
+
+def spans_in(obj, found: list[Span] | None = None) -> list[Span]:
+    """Every Span in a tree of dataclasses, lists and tuples; source files
+    are not entered."""
+    found = [] if found is None else found
+    if isinstance(obj, Span):
+        found.append(obj)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            spans_in(item, found)
+    elif is_dataclass(obj) and not isinstance(obj, SourceFile):
+        for f in fields(obj):
+            spans_in(getattr(obj, f.name), found)
+    return found
 
 
 def structural_eq(a, b) -> bool:
@@ -218,6 +235,57 @@ def gen_straight_line_contract(rng: random.Random, index: int):
     return "\n".join(lines) + "\n", state + params
 
 
+def gen_branching_contract(rng: random.Random, index: int):
+    """Random loop-free function like gen_straight_line_contract's, whose
+    statements may also be `if`/`else` nested up to two deep. A condition
+    compares a variable with a variable or a literal, and sometimes assigns
+    inside the comparison. Every branch opens with an emit probe and every
+    statement is followed by one. Returns (source_text, input_names)."""
+    state = [f"s{i}" for i in range(rng.randint(1, 2))]
+    params = [f"m{i}" for i in range(rng.randint(1, 2))]
+    literals = ["3", "7", "11", "0x2A"]
+    probe = f"emit P({state[0]});"
+    n_locals = 0
+
+    def block(declared: list[str], depth: int, indent: str) -> list[str]:
+        nonlocal n_locals
+        declared = list(declared)
+        lines = [indent + probe] if depth else []
+        for _ in range(rng.randint(1, 4)):
+            roll = rng.random()
+            if depth < 2 and roll < 0.35:
+                lhs, rhs = rng.choice(declared), rng.choice(declared + literals)
+                if rng.random() < 0.3:
+                    lhs = f"({lhs} = {rng.choice(declared + literals)})"
+                op = rng.choice(("==", "!=", "<", ">="))
+                lines.append(f"{indent}if ({lhs} {op} {rhs}) {{")
+                lines += block(declared, depth + 1, indent + "    ")
+                if rng.random() < 0.6:
+                    lines.append(f"{indent}}} else {{")
+                    lines += block(declared, depth + 1, indent + "    ")
+                lines.append(f"{indent}}}")
+            elif roll < 0.5:
+                name = f"v{n_locals}"
+                n_locals += 1
+                lines.append(f"{indent}uint {name} = "
+                             f"{rng.choice(declared + literals)};")
+                declared.append(name)
+            else:
+                lines.append(f"{indent}{rng.choice(declared)} = "
+                             f"{rng.choice(declared + literals)};")
+            lines.append(indent + probe)
+        return lines
+
+    lines = [f"contract Gen{index} {{"]
+    lines += [f"    uint {name};" for name in state]
+    lines.append("    event P(uint v);")
+    lines.append(f"    function f({', '.join('uint ' + p for p in params)}) "
+                 "public {")
+    lines += block(state + params, 0, "        ")
+    lines += ["    }", "}"]
+    return "\n".join(lines) + "\n", state + params
+
+
 def distinct_inputs(names: list[str], salt: int) -> dict[str, int]:
     """Pairwise-distinct values, also distinct from the generator literals."""
     base = 1000 + 97 * salt
@@ -295,8 +363,12 @@ def reference_scope_at(tree: ScopeTree, line: int, col: int) -> Scope:
 
 
 class UnsupportedConstruct(Exception):
-    """The function body exceeds the straight-line fragment the concrete
-    interpreter handles."""
+    """The function body exceeds the loop-free, call-free fragment the
+    concrete interpreter handles."""
+
+
+_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+            ">": operator.gt, "<=": operator.le, ">=": operator.ge}
 
 
 def _eval(expr: Expr, store: dict[str, int]) -> int:
@@ -306,23 +378,47 @@ def _eval(expr: Expr, store: dict[str, int]) -> int:
         return store[expr.name]
     if isinstance(expr, Literal) and expr.kind == LiteralKind.NUMBER:
         return int(expr.text.replace("_", ""), 0)
-    raise UnsupportedConstruct("expression beyond identifiers and literals")
+    if isinstance(expr, Assignment):
+        if expr.op != "=" or not isinstance(expr.lhs, Identifier):
+            raise UnsupportedConstruct("only plain assignments are supported")
+        if expr.lhs.name not in store:
+            raise UnsupportedConstruct(
+                f"assignment to undeclared variable {expr.lhs.name!r}")
+        store[expr.lhs.name] = _eval(expr.rhs, store)
+        return store[expr.lhs.name]
+    if isinstance(expr, Binary) and expr.op in _COMPARE:
+        # Left operand first, as the generated conditions assume.
+        left = _eval(expr.lhs, store)
+        return int(_COMPARE[expr.op](left, _eval(expr.rhs, store)))
+    raise UnsupportedConstruct("expression beyond identifiers, literals, "
+                               "assignments and comparisons")
 
 
-def _exec(stmt: Stmt, store: dict[str, int]) -> None:
+def _exec(stmt: Stmt, store: dict[str, int],
+          probes: dict[int, set[tuple[str, str]]]) -> None:
+    """Execute stmt on store; each emit reached records the equalities
+    holding just before it in probes, by the emit's id()."""
     if isinstance(stmt, EmitStmt):
-        return  # probes are no-ops
+        probes[id(stmt)] = _equal_pairs(store)
+        return
     if isinstance(stmt, LocalVarDecl):
         store[stmt.name] = _eval(stmt.init, store) if stmt.init is not None else 0
         return
     if isinstance(stmt, ExprStmt) and isinstance(stmt.expr, Assignment):
-        assign = stmt.expr
-        if assign.op != "=" or not isinstance(assign.lhs, Identifier):
-            raise UnsupportedConstruct("only plain assignments are supported")
-        if assign.lhs.name not in store:
-            raise UnsupportedConstruct(
-                f"assignment to undeclared variable {assign.lhs.name!r}")
-        store[assign.lhs.name] = _eval(assign.rhs, store)
+        _eval(stmt.expr, store)
+        return
+    if isinstance(stmt, If):
+        branch = stmt.then if _eval(stmt.cond, store) else stmt.otherwise
+        if branch is not None:
+            _exec(branch, store, probes)
+        return
+    if isinstance(stmt, Block):
+        # Locals declared in the block go out of scope at its end.
+        outer = set(store)
+        for inner in stmt.stmts:
+            _exec(inner, store, probes)
+        for name in set(store) - outer:
+            del store[name]
         return
     raise UnsupportedConstruct(f"unsupported statement {type(stmt).__name__}")
 
@@ -337,26 +433,48 @@ def _equal_pairs(store: dict[str, int]) -> set[tuple[str, str]]:
     }
 
 
-def brute_force_equalities(fn: FunctionDef,
-                           inputs: Mapping[str, int]) -> list[set[tuple[str, str]]]:
-    """Concretely interpret a straight-line body and report the exact
-    variable equalities holding before each top-level statement; the final
-    entry is the state after the last statement. Emit statements act as
-    probes. Raises UnsupportedConstruct beyond assignments among declared
-    variables and number literals.
-    """
+def _interpret(fn: FunctionDef, inputs: Mapping[str, int]):
     if fn.body is None:
         raise UnsupportedConstruct("function has no body")
     store = dict(inputs)
     tables: list[set[tuple[str, str]]] = []
+    probes: dict[int, set[tuple[str, str]]] = {}
     for stmt in fn.body.stmts:
         tables.append(_equal_pairs(store))
-        _exec(stmt, store)
+        _exec(stmt, store, probes)
     tables.append(_equal_pairs(store))
-    return tables
+    return tables, probes
+
+
+def brute_force_equalities(fn: FunctionDef,
+                           inputs: Mapping[str, int]) -> list[set[tuple[str, str]]]:
+    """Concretely interpret a loop-free body and report the exact variable
+    equalities holding before each top-level statement; the final entry is
+    the state after the last statement. `if`/`else` runs the branch its
+    condition selects. Raises UnsupportedConstruct beyond assignments among
+    declared variables and number literals, comparisons, blocks and emits.
+    """
+    return _interpret(fn, inputs)[0]
+
+
+def reached_equalities(fn: FunctionDef, inputs: Mapping[str, int]
+                       ) -> dict[int, set[tuple[str, str]]]:
+    """The equalities holding just before each emit the run reaches, keyed
+    by the emit's id(); emits in branches not taken are absent."""
+    return _interpret(fn, inputs)[1]
 
 
 # ------------------------------------------------------- reference lexer
+
+def reference_line_starts(text: str) -> list[int]:
+    """The per-character loop `SourceFile.from_text` used to build its line
+    index with; text is taken after the BOM is stripped."""
+    starts = [0]
+    for i, ch in enumerate(text):
+        if ch == "\n":
+            starts.append(i + 1)
+    return starts
+
 
 _WORD_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 # Its own copy of the number pattern, so the differential test also checks
@@ -366,12 +484,29 @@ _NUMBER_RE = re.compile(
 _PUNCT = frozenset("(){}[];,.?:")
 
 
+class SpanToken(NamedTuple):
+    """A token as the reference lexer builds it, with a span where `lex`
+    keeps offsets; `with_token_spans` converts `lex`'s result to this."""
+    kind: TokenKind
+    lexeme: str
+    span: Span
+
+
+def with_token_spans(file: SourceFile, result: LexResult) -> LexResult:
+    """result with each token's offsets converted to a SpanToken."""
+    tokens = [SpanToken(tok.kind, tok.lexeme,
+                        file.span_from_offsets(tok.start, tok.end))
+              for tok in result.tokens]
+    return LexResult(tokens, result.errors, result.comment_ranges,
+                     result.string_ranges)
+
+
 def reference_lex(file: SourceFile) -> LexResult:
     """The hand-written per-character lexer that `lexer.lex` replaced; the
     differential lexer test compares the two."""
     text = file.text
     n = len(text)
-    tokens: list[Token] = []
+    tokens: list[SpanToken] = []
     errors: list[LexError] = []
     comments: list[tuple[int, int]] = []
     strings: list[tuple[int, int]] = []
@@ -429,7 +564,8 @@ def reference_lex(file: SourceFile) -> LexResult:
                     break
                 j += 1
             if closed:
-                tokens.append(Token(TokenKind.STRING, text[i:j], span(i, j)))
+                tokens.append(SpanToken(TokenKind.STRING, text[i:j],
+                                        span(i, j)))
                 strings.append((i, j))
             else:
                 errors.append(LexError("UnterminatedString", span(i, j)))
@@ -440,24 +576,27 @@ def reference_lex(file: SourceFile) -> LexResult:
         if m:
             flush_bad(i)
             word = m.group(0)
-            tokens.append(Token(classify_word(word), word, span(i, m.end())))
+            tokens.append(SpanToken(classify_word(word), word,
+                                    span(i, m.end())))
             i = m.end()
             continue
         m = _NUMBER_RE.match(text, i)
         if m:
             flush_bad(i)
-            tokens.append(Token(TokenKind.NUMBER, m.group(0), span(i, m.end())))
+            tokens.append(SpanToken(TokenKind.NUMBER, m.group(0),
+                                    span(i, m.end())))
             i = m.end()
             continue
         op = next((o for o in _OPERATORS if text.startswith(o, i)), None)
         if op:
             flush_bad(i)
-            tokens.append(Token(TokenKind.OPERATOR, op, span(i, i + len(op))))
+            tokens.append(SpanToken(TokenKind.OPERATOR, op,
+                                    span(i, i + len(op))))
             i += len(op)
             continue
         if ch in _PUNCT:
             flush_bad(i)
-            tokens.append(Token(TokenKind.PUNCT, ch, span(i, i + 1)))
+            tokens.append(SpanToken(TokenKind.PUNCT, ch, span(i, i + 1)))
             i += 1
             continue
         if bad_start < 0:

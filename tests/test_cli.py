@@ -405,13 +405,19 @@ def _non_string_file_name(tmp_path) -> tuple[dict, str]:
             "not a number")
 
 
+def _non_string_pair_path(tmp_path) -> tuple[dict, str]:
+    (tmp_path / "p1.sol").write_text("contract P {}\n")
+    return ({"id": "bad", "pairs": [{"path": None, "beforeFile": "p1.sol"}]},
+            'emitlint: revision bad: "path" must be a string, not null')
+
+
 def _non_object_revision(tmp_path) -> tuple[dict, str]:
     return ("bad", "emitlint: revisions[0]: must be a JSON object, "
                    "not a string")
 
 
 _BAD_REVISIONS = [_non_object_pair, _non_utf8_file, _non_string_file_name,
-                  _non_object_revision]
+                  _non_string_pair_path, _non_object_revision]
 
 
 @pytest.mark.parametrize("make_bad", _BAD_REVISIONS)
@@ -433,6 +439,27 @@ def test_diff_bad_pair_only_revision_exit_two(capsys, tmp_path, make_bad):
     code, _, err = run(capsys, "diff", "--manifest", manifest)
     assert code == 2
     assert err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("path,found", [
+    (7, "a number"), (None, "null"), (["c.sol"], "an array"),
+    ({"p": 1}, "an object"), (True, "a boolean"),
+])
+def test_diff_non_string_pair_path_exit_two(capsys, tmp_path, path, found):
+    """A pair's "path" is echoed into every report, so only a string is
+    accepted; anything else rejects the revision like the other pair
+    errors."""
+    (tmp_path / "v1.sol").write_text("contract C {}\n")
+    (tmp_path / "v2.sol").write_text("contract C { event E(); }\n")
+    manifest = _write_manifest(tmp_path, {"revisions": [
+        {"id": "r", "pairs": [{"path": path, "beforeFile": "v1.sol",
+                               "afterFile": "v2.sol"}]}]})
+    code, out, err = run(capsys, "diff", "--manifest", manifest,
+                         "--format", "json")
+    assert code == 2
+    assert json.loads(out)["revisions"] == []
+    assert err.splitlines() == [
+        f'emitlint: revision r: "path" must be a string, not {found}']
 
 
 def test_diff_deeply_nested_manifest_exit_two(capsys, tmp_path):

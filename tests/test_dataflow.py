@@ -3,11 +3,11 @@ import random
 import pytest
 
 from emitlint.dataflow import KillKind, equalities_at, kill_events, kill_names
-from emitlint.nodes import EmitStmt
 
 from helpers import (
     UnsupportedConstruct, brute_force_equalities, distinct_inputs, emits_of,
-    gen_straight_line_contract, parsed,
+    gen_branching_contract, gen_straight_line_contract, parsed,
+    reached_equalities,
 )
 
 
@@ -213,32 +213,55 @@ def test_oracle_rejects_calls():
         _oracle(["a = g(b);"], {"a": 1, "b": 2})
 
 
-def test_oracle_rejects_branches():
-    with pytest.raises(UnsupportedConstruct):
-        _oracle(["if (a > 0) { a = 1; }"], {"a": 1, "b": 2})
+def test_oracle_rejects_loops_and_calls():
+    for loop in (["while (a > 0) { a = 0; }"],
+                 ["for (a = 0; a < 1; a = 1) { b = a; }"],
+                 ["if (a > 0) { while (b > 0) { b = 0; } }"]):
+        with pytest.raises(UnsupportedConstruct):
+            _oracle(loop, {"a": 1, "b": 2})
+    for call in (["if (a > 0) { b = g(a); }"], ["if (g(a) > 0) { b = 1; }"]):
+        with pytest.raises(UnsupportedConstruct):
+            _oracle(call, {"a": 1, "b": 2})
+
+
+def test_oracle_runs_the_taken_branch():
+    lines = ["if (a > b) { uint c = a; b = c; } else { a = b; }"]
+    assert _oracle(lines, {"a": 5, "b": 9})[1] == {("a", "b")}
+    # The branch-local c is out of scope after the if.
+    assert _oracle(lines, {"a": 9, "b": 5})[1] == {("a", "b")}
+    assert _oracle(["if ((a = b) == b) { a = 1; }"], {"a": 5, "b": 9})[1] \
+        == set()
+    assert _oracle(["if ((a = b) != b) { a = 1; }"], {"a": 5, "b": 9})[1] \
+        == {("a", "b")}
+    assert _oracle(["if (a == 3) { a = 1; }"], {"a": 5, "b": 9})[1] == set()
 
 
 def test_analysis_sound_vs_oracle_on_random_functions():
-    """100 random straight-line functions: at every probe point, every
-    analysis fact is an equality the interpreter confirms under several
-    distinct input valuations."""
+    """100 random straight-line functions and 200 random functions with
+    nested if/else: at every emit a run reaches, every analysis fact is an
+    equality the interpreter confirms, under several distinct input
+    valuations. Facts must reach emits inside branches, so the branch
+    entries in the analysis are exercised."""
     rng = random.Random(20240901)
-    checked = 0
-    for index in range(100):
-        text, input_names = gen_straight_line_contract(rng, index)
+    checked = in_branch = 0
+    cases = [gen_straight_line_contract(rng, index) for index in range(100)]
+    cases += [gen_branching_contract(rng, index) for index in range(200)]
+    for index, (text, input_names) in enumerate(cases):
         _, unit, tree = parsed(text, f"gen{index}.sol")
         assert unit.parse_errors == [], text
         fn = unit.contracts[0].functions[0]
+        top_level = {id(stmt) for stmt in fn.body.stmts}
         claimed = {}
-        for pos, stmt in enumerate(fn.body.stmts):
-            if isinstance(stmt, EmitStmt):
-                claimed[pos] = {
-                    tuple(sorted((f.storage_sym.name, f.memory_sym.name)))
-                    for f in equalities_at(stmt, fn, tree)}
+        for emit in emits_of(fn):
+            claimed[id(emit)] = {
+                tuple(sorted((f.storage_sym.name, f.memory_sym.name)))
+                for f in equalities_at(emit, fn, tree)}
+            if claimed[id(emit)] and id(emit) not in top_level:
+                in_branch += 1
         for salt in range(3):
             inputs = distinct_inputs(input_names, salt)
-            tables = brute_force_equalities(fn, inputs)
-            for pos, facts in claimed.items():
-                assert facts <= tables[pos], (text, pos, facts, tables[pos])
+            for key, truth in reached_equalities(fn, inputs).items():
+                assert claimed[key] <= truth, (text, claimed[key], truth)
                 checked += 1
     assert checked > 0
+    assert in_branch > 0

@@ -3,7 +3,9 @@ import random
 from emitlint.lexer import TokenKind, lex, tokenize
 from emitlint.source import SourceFile
 
-from helpers import FIXTURES, reference_lex, snippet_corpus, src
+from helpers import (
+    FIXTURES, reference_lex, snippet_corpus, src, with_token_spans,
+)
 
 
 def kinds(tokens):
@@ -102,7 +104,9 @@ def test_elementary_types_are_keywords():
 def test_spans_reproduce_lexemes():
     file = src('contract C {\n    uint a = "x\\ny";\n    // c\n}\n')
     for tok in tokenize(file):
-        assert file.span_text(tok.span) == tok.lexeme
+        assert file.text[tok.start:tok.end] == tok.lexeme
+        span = file.span_from_offsets(tok.start, tok.end)
+        assert file.span_text(span) == tok.lexeme
 
 
 def test_tokens_ordered_and_nonoverlapping_with_reconstruction():
@@ -113,9 +117,7 @@ def test_tokens_ordered_and_nonoverlapping_with_reconstruction():
         pos = 0
         rebuilt = []
         for tok in result.tokens:
-            start = file.linecol_to_offset(tok.span.start_line,
-                                           tok.span.start_col)
-            end = file.linecol_to_offset(tok.span.end_line, tok.span.end_col)
+            start, end = tok.start, tok.end
             assert start >= pos, "tokens overlap or are out of order"
             gap = file.text[pos:start]
             without_comments = gap
@@ -175,8 +177,9 @@ def _mutated_sources(bases: list[str], count: int, seed: int) -> list[str]:
 
 
 def test_master_regex_matches_reference_lexer():
-    """Tokens (kind, lexeme, span), errors, comment ranges and string ranges
-    equal those of the hand-written reference lexer."""
+    """Tokens (kind, lexeme, and the span of their offsets), errors, comment
+    ranges and string ranges equal those of the hand-written reference
+    lexer."""
     files = [SourceFile.load(p) for p in sorted(FIXTURES.rglob("*.sol"))]
     files += snippet_corpus()
     mutated = _mutated_sources([f.text for f in files], 20_000, seed=4)
@@ -186,7 +189,7 @@ def test_master_regex_matches_reference_lexer():
     error_kinds = set()
     for file in files:
         expected = reference_lex(file)
-        assert lex(file) == expected, repr(file.text)
+        assert with_token_spans(file, lex(file)) == expected, repr(file.text)
         error_kinds.update(e.kind for e in expected.errors)
     assert error_kinds == {"UnterminatedString", "UnterminatedComment",
                            "UnexpectedCharacter"}

@@ -1,13 +1,19 @@
+import random
+
 from emitlint.checks import run_checks
+from emitlint.lexer import lex
 from emitlint.nodes import (
     Assignment, Binary, Call, Conditional, ContractKind, DataLocation,
     ExprStmt, Identifier, LocalVarDecl, MemberAccess, Unary, Unparsed,
     walk_expr, walk_statements,
 )
-from emitlint.parser import has_fatal_errors, parse_file
+from emitlint.parser import has_fatal_errors, parse, parse_file
+from emitlint.source import SourceFile
 
-from helpers import emits_of, fixture_file, parsed, snippet_corpus, src, \
-    structural_eq
+from helpers import (
+    FIXTURES, emits_of, fixture_file, parsed, snippet_corpus, spans_in, src,
+    structural_eq,
+)
 
 RECEIPT_TEXT = fixture_file("client_receipt.sol").text
 
@@ -311,6 +317,69 @@ def test_emit_span_reparses_to_equal_node():
                     assert structural_eq(emit, re_emits[0]), text
 
 
+def _mutated(bases: list[str], count: int, seed: int) -> list[str]:
+    rng = random.Random(seed)
+    chars = list("{}();,=+-*/ \n\"'abcxyz0123456789_emit")
+    texts = []
+    for _ in range(count):
+        text = list(rng.choice(bases))
+        for _ in range(rng.randint(1, 12)):
+            pos = rng.randrange(len(text) + 1)
+            op = rng.random()
+            if op < 0.4 and pos < len(text):
+                text[pos] = rng.choice(chars)
+            elif op < 0.7:
+                text.insert(pos, rng.choice(chars))
+            else:
+                del text[pos:pos + rng.randint(1, 40)]
+        texts.append("".join(text))
+    return texts
+
+
+def test_node_spans_start_and_end_on_token_boundaries():
+    """Every node and parse-error span lies inside the file, starts at some
+    token's start and ends at some token's end. The only other span is the
+    whole-file span: the unit's own, and the fallback when there is no
+    token at all."""
+    files = [SourceFile.load(p) for p in sorted(FIXTURES.rglob("*.sol"))]
+    files += snippet_corpus()
+    files += [src(text, f"mut{i}.sol") for i, text in enumerate(
+        _mutated([f.text for f in files] + [""], 600, seed=20261018))]
+    for file in files:
+        tokens = lex(file).tokens
+        starts = {tok.start for tok in tokens}
+        ends = {tok.end for tok in tokens}
+        unit = parse(tokens, file)
+        assert unit.span == file.full_span()
+        for span in spans_in([unit.pragmas, unit.contracts,
+                              unit.parse_errors]):
+            a = file.linecol_to_offset(span.start_line, span.start_col)
+            b = file.linecol_to_offset(span.end_line, span.end_col)
+            assert 0 <= a <= b <= len(file.text), (file.path, span)
+            assert file.span_from_offsets(a, b) == span, (file.path, span)
+            assert (a in starts and b in ends) or (
+                not tokens and span == file.full_span()), (file.path, span)
+
+
+def test_spans_are_built_per_node_not_per_token(monkeypatch):
+    """Tokens carry offsets; a Span is made only for a node or a reported
+    position, so checking a file converts fewer positions than it has
+    tokens."""
+    file = fixture_file("realistic_token.sol")
+    n_tokens = len(lex(file).tokens)
+    calls = 0
+    convert = SourceFile.span_from_offsets
+
+    def counted(self, start, end):
+        nonlocal calls
+        calls += 1
+        return convert(self, start, end)
+
+    monkeypatch.setattr(SourceFile, "span_from_offsets", counted)
+    run_checks(file)
+    assert 0 < calls < n_tokens, (calls, n_tokens)
+
+
 def test_parse_determinism():
     for file in snippet_corpus(8):
         first = parse_file(file)
@@ -397,8 +466,6 @@ def test_struct_literal_call_argument_kept_opaque():
 def test_pipeline_never_raises_on_mutated_input():
     """Panic-mode recovery holds under random damage: the parser and checks
     accept any byte soup without raising."""
-    import random
-
     from emitlint.scan import count_loc, extract_emits_regex
 
     base = fixture_file("realistic_token.sol").text

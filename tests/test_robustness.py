@@ -5,7 +5,6 @@ counts as many emits from the AST as the textual matcher finds outside
 comments and strings."""
 
 import random
-from dataclasses import fields, is_dataclass
 
 from emitlint.checks import run_checks
 from emitlint.evolution import FilePair, Revision, analyze_revision
@@ -13,7 +12,7 @@ from emitlint.metrics import compute_metrics, count_ast_emits
 from emitlint.scan import extract_emits_regex
 from emitlint.source import SourceFile, Span
 
-from helpers import FIXTURES, snippet_corpus, src
+from helpers import FIXTURES, snippet_corpus, spans_in, src
 
 SEED = 20261018
 SOUP_INPUTS = 600
@@ -71,20 +70,6 @@ def _inputs() -> list[str]:
     return texts
 
 
-def _spans(obj, found: list[Span]) -> list[Span]:
-    """Every Span in a tree of dataclasses, lists and tuples; source files
-    are not entered."""
-    if isinstance(obj, Span):
-        found.append(obj)
-    elif isinstance(obj, (list, tuple)):
-        for item in obj:
-            _spans(item, found)
-    elif is_dataclass(obj) and not isinstance(obj, SourceFile):
-        for f in fields(obj):
-            _spans(getattr(obj, f.name), found)
-    return found
-
-
 def _inside(span: Span, file: SourceFile) -> bool:
     if not (1 <= span.start_line <= span.end_line <= len(file.line_starts)):
         return False
@@ -114,10 +99,10 @@ def test_every_analysis_survives_seeded_damage():
         assert repr(_analyze(before, after)) == \
             repr((checked, metrics, report)), i
         tree = checked.tree
-        spans = _spans([checked.analysis.unit, checked.diagnostics,
-                        [(s.span, s.symbols) for s in tree.scopes],
-                        tree.warnings, extract_emits_regex(after),
-                        [ch.after_emit for ch in report.changes]], [])
+        spans = spans_in([checked.analysis.unit, checked.diagnostics,
+                          [(s.span, s.symbols) for s in tree.scopes],
+                          tree.warnings, extract_emits_regex(after),
+                          [ch.after_emit for ch in report.changes]])
         bad = [s for s in spans if not _inside(s, after)]
         assert not bad, (i, bad[:3])
         assert all(_inside(ch.before_emit.span, before)
