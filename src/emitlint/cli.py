@@ -324,18 +324,21 @@ def _load_pair(base: Path, pair) -> FilePair:
     sides: list[SourceFile | None] = []
     for key in ("beforeFile", "afterFile"):
         name = pair.get(key)
-        if not name:
+        if name is None or name == "":
             sides.append(None)
             continue
         _checked(name, str, f'"{key}" must be a string')
         try:
-            file = SourceFile.load(base / name)
+            sides.append(SourceFile.load(base / name))
         except UnicodeDecodeError as exc:
             raise ValueError(f"{base / name}: {exc}") from None
-        file.path = pair.get("path", name)
-        sides.append(file)
+        if "path" not in pair:
+            path = name  # the after file's name, else the before file's
     if sides == [None, None]:
         raise ValueError("pair with no files")
+    for file in sides:
+        if file is not None:
+            file.path = path
     return FilePair(path, *sides)
 
 

@@ -17,25 +17,28 @@ Independence: a change is absolutely independent when every changed line in
 the revision is an emit line (or blank/comment); failing that, it is
 heuristically independent when none of its changed argument tokens is
 reassigned or passed to a call on the revision's other changed lines, and
-dependent otherwise.
+dependent otherwise. Those kills are read from each side's own tokens, so
+text that the side's lex puts inside a comment or a string never kills.
 
 Each revision is analyzed once. `RevisionAnalysis` diffs every file pair once
 and lexes every present side once; the line kinds, regex emit matches,
 changed emits, emit-only flag and kill sets that churn, pairing and
-independence read all come from it. `analyze_revision` builds one per
-revision; `churn`, `pair_emit_changes` and `classify_independence` each
+independence read all come from that one lex. `analyze_revision` builds one
+per revision; `churn`, `pair_emit_changes` and `classify_independence` each
 build one and read a single result.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 import re
 
-from .lexer import ASSIGN_OPS, TokenKind, classify_word, lex
+from .lexer import ASSIGN_OPS, Token, TokenKind, classify_word, lex
 from .scan import (
     LINE_BLANK, LINE_CODE, LINE_COMMENT, RegexEmitMatch, classify_lines,
     extract_emits_regex, match_line_range,
@@ -43,6 +46,8 @@ from .scan import (
 from .source import SourceFile
 
 _NEG = -(10 ** 9)
+
+_tok_start = attrgetter("start")
 
 _IDENT_TOKEN_RE = re.compile(r"[A-Za-z_]\w*")
 
@@ -221,22 +226,47 @@ def _kind_at(kinds: list[str], line: int) -> str:
 @dataclass(frozen=True)
 class SideAnalysis:
     """One side of a file pair. The file is lexed once; its comment and string
-    ranges feed both the line kinds and the regex emit matches."""
+    ranges feed the line kinds and the regex emit matches, and its tokens the
+    kill sets. The tokens are dropped when `build` returns."""
     file: SourceFile
     changed: frozenset[int]  # deleted lines before, added lines after
     kinds: list[str]
     matches: list[RegexEmitMatch]
     emit_lines: frozenset[int]
+    assigned: frozenset[str]
+    passed: frozenset[str]
 
     @classmethod
-    def build(cls, file: SourceFile, changed: set[int]) -> SideAnalysis:
+    def build(cls, file: SourceFile, changed: set[int],
+              whole_file: bool) -> SideAnalysis:
+        """Kill sets are scanned per run of consecutive changed non-emit
+        lines (every non-emit line in whole-file mode), over the tokens that
+        start on the run's lines."""
         lexed = lex(file)
         matches = extract_emits_regex(file, lexed)
         emit_lines: set[int] = set()
         for m in matches:
             emit_lines |= match_line_range(m)
+        lines = range(1, file.line_count + 1) if whole_file else changed
+        runs: list[list[int]] = []  # [first, last] line of each run
+        for line in sorted(set(lines) - emit_lines):
+            if runs and runs[-1][1] == line - 1:
+                runs[-1][1] = line
+            else:
+                runs.append([line, line])
+        toks, starts = lexed.tokens, file.line_starts
+        assigned: set[str] = set()
+        passed: set[str] = set()
+        for first, last in runs:
+            end = starts[last] if last < len(starts) else len(file.text)
+            lo = bisect_left(toks, starts[first - 1], key=_tok_start)
+            hi = bisect_left(toks, end, lo, key=_tok_start)
+            a, p = _scan_kill_sets(toks[lo:hi])
+            assigned |= a
+            passed |= p
         return cls(file, frozenset(changed), classify_lines(file, lexed),
-                   matches, frozenset(emit_lines))
+                   matches, frozenset(emit_lines), frozenset(assigned),
+                   frozenset(passed))
 
     def churned_loc(self) -> int:
         return sum(1 for line in self.changed
@@ -251,56 +281,25 @@ class SideAnalysis:
                    or _kind_at(self.kinds, line) in (LINE_BLANK, LINE_COMMENT)
                    for line in self.changed)
 
-    def kill_chunks(self, whole_file: bool) -> list[str]:
-        """Changed non-emit line runs (the whole file in whole-file mode),
-        joined per run so multi-line constructs stay scannable."""
-        lines = range(1, self.file.line_count + 1) if whole_file \
-            else self.changed
-        chunks: list[str] = []
-        run: list[str] = []
-        last = None
-        for line in sorted(set(lines) - self.emit_lines):
-            if last is not None and line != last + 1 and run:
-                chunks.append("\n".join(run))
-                run = []
-            run.append(self.file.line_text(line))
-            last = line
-        if run:
-            chunks.append("\n".join(run))
-        return chunks
-
 
 @dataclass(frozen=True)
 class PairAnalysis:
-    """A file pair diffed once, each present side lexed once, and the kill
-    sets of its changed chunks."""
+    """A file pair diffed once and each present side lexed once."""
     pair: FilePair
     diff: LineDiff
     before: SideAnalysis | None
     after: SideAnalysis | None
-    assigned: frozenset[str]
-    passed: frozenset[str]
 
     @classmethod
     def build(cls, pair: FilePair, whole_file: bool) -> PairAnalysis:
         diff = diff_lines(pair.before, pair.after)
         deleted = {op.before_line for op in diff.ops if op.kind == "delete"}
         added = {op.after_line for op in diff.ops if op.kind == "add"}
-        before = SideAnalysis.build(pair.before, deleted) \
+        before = SideAnalysis.build(pair.before, deleted, whole_file) \
             if pair.before is not None else None
-        after = SideAnalysis.build(pair.after, added) \
+        after = SideAnalysis.build(pair.after, added, whole_file) \
             if pair.after is not None else None
-        assigned: set[str] = set()
-        passed: set[str] = set()
-        for side in (before, after):
-            if side is None:
-                continue
-            for chunk in side.kill_chunks(whole_file):
-                a, p = _scan_kill_sets(chunk)
-                assigned |= a
-                passed |= p
-        return cls(pair, diff, before, after, frozenset(assigned),
-                   frozenset(passed))
+        return cls(pair, diff, before, after)
 
     @property
     def sides(self) -> list[SideAnalysis]:
@@ -368,7 +367,7 @@ class PairAnalysis:
 class RevisionAnalysis:
     """Everything churn, pairing and independence read, computed once per
     revision: one PairAnalysis per file pair, whether the revision changes
-    emit lines only, and the kill sets unioned over all pairs."""
+    emit lines only, and the kill sets unioned over all sides."""
     pairs: tuple[PairAnalysis, ...]
     emit_only: bool
     assigned: frozenset[str]
@@ -379,11 +378,10 @@ class RevisionAnalysis:
               whole_file: bool = False) -> RevisionAnalysis:
         pairs = tuple(PairAnalysis.build(p, whole_file)
                       for p in rev.file_pairs)
-        return cls(
-            pairs,
-            all(side.emit_only() for pa in pairs for side in pa.sides),
-            frozenset().union(*(pa.assigned for pa in pairs)),
-            frozenset().union(*(pa.passed for pa in pairs)))
+        sides = [side for pa in pairs for side in pa.sides]
+        return cls(pairs, all(side.emit_only() for side in sides),
+                   frozenset().union(*(side.assigned for side in sides)),
+                   frozenset().union(*(side.passed for side in sides)))
 
     def churn(self) -> ChurnReport:
         churned_loc = total_loc = churned_emits = total_emits = 0
@@ -421,12 +419,11 @@ class RevisionAnalysis:
         return Independence.DEPENDENT
 
 
-def _scan_kill_sets(chunk: str) -> tuple[set[str], set[str]]:
+def _scan_kill_sets(toks: list[Token]) -> tuple[set[str], set[str]]:
     """Identifiers assigned to, and identifiers passed inside call argument
-    lists, in a fragment of changed source text."""
+    lists, in a run of a file's tokens."""
     assigned: set[str] = set()
     passed: set[str] = set()
-    toks = lex(SourceFile.from_text("<chunk>", chunk)).tokens
     for idx, tok in enumerate(toks):
         if tok.kind == TokenKind.OPERATOR and tok.lexeme in ASSIGN_OPS:
             j = idx - 1
@@ -456,7 +453,6 @@ def _scan_kill_sets(chunk: str) -> tuple[set[str], set[str]]:
                 elif t.kind == TokenKind.IDENTIFIER and j > idx + 1:
                     passed.add(t.lexeme)
     return assigned, passed
-
 
 
 # ----------------------------------------------------------- public readers

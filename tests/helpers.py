@@ -13,7 +13,8 @@ from typing import Mapping, NamedTuple
 
 from emitlint.evolution import FilePair, LineDiff, Revision
 from emitlint.lexer import (
-    _OPERATORS, LexError, LexResult, TokenKind, classify_word,
+    _OPERATORS, ASSIGN_OPS, LexError, LexResult, TokenKind, classify_word,
+    lex,
 )
 from emitlint.nodes import (
     Assignment, Binary, Block, EmitStmt, Expr, ExprStmt, FunctionDef,
@@ -462,6 +463,46 @@ def reached_equalities(fn: FunctionDef, inputs: Mapping[str, int]
     """The equalities holding just before each emit the run reaches, keyed
     by the emit's id(); emits in branches not taken are absent."""
     return _interpret(fn, inputs)[1]
+
+
+# -------------------------------------------------- reference kill scan
+
+def reference_kill_sets(chunk: str) -> tuple[set[str], set[str]]:
+    """The kill scan `evolution` ran before it read a side's own tokens:
+    each run of changed lines is joined into a chunk and lexed on its own,
+    with no surrounding context."""
+    assigned: set[str] = set()
+    passed: set[str] = set()
+    toks = lex(SourceFile.from_text("<chunk>", chunk)).tokens
+    for idx, tok in enumerate(toks):
+        if tok.kind == TokenKind.OPERATOR and tok.lexeme in ASSIGN_OPS:
+            j = idx - 1
+            while j >= 0:
+                prev = toks[j]
+                if prev.kind == TokenKind.PUNCT and prev.lexeme in ";,{}()":
+                    break
+                if prev.kind == TokenKind.IDENTIFIER:
+                    assigned.add(prev.lexeme)
+                j -= 1
+        elif tok.kind == TokenKind.OPERATOR and tok.lexeme in ("++", "--"):
+            for j in (idx - 1, idx + 1):
+                if 0 <= j < len(toks) and toks[j].kind == TokenKind.IDENTIFIER:
+                    assigned.add(toks[j].lexeme)
+        elif tok.kind == TokenKind.IDENTIFIER and idx + 1 < len(toks) and \
+                toks[idx + 1].kind == TokenKind.PUNCT and \
+                toks[idx + 1].lexeme == "(":
+            depth = 0
+            for j in range(idx + 1, len(toks)):
+                t = toks[j]
+                if t.kind == TokenKind.PUNCT and t.lexeme == "(":
+                    depth += 1
+                elif t.kind == TokenKind.PUNCT and t.lexeme == ")":
+                    depth -= 1
+                    if depth == 0:
+                        break
+                elif t.kind == TokenKind.IDENTIFIER and j > idx + 1:
+                    passed.add(t.lexeme)
+    return assigned, passed
 
 
 # ------------------------------------------------------- reference lexer

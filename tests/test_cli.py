@@ -1,6 +1,7 @@
 import json
 import sys
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -399,10 +400,15 @@ def _non_utf8_file(tmp_path) -> tuple[dict, str]:
             f"codec can't decode byte 0xff in position 13: invalid start byte")
 
 
-def _non_string_file_name(tmp_path) -> tuple[dict, str]:
-    return ({"id": "bad", "pairs": [{"path": "x.sol", "beforeFile": 5}]},
+def _non_string_file_name(tmp_path, name=5, found="a number"
+                          ) -> tuple[dict, str]:
+    """Only a missing key, null or "" omits a side; any other non-string,
+    falsy ones included, rejects the revision."""
+    (tmp_path / "n2.sol").write_text("contract N {}\n")
+    return ({"id": "bad", "pairs": [{"path": "x.sol", "beforeFile": name,
+                                     "afterFile": "n2.sol"}]},
             'emitlint: revision bad: "beforeFile" must be a string, '
-            "not a number")
+            f"not {found}")
 
 
 def _non_string_pair_path(tmp_path) -> tuple[dict, str]:
@@ -417,7 +423,11 @@ def _non_object_revision(tmp_path) -> tuple[dict, str]:
 
 
 _BAD_REVISIONS = [_non_object_pair, _non_utf8_file, _non_string_file_name,
-                  _non_string_pair_path, _non_object_revision]
+                  _non_string_pair_path, _non_object_revision] + [
+    pytest.param(partial(_non_string_file_name, name=name, found=found),
+                 id=f"_non_string_file_name-{json.dumps(name)}")
+    for name, found in ((False, "a boolean"), (0, "a number"),
+                        ([], "an array"), ({}, "an object"))]
 
 
 @pytest.mark.parametrize("make_bad", _BAD_REVISIONS)
@@ -460,6 +470,29 @@ def test_diff_non_string_pair_path_exit_two(capsys, tmp_path, path, found):
     assert json.loads(out)["revisions"] == []
     assert err.splitlines() == [
         f'emitlint: revision r: "path" must be a string, not {found}']
+
+
+def test_diff_pair_without_path_reports_its_file_name(capsys, tmp_path):
+    """A pair with no "path" is reported under its after file's name, or
+    its before file's name when the file was deleted."""
+    (tmp_path / "v1.sol").write_text(
+        "contract C {\n    event E(uint a);\n    function f(uint a) public {"
+        "\n        emit E(a);\n    }\n}\n")
+    (tmp_path / "v2.sol").write_text(
+        "contract C {\n    event E(uint a);\n    function f(uint a) public {"
+        "\n        emit E(a + 1);\n    }\n}\n")
+    manifest = _write_manifest(tmp_path, {"revisions": [
+        {"id": "r", "pairs": [
+            {"beforeFile": "v1.sol", "afterFile": "v2.sol"},
+            {"beforeFile": "v1.sol"},
+            {"path": "named.sol", "afterFile": "v2.sol"}]}]})
+    code, out, _ = run(capsys, "diff", "--manifest", manifest,
+                       "--format", "json")
+    assert code == 0
+    changes = json.loads(out)["revisions"][0]["changes"]
+    assert [(ch["path"], ch["category"]) for ch in changes] == [
+        ("v2.sol", "ParameterChange"), ("v1.sol", "Deletion"),
+        ("named.sol", "Addition")]
 
 
 def test_diff_deeply_nested_manifest_exit_two(capsys, tmp_path):

@@ -312,13 +312,13 @@ def test_analyze_revision_fills_independence_and_churn():
 
 import emitlint.evolution as evolution
 import emitlint.scan as scan
-from emitlint.lexer import TokenKind, classify_word
+from emitlint.lexer import TokenKind, classify_word, lex
 from emitlint.scan import (
     LINE_CODE, classify_lines, count_loc, extract_emits_regex,
     match_line_range,
 )
 
-from helpers import make_snippet, shop
+from helpers import make_snippet, reference_kill_sets, shop
 
 
 def _oracle_changed_lines(pair):
@@ -357,6 +357,40 @@ def _oracle_churn(rev):
     return loc, total_loc, emits, total_emits
 
 
+def _reference_kill_sets(rev, whole_file):
+    """The revision's kill sets from the chunk-lexing reference scan, and
+    whether some run starts inside a comment or string of its side (where
+    the chunk, lexed alone, loses that context)."""
+    assigned, passed = set(), set()
+    in_context = False
+    for pair in rev.file_pairs:
+        for file, lines in zip((pair.before, pair.after),
+                               _oracle_changed_lines(pair)):
+            if file is None:
+                continue
+            if whole_file:
+                lines = set(range(1, file.line_count + 1))
+            lexed = lex(file)
+            emit_lines = set()
+            for m in extract_emits_regex(file, lexed):
+                emit_lines |= match_line_range(m)
+            runs = []
+            for line in sorted(lines - emit_lines):
+                if runs and line == runs[-1][-1] + 1:
+                    runs[-1].append(line)
+                else:
+                    runs.append([line])
+            ranges = lexed.comment_ranges + lexed.string_ranges
+            for run in runs:
+                start = file.line_starts[run[0] - 1]
+                in_context |= any(a < start < b for a, b in ranges)
+                chunk = "\n".join(file.line_text(line) for line in run)
+                a, p = reference_kill_sets(chunk)
+                assigned |= a
+                passed |= p
+    return assigned, passed, in_context
+
+
 def _oracle_label(rev, change, whole_file):
     emit_only = all(
         line in _oracle_emit_lines(file)
@@ -367,27 +401,10 @@ def _oracle_label(rev, change, whole_file):
         for line in lines)
     if emit_only:
         return ABS
-    killed = set()
-    for pair in rev.file_pairs:
-        for file, lines in zip((pair.before, pair.after),
-                               _oracle_changed_lines(pair)):
-            if file is None:
-                continue
-            if whole_file:
-                lines = set(range(1, file.line_count + 1))
-            runs = []
-            for line in sorted(lines - _oracle_emit_lines(file)):
-                if runs and line == runs[-1][-1] + 1:
-                    runs[-1].append(line)
-                else:
-                    runs.append([line])
-            for run in runs:
-                chunk = "\n".join(file.line_text(line) for line in run)
-                assigned, passed = evolution._scan_kill_sets(chunk)
-                killed |= assigned | passed
+    assigned, passed, _ = _reference_kill_sets(rev, whole_file)
     tokens = [t for t in change.changed_arg_tokens
               if classify_word(t) == TokenKind.IDENTIFIER]
-    return DEP if any(t in killed for t in tokens) else HEU
+    return DEP if any(t in assigned | passed for t in tokens) else HEU
 
 
 def _random_revisions(count):
@@ -487,6 +504,85 @@ def test_kill_sets_are_unioned_across_pairs():
     assert analyze_revision(unrelated).changes[0].independence == HEU
 
 
+# Multi-line fragments whose text looks like kills but sits inside block
+# comments, NatSpec and strings (one continued onto a second line), and
+# lines that edit such a fragment's inside without touching its opener.
+_CONTEXT_FRAGMENTS = [
+    ["    /*", "    a = b;", "    wrap(a);", "    */"],
+    ["    /**", "     * @notice b = wrap(a);", "     * @param a the amount",
+     "     */"],
+    ['    string memory s = "a = \\', '    wrap(b)";'],
+    ["    /// @dev a++;"],
+    ['    "emit Noted(x)";'],
+    ["    a = b; /* wrap(a);", "    b = a; */ b++;"],
+]
+_CONTEXT_LINES = ["    a = b;", "     * @notice a = quote(b);", "wrap(a, b);",
+                  "b--;", "    emit Moved(a, b);", "     */ total = a;",
+                  '    wrap(a)";', ""]
+
+
+def _context_revisions(count):
+    """Seeded edits of snippets that hold multi-line comments, NatSpec and
+    strings: fragments inserted, lines deleted, and lines replaced, so that
+    some changed runs start inside a comment or string of their side."""
+    rng = random.Random(20231107)
+    revs = []
+    for i in range(count):
+        before = make_snippet(i % 50).split("\n")
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(before))
+            before[k:k] = rng.choice(_CONTEXT_FRAGMENTS)
+        after = list(before)
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randrange(len(after))
+            roll = rng.random()
+            if roll < 0.3:
+                after[k:k] = rng.choice(_CONTEXT_FRAGMENTS)
+            elif roll < 0.5:
+                del after[k]
+            else:
+                after[k] = rng.choice(_CONTEXT_LINES)
+        revs.append(make_revision(f"ctx{i}", ("s.sol", "\n".join(before),
+                                              "\n".join(after))))
+    return revs
+
+
+@pytest.mark.parametrize("whole_file", [False, True])
+def test_kill_sets_agree_with_chunk_lexing_reference(whole_file):
+    """Reading a run's kills from the side's own tokens gives the sets that
+    lexing the run alone gives, except where a run starts inside a comment or
+    string: there the side's lex keeps that context and the chunk loses it."""
+    revs = [rev for _, rev in _DIFFERENTIAL_REVISIONS] + \
+        _context_revisions(2000)
+    compared = in_context = 0
+    for rev in revs:
+        assigned, passed, starts_inside = _reference_kill_sets(rev,
+                                                               whole_file)
+        if starts_inside:
+            in_context += 1
+            continue
+        analysis = RevisionAnalysis.build(rev, whole_file)
+        assert (analysis.assigned, analysis.passed) == (assigned, passed), \
+            rev.id
+        compared += 1
+    assert in_context > 0
+    assert compared >= 2000 * 3 // 4
+
+
+def test_kill_text_inside_a_natspec_block_does_not_kill():
+    """A changed NatSpec line that reads like code is inside a comment of
+    its side, so it neither reassigns `price` nor passes `amount`."""
+    def body(stock, note, arg):
+        return [f"stock = {stock};", "/**", f" * @notice {note}", " */",
+                f"emit Priced({arg});"]
+
+    rev = shop_revision(body(1, "quote the price", "price"),
+                        body(2, "price = quote(amount);", "amount"))
+    [change] = analyze_revision(rev).changes
+    assert change.changed_arg_tokens == ["price", "amount"]
+    assert change.independence == HEU
+
+
 @pytest.mark.parametrize("whole_file", [False, True])
 def test_analyze_revision_diffs_and_lexes_each_side_once(monkeypatch,
                                                          whole_file):
@@ -499,8 +595,7 @@ def test_analyze_revision_diffs_and_lexes_each_side_once(monkeypatch,
         return real_diff(before, after)
 
     def counting_lex(file):
-        if file.path != "<chunk>":  # kill-scan chunks are exempt
-            lexed.append(id(file))
+        lexed.append(id(file))
         return real_lex(file)
 
     monkeypatch.setattr(evolution, "diff_lines", counting_diff)
