@@ -231,7 +231,7 @@ def _arg_key(arg: Expr, emit: EmitStmt, tree: ScopeTree,
         return ("name", arg.name)
     if isinstance(arg, Literal):
         return ("lit", arg.text)
-    return ("expr", "".join(file.span_text(arg.span).split()))
+    return ("expr", "".join(file.text[arg.start:arg.end].split()))
 
 
 def _arg_multiset(emit: EmitStmt, tree: ScopeTree,

@@ -17,8 +17,12 @@ Independence: a change is absolutely independent when every changed line in
 the revision is an emit line (or blank/comment); failing that, it is
 heuristically independent when none of its changed argument tokens is
 reassigned or passed to a call on the revision's other changed lines, and
-dependent otherwise. Those kills are read from each side's own tokens, so
-text that the side's lex puts inside a comment or a string never kills.
+dependent otherwise. An emit line holds no code, apart from ';', outside the
+emits whose matches lie outside comments and strings; an emit runs from its
+match through the ')' that closes its arguments. Kills are read from each
+side's own tokens outside those emits, so text that the side's lex puts
+inside a comment or a string never kills, and neither do an emit's own
+arguments.
 
 Each revision is analyzed once. `RevisionAnalysis` diffs every file pair once
 and lexes every present side once; the line kinds, regex emit matches,
@@ -30,7 +34,7 @@ build one and read a single result.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -227,12 +231,13 @@ def _kind_at(kinds: list[str], line: int) -> str:
 class SideAnalysis:
     """One side of a file pair. The file is lexed once; its comment and string
     ranges feed the line kinds and the regex emit matches, and its tokens the
-    kill sets. The tokens are dropped when `build` returns."""
+    emit lines and the kill sets. The tokens are dropped when `build`
+    returns."""
     file: SourceFile
     changed: frozenset[int]  # deleted lines before, added lines after
     kinds: list[str]
     matches: list[RegexEmitMatch]
-    emit_lines: frozenset[int]
+    emit_lines: frozenset[int]  # among the lines scanned for kills
     assigned: frozenset[str]
     passed: frozenset[str]
 
@@ -241,27 +246,59 @@ class SideAnalysis:
               whole_file: bool) -> SideAnalysis:
         """Kill sets are scanned per run of consecutive changed non-emit
         lines (every non-emit line in whole-file mode), over the tokens that
-        start on the run's lines."""
+        start on the run's lines and lie outside emits."""
         lexed = lex(file)
         matches = extract_emits_regex(file, lexed)
-        emit_lines: set[int] = set()
+        toks, starts = lexed.tokens, file.line_starts
+        # The tokens outside the emits whose matches lie outside comments and
+        # strings. An emit is a slice of the tokens, from the `emit` keyword
+        # that starts its match through the ')' that closes its arguments.
+        kept: list[Token] = []
+        touched: set[int] = set()  # lines an emit touches
+        prev = 0
         for m in matches:
-            emit_lines |= match_line_range(m)
-        lines = range(1, file.line_count + 1) if whole_file else changed
+            if m.in_comment_or_string:
+                continue
+            span = m.span
+            a = file.linecol_to_offset(span.start_line, span.start_col)
+            b = file.linecol_to_offset(span.end_line, span.end_col)
+            lo = bisect_left(toks, a, prev, key=_tok_start)
+            kept += toks[prev:lo]
+            prev = bisect_left(toks, b, lo, key=_tok_start)
+            # With no '(' in its arguments and its ')' a token, the match
+            # already closes the argument list.
+            if "(" in m.raw_args or toks[prev - 1].start != b - 1:
+                prev = _args_end(toks, lo, prev)
+            last = bisect_right(starts, toks[prev - 1].start)
+            touched.update(range(span.start_line, last + 1))
+        kept += toks[prev:]
+
+        def line_bounds(first: int, last: int) -> tuple[int, int]:
+            """Index range of the kept tokens that start on these lines."""
+            end = starts[last] if last < len(starts) else len(file.text)
+            lo = bisect_left(kept, starts[first - 1], key=_tok_start)
+            return lo, bisect_left(kept, end, lo, key=_tok_start)
+
+        lines = set(range(1, file.line_count + 1)) if whole_file \
+            else changed
+        emit_lines: set[int] = set()
+        for line in touched & lines:
+            lo, hi = line_bounds(line, line)
+            # No code or string besides the emits and ';'.
+            if all(tok.lexeme == ";" for tok in kept[lo:hi]) and not (
+                    lo and kept[lo - 1].end > starts[line - 1]):
+                emit_lines.add(line)
         runs: list[list[int]] = []  # [first, last] line of each run
-        for line in sorted(set(lines) - emit_lines):
+        for line in sorted(lines - emit_lines):
             if runs and runs[-1][1] == line - 1:
                 runs[-1][1] = line
             else:
                 runs.append([line, line])
-        toks, starts = lexed.tokens, file.line_starts
         assigned: set[str] = set()
         passed: set[str] = set()
         for first, last in runs:
-            end = starts[last] if last < len(starts) else len(file.text)
-            lo = bisect_left(toks, starts[first - 1], key=_tok_start)
-            hi = bisect_left(toks, end, lo, key=_tok_start)
-            a, p = _scan_kill_sets(toks[lo:hi])
+            lo, hi = line_bounds(first, last)
+            a, p = _scan_kill_sets(kept[lo:hi])
             assigned |= a
             passed |= p
         return cls(file, frozenset(changed), classify_lines(file, lexed),
@@ -417,6 +454,25 @@ class RevisionAnalysis:
         if self.passes_kill_test(change):
             return Independence.HEURISTIC_INDEPENDENT
         return Independence.DEPENDENT
+
+
+def _args_end(toks: list[Token], lo: int, hi: int) -> int:
+    """End index of the emit whose regex match holds toks[lo:hi]. The match
+    stops at the first ')', so a nested call or cast leaves the argument
+    list open: carry on to the ')' that closes it, but not past a ';', '{'
+    or '}'."""
+    depth = 0
+    for tok in toks[lo:hi]:
+        if tok.kind == TokenKind.PUNCT:
+            depth += (tok.lexeme == "(") - (tok.lexeme == ")")
+    while depth > 0 and hi < len(toks):
+        tok = toks[hi]
+        if tok.kind == TokenKind.PUNCT:
+            if tok.lexeme in (";", "{", "}"):
+                break
+            depth += (tok.lexeme == "(") - (tok.lexeme == ")")
+        hi += 1
+    return hi
 
 
 def _scan_kill_sets(toks: list[Token]) -> tuple[set[str], set[str]]:

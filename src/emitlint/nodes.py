@@ -1,16 +1,17 @@
 """AST node definitions for the supported contract subset, plus tree walkers.
 
-Every node carries a span. Constructs outside the subset survive as Unparsed
+Every node carries the half-open character offsets of its text; its span is
+built from them when read. Constructs outside the subset survive as Unparsed
 statements that record the skipped text verbatim.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional, Union
 
-from .source import Span
+from .source import SourceFile, Span
 
 
 class DataLocation(Enum):
@@ -27,71 +28,75 @@ class LiteralKind(Enum):
     HEX_ADDRESS = "HexAddress"
 
 
+@dataclass
+class Node:
+    """Base of every node: the offsets [start, end) of its text in file.
+    Most spans are never read, so a span is converted only on read."""
+    start: int
+    end: int
+    file: SourceFile = field(repr=False, compare=False)
+
+    @property
+    def span(self) -> Span:
+        return self.file.span_from_offsets(self.start, self.end)
+
+
 # ---------------------------------------------------------------- expressions
 
 @dataclass
-class Identifier:
+class Identifier(Node):
     name: str
-    span: Span
 
 
 @dataclass
-class MemberAccess:
+class MemberAccess(Node):
     base: "Expr"
     member: str
-    span: Span
 
 
 @dataclass
-class IndexAccess:
+class IndexAccess(Node):
     base: "Expr"
     index: Optional["Expr"]
-    span: Span
 
 
 @dataclass
-class Call:
+class Call(Node):
     callee: "Expr"
     args: list["Expr"]
-    span: Span
 
 
 @dataclass
-class Literal:
+class Literal(Node):
     kind: LiteralKind
     text: str
-    span: Span
 
 
 @dataclass
-class Binary:
+class Binary(Node):
     op: str
     lhs: "Expr"
     rhs: "Expr"
-    span: Span
 
 
 @dataclass
-class Unary:
+class Unary(Node):
     op: str
     operand: "Expr"
-    span: Span
 
 
 @dataclass
-class Assignment:
+class Assignment(Node):
     lhs: "Expr"
     rhs: "Expr"
     op: str
-    span: Span
 
 
 @dataclass
-class Conditional:
+class Conditional(Node):
     cond: "Expr"
     then: "Expr"
     otherwise: "Expr"
-    span: Span
 
 
 Expr = Union[
@@ -103,67 +108,58 @@ Expr = Union[
 # ----------------------------------------------------------------- statements
 
 @dataclass
-class Block:
+class Block(Node):
     stmts: list["Stmt"]
-    span: Span
 
 
 @dataclass
-class If:
+class If(Node):
     cond: Expr
     then: "Stmt"
     otherwise: Optional["Stmt"]
-    span: Span
 
 
 @dataclass
-class For:
+class For(Node):
     init: Optional["Stmt"]
     cond: Optional[Expr]
     post: Optional[Expr]
     body: "Stmt"
-    span: Span
 
 
 @dataclass
-class While:
+class While(Node):
     cond: Expr
     body: "Stmt"
-    span: Span
 
 
 @dataclass
-class EmitStmt:
+class EmitStmt(Node):
     event_name: str
     args: list[Expr]
-    span: Span
 
 
 @dataclass
-class LocalVarDecl:
+class LocalVarDecl(Node):
     name: str
     type_name: str
     data_location: DataLocation
     init: Optional[Expr]
-    span: Span
 
 
 @dataclass
-class ExprStmt:
+class ExprStmt(Node):
     expr: Expr
-    span: Span
 
 
 @dataclass
-class Return:
+class Return(Node):
     expr: Optional[Expr]
-    span: Span
 
 
 @dataclass
-class Unparsed:
+class Unparsed(Node):
     raw_text: str
-    span: Span
 
 
 Stmt = Union[
@@ -174,30 +170,27 @@ Stmt = Union[
 # --------------------------------------------------------------- declarations
 
 @dataclass
-class Param:
+class Param(Node):
     name: str
     type_name: str
     data_location: DataLocation
-    span: Span
 
 
 @dataclass
-class EventParam:
+class EventParam(Node):
     name: Optional[str]
     type_name: str
     indexed: bool
-    span: Span
 
 
 @dataclass
-class EventDef:
+class EventDef(Node):
     name: str
     params: list[EventParam]
-    span: Span
 
 
 @dataclass
-class FunctionDef:
+class FunctionDef(Node):
     name: str  # empty for constructor/fallback/receive
     kind: str  # function | constructor | fallback | receive | modifier
     params: list[Param]
@@ -205,18 +198,16 @@ class FunctionDef:
     visibility: str
     mutability: str
     body: Optional[Block]
-    span: Span
 
 
 @dataclass
-class StateVarDecl:
+class StateVarDecl(Node):
     name: str
     type_name: str
     visibility: str
     is_constant: bool
     is_immutable: bool
     init: Optional[Expr]
-    span: Span
 
 
 class ContractKind(Enum):
@@ -227,21 +218,19 @@ class ContractKind(Enum):
 
 
 @dataclass
-class ContractDef:
+class ContractDef(Node):
     name: str
     kind: ContractKind
     bases: list[str]
     state_vars: list[StateVarDecl]
     events: list[EventDef]
     functions: list[FunctionDef]
-    span: Span
 
 
 @dataclass
-class Directive:
+class Directive(Node):
     kind: str  # pragma | import
     text: str
-    span: Span
 
 
 @dataclass
@@ -252,11 +241,10 @@ class ParseError:
 
 
 @dataclass
-class SourceUnit:
+class SourceUnit(Node):
     pragmas: list[Directive]
     contracts: list[ContractDef]
     parse_errors: list[ParseError]
-    span: Span
 
 
 # -------------------------------------------------------------------- walkers

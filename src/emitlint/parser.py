@@ -108,27 +108,34 @@ class Parser:
             return self._advance()
         return None
 
-    def _tok_span(self, tok: Token) -> Span:
-        return self.file.span_from_offsets(tok.start, tok.end)
+    def _here(self) -> tuple[int, int]:
+        """Offsets of the next token; past the end, of the last token; with
+        no tokens at all, of the whole text."""
+        tok = self._peek()
+        if tok is None:
+            if not self.toks:
+                return 0, len(self.file.text)
+            tok = self.toks[-1]
+        return tok.start, tok.end
 
     def _here_span(self) -> Span:
-        tok = self._peek()
-        if tok is not None:
-            return self._tok_span(tok)
-        if self.toks:
-            return self._tok_span(self.toks[-1])
-        return self.file.full_span()
+        return self.file.span_from_offsets(*self._here())
 
     def _offsets_from(self, start_idx: int) -> tuple[int, int]:
         """Offsets from token start_idx through the last consumed token;
         tokens are in source order, so the first starts it and the last
-        ends it."""
+        ends it. Past the end, the offsets of `_here`."""
+        if start_idx >= len(self.toks):
+            return self._here()
         last = self.toks[max(start_idx, min(self.i, len(self.toks)) - 1)]
         return self.toks[start_idx].start, last.end
 
+    def _at(self, start_idx: int) -> tuple[int, int, SourceFile]:
+        """A node's leading fields: its offsets from token start_idx through
+        the last consumed token, and the file."""
+        return (*self._offsets_from(start_idx), self.file)
+
     def _span_from(self, start_idx: int) -> Span:
-        if start_idx >= len(self.toks):
-            return self._here_span()
         return self.file.span_from_offsets(*self._offsets_from(start_idx))
 
     def _record(self, message: str, severity: str = "error",
@@ -183,8 +190,6 @@ class Parser:
             self._advance()
 
     def _raw_text(self, start_idx: int) -> str:
-        if start_idx >= len(self.toks):
-            return self.file.span_text(self._here_span())
         a, b = self._offsets_from(start_idx)
         return self.file.text[a:b]
 
@@ -200,8 +205,8 @@ class Parser:
                 if not self._skip_directive():
                     self._record(f"expected ';' after {kind} directive",
                                  span=self._span_from(start))
-                pragmas.append(Directive(kind, self._raw_text(start),
-                                         self._span_from(start)))
+                pragmas.append(Directive(*self._at(start), kind,
+                                         self._raw_text(start)))
                 continue
             if (self._kw("contract") or self._kw("interface")
                     or self._kw("library")
@@ -212,7 +217,8 @@ class Parser:
                 continue
             self._record("unexpected token at file level")
             self._skip_top_level()
-        return SourceUnit(pragmas, contracts, self.errors, self.file.full_span())
+        return SourceUnit(0, len(self.file.text), self.file, pragmas,
+                          contracts, self.errors)
 
     def _skip_directive(self) -> bool:
         """Consume a pragma or import through its ';'. No directive holds a
@@ -273,17 +279,17 @@ class Parser:
                 bases.append(path)
                 if not self._match(TokenKind.PUNCT, ","):
                     break
-        contract = ContractDef(name_tok.lexeme, kind, bases, [], [], [],
-                               self._here_span())
+        contract = ContractDef(*self._at(start), name_tok.lexeme, kind, bases,
+                               [], [], [])
         if self._match(TokenKind.PUNCT, "{") is None:
             self._record("expected '{' to open contract body")
             self._skip_top_level()
-            contract.span = self._span_from(start)
-            return contract
-        while not self._at_end() and not self._check(TokenKind.PUNCT, "}"):
-            self._parse_member(contract)
-        self._match(TokenKind.PUNCT, "}")
-        contract.span = self._span_from(start)
+        else:
+            while not self._at_end() and \
+                    not self._check(TokenKind.PUNCT, "}"):
+                self._parse_member(contract)
+            self._match(TokenKind.PUNCT, "}")
+        contract.start, contract.end = self._offsets_from(start)
         return contract
 
     # ---------------------------------------------------------------- members
@@ -371,9 +377,8 @@ class Parser:
             if self._match(TokenKind.PUNCT, ";") is None:
                 self._record("expected ';' after state variable declaration")
                 self._skip_to_semicolon()
-            return StateVarDecl(name_tok.lexeme, type_name, visibility,
-                                is_constant, is_immutable, init,
-                                self._span_from(mark))
+            return StateVarDecl(*self._at(mark), name_tok.lexeme, type_name,
+                                visibility, is_constant, is_immutable, init)
         except _Fail:
             self.i = mark
             return None
@@ -403,9 +408,9 @@ class Parser:
                 if indexed:
                     indexed_count += 1
                 pname = self._match(TokenKind.IDENTIFIER)
-                params.append(EventParam(pname.lexeme if pname else None,
-                                         type_name, indexed,
-                                         self._span_from(pstart)))
+                params.append(EventParam(*self._at(pstart),
+                                         pname.lexeme if pname else None,
+                                         type_name, indexed))
                 if not self._match(TokenKind.PUNCT, ","):
                     break
             if self._match(TokenKind.PUNCT, ")") is None:
@@ -414,7 +419,7 @@ class Parser:
         if self._match(TokenKind.PUNCT, ";") is None:
             self._record("expected ';' after event declaration")
             self._skip_to_semicolon()
-        event = EventDef(name_tok.lexeme, params, self._span_from(start))
+        event = EventDef(*self._at(start), name_tok.lexeme, params)
         if indexed_count > 3:
             self._record(
                 f"event {event.name} declares {indexed_count} indexed "
@@ -496,10 +501,8 @@ class Parser:
             body = self._parse_block()
         else:
             self._record("expected function body or ';'")
-        return FunctionDef(name if kind not in ("constructor", "fallback",
-                                                "receive") else "",
-                           kind, params, returns_params, visibility,
-                           mutability, body, self._span_from(start))
+        return FunctionDef(*self._at(start), name, kind, params,
+                           returns_params, visibility, mutability, body)
 
     def _parse_param_list(self) -> list[Param]:
         params: list[Param] = []
@@ -519,8 +522,9 @@ class Parser:
                 location = _LOCATIONS[loc_tok.lexeme]
             self._match_kw("indexed")  # tolerated if misplaced
             pname = self._match(TokenKind.IDENTIFIER)
-            params.append(Param(pname.lexeme if pname else "", type_name,
-                                location, self._span_from(pstart)))
+            params.append(Param(*self._at(pstart),
+                                pname.lexeme if pname else "", type_name,
+                                location))
             if not self._match(TokenKind.PUNCT, ","):
                 break
         if self._match(TokenKind.PUNCT, ")") is None:
@@ -575,7 +579,7 @@ class Parser:
             stmts.append(self._parse_stmt())
         if self._match(TokenKind.PUNCT, "}") is None:
             self._record("expected '}' to close block")
-        return Block(stmts, self._span_from(start))
+        return Block(*self._at(start), stmts)
 
     def _parse_stmt(self) -> Stmt:
         start = self.i
@@ -587,7 +591,7 @@ class Parser:
                 self._skip_to_semicolon()
             if self.i == start and not self._at_end():
                 self._advance()
-            return Unparsed(self._raw_text(start), self._span_from(start))
+            return Unparsed(*self._at(start), self._raw_text(start))
         self.stmt_depth += 1
         try:
             return self._parse_stmt_inner()
@@ -595,14 +599,14 @@ class Parser:
             self._skip_to_semicolon()
             if self.i == start and not self._at_end():
                 self._advance()
-            return Unparsed(self._raw_text(start), self._span_from(start))
+            return Unparsed(*self._at(start), self._raw_text(start))
         finally:
             self.stmt_depth -= 1
 
     def _unparsed_stmt(self, start: int, message: str,
                        severity: str = "warning") -> Unparsed:
         self._record(message, severity, self._span_from(start))
-        return Unparsed(self._raw_text(start), self._span_from(start))
+        return Unparsed(*self._at(start), self._raw_text(start))
 
     def _parse_stmt_inner(self) -> Stmt:
         start = self.i
@@ -633,7 +637,7 @@ class Parser:
                         return self._unparsed_stmt(
                             start, "unsupported return expression skipped")
                 self._expect_punct(";", "after return statement")
-                return Return(expr, self._span_from(start))
+                return Return(*self._at(start), expr)
             if word == "unchecked":
                 self._advance()
                 if self._check(TokenKind.PUNCT, "{"):
@@ -657,10 +661,10 @@ class Parser:
                 self._advance()
                 self._match(TokenKind.PUNCT, ";")
                 # Fully understood and cannot contain an emit: no report.
-                return Unparsed(self._raw_text(start), self._span_from(start))
+                return Unparsed(*self._at(start), self._raw_text(start))
             if word == "delete":
                 self._skip_to_semicolon()
-                return Unparsed(self._raw_text(start), self._span_from(start))
+                return Unparsed(*self._at(start), self._raw_text(start))
         if tok.kind == TokenKind.PUNCT and tok.lexeme == "(":
             # Tuple assignments and parenthesized heads.
             mark = self.i
@@ -671,7 +675,7 @@ class Parser:
                 self._skip_to_semicolon()
                 return self._unparsed_stmt(start, "tuple statement skipped")
             self._expect_punct(";", "after expression statement")
-            return ExprStmt(expr, self._span_from(start))
+            return ExprStmt(*self._at(start), expr)
         decl = self._try_local_decl()
         if decl is not None:
             return decl
@@ -682,13 +686,12 @@ class Parser:
             rtok = self._advance()
             inner = self._expr_or_damage("unsupported revert statement")
             self._expect_punct(";", "after revert statement")
-            span = self._span_from(rstart)
-            callee = Identifier(rtok.lexeme, self._tok_span(rtok))
-            call = Call(callee, [inner], span)
-            return ExprStmt(call, span)
+            at = self._at(rstart)
+            callee = Identifier(rtok.start, rtok.end, self.file, rtok.lexeme)
+            return ExprStmt(*at, Call(*at, callee, [inner]))
         expr = self._expr_or_damage("unsupported or malformed statement")
         self._expect_punct(";", "after expression statement")
-        return ExprStmt(expr, self._span_from(start))
+        return ExprStmt(*self._at(start), expr)
 
     def _expr_or_damage(self, message: str) -> Expr:
         try:
@@ -715,7 +718,7 @@ class Parser:
         otherwise = None
         if self._match_kw("else"):
             otherwise = self._parse_stmt()
-        return If(cond, then, otherwise, self._span_from(start))
+        return If(*self._at(start), cond, then, otherwise)
 
     def _parse_while(self) -> Stmt:
         start = self.i
@@ -724,7 +727,7 @@ class Parser:
         cond = self._expr_or_damage("unsupported while condition")
         self._expect_punct(")", "after while condition")
         body = self._parse_stmt()
-        return While(cond, body, self._span_from(start))
+        return While(*self._at(start), cond, body)
 
     def _parse_for(self) -> Stmt:
         start = self.i
@@ -737,7 +740,7 @@ class Parser:
                 estart = self.i
                 expr = self._expr_or_damage("unsupported for-loop initializer")
                 self._expect_punct(";", "after for-loop initializer")
-                init = ExprStmt(expr, self._span_from(estart))
+                init = ExprStmt(*self._at(estart), expr)
         cond = None
         if self._match(TokenKind.PUNCT, ";") is None:
             cond = self._expr_or_damage("unsupported for-loop condition")
@@ -747,7 +750,7 @@ class Parser:
             post = self._expr_or_damage("unsupported for-loop update")
         self._expect_punct(")", "after for-loop header")
         body = self._parse_stmt()
-        return For(init, cond, post, body, self._span_from(start))
+        return For(*self._at(start), init, cond, post, body)
 
     def _parse_emit(self) -> Stmt:
         start = self.i
@@ -773,7 +776,7 @@ class Parser:
                     break
         self._expect_punct(")", "after emit arguments")
         self._expect_punct(";", "after emit statement")
-        return EmitStmt(name, args, self._span_from(start))
+        return EmitStmt(*self._at(start), name, args)
 
     def _try_local_decl(self) -> LocalVarDecl | None:
         mark = self.i
@@ -800,8 +803,8 @@ class Parser:
         if self._match(TokenKind.OPERATOR, "="):
             init = self._expr_or_damage("unsupported initializer expression")
         self._expect_punct(";", "after variable declaration")
-        return LocalVarDecl(name_tok.lexeme, type_name, location, init,
-                            self._span_from(mark))
+        return LocalVarDecl(*self._at(mark), name_tok.lexeme, type_name,
+                            location, init)
 
     # ------------------------------------------------------------ expressions
 
@@ -835,7 +838,7 @@ class Parser:
             self._advance()
             with self._chain_link():
                 rhs = self._parse_assignment()
-            return Assignment(lhs, rhs, tok.lexeme, self._span_from(start))
+            return Assignment(*self._at(start), lhs, rhs, tok.lexeme)
         return lhs
 
     def _parse_conditional(self) -> Expr:
@@ -848,7 +851,7 @@ class Parser:
                 raise _Fail()
             with self._chain_link():
                 otherwise = self._parse_conditional()
-            return Conditional(cond, then, otherwise, self._span_from(start))
+            return Conditional(*self._at(start), cond, then, otherwise)
         return cond
 
     def _parse_binary(self, min_prec: int) -> Expr:
@@ -866,7 +869,7 @@ class Parser:
             with self._chain_link():
                 rhs = self._parse_binary(prec if tok.lexeme == "**"
                                          else prec + 1)
-            lhs = Binary(tok.lexeme, lhs, rhs, self._span_from(start))
+            lhs = Binary(*self._at(start), tok.lexeme, lhs, rhs)
 
     def _parse_unary(self) -> Expr:
         tok = self._peek()
@@ -876,7 +879,7 @@ class Parser:
             self._advance()
             with self._chain_link():
                 operand = self._parse_unary()
-            return Unary(tok.lexeme, operand, self._span_from(start))
+            return Unary(*self._at(start), tok.lexeme, operand)
         return self._parse_postfix()
 
     def _parse_postfix(self) -> Expr:
@@ -893,7 +896,7 @@ class Parser:
                     return expr
                 self._advance()
                 self._advance()
-                expr = MemberAccess(expr, member.lexeme, self._span_from(start))
+                expr = MemberAccess(*self._at(start), expr, member.lexeme)
                 continue
             if tok.kind == TokenKind.PUNCT and tok.lexeme == "[":
                 self._advance()
@@ -902,7 +905,7 @@ class Parser:
                     index = self._parse_expression()
                 if self._match(TokenKind.PUNCT, "]") is None:
                     raise _Fail()
-                expr = IndexAccess(expr, index, self._span_from(start))
+                expr = IndexAccess(*self._at(start), expr, index)
                 continue
             if tok.kind == TokenKind.PUNCT and tok.lexeme == "{":
                 options = self._try_call_options()
@@ -912,16 +915,16 @@ class Parser:
                     raise _Fail()
                 self._advance()
                 args = self._parse_call_args()
-                expr = Call(expr, options + args, self._span_from(start))
+                expr = Call(*self._at(start), expr, options + args)
                 continue
             if tok.kind == TokenKind.PUNCT and tok.lexeme == "(":
                 self._advance()
                 args = self._parse_call_args()
-                expr = Call(expr, args, self._span_from(start))
+                expr = Call(*self._at(start), expr, args)
                 continue
             if tok.kind == TokenKind.OPERATOR and tok.lexeme in ("++", "--"):
                 self._advance()
-                expr = Unary(tok.lexeme, expr, self._span_from(start))
+                expr = Unary(*self._at(start), tok.lexeme, expr)
                 continue
             return expr
 
@@ -943,8 +946,8 @@ class Parser:
                     self._record("unsupported call argument kept as opaque "
                                  "text", "warning",
                                  self._span_from(mark))
-                    args.append(Identifier("<" + raw + ">",
-                                           self._span_from(mark)))
+                    args.append(Identifier(*self._at(mark),
+                                           "<" + raw + ">"))
                 if not self._match(TokenKind.PUNCT, ","):
                     break
         if self._match(TokenKind.PUNCT, ")") is None:
@@ -999,28 +1002,30 @@ class Parser:
             kind = LiteralKind.NUMBER
             if len(text) == _HEX_ADDRESS_LEN and text.lower().startswith("0x"):
                 kind = LiteralKind.HEX_ADDRESS
-            return Literal(kind, text, self._tok_span(tok))
+            return Literal(tok.start, tok.end, self.file, kind, text)
         if tok.kind == TokenKind.STRING:
             self._advance()
-            return Literal(LiteralKind.STRING, tok.lexeme, self._tok_span(tok))
+            return Literal(tok.start, tok.end, self.file, LiteralKind.STRING,
+                           tok.lexeme)
         if tok.kind == TokenKind.KEYWORD and tok.lexeme in ("true", "false"):
             self._advance()
-            return Literal(LiteralKind.BOOL, tok.lexeme, self._tok_span(tok))
+            return Literal(tok.start, tok.end, self.file, LiteralKind.BOOL,
+                           tok.lexeme)
         if tok.kind == TokenKind.IDENTIFIER:
             self._advance()
-            return Identifier(tok.lexeme, self._tok_span(tok))
+            return Identifier(tok.start, tok.end, self.file, tok.lexeme)
         if tok.kind == TokenKind.KEYWORD and (
                 is_elementary_type(tok.lexeme) or tok.lexeme == "payable"):
             # Type cast callee: address(x), uint(x), payable(x), ...
             self._advance()
-            return Identifier(tok.lexeme, self._tok_span(tok))
+            return Identifier(tok.start, tok.end, self.file, tok.lexeme)
         if tok.kind == TokenKind.KEYWORD and tok.lexeme == "new":
             start = self.i
             self._advance()
             type_name = self._parse_type_name()
             # Synthetic callee name; the space keeps it from colliding with
             # any real identifier during resolution.
-            return Identifier("new " + type_name, self._span_from(start))
+            return Identifier(*self._at(start), "new " + type_name)
         if tok.kind == TokenKind.PUNCT and tok.lexeme == "(":
             self._advance()
             expr = self._parse_expression()
@@ -1041,7 +1046,7 @@ def parse(tokens: list[Token], file: SourceFile) -> SourceUnit:
         # whole file is then damage, so the analyses fall back as on any
         # fatal parse error.
         parser._record("nesting too deep to parse; file skipped")
-        return SourceUnit([], [], parser.errors, file.full_span())
+        return SourceUnit(0, len(file.text), file, [], [], parser.errors)
 
 
 def parse_file(file: SourceFile,

@@ -93,8 +93,3 @@ class SourceFile:
         a = self.linecol_to_offset(span.start_line, span.start_col)
         b = self.linecol_to_offset(span.end_line, span.end_col)
         return self.text[a:b]
-
-    def full_span(self) -> Span:
-        if not self.text:
-            return Span(1, 1, 1, 1)
-        return self.span_from_offsets(0, len(self.text))

@@ -18,10 +18,11 @@ from emitlint.lexer import (
 )
 from emitlint.nodes import (
     Assignment, Binary, Block, EmitStmt, Expr, ExprStmt, FunctionDef,
-    Identifier, If, Literal, LiteralKind, LocalVarDecl, Stmt,
+    Identifier, If, Literal, LiteralKind, LocalVarDecl, Node, Stmt,
     walk_statements,
 )
 from emitlint.parser import parse_file
+from emitlint.scan import extract_emits_regex
 from emitlint.source import SourceFile, Span
 from emitlint.symbols import (
     LocationClass, Scope, ScopeTree, Symbol, SymbolKind, _visible_in_scope,
@@ -58,11 +59,15 @@ def emits_of(fn) -> list[EmitStmt]:
 
 
 def spans_in(obj, found: list[Span] | None = None) -> list[Span]:
-    """Every Span in a tree of dataclasses, lists and tuples; source files
-    are not entered."""
+    """Every Span in a tree of dataclasses, lists and tuples, each node's
+    `span` read once; source files are not entered."""
     found = [] if found is None else found
     if isinstance(obj, Span):
         found.append(obj)
+    elif isinstance(obj, Node):
+        found.append(obj.span)
+        for f in fields(obj):
+            spans_in(getattr(obj, f.name), found)
     elif isinstance(obj, (list, tuple)):
         for item in obj:
             spans_in(item, found)
@@ -72,13 +77,48 @@ def spans_in(obj, found: list[Span] | None = None) -> list[Span]:
     return found
 
 
+_LOCATION_FIELDS = frozenset({"span", "start", "end", "file"})
+
+
+def nodes_in(obj) -> list[Node]:
+    """Every node in a tree of nodes, lists and tuples, preorder."""
+    if isinstance(obj, Node):
+        return [obj] + [n for f in fields(obj)
+                        for n in nodes_in(getattr(obj, f.name))]
+    if isinstance(obj, (list, tuple)):
+        return [n for item in obj for n in nodes_in(item)]
+    return []
+
+
+class SpanCounts:
+    """Counts position conversions (`SourceFile.span_from_offsets`) and node
+    span reads while the monkeypatch is in place."""
+
+    def __init__(self, monkeypatch):
+        self.conversions = self.reads = 0
+        convert = SourceFile.span_from_offsets
+        read = Node.span.fget
+
+        def counted_convert(file, start, end):
+            self.conversions += 1
+            return convert(file, start, end)
+
+        def counted_read(node):
+            self.reads += 1
+            return read(node)
+
+        monkeypatch.setattr(SourceFile, "span_from_offsets", counted_convert)
+        monkeypatch.setattr(Node, "span", property(counted_read))
+
+
 def structural_eq(a, b) -> bool:
-    """Dataclass-tree equality ignoring span fields."""
+    """Dataclass-tree equality ignoring where the nodes are: spans, offsets
+    and files."""
     if type(a) is not type(b):
         return False
     if is_dataclass(a):
         for f in fields(a):
-            if f.name == "span":
+            if f.name in _LOCATION_FIELDS:
                 continue
             if not structural_eq(getattr(a, f.name), getattr(b, f.name)):
                 return False
@@ -470,10 +510,29 @@ def reached_equalities(fn: FunctionDef, inputs: Mapping[str, int]
 def reference_kill_sets(chunk: str) -> tuple[set[str], set[str]]:
     """The kill scan `evolution` ran before it read a side's own tokens:
     each run of changed lines is joined into a chunk and lexed on its own,
-    with no surrounding context."""
+    with no surrounding context. The tokens of the chunk's own emits outside
+    comments and strings, each from its match through the ')' closing its
+    arguments, are left out: an emit's arguments kill nothing."""
     assigned: set[str] = set()
     passed: set[str] = set()
-    toks = lex(SourceFile.from_text("<chunk>", chunk)).tokens
+    file = SourceFile.from_text("<chunk>", chunk)
+    lexed = lex(file)
+    dropped: set[int] = set()
+    for m in extract_emits_regex(file, lexed):
+        if m.in_comment_or_string:
+            continue
+        a = file.linecol_to_offset(m.span.start_line, m.span.start_col)
+        b = file.linecol_to_offset(m.span.end_line, m.span.end_col)
+        depth = 0
+        for idx, tok in enumerate(lexed.tokens):
+            if tok.start < a:
+                continue
+            punct = tok.lexeme if tok.kind == TokenKind.PUNCT else ""
+            if tok.start >= b and (depth <= 0 or punct in (";", "{", "}")):
+                break
+            depth += (punct == "(") - (punct == ")")
+            dropped.add(idx)
+    toks = [tok for idx, tok in enumerate(lexed.tokens) if idx not in dropped]
     for idx, tok in enumerate(toks):
         if tok.kind == TokenKind.OPERATOR and tok.lexeme in ASSIGN_OPS:
             j = idx - 1

@@ -328,10 +328,33 @@ def _oracle_changed_lines(pair):
 
 
 def _oracle_emit_lines(file):
+    """Lines touched by an emit outside comments and strings, from its match
+    through the ')' that closes its arguments, where the text left after
+    blanking out those emits and the comments holds only ';' and spaces."""
+    lexed = lex(file)
+    quiet = list(file.text)  # comments and strings blanked: parens count
+    for a, b in lexed.comment_ranges + lexed.string_ranges:
+        quiet[a:b] = " " * (b - a)
+    blanked = lexed.comment_ranges[:]
     lines = set()
-    for m in extract_emits_regex(file):
-        lines |= match_line_range(m)
-    return lines
+    for m in extract_emits_regex(file, lexed):
+        if m.in_comment_or_string:
+            continue
+        a = file.linecol_to_offset(m.span.start_line, m.span.start_col)
+        b = file.linecol_to_offset(m.span.end_line, m.span.end_col)
+        depth = quiet[a:b].count("(") - quiet[a:b].count(")")
+        while depth > 0 and b < len(quiet) and quiet[b] not in ";{}":
+            depth += (quiet[b] == "(") - (quiet[b] == ")")
+            b += 1
+        blanked.append((a, b))
+        lines |= set(range(m.span.start_line,
+                           file.offset_to_linecol(b - 1)[0] + 1))
+    masked = list(file.text)
+    for a, b in blanked:
+        masked[a:b] = [ch if ch == "\n" else " " for ch in masked[a:b]]
+    rows = "".join(masked).split("\n")
+    return {line for line in lines
+            if not rows[line - 1].replace(";", "").strip()}
 
 
 def _oracle_code_line(file, line):
@@ -371,9 +394,7 @@ def _reference_kill_sets(rev, whole_file):
             if whole_file:
                 lines = set(range(1, file.line_count + 1))
             lexed = lex(file)
-            emit_lines = set()
-            for m in extract_emits_regex(file, lexed):
-                emit_lines |= match_line_range(m)
+            emit_lines = _oracle_emit_lines(file)
             runs = []
             for line in sorted(lines - emit_lines):
                 if runs and line == runs[-1][-1] + 1:
@@ -409,11 +430,14 @@ def _oracle_label(rev, change, whole_file):
 
 def _random_revisions(count):
     """Seeded line edits of the snippet corpus: emits moved, dropped and
-    duplicated next to comments, calls and reassignments."""
+    duplicated next to comments, calls and reassignments, some of them on
+    the emit's own line."""
     rng = random.Random(20230824)
     extras = ["a = b;", "emit Moved(a, b);", "// emit Plain();", "b++;",
               "wrap(a);", "emit Checked(msg.sender,\n    a);", "/* note */",
-              '"emit Noted(x)";', ""]
+              '"emit Noted(x)";', "a = b; emit Moved(a, b);",
+              "wrap(b); // emit Plain();", "emit Moved(wrap(a), b);",
+              "emit Moved(a, uint(b)); b++;", ""]
     revs = []
     for i in range(count):
         lines = make_snippet(i).split("\n")
@@ -506,7 +530,9 @@ def test_kill_sets_are_unioned_across_pairs():
 
 # Multi-line fragments whose text looks like kills but sits inside block
 # comments, NatSpec and strings (one continued onto a second line), and
-# lines that edit such a fragment's inside without touching its opener.
+# single lines: some edit such a fragment's inside without touching its
+# opener, one opens a comment on an emit line, and some put code or a nested
+# call beside an emit.
 _CONTEXT_FRAGMENTS = [
     ["    /*", "    a = b;", "    wrap(a);", "    */"],
     ["    /**", "     * @notice b = wrap(a);", "     * @param a the amount",
@@ -518,7 +544,9 @@ _CONTEXT_FRAGMENTS = [
 ]
 _CONTEXT_LINES = ["    a = b;", "     * @notice a = quote(b);", "wrap(a, b);",
                   "b--;", "    emit Moved(a, b);", "     */ total = a;",
-                  '    wrap(a)";', ""]
+                  '    wrap(a)";', "    emit Moved(a, b); /* a = b;",
+                  "    b = a; emit Moved(a, b);",
+                  "    emit Moved(wrap(a),\n        b = a);", ""]
 
 
 def _context_revisions(count):
@@ -567,6 +595,57 @@ def test_kill_sets_agree_with_chunk_lexing_reference(whole_file):
         compared += 1
     assert in_context > 0
     assert compared >= 2000 * 3 // 4
+
+
+def test_code_beside_an_emit_is_kill_scanned():
+    """A changed line with code besides its emit is no emit line: the
+    revision is not emit-only, and the code outside the emit is kill-scanned
+    while the emit's own arguments are not."""
+    def label(before, after):
+        rev = shop_revision(before, after)
+        [change] = analyze_revision(rev).changes
+        analysis = RevisionAnalysis.build(rev)
+        return (change.category, change.independence, analysis.emit_only,
+                analysis.assigned, analysis.passed)
+
+    assert label(["emit Priced(price);"],
+                 ["price = 1; emit Priced(price);"]) == (
+        ChangeCategory.MOVE, HEU, False, {"price"}, set())
+    assert label(["emit Priced(price);"],
+                 ["emit Priced(amount); price = quote(amount);"]) == (
+        ChangeCategory.PARAMETER_CHANGE, DEP, False, {"price"}, {"amount"})
+    # An emit inside a comment does not make its code line an emit line;
+    # pairing still reads it.
+    assert label(["emit Priced(price);"],
+                 ["amount = 5; // emit Closed()"]) == (
+        ChangeCategory.COMPOUND, HEU, False, {"amount"}, set())
+    # Only ';' and comments beside the emits: still emit lines.
+    assert label(["emit Priced(price);"],
+                 ["emit Priced(amount); // was price"]) == (
+        ChangeCategory.PARAMETER_CHANGE, ABS, True, set(), set())
+    assert label(["emit Sold(to,", "    amount);"],
+                 ["emit Sold(to,", "    value); ;"]) == (
+        ChangeCategory.PARAMETER_CHANGE, ABS, True, set(), set())
+    # The matcher stops at the first ')'; the emit runs on to the ')' that
+    # closes its arguments.
+    assert label(["emit Sold(to, amount);"],
+                 ["emit Sold(to, uint(value));"]) == (
+        ChangeCategory.PARAMETER_CHANGE, ABS, True, set(), set())
+    assert label(["emit Sold(to, amount);"],
+                 ['emit Sold(to, "a)b");']) == (
+        ChangeCategory.PARAMETER_CHANGE, ABS, True, set(), set())
+    assert label(["emit Sold(address(0), amount);"],
+                 ["emit Sold(address(0), value); stock++;"]) == (
+        ChangeCategory.MOVE, HEU, False, {"stock"}, set())
+    # An argument list left open ends at the next ';', '{' or '}'.
+    assert label(["emit Priced(price);"],
+                 ["emit Priced(wrap(amount);", "stock = 2;"]) == (
+        ChangeCategory.PARAMETER_CHANGE, HEU, False, {"stock"}, set())
+    continued = RevisionAnalysis.build(shop_revision(
+        ["emit Sold(address(0),", "    wrap(amount));"],
+        ["emit Sold(address(0),", "    wrap(value));"]))
+    assert (continued.emit_only, continued.assigned, continued.passed) == (
+        True, set(), set())
 
 
 def test_kill_text_inside_a_natspec_block_does_not_kill():

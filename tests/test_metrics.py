@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 from emitlint.metrics import compute_metrics, count_file_emits
+from emitlint.parser import parse_file
 
-from helpers import src
+from helpers import SpanCounts, fixture_file, src
 
 
 def _filler_contract(code_lines: int, emits: int, name="Filler") -> str:
@@ -90,3 +91,19 @@ def test_zero_code_lines_file():
     assert pm.per_file[0].code_loc == 0
     assert pm.per_file[0].emit_per_loc == Fraction(0)
     assert pm.emit_per_loc == Fraction(0)
+
+
+def test_metrics_converts_no_node_position(monkeypatch):
+    """Metrics read no node's span, so no position is converted at all on
+    files without parse errors. A parse error keeps an eager Span; those
+    are the only conversions on a file with parse warnings."""
+    tree = [fixture_file("lint_tree", name) for name in ("a.sol", "b.sol")]
+    token = fixture_file("realistic_token.sol")
+    warnings = parse_file(token).parse_errors
+    assert warnings and all(w.severity == "warning" for w in warnings)
+    counts = SpanCounts(monkeypatch)
+    compute_metrics(tree)
+    assert counts.conversions == 0
+    compute_metrics([token])
+    assert counts.reads == 0
+    assert counts.conversions == len(warnings)

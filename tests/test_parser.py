@@ -11,8 +11,8 @@ from emitlint.parser import has_fatal_errors, parse, parse_file
 from emitlint.source import SourceFile
 
 from helpers import (
-    FIXTURES, emits_of, fixture_file, parsed, snippet_corpus, spans_in, src,
-    structural_eq,
+    FIXTURES, SpanCounts, emits_of, fixture_file, nodes_in, parsed,
+    snippet_corpus, spans_in, src, structural_eq,
 )
 
 RECEIPT_TEXT = fixture_file("client_receipt.sol").text
@@ -350,7 +350,8 @@ def test_node_spans_start_and_end_on_token_boundaries():
         starts = {tok.start for tok in tokens}
         ends = {tok.end for tok in tokens}
         unit = parse(tokens, file)
-        assert unit.span == file.full_span()
+        whole = file.span_from_offsets(0, len(file.text))
+        assert unit.span == whole
         for span in spans_in([unit.pragmas, unit.contracts,
                               unit.parse_errors]):
             a = file.linecol_to_offset(span.start_line, span.start_col)
@@ -358,26 +359,29 @@ def test_node_spans_start_and_end_on_token_boundaries():
             assert 0 <= a <= b <= len(file.text), (file.path, span)
             assert file.span_from_offsets(a, b) == span, (file.path, span)
             assert (a in starts and b in ends) or (
-                not tokens and span == file.full_span()), (file.path, span)
+                not tokens and span == whole), (file.path, span)
+
+
+def test_spans_in_reads_every_node():
+    """spans_in yields each node's span and each parse error's, so the span
+    tests above see the whole tree."""
+    unit = parse_file(fixture_file("realistic_token.sol"))
+    nodes = nodes_in(unit)
+    assert len(nodes) > 150
+    assert len(spans_in(unit)) == len(nodes) + len(unit.parse_errors)
 
 
 def test_spans_are_built_per_node_not_per_token(monkeypatch):
-    """Tokens carry offsets; a Span is made only for a node or a reported
-    position, so checking a file converts fewer positions than it has
-    tokens."""
+    """Tokens and nodes carry offsets; a Span is made only when a node's
+    span is read or a parse error is reported. Checking a file converts no
+    more positions than that."""
     file = fixture_file("realistic_token.sol")
-    n_tokens = len(lex(file).tokens)
-    calls = 0
-    convert = SourceFile.span_from_offsets
-
-    def counted(self, start, end):
-        nonlocal calls
-        calls += 1
-        return convert(self, start, end)
-
-    monkeypatch.setattr(SourceFile, "span_from_offsets", counted)
+    errors = len(parse_file(file).parse_errors)
+    counts = SpanCounts(monkeypatch)
     run_checks(file)
-    assert 0 < calls < n_tokens, (calls, n_tokens)
+    assert counts.reads > 0
+    assert counts.conversions <= counts.reads + errors, (
+        counts.conversions, counts.reads, errors)
 
 
 def test_parse_determinism():
