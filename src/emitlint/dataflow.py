@@ -24,7 +24,7 @@ from typing import Iterator
 from .nodes import (
     Assignment, Block, Call, EmitStmt, ExprStmt, For, FunctionDef,
     Identifier, If, LocalVarDecl, MemberAccess, Stmt, Unary, Unparsed, While,
-    root_identifier, statement_children, walk_expr, walk_stmt_expressions,
+    root_identifier, walk_expr, walk_stmt_expressions,
 )
 from .source import Span
 from .symbols import LocationClass, ScopeTree, Symbol, SymbolKind, resolve
@@ -134,12 +134,6 @@ def _gen_pair(stmt: Stmt, tree: ScopeTree) -> tuple[Symbol, Symbol] | None:
     return right, left
 
 
-def _contains(stmt: Stmt, target: Stmt) -> bool:
-    if stmt is target:
-        return True
-    return any(_contains(child, target) for child in statement_children(stmt))
-
-
 _FactMap = dict[tuple[Symbol, Symbol], EqualityFact]
 
 
@@ -147,7 +141,7 @@ def _kill_own_effects(stmt: Stmt, facts: _FactMap,
                       tree: ScopeTree) -> _FactMap:
     """A copy of facts without those the statement's own expressions kill;
     empty when they contain a call (a callee can write storage)."""
-    if has_call(stmt):
+    if not facts or has_call(stmt):
         return {}
     victims = {event.victim for event in kill_events(stmt, tree)}
     return {key: fact for key, fact in facts.items()
@@ -166,27 +160,26 @@ def _apply_stmt(stmt: Stmt, facts: _FactMap, tree: ScopeTree) -> _FactMap:
     return facts
 
 
-def _walk(stmts: list[Stmt], target: Stmt, facts: _FactMap,
-          tree: ScopeTree) -> tuple[bool, _FactMap]:
+def _flow(stmts: list[Stmt], facts: _FactMap, tree: ScopeTree,
+          before_emit: dict[int, _FactMap]) -> None:
+    """One forward pass from facts holding before stmts. Records, by id, the
+    facts holding just before each emit, in nested blocks, branches and loop
+    bodies too."""
     for stmt in stmts:
-        if stmt is target:
-            return True, facts
-        if _contains(stmt, target):
-            if isinstance(stmt, Block):
-                return _walk(stmt.stmts, target, facts, tree)
-            if isinstance(stmt, If):
-                # The condition is the if statement's own expression.
-                facts = _kill_own_effects(stmt, facts, tree)
-                branch = stmt.then if _contains(stmt.then, target) \
-                    else stmt.otherwise
-                return _walk([branch], target, facts, tree)
-            if isinstance(stmt, (For, While)):
-                # Loop header joins the back edge: facts cannot cross it.
-                body = stmt.body
-                return _walk([body], target, {}, tree)
-            return True, {}
+        if isinstance(stmt, EmitStmt):
+            before_emit[id(stmt)] = facts
+        elif isinstance(stmt, Block):
+            _flow(stmt.stmts, facts, tree, before_emit)
+        elif isinstance(stmt, If):
+            # The condition is the if statement's own expression.
+            branch_facts = _kill_own_effects(stmt, facts, tree)
+            for branch in (stmt.then, stmt.otherwise):
+                if branch is not None:
+                    _flow([branch], branch_facts, tree, before_emit)
+        elif isinstance(stmt, (For, While)):
+            # Loop header joins the back edge: facts cannot cross it.
+            _flow([stmt.body], {}, tree, before_emit)
         facts = _apply_stmt(stmt, facts, tree)
-    return False, facts
 
 
 def equalities_at(emit: EmitStmt, fn: FunctionDef,
@@ -194,7 +187,6 @@ def equalities_at(emit: EmitStmt, fn: FunctionDef,
     """Equality facts holding immediately before the emit executes."""
     if fn.body is None:
         return []
-    found, facts = _walk(fn.body.stmts, emit, {}, tree)
-    if not found:
-        return []
-    return list(facts.values())
+    before_emit: dict[int, _FactMap] = {}
+    _flow(fn.body.stmts, {}, tree, before_emit)
+    return list(before_emit.get(id(emit), {}).values())

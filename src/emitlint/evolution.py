@@ -7,11 +7,12 @@ one deleted plus one added line. Churn counts added and deleted code lines
 (comments and blanks excluded) against the after side's total; emit churn uses
 the textual matcher on both sides, consistent with how totals are counted.
 
-Changed emits on the deleted and added sides are matched greedily, most
-specific rule first: unchanged emits at a new location are moves, same-name
-pairs are parameter changes, same-argument pairs are replacements, leftover
-pairs differing in both are compound edits, and whatever remains is a pure
-addition or deletion. Ties break on line distance, then source order.
+Changed emits outside comments and strings on the deleted and added sides
+are matched greedily, most specific rule first: unchanged emits at a new
+location are moves, same-name pairs are parameter changes, same-argument
+pairs are replacements, leftover pairs differing in both are compound edits,
+and whatever remains is a pure addition or deletion. Ties break on line
+distance, then source order.
 
 Independence: a change is absolutely independent when every changed line in
 the revision is an emit line (or blank/comment); failing that, it is
@@ -186,6 +187,13 @@ class EventUseChange:
     independence: Independence | None = None
 
 
+# Indexed by a pair's rank: 2 if the names differ, plus 1 if the arguments do.
+_PAIRED_CATEGORIES = (
+    ChangeCategory.MOVE, ChangeCategory.PARAMETER_CHANGE,
+    ChangeCategory.REPLACEMENT, ChangeCategory.COMPOUND,
+)
+
+
 def _norm_args(match: RegexEmitMatch) -> str:
     return "".join(match.raw_args.split())
 
@@ -348,45 +356,36 @@ class PairAnalysis:
         return self.after if self.after is not None else self.before
 
     def changes(self) -> list[EventUseChange]:
-        """Match deleted-side and added-side emits into classified
-        changes."""
-        gone = self.before.changed_emits() if self.before else []
-        new = self.after.changed_emits() if self.after else []
+        """Match deleted-side and added-side emits into classified changes.
+        Emits inside comments and strings are not paired.
+
+        Each (deleted, added) pair fits exactly one rule, ranked by whether
+        the names and the arguments differ, so one greedy pass over all pairs
+        in (rank, line distance, source order) order matches what a pass per
+        rule, most specific first, would."""
+        gone, new = ([m for m in side.changed_emits()
+                      if not m.in_comment_or_string] if side else []
+                     for side in (self.before, self.after))
+        gone_args = [_norm_args(d) for d in gone]
+        new_args = [_norm_args(a) for a in new]
+        candidates = sorted(
+            (2 * (d.event_name != a.event_name)
+             + (gone_args[di] != new_args[ai]),
+             abs(d.span.start_line - a.span.start_line), di, ai)
+            for di, d in enumerate(gone) for ai, a in enumerate(new))
         path = self.pair.path
         changes: list[EventUseChange] = []
         matched_d: set[int] = set()
         matched_a: set[int] = set()
-
-        def take(rule, category: ChangeCategory) -> None:
-            candidates = []
-            for di, d in enumerate(gone):
-                if di in matched_d:
-                    continue
-                for ai, a in enumerate(new):
-                    if ai in matched_a:
-                        continue
-                    if rule(d, a):
-                        dist = abs(d.span.start_line - a.span.start_line)
-                        candidates.append((dist, di, ai))
-            candidates.sort()
-            for _, di, ai in candidates:
-                if di in matched_d or ai in matched_a:
-                    continue
-                matched_d.add(di)
-                matched_a.add(ai)
-                d, a = gone[di], new[ai]
-                changes.append(EventUseChange(
-                    path, category, d, a,
-                    _changed_tokens(d, a, category)))
-
-        take(lambda d, a: d.event_name == a.event_name
-             and _norm_args(d) == _norm_args(a), ChangeCategory.MOVE)
-        take(lambda d, a: d.event_name == a.event_name
-             and _norm_args(d) != _norm_args(a),
-             ChangeCategory.PARAMETER_CHANGE)
-        take(lambda d, a: d.event_name != a.event_name
-             and _norm_args(d) == _norm_args(a), ChangeCategory.REPLACEMENT)
-        take(lambda d, a: True, ChangeCategory.COMPOUND)
+        for rank, _, di, ai in candidates:
+            if di in matched_d or ai in matched_a:
+                continue
+            matched_d.add(di)
+            matched_a.add(ai)
+            d, a = gone[di], new[ai]
+            category = _PAIRED_CATEGORIES[rank]
+            changes.append(EventUseChange(path, category, d, a,
+                                          _changed_tokens(d, a, category)))
         for di, d in enumerate(gone):
             if di not in matched_d:
                 changes.append(EventUseChange(
@@ -463,14 +462,12 @@ def _args_end(toks: list[Token], lo: int, hi: int) -> int:
     or '}'."""
     depth = 0
     for tok in toks[lo:hi]:
-        if tok.kind == TokenKind.PUNCT:
-            depth += (tok.lexeme == "(") - (tok.lexeme == ")")
+        depth += (tok.lexeme == "(") - (tok.lexeme == ")")
     while depth > 0 and hi < len(toks):
-        tok = toks[hi]
-        if tok.kind == TokenKind.PUNCT:
-            if tok.lexeme in (";", "{", "}"):
-                break
-            depth += (tok.lexeme == "(") - (tok.lexeme == ")")
+        lexeme = toks[hi].lexeme
+        if lexeme in (";", "{", "}"):
+            break
+        depth += (lexeme == "(") - (lexeme == ")")
         hi += 1
     return hi
 
@@ -481,28 +478,27 @@ def _scan_kill_sets(toks: list[Token]) -> tuple[set[str], set[str]]:
     assigned: set[str] = set()
     passed: set[str] = set()
     for idx, tok in enumerate(toks):
-        if tok.kind == TokenKind.OPERATOR and tok.lexeme in ASSIGN_OPS:
+        if tok.lexeme in ASSIGN_OPS:
             j = idx - 1
             while j >= 0:
                 prev = toks[j]
-                if prev.kind == TokenKind.PUNCT and prev.lexeme in ";,{}()":
+                if prev.lexeme in (";", ",", "{", "}", "(", ")"):
                     break
                 if prev.kind == TokenKind.IDENTIFIER:
                     assigned.add(prev.lexeme)
                 j -= 1
-        elif tok.kind == TokenKind.OPERATOR and tok.lexeme in ("++", "--"):
+        elif tok.lexeme in ("++", "--"):
             for j in (idx - 1, idx + 1):
                 if 0 <= j < len(toks) and toks[j].kind == TokenKind.IDENTIFIER:
                     assigned.add(toks[j].lexeme)
         elif tok.kind == TokenKind.IDENTIFIER and idx + 1 < len(toks) and \
-                toks[idx + 1].kind == TokenKind.PUNCT and \
                 toks[idx + 1].lexeme == "(":
             depth = 0
             for j in range(idx + 1, len(toks)):
                 t = toks[j]
-                if t.kind == TokenKind.PUNCT and t.lexeme == "(":
+                if t.lexeme == "(":
                     depth += 1
-                elif t.kind == TokenKind.PUNCT and t.lexeme == ")":
+                elif t.lexeme == ")":
                     depth -= 1
                     if depth == 0:
                         break

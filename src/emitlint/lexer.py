@@ -31,7 +31,12 @@ class TokenKind(Enum):
 class Token:
     """A token with its half-open character-offset range. Line and column
     are computed only where a span is kept: `file.span_from_offsets(start,
-    end)`."""
+    end)`.
+
+    The lexeme decides the kind: a word is a keyword exactly when it is in
+    KEYWORDS or an elementary type, and punctuation, operators, numbers and
+    quoted strings share no lexeme. So a fixed token is recognized by its
+    lexeme alone."""
     kind: TokenKind
     lexeme: str
     start: int

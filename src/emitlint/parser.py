@@ -43,6 +43,8 @@ _BINARY_PREC = {
     "**": 11,
 }
 _UNARY_OPS = frozenset({"!", "~", "-", "+", "++", "--"})
+_OPENERS = frozenset({"(", "[", "{"})
+_CLOSERS = frozenset({")", "]", "}"})
 
 _HEX_ADDRESS_LEN = 42  # 0x + 40 hex digits
 
@@ -88,25 +90,21 @@ class Parser:
         self.i += 1
         return tok
 
-    def _check(self, kind: TokenKind, lexeme: str | None = None,
-               ahead: int = 0) -> bool:
-        tok = self._peek(ahead)
-        return (tok is not None and tok.kind == kind
-                and (lexeme is None or tok.lexeme == lexeme))
+    def _is(self, *lexemes: str, ahead: int = 0) -> bool:
+        """A token's lexeme decides its kind, so a fixed token is tested by
+        its lexeme alone."""
+        idx = self.i + ahead
+        return idx < len(self.toks) and self.toks[idx].lexeme in lexemes
 
-    def _kw(self, word: str, ahead: int = 0) -> bool:
-        return self._check(TokenKind.KEYWORD, word, ahead)
+    def _eat(self, *lexemes: str) -> Token | None:
+        return self._advance() if self._is(*lexemes) else None
 
-    def _match(self, kind: TokenKind, lexeme: str | None = None) -> Token | None:
-        if self._check(kind, lexeme):
-            return self._advance()
-        return None
+    def _check(self, kind: TokenKind, ahead: int = 0) -> bool:
+        idx = self.i + ahead
+        return idx < len(self.toks) and self.toks[idx].kind == kind
 
-    def _match_kw(self, *words: str) -> Token | None:
-        tok = self._peek()
-        if tok is not None and tok.kind == TokenKind.KEYWORD and tok.lexeme in words:
-            return self._advance()
-        return None
+    def _match(self, kind: TokenKind) -> Token | None:
+        return self._advance() if self._check(kind) else None
 
     def _here(self) -> tuple[int, int]:
         """Offsets of the next token; past the end, of the last token; with
@@ -147,7 +145,7 @@ class Parser:
         raise _Damage()
 
     def _expect_punct(self, lexeme: str, what: str) -> Token:
-        tok = self._match(TokenKind.PUNCT, lexeme)
+        tok = self._eat(lexeme)
         if tok is None:
             self._damage(f"expected '{lexeme}' {what}")
         return tok
@@ -155,18 +153,17 @@ class Parser:
     def _skip_group(self, open_: str, close: str) -> bool:
         """Consume an open_-opened region through its matching close; nothing
         when the next token is not open_. True when the close was found."""
-        if not self._check(TokenKind.PUNCT, open_):
+        if not self._is(open_):
             return False
         depth = 0
         while not self._at_end():
-            tok = self._advance()
-            if tok.kind == TokenKind.PUNCT:
-                if tok.lexeme == open_:
-                    depth += 1
-                elif tok.lexeme == close:
-                    depth -= 1
-                    if depth == 0:
-                        return True
+            lexeme = self._advance().lexeme
+            if lexeme == open_:
+                depth += 1
+            elif lexeme == close:
+                depth -= 1
+                if depth == 0:
+                    return True
         return False
 
     def _skip_to_semicolon(self) -> None:
@@ -175,18 +172,17 @@ class Parser:
         ']' (recovery may start inside a broken group) are consumed."""
         depth = 0
         while not self._at_end():
-            tok = self._peek()
-            if tok.kind == TokenKind.PUNCT:
-                if tok.lexeme in "([{":
-                    depth += 1
-                elif tok.lexeme in ")]}":
-                    if depth == 0 and tok.lexeme == "}":
-                        return
-                    if depth > 0:
-                        depth -= 1
-                elif tok.lexeme == ";" and depth == 0:
-                    self._advance()
+            lexeme = self._peek().lexeme
+            if lexeme in _OPENERS:
+                depth += 1
+            elif lexeme in _CLOSERS:
+                if depth == 0 and lexeme == "}":
                     return
+                if depth > 0:
+                    depth -= 1
+            elif lexeme == ";" and depth == 0:
+                self._advance()
+                return
             self._advance()
 
     def _raw_text(self, start_idx: int) -> str:
@@ -199,7 +195,7 @@ class Parser:
         pragmas: list[Directive] = []
         contracts: list[ContractDef] = []
         while not self._at_end():
-            if self._kw("pragma") or self._kw("import"):
+            if self._is("pragma", "import"):
                 start = self.i
                 kind = self._peek().lexeme
                 if not self._skip_directive():
@@ -208,9 +204,8 @@ class Parser:
                 pragmas.append(Directive(*self._at(start), kind,
                                          self._raw_text(start)))
                 continue
-            if (self._kw("contract") or self._kw("interface")
-                    or self._kw("library")
-                    or (self._kw("abstract") and self._kw("contract", 1))):
+            if self._is("contract", "interface", "library") or (
+                    self._is("abstract") and self._is("contract", ahead=1)):
                 contract = self._parse_contract()
                 if contract is not None:
                     contracts.append(contract)
@@ -226,7 +221,7 @@ class Parser:
         of input; False then."""
         self._advance()  # 'pragma' or 'import'
         while not self._at_end() and not self._check(TokenKind.KEYWORD):
-            if self._match(TokenKind.PUNCT, ";"):
+            if self._eat(";"):
                 return True
             self._advance()
         return False
@@ -235,22 +230,20 @@ class Parser:
         depth = 0
         progressed = False
         while not self._at_end():
-            tok = self._peek()
-            if depth == 0 and progressed and tok.kind == TokenKind.KEYWORD and \
-                    tok.lexeme in ("pragma", "import", "contract", "interface",
-                                   "library", "abstract"):
+            if depth == 0 and progressed and self._is(
+                    "pragma", "import", "contract", "interface", "library",
+                    "abstract"):
                 return
-            if tok.kind == TokenKind.PUNCT:
-                if tok.lexeme == "{":
-                    depth += 1
-                elif tok.lexeme == "}":
-                    depth = max(0, depth - 1)
-            self._advance()
+            lexeme = self._advance().lexeme
+            if lexeme == "{":
+                depth += 1
+            elif lexeme == "}":
+                depth = max(0, depth - 1)
             progressed = True
 
     def _parse_contract(self) -> ContractDef | None:
         start = self.i
-        if self._match_kw("abstract"):
+        if self._eat("abstract"):
             kind = ContractKind.ABSTRACT
             self._advance()  # 'contract'
         else:
@@ -264,31 +257,30 @@ class Parser:
             self._skip_top_level()
             return None
         bases: list[str] = []
-        if self._match_kw("is"):
+        if self._eat("is"):
             while True:
                 base = self._match(TokenKind.IDENTIFIER)
                 if base is None:
                     break
                 path = base.lexeme
-                while self._match(TokenKind.PUNCT, "."):
+                while self._eat("."):
                     part = self._match(TokenKind.IDENTIFIER)
                     if part is None:
                         break
                     path += "." + part.lexeme
                 self._skip_group("(", ")")
                 bases.append(path)
-                if not self._match(TokenKind.PUNCT, ","):
+                if not self._eat(","):
                     break
         contract = ContractDef(*self._at(start), name_tok.lexeme, kind, bases,
                                [], [], [])
-        if self._match(TokenKind.PUNCT, "{") is None:
+        if self._eat("{") is None:
             self._record("expected '{' to open contract body")
             self._skip_top_level()
         else:
-            while not self._at_end() and \
-                    not self._check(TokenKind.PUNCT, "}"):
+            while not self._at_end() and not self._is("}"):
                 self._parse_member(contract)
-            self._match(TokenKind.PUNCT, "}")
+            self._eat("}")
         contract.start, contract.end = self._offsets_from(start)
         return contract
 
@@ -296,34 +288,33 @@ class Parser:
 
     def _parse_member(self, contract: ContractDef) -> None:
         start = self.i
-        if self._kw("event"):
+        if self._is("event"):
             event = self._parse_event()
             if event is not None:
                 contract.events.append(event)
             return
-        if (self._kw("function") or self._kw("constructor") or self._kw("fallback")
-                or self._kw("receive") or self._kw("modifier")):
+        if self._is("function", "constructor", "fallback", "receive",
+                    "modifier"):
             fn = self._parse_function_like()
             if fn is not None:
                 contract.functions.append(fn)
             return
-        if self._kw("struct") or self._kw("enum"):
+        if self._is("struct", "enum"):
             self._advance()
             self._match(TokenKind.IDENTIFIER)
             self._skip_group("{", "}")
             return
-        if self._kw("using"):
+        if self._is("using"):
             self._skip_to_semicolon()
             return
         # Custom error and user-defined value type declarations: skipped
         # silently, they cannot contain statements.
-        if self._check(TokenKind.IDENTIFIER, "error") and \
-                self._check(TokenKind.IDENTIFIER, None, 1) and \
-                self._check(TokenKind.PUNCT, "(", 2):
+        if self._is("error") and self._check(TokenKind.IDENTIFIER, 1) and \
+                self._is("(", ahead=2):
             self._skip_to_semicolon()
             return
-        if self._check(TokenKind.IDENTIFIER, "type") and \
-                self._check(TokenKind.IDENTIFIER, None, 1) and self._kw("is", 2):
+        if self._is("type") and self._check(TokenKind.IDENTIFIER, 1) and \
+                self._is("is", ahead=2):
             self._skip_to_semicolon()
             return
         var = self._try_state_var()
@@ -344,29 +335,21 @@ class Parser:
             visibility = ""
             is_constant = is_immutable = False
             while True:
-                tok = self._peek()
-                if tok is None or tok.kind != TokenKind.KEYWORD:
-                    break
-                if tok.lexeme in _VISIBILITY:
+                if tok := self._eat(*_VISIBILITY):
                     visibility = tok.lexeme
-                    self._advance()
-                elif tok.lexeme == "constant":
+                elif self._eat("constant"):
                     is_constant = True
-                    self._advance()
-                elif tok.lexeme == "immutable":
+                elif self._eat("immutable"):
                     is_immutable = True
-                    self._advance()
-                elif tok.lexeme == "override":
-                    self._advance()
+                elif self._eat("override"):
                     self._skip_group("(", ")")
                 else:
                     break
-            name_tok = self._peek()
-            if name_tok is None or name_tok.kind != TokenKind.IDENTIFIER:
+            name_tok = self._match(TokenKind.IDENTIFIER)
+            if name_tok is None:
                 raise _Fail()
-            self._advance()
             init: Expr | None = None
-            if self._match(TokenKind.OPERATOR, "="):
+            if self._eat("="):
                 expr_mark = self.i
                 try:
                     init = self._parse_expression()
@@ -374,7 +357,7 @@ class Parser:
                     # An unsupported initializer ends where an argument does.
                     self.i = expr_mark
                     self._skip_call_arg()
-            if self._match(TokenKind.PUNCT, ";") is None:
+            if self._eat(";") is None:
                 self._record("expected ';' after state variable declaration")
                 self._skip_to_semicolon()
             return StateVarDecl(*self._at(mark), name_tok.lexeme, type_name,
@@ -393,30 +376,30 @@ class Parser:
             return None
         params: list[EventParam] = []
         indexed_count = 0
-        if self._match(TokenKind.PUNCT, "("):
-            while not self._check(TokenKind.PUNCT, ")") and not self._at_end():
+        if self._eat("("):
+            while not self._is(")") and not self._at_end():
                 pstart = self.i
                 try:
                     type_name = self._parse_type_name()
                 except _Fail:
                     self._record("unsupported event parameter type", "warning")
                     self._skip_param()
-                    if not self._match(TokenKind.PUNCT, ","):
+                    if not self._eat(","):
                         break
                     continue
-                indexed = self._match_kw("indexed") is not None
+                indexed = self._eat("indexed") is not None
                 if indexed:
                     indexed_count += 1
                 pname = self._match(TokenKind.IDENTIFIER)
                 params.append(EventParam(*self._at(pstart),
                                          pname.lexeme if pname else None,
                                          type_name, indexed))
-                if not self._match(TokenKind.PUNCT, ","):
+                if not self._eat(","):
                     break
-            if self._match(TokenKind.PUNCT, ")") is None:
+            if self._eat(")") is None:
                 self._record("expected ')' in event declaration")
-        self._match_kw("anonymous")
-        if self._match(TokenKind.PUNCT, ";") is None:
+        self._eat("anonymous")
+        if self._eat(";") is None:
             self._record("expected ';' after event declaration")
             self._skip_to_semicolon()
         event = EventDef(*self._at(start), name_tok.lexeme, params)
@@ -430,16 +413,15 @@ class Parser:
     def _skip_param(self) -> None:
         depth = 0
         while not self._at_end():
-            tok = self._peek()
-            if tok.kind == TokenKind.PUNCT:
-                if tok.lexeme == "(":
-                    depth += 1
-                elif tok.lexeme == ")":
-                    if depth == 0:
-                        return
-                    depth -= 1
-                elif tok.lexeme == "," and depth == 0:
+            lexeme = self._peek().lexeme
+            if lexeme == "(":
+                depth += 1
+            elif lexeme == ")":
+                if depth == 0:
                     return
+                depth -= 1
+            elif lexeme == "," and depth == 0:
+                return
             self._advance()
 
     def _parse_function_like(self) -> FunctionDef | None:
@@ -455,49 +437,31 @@ class Parser:
             # 'function ()' is the legacy unnamed fallback: keep name empty.
         params: list[Param] = []
         returns_params: list[Param] = []
-        if self._match(TokenKind.PUNCT, "("):
+        if self._eat("("):
             params = self._parse_param_list()
         visibility = ""
         mutability = ""
-        while True:
-            tok = self._peek()
-            if tok is None:
-                break
-            if tok.kind == TokenKind.PUNCT and tok.lexeme in ("{", ";", "}"):
-                break
-            if tok.kind == TokenKind.KEYWORD:
-                if tok.lexeme in _VISIBILITY:
-                    visibility = tok.lexeme
-                    self._advance()
-                    continue
-                if tok.lexeme in _MUTABILITY:
-                    mutability = tok.lexeme
-                    self._advance()
-                    continue
-                if tok.lexeme in ("virtual",):
-                    self._advance()
-                    continue
-                if tok.lexeme == "override":
-                    self._advance()
-                    self._skip_group("(", ")")
-                    continue
-                if tok.lexeme == "returns":
-                    self._advance()
-                    if self._match(TokenKind.PUNCT, "("):
-                        returns_params = self._parse_param_list()
-                    continue
-            if tok.kind == TokenKind.IDENTIFIER:
+        while not self._at_end() and not self._is("{", ";", "}"):
+            if tok := self._eat(*_VISIBILITY):
+                visibility = tok.lexeme
+            elif tok := self._eat(*_MUTABILITY):
+                mutability = tok.lexeme
+            elif self._eat("override"):
+                self._skip_group("(", ")")
+            elif self._eat("returns"):
+                if self._eat("("):
+                    returns_params = self._parse_param_list()
+            elif self._match(TokenKind.IDENTIFIER):
                 # Modifier invocation, possibly dotted, possibly with args.
-                self._advance()
-                while self._match(TokenKind.PUNCT, "."):
+                while self._eat("."):
                     self._match(TokenKind.IDENTIFIER)
                 self._skip_group("(", ")")
-                continue
-            self._advance()  # tolerate unknown header tokens
+            else:
+                self._advance()  # 'virtual' and unknown header tokens
         body: Block | None = None
-        if self._match(TokenKind.PUNCT, ";"):
+        if self._eat(";"):
             body = None
-        elif self._check(TokenKind.PUNCT, "{"):
+        elif self._is("{"):
             body = self._parse_block()
         else:
             self._record("expected function body or ';'")
@@ -506,28 +470,28 @@ class Parser:
 
     def _parse_param_list(self) -> list[Param]:
         params: list[Param] = []
-        while not self._check(TokenKind.PUNCT, ")") and not self._at_end():
+        while not self._is(")") and not self._at_end():
             pstart = self.i
             try:
                 type_name = self._parse_type_name()
             except _Fail:
                 self._record("unsupported parameter type", "warning")
                 self._skip_param()
-                if not self._match(TokenKind.PUNCT, ","):
+                if not self._eat(","):
                     break
                 continue
             location = DataLocation.DEFAULT
-            loc_tok = self._match_kw("memory", "storage", "calldata")
+            loc_tok = self._eat("memory", "storage", "calldata")
             if loc_tok is not None:
                 location = _LOCATIONS[loc_tok.lexeme]
-            self._match_kw("indexed")  # tolerated if misplaced
+            self._eat("indexed")  # tolerated if misplaced
             pname = self._match(TokenKind.IDENTIFIER)
             params.append(Param(*self._at(pstart),
                                 pname.lexeme if pname else "", type_name,
                                 location))
-            if not self._match(TokenKind.PUNCT, ","):
+            if not self._eat(","):
                 break
-        if self._match(TokenKind.PUNCT, ")") is None:
+        if self._eat(")") is None:
             self._record("expected ')' in parameter list")
         return params
 
@@ -535,39 +499,44 @@ class Parser:
         tok = self._peek()
         if tok is None:
             raise _Fail()
-        if tok.kind == TokenKind.KEYWORD and tok.lexeme == "mapping":
+        if tok.lexeme == "mapping":
             self._advance()
-            if self._match(TokenKind.PUNCT, "(") is None:
+            if self._eat("(") is None:
                 raise _Fail()
             with self._chain_link():
                 key = self._parse_type_name()
-            if self._match(TokenKind.OPERATOR, "=>") is None:
+            if self._eat("=>") is None:
                 raise _Fail()
             with self._chain_link():
                 value = self._parse_type_name()
-            if self._match(TokenKind.PUNCT, ")") is None:
+            if self._eat(")") is None:
                 raise _Fail()
             base = f"mapping({key} => {value})"
-        elif tok.kind == TokenKind.KEYWORD and is_elementary_type(tok.lexeme):
+        elif is_elementary_type(tok.lexeme):
             self._advance()
             base = tok.lexeme
-            if base == "address" and self._match_kw("payable"):
+            if base == "address" and self._eat("payable"):
                 base = "address payable"
-        elif tok.kind == TokenKind.IDENTIFIER:
-            self._advance()
-            base = tok.lexeme
-            while self._check(TokenKind.PUNCT, ".") and \
-                    self._check(TokenKind.IDENTIFIER, None, 1):
-                self._advance()
-                base += "." + self._advance().lexeme
-        else:
+        elif (base := self._dotted_name()) is None:
             raise _Fail()
-        while self._check(TokenKind.PUNCT, "["):
+        while self._is("["):
             start = self.i
             if not self._skip_group("[", "]"):
                 raise _Fail()
             base += "".join(t.lexeme for t in self.toks[start:self.i])
         return base
+
+    def _dotted_name(self) -> str | None:
+        """An identifier and the identifiers '.' joins to it; None when the
+        next token is no identifier."""
+        tok = self._match(TokenKind.IDENTIFIER)
+        if tok is None:
+            return None
+        name = tok.lexeme
+        while self._is(".") and self._check(TokenKind.IDENTIFIER, 1):
+            self._advance()
+            name += "." + self._advance().lexeme
+        return name
 
     # ------------------------------------------------------------- statements
 
@@ -575,9 +544,9 @@ class Parser:
         start = self.i
         self._advance()  # '{'
         stmts: list[Stmt] = []
-        while not self._at_end() and not self._check(TokenKind.PUNCT, "}"):
+        while not self._at_end() and not self._is("}"):
             stmts.append(self._parse_stmt())
-        if self._match(TokenKind.PUNCT, "}") is None:
+        if self._eat("}") is None:
             self._record("expected '}' to close block")
         return Block(*self._at(start), stmts)
 
@@ -585,7 +554,7 @@ class Parser:
         start = self.i
         if self.stmt_depth >= _MAX_STMT_DEPTH:
             self._record("statement nesting too deep; region skipped")
-            if self._check(TokenKind.PUNCT, "{"):
+            if self._is("{"):
                 self._skip_group("{", "}")
             else:
                 self._skip_to_semicolon()
@@ -613,59 +582,58 @@ class Parser:
         tok = self._peek()
         if tok is None:
             self._damage("unexpected end of input in block")
-        if tok.kind == TokenKind.PUNCT and tok.lexeme == "{":
+        word = tok.lexeme
+        if word == "{":
             return self._parse_block()
-        if tok.kind == TokenKind.KEYWORD:
-            word = tok.lexeme
-            if word == "if":
-                return self._parse_if()
-            if word == "while":
-                return self._parse_while()
-            if word == "for":
-                return self._parse_for()
-            if word == "emit":
-                return self._parse_emit()
-            if word == "return":
-                self._advance()
-                expr = None
-                if not self._check(TokenKind.PUNCT, ";"):
-                    try:
-                        expr = self._parse_expression()
-                    except _Fail:
-                        # Tuple returns and other unsupported shapes.
-                        self._skip_to_semicolon()
-                        return self._unparsed_stmt(
-                            start, "unsupported return expression skipped")
-                self._expect_punct(";", "after return statement")
-                return Return(*self._at(start), expr)
-            if word == "unchecked":
-                self._advance()
-                if self._check(TokenKind.PUNCT, "{"):
-                    return self._parse_block()
-                self._damage("expected '{' after unchecked")
-            if word == "assembly":
-                self._advance()
-                self._match(TokenKind.STRING)
-                self._skip_group("(", ")")
-                self._skip_group("{", "}")
-                return self._unparsed_stmt(start, "inline assembly block skipped")
-            if word == "try":
-                self._skip_try()
-                return self._unparsed_stmt(start, "try/catch statement skipped")
-            if word == "do":
-                self._advance()
-                self._skip_group("{", "}")
-                self._skip_to_semicolon()
-                return self._unparsed_stmt(start, "do/while statement skipped")
-            if word in ("break", "continue"):
-                self._advance()
-                self._match(TokenKind.PUNCT, ";")
-                # Fully understood and cannot contain an emit: no report.
-                return Unparsed(*self._at(start), self._raw_text(start))
-            if word == "delete":
-                self._skip_to_semicolon()
-                return Unparsed(*self._at(start), self._raw_text(start))
-        if tok.kind == TokenKind.PUNCT and tok.lexeme == "(":
+        if word == "if":
+            return self._parse_if()
+        if word == "while":
+            return self._parse_while()
+        if word == "for":
+            return self._parse_for()
+        if word == "emit":
+            return self._parse_emit()
+        if word == "return":
+            self._advance()
+            expr = None
+            if not self._is(";"):
+                try:
+                    expr = self._parse_expression()
+                except _Fail:
+                    # Tuple returns and other unsupported shapes.
+                    self._skip_to_semicolon()
+                    return self._unparsed_stmt(
+                        start, "unsupported return expression skipped")
+            self._expect_punct(";", "after return statement")
+            return Return(*self._at(start), expr)
+        if word == "unchecked":
+            self._advance()
+            if self._is("{"):
+                return self._parse_block()
+            self._damage("expected '{' after unchecked")
+        if word == "assembly":
+            self._advance()
+            self._match(TokenKind.STRING)
+            self._skip_group("(", ")")
+            self._skip_group("{", "}")
+            return self._unparsed_stmt(start, "inline assembly block skipped")
+        if word == "try":
+            self._skip_try()
+            return self._unparsed_stmt(start, "try/catch statement skipped")
+        if word == "do":
+            self._advance()
+            self._skip_group("{", "}")
+            self._skip_to_semicolon()
+            return self._unparsed_stmt(start, "do/while statement skipped")
+        if word in ("break", "continue"):
+            self._advance()
+            self._eat(";")
+            # Fully understood and cannot contain an emit: no report.
+            return Unparsed(*self._at(start), self._raw_text(start))
+        if word == "delete":
+            self._skip_to_semicolon()
+            return Unparsed(*self._at(start), self._raw_text(start))
+        if word == "(":
             # Tuple assignments and parenthesized heads.
             mark = self.i
             try:
@@ -679,8 +647,7 @@ class Parser:
         decl = self._try_local_decl()
         if decl is not None:
             return decl
-        if self._check(TokenKind.IDENTIFIER, "revert") and \
-                self._check(TokenKind.IDENTIFIER, None, 1):
+        if self._is("revert") and self._check(TokenKind.IDENTIFIER, 1):
             # revert CustomError(args);
             rstart = self.i
             rtok = self._advance()
@@ -702,10 +669,10 @@ class Parser:
     def _skip_try(self) -> None:
         """The try clause, then each catch clause: head and braced body."""
         while True:
-            while not self._at_end() and not self._check(TokenKind.PUNCT, "{"):
+            while not self._at_end() and not self._is("{"):
                 self._advance()
             self._skip_group("{", "}")
-            if not self._kw("catch"):
+            if not self._is("catch"):
                 return
 
     def _parse_if(self) -> Stmt:
@@ -716,7 +683,7 @@ class Parser:
         self._expect_punct(")", "after if condition")
         then = self._parse_stmt()
         otherwise = None
-        if self._match_kw("else"):
+        if self._eat("else"):
             otherwise = self._parse_stmt()
         return If(*self._at(start), cond, then, otherwise)
 
@@ -734,7 +701,7 @@ class Parser:
         self._advance()
         self._expect_punct("(", "after for")
         init: Stmt | None = None
-        if self._match(TokenKind.PUNCT, ";") is None:
+        if self._eat(";") is None:
             init = self._try_local_decl()
             if init is None:
                 estart = self.i
@@ -742,11 +709,11 @@ class Parser:
                 self._expect_punct(";", "after for-loop initializer")
                 init = ExprStmt(*self._at(estart), expr)
         cond = None
-        if self._match(TokenKind.PUNCT, ";") is None:
+        if self._eat(";") is None:
             cond = self._expr_or_damage("unsupported for-loop condition")
             self._expect_punct(";", "after for-loop condition")
         post = None
-        if not self._check(TokenKind.PUNCT, ")"):
+        if not self._is(")"):
             post = self._expr_or_damage("unsupported for-loop update")
         self._expect_punct(")", "after for-loop header")
         body = self._parse_stmt()
@@ -755,24 +722,19 @@ class Parser:
     def _parse_emit(self) -> Stmt:
         start = self.i
         self._advance()  # 'emit'
-        name_tok = self._match(TokenKind.IDENTIFIER)
-        if name_tok is None:
+        name = self._dotted_name()
+        if name is None:
             self._damage("expected event name after emit")
-        name = name_tok.lexeme
-        while self._check(TokenKind.PUNCT, ".") and \
-                self._check(TokenKind.IDENTIFIER, None, 1):
-            self._advance()
-            name += "." + self._advance().lexeme
         self._expect_punct("(", "after event name")
         args: list[Expr] = []
-        if not self._check(TokenKind.PUNCT, ")"):
+        if not self._is(")"):
             while True:
                 try:
                     args.append(self._parse_expression())
                 except _Fail:
                     self._damage("unsupported expression in emit arguments",
                                  "warning")
-                if not self._match(TokenKind.PUNCT, ","):
+                if not self._eat(","):
                     break
         self._expect_punct(")", "after emit arguments")
         self._expect_punct(";", "after emit statement")
@@ -783,24 +745,18 @@ class Parser:
         try:
             type_name = self._parse_type_name()
             location = DataLocation.DEFAULT
-            loc_tok = self._match_kw("memory", "storage", "calldata")
+            loc_tok = self._eat("memory", "storage", "calldata")
             if loc_tok is not None:
                 location = _LOCATIONS[loc_tok.lexeme]
-            name_tok = self._peek()
-            if name_tok is None or name_tok.kind != TokenKind.IDENTIFIER:
-                raise _Fail()
-            self._advance()
-            nxt = self._peek()
-            if nxt is None or not (
-                    (nxt.kind == TokenKind.PUNCT and nxt.lexeme == ";")
-                    or (nxt.kind == TokenKind.OPERATOR and nxt.lexeme == "=")):
+            name_tok = self._match(TokenKind.IDENTIFIER)
+            if name_tok is None or not self._is(";", "="):
                 raise _Fail()
         except _Fail:
             self.i = mark
             return None
         # Committed: from here on failures are damage, not backtracking.
         init: Expr | None = None
-        if self._match(TokenKind.OPERATOR, "="):
+        if self._eat("="):
             init = self._expr_or_damage("unsupported initializer expression")
         self._expect_punct(";", "after variable declaration")
         return LocalVarDecl(*self._at(mark), name_tok.lexeme, type_name,
@@ -833,8 +789,7 @@ class Parser:
         start = self.i
         lhs = self._parse_conditional()
         tok = self._peek()
-        if tok is not None and tok.kind == TokenKind.OPERATOR and \
-                tok.lexeme in ASSIGN_OPS:
+        if tok is not None and tok.lexeme in ASSIGN_OPS:
             self._advance()
             with self._chain_link():
                 rhs = self._parse_assignment()
@@ -844,10 +799,9 @@ class Parser:
     def _parse_conditional(self) -> Expr:
         start = self.i
         cond = self._parse_binary(1)
-        if self._check(TokenKind.PUNCT, "?"):
-            self._advance()
+        if self._eat("?"):
             then = self._parse_expression()
-            if self._match(TokenKind.PUNCT, ":") is None:
+            if self._eat(":") is None:
                 raise _Fail()
             with self._chain_link():
                 otherwise = self._parse_conditional()
@@ -859,9 +813,7 @@ class Parser:
         lhs = self._parse_unary()
         while True:
             tok = self._peek()
-            if tok is None or tok.kind != TokenKind.OPERATOR:
-                return lhs
-            prec = _BINARY_PREC.get(tok.lexeme)
+            prec = _BINARY_PREC.get(tok.lexeme) if tok is not None else None
             if prec is None or prec < min_prec:
                 return lhs
             self._advance()
@@ -873,8 +825,7 @@ class Parser:
 
     def _parse_unary(self) -> Expr:
         tok = self._peek()
-        if tok is not None and tok.kind == TokenKind.OPERATOR and \
-                tok.lexeme in _UNARY_OPS:
+        if tok is not None and tok.lexeme in _UNARY_OPS:
             start = self.i
             self._advance()
             with self._chain_link():
@@ -889,7 +840,8 @@ class Parser:
             tok = self._peek()
             if tok is None:
                 return expr
-            if tok.kind == TokenKind.PUNCT and tok.lexeme == ".":
+            word = tok.lexeme
+            if word == ".":
                 member = self._peek(1)
                 if member is None or member.kind not in (TokenKind.IDENTIFIER,
                                                          TokenKind.KEYWORD):
@@ -898,39 +850,38 @@ class Parser:
                 self._advance()
                 expr = MemberAccess(*self._at(start), expr, member.lexeme)
                 continue
-            if tok.kind == TokenKind.PUNCT and tok.lexeme == "[":
+            if word == "[":
                 self._advance()
                 index = None
-                if not self._check(TokenKind.PUNCT, "]"):
+                if not self._is("]"):
                     index = self._parse_expression()
-                if self._match(TokenKind.PUNCT, "]") is None:
+                if self._eat("]") is None:
                     raise _Fail()
                 expr = IndexAccess(*self._at(start), expr, index)
                 continue
-            if tok.kind == TokenKind.PUNCT and tok.lexeme == "{":
+            if word == "{":
                 options = self._try_call_options()
                 if options is None:
                     return expr
-                if not self._check(TokenKind.PUNCT, "("):
+                if self._eat("(") is None:
                     raise _Fail()
-                self._advance()
                 args = self._parse_call_args()
                 expr = Call(*self._at(start), expr, options + args)
                 continue
-            if tok.kind == TokenKind.PUNCT and tok.lexeme == "(":
+            if word == "(":
                 self._advance()
                 args = self._parse_call_args()
                 expr = Call(*self._at(start), expr, args)
                 continue
-            if tok.kind == TokenKind.OPERATOR and tok.lexeme in ("++", "--"):
+            if word in ("++", "--"):
                 self._advance()
-                expr = Unary(*self._at(start), tok.lexeme, expr)
+                expr = Unary(*self._at(start), word, expr)
                 continue
             return expr
 
     def _parse_call_args(self) -> list[Expr]:
         args: list[Expr] = []
-        if not self._check(TokenKind.PUNCT, ")"):
+        if not self._is(")"):
             while True:
                 mark = self.i
                 try:
@@ -948,9 +899,9 @@ class Parser:
                                  self._span_from(mark))
                     args.append(Identifier(*self._at(mark),
                                            "<" + raw + ">"))
-                if not self._match(TokenKind.PUNCT, ","):
+                if not self._eat(","):
                     break
-        if self._match(TokenKind.PUNCT, ")") is None:
+        if self._eat(")") is None:
             raise _Fail()
         return args
 
@@ -958,37 +909,36 @@ class Parser:
         start = self.i
         depth = 0
         while not self._at_end():
-            tok = self._peek()
-            if tok.kind == TokenKind.PUNCT:
-                if tok.lexeme in "([{":
-                    depth += 1
-                elif tok.lexeme in ")]}":
-                    if depth == 0:
-                        break
-                    depth -= 1
-                elif tok.lexeme in ",;" and depth == 0:
+            lexeme = self._peek().lexeme
+            if lexeme in _OPENERS:
+                depth += 1
+            elif lexeme in _CLOSERS:
+                if depth == 0:
                     break
+                depth -= 1
+            elif lexeme in (",", ";") and depth == 0:
+                break
             self._advance()
         return self._raw_text(start) if self.i > start else ""
 
     def _try_call_options(self) -> list[Expr] | None:
         """Parse '{name: expr, ...}' call options; None if the brace does not
         open that shape. Option values are folded into the argument list."""
-        if not (self._check(TokenKind.PUNCT, "{")
-                and self._check(TokenKind.IDENTIFIER, None, 1)
-                and self._check(TokenKind.PUNCT, ":", 2)):
+        if not (self._is("{")
+                and self._check(TokenKind.IDENTIFIER, 1)
+                and self._is(":", ahead=2)):
             return None
         self._advance()  # '{'
         options: list[Expr] = []
         while True:
             if self._match(TokenKind.IDENTIFIER) is None:
                 raise _Fail()
-            if self._match(TokenKind.PUNCT, ":") is None:
+            if self._eat(":") is None:
                 raise _Fail()
             options.append(self._parse_expression())
-            if not self._match(TokenKind.PUNCT, ","):
+            if not self._eat(","):
                 break
-        if self._match(TokenKind.PUNCT, "}") is None:
+        if self._eat("}") is None:
             raise _Fail()
         return options
 
@@ -1007,29 +957,28 @@ class Parser:
             self._advance()
             return Literal(tok.start, tok.end, self.file, LiteralKind.STRING,
                            tok.lexeme)
-        if tok.kind == TokenKind.KEYWORD and tok.lexeme in ("true", "false"):
+        if tok.lexeme in ("true", "false"):
             self._advance()
             return Literal(tok.start, tok.end, self.file, LiteralKind.BOOL,
                            tok.lexeme)
         if tok.kind == TokenKind.IDENTIFIER:
             self._advance()
             return Identifier(tok.start, tok.end, self.file, tok.lexeme)
-        if tok.kind == TokenKind.KEYWORD and (
-                is_elementary_type(tok.lexeme) or tok.lexeme == "payable"):
+        if tok.lexeme == "payable" or is_elementary_type(tok.lexeme):
             # Type cast callee: address(x), uint(x), payable(x), ...
             self._advance()
             return Identifier(tok.start, tok.end, self.file, tok.lexeme)
-        if tok.kind == TokenKind.KEYWORD and tok.lexeme == "new":
+        if tok.lexeme == "new":
             start = self.i
             self._advance()
             type_name = self._parse_type_name()
             # Synthetic callee name; the space keeps it from colliding with
             # any real identifier during resolution.
             return Identifier(*self._at(start), "new " + type_name)
-        if tok.kind == TokenKind.PUNCT and tok.lexeme == "(":
+        if tok.lexeme == "(":
             self._advance()
             expr = self._parse_expression()
-            if self._match(TokenKind.PUNCT, ")") is None:
+            if self._eat(")") is None:
                 raise _Fail()  # tuple or damaged grouping
             return expr
         raise _Fail()

@@ -206,6 +206,25 @@ def test_adjacent_move_past_assignment():
     assert changes[0].category == ChangeCategory.MOVE
 
 
+def test_a_more_specific_rule_wins_over_a_closer_pair():
+    """Rules go Move, ParameterChange, Replacement, Compound; line distance
+    only breaks ties within a rule. In each case the closer added emit fits
+    the next rule and stays an addition. (`A(x )` is a changed line whose
+    arguments normalize to the deleted emit's.)"""
+    C = ChangeCategory
+    for after, expected in (
+            (["emit A(y);", "emit A(x );"], [(C.MOVE, "A(x )"),
+                                             (C.ADDITION, "A(y)")]),
+            (["emit B(x);", "emit A(y);"], [(C.PARAMETER_CHANGE, "A(y)"),
+                                            (C.ADDITION, "B(x)")]),
+            (["emit B(y);", "emit B(x);"], [(C.REPLACEMENT, "B(x)"),
+                                            (C.ADDITION, "B(y)")])):
+        changes = single_change(["emit A(x);"], after)
+        assert [(ch.category,
+                 f"{ch.after_emit.event_name}({ch.after_emit.raw_args})")
+                for ch in changes] == expected, after
+
+
 def test_taxonomy_has_five_per_category():
     per = {}
     for _, category, _, _ in TAXONOMY_CASES + COMPOUND_CASES:
@@ -614,11 +633,11 @@ def test_code_beside_an_emit_is_kill_scanned():
     assert label(["emit Priced(price);"],
                  ["emit Priced(amount); price = quote(amount);"]) == (
         ChangeCategory.PARAMETER_CHANGE, DEP, False, {"price"}, {"amount"})
-    # An emit inside a comment does not make its code line an emit line;
-    # pairing still reads it.
+    # An emit inside a comment does not make its code line an emit line,
+    # and pairing skips it: the deleted emit is a deletion.
     assert label(["emit Priced(price);"],
                  ["amount = 5; // emit Closed()"]) == (
-        ChangeCategory.COMPOUND, HEU, False, {"amount"}, set())
+        ChangeCategory.DELETION, HEU, False, {"amount"}, set())
     # Only ';' and comments beside the emits: still emit lines.
     assert label(["emit Priced(price);"],
                  ["emit Priced(amount); // was price"]) == (
@@ -646,6 +665,20 @@ def test_code_beside_an_emit_is_kill_scanned():
         ["emit Sold(address(0),", "    wrap(value));"]))
     assert (continued.emit_only, continued.assigned, continued.passed) == (
         True, set(), set())
+
+
+def test_commenting_an_emit_out_is_a_deletion():
+    """Pairing skips emits inside comments and strings, so commenting an emit
+    out deletes it and uncommenting one adds it. Churn still counts both
+    matches."""
+    for before, after, category in (
+            ("emit Foo(x);", "// emit Foo(x);", ChangeCategory.DELETION),
+            ("/* emit Foo(x); */", "emit Foo(x);", ChangeCategory.ADDITION)):
+        report = analyze_revision(shop_revision([before], [after]))
+        [change] = report.changes
+        assert (change.category, change.independence,
+                change.changed_arg_tokens) == (category, ABS, ["x"])
+        assert report.churn.churned_emits == 2
 
 
 def test_kill_text_inside_a_natspec_block_does_not_kill():

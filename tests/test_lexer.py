@@ -4,7 +4,8 @@ from emitlint.lexer import TokenKind, lex, tokenize
 from emitlint.source import SourceFile
 
 from helpers import (
-    FIXTURES, reference_lex, snippet_corpus, src, with_token_spans,
+    FIXTURES, reference_lex, snippet_corpus, src, sweep_inputs,
+    with_token_spans,
 )
 
 
@@ -193,3 +194,16 @@ def test_master_regex_matches_reference_lexer():
         error_kinds.update(e.kind for e in expected.errors)
     assert error_kinds == {"UnterminatedString", "UnterminatedComment",
                            "UnexpectedCharacter"}
+
+
+def test_each_lexeme_has_one_kind():
+    """The parser and the kill scan test fixed tokens by lexeme alone; that
+    is sound only while no lexeme lexes to two kinds. The sweep's inputs hold
+    every fixture and snippet, token soup and mutated sources."""
+    kind_of: dict[str, TokenKind] = {}
+    for i, text in enumerate(sweep_inputs()):
+        for tok in tokenize(src(text)):
+            assert kind_of.setdefault(tok.lexeme, tok.kind) == tok.kind, \
+                (i, tok)
+    assert set(kind_of.values()) == set(TokenKind)
+    assert len(kind_of) > 500, len(kind_of)
