@@ -25,6 +25,7 @@ from .scan import (
 from .source import SourceFile, Span
 from .symbols import (
     LocationClass, ScopeTree, Symbol, SymbolKind, build_symbols, resolve,
+    resolve_at,
 )
 
 __version__ = "0.1.0"
@@ -39,5 +40,5 @@ __all__ = [
     "Token", "TokenKind", "analyze_revision", "build_symbols", "churn",
     "classify_independence", "compute_metrics", "count_loc", "diff_lines",
     "equalities_at", "extract_emits_regex", "pair_emit_changes", "parse",
-    "parse_file", "resolve", "run_checks", "tokenize",
+    "parse_file", "resolve", "resolve_at", "run_checks", "tokenize",
 ]

@@ -12,21 +12,19 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterable, Optional
 
-from .dataflow import equalities_at, kill_names, resolve_variable
+from .dataflow import equalities_at, has_call, kill_names, resolve_variable
 from .metrics import FileAnalysis
 from .nodes import (
     Assignment, Block, Call, EmitStmt, Expr, FunctionDef, Identifier,
     IndexAccess, Literal, LiteralKind, MemberAccess, SourceUnit, Stmt,
     identifier_names, iter_emits, iter_functions, root_identifier,
-    walk_statements, walk_stmt_expressions,
+    walk_function, walk_statements, walk_stmt_expressions,
 )
 from .scan import LocStats
 from .source import SourceFile, Span
-from .symbols import (
-    LocationClass, ScopeTree, Symbol, build_symbols, resolve,
-)
+from .symbols import LocationClass, ScopeTree, Symbol, build_symbols, resolve_at
 
 SLOAD_GAS = 800
 
@@ -92,48 +90,44 @@ def _sort_key(diag: Diagnostic):
             diag.check_id.value, diag.message)
 
 
-def iter_blocks(fn: FunctionDef) -> Iterator[Block]:
-    if fn.body is None:
-        return
-    for stmt in walk_statements(fn.body):
-        if isinstance(stmt, Block):
-            yield stmt
-
-
 # ------------------------------------------------------- storage-read check
+
+def _storage_reads(fn: FunctionDef, emits: Iterable[EmitStmt],
+                   tree: ScopeTree, path: str) -> list[Diagnostic]:
+    diags: list[Diagnostic] = []
+    for emit in emits:
+        facts = None
+        for arg in emit.args:
+            if not isinstance(arg, Identifier):
+                continue
+            sym = resolve_at(arg.name, arg.start, tree)
+            if sym is None or sym.location_class != LocationClass.STORAGE:
+                continue
+            if facts is None:
+                facts = equalities_at(emit, fn, tree)
+            candidates = [f for f in facts if f.storage_sym == sym]
+            if not candidates:
+                continue
+            best = min(candidates, key=lambda f: f.memory_sym.decl_start)
+            mem = best.memory_sym.name
+            message = (
+                f"emit {emit.event_name} logs storage variable "
+                f"'{sym.name}', which costs an extra Sload "
+                f"(~{SLOAD_GAS} gas); in-scope memory variable '{mem}' "
+                f"holds the same value here"
+            )
+            diags.append(Diagnostic(
+                CheckId.GAS_STORAGE_PARAM, Severity.WARNING, path,
+                emit.span, message, Suggestion(arg.span, mem)))
+    return diags
+
 
 def check_gas_storage_param(unit: SourceUnit, tree: ScopeTree,
                             path: str) -> list[Diagnostic]:
     """Emit arguments that read a storage-backed variable while an in-scope
     memory-class variable provably holds the same value."""
-    diags: list[Diagnostic] = []
-    for fn in iter_functions(unit):
-        for emit in iter_emits(fn):
-            facts = None
-            for arg in emit.args:
-                if not isinstance(arg, Identifier):
-                    continue
-                sym = resolve(arg.name, arg.span, tree)
-                if sym is None or sym.location_class != LocationClass.STORAGE:
-                    continue
-                if facts is None:
-                    facts = equalities_at(emit, fn, tree)
-                candidates = [f for f in facts if f.storage_sym == sym]
-                if not candidates:
-                    continue
-                best = min(candidates,
-                           key=lambda f: f.memory_sym.decl_span.start)
-                mem = best.memory_sym.name
-                message = (
-                    f"emit {emit.event_name} logs storage variable "
-                    f"'{sym.name}', which costs an extra Sload "
-                    f"(~{SLOAD_GAS} gas); in-scope memory variable '{mem}' "
-                    f"holds the same value here"
-                )
-                diags.append(Diagnostic(
-                    CheckId.GAS_STORAGE_PARAM, Severity.WARNING, path,
-                    emit.span, message, Suggestion(arg.span, mem)))
-    return diags
+    return [diag for fn in iter_functions(unit)
+            for diag in _storage_reads(fn, iter_emits(fn), tree, path)]
 
 
 # ------------------------------------------------------------ overuse check
@@ -163,7 +157,7 @@ def _emit_arg_symbols(emit: EmitStmt, tree: ScopeTree) -> set[Symbol]:
     syms: set[Symbol] = set()
     for arg in emit.args:
         for name in identifier_names(arg):
-            sym = resolve_variable(name, emit.span, tree)
+            sym = resolve_variable(name, emit.start, tree)
             if sym is not None:
                 syms.add(sym)
     return syms
@@ -178,26 +172,23 @@ def _operation_touching(stmt: Stmt, emit_syms: set[Symbol],
             root = root_identifier(expr.lhs)
             if root is None:
                 continue
-            sym = resolve(root.name, root.span, tree)
+            sym = resolve_at(root.name, root.start, tree)
             if sym in emit_syms:
                 return f"assignment to '{root.name}'"
         elif isinstance(expr, Call) and isinstance(expr.callee, MemberAccess) \
                 and expr.callee.member in TRANSFER_LIKE_CALLEES:
             for arg in expr.args:
                 for name in identifier_names(arg):
-                    sym = resolve(name, expr.span, tree)
+                    sym = resolve_at(name, expr.start, tree)
                     if sym in emit_syms:
                         return f"{expr.callee.member} call using '{name}'"
     return None
 
 
-def check_emit_before_op(fn: FunctionDef, tree: ScopeTree,
-                         path: str) -> list[Diagnostic]:
-    """Emits placed before a later statement in the same block that rewrites
-    an emitted variable or transfers with it: the log records a value the
-    operation is about to change."""
+def _placements(blocks: list[Block], tree: ScopeTree,
+                path: str) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    for block in iter_blocks(fn):
+    for block in blocks:
         for idx, stmt in enumerate(block.stmts):
             if not isinstance(stmt, EmitStmt):
                 continue
@@ -220,12 +211,20 @@ def check_emit_before_op(fn: FunctionDef, tree: ScopeTree,
     return diags
 
 
+def check_emit_before_op(fn: FunctionDef, tree: ScopeTree,
+                         path: str) -> list[Diagnostic]:
+    """Emits placed before a later statement in the same block that rewrites
+    an emitted variable or transfers with it: the log records a value the
+    operation is about to change."""
+    return _placements(walk_function(fn).blocks, tree, path)
+
+
 # ---------------------------------------------------------- redundancy check
 
 def _arg_key(arg: Expr, emit: EmitStmt, tree: ScopeTree,
              file: SourceFile):
     if isinstance(arg, Identifier):
-        sym = resolve(arg.name, emit.span, tree)
+        sym = resolve_at(arg.name, emit.start, tree)
         if sym is not None:
             return ("sym", id(sym))
         return ("name", arg.name)
@@ -243,30 +242,30 @@ def _arg_names(emit: EmitStmt) -> set[str]:
     return {arg.name for arg in emit.args if isinstance(arg, Identifier)}
 
 
-def check_redundant_event(fn: FunctionDef, tree: ScopeTree, path: str,
-                          file: SourceFile) -> list[Diagnostic]:
-    """Emit pairs in one block where one emit's arguments are wholly included
-    in the other's, with no statement between them invalidating a shared
-    argument. The included emit is reported."""
+def _redundancies(blocks: list[Block], tree: ScopeTree, path: str,
+                  file: SourceFile) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    for block in iter_blocks(fn):
-        emits = [(i, s) for i, s in enumerate(block.stmts)
-                 if isinstance(s, EmitStmt)]
-        for (i, first), (j, second) in combinations(emits, 2):
-            first_args = _arg_multiset(first, tree, file)
-            second_args = _arg_multiset(second, tree, file)
+    for block in blocks:
+        # An emit whose own arguments call or write may log a value no
+        # other emit can repeat, so it pairs with none.
+        emits = [(i, s, _arg_multiset(s, tree, file), _arg_names(s))
+                 for i, s in enumerate(block.stmts)
+                 if isinstance(s, EmitStmt)
+                 and not has_call(s) and not kill_names(s)]
+        for (i, first, first_args, first_names), \
+                (j, second, second_args, second_names) in \
+                combinations(emits, 2):
             if first.args and not (first_args - second_args):
                 subset, superset = first, second
             elif second.args and not (second_args - first_args):
                 subset, superset = second, first
             else:
                 continue
-            shared = _arg_names(first) & _arg_names(second)
             killed: set[str] = set()
             for between in block.stmts[i + 1:j]:
                 for nested in walk_statements(between):
                     killed |= kill_names(nested)
-            if shared & killed:
+            if first_names & second_names & killed:
                 continue
             message = (
                 f"emit {subset.event_name} logs values that emit "
@@ -276,6 +275,15 @@ def check_redundant_event(fn: FunctionDef, tree: ScopeTree, path: str,
             diags.append(Diagnostic(CheckId.REDUNDANT_EVENT, Severity.INFO,
                                     path, subset.span, message))
     return diags
+
+
+def check_redundant_event(fn: FunctionDef, tree: ScopeTree, path: str,
+                          file: SourceFile) -> list[Diagnostic]:
+    """Emit pairs in one block where one emit's arguments are wholly included
+    in the other's, with no statement between them invalidating a shared
+    argument and no call or write in either emit's own arguments. The
+    included emit is reported."""
+    return _redundancies(walk_function(fn).blocks, tree, path, file)
 
 
 # --------------------------------------------------------- debug-form check
@@ -288,47 +296,51 @@ def _is_variable_arg(arg: Expr) -> bool:
     return isinstance(arg, (Identifier, MemberAccess, IndexAccess))
 
 
+def _debug_forms(emits: Iterable[EmitStmt], cfg: CheckConfig,
+                 path: str) -> list[Diagnostic]:
+    diags: list[Diagnostic] = []
+    by_name: dict[str, dict[int, EmitStmt]] = defaultdict(dict)
+    for emit in emits:
+        by_name[emit.event_name][emit.start] = emit
+        if not emit.args:
+            diags.append(Diagnostic(
+                CheckId.DEBUG_EVENT, Severity.HINT, path, emit.span,
+                f"emit {emit.event_name} logs no values; empty events "
+                f"are a typical debug leftover; delete it once "
+                f"debugging is done"))
+        elif len(emit.args) == 1 and _is_string_literal(emit.args[0]):
+            diags.append(Diagnostic(
+                CheckId.DEBUG_EVENT, Severity.HINT, path, emit.span,
+                f"emit {emit.event_name} logs a single string literal, "
+                f"a typical debug leftover; delete it once debugging "
+                f"is done"))
+        elif cfg.debug_event_form_b and \
+                any(_is_string_literal(a) for a in emit.args) and \
+                any(_is_variable_arg(a) for a in emit.args):
+            diags.append(Diagnostic(
+                CheckId.DEBUG_EVENT, Severity.HINT, path, emit.span,
+                f"emit {emit.event_name} mixes variables with a string "
+                f"literal, a shape often used for debug tracing"))
+    for name, by_start in by_name.items():
+        if len(by_start) < 2:
+            continue
+        spans = [by_start[start].span for start in sorted(by_start)]
+        places = ", ".join(f"{s.start_line}:{s.start_col}" for s in spans)
+        diags.append(Diagnostic(
+            CheckId.DEBUG_EVENT, Severity.HINT, path, spans[0],
+            f"event {name} is emitted {len(spans)} times in one function "
+            f"(lines {places}), a pattern used to trace value changes "
+            f"while debugging"))
+    return diags
+
+
 def check_debug_event(unit: SourceUnit, tree: ScopeTree, cfg: CheckConfig,
                       path: str) -> list[Diagnostic]:
     """Shapes typical of leftover debug logging: empty or string-only emits,
     optionally variable+string emits, and one event emitted repeatedly within
     a function."""
-    diags: list[Diagnostic] = []
-    for fn in iter_functions(unit):
-        by_name: dict[str, list[EmitStmt]] = defaultdict(list)
-        for emit in iter_emits(fn):
-            by_name[emit.event_name].append(emit)
-            if not emit.args:
-                diags.append(Diagnostic(
-                    CheckId.DEBUG_EVENT, Severity.HINT, path, emit.span,
-                    f"emit {emit.event_name} logs no values; empty events "
-                    f"are a typical debug leftover; delete it once "
-                    f"debugging is done"))
-            elif len(emit.args) == 1 and _is_string_literal(emit.args[0]):
-                diags.append(Diagnostic(
-                    CheckId.DEBUG_EVENT, Severity.HINT, path, emit.span,
-                    f"emit {emit.event_name} logs a single string literal, "
-                    f"a typical debug leftover; delete it once debugging "
-                    f"is done"))
-            elif cfg.debug_event_form_b and \
-                    any(_is_string_literal(a) for a in emit.args) and \
-                    any(_is_variable_arg(a) for a in emit.args):
-                diags.append(Diagnostic(
-                    CheckId.DEBUG_EVENT, Severity.HINT, path, emit.span,
-                    f"emit {emit.event_name} mixes variables with a string "
-                    f"literal, a shape often used for debug tracing"))
-        for name, emits in by_name.items():
-            spans = sorted({e.span for e in emits},
-                           key=lambda s: (s.start_line, s.start_col))
-            if len(spans) < 2:
-                continue
-            places = ", ".join(f"{s.start_line}:{s.start_col}" for s in spans)
-            diags.append(Diagnostic(
-                CheckId.DEBUG_EVENT, Severity.HINT, path, spans[0],
-                f"event {name} is emitted {len(spans)} times in one function "
-                f"(lines {places}), a pattern used to trace value changes "
-                f"while debugging"))
-    return diags
+    return [diag for fn in iter_functions(unit)
+            for diag in _debug_forms(iter_emits(fn), cfg, path)]
 
 
 # -------------------------------------------------------------- orchestrator
@@ -343,24 +355,25 @@ class FileCheckResult:
 def run_checks(file: SourceFile,
                cfg: CheckConfig | None = None) -> FileCheckResult:
     """Analyze one file and run every enabled check, diagnostics sorted by
-    position then check id."""
+    position then check id. Each function's statements are walked once, and
+    each check reads that walk's blocks or emits."""
     cfg = cfg or CheckConfig()
+    enabled = cfg.enabled
     analysis = FileAnalysis.build(file)
-    unit = analysis.unit
-    tree = build_symbols(unit)
+    tree = build_symbols(analysis.unit)
 
     diags: list[Diagnostic] = []
-    if CheckId.GAS_STORAGE_PARAM in cfg.enabled:
-        diags += check_gas_storage_param(unit, tree, file.path)
-    if CheckId.EVENT_OVERUSE in cfg.enabled:
+    if CheckId.EVENT_OVERUSE in enabled:
         diags += check_overuse(analysis.loc, analysis.emit_count, cfg,
                                file.path)
-    for fn in iter_functions(unit):
-        if CheckId.EMIT_BEFORE_OP in cfg.enabled:
-            diags += check_emit_before_op(fn, tree, file.path)
-        if CheckId.REDUNDANT_EVENT in cfg.enabled:
-            diags += check_redundant_event(fn, tree, file.path, file)
-    if CheckId.DEBUG_EVENT in cfg.enabled:
-        diags += check_debug_event(unit, tree, cfg, file.path)
+    for walk in analysis.functions:
+        if CheckId.GAS_STORAGE_PARAM in enabled:
+            diags += _storage_reads(walk.fn, walk.emits, tree, file.path)
+        if CheckId.EMIT_BEFORE_OP in enabled:
+            diags += _placements(walk.blocks, tree, file.path)
+        if CheckId.REDUNDANT_EVENT in enabled:
+            diags += _redundancies(walk.blocks, tree, file.path, file)
+        if CheckId.DEBUG_EVENT in enabled:
+            diags += _debug_forms(walk.emits, cfg, file.path)
     diags.sort(key=_sort_key)
     return FileCheckResult(analysis, tree, diags)

@@ -17,7 +17,7 @@ one walker over a statement's own expressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
@@ -26,8 +26,8 @@ from .nodes import (
     Identifier, If, LocalVarDecl, MemberAccess, Stmt, Unary, Unparsed, While,
     root_identifier, walk_expr, walk_stmt_expressions,
 )
-from .source import Span
-from .symbols import LocationClass, ScopeTree, Symbol, SymbolKind, resolve
+from .source import SourceFile, Span
+from .symbols import LocationClass, ScopeTree, Symbol, SymbolKind, resolve_at
 
 
 class KillKind(Enum):
@@ -39,25 +39,41 @@ class KillKind(Enum):
 
 @dataclass(frozen=True)
 class EqualityFact:
+    """storage_sym and memory_sym hold the same value from the statement at
+    the offsets [start, end) of file on."""
     storage_sym: Symbol
     memory_sym: Symbol
-    established_at: Span
+    start: int
+    end: int
+    file: SourceFile = field(repr=False, compare=False)
+
+    @property
+    def established_at(self) -> Span:
+        return self.file.span_from_offsets(self.start, self.end)
 
 
 @dataclass(frozen=True)
 class KillEvent:
+    """victim may change at the identifier at the offsets [start, end)."""
     kind: KillKind
     victim: Symbol
-    span: Span
+    start: int
+    end: int
+    file: SourceFile = field(repr=False, compare=False)
+
+    @property
+    def span(self) -> Span:
+        return self.file.span_from_offsets(self.start, self.end)
 
 
 _VARIABLE_KINDS = (SymbolKind.STATE_VAR, SymbolKind.PARAM, SymbolKind.LOCAL_VAR)
 
 
-def resolve_variable(name: str, at: Span, tree: ScopeTree) -> Symbol | None:
-    """resolve(), kept only when it finds a state variable, a parameter or a
-    local variable."""
-    sym = resolve(name, at, tree)
+def resolve_variable(name: str, offset: int,
+                     tree: ScopeTree) -> Symbol | None:
+    """resolve_at(), kept only when it finds a state variable, a parameter or
+    a local variable."""
+    sym = resolve_at(name, offset, tree)
     if sym is not None and sym.kind in _VARIABLE_KINDS:
         return sym
     return None
@@ -92,9 +108,10 @@ def kill_events(stmt: Stmt, tree: ScopeTree) -> list[KillEvent]:
     """Kill events produced by one statement, victims resolved to symbols."""
     events: list[KillEvent] = []
     for kind, root in _kills(stmt):
-        sym = resolve_variable(root.name, root.span, tree)
+        sym = resolve_variable(root.name, root.start, tree)
         if sym is not None:
-            events.append(KillEvent(kind, sym, root.span))
+            events.append(KillEvent(kind, sym, root.start, root.end,
+                                    root.file))
     return events
 
 
@@ -117,11 +134,11 @@ def _gen_pair(stmt: Stmt, tree: ScopeTree) -> tuple[Symbol, Symbol] | None:
         if not isinstance(assign.lhs, Identifier) or \
                 not isinstance(assign.rhs, Identifier):
             return None
-        left = resolve_variable(assign.lhs.name, assign.lhs.span, tree)
-        right = resolve_variable(assign.rhs.name, assign.rhs.span, tree)
+        left = resolve_variable(assign.lhs.name, assign.lhs.start, tree)
+        right = resolve_variable(assign.rhs.name, assign.rhs.start, tree)
     elif isinstance(stmt, LocalVarDecl) and isinstance(stmt.init, Identifier):
-        left = resolve_variable(stmt.name, stmt.span, tree)
-        right = resolve_variable(stmt.init.name, stmt.init.span, tree)
+        left = resolve_variable(stmt.name, stmt.start, tree)
+        right = resolve_variable(stmt.init.name, stmt.init.start, tree)
     else:
         return None
     if left is None or right is None:
@@ -156,7 +173,8 @@ def _apply_stmt(stmt: Stmt, facts: _FactMap, tree: ScopeTree) -> _FactMap:
     facts = _kill_own_effects(stmt, facts, tree)
     pair = _gen_pair(stmt, tree)
     if pair is not None:
-        facts[pair] = EqualityFact(pair[0], pair[1], stmt.span)
+        facts[pair] = EqualityFact(pair[0], pair[1], stmt.start, stmt.end,
+                                   stmt.file)
     return facts
 
 

@@ -7,11 +7,13 @@ strings. The method actually used is recorded per file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lexer import LexResult, lex
-from .nodes import SourceUnit, iter_emits, iter_functions
+from .nodes import (
+    FunctionWalk, SourceUnit, iter_emits, iter_functions, walk_function,
+)
 from .parser import has_fatal_errors, parse_file
 from .scan import LocStats, count_loc, extract_emits_regex
 from .source import SourceFile
@@ -22,19 +24,26 @@ class FileAnalysis:
     """One file lexed once; the tokens feed the parse, and the comment and
     string ranges feed the line counts and, on fallback, the regex count.
     The lex result itself is not kept: nothing reads it later, and holding
-    the tokens through the checks raises peak memory."""
+    the tokens through the checks raises peak memory. Each function is
+    walked once; the walks give the AST emit count and feed the checks."""
     file: SourceFile
     unit: SourceUnit
     loc: LocStats
     emit_count: int
     method: str  # "ast" | "regex"
+    functions: tuple[FunctionWalk, ...] = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, file: SourceFile) -> FileAnalysis:
         lexed = lex(file)
         unit = parse_file(file, lexed)
-        count, method = count_file_emits(file, unit, lexed)
-        return cls(file, unit, count_loc(file, lexed), count, method)
+        functions = tuple(map(walk_function, iter_functions(unit)))
+        if has_fatal_errors(unit):
+            count, method = _count_regex_emits(file, lexed), "regex"
+        else:
+            count, method = sum(len(f.emits) for f in functions), "ast"
+        return cls(file, unit, count_loc(file, lexed), count, method,
+                   functions)
 
 
 @dataclass(frozen=True)
@@ -69,8 +78,12 @@ def count_file_emits(file: SourceFile, unit: SourceUnit | None = None,
         unit = parse_file(file, lexed)
     if not has_fatal_errors(unit):
         return count_ast_emits(unit), "ast"
+    return _count_regex_emits(file, lexed), "regex"
+
+
+def _count_regex_emits(file: SourceFile, lexed: LexResult | None) -> int:
     matches = extract_emits_regex(file, lexed)
-    return sum(1 for m in matches if not m.in_comment_or_string), "regex"
+    return sum(1 for m in matches if not m.in_comment_or_string)
 
 
 def compute_metrics(files: list[SourceFile]) -> ProjectMetrics:

@@ -276,11 +276,28 @@ def iter_functions(unit: SourceUnit) -> Iterator[FunctionDef]:
 
 
 def iter_emits(fn: FunctionDef) -> Iterator[EmitStmt]:
-    if fn.body is None:
-        return
-    for stmt in walk_statements(fn.body):
-        if isinstance(stmt, EmitStmt):
-            yield stmt
+    return iter(walk_function(fn).emits)
+
+
+@dataclass(frozen=True)
+class FunctionWalk:
+    """One walk of a function's statements: its blocks and its emits, each
+    in preorder."""
+    fn: FunctionDef
+    blocks: list[Block]
+    emits: list[EmitStmt]
+
+
+def walk_function(fn: FunctionDef) -> FunctionWalk:
+    blocks: list[Block] = []
+    emits: list[EmitStmt] = []
+    if fn.body is not None:
+        for stmt in walk_statements(fn.body):
+            if isinstance(stmt, Block):
+                blocks.append(stmt)
+            elif isinstance(stmt, EmitStmt):
+                emits.append(stmt)
+    return FunctionWalk(fn, blocks, emits)
 
 
 def own_expressions(stmt: Stmt) -> list[Expr]:

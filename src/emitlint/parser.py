@@ -99,6 +99,13 @@ class Parser:
     def _eat(self, *lexemes: str) -> Token | None:
         return self._advance() if self._is(*lexemes) else None
 
+    def _expect(self, *lexemes: str) -> Token:
+        """Consume the next token, which must be one of lexemes."""
+        tok = self._eat(*lexemes)
+        if tok is None:
+            raise _Fail()
+        return tok
+
     def _check(self, kind: TokenKind, ahead: int = 0) -> bool:
         idx = self.i + ahead
         return idx < len(self.toks) and self.toks[idx].kind == kind
@@ -501,16 +508,13 @@ class Parser:
             raise _Fail()
         if tok.lexeme == "mapping":
             self._advance()
-            if self._eat("(") is None:
-                raise _Fail()
+            self._expect("(")
             with self._chain_link():
                 key = self._parse_type_name()
-            if self._eat("=>") is None:
-                raise _Fail()
+            self._expect("=>")
             with self._chain_link():
                 value = self._parse_type_name()
-            if self._eat(")") is None:
-                raise _Fail()
+            self._expect(")")
             base = f"mapping({key} => {value})"
         elif is_elementary_type(tok.lexeme):
             self._advance()
@@ -801,8 +805,7 @@ class Parser:
         cond = self._parse_binary(1)
         if self._eat("?"):
             then = self._parse_expression()
-            if self._eat(":") is None:
-                raise _Fail()
+            self._expect(":")
             with self._chain_link():
                 otherwise = self._parse_conditional()
             return Conditional(*self._at(start), cond, then, otherwise)
@@ -855,16 +858,14 @@ class Parser:
                 index = None
                 if not self._is("]"):
                     index = self._parse_expression()
-                if self._eat("]") is None:
-                    raise _Fail()
+                self._expect("]")
                 expr = IndexAccess(*self._at(start), expr, index)
                 continue
             if word == "{":
                 options = self._try_call_options()
                 if options is None:
                     return expr
-                if self._eat("(") is None:
-                    raise _Fail()
+                self._expect("(")
                 args = self._parse_call_args()
                 expr = Call(*self._at(start), expr, options + args)
                 continue
@@ -901,8 +902,7 @@ class Parser:
                                            "<" + raw + ">"))
                 if not self._eat(","):
                     break
-        if self._eat(")") is None:
-            raise _Fail()
+        self._expect(")")
         return args
 
     def _skip_call_arg(self) -> str:
@@ -933,13 +933,11 @@ class Parser:
         while True:
             if self._match(TokenKind.IDENTIFIER) is None:
                 raise _Fail()
-            if self._eat(":") is None:
-                raise _Fail()
+            self._expect(":")
             options.append(self._parse_expression())
             if not self._eat(","):
                 break
-        if self._eat("}") is None:
-            raise _Fail()
+        self._expect("}")
         return options
 
     def _parse_primary(self) -> Expr:
@@ -978,8 +976,7 @@ class Parser:
         if tok.lexeme == "(":
             self._advance()
             expr = self._parse_expression()
-            if self._eat(")") is None:
-                raise _Fail()  # tuple or damaged grouping
+            self._expect(")")  # tuple or damaged grouping
             return expr
         raise _Fail()
 

@@ -29,12 +29,6 @@ class Span:
     def end(self) -> tuple[int, int]:
         return (self.end_line, self.end_col)
 
-    def contains_point(self, line: int, col: int) -> bool:
-        return self.start <= (line, col) < self.end
-
-    def contains(self, other: Span) -> bool:
-        return self.start <= other.start and other.end <= self.end
-
     def last_line(self) -> int:
         """Last line the span actually touches (end column 1 means the span
         stopped at the preceding line's newline)."""
@@ -69,14 +63,6 @@ class SourceFile:
         n = len(self.line_starts)
         return n - 1 if self.text.endswith("\n") else n
 
-    def line_text(self, line: int) -> str:
-        start = self.line_starts[line - 1]
-        if line < len(self.line_starts):
-            end = self.line_starts[line] - 1
-        else:
-            end = len(self.text)
-        return self.text[start:end]
-
     def offset_to_linecol(self, offset: int) -> tuple[int, int]:
         line = bisect.bisect_right(self.line_starts, offset)
         return line, offset - self.line_starts[line - 1] + 1
@@ -88,8 +74,3 @@ class SourceFile:
         sl, sc = self.offset_to_linecol(start)
         el, ec = self.offset_to_linecol(end)
         return Span(sl, sc, el, ec)
-
-    def span_text(self, span: Span) -> str:
-        a = self.linecol_to_offset(span.start_line, span.start_col)
-        b = self.linecol_to_offset(span.end_line, span.end_col)
-        return self.text[a:b]

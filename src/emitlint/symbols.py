@@ -18,9 +18,9 @@ from enum import Enum
 
 from .nodes import (
     Block, ContractDef, DataLocation, For, FunctionDef, If, LocalVarDecl,
-    SourceUnit, Stmt, While,
+    Node, Param, SourceUnit, Stmt, While,
 )
-from .source import Span
+from .source import SourceFile, Span
 
 
 class SymbolKind(Enum):
@@ -41,33 +41,49 @@ class LocationClass(Enum):
 
 @dataclass(frozen=True)
 class Symbol:
+    """A declaration; decl_start/decl_end are the offsets of its text."""
     name: str
     kind: SymbolKind
     declared_type: str
     location_class: LocationClass
-    decl_span: Span
+    decl_start: int
+    decl_end: int
     scope_id: int
+    file: SourceFile | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def decl_span(self) -> Span:
+        if self.file is None:  # a builtin
+            return Span(0, 0, 0, 0)
+        return self.file.span_from_offsets(self.decl_start, self.decl_end)
 
 
 @dataclass
 class DuplicateDeclaration:
-    name: str
-    span: Span
-    original_span: Span
+    """symbol, skipped because original declares the same name and kind."""
+    symbol: Symbol
+    original: Symbol
 
 
 @dataclass
 class Scope:
+    """A lexical scope over the offsets [start, end) of file."""
     scope_id: int
     parent_id: int | None
-    span: Span
+    start: int
+    end: int
     depth: int
+    file: SourceFile = field(repr=False, compare=False)
     symbols: list[Symbol] = field(default_factory=list)
-    # Child scopes in source order and their start positions, for bisection.
+    # Child scopes in source order and their start offsets, for bisection.
     children: list[Scope] = field(default_factory=list, repr=False,
                                   compare=False)
-    child_starts: list[tuple[int, int]] = field(default_factory=list,
-                                                repr=False, compare=False)
+    child_starts: list[int] = field(default_factory=list, repr=False,
+                                    compare=False)
+
+    @property
+    def span(self) -> Span:
+        return self.file.span_from_offsets(self.start, self.end)
 
 
 @dataclass
@@ -75,27 +91,30 @@ class ScopeTree:
     scopes: list[Scope]
     warnings: list[DuplicateDeclaration] = field(default_factory=list)
 
-    def innermost_scope_at(self, line: int, col: int) -> Scope:
-        """Deepest scope whose span holds the point; the root when none does.
-        Each scope's span lies inside its parent's, and siblings cover
-        disjoint token ranges in source order, so one bisection per level
-        finds the only child that can hold the point."""
+    def scope_at(self, offset: int) -> Scope:
+        """Deepest scope holding the offset; the root when none does. Each
+        scope lies inside its parent, and siblings cover disjoint ranges in
+        source order, so one bisection per level finds the only child that
+        can hold the offset."""
         scope = self.scopes[0]
         while scope.children:
-            i = bisect_right(scope.child_starts, (line, col)) - 1
-            if i < 0 or not scope.children[i].span.contains_point(line, col):
+            i = bisect_right(scope.child_starts, offset) - 1
+            if i < 0 or offset >= scope.children[i].end:
                 break
             scope = scope.children[i]
         return scope
 
+    def innermost_scope_at(self, line: int, col: int) -> Scope:
+        """scope_at, at a line and column of the tree's file."""
+        root = self.scopes[0]
+        return self.scope_at(root.file.linecol_to_offset(line, col))
 
-_ZERO_SPAN = Span(0, 0, 0, 0)
 
 BUILTIN_NAMES = ("msg", "block", "tx", "this", "address", "abi")
 
 BUILTINS = {
     name: Symbol(name, SymbolKind.BUILTIN, "", LocationClass.NOT_APPLICABLE,
-                 _ZERO_SPAN, -1)
+                 0, 0, -1)
     for name in BUILTIN_NAMES
 }
 
@@ -134,63 +153,70 @@ class _Builder:
         self.unit = unit
         self.tree = ScopeTree(scopes=[])
 
-    def _new_scope(self, parent: Scope | None, span: Span) -> Scope:
+    def _new_scope(self, parent: Scope | None, node: Node) -> Scope:
         scope = Scope(
             scope_id=len(self.tree.scopes),
             parent_id=parent.scope_id if parent else None,
-            span=span,
+            start=node.start,
+            end=node.end,
             depth=parent.depth + 1 if parent else 0,
+            file=node.file,
         )
         self.tree.scopes.append(scope)
         if parent is not None:
             parent.children.append(scope)
-            parent.child_starts.append(span.start)
+            parent.child_starts.append(node.start)
         return scope
 
-    def _add(self, scope: Scope, sym: Symbol, unique: bool = True) -> None:
+    def _add(self, scope: Scope, name: str, kind: SymbolKind,
+             declared_type: str, location_class: LocationClass, decl: Node,
+             unique: bool = True) -> None:
+        sym = Symbol(name, kind, declared_type, location_class, decl.start,
+                     decl.end, scope.scope_id, decl.file)
         if unique:
             for existing in scope.symbols:
                 if existing.name == sym.name and existing.kind == sym.kind:
                     self.tree.warnings.append(
-                        DuplicateDeclaration(sym.name, sym.decl_span,
-                                             existing.decl_span))
+                        DuplicateDeclaration(sym, existing))
                     return
         scope.symbols.append(sym)
 
+    def _add_variable(self, scope: Scope, kind: SymbolKind,
+                      decl: Param | LocalVarDecl) -> None:
+        self._add(scope, decl.name, kind, decl.type_name,
+                  location_class_for(kind, decl.type_name,
+                                     decl.data_location), decl)
+
     def build(self) -> ScopeTree:
-        root = self._new_scope(None, self.unit.span)
+        root = self._new_scope(None, self.unit)
         by_name = {c.name: c for c in self.unit.contracts}
         for contract in self.unit.contracts:
-            self._add(root, Symbol(contract.name, SymbolKind.CONTRACT_NAME, "",
-                                   LocationClass.NOT_APPLICABLE, contract.span,
-                                   root.scope_id))
+            self._add(root, contract.name, SymbolKind.CONTRACT_NAME, "",
+                      LocationClass.NOT_APPLICABLE, contract)
         for contract in self.unit.contracts:
             self._build_contract(root, contract, by_name)
         return self.tree
 
     def _build_contract(self, root: Scope, contract: ContractDef,
                         by_name: dict[str, ContractDef]) -> None:
-        scope = self._new_scope(root, contract.span)
+        scope = self._new_scope(root, contract)
         for var in contract.state_vars:
-            self._add(scope, Symbol(var.name, SymbolKind.STATE_VAR,
-                                    var.type_name, LocationClass.STORAGE,
-                                    var.span, scope.scope_id))
+            self._add(scope, var.name, SymbolKind.STATE_VAR, var.type_name,
+                      LocationClass.STORAGE, var)
         for parent in self._linearized_bases(contract, by_name):
             for var in parent.state_vars:
                 if any(s.name == var.name for s in scope.symbols):
                     continue  # derived declaration wins
-                scope.symbols.append(
-                    Symbol(var.name, SymbolKind.STATE_VAR, var.type_name,
-                           LocationClass.STORAGE, var.span, scope.scope_id))
+                self._add(scope, var.name, SymbolKind.STATE_VAR,
+                          var.type_name, LocationClass.STORAGE, var,
+                          unique=False)
         for event in contract.events:
-            self._add(scope, Symbol(event.name, SymbolKind.EVENT_NAME, "",
-                                    LocationClass.NOT_APPLICABLE, event.span,
-                                    scope.scope_id))
+            self._add(scope, event.name, SymbolKind.EVENT_NAME, "",
+                      LocationClass.NOT_APPLICABLE, event)
         for fn in contract.functions:
             if fn.name:
-                self._add(scope, Symbol(fn.name, SymbolKind.FUNCTION_NAME, "",
-                                        LocationClass.NOT_APPLICABLE, fn.span,
-                                        scope.scope_id), unique=False)
+                self._add(scope, fn.name, SymbolKind.FUNCTION_NAME, "",
+                          LocationClass.NOT_APPLICABLE, fn, unique=False)
         for fn in contract.functions:
             self._build_function(scope, fn)
 
@@ -208,30 +234,21 @@ class _Builder:
             queue.extend(parent.bases)
 
     def _build_function(self, contract_scope: Scope, fn: FunctionDef) -> None:
-        scope = self._new_scope(contract_scope, fn.span)
+        scope = self._new_scope(contract_scope, fn)
         for param in list(fn.params) + list(fn.returns_params):
-            if not param.name:
-                continue
-            self._add(scope, Symbol(
-                param.name, SymbolKind.PARAM, param.type_name,
-                location_class_for(SymbolKind.PARAM, param.type_name,
-                                   param.data_location),
-                param.span, scope.scope_id))
+            if param.name:
+                self._add_variable(scope, SymbolKind.PARAM, param)
         if fn.body is not None:
             self._build_block(scope, fn.body)
 
     def _build_block(self, parent: Scope, block: Block) -> None:
-        scope = self._new_scope(parent, block.span)
+        scope = self._new_scope(parent, block)
         for stmt in block.stmts:
             self._build_stmt(scope, stmt)
 
     def _build_stmt(self, scope: Scope, stmt: Stmt) -> None:
         if isinstance(stmt, LocalVarDecl):
-            self._add(scope, Symbol(
-                stmt.name, SymbolKind.LOCAL_VAR, stmt.type_name,
-                location_class_for(SymbolKind.LOCAL_VAR, stmt.type_name,
-                                   stmt.data_location),
-                stmt.span, scope.scope_id))
+            self._add_variable(scope, SymbolKind.LOCAL_VAR, stmt)
             return
         if isinstance(stmt, Block):
             self._build_block(scope, stmt)
@@ -242,7 +259,7 @@ class _Builder:
                 self._build_stmt(scope, stmt.otherwise)
             return
         if isinstance(stmt, For):
-            inner = self._new_scope(scope, stmt.span)
+            inner = self._new_scope(scope, stmt)
             if stmt.init is not None:
                 self._build_stmt(inner, stmt.init)
             self._build_stmt(inner, stmt.body)
@@ -256,19 +273,22 @@ def build_symbols(unit: SourceUnit) -> ScopeTree:
     return _Builder(unit).build()
 
 
-def _visible_in_scope(sym: Symbol, at: Span) -> bool:
-    if sym.kind == SymbolKind.LOCAL_VAR:
-        return sym.decl_span.start <= at.start
-    return True
-
-
-def resolve(name: str, at: Span, tree: ScopeTree) -> Symbol | None:
-    """Innermost visible declaration of name at the given position; None when
-    unresolved. Builtin names resolve to location-free pseudo-symbols."""
-    scope = tree.innermost_scope_at(at.start_line, at.start_col)
+def resolve_at(name: str, offset: int, tree: ScopeTree) -> Symbol | None:
+    """Innermost declaration of name visible at the offset; None when
+    unresolved. A local variable is visible from its declaration on.
+    Builtin names resolve to location-free pseudo-symbols."""
+    scope = tree.scope_at(offset)
     while scope is not None:
         for sym in scope.symbols:
-            if sym.name == name and _visible_in_scope(sym, at):
+            if sym.name == name and (sym.kind != SymbolKind.LOCAL_VAR
+                                     or sym.decl_start <= offset):
                 return sym
         scope = tree.scopes[scope.parent_id] if scope.parent_id is not None else None
     return BUILTINS.get(name)
+
+
+def resolve(name: str, at: Span, tree: ScopeTree) -> Symbol | None:
+    """resolve_at, at the start of a span of the tree's file."""
+    root = tree.scopes[0]
+    return resolve_at(name, root.file.linecol_to_offset(at.start_line,
+                                                        at.start_col), tree)

@@ -4,9 +4,12 @@ independent oracles the analyses are checked against."""
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import operator
 import random
 import re
+import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple
@@ -25,11 +28,11 @@ from emitlint.parser import parse_file
 from emitlint.scan import extract_emits_regex
 from emitlint.source import SourceFile, Span
 from emitlint.symbols import (
-    LocationClass, Scope, ScopeTree, Symbol, SymbolKind, _visible_in_scope,
-    build_symbols,
+    LocationClass, Scope, ScopeTree, Symbol, SymbolKind, build_symbols,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+BENCH_CORPUS = Path(__file__).parents[1] / "perfbench" / "corpus.py"
 
 
 def fixture_path(*parts: str) -> Path:
@@ -42,6 +45,19 @@ def fixture_file(*parts: str) -> SourceFile:
 
 def src(text: str, path: str = "test.sol") -> SourceFile:
     return SourceFile.from_text(path, text)
+
+
+@functools.lru_cache(maxsize=None)
+def bench_tree(workload: str, seed: int) -> tuple[SourceFile, ...]:
+    """The lint tree of a perfbench workload (perfbench/corpus.py), as
+    source files."""
+    spec = importlib.util.spec_from_file_location("_bench_corpus",
+                                                  BENCH_CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus  # dataclasses look their module up
+    spec.loader.exec_module(corpus)
+    return tuple(src(s.text, s.path)
+                 for s in corpus.WORKLOADS[workload](seed).files)
 
 
 def parsed(text: str, path: str = "test.sol"):
@@ -58,12 +74,39 @@ def emits_of(fn) -> list[EmitStmt]:
     return [s for s in walk_statements(fn.body) if isinstance(s, EmitStmt)]
 
 
+def span_text(file: SourceFile, span: Span) -> str:
+    a = file.linecol_to_offset(span.start_line, span.start_col)
+    b = file.linecol_to_offset(span.end_line, span.end_col)
+    return file.text[a:b]
+
+
+def line_text(file: SourceFile, line: int) -> str:
+    """The line's text without its newline."""
+    start = file.line_starts[line - 1]
+    if line < len(file.line_starts):
+        end = file.line_starts[line] - 1
+    else:
+        end = len(file.text)
+    return file.text[start:end]
+
+
+def contains_point(span: Span, line: int, col: int) -> bool:
+    return span.start <= (line, col) < span.end
+
+
+def span_contains(outer: Span, inner: Span) -> bool:
+    return outer.start <= inner.start and inner.end <= outer.end
+
+
 def spans_in(obj, found: list[Span] | None = None) -> list[Span]:
     """Every Span in a tree of dataclasses, lists and tuples, each node's
-    `span` read once; source files are not entered."""
+    `span` and each symbol's `decl_span` read once; source files are not
+    entered."""
     found = [] if found is None else found
     if isinstance(obj, Span):
         found.append(obj)
+    elif isinstance(obj, Symbol):
+        found.append(obj.decl_span)
     elif isinstance(obj, Node):
         found.append(obj.span)
         for f in fields(obj):
@@ -431,19 +474,19 @@ def replay(diff: LineDiff) -> str:
     return "\n".join(op.text for op in diff.ops if op.kind in ("keep", "add"))
 
 
-def in_scope_memory_symbols(at: Span, tree: ScopeTree) -> list[Symbol]:
-    """Memory-class parameters and locals visible at the position: innermost
+def in_scope_memory_symbols(at: int, tree: ScopeTree) -> list[Symbol]:
+    """Memory-class parameters and locals visible at the offset: innermost
     scope first, declaration order within each scope, shadowed names omitted."""
     result: list[Symbol] = []
     seen: set[str] = set()
-    scope = tree.innermost_scope_at(at.start_line, at.start_col)
+    scope = tree.scope_at(at)
     while scope is not None:
         for sym in scope.symbols:
             if sym.kind not in (SymbolKind.PARAM, SymbolKind.LOCAL_VAR):
                 continue
             if sym.location_class != LocationClass.MEMORY:
                 continue
-            if not _visible_in_scope(sym, at):
+            if sym.kind == SymbolKind.LOCAL_VAR and sym.decl_start > at:
                 continue
             if sym.name in seen:
                 continue
@@ -454,11 +497,13 @@ def in_scope_memory_symbols(at: Span, tree: ScopeTree) -> list[Symbol]:
 
 
 def reference_scope_at(tree: ScopeTree, line: int, col: int) -> Scope:
-    """The linear scan over every scope that `ScopeTree.innermost_scope_at`
-    replaced; the differential scope test compares the two."""
+    """The linear scan over every scope's line and column span that the tree
+    descent `ScopeTree.scope_at` replaced; the differential scope test
+    compares the two."""
     best = tree.scopes[0]
     for scope in tree.scopes:
-        if scope.span.contains_point(line, col) and scope.depth >= best.depth:
+        if contains_point(scope.span, line, col) and \
+                scope.depth >= best.depth:
             best = scope
     return best
 

@@ -1,14 +1,22 @@
+import re
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import emitlint
 from emitlint.checks import (
     CheckConfig, CheckId, Severity, check_debug_event, check_emit_before_op,
     check_gas_storage_param, check_overuse, check_redundant_event, run_checks,
 )
-from emitlint.scan import LocStats
+from emitlint.nodes import iter_functions
+from emitlint.parser import has_fatal_errors
+from emitlint.scan import LocStats, extract_emits_regex
 
-from helpers import fixture_file, parsed, src
+from helpers import (
+    SpanCounts, bench_tree, fixture_file, parsed, span_text, src,
+)
 
 
 SETDELAY_TEXT = fixture_file("gas", "pos_01_setdelay.sol").text
@@ -51,7 +59,7 @@ def test_gas_setdelay_single_warning_suggesting_param():
 def test_gas_suggestion_replace_span_covers_argument():
     file, unit, tree = parsed(SETDELAY_TEXT)
     diag = check_gas_storage_param(unit, tree, file.path)[0]
-    assert file.span_text(diag.suggestion.replace_span) == "delay"
+    assert span_text(file, diag.suggestion.replace_span) == "delay"
 
 
 def test_gas_no_storage_args_no_diags():
@@ -96,7 +104,7 @@ def test_gas_suggestion_is_memory_class_and_backed_by_fact():
     emit = emits_of(fn)[0]
     diag = check_gas_storage_param(unit, tree, file.path)[0]
     replacement = diag.suggestion.replacement_text
-    in_scope = {s.name for s in in_scope_memory_symbols(emit.span, tree)}
+    in_scope = {s.name for s in in_scope_memory_symbols(emit.start, tree)}
     assert replacement in in_scope
     facts = equalities_at(emit, fn, tree)
     assert any(f.memory_sym.name == replacement for f in facts)
@@ -327,6 +335,40 @@ def test_literals_compared_textually():
     assert len(_redundant(text)) == 1
 
 
+_NONCE = """contract C {
+    uint nonce;
+    event A(uint x);
+    event B(uint x, uint y);
+    function next() internal returns (uint256) {
+        nonce += 1;
+        return nonce;
+    }
+    function f(uint v) public {
+        %s
+        %s
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("first, second", [
+    ("emit A(next());", "emit B(next(), v);"),
+    ("emit A(v++);", "emit B(v++, v);"),
+    ("emit A(v);", "emit B(v = 2, v);"),
+    ("emit A(v);", "emit B(v, next());"),
+])
+def test_arguments_with_a_call_or_a_write_are_not_redundant(first, second):
+    """Each `next()` returns a new value, and `v++` logs a different v each
+    time, so neither emit repeats the other."""
+    assert _redundant(_NONCE % (first, second), fn_index=1) == []
+
+
+def test_pure_emits_beside_an_effectful_one_still_pair():
+    text = _NONCE % ("emit A(v); emit B(next(), 1);", "emit B(v, 1);")
+    diags = _redundant(text, fn_index=1)
+    assert [d.message.split()[1] for d in diags] == ["A"]
+
+
 # ------------------------------------------------------------ debug check
 
 def test_empty_event_hint():
@@ -435,3 +477,75 @@ def test_run_checks_on_malformed_file_does_not_crash():
     result = run_checks(file)
     assert result.analysis.unit.parse_errors
     assert isinstance(result.diagnostics, list)
+
+
+# ------------------------------------------------------------- work counts
+
+def _work_inputs():
+    files = [fixture_file("lint_tree", name) for name in ("a.sol", "b.sol")]
+    files.append(fixture_file("realistic_token.sol"))
+    for workload in ("project", "monolith"):
+        files += bench_tree(workload, 1)
+    return files
+
+
+_QUOTED_POSITION = re.compile(r"\bline \d+|\b\d+:\d+\b")
+
+
+def _reported_positions(result) -> int:
+    """Positions the output can show: each diagnostic, suggestion and line
+    number quoted in a message, each parse or lex error, and on a file
+    counted by regex each regex match."""
+    unit = result.analysis.unit
+    count = len(unit.parse_errors)
+    for diag in result.diagnostics:
+        count += 1 + (diag.suggestion is not None)
+        count += len(_QUOTED_POSITION.findall(diag.message))
+    if has_fatal_errors(unit):
+        count += len(extract_emits_regex(result.analysis.file))
+    return count
+
+
+def test_checks_convert_no_more_positions_than_they_report(monkeypatch):
+    """Scopes, symbols, facts and lookups work on offsets, so `run_checks`
+    converts an offset to a Span only for what reaches the output."""
+    files = _work_inputs()
+    assert len(files) > 20
+    conversions = reported = diagnostics = 0
+    for file in files:
+        counts = SpanCounts(monkeypatch)
+        result = run_checks(file)
+        monkeypatch.undo()
+        bound = _reported_positions(result)
+        assert counts.conversions <= bound, (file.path, counts.conversions,
+                                             bound)
+        conversions += counts.conversions
+        reported += bound
+        diagnostics += len(result.diagnostics)
+    assert diagnostics > 400
+    assert conversions > 0.9 * reported, (conversions, reported)
+
+
+def test_each_function_body_is_walked_once_per_run_checks(monkeypatch):
+    """One statement walk per function feeds the emit count and every
+    check; checks that look further (the redundancy kill scan, the
+    dataflow pass) start below the function body."""
+    walks = Counter()
+    modules = [m for name, m in sys.modules.items()
+               if name.startswith("emitlint.")
+               and hasattr(m, "walk_statements")]
+    real = emitlint.nodes.walk_statements
+
+    def recording(root):
+        walks[id(root)] += 1
+        return real(root)
+
+    for module in modules:
+        monkeypatch.setattr(module, "walk_statements", recording)
+    for file in _work_inputs():
+        walks.clear()
+        result = run_checks(file)
+        bodies = [fn.body for fn in iter_functions(result.analysis.unit)
+                  if fn.body is not None]
+        assert bodies, file.path
+        assert [walks[id(b)] for b in bodies] == [1] * len(bodies), file.path

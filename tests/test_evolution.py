@@ -8,7 +8,7 @@ from emitlint.evolution import (
     classify_independence, diff_lines, pair_emit_changes,
 )
 
-from helpers import make_revision, replay, src
+from helpers import line_text, make_revision, replay, src
 
 
 # ------------------------------------------------------------------ diffing
@@ -424,7 +424,7 @@ def _reference_kill_sets(rev, whole_file):
             for run in runs:
                 start = file.line_starts[run[0] - 1]
                 in_context |= any(a < start < b for a, b in ranges)
-                chunk = "\n".join(file.line_text(line) for line in run)
+                chunk = "\n".join(line_text(file, line) for line in run)
                 a, p = reference_kill_sets(chunk)
                 assigned |= a
                 passed |= p

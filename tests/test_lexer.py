@@ -4,7 +4,7 @@ from emitlint.lexer import TokenKind, lex, tokenize
 from emitlint.source import SourceFile
 
 from helpers import (
-    FIXTURES, reference_lex, snippet_corpus, src, sweep_inputs,
+    FIXTURES, reference_lex, snippet_corpus, span_text, src, sweep_inputs,
     with_token_spans,
 )
 
@@ -107,7 +107,7 @@ def test_spans_reproduce_lexemes():
     for tok in tokenize(file):
         assert file.text[tok.start:tok.end] == tok.lexeme
         span = file.span_from_offsets(tok.start, tok.end)
-        assert file.span_text(span) == tok.lexeme
+        assert span_text(file, span) == tok.lexeme
 
 
 def test_tokens_ordered_and_nonoverlapping_with_reconstruction():

