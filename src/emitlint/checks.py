@@ -239,7 +239,7 @@ def _arg_multiset(emit: EmitStmt, tree: ScopeTree,
 
 
 def _arg_names(emit: EmitStmt) -> set[str]:
-    return {arg.name for arg in emit.args if isinstance(arg, Identifier)}
+    return {name for arg in emit.args for name in identifier_names(arg)}
 
 
 def _redundancies(blocks: list[Block], tree: ScopeTree, path: str,

@@ -19,11 +19,14 @@ the revision is an emit line (or blank/comment); failing that, it is
 heuristically independent when none of its changed argument tokens is
 reassigned or passed to a call on the revision's other changed lines, and
 dependent otherwise. An emit line holds no code, apart from ';', outside the
-emits whose matches lie outside comments and strings; an emit runs from its
-match through the ')' that closes its arguments. Kills are read from each
+emits whose matches lie outside comments and strings. Kills are read from each
 side's own tokens outside those emits, so text that the side's lex puts
 inside a comment or a string never kills, and neither do an emit's own
 arguments.
+
+The matcher stops at the first ')'. Each match outside comments and strings
+is closed once, on to the ')' that closes its arguments, and churn, pairing,
+the emit lines and the kill scan all read that one extent.
 
 Each revision is analyzed once. `RevisionAnalysis` diffs every file pair once
 and lexes every present side once; the line kinds, regex emit matches,
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
@@ -46,7 +49,7 @@ import re
 from .lexer import ASSIGN_OPS, Token, TokenKind, classify_word, lex
 from .scan import (
     LINE_BLANK, LINE_CODE, LINE_COMMENT, RegexEmitMatch, classify_lines,
-    extract_emits_regex, match_line_range,
+    extract_emits_regex,
 )
 from .source import SourceFile
 
@@ -238,13 +241,14 @@ def _kind_at(kinds: list[str], line: int) -> str:
 @dataclass(frozen=True)
 class SideAnalysis:
     """One side of a file pair. The file is lexed once; its comment and string
-    ranges feed the line kinds and the regex emit matches, and its tokens the
-    emit lines and the kill sets. The tokens are dropped when `build`
-    returns."""
+    ranges feed the line kinds and the regex emit matches, and its tokens
+    close the matches and feed the emit lines and the kill sets. The tokens
+    are dropped when `build` returns."""
     file: SourceFile
     changed: frozenset[int]  # deleted lines before, added lines after
     kinds: list[str]
-    matches: list[RegexEmitMatch]
+    matches: list[RegexEmitMatch]  # closed outside comments and strings
+    match_lines: list[range]  # the lines of each match
     emit_lines: frozenset[int]  # among the lines scanned for kills
     assigned: frozenset[str]
     passed: frozenset[str]
@@ -256,29 +260,23 @@ class SideAnalysis:
         lines (every non-emit line in whole-file mode), over the tokens that
         start on the run's lines and lie outside emits."""
         lexed = lex(file)
-        matches = extract_emits_regex(file, lexed)
         toks, starts = lexed.tokens, file.line_starts
-        # The tokens outside the emits whose matches lie outside comments and
-        # strings. An emit is a slice of the tokens, from the `emit` keyword
-        # that starts its match through the ')' that closes its arguments.
-        kept: list[Token] = []
-        touched: set[int] = set()  # lines an emit touches
+        matches: list[RegexEmitMatch] = []
+        match_lines: list[range] = []
+        kept: list[Token] = []  # the tokens outside the closed matches
+        touched: set[int] = set()  # lines a closed match touches
         prev = 0
-        for m in matches:
-            if m.in_comment_or_string:
-                continue
-            span = m.span
-            a = file.linecol_to_offset(span.start_line, span.start_col)
-            b = file.linecol_to_offset(span.end_line, span.end_col)
-            lo = bisect_left(toks, a, prev, key=_tok_start)
-            kept += toks[prev:lo]
-            prev = bisect_left(toks, b, lo, key=_tok_start)
-            # With no '(' in its arguments and its ')' a token, the match
-            # already closes the argument list.
-            if "(" in m.raw_args or toks[prev - 1].start != b - 1:
-                prev = _args_end(toks, lo, prev)
-            last = bisect_right(starts, toks[prev - 1].start)
-            touched.update(range(span.start_line, last + 1))
+        for m in extract_emits_regex(file, lexed):
+            if not m.in_comment_or_string:
+                m, lo, hi = _close(m, toks)
+                kept += toks[prev:lo]
+                prev = max(prev, hi)
+            lines = range(bisect_right(starts, m.start),
+                          bisect_right(starts, m.end - 1) + 1)
+            if not m.in_comment_or_string:
+                touched.update(lines)
+            matches.append(m)
+            match_lines.append(lines)
         kept += toks[prev:]
 
         def line_bounds(first: int, last: int) -> tuple[int, int]:
@@ -310,15 +308,17 @@ class SideAnalysis:
             assigned |= a
             passed |= p
         return cls(file, frozenset(changed), classify_lines(file, lexed),
-                   matches, frozenset(emit_lines), frozenset(assigned),
-                   frozenset(passed))
+                   matches, match_lines, frozenset(emit_lines),
+                   frozenset(assigned), frozenset(passed))
 
     def churned_loc(self) -> int:
         return sum(1 for line in self.changed
                    if _kind_at(self.kinds, line) == LINE_CODE)
 
-    def changed_emits(self) -> list[RegexEmitMatch]:
-        return [m for m in self.matches if match_line_range(m) & self.changed]
+    def changed_emits(self) -> list[tuple[RegexEmitMatch, range]]:
+        """Each match on a changed line, with its lines."""
+        return [(m, lines) for m, lines in zip(self.matches, self.match_lines)
+                if not self.changed.isdisjoint(lines)]
 
     def emit_only(self) -> bool:
         """Every changed line is an emit line, a blank line or a comment."""
@@ -363,16 +363,17 @@ class PairAnalysis:
         the names and the arguments differ, so one greedy pass over all pairs
         in (rank, line distance, source order) order matches what a pass per
         rule, most specific first, would."""
-        gone, new = ([m for m in side.changed_emits()
-                      if not m.in_comment_or_string] if side else []
+        gone, new = ([e for e in side.changed_emits()
+                      if not e[0].in_comment_or_string] if side else []
                      for side in (self.before, self.after))
-        gone_args = [_norm_args(d) for d in gone]
-        new_args = [_norm_args(a) for a in new]
+        gone_args = [_norm_args(d) for d, _ in gone]
+        new_args = [_norm_args(a) for a, _ in new]
         candidates = sorted(
             (2 * (d.event_name != a.event_name)
              + (gone_args[di] != new_args[ai]),
-             abs(d.span.start_line - a.span.start_line), di, ai)
-            for di, d in enumerate(gone) for ai, a in enumerate(new))
+             abs(d_lines.start - a_lines.start), di, ai)
+            for di, (d, d_lines) in enumerate(gone)
+            for ai, (a, a_lines) in enumerate(new))
         path = self.pair.path
         changes: list[EventUseChange] = []
         matched_d: set[int] = set()
@@ -382,16 +383,16 @@ class PairAnalysis:
                 continue
             matched_d.add(di)
             matched_a.add(ai)
-            d, a = gone[di], new[ai]
+            d, a = gone[di][0], new[ai][0]
             category = _PAIRED_CATEGORIES[rank]
             changes.append(EventUseChange(path, category, d, a,
                                           _changed_tokens(d, a, category)))
-        for di, d in enumerate(gone):
+        for di, (d, _) in enumerate(gone):
             if di not in matched_d:
                 changes.append(EventUseChange(
                     path, ChangeCategory.DELETION, d, None,
                     _changed_tokens(d, None, ChangeCategory.DELETION)))
-        for ai, a in enumerate(new):
+        for ai, (a, _) in enumerate(new):
             if ai not in matched_a:
                 changes.append(EventUseChange(
                     path, ChangeCategory.ADDITION, None, a,
@@ -455,11 +456,20 @@ class RevisionAnalysis:
         return Independence.DEPENDENT
 
 
-def _args_end(toks: list[Token], lo: int, hi: int) -> int:
-    """End index of the emit whose regex match holds toks[lo:hi]. The match
-    stops at the first ')', so a nested call or cast leaves the argument
-    list open: carry on to the ')' that closes it, but not past a ';', '{'
-    or '}'."""
+def _close(m: RegexEmitMatch, toks: list[Token]
+           ) -> tuple[RegexEmitMatch, int, int]:
+    """The match m, outside comments and strings, closed; and the index range
+    of its tokens in toks, the file's tokens. The match stops at the first
+    ')', so a nested call or cast, or a ')' in a string or comment, leaves
+    the argument list open: carry on to the ')' that closes it, but not past
+    a ';', '{' or '}'. The closed match runs to its last token, and its
+    raw_args hold the whole argument list."""
+    lo = bisect_left(toks, m.start, key=_tok_start)
+    hi = bisect_left(toks, m.end, lo, key=_tok_start)
+    # With no '(' in its arguments and its ')' a token, the match already
+    # closes the argument list.
+    if "(" not in m.raw_args and toks[hi - 1].start == m.end - 1:
+        return m, lo, hi
     depth = 0
     for tok in toks[lo:hi]:
         depth += (tok.lexeme == "(") - (tok.lexeme == ")")
@@ -469,7 +479,10 @@ def _args_end(toks: list[Token], lo: int, hi: int) -> int:
             break
         depth += (lexeme == "(") - (lexeme == ")")
         hi += 1
-    return hi
+    last = toks[hi - 1]
+    args = m.end - 1 - len(m.raw_args)  # just past the '('
+    raw_args = m.file.text[args:last.start if depth == 0 else last.end]
+    return replace(m, raw_args=raw_args, end=last.end), lo, hi
 
 
 def _scan_kill_sets(toks: list[Token]) -> tuple[set[str], set[str]]:

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from .lexer import LexResult, lex
-from .nodes import (
-    FunctionWalk, SourceUnit, iter_emits, iter_functions, walk_function,
-)
+from .nodes import FunctionWalk, SourceUnit, iter_functions, walk_function
 from .parser import has_fatal_errors, parse_file
 from .scan import LocStats, count_loc, extract_emits_regex
 from .source import SourceFile
@@ -38,10 +37,7 @@ class FileAnalysis:
         lexed = lex(file)
         unit = parse_file(file, lexed)
         functions = tuple(map(walk_function, iter_functions(unit)))
-        if has_fatal_errors(unit):
-            count, method = _count_regex_emits(file, lexed), "regex"
-        else:
-            count, method = sum(len(f.emits) for f in functions), "ast"
+        count, method = _count_emits(file, unit, lexed, functions)
         return cls(file, unit, count_loc(file, lexed), count, method,
                    functions)
 
@@ -64,10 +60,6 @@ class ProjectMetrics:
     per_file: tuple[FileMetrics, ...]
 
 
-def count_ast_emits(unit: SourceUnit) -> int:
-    return sum(1 for fn in iter_functions(unit) for _ in iter_emits(fn))
-
-
 def count_file_emits(file: SourceFile, unit: SourceUnit | None = None,
                      lexed: LexResult | None = None) -> tuple[int, str]:
     """Emit count and the method used. unit and lexed, when given, must come
@@ -76,14 +68,19 @@ def count_file_emits(file: SourceFile, unit: SourceUnit | None = None,
     if unit is None:
         lexed = lexed or lex(file)
         unit = parse_file(file, lexed)
-    if not has_fatal_errors(unit):
-        return count_ast_emits(unit), "ast"
-    return _count_regex_emits(file, lexed), "regex"
+    return _count_emits(file, unit, lexed,
+                        map(walk_function, iter_functions(unit)))
 
 
-def _count_regex_emits(file: SourceFile, lexed: LexResult | None) -> int:
-    matches = extract_emits_regex(file, lexed)
-    return sum(1 for m in matches if not m.in_comment_or_string)
+def _count_emits(file: SourceFile, unit: SourceUnit, lexed: LexResult | None,
+                 functions: Iterable[FunctionWalk]) -> tuple[int, str]:
+    """On a fatal parse error, the regex count outside comments and strings;
+    otherwise the AST count over the function walks, which are read only
+    then."""
+    if has_fatal_errors(unit):
+        matches = extract_emits_regex(file, lexed)
+        return sum(1 for m in matches if not m.in_comment_or_string), "regex"
+    return sum(len(f.emits) for f in functions), "ast"
 
 
 def compute_metrics(files: list[SourceFile]) -> ProjectMetrics:

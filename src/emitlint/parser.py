@@ -66,9 +66,15 @@ class _Damage(Exception):
     """Committed parse failed; an error was already recorded."""
 
 
+# Past the real tokens the parser reads end tokens, which match no lexeme
+# and no kind; lookahead reaches at most two tokens past the next one.
+_END = Token(None, "", 0, 0)
+
+
 class Parser:
     def __init__(self, tokens: list[Token], file: SourceFile):
-        self.toks = tokens
+        self.n = len(tokens)
+        self.toks = [*tokens, _END, _END, _END]
         self.file = file
         self.i = 0
         self.errors: list[ParseError] = []
@@ -78,12 +84,11 @@ class Parser:
 
     # ------------------------------------------------------------- utilities
 
-    def _peek(self, ahead: int = 0) -> Token | None:
-        idx = self.i + ahead
-        return self.toks[idx] if idx < len(self.toks) else None
+    def _peek(self, ahead: int = 0) -> Token:
+        return self.toks[self.i + ahead]
 
     def _at_end(self) -> bool:
-        return self.i >= len(self.toks)
+        return self.i >= self.n
 
     def _advance(self) -> Token:
         tok = self.toks[self.i]
@@ -93,8 +98,7 @@ class Parser:
     def _is(self, *lexemes: str, ahead: int = 0) -> bool:
         """A token's lexeme decides its kind, so a fixed token is tested by
         its lexeme alone."""
-        idx = self.i + ahead
-        return idx < len(self.toks) and self.toks[idx].lexeme in lexemes
+        return self.toks[self.i + ahead].lexeme in lexemes
 
     def _eat(self, *lexemes: str) -> Token | None:
         return self._advance() if self._is(*lexemes) else None
@@ -107,8 +111,7 @@ class Parser:
         return tok
 
     def _check(self, kind: TokenKind, ahead: int = 0) -> bool:
-        idx = self.i + ahead
-        return idx < len(self.toks) and self.toks[idx].kind == kind
+        return self.toks[self.i + ahead].kind == kind
 
     def _match(self, kind: TokenKind) -> Token | None:
         return self._advance() if self._check(kind) else None
@@ -116,11 +119,12 @@ class Parser:
     def _here(self) -> tuple[int, int]:
         """Offsets of the next token; past the end, of the last token; with
         no tokens at all, of the whole text."""
-        tok = self._peek()
-        if tok is None:
-            if not self.toks:
-                return 0, len(self.file.text)
-            tok = self.toks[-1]
+        if not self._at_end():
+            tok = self.toks[self.i]
+        elif self.n:
+            tok = self.toks[self.n - 1]
+        else:
+            return 0, len(self.file.text)
         return tok.start, tok.end
 
     def _here_span(self) -> Span:
@@ -130,9 +134,9 @@ class Parser:
         """Offsets from token start_idx through the last consumed token;
         tokens are in source order, so the first starts it and the last
         ends it. Past the end, the offsets of `_here`."""
-        if start_idx >= len(self.toks):
+        if start_idx >= self.n:
             return self._here()
-        last = self.toks[max(start_idx, min(self.i, len(self.toks)) - 1)]
+        last = self.toks[max(start_idx, min(self.i, self.n) - 1)]
         return self.toks[start_idx].start, last.end
 
     def _at(self, start_idx: int) -> tuple[int, int, SourceFile]:
@@ -504,8 +508,6 @@ class Parser:
 
     def _parse_type_name(self) -> str:
         tok = self._peek()
-        if tok is None:
-            raise _Fail()
         if tok.lexeme == "mapping":
             self._advance()
             self._expect("(")
@@ -583,10 +585,9 @@ class Parser:
 
     def _parse_stmt_inner(self) -> Stmt:
         start = self.i
-        tok = self._peek()
-        if tok is None:
+        if self._at_end():
             self._damage("unexpected end of input in block")
-        word = tok.lexeme
+        word = self._peek().lexeme
         if word == "{":
             return self._parse_block()
         if word == "if":
@@ -793,7 +794,7 @@ class Parser:
         start = self.i
         lhs = self._parse_conditional()
         tok = self._peek()
-        if tok is not None and tok.lexeme in ASSIGN_OPS:
+        if tok.lexeme in ASSIGN_OPS:
             self._advance()
             with self._chain_link():
                 rhs = self._parse_assignment()
@@ -816,7 +817,7 @@ class Parser:
         lhs = self._parse_unary()
         while True:
             tok = self._peek()
-            prec = _BINARY_PREC.get(tok.lexeme) if tok is not None else None
+            prec = _BINARY_PREC.get(tok.lexeme)
             if prec is None or prec < min_prec:
                 return lhs
             self._advance()
@@ -828,7 +829,7 @@ class Parser:
 
     def _parse_unary(self) -> Expr:
         tok = self._peek()
-        if tok is not None and tok.lexeme in _UNARY_OPS:
+        if tok.lexeme in _UNARY_OPS:
             start = self.i
             self._advance()
             with self._chain_link():
@@ -840,14 +841,11 @@ class Parser:
         start = self.i
         expr = self._parse_primary()
         while True:
-            tok = self._peek()
-            if tok is None:
-                return expr
-            word = tok.lexeme
+            word = self._peek().lexeme
             if word == ".":
                 member = self._peek(1)
-                if member is None or member.kind not in (TokenKind.IDENTIFIER,
-                                                         TokenKind.KEYWORD):
+                if member.kind not in (TokenKind.IDENTIFIER,
+                                       TokenKind.KEYWORD):
                     return expr
                 self._advance()
                 self._advance()
@@ -942,8 +940,6 @@ class Parser:
 
     def _parse_primary(self) -> Expr:
         tok = self._peek()
-        if tok is None:
-            raise _Fail()
         if tok.kind == TokenKind.NUMBER:
             self._advance()
             text = tok.lexeme

@@ -14,7 +14,7 @@ dropped, letting callers choose.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .lexer import LexResult, lex
 from .source import SourceFile, Span
@@ -38,10 +38,19 @@ class LocStats:
 
 @dataclass(frozen=True)
 class RegexEmitMatch:
+    """A textual emit match: the offsets [start, end) of its text in file,
+    from the emit keyword through the closing parenthesis. The span is
+    built when read."""
     event_name: str
     raw_args: str
-    span: Span
+    start: int
+    end: int
     in_comment_or_string: bool
+    file: SourceFile = field(repr=False, compare=False)
+
+    @property
+    def span(self) -> Span:
+        return self.file.span_from_offsets(self.start, self.end)
 
 
 def classify_lines(file: SourceFile,
@@ -89,8 +98,8 @@ def extract_emits_regex(file: SourceFile, lexed: LexResult | None = None
 
     The pattern requires whitespace before the emit keyword, so the text is
     searched with one synthetic leading newline; a match at the very start of
-    the file is therefore not missed. Reported spans run from the emit keyword
-    through the closing parenthesis.
+    the file is therefore not missed. A match runs from the emit keyword
+    through the first closing parenthesis.
     """
     lexed = lexed or lex(file)
     covered = sorted(lexed.comment_ranges + lexed.string_ranges)
@@ -105,17 +114,6 @@ def extract_emits_regex(file: SourceFile, lexed: LexResult | None = None
         emit_off = m.start() + lead - 1
         end_off = m.end(2)  # one past ')' after removing the pad offset
         flagged = any(a <= emit_off < b for a, b in covered)
-        matches.append(
-            RegexEmitMatch(
-                event_name=name,
-                raw_args=m.group(2),
-                span=file.span_from_offsets(emit_off, end_off),
-                in_comment_or_string=flagged,
-            )
-        )
+        matches.append(RegexEmitMatch(name, m.group(2), emit_off, end_off,
+                                      flagged, file))
     return matches
-
-
-def match_line_range(match: RegexEmitMatch) -> set[int]:
-    """Line numbers the match occupies (emit keyword through close paren)."""
-    return set(range(match.span.start_line, match.span.last_line() + 1))

@@ -29,13 +29,6 @@ class Span:
     def end(self) -> tuple[int, int]:
         return (self.end_line, self.end_col)
 
-    def last_line(self) -> int:
-        """Last line the span actually touches (end column 1 means the span
-        stopped at the preceding line's newline)."""
-        if self.end_col == 1 and self.end_line > self.start_line:
-            return self.end_line - 1
-        return self.end_line
-
 
 @dataclass
 class SourceFile:

@@ -1,0 +1,12 @@
+pragma solidity ^0.8.0;
+
+contract Shop {
+    uint stock;
+
+    event Priced(uint price);
+
+    function price(uint amount) public {
+        emit Priced(wrap(amount);
+        stock = 2;
+    }
+}

@@ -21,11 +21,11 @@ from emitlint.lexer import (
 )
 from emitlint.nodes import (
     Assignment, Binary, Block, EmitStmt, Expr, ExprStmt, FunctionDef,
-    Identifier, If, Literal, LiteralKind, LocalVarDecl, Node, Stmt,
-    walk_statements,
+    Identifier, If, Literal, LiteralKind, LocalVarDecl, Node, SourceUnit,
+    Stmt, iter_functions, walk_statements,
 )
 from emitlint.parser import parse_file
-from emitlint.scan import extract_emits_regex
+from emitlint.scan import RegexEmitMatch, extract_emits_regex
 from emitlint.source import SourceFile, Span
 from emitlint.symbols import (
     LocationClass, Scope, ScopeTree, Symbol, SymbolKind, build_symbols,
@@ -74,6 +74,11 @@ def emits_of(fn) -> list[EmitStmt]:
     return [s for s in walk_statements(fn.body) if isinstance(s, EmitStmt)]
 
 
+def count_ast_emits(unit: SourceUnit) -> int:
+    """The AST emit count, walked apart from `metrics`."""
+    return sum(len(emits_of(fn)) for fn in iter_functions(unit))
+
+
 def span_text(file: SourceFile, span: Span) -> str:
     a = file.linecol_to_offset(span.start_line, span.start_col)
     b = file.linecol_to_offset(span.end_line, span.end_col)
@@ -100,14 +105,14 @@ def span_contains(outer: Span, inner: Span) -> bool:
 
 def spans_in(obj, found: list[Span] | None = None) -> list[Span]:
     """Every Span in a tree of dataclasses, lists and tuples, each node's
-    `span` and each symbol's `decl_span` read once; source files are not
-    entered."""
+    and regex match's `span` and each symbol's `decl_span` read once; source
+    files are not entered."""
     found = [] if found is None else found
     if isinstance(obj, Span):
         found.append(obj)
     elif isinstance(obj, Symbol):
         found.append(obj.decl_span)
-    elif isinstance(obj, Node):
+    elif isinstance(obj, (Node, RegexEmitMatch)):
         found.append(obj.span)
         for f in fields(obj):
             spans_in(getattr(obj, f.name), found)
@@ -626,8 +631,7 @@ def reference_kill_sets(chunk: str) -> tuple[set[str], set[str]]:
     for m in extract_emits_regex(file, lexed):
         if m.in_comment_or_string:
             continue
-        a = file.linecol_to_offset(m.span.start_line, m.span.start_col)
-        b = file.linecol_to_offset(m.span.end_line, m.span.end_col)
+        a, b = m.start, m.end
         depth = 0
         for idx, tok in enumerate(lexed.tokens):
             if tok.start < a:

@@ -12,14 +12,13 @@ from emitlint.cli import main
 from emitlint.dataflow import equalities_at
 from emitlint.evolution import RevisionAnalysis, churn, \
     classify_independence, pair_emit_changes
-from emitlint.metrics import count_ast_emits
 from emitlint.nodes import EmitStmt
 from emitlint.parser import parse_file
 from emitlint.scan import EMIT_PATTERN, LocStats, extract_emits_regex
 from emitlint.source import SourceFile
 
 from helpers import (
-    brute_force_equalities, distinct_inputs, fixture_path,
+    brute_force_equalities, count_ast_emits, distinct_inputs, fixture_path,
     gen_straight_line_contract, make_revision, parsed, shop_revision,
     snippet_corpus,
 )

@@ -11,8 +11,7 @@ from emitlint.checks import (
     check_gas_storage_param, check_overuse, check_redundant_event, run_checks,
 )
 from emitlint.nodes import iter_functions
-from emitlint.parser import has_fatal_errors
-from emitlint.scan import LocStats, extract_emits_regex
+from emitlint.scan import LocStats
 
 from helpers import (
     SpanCounts, bench_tree, fixture_file, parsed, span_text, src,
@@ -363,6 +362,29 @@ def test_arguments_with_a_call_or_a_write_are_not_redundant(first, second):
     assert _redundant(_NONCE % (first, second), fn_index=1) == []
 
 
+_SHARED = """contract C {
+    uint[] a;
+    event A(uint x);
+    event B(uint x, uint y);
+    function f(Pair memory s, uint i, uint z) public {
+        %s
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("body", [
+    "emit A(s.y); s.y = 2; emit B(s.y, z);",
+    "emit A(a[i]); a[i] = 5; emit B(a[i], z);",
+    "emit A(z + 1); z = 3; emit B(z + 1, z);",
+    "emit A(z); z = 3; emit B(z, 1);",
+])
+def test_a_write_to_any_shared_argument_name_between_suppresses(body):
+    """Every identifier of a shared member, index or compound argument is
+    guarded, not only bare-identifier arguments."""
+    assert _redundant(_SHARED % body) == []
+
+
 def test_pure_emits_beside_an_effectful_one_still_pair():
     text = _NONCE % ("emit A(v); emit B(next(), 1);", "emit B(v, 1);")
     diags = _redundant(text, fn_index=1)
@@ -494,15 +516,11 @@ _QUOTED_POSITION = re.compile(r"\bline \d+|\b\d+:\d+\b")
 
 def _reported_positions(result) -> int:
     """Positions the output can show: each diagnostic, suggestion and line
-    number quoted in a message, each parse or lex error, and on a file
-    counted by regex each regex match."""
-    unit = result.analysis.unit
-    count = len(unit.parse_errors)
+    number quoted in a message, and each parse or lex error."""
+    count = len(result.analysis.unit.parse_errors)
     for diag in result.diagnostics:
         count += 1 + (diag.suggestion is not None)
         count += len(_QUOTED_POSITION.findall(diag.message))
-    if has_fatal_errors(unit):
-        count += len(extract_emits_regex(result.analysis.file))
     return count
 
 

@@ -334,10 +334,9 @@ import emitlint.scan as scan
 from emitlint.lexer import TokenKind, classify_word, lex
 from emitlint.scan import (
     LINE_CODE, classify_lines, count_loc, extract_emits_regex,
-    match_line_range,
 )
 
-from helpers import make_snippet, reference_kill_sets, shop
+from helpers import SpanCounts, make_snippet, reference_kill_sets, shop
 
 
 def _oracle_changed_lines(pair):
@@ -346,28 +345,44 @@ def _oracle_changed_lines(pair):
             {op.after_line for op in diff.ops if op.kind == "add"})
 
 
-def _oracle_emit_lines(file):
-    """Lines touched by an emit outside comments and strings, from its match
-    through the ')' that closes its arguments, where the text left after
-    blanking out those emits and the comments holds only ';' and spaces."""
+def _oracle_extents(file):
+    """Each regex match: whether it lies in a comment or string, its offsets
+    and its lines. A match outside comments and strings runs on, in the text
+    with comments blanked and strings filled, to the ')' that closes its
+    arguments, but not past ';', '{' or '}'; then back over trailing
+    blanks."""
     lexed = lex(file)
-    quiet = list(file.text)  # comments and strings blanked: parens count
-    for a, b in lexed.comment_ranges + lexed.string_ranges:
+    quiet = list(file.text)  # parens count outside comments and strings
+    for a, b in lexed.comment_ranges:
         quiet[a:b] = " " * (b - a)
-    blanked = lexed.comment_ranges[:]
-    lines = set()
+    for a, b in lexed.string_ranges:
+        quiet[a:b] = "_" * (b - a)
+    quiet = "".join(quiet)
+    extents = []
     for m in extract_emits_regex(file, lexed):
-        if m.in_comment_or_string:
-            continue
-        a = file.linecol_to_offset(m.span.start_line, m.span.start_col)
-        b = file.linecol_to_offset(m.span.end_line, m.span.end_col)
-        depth = quiet[a:b].count("(") - quiet[a:b].count(")")
-        while depth > 0 and b < len(quiet) and quiet[b] not in ";{}":
-            depth += (quiet[b] == "(") - (quiet[b] == ")")
-            b += 1
-        blanked.append((a, b))
-        lines |= set(range(m.span.start_line,
-                           file.offset_to_linecol(b - 1)[0] + 1))
+        a, b = m.start, m.end
+        if not m.in_comment_or_string:
+            depth = quiet[a:b].count("(") - quiet[a:b].count(")")
+            while depth > 0 and b < len(quiet) and quiet[b] not in ";{}":
+                depth += (quiet[b] == "(") - (quiet[b] == ")")
+                b += 1
+            b = len(quiet[:b].rstrip())
+        lines = set(range(file.offset_to_linecol(a)[0],
+                          file.offset_to_linecol(b - 1)[0] + 1))
+        extents.append((m.in_comment_or_string, a, b, lines))
+    return extents
+
+
+def _oracle_emit_lines(file):
+    """Lines touched by an emit outside comments and strings, where the text
+    left after blanking out those emits and the comments holds only ';' and
+    spaces."""
+    blanked = lex(file).comment_ranges[:]
+    lines = set()
+    for flagged, a, b, own in _oracle_extents(file):
+        if not flagged:
+            blanked.append((a, b))
+            lines |= own
     masked = list(file.text)
     for a, b in blanked:
         masked[a:b] = [ch if ch == "\n" else " " for ch in masked[a:b]]
@@ -391,8 +406,8 @@ def _oracle_churn(rev):
             if file is None:
                 continue
             loc += sum(1 for line in lines if _oracle_code_line(file, line))
-            emits += sum(1 for m in extract_emits_regex(file)
-                         if match_line_range(m) & lines)
+            emits += sum(1 for *_, own in _oracle_extents(file)
+                         if own & lines)
         primary = pair.after if pair.after is not None else pair.before
         total_loc += count_loc(primary).code_lines
         total_emits += len(extract_emits_regex(primary))
@@ -527,6 +542,15 @@ def test_analyze_revision_agrees_with_public_readers(name, rev, whole_file):
                for ch in report.changes)
 
 
+def test_revision_analysis_converts_no_position(monkeypatch):
+    """Regex matches keep offsets, and each match's lines are read once from
+    the line starts, so churn, pairing and independence build no Span."""
+    counts = SpanCounts(monkeypatch)
+    for _, rev in _DIFFERENTIAL_REVISIONS:
+        analyze_revision(rev)
+    assert counts.conversions == 0
+
+
 def test_kill_sets_are_unioned_across_pairs():
     """A reassignment in one file makes an emit change in another file
     dependent: the kill test reads the revision's changed lines, not the
@@ -655,7 +679,7 @@ def test_code_beside_an_emit_is_kill_scanned():
         ChangeCategory.PARAMETER_CHANGE, ABS, True, set(), set())
     assert label(["emit Sold(address(0), amount);"],
                  ["emit Sold(address(0), value); stock++;"]) == (
-        ChangeCategory.MOVE, HEU, False, {"stock"}, set())
+        ChangeCategory.PARAMETER_CHANGE, HEU, False, {"stock"}, set())
     # An argument list left open ends at the next ';', '{' or '}'.
     assert label(["emit Priced(price);"],
                  ["emit Priced(wrap(amount);", "stock = 2;"]) == (
@@ -665,6 +689,24 @@ def test_code_beside_an_emit_is_kill_scanned():
         ["emit Sold(address(0),", "    wrap(value));"]))
     assert (continued.emit_only, continued.assigned, continued.passed) == (
         True, set(), set())
+
+
+@pytest.mark.parametrize("before, after", [
+    (["emit Sold(address(0), amount);"], ["emit Sold(address(0), value);"]),
+    (["emit Sold(address(0),", "    wrap(amount));"],
+     ["emit Sold(address(0),", "    wrap(value));"]),
+])
+def test_pairing_and_churn_read_the_whole_argument_list(before, after):
+    """The matcher stops at the first ')', inside `address(0)`; pairing and
+    churn read each emit on to the ')' that closes its arguments, so a
+    change after a nested call, or on an emit's continuation line, is a
+    parameter change."""
+    report = analyze_revision(shop_revision(before, after))
+    [change] = report.changes
+    assert (change.category, change.independence,
+            change.changed_arg_tokens) == (
+        ChangeCategory.PARAMETER_CHANGE, ABS, ["amount", "value"])
+    assert report.churn.churned_emits == 2
 
 
 def test_commenting_an_emit_out_is_a_deletion():

@@ -24,6 +24,8 @@ GOLDEN = Path(__file__).parent / "golden"
 _INPUTS = {"lint_tree": "lint_tree", "token": "realistic_token.sol",
            "robust": "robust"}
 _MANIFEST = "manifests/basic/manifest.json"
+# Emits whose arguments run past the matcher's first ')'.
+_EXTENT = "manifests/extent/manifest.json"
 
 # Snapshot name -> argv, with paths relative to tests/fixtures.
 CASES = {
@@ -35,6 +37,8 @@ CASES = {
     "diff_basic_json": ["diff", "--manifest", _MANIFEST, "--format", "json"],
     "diff_basic_json_whole_file": ["diff", "--manifest", _MANIFEST,
                                    "--format", "json", "--whole-file-kill"],
+    "diff_extent_text": ["diff", "--manifest", _EXTENT],
+    "diff_extent_json": ["diff", "--manifest", _EXTENT, "--format", "json"],
 }
 
 

@@ -6,11 +6,11 @@ comments and strings."""
 
 from emitlint.checks import run_checks
 from emitlint.evolution import FilePair, Revision, analyze_revision
-from emitlint.metrics import compute_metrics, count_ast_emits
+from emitlint.metrics import compute_metrics
 from emitlint.scan import extract_emits_regex
 from emitlint.source import SourceFile, Span
 
-from helpers import spans_in, src, sweep_inputs
+from helpers import count_ast_emits, spans_in, src, sweep_inputs
 
 
 def _inside(span: Span, file: SourceFile) -> bool:

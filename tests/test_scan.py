@@ -1,12 +1,14 @@
 from emitlint.lexer import lex
-from emitlint.metrics import count_ast_emits, count_file_emits
+from emitlint.metrics import count_file_emits
 from emitlint.parser import parse_file
 from emitlint.scan import (
     EMIT_PATTERN, LINE_BLANK, LINE_CODE, LINE_COMMENT, classify_lines,
     count_loc, extract_emits_regex,
 )
 
-from helpers import FIXTURES, fixture_file, snippet_corpus, span_text, src
+from helpers import (
+    FIXTURES, count_ast_emits, fixture_file, snippet_corpus, span_text, src,
+)
 
 
 def test_emit_pattern_is_the_fixed_expression():
@@ -121,7 +123,7 @@ def test_multiline_emit_matches_once():
     matches = extract_emits_regex(file)
     assert len(matches) == 1
     assert matches[0].span.start_line == 3
-    assert matches[0].span.last_line() == 6
+    assert matches[0].span.end_line == 6
 
 
 def test_agreement_with_ast_on_clean_corpus():
