@@ -65,8 +65,6 @@ class Diagnostic:
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, float):
         return Fraction(str(value))
     return Fraction(value)
@@ -153,13 +151,14 @@ def check_overuse(loc_stats: LocStats, emit_count: int, cfg: CheckConfig,
 
 # ---------------------------------------------------------- placement check
 
+def _arg_names(emit: EmitStmt) -> set[str]:
+    return {name for arg in emit.args for name in identifier_names(arg)}
+
+
 def _emit_arg_symbols(emit: EmitStmt, tree: ScopeTree) -> set[Symbol]:
-    syms: set[Symbol] = set()
-    for arg in emit.args:
-        for name in identifier_names(arg):
-            sym = resolve_variable(name, emit.start, tree)
-            if sym is not None:
-                syms.add(sym)
+    syms = {resolve_variable(name, emit.start, tree)
+            for name in _arg_names(emit)}
+    syms.discard(None)
     return syms
 
 
@@ -233,22 +232,14 @@ def _arg_key(arg: Expr, emit: EmitStmt, tree: ScopeTree,
     return ("expr", "".join(file.text[arg.start:arg.end].split()))
 
 
-def _arg_multiset(emit: EmitStmt, tree: ScopeTree,
-                  file: SourceFile) -> Counter:
-    return Counter(_arg_key(arg, emit, tree, file) for arg in emit.args)
-
-
-def _arg_names(emit: EmitStmt) -> set[str]:
-    return {name for arg in emit.args for name in identifier_names(arg)}
-
-
 def _redundancies(blocks: list[Block], tree: ScopeTree, path: str,
                   file: SourceFile) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     for block in blocks:
         # An emit whose own arguments call or write may log a value no
         # other emit can repeat, so it pairs with none.
-        emits = [(i, s, _arg_multiset(s, tree, file), _arg_names(s))
+        emits = [(i, s, Counter(_arg_key(arg, s, tree, file)
+                                for arg in s.args), _arg_names(s))
                  for i, s in enumerate(block.stmts)
                  if isinstance(s, EmitStmt)
                  and not has_call(s) and not kill_names(s)]
@@ -303,24 +294,20 @@ def _debug_forms(emits: Iterable[EmitStmt], cfg: CheckConfig,
     for emit in emits:
         by_name[emit.event_name][emit.start] = emit
         if not emit.args:
-            diags.append(Diagnostic(
-                CheckId.DEBUG_EVENT, Severity.HINT, path, emit.span,
-                f"emit {emit.event_name} logs no values; empty events "
-                f"are a typical debug leftover; delete it once "
-                f"debugging is done"))
+            shape = ("logs no values; empty events are a typical debug "
+                     "leftover; delete it once debugging is done")
         elif len(emit.args) == 1 and _is_string_literal(emit.args[0]):
-            diags.append(Diagnostic(
-                CheckId.DEBUG_EVENT, Severity.HINT, path, emit.span,
-                f"emit {emit.event_name} logs a single string literal, "
-                f"a typical debug leftover; delete it once debugging "
-                f"is done"))
+            shape = ("logs a single string literal, a typical debug "
+                     "leftover; delete it once debugging is done")
         elif cfg.debug_event_form_b and \
                 any(_is_string_literal(a) for a in emit.args) and \
                 any(_is_variable_arg(a) for a in emit.args):
-            diags.append(Diagnostic(
-                CheckId.DEBUG_EVENT, Severity.HINT, path, emit.span,
-                f"emit {emit.event_name} mixes variables with a string "
-                f"literal, a shape often used for debug tracing"))
+            shape = ("mixes variables with a string literal, a shape often "
+                     "used for debug tracing")
+        else:
+            continue
+        diags.append(Diagnostic(CheckId.DEBUG_EVENT, Severity.HINT, path,
+                                emit.span, f"emit {emit.event_name} {shape}"))
     for name, by_start in by_name.items():
         if len(by_start) < 2:
             continue

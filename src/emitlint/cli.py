@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .evolution import (
     FilePair, Independence, Revision, RevisionReport, analyze_revision,
 )
 from .metrics import ProjectMetrics, compute_metrics
-from .source import SourceFile
+from .source import SourceFile, Span
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -142,7 +143,11 @@ def load_config(ns: argparse.Namespace) -> CheckConfig:
             form_b = _checked(data["debugEventFormB"], bool,
                               f'{where}: "debugEventFormB" must be a boolean')
     if getattr(ns, "overuse_threshold", None):
-        threshold = Fraction(ns.overuse_threshold)
+        try:
+            threshold = Fraction(ns.overuse_threshold)
+        except ZeroDivisionError:
+            raise ValueError(f"overuse threshold {ns.overuse_threshold!r} "
+                             "has a zero denominator") from None
     if getattr(ns, "enable", None):
         enabled = _parse_check_ids(ns.enable)
     if getattr(ns, "disable", None):
@@ -187,23 +192,24 @@ def _load_files(paths: list[str]) -> tuple[list[SourceFile], list[str]]:
 
 # ------------------------------------------------------------------ lint cmd
 
+def _span_to_dict(span: Span) -> dict:
+    return {
+        "startLine": span.start_line,
+        "startCol": span.start_col,
+        "endLine": span.end_line,
+        "endCol": span.end_col,
+    }
+
+
 def _diag_to_dict(diag: Diagnostic) -> dict:
     suggestion = None
     if diag.suggestion is not None:
         s = diag.suggestion
-        suggestion = {
-            "replacement": s.replacement_text,
-            "startLine": s.replace_span.start_line,
-            "startCol": s.replace_span.start_col,
-            "endLine": s.replace_span.end_line,
-            "endCol": s.replace_span.end_col,
-        }
+        suggestion = {"replacement": s.replacement_text,
+                      **_span_to_dict(s.replace_span)}
     return {
         "file": diag.file,
-        "startLine": diag.span.start_line,
-        "startCol": diag.span.start_col,
-        "endLine": diag.span.end_line,
-        "endCol": diag.span.end_col,
+        **_span_to_dict(diag.span),
         "checkId": diag.check_id.value,
         "severity": diag.severity.value,
         "message": diag.message,
@@ -379,13 +385,10 @@ def _report_to_dict(report: RevisionReport) -> dict:
 
 
 def summarize_reports(reports: list[RevisionReport]) -> dict:
-    changes = [ch for rep in reports for ch in rep.changes]
-    total = len(changes)
-    absolute = sum(1 for ch in changes
-                   if ch.independence == Independence.ABSOLUTE_INDEPENDENT)
-    independent = absolute + sum(
-        1 for ch in changes
-        if ch.independence == Independence.HEURISTIC_INDEPENDENT)
+    labels = Counter(ch.independence for rep in reports for ch in rep.changes)
+    total = sum(labels.values())
+    absolute = labels[Independence.ABSOLUTE_INDEPENDENT]
+    independent = absolute + labels[Independence.HEURISTIC_INDEPENDENT]
     return {
         "changeCount": total,
         "absoluteIndependentFraction":

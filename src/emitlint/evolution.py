@@ -205,29 +205,29 @@ def _ident_tokens(raw_args: str) -> list[str]:
     return _IDENT_TOKEN_RE.findall(raw_args)
 
 
+def _minus(tokens: list[str], other: list[str]) -> list[str]:
+    """The words of tokens that other lacks, counted with multiplicity; of a
+    word's occurrences the first ones are kept, in order."""
+    extra = Counter(tokens) - Counter(other)
+    kept: list[str] = []
+    for tok in tokens:
+        if extra[tok] > 0:
+            extra[tok] -= 1
+            kept.append(tok)
+    return kept
+
+
 def _changed_tokens(before: RegexEmitMatch | None,
                     after: RegexEmitMatch | None,
                     category: ChangeCategory) -> list[str]:
+    """The argument words one side has and the other lacks, the removed
+    ones first; a missing side has no words."""
     if category in (ChangeCategory.MOVE, ChangeCategory.REPLACEMENT):
         return []
-    if category == ChangeCategory.ADDITION:
-        return _ident_tokens(after.raw_args)
-    if category == ChangeCategory.DELETION:
-        return _ident_tokens(before.raw_args)
-    before_tokens = _ident_tokens(before.raw_args)
-    after_tokens = _ident_tokens(after.raw_args)
-    removed = Counter(before_tokens) - Counter(after_tokens)
-    added = Counter(after_tokens) - Counter(before_tokens)
-    tokens: list[str] = []
-    for tok in before_tokens:
-        if removed[tok] > 0:
-            removed[tok] -= 1
-            tokens.append(tok)
-    for tok in after_tokens:
-        if added[tok] > 0:
-            added[tok] -= 1
-            tokens.append(tok)
-    return tokens
+    before_tokens = _ident_tokens(before.raw_args) if before else []
+    after_tokens = _ident_tokens(after.raw_args) if after else []
+    return (_minus(before_tokens, after_tokens)
+            + _minus(after_tokens, before_tokens))
 
 
 # ---------------------------------------------------------- shared analysis
@@ -374,8 +374,13 @@ class PairAnalysis:
              abs(d_lines.start - a_lines.start), di, ai)
             for di, (d, d_lines) in enumerate(gone)
             for ai, (a, a_lines) in enumerate(new))
-        path = self.pair.path
         changes: list[EventUseChange] = []
+
+        def change(category, before, after):
+            changes.append(EventUseChange(
+                self.pair.path, category, before, after,
+                _changed_tokens(before, after, category)))
+
         matched_d: set[int] = set()
         matched_a: set[int] = set()
         for rank, _, di, ai in candidates:
@@ -383,20 +388,13 @@ class PairAnalysis:
                 continue
             matched_d.add(di)
             matched_a.add(ai)
-            d, a = gone[di][0], new[ai][0]
-            category = _PAIRED_CATEGORIES[rank]
-            changes.append(EventUseChange(path, category, d, a,
-                                          _changed_tokens(d, a, category)))
+            change(_PAIRED_CATEGORIES[rank], gone[di][0], new[ai][0])
         for di, (d, _) in enumerate(gone):
             if di not in matched_d:
-                changes.append(EventUseChange(
-                    path, ChangeCategory.DELETION, d, None,
-                    _changed_tokens(d, None, ChangeCategory.DELETION)))
+                change(ChangeCategory.DELETION, d, None)
         for ai, (a, _) in enumerate(new):
             if ai not in matched_a:
-                changes.append(EventUseChange(
-                    path, ChangeCategory.ADDITION, None, a,
-                    _changed_tokens(None, a, ChangeCategory.ADDITION)))
+                change(ChangeCategory.ADDITION, None, a)
         return changes
 
 

@@ -325,12 +325,10 @@ def expr_children(expr: Expr) -> list[Expr]:
         return [expr.base] + ([expr.index] if expr.index is not None else [])
     if isinstance(expr, Call):
         return [expr.callee] + list(expr.args)
-    if isinstance(expr, Binary):
+    if isinstance(expr, (Binary, Assignment)):
         return [expr.lhs, expr.rhs]
     if isinstance(expr, Unary):
         return [expr.operand]
-    if isinstance(expr, Assignment):
-        return [expr.lhs, expr.rhs]
     if isinstance(expr, Conditional):
         return [expr.cond, expr.then, expr.otherwise]
     return []

@@ -12,6 +12,7 @@ whatever parses around the damage.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from typing import Callable
 
 from .lexer import (
     ASSIGN_OPS, LexResult, Token, TokenKind, is_elementary_type, lex,
@@ -20,18 +21,13 @@ from .nodes import (
     Assignment, Binary, Block, Call, Conditional, ContractDef, ContractKind,
     DataLocation, Directive, EmitStmt, EventDef, EventParam, Expr, ExprStmt,
     For, FunctionDef, Identifier, If, IndexAccess, Literal, LiteralKind,
-    LocalVarDecl, MemberAccess, Param, ParseError, Return, SourceUnit,
+    LocalVarDecl, MemberAccess, Node, Param, ParseError, Return, SourceUnit,
     StateVarDecl, Stmt, Unary, Unparsed, While,
 )
 from .source import SourceFile, Span
 
 _VISIBILITY = frozenset({"public", "private", "internal", "external"})
 _MUTABILITY = frozenset({"view", "pure", "payable", "constant"})
-_LOCATIONS = {
-    "memory": DataLocation.MEMORY,
-    "storage": DataLocation.STORAGE,
-    "calldata": DataLocation.CALLDATA,
-}
 _BINARY_PREC = {
     "||": 1, "&&": 2,
     "==": 3, "!=": 3,
@@ -127,9 +123,6 @@ class Parser:
             return 0, len(self.file.text)
         return tok.start, tok.end
 
-    def _here_span(self) -> Span:
-        return self.file.span_from_offsets(*self._here())
-
     def _offsets_from(self, start_idx: int) -> tuple[int, int]:
         """Offsets from token start_idx through the last consumed token;
         tokens are in source order, so the first starts it and the last
@@ -149,7 +142,8 @@ class Parser:
 
     def _record(self, message: str, severity: str = "error",
                 span: Span | None = None) -> None:
-        self.errors.append(ParseError(message, span or self._here_span(), severity))
+        span = span or self.file.span_from_offsets(*self._here())
+        self.errors.append(ParseError(message, span, severity))
 
     def _damage(self, message: str, severity: str = "error") -> None:
         self._record(message, severity)
@@ -315,25 +309,18 @@ class Parser:
             self._match(TokenKind.IDENTIFIER)
             self._skip_group("{", "}")
             return
-        if self._is("using"):
-            self._skip_to_semicolon()
-            return
-        # Custom error and user-defined value type declarations: skipped
-        # silently, they cannot contain statements.
-        if self._is("error") and self._check(TokenKind.IDENTIFIER, 1) and \
-                self._is("(", ahead=2):
-            self._skip_to_semicolon()
-            return
-        if self._is("type") and self._check(TokenKind.IDENTIFIER, 1) and \
-                self._is("is", ahead=2):
+        # Using directives, custom errors and user-defined value types:
+        # skipped silently, they cannot contain statements.
+        if self._is("using") or self._check(TokenKind.IDENTIFIER, 1) and (
+                self._is("error") and self._is("(", ahead=2)
+                or self._is("type") and self._is("is", ahead=2)):
             self._skip_to_semicolon()
             return
         var = self._try_state_var()
         if var is not None:
             contract.state_vars.append(var)
             return
-        self._record("unsupported contract member skipped", "warning",
-                     self._here_span())
+        self._record("unsupported contract member skipped", "warning")
         before = self.i
         self._skip_to_semicolon()
         if self.i == before:
@@ -386,34 +373,15 @@ class Parser:
             self._skip_to_semicolon()
             return None
         params: list[EventParam] = []
-        indexed_count = 0
         if self._eat("("):
-            while not self._is(")") and not self._at_end():
-                pstart = self.i
-                try:
-                    type_name = self._parse_type_name()
-                except _Fail:
-                    self._record("unsupported event parameter type", "warning")
-                    self._skip_param()
-                    if not self._eat(","):
-                        break
-                    continue
-                indexed = self._eat("indexed") is not None
-                if indexed:
-                    indexed_count += 1
-                pname = self._match(TokenKind.IDENTIFIER)
-                params.append(EventParam(*self._at(pstart),
-                                         pname.lexeme if pname else None,
-                                         type_name, indexed))
-                if not self._eat(","):
-                    break
-            if self._eat(")") is None:
-                self._record("expected ')' in event declaration")
+            params = self._param_list("event parameter", "event declaration",
+                                      self._event_param)
         self._eat("anonymous")
         if self._eat(";") is None:
             self._record("expected ';' after event declaration")
             self._skip_to_semicolon()
         event = EventDef(*self._at(start), name_tok.lexeme, params)
+        indexed_count = sum(param.indexed for param in params)
         if indexed_count > 3:
             self._record(
                 f"event {event.name} declares {indexed_count} indexed "
@@ -449,7 +417,8 @@ class Parser:
         params: list[Param] = []
         returns_params: list[Param] = []
         if self._eat("("):
-            params = self._parse_param_list()
+            params = self._param_list("parameter", "parameter list",
+                                      self._param)
         visibility = ""
         mutability = ""
         while not self._at_end() and not self._is("{", ";", "}"):
@@ -461,7 +430,8 @@ class Parser:
                 self._skip_group("(", ")")
             elif self._eat("returns"):
                 if self._eat("("):
-                    returns_params = self._parse_param_list()
+                    returns_params = self._param_list(
+                        "parameter", "parameter list", self._param)
             elif self._match(TokenKind.IDENTIFIER):
                 # Modifier invocation, possibly dotted, possibly with args.
                 while self._eat("."):
@@ -470,41 +440,50 @@ class Parser:
             else:
                 self._advance()  # 'virtual' and unknown header tokens
         body: Block | None = None
-        if self._eat(";"):
-            body = None
-        elif self._is("{"):
+        if self._is("{"):
             body = self._parse_block()
-        else:
+        elif not self._eat(";"):
             self._record("expected function body or ';'")
         return FunctionDef(*self._at(start), name, kind, params,
                            returns_params, visibility, mutability, body)
 
-    def _parse_param_list(self) -> list[Param]:
-        params: list[Param] = []
+    def _param_list(self, what: str, where: str,
+                    param: Callable[[int, str], Node]) -> list:
+        """The parameters after an '(', through its ')'. Each type is read
+        here and the rest by param(start, type_name); a parameter whose type
+        does not parse is skipped with a warning."""
+        params = []
         while not self._is(")") and not self._at_end():
-            pstart = self.i
+            start = self.i
             try:
                 type_name = self._parse_type_name()
             except _Fail:
-                self._record("unsupported parameter type", "warning")
+                self._record(f"unsupported {what} type", "warning")
                 self._skip_param()
-                if not self._eat(","):
-                    break
-                continue
-            location = DataLocation.DEFAULT
-            loc_tok = self._eat("memory", "storage", "calldata")
-            if loc_tok is not None:
-                location = _LOCATIONS[loc_tok.lexeme]
-            self._eat("indexed")  # tolerated if misplaced
-            pname = self._match(TokenKind.IDENTIFIER)
-            params.append(Param(*self._at(pstart),
-                                pname.lexeme if pname else "", type_name,
-                                location))
+            else:
+                params.append(param(start, type_name))
             if not self._eat(","):
                 break
         if self._eat(")") is None:
-            self._record("expected ')' in parameter list")
+            self._record(f"expected ')' in {where}")
         return params
+
+    def _param(self, start: int, type_name: str) -> Param:
+        location = self._location()
+        self._eat("indexed")  # tolerated if misplaced
+        pname = self._match(TokenKind.IDENTIFIER)
+        return Param(*self._at(start), pname.lexeme if pname else "",
+                     type_name, location)
+
+    def _event_param(self, start: int, type_name: str) -> EventParam:
+        indexed = self._eat("indexed") is not None
+        pname = self._match(TokenKind.IDENTIFIER)
+        return EventParam(*self._at(start), pname.lexeme if pname else None,
+                          type_name, indexed)
+
+    def _location(self) -> DataLocation:
+        tok = self._eat("memory", "storage", "calldata")
+        return DataLocation(tok.lexeme) if tok else DataLocation.DEFAULT
 
     def _parse_type_name(self) -> str:
         tok = self._peek()
@@ -557,26 +536,24 @@ class Parser:
         return Block(*self._at(start), stmts)
 
     def _parse_stmt(self) -> Stmt:
+        """A statement; nested too deep or damaged, the region it covers
+        survives as Unparsed."""
         start = self.i
-        if self.stmt_depth >= _MAX_STMT_DEPTH:
-            self._record("statement nesting too deep; region skipped")
-            if self._is("{"):
-                self._skip_group("{", "}")
-            else:
+        if self.stmt_depth < _MAX_STMT_DEPTH:
+            self.stmt_depth += 1
+            try:
+                return self._parse_stmt_inner()
+            except _Damage:
                 self._skip_to_semicolon()
-            if self.i == start and not self._at_end():
-                self._advance()
-            return Unparsed(*self._at(start), self._raw_text(start))
-        self.stmt_depth += 1
-        try:
-            return self._parse_stmt_inner()
-        except _Damage:
-            self._skip_to_semicolon()
-            if self.i == start and not self._at_end():
-                self._advance()
-            return Unparsed(*self._at(start), self._raw_text(start))
-        finally:
-            self.stmt_depth -= 1
+            finally:
+                self.stmt_depth -= 1
+        else:
+            self._record("statement nesting too deep; region skipped")
+            if not self._skip_group("{", "}"):
+                self._skip_to_semicolon()
+        if self.i == start and not self._at_end():
+            self._advance()  # guarantee progress
+        return Unparsed(*self._at(start), self._raw_text(start))
 
     def _unparsed_stmt(self, start: int, message: str,
                        severity: str = "warning") -> Unparsed:
@@ -640,11 +617,10 @@ class Parser:
             return Unparsed(*self._at(start), self._raw_text(start))
         if word == "(":
             # Tuple assignments and parenthesized heads.
-            mark = self.i
             try:
                 expr = self._parse_expression()
             except _Fail:
-                self.i = mark
+                self.i = start
                 self._skip_to_semicolon()
                 return self._unparsed_stmt(start, "tuple statement skipped")
             self._expect_punct(";", "after expression statement")
@@ -654,11 +630,10 @@ class Parser:
             return decl
         if self._is("revert") and self._check(TokenKind.IDENTIFIER, 1):
             # revert CustomError(args);
-            rstart = self.i
             rtok = self._advance()
             inner = self._expr_or_damage("unsupported revert statement")
             self._expect_punct(";", "after revert statement")
-            at = self._at(rstart)
+            at = self._at(start)
             callee = Identifier(rtok.start, rtok.end, self.file, rtok.lexeme)
             return ExprStmt(*at, Call(*at, callee, [inner]))
         expr = self._expr_or_damage("unsupported or malformed statement")
@@ -680,12 +655,17 @@ class Parser:
             if not self._is("catch"):
                 return
 
+    def _condition(self) -> Expr:
+        """The keyword of an if or while and its parenthesized condition."""
+        word = self._advance().lexeme
+        self._expect_punct("(", f"after {word}")
+        cond = self._expr_or_damage(f"unsupported {word} condition")
+        self._expect_punct(")", f"after {word} condition")
+        return cond
+
     def _parse_if(self) -> Stmt:
         start = self.i
-        self._advance()
-        self._expect_punct("(", "after if")
-        cond = self._expr_or_damage("unsupported if condition")
-        self._expect_punct(")", "after if condition")
+        cond = self._condition()
         then = self._parse_stmt()
         otherwise = None
         if self._eat("else"):
@@ -694,11 +674,8 @@ class Parser:
 
     def _parse_while(self) -> Stmt:
         start = self.i
-        self._advance()
-        self._expect_punct("(", "after while")
-        cond = self._expr_or_damage("unsupported while condition")
-        self._expect_punct(")", "after while condition")
-        body = self._parse_stmt()
+        cond = self._condition()
+        body = self._parse_stmt()  # before _at, which reads the last token
         return While(*self._at(start), cond, body)
 
     def _parse_for(self) -> Stmt:
@@ -749,10 +726,7 @@ class Parser:
         mark = self.i
         try:
             type_name = self._parse_type_name()
-            location = DataLocation.DEFAULT
-            loc_tok = self._eat("memory", "storage", "calldata")
-            if loc_tok is not None:
-                location = _LOCATIONS[loc_tok.lexeme]
+            location = self._location()
             name_tok = self._match(TokenKind.IDENTIFIER)
             if name_tok is None or not self._is(";", "="):
                 raise _Fail()
@@ -859,17 +833,12 @@ class Parser:
                 self._expect("]")
                 expr = IndexAccess(*self._at(start), expr, index)
                 continue
-            if word == "{":
-                options = self._try_call_options()
+            if word in ("(", "{"):
+                options = [] if word == "(" else self._try_call_options()
                 if options is None:
                     return expr
                 self._expect("(")
-                args = self._parse_call_args()
-                expr = Call(*self._at(start), expr, options + args)
-                continue
-            if word == "(":
-                self._advance()
-                args = self._parse_call_args()
+                args = options + self._parse_call_args()
                 expr = Call(*self._at(start), expr, args)
                 continue
             if word in ("++", "--"):

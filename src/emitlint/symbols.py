@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .nodes import (
-    Block, ContractDef, DataLocation, For, FunctionDef, If, LocalVarDecl,
-    Node, Param, SourceUnit, Stmt, While,
+    Block, ContractDef, DataLocation, For, FunctionDef, LocalVarDecl, Node,
+    Param, SourceUnit, Stmt, statement_children,
 )
 from .source import SourceFile, Span
 
@@ -239,34 +239,16 @@ class _Builder:
             if param.name:
                 self._add_variable(scope, SymbolKind.PARAM, param)
         if fn.body is not None:
-            self._build_block(scope, fn.body)
-
-    def _build_block(self, parent: Scope, block: Block) -> None:
-        scope = self._new_scope(parent, block)
-        for stmt in block.stmts:
-            self._build_stmt(scope, stmt)
+            self._build_stmt(scope, fn.body)
 
     def _build_stmt(self, scope: Scope, stmt: Stmt) -> None:
+        """A block and a for loop (its initializer included) open a scope."""
         if isinstance(stmt, LocalVarDecl):
             self._add_variable(scope, SymbolKind.LOCAL_VAR, stmt)
-            return
-        if isinstance(stmt, Block):
-            self._build_block(scope, stmt)
-            return
-        if isinstance(stmt, If):
-            self._build_stmt(scope, stmt.then)
-            if stmt.otherwise is not None:
-                self._build_stmt(scope, stmt.otherwise)
-            return
-        if isinstance(stmt, For):
-            inner = self._new_scope(scope, stmt)
-            if stmt.init is not None:
-                self._build_stmt(inner, stmt.init)
-            self._build_stmt(inner, stmt.body)
-            return
-        if isinstance(stmt, While):
-            self._build_stmt(scope, stmt.body)
-            return
+        if isinstance(stmt, (Block, For)):
+            scope = self._new_scope(scope, stmt)
+        for child in statement_children(stmt):
+            self._build_stmt(scope, child)
 
 
 def build_symbols(unit: SourceUnit) -> ScopeTree:

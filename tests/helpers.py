@@ -131,11 +131,22 @@ _LOCATION_FIELDS = frozenset({"span", "start", "end", "file"})
 def nodes_in(obj) -> list[Node]:
     """Every node in a tree of nodes, lists and tuples, preorder."""
     if isinstance(obj, Node):
-        return [obj] + [n for f in fields(obj)
-                        for n in nodes_in(getattr(obj, f.name))]
+        return [obj] + [n for child in child_nodes(obj)
+                        for n in nodes_in(child)]
     if isinstance(obj, (list, tuple)):
         return [n for item in obj for n in nodes_in(item)]
     return []
+
+
+def child_nodes(node: Node) -> list[Node]:
+    """The nodes that node's fields hold, directly or in a list."""
+    children = []
+    for f in fields(node):
+        value = getattr(node, f.name)
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, Node):
+                children.append(item)
+    return children
 
 
 class SpanCounts:

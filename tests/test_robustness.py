@@ -1,6 +1,7 @@
 """Seeded robustness sweep over token soup, mutated fixtures and mutated
 snippets: every analysis runs on every input without raising, reports spans
-inside the file, gives the same output twice, and on a parse with no errors
+inside the file, keeps each AST node inside its parent, gives the same output
+twice, and on a parse with no errors
 counts as many emits from the AST as the textual matcher finds outside
 comments and strings."""
 
@@ -10,7 +11,9 @@ from emitlint.metrics import compute_metrics
 from emitlint.scan import extract_emits_regex
 from emitlint.source import SourceFile, Span
 
-from helpers import count_ast_emits, spans_in, src, sweep_inputs
+from helpers import (
+    child_nodes, count_ast_emits, nodes_in, spans_in, src, sweep_inputs,
+)
 
 
 def _inside(span: Span, file: SourceFile) -> bool:
@@ -35,7 +38,7 @@ def test_every_analysis_survives_seeded_damage():
     texts = sweep_inputs()
     assert len(texts) >= 2000
     before = src("")
-    clean = 0
+    clean = pairs = 0
     for i, text in enumerate(texts):
         after = src(text, f"in{i}.sol")
         checked, metrics, report = _analyze(before, after)
@@ -51,6 +54,15 @@ def test_every_analysis_survives_seeded_damage():
         assert all(_inside(ch.before_emit.span, before)
                    for ch in report.changes if ch.before_emit), i
         unit = checked.analysis.unit
+        # A node whose offsets were taken before its last child was parsed
+        # ends before that child does.
+        edges = [(parent, child) for parent in nodes_in(unit)
+                 for child in child_nodes(parent)]
+        astray = [(parent, child) for parent, child in edges
+                  if not parent.start <= child.start <= child.end
+                  <= parent.end]
+        assert not astray, (i, astray[:1])
+        pairs += len(edges)
         if not unit.parse_errors:
             clean += 1
             regex = sum(1 for m in extract_emits_regex(after)
@@ -58,3 +70,4 @@ def test_every_analysis_survives_seeded_damage():
             assert count_ast_emits(unit) == regex, (i, text)
         before = after
     assert clean >= 100, clean
+    assert pairs >= 40_000, pairs
