@@ -9,7 +9,7 @@ between revisions by category and independence.
 from .checks import (
     CheckConfig, CheckId, Diagnostic, Severity, Suggestion, run_checks,
 )
-from .dataflow import EqualityFact, KillEvent, KillKind, equalities_at
+from .dataflow import EqualityFact, equalities_at
 from .evolution import (
     ChangeCategory, ChurnReport, DiffOp, EventUseChange, FilePair,
     Independence, LineDiff, Revision, RevisionReport, analyze_revision,
@@ -33,12 +33,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ChangeCategory", "CheckConfig", "CheckId", "ChurnReport", "Diagnostic",
     "DiffOp", "EqualityFact", "EventUseChange", "FileMetrics", "FilePair",
-    "Independence", "KillEvent", "KillKind", "LexError", "LineDiff",
-    "LocStats", "LocationClass", "ParseError", "ProjectMetrics",
-    "RegexEmitMatch", "Revision", "RevisionReport", "ScopeTree", "Severity",
-    "SourceFile", "SourceUnit", "Span", "Suggestion", "Symbol", "SymbolKind",
-    "Token", "TokenKind", "analyze_revision", "build_symbols", "churn",
-    "classify_independence", "compute_metrics", "count_loc", "diff_lines",
-    "equalities_at", "extract_emits_regex", "pair_emit_changes", "parse",
-    "parse_file", "resolve", "resolve_at", "run_checks", "tokenize",
+    "Independence", "LexError", "LineDiff", "LocStats", "LocationClass",
+    "ParseError", "ProjectMetrics", "RegexEmitMatch", "Revision",
+    "RevisionReport", "ScopeTree", "Severity", "SourceFile", "SourceUnit",
+    "Span", "Suggestion", "Symbol", "SymbolKind", "Token", "TokenKind",
+    "analyze_revision", "build_symbols", "churn", "classify_independence",
+    "compute_metrics", "count_loc", "diff_lines", "equalities_at",
+    "extract_emits_regex", "pair_emit_changes", "parse", "parse_file",
+    "resolve", "resolve_at", "run_checks", "tokenize",
 ]

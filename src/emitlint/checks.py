@@ -14,13 +14,15 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .dataflow import equalities_at, has_call, kill_names, resolve_variable
+from .dataflow import (
+    equalities_at, has_call, kill_names, resolve_variable, writes,
+)
 from .metrics import FileAnalysis
 from .nodes import (
     Assignment, Block, Call, EmitStmt, Expr, FunctionDef, Identifier,
     IndexAccess, Literal, LiteralKind, MemberAccess, SourceUnit, Stmt,
     identifier_names, iter_emits, iter_functions, root_identifier,
-    walk_function, walk_statements, walk_stmt_expressions,
+    walk_function, walk_statements,
 )
 from .scan import LocStats
 from .source import SourceFile, Span
@@ -165,22 +167,20 @@ def _emit_arg_symbols(emit: EmitStmt, tree: ScopeTree) -> set[Symbol]:
 def _operation_touching(stmt: Stmt, emit_syms: set[Symbol],
                         tree: ScopeTree) -> str | None:
     """Description of the first operation in stmt that rewrites or transfers
-    with one of the emitted symbols, if any."""
-    for expr in walk_stmt_expressions(stmt):
-        if isinstance(expr, Assignment):
-            root = root_identifier(expr.lhs)
-            if root is None:
-                continue
-            sym = resolve_at(root.name, root.start, tree)
-            if sym in emit_syms:
-                return f"assignment to '{root.name}'"
-        elif isinstance(expr, Call) and isinstance(expr.callee, MemberAccess) \
-                and expr.callee.member in TRANSFER_LIKE_CALLEES:
-            for arg in expr.args:
-                for name in identifier_names(arg):
-                    sym = resolve_at(name, expr.start, tree)
-                    if sym in emit_syms:
-                        return f"{expr.callee.member} call using '{name}'"
+    with one of the emitted symbols, if any: an assignment to it, or an
+    argument (not the receiver) of a transfer-like member call."""
+    for write, root in writes(stmt):
+        if isinstance(write, Assignment):
+            what = f"assignment to '{root.name}'"
+        elif isinstance(write, Call) and \
+                isinstance(write.callee, MemberAccess) and \
+                write.callee.member in TRANSFER_LIKE_CALLEES and \
+                root is not root_identifier(write.callee.base):
+            what = f"{write.callee.member} call using '{root.name}'"
+        else:
+            continue
+        if resolve_at(root.name, root.start, tree) in emit_syms:
+            return what
     return None
 
 

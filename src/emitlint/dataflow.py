@@ -10,31 +10,24 @@ at every loop header, and after any compound or unparsed statement that does
 not itself contain the emit. Dropping everything at those points is stricter
 than necessary but never claims a false equality.
 
-Every kill notion here (resolved kill events, the name-level kill sets that
-REDUNDANT_EVENT uses, and the effects of a branch condition) derives from
-one walker over a statement's own expressions.
+Every write notion (the facts a statement kills, the name-level kill sets
+that REDUNDANT_EVENT uses, the effects of a branch condition and the
+operations EMIT_BEFORE_OP looks for) derives from one walker over a
+statement's own expressions: writes().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterator
 
 from .nodes import (
-    Assignment, Block, Call, EmitStmt, ExprStmt, For, FunctionDef,
+    Assignment, Block, Call, EmitStmt, Expr, ExprStmt, For, FunctionDef,
     Identifier, If, LocalVarDecl, MemberAccess, Stmt, Unary, Unparsed, While,
     root_identifier, walk_expr, walk_stmt_expressions,
 )
 from .source import SourceFile, Span
 from .symbols import LocationClass, ScopeTree, Symbol, SymbolKind, resolve_at
-
-
-class KillKind(Enum):
-    REASSIGNED = "Reassigned"
-    PASSED_AS_CALL_ARGUMENT = "PassedAsCallArgument"
-    COMPOUND_ASSIGNED = "CompoundAssigned"
-    INC_DEC = "IncDec"
 
 
 @dataclass(frozen=True)
@@ -52,20 +45,6 @@ class EqualityFact:
         return self.file.span_from_offsets(self.start, self.end)
 
 
-@dataclass(frozen=True)
-class KillEvent:
-    """victim may change at the identifier at the offsets [start, end)."""
-    kind: KillKind
-    victim: Symbol
-    start: int
-    end: int
-    file: SourceFile = field(repr=False, compare=False)
-
-    @property
-    def span(self) -> Span:
-        return self.file.span_from_offsets(self.start, self.end)
-
-
 _VARIABLE_KINDS = (SymbolKind.STATE_VAR, SymbolKind.PARAM, SymbolKind.LOCAL_VAR)
 
 
@@ -79,21 +58,19 @@ def resolve_variable(name: str, offset: int,
     return None
 
 
-def _kills(stmt: Stmt) -> Iterator[tuple[KillKind, Identifier]]:
-    """Kind and root identifier of every write the statement's own
-    expressions may make, in walk order."""
+def writes(stmt: Stmt) -> Iterator[tuple[Expr, Identifier]]:
+    """The expression making each write the statement's own expressions may
+    make (an assignment, a ++/-- or a call), and the root identifier it
+    writes, in walk order. A call writes every identifier in its arguments
+    and then the receiver of a member call."""
     for expr in walk_stmt_expressions(stmt):
         if isinstance(expr, Assignment):
-            kind = (KillKind.REASSIGNED if expr.op == "="
-                    else KillKind.COMPOUND_ASSIGNED)
             targets = [expr.lhs]
         elif isinstance(expr, Unary) and expr.op in ("++", "--"):
-            kind, targets = KillKind.INC_DEC, [expr.operand]
+            targets = [expr.operand]
         elif isinstance(expr, Call):
-            kind = KillKind.PASSED_AS_CALL_ARGUMENT
             targets = [node for arg in expr.args for node in walk_expr(arg)
                        if isinstance(node, Identifier)]
-            # A member call can mutate its receiver.
             if isinstance(expr.callee, MemberAccess):
                 targets.append(expr.callee.base)
         else:
@@ -101,24 +78,13 @@ def _kills(stmt: Stmt) -> Iterator[tuple[KillKind, Identifier]]:
         for target in targets:
             root = root_identifier(target)
             if root is not None:
-                yield kind, root
-
-
-def kill_events(stmt: Stmt, tree: ScopeTree) -> list[KillEvent]:
-    """Kill events produced by one statement, victims resolved to symbols."""
-    events: list[KillEvent] = []
-    for kind, root in _kills(stmt):
-        sym = resolve_variable(root.name, root.start, tree)
-        if sym is not None:
-            events.append(KillEvent(kind, sym, root.start, root.end,
-                                    root.file))
-    return events
+                yield expr, root
 
 
 def kill_names(stmt: Stmt) -> set[str]:
-    """Raw identifier names a statement may invalidate (unresolved form of
-    kill_events, used by name-level suppression in checks)."""
-    return {root.name for _, root in _kills(stmt)}
+    """Raw identifier names a statement may invalidate (the name-level
+    suppression in checks)."""
+    return {root.name for _, root in writes(stmt)}
 
 
 def has_call(stmt: Stmt) -> bool:
@@ -160,7 +126,8 @@ def _kill_own_effects(stmt: Stmt, facts: _FactMap,
     empty when they contain a call (a callee can write storage)."""
     if not facts or has_call(stmt):
         return {}
-    victims = {event.victim for event in kill_events(stmt, tree)}
+    victims = {resolve_variable(root.name, root.start, tree)
+               for _, root in writes(stmt)}
     return {key: fact for key, fact in facts.items()
             if fact.storage_sym not in victims
             and fact.memory_sym not in victims}

@@ -46,7 +46,7 @@ from fractions import Fraction
 from operator import attrgetter
 import re
 
-from .lexer import ASSIGN_OPS, Token, TokenKind, classify_word, lex
+from .lexer import ASSIGN_OPS, Token, TokenKind, lex
 from .scan import (
     LINE_BLANK, LINE_CODE, LINE_COMMENT, RegexEmitMatch, classify_lines,
     extract_emits_regex,
@@ -439,12 +439,10 @@ class RevisionAnalysis:
     def passes_kill_test(self, change: EventUseChange) -> bool:
         """True when none of the change's argument tokens is reassigned or
         passed to a call on the revision's changed lines (whole files in
-        whole-file mode). Vacuously true when the change has no identifier
-        tokens."""
-        tokens = [t for t in change.changed_arg_tokens
-                  if classify_word(t) == TokenKind.IDENTIFIER]
+        whole-file mode). Both sets hold identifiers only, so keywords among
+        the tokens never match."""
         return not any(t in self.assigned or t in self.passed
-                       for t in tokens)
+                       for t in change.changed_arg_tokens)
 
     def independence(self, change: EventUseChange) -> Independence:
         if self.emit_only:

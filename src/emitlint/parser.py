@@ -544,13 +544,13 @@ class Parser:
             try:
                 return self._parse_stmt_inner()
             except _Damage:
-                self._skip_to_semicolon()
+                pass
             finally:
                 self.stmt_depth -= 1
         else:
             self._record("statement nesting too deep; region skipped")
-            if not self._skip_group("{", "}"):
-                self._skip_to_semicolon()
+        if not self._skip_group("{", "}"):
+            self._skip_to_semicolon()
         if self.i == start and not self._at_end():
             self._advance()  # guarantee progress
         return Unparsed(*self._at(start), self._raw_text(start))

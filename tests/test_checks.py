@@ -208,6 +208,18 @@ def test_emit_before_transfer_sharing_symbol():
     assert "transfer" in diags[0].message
 
 
+def test_transfer_receiver_is_not_an_operation_on_it():
+    text = """contract C {
+    event Paid(address to, uint amount);
+    function f(address payable to, uint amount) public {
+        emit Paid(to, 1);
+        to.transfer(amount);
+    }
+}
+"""
+    assert _placement(text) == []
+
+
 def test_one_warning_per_emit_even_with_two_later_ops():
     text = """contract C {
     event T(uint x);
@@ -378,10 +390,12 @@ _SHARED = """contract C {
     "emit A(a[i]); a[i] = 5; emit B(a[i], z);",
     "emit A(z + 1); z = 3; emit B(z + 1, z);",
     "emit A(z); z = 3; emit B(z, 1);",
+    "emit A(a.length); a.push(1); emit B(a.length, z);",
 ])
 def test_a_write_to_any_shared_argument_name_between_suppresses(body):
     """Every identifier of a shared member, index or compound argument is
-    guarded, not only bare-identifier arguments."""
+    guarded, not only bare-identifier arguments, and a member call writes
+    its receiver."""
     assert _redundant(_SHARED % body) == []
 
 

@@ -428,13 +428,20 @@ def _non_string_pair_path(tmp_path) -> tuple[dict, str]:
             'emitlint: revision bad: "path" must be a string, not null')
 
 
+def _pair_without_files(tmp_path) -> tuple[dict, str]:
+    return ({"id": "bad", "pairs": [{"path": "x.sol", "beforeFile": None,
+                                     "afterFile": ""}]},
+            "emitlint: revision bad: pair with no files")
+
+
 def _non_object_revision(tmp_path) -> tuple[dict, str]:
     return ("bad", "emitlint: revisions[0]: must be a JSON object, "
                    "not a string")
 
 
 _BAD_REVISIONS = [_non_object_pair, _non_utf8_file, _non_string_file_name,
-                  _non_string_pair_path, _non_object_revision] + [
+                  _non_string_pair_path, _pair_without_files,
+                  _non_object_revision] + [
     pytest.param(partial(_non_string_file_name, name=name, found=found),
                  id=f"_non_string_file_name-{json.dumps(name)}")
     for name, found in ((False, "a boolean"), (0, "a number"),

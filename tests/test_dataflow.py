@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from emitlint.dataflow import KillKind, equalities_at, kill_events, kill_names
+from emitlint.dataflow import equalities_at, kill_names
 
 from helpers import (
     UnsupportedConstruct, brute_force_equalities, distinct_inputs, emits_of,
@@ -143,7 +143,9 @@ def test_unanalyzable_function_yields_empty():
     assert _facts(text) == []
 
 
-def test_kill_events_kinds():
+def test_kill_names_per_write_form():
+    """A plain assignment, a compound assignment, an increment and a call
+    argument each write their variable."""
     text = """contract C {
     uint public s;
     function f(uint a, uint b) public {
@@ -154,15 +156,9 @@ def test_kill_events_kinds():
     }
 }
 """
-    _, unit, tree = parsed(text)
+    _, unit, _ = parsed(text)
     stmts = unit.contracts[0].functions[0].body.stmts
-    assert [e.kind for e in kill_events(stmts[0], tree)] == [KillKind.REASSIGNED]
-    assert [e.kind for e in kill_events(stmts[1], tree)] == [
-        KillKind.COMPOUND_ASSIGNED]
-    assert [e.kind for e in kill_events(stmts[2], tree)] == [KillKind.INC_DEC]
-    assert [e.kind for e in kill_events(stmts[3], tree)] == [
-        KillKind.PASSED_AS_CALL_ARGUMENT]
-    assert kill_names(stmts[3]) == {"b"}
+    assert [kill_names(stmt) for stmt in stmts] == [{"a"}, {"b"}, {"a"}, {"b"}]
 
 
 def test_kill_completeness():

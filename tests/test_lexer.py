@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 from emitlint.lexer import TokenKind, lex, tokenize
 from emitlint.source import SourceFile
@@ -136,7 +137,8 @@ def test_tokens_ordered_and_nonoverlapping_with_reconstruction():
 
 
 def test_determinism():
-    file = src(open(__file__).read().replace("\x00", ""), "self.sol")
+    text = Path(__file__).read_text(encoding="utf-8")
+    file = src(text.replace("\x00", ""), "self.sol")
     assert lex(file).tokens == lex(file).tokens
 
 

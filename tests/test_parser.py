@@ -4,8 +4,8 @@ from emitlint.checks import run_checks
 from emitlint.lexer import lex
 from emitlint.nodes import (
     Assignment, Binary, Call, Conditional, ContractKind, DataLocation,
-    ExprStmt, Identifier, LocalVarDecl, MemberAccess, Unary, Unparsed,
-    walk_expr, walk_statements,
+    EmitStmt, ExprStmt, Identifier, If, Literal, LiteralKind, LocalVarDecl,
+    MemberAccess, Unary, Unparsed, While, walk_expr, walk_statements,
 )
 from emitlint.parser import has_fatal_errors, parse, parse_file
 from emitlint.source import SourceFile
@@ -285,6 +285,72 @@ def test_unparsed_records_raw_text():
     unparsed = unit.contracts[0].functions[0].body.stmts[0]
     assert isinstance(unparsed, Unparsed)
     assert unparsed.raw_text == "assembly { stop() }"
+
+
+def test_break_continue_and_delete_are_unparsed_without_errors():
+    text = """contract C {
+    mapping(uint => uint) m;
+    function f(uint k, bool c) public {
+        while (c) {
+            if (k > 1) break;
+            continue;
+        }
+        delete m[k];
+    }
+}
+"""
+    _, unit, _ = parsed(text)
+    assert unit.parse_errors == []
+    loop, delete = unit.contracts[0].functions[0].body.stmts
+    assert isinstance(loop, While)
+    if_break, cont = loop.body.stmts
+    assert [(type(s), s.raw_text) for s in (if_break.then, cont, delete)] \
+        == [(Unparsed, "break;"), (Unparsed, "continue;"),
+            (Unparsed, "delete m[k];")]
+
+
+def test_new_expression_is_a_call_of_a_synthetic_callee():
+    _, unit, _ = parsed("contract C { function f(uint k) public { "
+                        "Token t = new Token(k); } }")
+    assert unit.parse_errors == []
+    call = unit.contracts[0].functions[0].body.stmts[0].init
+    assert isinstance(call, Call)
+    assert call.callee.name == "new Token"
+    assert [a.name for a in call.args] == ["k"]
+
+
+def test_forty_hex_digits_are_an_address_literal():
+    address = "0x" + "0" * 36 + "dEaD"
+    text = ("contract C { event E(address a); function f() public { "
+            f"emit E({address}); emit E({address[:-1]}); }} }}")
+    _, unit, _ = parsed(text)
+    args = [e.args[0] for e in emits_of(unit.contracts[0].functions[0])]
+    assert all(isinstance(a, Literal) for a in args)
+    assert [(a.kind, len(a.text)) for a in args] == [
+        (LiteralKind.HEX_ADDRESS, 42), (LiteralKind.NUMBER, 41)]
+
+
+def test_if_at_end_of_input_is_fatal_damage_inside_the_text():
+    text = "contract C { function f(uint x) public { if (x)"
+    file, unit, _ = parsed(text)
+    assert has_fatal_errors(unit)
+    stmt = unit.contracts[0].functions[0].body.stmts[0]
+    assert isinstance(stmt, If) and isinstance(stmt.then, Unparsed)
+    assert text[stmt.start:stmt.end] == "if (x)"
+    assert 0 <= stmt.then.start <= stmt.then.end <= len(text)
+
+
+def test_damage_before_a_brace_skips_only_the_braced_group():
+    """Recovery skips a braced group whole, so the statement after it
+    survives."""
+    text = ("contract C { event E(uint v); function f() public { "
+            "if { x = 1; } emit E(1); } }")
+    _, unit, _ = parsed(text)
+    assert has_fatal_errors(unit)
+    damaged, emit = unit.contracts[0].functions[0].body.stmts
+    assert isinstance(damaged, Unparsed)
+    assert damaged.raw_text == "if { x = 1; }"
+    assert isinstance(emit, EmitStmt) and emit.event_name == "E"
 
 
 def test_spans_nest_within_parents():

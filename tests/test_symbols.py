@@ -149,6 +149,27 @@ contract Child is Base {
     assert sym.location_class == LocationClass.STORAGE
 
 
+def test_derived_state_var_shadows_the_base_one():
+    text = """contract Base {
+    uint public shared;
+}
+contract Child is Base {
+    uint shared;
+    event E(uint v);
+    function f() public {
+        emit E(shared);
+    }
+}
+"""
+    _, unit, tree = parsed(text)
+    emit = emits_of(unit.contracts[1].functions[0])[0]
+    sym = resolve("shared", emit.span, tree)
+    assert sym.decl_span.start_line == 5  # Child's declaration
+    assert tree.warnings == []
+    scope = tree.scopes[sym.scope_id]
+    assert sum(1 for s in scope.symbols if s.name == "shared") == 1
+
+
 def test_duplicate_state_var_warns_first_wins():
     text = """contract C {
     uint public twice;
