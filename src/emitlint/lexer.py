@@ -1,8 +1,14 @@
 """Tokenizer for the supported Solidity subset.
 
-Comments and whitespace are consumed, never emitted as tokens. Their source
-ranges are kept on the side so later passes can classify lines and decide
-whether a textual match falls inside a comment or a string literal.
+One regex walks the text with `finditer`, one match per token: each match
+takes the whitespace before its token, and the number of the group that
+matched names the token's class. Keywords are decided by the regex too: a
+keyword alternative, built from KEYWORDS and the elementary type names,
+comes before the word alternative, so no word is looked up afterwards.
+
+Comments and whitespace are consumed, never emitted as tokens. Comment and
+string ranges are kept on the side so later passes can classify lines and
+decide whether a textual match falls inside a comment or a string literal.
 
 Recovery: an unterminated string abandons the current line and resumes at the
 next one; an unterminated block comment swallows the rest of the file. Both
@@ -14,6 +20,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
+from operator import itemgetter
 
 from .source import SourceFile, Span
 
@@ -69,14 +77,11 @@ KEYWORDS = frozenset({
     "using", "view", "virtual", "while",
 })
 
-_ELEMENTARY_RE = re.compile(
-    r"^(u?int(\d+)?|bytes([1-9]|[12]\d|3[0-2])?|byte|bool|address|string"
-    r"|u?fixed(\d+x\d+)?)$"
-)
-
-# Solidity numbers are ASCII: `\d` would also take other scripts' digits.
-_NUMBER_RE = re.compile(
-    r"0[xX][0-9a-fA-F_]+|[0-9][0-9_]*(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+# The elementary type names, ASCII digits only. The one rule for which
+# words are keywords: KEYWORDS and these.
+_ELEMENTARY = (r"u?int(?:[0-9]+)?|bytes(?:[1-9]|[12][0-9]|3[0-2])?|byte|bool"
+               r"|address|string|u?fixed(?:[0-9]+x[0-9]+)?")
+_ELEMENTARY_RE = re.compile(f"(?:{_ELEMENTARY})\\Z")
 
 # Longest-match-first operator table.
 _OPERATORS = (
@@ -90,35 +95,54 @@ ASSIGN_OPS = frozenset({
     "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=",
 })
 
-# One named alternative per token class. At each offset the first
-# alternative that matches wins, and every character starts some match, so
-# `finditer` walks the whole text with no gaps.
-_TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in (
-    ("space", r"[ \t\r\n]+"),
-    ("comment", r"//[^\n]*|/\*(?s:.*?)\*/"),
-    ("open_comment", r"/\*(?s:.*)"),
+
+def _first_letter_alternation(words) -> str:
+    """`a(?:bstract|nonymous|…)|b(?:reak)|…`. The engine drops an
+    alternative whose first letter differs at once, so grouping by first
+    letter leaves fewer alternatives to try per word."""
+    return "|".join(
+        first + "(?:" + "|".join(w[1:] for w in group) + ")"
+        for first, group in groupby(sorted(words), key=itemgetter(0)))
+
+
+# One group per token class, numbered from 1 in this order; a match's
+# `lastindex` names its class, so no alternative may hold a capturing group
+# of its own. Each match takes the whitespace before its token; at each
+# offset the first alternative that matches wins, and every character
+# starts some match, so `finditer` walks the whole text with no gaps. Its
+# last match is the trailing whitespace, if any, and `\Z` (lastindex None).
+(_COMMENT, _OPEN_COMMENT, _STRING, _OPEN_STRING, _KEYWORD, _WORD, _NUMBER,
+ _OPERATOR, _PUNCT, _BAD) = range(1, 11)
+_TOKEN_RE = re.compile("[ \t\r\n]*(?:" + "|".join(f"({p})" for p in (
+    r"//[^\n]*|/\*(?s:.*?)\*/",
+    r"/\*(?s:.*)",
     # A backslash escapes any next character, a newline included.
-    ("string", r'"[^"\\\n]*(?:\\(?s:.)[^"\\\n]*)*"'
-               r"|'[^'\\\n]*(?:\\(?s:.)[^'\\\n]*)*'"),
+    r'"[^"\\\n]*(?:\\(?s:.)[^"\\\n]*)*"'
+    r"|'[^'\\\n]*(?:\\(?s:.)[^'\\\n]*)*'",
     # Reached only when no closing quote matched, so it runs to the next
     # unescaped newline or to EOF, taking a trailing backslash with it.
-    ("open_string", r"""["'][^\\\n]*(?:\\(?s:.)[^\\\n]*)*\\?"""),
-    ("word", r"[A-Za-z_$][A-Za-z0-9_$]*"),
-    ("number", _NUMBER_RE.pattern),
-    ("operator", "|".join(map(re.escape, _OPERATORS))),
-    ("punct", r"[(){}\[\];,.?:]"),
+    r"""["'][^\\\n]*(?:\\(?s:.)[^\\\n]*)*\\?""",
+    # A keyword is a whole word: the lookahead rejects `uint256x`, `bytes33`.
+    f"(?:{_first_letter_alternation(KEYWORDS)}|{_ELEMENTARY})"
+    r"(?![A-Za-z0-9_$])",
+    r"[A-Za-z_$][A-Za-z0-9_$]*",
+    # Solidity numbers are ASCII: `\d` would also take other scripts' digits.
+    r"0[xX][0-9a-fA-F_]+|[0-9][0-9_]*(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?",
+    "|".join(map(re.escape, _OPERATORS)),
+    r"[(){}\[\];,.?:]",
     # Characters that start none of the classes above.
-    ("bad", r"""[^ \t\r\n"'A-Za-z_$0-9=+\-*/%!<>&|^~(){}\[\];,.?:]+"""),
-)))
+    r"""[^ \t\r\n"'A-Za-z_$0-9=+\-*/%!<>&|^~(){}\[\];,.?:]+""",
+)) + r"|\Z)")
 
 _TOKEN_KINDS = {
-    "string": TokenKind.STRING, "number": TokenKind.NUMBER,
-    "operator": TokenKind.OPERATOR, "punct": TokenKind.PUNCT,
+    _KEYWORD: TokenKind.KEYWORD, _WORD: TokenKind.IDENTIFIER,
+    _STRING: TokenKind.STRING, _NUMBER: TokenKind.NUMBER,
+    _OPERATOR: TokenKind.OPERATOR, _PUNCT: TokenKind.PUNCT,
 }
 _ERROR_KINDS = {
-    "open_comment": "UnterminatedComment",
-    "open_string": "UnterminatedString",
-    "bad": "UnexpectedCharacter",
+    _OPEN_COMMENT: "UnterminatedComment",
+    _OPEN_STRING: "UnterminatedString",
+    _BAD: "UnexpectedCharacter",
 }
 
 
@@ -126,35 +150,30 @@ def is_elementary_type(word: str) -> bool:
     return bool(_ELEMENTARY_RE.match(word))
 
 
-def classify_word(word: str) -> TokenKind:
-    if word in KEYWORDS or is_elementary_type(word):
-        return TokenKind.KEYWORD
-    return TokenKind.IDENTIFIER
-
-
 def lex(file: SourceFile) -> LexResult:
     tokens: list[Token] = []
     errors: list[LexError] = []
     comments: list[tuple[int, int]] = []
     strings: list[tuple[int, int]] = []
+    token_kind = _TOKEN_KINDS.get
     for m in _TOKEN_RE.finditer(file.text):
-        group = m.lastgroup
-        if group == "space":
-            continue
-        a, b = m.span()
-        if group == "word":
-            word = m.group()
-            tokens.append(Token(classify_word(word), word, a, b))
-            continue
-        if group in ("comment", "open_comment"):
-            comments.append((a, b))
-        elif group in ("string", "open_string"):
-            strings.append((a, b))
-        if group in _TOKEN_KINDS:
-            tokens.append(Token(_TOKEN_KINDS[group], m.group(), a, b))
-        elif group in _ERROR_KINDS:
+        group = m.lastindex
+        kind = token_kind(group)
+        if kind is not None:
+            a, b = m.span(group)
+            tokens.append(Token(kind, m[group], a, b))
+            if group == _STRING:
+                strings.append((a, b))
+        elif group == _COMMENT:
+            comments.append(m.span(group))
+        elif group is not None:
+            a, b = m.span(group)
+            if group == _OPEN_COMMENT:
+                comments.append((a, b))
+            elif group == _OPEN_STRING:
+                strings.append((a, b))
             errors.append(LexError(_ERROR_KINDS[group],
-                                  file.span_from_offsets(a, b)))
+                                   file.span_from_offsets(a, b)))
     return LexResult(tokens, errors, comments, strings)
 
 

@@ -1,19 +1,25 @@
-"""Line accounting and the lightweight textual emit matcher.
+r"""Line accounting and the lightweight textual emit matcher.
 
 Line classification: a line is blank when it holds only whitespace, a comment
 line when all of its non-blank content lies inside comments, and a code line
 otherwise. A line mixing code and a trailing comment counts as code.
 
 The emit matcher applies one fixed pattern with a non-greedy argument capture.
-It deliberately keeps the pattern's known weaknesses (it stops at the first
-closing parenthesis and it matches inside comments and strings) so that counts
-stay reproducible; hits inside comments or strings are flagged rather than
-dropped, letting callers choose.
+It deliberately keeps the pattern's known weaknesses so that counts stay
+reproducible:
+- it stops at the first closing parenthesis;
+- it matches inside comments and strings; such hits are flagged rather than
+  dropped, letting callers choose;
+- a match ends in `\s*`, which takes the whitespace the next match's leading
+  `\s+` needs. In `// emit A()` followed by `emit B(1);` on the next line,
+  B is never matched, so emit pairing in `diff`, churn's emit total and the
+  regex fallback count all miss it.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .lexer import LexResult, lex
@@ -22,6 +28,9 @@ from .source import SourceFile, Span
 EMIT_PATTERN = re.compile(r"\s+emit\s+(\w+)\s*\(([\s\S]*?)\)\s*")
 
 _IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
+
+# Space, tab and CR leave a line blank; a newline ends it.
+_NON_SPACE_RE = re.compile(r"[^ \t\r\n]")
 
 LINE_CODE = "code"
 LINE_COMMENT = "comment"
@@ -56,27 +65,31 @@ class RegexEmitMatch:
 def classify_lines(file: SourceFile,
                    lexed: LexResult | None = None) -> list[str]:
     """Per-line classification, index 0 = line 1. lexed, when given, must
-    come from this file."""
+    come from this file.
+
+    Each line searches for its first character other than space, tab or
+    CR. A hit inside a comment makes the line a comment line so far, and
+    the search goes on from the end of that comment; the first hit outside
+    every comment makes it a code line."""
     ranges = (lexed or lex(file)).comment_ranges
+    text = file.text
+    search = _NON_SPACE_RE.search
+    starts = file.line_starts
     kinds: list[str] = []
     ci = 0
-    for line in range(1, file.line_count + 1):
-        start = file.line_starts[line - 1]
-        if line < len(file.line_starts):
-            end = file.line_starts[line] - 1
-        else:
-            end = len(file.text)
+    for line in range(file.line_count):
+        pos = starts[line]
+        end = starts[line + 1] - 1 if line + 1 < len(starts) else len(text)
         kind = LINE_BLANK
-        for off in range(start, end):
-            if file.text[off] in " \t\r":
-                continue
+        while (m := search(text, pos, end)) is not None:
+            off = m.start()
             while ci < len(ranges) and ranges[ci][1] <= off:
                 ci += 1
-            if ci < len(ranges) and ranges[ci][0] <= off < ranges[ci][1]:
-                kind = LINE_COMMENT
-                continue
-            kind = LINE_CODE
-            break
+            if ci == len(ranges) or off < ranges[ci][0]:
+                kind = LINE_CODE
+                break
+            kind = LINE_COMMENT
+            pos = ranges[ci][1]
         kinds.append(kind)
     return kinds
 
@@ -102,7 +115,11 @@ def extract_emits_regex(file: SourceFile, lexed: LexResult | None = None
     through the first closing parenthesis.
     """
     lexed = lexed or lex(file)
+    # Comments and strings never overlap, so sorted by start they are
+    # sorted by end too, and the one range that can hold an offset is the
+    # first that ends after it.
     covered = sorted(lexed.comment_ranges + lexed.string_ranges)
+    ends = [b for _, b in covered]
     padded = "\n" + file.text
     matches: list[RegexEmitMatch] = []
     for m in EMIT_PATTERN.finditer(padded):
@@ -113,7 +130,8 @@ def extract_emits_regex(file: SourceFile, lexed: LexResult | None = None
         lead = len(whole) - len(whole.lstrip())
         emit_off = m.start() + lead - 1
         end_off = m.end(2)  # one past ')' after removing the pad offset
-        flagged = any(a <= emit_off < b for a, b in covered)
+        i = bisect_right(ends, emit_off)
+        flagged = i < len(covered) and covered[i][0] <= emit_off
         matches.append(RegexEmitMatch(name, m.group(2), emit_off, end_off,
                                       flagged, file))
     return matches

@@ -16,8 +16,8 @@ from typing import Mapping, NamedTuple
 
 from emitlint.evolution import FilePair, LineDiff, Revision
 from emitlint.lexer import (
-    _OPERATORS, ASSIGN_OPS, LexError, LexResult, TokenKind, classify_word,
-    lex,
+    _OPERATORS, ASSIGN_OPS, KEYWORDS, LexError, LexResult, Token, TokenKind,
+    is_elementary_type, lex,
 )
 from emitlint.nodes import (
     Assignment, Binary, Block, EmitStmt, Expr, ExprStmt, FunctionDef,
@@ -25,7 +25,10 @@ from emitlint.nodes import (
     Stmt, iter_functions, walk_statements,
 )
 from emitlint.parser import parse_file
-from emitlint.scan import RegexEmitMatch, extract_emits_regex
+from emitlint.scan import (
+    _IDENT_RE, EMIT_PATTERN, LINE_BLANK, LINE_CODE, LINE_COMMENT,
+    RegexEmitMatch, extract_emits_regex,
+)
 from emitlint.source import SourceFile, Span
 from emitlint.symbols import (
     LocationClass, Scope, ScopeTree, Symbol, SymbolKind, build_symbols,
@@ -48,16 +51,28 @@ def src(text: str, path: str = "test.sol") -> SourceFile:
 
 
 @functools.lru_cache(maxsize=None)
-def bench_tree(workload: str, seed: int) -> tuple[SourceFile, ...]:
-    """The lint tree of a perfbench workload (perfbench/corpus.py), as
-    source files."""
+def _bench_corpus(workload: str, seed: int):
+    """A perfbench workload's generated corpus (perfbench/corpus.py)."""
     spec = importlib.util.spec_from_file_location("_bench_corpus",
                                                   BENCH_CORPUS)
     corpus = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = corpus  # dataclasses look their module up
     spec.loader.exec_module(corpus)
+    return corpus.WORKLOADS[workload](seed)
+
+
+def bench_tree(workload: str, seed: int) -> tuple[SourceFile, ...]:
+    """The lint tree of a perfbench workload, as source files."""
     return tuple(src(s.text, s.path)
-                 for s in corpus.WORKLOADS[workload](seed).files)
+                 for s in _bench_corpus(workload, seed).files)
+
+
+def bench_history_sides(workload: str, seed: int) -> list[SourceFile]:
+    """Every before and after file of a perfbench workload's revisions."""
+    return [src(side.text, side.path)
+            for _, plans in _bench_corpus(workload, seed).revisions
+            for plan in plans
+            for side in (plan.before, plan.after) if side is not None]
 
 
 def parsed(text: str, path: str = "test.sol"):
@@ -352,6 +367,36 @@ def sweep_inputs() -> list[str]:
     texts += [_soup(rng) for _ in range(SOUP_INPUTS)]
     texts += [_mutate(rng, rng.choice(bases)) for _ in range(MUTATED_INPUTS)]
     return texts
+
+
+# Front-end edge cases: an empty file, a BOM, whitespace at EOF,
+# unterminated comments and strings, strings continued by an escaped
+# newline, each of `/`, `//` and `/*`, code right after a comment, and
+# words at the edge of the keyword rule (`$`, digits after a type name, a
+# type's width out of range, a fixed-point type, a non-ASCII digit).
+FRONT_END_EDGE_CASES = (
+    "", "\ufeff", "\ufeffcontract C {}\n", "uint a;   \n\t \r\n  ",
+    "emit E(1); /* open", "/* open\n\n emit E(1);\n", "x = 'open;\ny;",
+    'x = "open\\', 'x = "a\\\nb";\ny = "c\\\r\nd";',
+    "a / b; // c\n/* d */ e /= f;/", "//", "/*", "/", "*/",
+    "/* a */b\n/* c */\n/**/ //d\n  /* e */ /**/f\n/* g\n h */i",
+    "$x = $; x$ = 1;", "uint256x a; uint256 b; uint8$ c;",
+    "bytes33 a; bytes32 b; bytes0 c; bytes d; byte e;",
+    "ufixed128x18 a; fixed8x1 b; fixed128x c; ufixed d;",
+    "int\u0663 a; uint\u0663 b;", "\u00a0uint\u2028a;\f\n",
+)
+
+
+def front_end_inputs() -> list[SourceFile]:
+    """The robustness sweep, the edge cases, and the perfbench corpora of
+    seeds 1-5 (lint trees and history sides)."""
+    files = [src(text) for text in sweep_inputs()]
+    files += [src(text, "edge.sol") for text in FRONT_END_EDGE_CASES]
+    for workload in ("project", "monolith"):
+        for seed in range(1, 6):
+            files += bench_tree(workload, seed)
+            files += bench_history_sides(workload, seed)
+    return files
 
 
 # ------------------------------------------- straight-line function generator
@@ -686,6 +731,14 @@ def reference_kill_sets(chunk: str) -> tuple[set[str], set[str]]:
 
 # ------------------------------------------------------- reference lexer
 
+def classify_word(word: str) -> TokenKind:
+    """The keyword rule as a function: a word is a keyword exactly when it
+    is in KEYWORDS or an elementary type. `lex` decides it in its regex."""
+    if word in KEYWORDS or is_elementary_type(word):
+        return TokenKind.KEYWORD
+    return TokenKind.IDENTIFIER
+
+
 def reference_line_starts(text: str) -> list[int]:
     """The per-character loop `SourceFile.from_text` used to build its line
     index with; text is taken after the BOM is stripped."""
@@ -824,3 +877,107 @@ def reference_lex(file: SourceFile) -> LexResult:
         i += 1
     flush_bad(n)
     return LexResult(tokens, errors, comments, strings)
+
+
+# The lexer before it folded whitespace into each token's match and decided
+# keywords in its regex: one named alternative per class, and
+# `classify_word` per word.
+_GROUP_TOKEN_RE = re.compile("|".join(
+    f"(?P<{name}>{pattern})" for name, pattern in (
+        ("space", r"[ \t\r\n]+"),
+        ("comment", r"//[^\n]*|/\*(?s:.*?)\*/"),
+        ("open_comment", r"/\*(?s:.*)"),
+        ("string", r'"[^"\\\n]*(?:\\(?s:.)[^"\\\n]*)*"'
+                   r"|'[^'\\\n]*(?:\\(?s:.)[^'\\\n]*)*'"),
+        ("open_string", r"""["'][^\\\n]*(?:\\(?s:.)[^\\\n]*)*\\?"""),
+        ("word", _WORD_RE.pattern),
+        ("number", _NUMBER_RE.pattern),
+        ("operator", "|".join(map(re.escape, _OPERATORS))),
+        ("punct", r"[(){}\[\];,.?:]"),
+        ("bad", r"""[^ \t\r\n"'A-Za-z_$0-9=+\-*/%!<>&|^~(){}\[\];,.?:]+"""),
+    )))
+_GROUP_TOKEN_KINDS = {
+    "string": TokenKind.STRING, "number": TokenKind.NUMBER,
+    "operator": TokenKind.OPERATOR, "punct": TokenKind.PUNCT,
+}
+_GROUP_ERROR_KINDS = {
+    "open_comment": "UnterminatedComment",
+    "open_string": "UnterminatedString",
+    "bad": "UnexpectedCharacter",
+}
+
+
+def reference_group_lex(file: SourceFile) -> LexResult:
+    """The one-alternative-per-class lexer that `lexer.lex` replaced; the
+    front-end differential tests compare the two."""
+    tokens: list[Token] = []
+    errors: list[LexError] = []
+    comments: list[tuple[int, int]] = []
+    strings: list[tuple[int, int]] = []
+    for m in _GROUP_TOKEN_RE.finditer(file.text):
+        group = m.lastgroup
+        if group == "space":
+            continue
+        a, b = m.span()
+        if group == "word":
+            word = m.group()
+            tokens.append(Token(classify_word(word), word, a, b))
+            continue
+        if group in ("comment", "open_comment"):
+            comments.append((a, b))
+        elif group in ("string", "open_string"):
+            strings.append((a, b))
+        if group in _GROUP_TOKEN_KINDS:
+            tokens.append(Token(_GROUP_TOKEN_KINDS[group], m.group(), a, b))
+        elif group in _GROUP_ERROR_KINDS:
+            errors.append(LexError(_GROUP_ERROR_KINDS[group],
+                                   file.span_from_offsets(a, b)))
+    return LexResult(tokens, errors, comments, strings)
+
+
+def reference_classify_lines(file: SourceFile,
+                             lexed: LexResult) -> list[str]:
+    """The per-character line classifier that `scan.classify_lines`
+    replaced: it steps through every character of each line, comments
+    included."""
+    ranges = lexed.comment_ranges
+    kinds: list[str] = []
+    ci = 0
+    for line in range(1, file.line_count + 1):
+        start = file.line_starts[line - 1]
+        if line < len(file.line_starts):
+            end = file.line_starts[line] - 1
+        else:
+            end = len(file.text)
+        kind = LINE_BLANK
+        for off in range(start, end):
+            if file.text[off] in " \t\r":
+                continue
+            while ci < len(ranges) and ranges[ci][1] <= off:
+                ci += 1
+            if ci < len(ranges) and ranges[ci][0] <= off < ranges[ci][1]:
+                kind = LINE_COMMENT
+                continue
+            kind = LINE_CODE
+            break
+        kinds.append(kind)
+    return kinds
+
+
+def reference_extract_emits_regex(file: SourceFile, lexed: LexResult
+                                  ) -> list[RegexEmitMatch]:
+    """The emit matcher as it was before it bisected: each match's flag
+    tests every comment and string range in turn."""
+    covered = lexed.comment_ranges + lexed.string_ranges
+    padded = "\n" + file.text
+    matches: list[RegexEmitMatch] = []
+    for m in EMIT_PATTERN.finditer(padded):
+        name = m.group(1)
+        if not _IDENT_RE.match(name):
+            continue
+        whole = m.group(0)
+        emit_off = m.start() + len(whole) - len(whole.lstrip()) - 1
+        flagged = any(a <= emit_off < b for a, b in covered)
+        matches.append(RegexEmitMatch(name, m.group(2), emit_off, m.end(2),
+                                      flagged, file))
+    return matches

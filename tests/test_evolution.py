@@ -331,12 +331,14 @@ def test_analyze_revision_fills_independence_and_churn():
 
 import emitlint.evolution as evolution
 import emitlint.scan as scan
-from emitlint.lexer import TokenKind, classify_word, lex
+from emitlint.lexer import TokenKind, lex
 from emitlint.scan import (
     LINE_CODE, classify_lines, count_loc, extract_emits_regex,
 )
 
-from helpers import SpanCounts, make_snippet, reference_kill_sets, shop
+from helpers import (
+    SpanCounts, classify_word, make_snippet, reference_kill_sets, shop,
+)
 
 
 def _oracle_changed_lines(pair):

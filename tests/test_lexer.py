@@ -1,11 +1,12 @@
 import random
 from pathlib import Path
 
-from emitlint.lexer import TokenKind, lex, tokenize
+from emitlint.lexer import TokenKind, is_elementary_type, lex, tokenize
 from emitlint.source import SourceFile
 
 from helpers import (
-    FIXTURES, reference_lex, snippet_corpus, span_text, src, sweep_inputs,
+    FIXTURES, classify_word, front_end_inputs, reference_group_lex,
+    reference_lex, snippet_corpus, span_text, src, sweep_inputs,
     with_token_spans,
 )
 
@@ -101,6 +102,19 @@ def test_elementary_types_are_keywords():
     assert toks[3].kind == TokenKind.KEYWORD
     assert toks[6].kind == TokenKind.KEYWORD
     assert toks[9].kind == TokenKind.IDENTIFIER
+
+
+def test_keywords_are_whole_words():
+    """A type name followed by more word characters is one identifier, and
+    an elementary type's digits are ASCII."""
+    toks = tokenize(src("uint256x bytes33 ufixed128x18 $x uint8$ int\u0663"))
+    assert [(t.lexeme, t.kind) for t in toks] == [
+        ("uint256x", TokenKind.IDENTIFIER), ("bytes33", TokenKind.IDENTIFIER),
+        ("ufixed128x18", TokenKind.KEYWORD), ("$x", TokenKind.IDENTIFIER),
+        ("uint8$", TokenKind.IDENTIFIER), ("int", TokenKind.KEYWORD)]
+    assert not is_elementary_type("uint\u0663")
+    assert not is_elementary_type("uint8\n")
+    assert is_elementary_type("uint8")
 
 
 def test_spans_reproduce_lexemes():
@@ -209,3 +223,23 @@ def test_each_lexeme_has_one_kind():
                 (i, tok)
     assert set(kind_of.values()) == set(TokenKind)
     assert len(kind_of) > 500, len(kind_of)
+
+
+def test_lex_matches_the_per_class_group_lexer():
+    """Tokens, errors, comment ranges and string ranges equal those of the
+    lexer with one named alternative per class and `classify_word` per
+    word, on the sweep, the edge cases and the perfbench corpora."""
+    for file in front_end_inputs():
+        assert lex(file) == reference_group_lex(file), repr(file.text[:200])
+
+
+def test_word_kinds_follow_classify_word():
+    """The keyword alternative in the token regex and `classify_word` are
+    one rule: every word token's kind is what `classify_word` gives."""
+    kinds = set()
+    for file in front_end_inputs():
+        for tok in lex(file).tokens:
+            if tok.kind in (TokenKind.KEYWORD, TokenKind.IDENTIFIER):
+                assert tok.kind == classify_word(tok.lexeme), tok
+                kinds.add(tok.kind)
+    assert kinds == {TokenKind.KEYWORD, TokenKind.IDENTIFIER}

@@ -1,3 +1,4 @@
+from emitlint.evolution import ChangeCategory, analyze_revision
 from emitlint.lexer import lex
 from emitlint.metrics import count_file_emits
 from emitlint.parser import parse_file
@@ -7,7 +8,9 @@ from emitlint.scan import (
 )
 
 from helpers import (
-    FIXTURES, count_ast_emits, fixture_file, snippet_corpus, span_text, src,
+    FIXTURES, count_ast_emits, fixture_file, front_end_inputs,
+    reference_classify_lines, reference_extract_emits_regex, shop,
+    shop_revision, snippet_corpus, span_text, src,
 )
 
 
@@ -64,6 +67,20 @@ def test_classification_is_per_line_additive():
         assert kinds.count(LINE_CODE) == stats.code_lines
         assert kinds.count(LINE_COMMENT) == stats.comment_lines
         assert kinds.count(LINE_BLANK) == stats.blank_lines
+
+
+def test_line_kinds_match_the_per_character_reference():
+    """Jumping over comment ranges classifies every line as stepping through
+    each character does, on the sweep, the edge cases and the perfbench
+    corpora."""
+    seen = set()
+    for file in front_end_inputs():
+        lexed = lex(file)
+        kinds = classify_lines(file, lexed)
+        assert kinds == reference_classify_lines(file, lexed), \
+            repr(file.text[:200])
+        seen.update(kinds)
+    assert seen == {LINE_CODE, LINE_COMMENT, LINE_BLANK}
 
 
 # ------------------------------------------------------------- emit matching
@@ -152,6 +169,44 @@ def test_crlf_input_classifies_like_lf():
     file = src("uint a;\r\n// note\r\n\r\nuint b;\r\n")
     stats = count_loc(file)
     assert (stats.code_lines, stats.comment_lines, stats.blank_lines) == (2, 1, 1)
+
+
+def test_emit_matches_match_the_linear_flag_reference():
+    """Bisecting the comment and string ranges flags each match as testing
+    every range in turn does, on the sweep, the edge cases and the
+    perfbench corpora."""
+    flags = set()
+    for file in front_end_inputs():
+        lexed = lex(file)
+        matches = extract_emits_regex(file, lexed)
+        assert matches == reference_extract_emits_regex(file, lexed), \
+            repr(file.text[:200])
+        flags.update(m.in_comment_or_string for m in matches)
+    assert flags == {False, True}
+
+
+def test_comment_match_swallows_the_whitespace_before_the_next_emit():
+    """A known weakness the fixed pattern keeps: a match ends in `\\s*`, so
+    a match inside a comment takes the newline and indent that the next
+    line's `\\s+emit` needs, and that emit is never matched. Pairing,
+    churn's emit total and the regex fallback count all miss it."""
+    body = ["// emit A()", "emit B(1);"]
+    assert [(m.event_name, m.in_comment_or_string)
+            for m in extract_emits_regex(src(shop(body)))] == [("A", True)]
+    assert count_file_emits(src(shop(body))) == (1, "ast")
+    # A missing ';' sends the count to the regex fallback: 0, not 1.
+    assert count_file_emits(src(shop(["// emit A()", "emit B(1)"]))) == \
+        (0, "regex")
+    report = analyze_revision(
+        shop_revision(body, ["// emit A()", "emit B(2);"]))
+    assert report.changes == []
+    # The one match counted is A, inside its comment; B's edit churns none.
+    assert (report.churn.churned_emits, report.churn.total_emits) == (0, 1)
+    # Without the comment line, the same edit is a change of B.
+    report = analyze_revision(shop_revision(body[1:], ["emit B(2);"]))
+    assert [c.category for c in report.changes] == \
+        [ChangeCategory.PARAMETER_CHANGE]
+    assert (report.churn.churned_emits, report.churn.total_emits) == (2, 1)
 
 
 def test_digit_led_match_is_dropped():
