@@ -124,7 +124,7 @@ def load_config(ns: argparse.Namespace) -> CheckConfig:
     threshold = Fraction(1, 10)
     enabled = frozenset(CheckId)
     form_b = False
-    if getattr(ns, "config", None):
+    if ns.config:
         where = ns.config
         with open(where, "r", encoding="utf-8") as fh:
             data = _checked(json.load(fh), dict,
@@ -142,17 +142,17 @@ def load_config(ns: argparse.Namespace) -> CheckConfig:
         if "debugEventFormB" in data:
             form_b = _checked(data["debugEventFormB"], bool,
                               f'{where}: "debugEventFormB" must be a boolean')
-    if getattr(ns, "overuse_threshold", None):
+    if ns.overuse_threshold is not None:
         try:
             threshold = Fraction(ns.overuse_threshold)
         except ZeroDivisionError:
             raise ValueError(f"overuse threshold {ns.overuse_threshold!r} "
                              "has a zero denominator") from None
-    if getattr(ns, "enable", None):
+    if ns.enable:
         enabled = _parse_check_ids(ns.enable)
-    if getattr(ns, "disable", None):
+    if ns.disable:
         enabled = enabled - _parse_check_ids(ns.disable)
-    if getattr(ns, "debug_form_b", False):
+    if ns.debug_form_b:
         form_b = True
     return CheckConfig(overuse_threshold=threshold, enabled=enabled,
                        debug_event_form_b=form_b)

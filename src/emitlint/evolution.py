@@ -28,12 +28,14 @@ The matcher stops at the first ')'. Each match outside comments and strings
 is closed once, on to the ')' that closes its arguments, and churn, pairing,
 the emit lines and the kill scan all read that one extent.
 
-Each revision is analyzed once. `RevisionAnalysis` diffs every file pair once
-and lexes every present side once; the line kinds, regex emit matches,
-changed emits, emit-only flag and kill sets that churn, pairing and
-independence read all come from that one lex. `analyze_revision` builds one
-per revision; `churn`, `pair_emit_changes` and `classify_independence` each
-build one and read a single result.
+Each revision is analyzed once. `RevisionAnalysis.build` diffs every file
+pair once and lexes every present side once, and keeps only the answers: the
+churn report, the classified changes, whether the revision changes emit lines
+only, and the kill sets. Each side is summed up in a `SideAnalysis`: its
+churned and total code lines, its emit total, its matches on changed lines
+with their first lines, its emit-only flag and its kill sets.
+`analyze_revision` builds one per revision; `churn`, `pair_emit_changes` and
+`classify_independence` each build one and read a single answer.
 """
 
 from __future__ import annotations
@@ -48,8 +50,7 @@ import re
 
 from .lexer import ASSIGN_OPS, Token, TokenKind, lex
 from .scan import (
-    LINE_BLANK, LINE_CODE, LINE_COMMENT, RegexEmitMatch, classify_lines,
-    extract_emits_regex,
+    LINE_BLANK, LINE_CODE, RegexEmitMatch, classify_lines, extract_emits_regex,
 )
 from .source import SourceFile
 
@@ -232,51 +233,45 @@ def _changed_tokens(before: RegexEmitMatch | None,
 
 # ---------------------------------------------------------- shared analysis
 
-def _kind_at(kinds: list[str], line: int) -> str:
-    if not 1 <= line <= len(kinds):
-        return LINE_BLANK
-    return kinds[line - 1]
-
-
 @dataclass(frozen=True)
 class SideAnalysis:
-    """One side of a file pair. The file is lexed once; its comment and string
-    ranges feed the line kinds and the regex emit matches, and its tokens
-    close the matches and feed the emit lines and the kill sets. The tokens
-    are dropped when `build` returns."""
-    file: SourceFile
-    changed: frozenset[int]  # deleted lines before, added lines after
-    kinds: list[str]
-    matches: list[RegexEmitMatch]  # closed outside comments and strings
-    match_lines: list[range]  # the lines of each match
-    emit_lines: frozenset[int]  # among the lines scanned for kills
+    """What churn, pairing and independence read from one side of a file
+    pair. The file is lexed once; its comment and string ranges feed the line
+    kinds and the regex emit matches, and its tokens close the matches and
+    feed the emit lines and the kill sets. Only the answers are kept."""
+    churned_loc: int  # changed code lines
+    total_loc: int
+    total_emits: int  # matches in comments and strings included
+    changed_emits: tuple[tuple[RegexEmitMatch, int], ...]  # first lines
+    emit_only: bool  # every changed code line is an emit line
     assigned: frozenset[str]
     passed: frozenset[str]
 
     @classmethod
     def build(cls, file: SourceFile, changed: set[int],
               whole_file: bool) -> SideAnalysis:
-        """Kill sets are scanned per run of consecutive changed non-emit
-        lines (every non-emit line in whole-file mode), over the tokens that
-        start on the run's lines and lie outside emits."""
+        """changed holds the deleted lines of a before side, or the added
+        lines of an after side. Kill sets are scanned per run of consecutive
+        changed non-emit lines (every non-emit line in whole-file mode), over
+        the tokens that start on the run's lines and lie outside emits."""
         lexed = lex(file)
         toks, starts = lexed.tokens, file.line_starts
-        matches: list[RegexEmitMatch] = []
-        match_lines: list[range] = []
+        matches = extract_emits_regex(file, lexed)
+        changed_emits: list[tuple[RegexEmitMatch, int]] = []
         kept: list[Token] = []  # the tokens outside the closed matches
         touched: set[int] = set()  # lines a closed match touches
         prev = 0
-        for m in extract_emits_regex(file, lexed):
+        for m in matches:
             if not m.in_comment_or_string:
                 m, lo, hi = _close(m, toks)
                 kept += toks[prev:lo]
                 prev = max(prev, hi)
-            lines = range(bisect_right(starts, m.start),
-                          bisect_right(starts, m.end - 1) + 1)
+            first = bisect_right(starts, m.start)
+            lines = range(first, bisect_right(starts, m.end - 1) + 1)
             if not m.in_comment_or_string:
                 touched.update(lines)
-            matches.append(m)
-            match_lines.append(lines)
+            if not changed.isdisjoint(lines):
+                changed_emits.append((m, first))
         kept += toks[prev:]
 
         def line_bounds(first: int, last: int) -> tuple[int, int]:
@@ -307,103 +302,65 @@ class SideAnalysis:
             a, p = _scan_kill_sets(kept[lo:hi])
             assigned |= a
             passed |= p
-        return cls(file, frozenset(changed), classify_lines(file, lexed),
-                   matches, match_lines, frozenset(emit_lines),
+        # The line past the last one, empty after a final newline, is blank.
+        kinds = classify_lines(file, lexed) + [LINE_BLANK]
+        code_changed = {line for line in changed
+                        if kinds[line - 1] == LINE_CODE}
+        return cls(len(code_changed), kinds.count(LINE_CODE), len(matches),
+                   tuple(changed_emits), code_changed <= emit_lines,
                    frozenset(assigned), frozenset(passed))
 
-    def churned_loc(self) -> int:
-        return sum(1 for line in self.changed
-                   if _kind_at(self.kinds, line) == LINE_CODE)
 
-    def changed_emits(self) -> list[tuple[RegexEmitMatch, range]]:
-        """Each match on a changed line, with its lines."""
-        return [(m, lines) for m, lines in zip(self.matches, self.match_lines)
-                if not self.changed.isdisjoint(lines)]
+def _pair_changes(path: str, before: SideAnalysis | None,
+                  after: SideAnalysis | None) -> list[EventUseChange]:
+    """Match a file pair's deleted-side and added-side emits into classified
+    changes. Emits inside comments and strings are not paired.
 
-    def emit_only(self) -> bool:
-        """Every changed line is an emit line, a blank line or a comment."""
-        return all(line in self.emit_lines
-                   or _kind_at(self.kinds, line) in (LINE_BLANK, LINE_COMMENT)
-                   for line in self.changed)
+    Each (deleted, added) pair fits exactly one rule, ranked by whether the
+    names and the arguments differ, so one greedy pass over all pairs in
+    (rank, line distance, source order) order matches what a pass per rule,
+    most specific first, would."""
+    gone, new = ([e for e in side.changed_emits
+                  if not e[0].in_comment_or_string] if side else []
+                 for side in (before, after))
+    gone_args = [_norm_args(d) for d, _ in gone]
+    new_args = [_norm_args(a) for a, _ in new]
+    candidates = sorted(
+        (2 * (d.event_name != a.event_name) + (gone_args[di] != new_args[ai]),
+         abs(d_line - a_line), di, ai)
+        for di, (d, d_line) in enumerate(gone)
+        for ai, (a, a_line) in enumerate(new))
+    changes: list[EventUseChange] = []
 
+    def change(category, before, after):
+        changes.append(EventUseChange(
+            path, category, before, after,
+            _changed_tokens(before, after, category)))
 
-@dataclass(frozen=True)
-class PairAnalysis:
-    """A file pair diffed once and each present side lexed once."""
-    pair: FilePair
-    diff: LineDiff
-    before: SideAnalysis | None
-    after: SideAnalysis | None
-
-    @classmethod
-    def build(cls, pair: FilePair, whole_file: bool) -> PairAnalysis:
-        diff = diff_lines(pair.before, pair.after)
-        deleted = {op.before_line for op in diff.ops if op.kind == "delete"}
-        added = {op.after_line for op in diff.ops if op.kind == "add"}
-        before = SideAnalysis.build(pair.before, deleted, whole_file) \
-            if pair.before is not None else None
-        after = SideAnalysis.build(pair.after, added, whole_file) \
-            if pair.after is not None else None
-        return cls(pair, diff, before, after)
-
-    @property
-    def sides(self) -> list[SideAnalysis]:
-        return [s for s in (self.before, self.after) if s is not None]
-
-    @property
-    def primary(self) -> SideAnalysis:
-        """The after side, or the before side of a deleted file."""
-        return self.after if self.after is not None else self.before
-
-    def changes(self) -> list[EventUseChange]:
-        """Match deleted-side and added-side emits into classified changes.
-        Emits inside comments and strings are not paired.
-
-        Each (deleted, added) pair fits exactly one rule, ranked by whether
-        the names and the arguments differ, so one greedy pass over all pairs
-        in (rank, line distance, source order) order matches what a pass per
-        rule, most specific first, would."""
-        gone, new = ([e for e in side.changed_emits()
-                      if not e[0].in_comment_or_string] if side else []
-                     for side in (self.before, self.after))
-        gone_args = [_norm_args(d) for d, _ in gone]
-        new_args = [_norm_args(a) for a, _ in new]
-        candidates = sorted(
-            (2 * (d.event_name != a.event_name)
-             + (gone_args[di] != new_args[ai]),
-             abs(d_lines.start - a_lines.start), di, ai)
-            for di, (d, d_lines) in enumerate(gone)
-            for ai, (a, a_lines) in enumerate(new))
-        changes: list[EventUseChange] = []
-
-        def change(category, before, after):
-            changes.append(EventUseChange(
-                self.pair.path, category, before, after,
-                _changed_tokens(before, after, category)))
-
-        matched_d: set[int] = set()
-        matched_a: set[int] = set()
-        for rank, _, di, ai in candidates:
-            if di in matched_d or ai in matched_a:
-                continue
-            matched_d.add(di)
-            matched_a.add(ai)
-            change(_PAIRED_CATEGORIES[rank], gone[di][0], new[ai][0])
-        for di, (d, _) in enumerate(gone):
-            if di not in matched_d:
-                change(ChangeCategory.DELETION, d, None)
-        for ai, (a, _) in enumerate(new):
-            if ai not in matched_a:
-                change(ChangeCategory.ADDITION, None, a)
-        return changes
+    matched_d: set[int] = set()
+    matched_a: set[int] = set()
+    for rank, _, di, ai in candidates:
+        if di in matched_d or ai in matched_a:
+            continue
+        matched_d.add(di)
+        matched_a.add(ai)
+        change(_PAIRED_CATEGORIES[rank], gone[di][0], new[ai][0])
+    for di, (d, _) in enumerate(gone):
+        if di not in matched_d:
+            change(ChangeCategory.DELETION, d, None)
+    for ai, (a, _) in enumerate(new):
+        if ai not in matched_a:
+            change(ChangeCategory.ADDITION, None, a)
+    return changes
 
 
 @dataclass(frozen=True)
 class RevisionAnalysis:
-    """Everything churn, pairing and independence read, computed once per
-    revision: one PairAnalysis per file pair, whether the revision changes
+    """The answers churn, pairing and independence give for one revision:
+    the churn report, the classified changes, whether the revision changes
     emit lines only, and the kill sets unioned over all sides."""
-    pairs: tuple[PairAnalysis, ...]
+    churn: ChurnReport
+    changes: list[EventUseChange]
     emit_only: bool
     assigned: frozenset[str]
     passed: frozenset[str]
@@ -411,30 +368,36 @@ class RevisionAnalysis:
     @classmethod
     def build(cls, rev: Revision,
               whole_file: bool = False) -> RevisionAnalysis:
-        pairs = tuple(PairAnalysis.build(p, whole_file)
-                      for p in rev.file_pairs)
-        sides = [side for pa in pairs for side in pa.sides]
-        return cls(pairs, all(side.emit_only() for side in sides),
+        """Each file pair is diffed once and each present side lexed once.
+        A pair's totals are read from its after side, or from the before
+        side of a deleted file."""
+        sides: list[SideAnalysis] = []
+        changes: list[EventUseChange] = []
+        total_loc = total_emits = 0
+        for pair in rev.file_pairs:
+            ops = diff_lines(pair.before, pair.after).ops
+            deleted = {op.before_line for op in ops if op.kind == "delete"}
+            added = {op.after_line for op in ops if op.kind == "add"}
+            before = SideAnalysis.build(pair.before, deleted, whole_file) \
+                if pair.before is not None else None
+            after = SideAnalysis.build(pair.after, added, whole_file) \
+                if pair.after is not None else None
+            primary = after if after is not None else before
+            total_loc += primary.total_loc
+            total_emits += primary.total_emits
+            sides += [s for s in (before, after) if s is not None]
+            changes += _pair_changes(pair.path, before, after)
+        churned_loc = sum(side.churned_loc for side in sides)
+        churned_emits = sum(len(side.changed_emits) for side in sides)
+        churn = ChurnReport(
+            churned_loc, total_loc,
+            Fraction(churned_loc, total_loc) if total_loc else Fraction(0),
+            churned_emits, total_emits,
+            Fraction(churned_emits, total_emits) if total_emits
+            else Fraction(0))
+        return cls(churn, changes, all(side.emit_only for side in sides),
                    frozenset().union(*(side.assigned for side in sides)),
                    frozenset().union(*(side.passed for side in sides)))
-
-    def churn(self) -> ChurnReport:
-        churned_loc = total_loc = churned_emits = total_emits = 0
-        for pa in self.pairs:
-            for side in pa.sides:
-                churned_loc += side.churned_loc()
-                churned_emits += len(side.changed_emits())
-            total_loc += pa.primary.kinds.count(LINE_CODE)
-            total_emits += len(pa.primary.matches)
-        loc_rate = Fraction(churned_loc, total_loc) if total_loc \
-            else Fraction(0)
-        emit_rate = Fraction(churned_emits, total_emits) if total_emits \
-            else Fraction(0)
-        return ChurnReport(churned_loc, total_loc, loc_rate, churned_emits,
-                           total_emits, emit_rate)
-
-    def changes(self) -> list[EventUseChange]:
-        return [ch for pa in self.pairs for ch in pa.changes()]
 
     def passes_kill_test(self, change: EventUseChange) -> bool:
         """True when none of the change's argument tokens is reassigned or
@@ -519,12 +482,12 @@ def _scan_kill_sets(toks: list[Token]) -> tuple[set[str], set[str]]:
 # ----------------------------------------------------------- public readers
 
 def churn(rev: Revision) -> ChurnReport:
-    return RevisionAnalysis.build(rev).churn()
+    return RevisionAnalysis.build(rev).churn
 
 
 def pair_emit_changes(rev: Revision) -> list[EventUseChange]:
     """Match deleted-side and added-side emits into classified changes."""
-    return RevisionAnalysis.build(rev).changes()
+    return RevisionAnalysis.build(rev).changes
 
 
 def classify_independence(rev: Revision, change: EventUseChange,
@@ -544,7 +507,6 @@ class RevisionReport:
 def analyze_revision(rev: Revision,
                      whole_file_kill: bool = False) -> RevisionReport:
     analysis = RevisionAnalysis.build(rev, whole_file_kill)
-    changes = analysis.changes()
-    for change in changes:
+    for change in analysis.changes:
         change.independence = analysis.independence(change)
-    return RevisionReport(rev.id, analysis.churn(), changes)
+    return RevisionReport(rev.id, analysis.churn, analysis.changes)

@@ -60,13 +60,13 @@ class ProjectMetrics:
     per_file: tuple[FileMetrics, ...]
 
 
-def count_file_emits(file: SourceFile, unit: SourceUnit | None = None,
-                     lexed: LexResult | None = None) -> tuple[int, str]:
-    """Emit count and the method used. unit and lexed, when given, must come
-    from this file; the file is lexed only when one of them is needed and
-    missing."""
+def count_file_emits(file: SourceFile, unit: SourceUnit | None = None
+                     ) -> tuple[int, str]:
+    """Emit count and the method used. unit, when given, must come from this
+    file; without it the file is lexed and parsed here."""
+    lexed = None
     if unit is None:
-        lexed = lexed or lex(file)
+        lexed = lex(file)
         unit = parse_file(file, lexed)
     return _count_emits(file, unit, lexed,
                         map(walk_function, iter_functions(unit)))

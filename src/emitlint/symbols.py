@@ -104,11 +104,6 @@ class ScopeTree:
             scope = scope.children[i]
         return scope
 
-    def innermost_scope_at(self, line: int, col: int) -> Scope:
-        """scope_at, at a line and column of the tree's file."""
-        root = self.scopes[0]
-        return self.scope_at(root.file.linecol_to_offset(line, col))
-
 
 BUILTIN_NAMES = ("msg", "block", "tx", "this", "address", "abi")
 

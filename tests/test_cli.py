@@ -154,7 +154,7 @@ def test_lint_overuse_threshold_flag(capsys):
     assert code_high == 0
 
 
-@pytest.mark.parametrize("threshold", ["1/0", "0", "2", "abc", "nan"])
+@pytest.mark.parametrize("threshold", ["1/0", "0", "2", "abc", "nan", ""])
 def test_lint_bad_overuse_threshold_is_a_usage_error(capsys, threshold):
     """A threshold that is no ratio in (0, 1] stops lint before any file is
     analyzed: one stderr line, nothing on stdout, exit 2."""

@@ -39,6 +39,8 @@ CASES = {
                                    "--format", "json", "--whole-file-kill"],
     "diff_extent_text": ["diff", "--manifest", _EXTENT],
     "diff_extent_json": ["diff", "--manifest", _EXTENT, "--format", "json"],
+    "diff_extent_json_whole_file": ["diff", "--manifest", _EXTENT,
+                                    "--format", "json", "--whole-file-kill"],
 }
 
 

@@ -352,7 +352,7 @@ def _mutated_sources(bases: list[str], count: int, seed: int):
 def test_descent_finds_the_scope_the_linear_scan_finds(monkeypatch):
     """At every offset the checks look up, on clean and damaged files, the
     offset descent returns the very scope that the linear scan over line
-    and column spans does, and so does the (line, col) adapter."""
+    and column spans does."""
     files = [SourceFile.load(p) for p in sorted(FIXTURES.rglob("*.sol"))]
     files += snippet_corpus()
     mutated = _mutated_sources([f.text for f in files], 2_400, seed=5)
@@ -363,7 +363,6 @@ def test_descent_finds_the_scope_the_linear_scan_finds(monkeypatch):
         line, col = tree.scopes[0].file.offset_to_linecol(offset)
         found = tree.scope_at(offset)
         assert found is reference_scope_at(tree, line, col), (line, col)
-        assert tree.innermost_scope_at(line, col) is found
         depths.add(found.depth)
     assert len(calls) > 5_000
     assert max(depths) >= 6
