@@ -120,11 +120,20 @@ def _parse_check_ids(raw: str) -> frozenset[CheckId]:
     return frozenset(ids)
 
 
+def _flag_check_ids(flag: str, raw: str) -> frozenset[CheckId]:
+    """The check ids a --enable or --disable value names; a value that
+    names none, such as "" or ",", is an error."""
+    ids = _parse_check_ids(raw)
+    if not ids:
+        raise ValueError(f"{flag} {raw!r} names no check id")
+    return ids
+
+
 def load_config(ns: argparse.Namespace) -> CheckConfig:
     threshold = Fraction(1, 10)
     enabled = frozenset(CheckId)
     form_b = False
-    if ns.config:
+    if ns.config is not None:
         where = ns.config
         with open(where, "r", encoding="utf-8") as fh:
             data = _checked(json.load(fh), dict,
@@ -148,10 +157,10 @@ def load_config(ns: argparse.Namespace) -> CheckConfig:
         except ZeroDivisionError:
             raise ValueError(f"overuse threshold {ns.overuse_threshold!r} "
                              "has a zero denominator") from None
-    if ns.enable:
-        enabled = _parse_check_ids(ns.enable)
-    if ns.disable:
-        enabled = enabled - _parse_check_ids(ns.disable)
+    if ns.enable is not None:
+        enabled = _flag_check_ids("--enable", ns.enable)
+    if ns.disable is not None:
+        enabled = enabled - _flag_check_ids("--disable", ns.disable)
     if ns.debug_form_b:
         form_b = True
     return CheckConfig(overuse_threshold=threshold, enabled=enabled,

@@ -5,8 +5,11 @@ variables, events, functions and modifiers, and the statement and expression
 forms that carry emits and assignments. Recognized-but-unsupported constructs
 (inline assembly, try/catch, tuples, ...) are preserved as Unparsed statements
 and recorded as warnings; genuine syntax damage is recorded as an error and
-skipped to the next ';' or balancing brace, so a malformed file still yields
-whatever parses around the damage.
+skipped, so a malformed file still yields whatever parses around the damage.
+
+Every skip follows one rule, `Parser._skip_to`: consume tokens up to the
+first stop lexeme outside brackets and leave that stop. Each caller names its
+stops and which bracket kinds count.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ _BINARY_PREC = {
 _UNARY_OPS = frozenset({"!", "~", "-", "+", "++", "--"})
 _OPENERS = frozenset({"(", "[", "{"})
 _CLOSERS = frozenset({")", "]", "}"})
+_ARG_ENDS = _CLOSERS | {",", ";"}
+_FILE_LEVEL = frozenset({"pragma", "import", "contract", "interface",
+                         "library", "abstract"})
 
 _HEX_ADDRESS_LEN = 42  # 0x + 40 hex digits
 
@@ -155,40 +161,35 @@ class Parser:
             self._damage(f"expected '{lexeme}' {what}")
         return tok
 
-    def _skip_group(self, open_: str, close: str) -> bool:
-        """Consume an open_-opened region through its matching close; nothing
-        when the next token is not open_. True when the close was found."""
-        if not self._is(open_):
-            return False
-        depth = 0
-        while not self._at_end():
-            lexeme = self._advance().lexeme
-            if lexeme == open_:
-                depth += 1
-            elif lexeme == close:
-                depth -= 1
-                if depth == 0:
-                    return True
-        return False
-
-    def _skip_to_semicolon(self) -> None:
-        """Consume tokens through the next ';' at bracket depth zero; stop
-        before a '}' that would close the enclosing block. Unmatched ')' and
-        ']' (recovery may start inside a broken group) are consumed."""
+    def _skip_to(self, stops, openers=_OPENERS, closers=_CLOSERS) -> None:
+        """Consume tokens up to the first lexeme in stops outside brackets,
+        which stays unconsumed. Only openers and closers count as brackets;
+        a closer outside brackets that is no stop is consumed."""
         depth = 0
         while not self._at_end():
             lexeme = self._peek().lexeme
-            if lexeme in _OPENERS:
-                depth += 1
-            elif lexeme in _CLOSERS:
-                if depth == 0 and lexeme == "}":
-                    return
-                if depth > 0:
-                    depth -= 1
-            elif lexeme == ";" and depth == 0:
-                self._advance()
+            if depth == 0 and lexeme in stops:
                 return
+            if lexeme in openers:
+                depth += 1
+            elif lexeme in closers and depth:
+                depth -= 1
             self._advance()
+
+    def _skip_group(self, open_: str, close: str) -> bool:
+        """Consume an open_-opened region through its matching close; nothing
+        when the next token is not open_. True when the close was found."""
+        if not self._eat(open_):
+            return False
+        self._skip_to((close,), (open_,), (close,))
+        return self._eat(close) is not None
+
+    def _skip_to_semicolon(self) -> None:
+        """Consume tokens through the next ';' outside brackets; stop before
+        a '}' that would close the enclosing block. Unmatched ')' and ']'
+        (recovery may start inside a broken group) are consumed."""
+        self._skip_to((";", "}"))
+        self._eat(";")
 
     def _raw_text(self, start_idx: int) -> str:
         a, b = self._offsets_from(start_idx)
@@ -232,19 +233,11 @@ class Parser:
         return False
 
     def _skip_top_level(self) -> None:
-        depth = 0
-        progressed = False
-        while not self._at_end():
-            if depth == 0 and progressed and self._is(
-                    "pragma", "import", "contract", "interface", "library",
-                    "abstract"):
-                return
-            lexeme = self._advance().lexeme
-            if lexeme == "{":
-                depth += 1
-            elif lexeme == "}":
-                depth = max(0, depth - 1)
-            progressed = True
+        """Consume the next token, or the braced group it opens, then on to
+        the next file-level keyword outside braces."""
+        if not self._skip_group("{", "}") and not self._at_end():
+            self._advance()
+        self._skip_to(_FILE_LEVEL, ("{",), ("}",))
 
     def _parse_contract(self) -> ContractDef | None:
         start = self.i
@@ -389,20 +382,6 @@ class Parser:
                 "warning", event.span)
         return event
 
-    def _skip_param(self) -> None:
-        depth = 0
-        while not self._at_end():
-            lexeme = self._peek().lexeme
-            if lexeme == "(":
-                depth += 1
-            elif lexeme == ")":
-                if depth == 0:
-                    return
-                depth -= 1
-            elif lexeme == "," and depth == 0:
-                return
-            self._advance()
-
     def _parse_function_like(self) -> FunctionDef | None:
         start = self.i
         kind = self._advance().lexeme
@@ -459,7 +438,7 @@ class Parser:
                 type_name = self._parse_type_name()
             except _Fail:
                 self._record(f"unsupported {what} type", "warning")
-                self._skip_param()
+                self._skip_to((",", ")"), ("(",), (")",))
             else:
                 params.append(param(start, type_name))
             if not self._eat(","):
@@ -555,9 +534,8 @@ class Parser:
             self._advance()  # guarantee progress
         return Unparsed(*self._at(start), self._raw_text(start))
 
-    def _unparsed_stmt(self, start: int, message: str,
-                       severity: str = "warning") -> Unparsed:
-        self._record(message, severity, self._span_from(start))
+    def _unparsed_stmt(self, start: int, message: str) -> Unparsed:
+        self._record(message, "warning", self._span_from(start))
         return Unparsed(*self._at(start), self._raw_text(start))
 
     def _parse_stmt_inner(self) -> Stmt:
@@ -649,8 +627,7 @@ class Parser:
     def _skip_try(self) -> None:
         """The try clause, then each catch clause: head and braced body."""
         while True:
-            while not self._at_end() and not self._is("{"):
-                self._advance()
+            self._skip_to(("{",), (), ())
             self._skip_group("{", "}")
             if not self._is("catch"):
                 return
@@ -874,18 +851,7 @@ class Parser:
 
     def _skip_call_arg(self) -> str:
         start = self.i
-        depth = 0
-        while not self._at_end():
-            lexeme = self._peek().lexeme
-            if lexeme in _OPENERS:
-                depth += 1
-            elif lexeme in _CLOSERS:
-                if depth == 0:
-                    break
-                depth -= 1
-            elif lexeme in (",", ";") and depth == 0:
-                break
-            self._advance()
+        self._skip_to(_ARG_ENDS)
         return self._raw_text(start) if self.i > start else ""
 
     def _try_call_options(self) -> list[Expr] | None:

@@ -12,7 +12,7 @@ import re
 import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from emitlint.evolution import FilePair, LineDiff, Revision
 from emitlint.lexer import (
@@ -24,7 +24,7 @@ from emitlint.nodes import (
     Identifier, If, Literal, LiteralKind, LocalVarDecl, Node, SourceUnit,
     Stmt, iter_functions, walk_statements,
 )
-from emitlint.parser import parse_file
+from emitlint.parser import _CLOSERS, _OPENERS, Parser, _Fail, parse_file
 from emitlint.scan import (
     _IDENT_RE, EMIT_PATTERN, LINE_BLANK, LINE_CODE, LINE_COMMENT,
     RegexEmitMatch, extract_emits_regex,
@@ -981,3 +981,113 @@ def reference_extract_emits_regex(file: SourceFile, lexed: LexResult
         matches.append(RegexEmitMatch(name, m.group(2), emit_off, m.end(2),
                                       flagged, file))
     return matches
+
+
+class ReferenceSkipParser(Parser):
+    """The parser with the five recovery loops that `Parser._skip_to`
+    replaced, each tracking bracket depth its own way; the recovery
+    differential test compares the two."""
+
+    def _skip_to(self, stops, openers=_OPENERS, closers=_CLOSERS) -> None:
+        raise AssertionError("the reference parser has its own loops")
+
+    def _skip_group(self, open_: str, close: str) -> bool:
+        if not self._is(open_):
+            return False
+        depth = 0
+        while not self._at_end():
+            lexeme = self._advance().lexeme
+            if lexeme == open_:
+                depth += 1
+            elif lexeme == close:
+                depth -= 1
+                if depth == 0:
+                    return True
+        return False
+
+    def _skip_to_semicolon(self) -> None:
+        depth = 0
+        while not self._at_end():
+            lexeme = self._peek().lexeme
+            if lexeme in _OPENERS:
+                depth += 1
+            elif lexeme in _CLOSERS:
+                if depth == 0 and lexeme == "}":
+                    return
+                if depth > 0:
+                    depth -= 1
+            elif lexeme == ";" and depth == 0:
+                self._advance()
+                return
+            self._advance()
+
+    def _skip_top_level(self) -> None:
+        depth = 0
+        progressed = False
+        while not self._at_end():
+            if depth == 0 and progressed and self._is(
+                    "pragma", "import", "contract", "interface", "library",
+                    "abstract"):
+                return
+            lexeme = self._advance().lexeme
+            if lexeme == "{":
+                depth += 1
+            elif lexeme == "}":
+                depth = max(0, depth - 1)
+            progressed = True
+
+    def _skip_param(self) -> None:
+        depth = 0
+        while not self._at_end():
+            lexeme = self._peek().lexeme
+            if lexeme == "(":
+                depth += 1
+            elif lexeme == ")":
+                if depth == 0:
+                    return
+                depth -= 1
+            elif lexeme == "," and depth == 0:
+                return
+            self._advance()
+
+    def _param_list(self, what: str, where: str,
+                    param: Callable[[int, str], Node]) -> list:
+        params = []
+        while not self._is(")") and not self._at_end():
+            start = self.i
+            try:
+                type_name = self._parse_type_name()
+            except _Fail:
+                self._record(f"unsupported {what} type", "warning")
+                self._skip_param()
+            else:
+                params.append(param(start, type_name))
+            if not self._eat(","):
+                break
+        if self._eat(")") is None:
+            self._record(f"expected ')' in {where}")
+        return params
+
+    def _skip_try(self) -> None:
+        while True:
+            while not self._at_end() and not self._is("{"):
+                self._advance()
+            self._skip_group("{", "}")
+            if not self._is("catch"):
+                return
+
+    def _skip_call_arg(self) -> str:
+        start = self.i
+        depth = 0
+        while not self._at_end():
+            lexeme = self._peek().lexeme
+            if lexeme in _OPENERS:
+                depth += 1
+            elif lexeme in _CLOSERS:
+                if depth == 0:
+                    break
+                depth -= 1
+            elif lexeme in (",", ";") and depth == 0:
+                break
+            self._advance()
+        return self._raw_text(start) if self.i > start else ""

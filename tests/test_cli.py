@@ -165,6 +165,32 @@ def test_lint_bad_overuse_threshold_is_a_usage_error(capsys, threshold):
     assert len(err.splitlines()) == 1 and err.startswith("emitlint: ")
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--enable", ""), ("--disable", ""), ("--enable", ","), ("--config", ""),
+])
+def test_lint_bad_check_flag_is_a_usage_error(capsys, flag, value):
+    """An --enable or --disable value that names no check id, and an empty
+    --config path, stop lint as any other bad flag does: one stderr line,
+    nothing on stdout, exit 2."""
+    code, out, err = run(capsys, "lint", str(fixture_path("lint_tree")),
+                         flag, value)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("emitlint: ")
+
+
+def test_lint_config_enabled_empty_runs_no_check(capsys, tmp_path):
+    """Unlike an empty --enable value, a config file's empty "enabled"
+    list is a choice: no check runs, and lint exits 0."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"enabled": []}))
+    code, out, err = run(capsys, "lint", str(fixture_path("lint_tree")),
+                         "--config", str(config))
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[-1].endswith(", 0 finding(s)")
+
+
 def test_lint_config_file_and_flag_override(capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
