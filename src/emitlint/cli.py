@@ -129,6 +129,15 @@ def _flag_check_ids(flag: str, raw: str) -> frozenset[CheckId]:
     return ids
 
 
+def _config_check_id(where: str, item: str) -> CheckId:
+    """The check id an item of a config file's "enabled" array names; an
+    item that names none or several is an error."""
+    if "," in item or not item.strip():
+        raise ValueError(f'{where}: "enabled" items must each name one check '
+                         f"id, not {item!r}")
+    return next(iter(_parse_check_ids(item)))
+
+
 def load_config(ns: argparse.Namespace) -> CheckConfig:
     threshold = Fraction(1, 10)
     enabled = frozenset(CheckId)
@@ -145,9 +154,9 @@ def load_config(ns: argparse.Namespace) -> CheckConfig:
         if "enabled" in data:
             ids = _checked(data["enabled"], list, f'{where}: "enabled" must '
                            "be a JSON array of check ids")
-            enabled = _parse_check_ids(",".join(
-                _checked(item, str, f'{where}: "enabled" items must be '
-                         "strings") for item in ids))
+            enabled = frozenset(_config_check_id(where, _checked(
+                item, str, f'{where}: "enabled" items must be strings'))
+                for item in ids)
         if "debugEventFormB" in data:
             form_b = _checked(data["debugEventFormB"], bool,
                               f'{where}: "debugEventFormB" must be a boolean')

@@ -26,7 +26,10 @@ arguments.
 
 The matcher stops at the first ')'. Each match outside comments and strings
 is closed once, on to the ')' that closes its arguments, and churn, pairing,
-the emit lines and the kill scan all read that one extent.
+the emit lines and the kill scan all read that one extent. Tokens are read
+as the lexer's columns, by index: a match's tokens and a line's tokens are
+found by bisecting the start offsets, and the kill scan reads the lexeme and
+kind columns of the tokens outside the closed matches.
 
 Each revision is analyzed once. `RevisionAnalysis.build` diffs every file
 pair once and lexes every present side once, and keeps only the answers: the
@@ -45,18 +48,15 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter
 import re
 
-from .lexer import ASSIGN_OPS, Token, TokenKind, lex
+from .lexer import ASSIGN_OPS, LexResult, TokenKind, lex
 from .scan import (
     LINE_BLANK, LINE_CODE, RegexEmitMatch, classify_lines, extract_emits_regex,
 )
 from .source import SourceFile
 
 _NEG = -(10 ** 9)
-
-_tok_start = attrgetter("start")
 
 _IDENT_TOKEN_RE = re.compile(r"[A-Za-z_]\w*")
 
@@ -237,8 +237,9 @@ def _changed_tokens(before: RegexEmitMatch | None,
 class SideAnalysis:
     """What churn, pairing and independence read from one side of a file
     pair. The file is lexed once; its comment and string ranges feed the line
-    kinds and the regex emit matches, and its tokens close the matches and
-    feed the emit lines and the kill sets. Only the answers are kept."""
+    kinds and the regex emit matches, and its token columns close the
+    matches and feed the emit lines and the kill sets. Only the answers are
+    kept."""
     churned_loc: int  # changed code lines
     total_loc: int
     total_emits: int  # matches in comments and strings included
@@ -255,16 +256,20 @@ class SideAnalysis:
         changed non-emit lines (every non-emit line in whole-file mode), over
         the tokens that start on the run's lines and lie outside emits."""
         lexed = lex(file)
-        toks, starts = lexed.tokens, file.line_starts
+        starts = file.line_starts
         matches = extract_emits_regex(file, lexed)
         changed_emits: list[tuple[RegexEmitMatch, int]] = []
-        kept: list[Token] = []  # the tokens outside the closed matches
+        # The start, end, lexeme and kind columns of the tokens outside the
+        # closed matches.
+        columns = (lexed.starts, lexed.ends, lexed.lexemes, lexed.kinds)
+        kept: tuple[list, ...] = ([], [], [], [])
         touched: set[int] = set()  # lines a closed match touches
         prev = 0
         for m in matches:
             if not m.in_comment_or_string:
-                m, lo, hi = _close(m, toks)
-                kept += toks[prev:lo]
+                m, lo, hi = _close(m, lexed)
+                for column, kept_column in zip(columns, kept):
+                    kept_column += column[prev:lo]
                 prev = max(prev, hi)
             first = bisect_right(starts, m.start)
             lines = range(first, bisect_right(starts, m.end - 1) + 1)
@@ -272,13 +277,15 @@ class SideAnalysis:
                 touched.update(lines)
             if not changed.isdisjoint(lines):
                 changed_emits.append((m, first))
-        kept += toks[prev:]
+        for column, kept_column in zip(columns, kept):
+            kept_column += column[prev:]
+        kept_starts, kept_ends, kept_lexemes, kept_kinds = kept
 
         def line_bounds(first: int, last: int) -> tuple[int, int]:
             """Index range of the kept tokens that start on these lines."""
             end = starts[last] if last < len(starts) else len(file.text)
-            lo = bisect_left(kept, starts[first - 1], key=_tok_start)
-            return lo, bisect_left(kept, end, lo, key=_tok_start)
+            lo = bisect_left(kept_starts, starts[first - 1])
+            return lo, bisect_left(kept_starts, end, lo)
 
         lines = set(range(1, file.line_count + 1)) if whole_file \
             else changed
@@ -286,8 +293,8 @@ class SideAnalysis:
         for line in touched & lines:
             lo, hi = line_bounds(line, line)
             # No code or string besides the emits and ';'.
-            if all(tok.lexeme == ";" for tok in kept[lo:hi]) and not (
-                    lo and kept[lo - 1].end > starts[line - 1]):
+            if all(lexeme == ";" for lexeme in kept_lexemes[lo:hi]) and not (
+                    lo and kept_ends[lo - 1] > starts[line - 1]):
                 emit_lines.add(line)
         runs: list[list[int]] = []  # [first, last] line of each run
         for line in sorted(lines - emit_lines):
@@ -299,7 +306,7 @@ class SideAnalysis:
         passed: set[str] = set()
         for first, last in runs:
             lo, hi = line_bounds(first, last)
-            a, p = _scan_kill_sets(kept[lo:hi])
+            a, p = _scan_kill_sets(kept_lexemes[lo:hi], kept_kinds[lo:hi])
             assigned |= a
             passed |= p
         # The line past the last one, empty after a final newline, is blank.
@@ -415,67 +422,71 @@ class RevisionAnalysis:
         return Independence.DEPENDENT
 
 
-def _close(m: RegexEmitMatch, toks: list[Token]
+def _close(m: RegexEmitMatch, lexed: LexResult
            ) -> tuple[RegexEmitMatch, int, int]:
     """The match m, outside comments and strings, closed; and the index range
-    of its tokens in toks, the file's tokens. The match stops at the first
+    of its tokens in lexed, the file's columns. The match stops at the first
     ')', so a nested call or cast, or a ')' in a string or comment, leaves
     the argument list open: carry on to the ')' that closes it, but not past
     a ';', '{' or '}'. The closed match runs to its last token, and its
     raw_args hold the whole argument list."""
-    lo = bisect_left(toks, m.start, key=_tok_start)
-    hi = bisect_left(toks, m.end, lo, key=_tok_start)
+    starts, lexemes = lexed.starts, lexed.lexemes
+    lo = bisect_left(starts, m.start)
+    hi = bisect_left(starts, m.end, lo)
     # With no '(' in its arguments and its ')' a token, the match already
     # closes the argument list.
-    if "(" not in m.raw_args and toks[hi - 1].start == m.end - 1:
+    if "(" not in m.raw_args and starts[hi - 1] == m.end - 1:
         return m, lo, hi
-    depth = 0
-    for tok in toks[lo:hi]:
-        depth += (tok.lexeme == "(") - (tok.lexeme == ")")
-    while depth > 0 and hi < len(toks):
-        lexeme = toks[hi].lexeme
+    inside = lexemes[lo:hi]
+    depth = inside.count("(") - inside.count(")")
+    while depth > 0 and hi < len(lexemes):
+        lexeme = lexemes[hi]
         if lexeme in (";", "{", "}"):
             break
         depth += (lexeme == "(") - (lexeme == ")")
         hi += 1
-    last = toks[hi - 1]
+    end = lexed.ends[hi - 1]
     args = m.end - 1 - len(m.raw_args)  # just past the '('
-    raw_args = m.file.text[args:last.start if depth == 0 else last.end]
-    return replace(m, raw_args=raw_args, end=last.end), lo, hi
+    raw_args = m.file.text[args:starts[hi - 1] if depth == 0 else end]
+    return replace(m, raw_args=raw_args, end=end), lo, hi
 
 
-def _scan_kill_sets(toks: list[Token]) -> tuple[set[str], set[str]]:
+def _scan_kill_sets(lexemes: list[str], kinds: list[TokenKind]
+                    ) -> tuple[set[str], set[str]]:
     """Identifiers assigned to, and identifiers passed inside call argument
-    lists, in a run of a file's tokens."""
+    lists, in a run of a file's tokens, given as its lexeme and kind
+    columns."""
     assigned: set[str] = set()
     passed: set[str] = set()
-    for idx, tok in enumerate(toks):
-        if tok.lexeme in ASSIGN_OPS:
+    identifier = TokenKind.IDENTIFIER
+    n = len(lexemes)
+    for idx, lexeme in enumerate(lexemes):
+        if lexeme in ASSIGN_OPS:
             j = idx - 1
             while j >= 0:
-                prev = toks[j]
-                if prev.lexeme in (";", ",", "{", "}", "(", ")"):
+                prev = lexemes[j]
+                if prev in (";", ",", "{", "}", "(", ")"):
                     break
-                if prev.kind == TokenKind.IDENTIFIER:
-                    assigned.add(prev.lexeme)
+                if kinds[j] is identifier:
+                    assigned.add(prev)
                 j -= 1
-        elif tok.lexeme in ("++", "--"):
+        elif lexeme in ("++", "--"):
             for j in (idx - 1, idx + 1):
-                if 0 <= j < len(toks) and toks[j].kind == TokenKind.IDENTIFIER:
-                    assigned.add(toks[j].lexeme)
-        elif tok.kind == TokenKind.IDENTIFIER and idx + 1 < len(toks) and \
-                toks[idx + 1].lexeme == "(":
+                if 0 <= j < n and kinds[j] is identifier:
+                    assigned.add(lexemes[j])
+        elif kinds[idx] is identifier and idx + 1 < n and \
+                lexemes[idx + 1] == "(":
             depth = 0
-            for j in range(idx + 1, len(toks)):
-                t = toks[j]
-                if t.lexeme == "(":
+            for j in range(idx + 1, n):
+                word = lexemes[j]
+                if word == "(":
                     depth += 1
-                elif t.lexeme == ")":
+                elif word == ")":
                     depth -= 1
                     if depth == 0:
                         break
-                elif t.kind == TokenKind.IDENTIFIER and j > idx + 1:
-                    passed.add(t.lexeme)
+                elif kinds[j] is identifier and j > idx + 1:
+                    passed.add(word)
     return assigned, passed
 
 

@@ -6,9 +6,12 @@ matched names the token's class. Keywords are decided by the regex too: a
 keyword alternative, built from KEYWORDS and the elementary type names,
 comes before the word alternative, so no word is looked up afterwards.
 
-Comments and whitespace are consumed, never emitted as tokens. Comment and
-string ranges are kept on the side so later passes can classify lines and
-decide whether a textual match falls inside a comment or a string literal.
+Comments and whitespace are consumed, never emitted as tokens. The tokens
+are kept as four parallel columns, `kinds`, `lexemes`, `starts` and `ends`,
+with no object per token; `LexResult.tokens` builds `Token`s from them on
+each read, for callers that want objects. Comment and string ranges are kept
+on the side so later passes can classify lines and decide whether a textual
+match falls inside a comment or a string literal.
 
 Recovery: an unterminated string abandons the current line and resumes at the
 next one; an unterminated block comment swallows the rest of the file. Both
@@ -59,11 +62,22 @@ class LexError:
 
 @dataclass
 class LexResult:
-    tokens: list[Token]
+    """Token i has kind kinds[i], text lexemes[i] and the half-open
+    character-offset range [starts[i], ends[i])."""
+    kinds: list[TokenKind]
+    lexemes: list[str]
+    starts: list[int]
+    ends: list[int]
     errors: list[LexError]
     # Half-open character-offset ranges, in source order.
     comment_ranges: list[tuple[int, int]]
     string_ranges: list[tuple[int, int]]
+
+    @property
+    def tokens(self) -> list[Token]:
+        """The columns as Token objects, built afresh on each read."""
+        return list(map(Token, self.kinds, self.lexemes, self.starts,
+                        self.ends))
 
 
 KEYWORDS = frozenset({
@@ -151,7 +165,10 @@ def is_elementary_type(word: str) -> bool:
 
 
 def lex(file: SourceFile) -> LexResult:
-    tokens: list[Token] = []
+    kinds: list[TokenKind] = []
+    lexemes: list[str] = []
+    starts: list[int] = []
+    ends: list[int] = []
     errors: list[LexError] = []
     comments: list[tuple[int, int]] = []
     strings: list[tuple[int, int]] = []
@@ -161,7 +178,10 @@ def lex(file: SourceFile) -> LexResult:
         kind = token_kind(group)
         if kind is not None:
             a, b = m.span(group)
-            tokens.append(Token(kind, m[group], a, b))
+            kinds.append(kind)
+            lexemes.append(m[group])
+            starts.append(a)
+            ends.append(b)
             if group == _STRING:
                 strings.append((a, b))
         elif group == _COMMENT:
@@ -174,7 +194,7 @@ def lex(file: SourceFile) -> LexResult:
                 strings.append((a, b))
             errors.append(LexError(_ERROR_KINDS[group],
                                    file.span_from_offsets(a, b)))
-    return LexResult(tokens, errors, comments, strings)
+    return LexResult(kinds, lexemes, starts, ends, errors, comments, strings)
 
 
 def tokenize(file: SourceFile) -> list[Token]:

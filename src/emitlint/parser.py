@@ -10,6 +10,12 @@ skipped, so a malformed file still yields whatever parses around the damage.
 Every skip follows one rule, `Parser._skip_to`: consume tokens up to the
 first stop lexeme outside brackets and leave that stop. Each caller names its
 stops and which bracket kinds count.
+
+The parser reads the lexer's columns, not Token objects: the token at index
+i has lexeme `lx[i]`, kind `kd[i]` and offsets `starts[i]`, `ends[i]`. The
+helpers that consume or look at one token return its lexeme. `parse_file`
+hands the parser the columns of its one lex; `parse(tokens, file)` builds
+them from a token list.
 """
 
 from __future__ import annotations
@@ -68,15 +74,18 @@ class _Damage(Exception):
     """Committed parse failed; an error was already recorded."""
 
 
-# Past the real tokens the parser reads end tokens, which match no lexeme
-# and no kind; lookahead reaches at most two tokens past the next one.
-_END = Token(None, "", 0, 0)
-
-
 class Parser:
-    def __init__(self, tokens: list[Token], file: SourceFile):
-        self.n = len(tokens)
-        self.toks = [*tokens, _END, _END, _END]
+    def __init__(self, lexed: LexResult, file: SourceFile):
+        """lexed must come from file. Past the real tokens the lexeme and
+        kind columns hold three end entries, which match no lexeme and no
+        kind; lookahead reaches at most two tokens past the next one. The
+        offset columns are read only at real tokens, so they are not
+        copied."""
+        self.n = len(lexed.lexemes)
+        self.lx = [*lexed.lexemes, "", "", ""]
+        self.kd = [*lexed.kinds, None, None, None]
+        self.starts = lexed.starts
+        self.ends = lexed.ends
         self.file = file
         self.i = 0
         self.errors: list[ParseError] = []
@@ -86,57 +95,73 @@ class Parser:
 
     # ------------------------------------------------------------- utilities
 
-    def _peek(self, ahead: int = 0) -> Token:
-        return self.toks[self.i + ahead]
+    def _peek(self, ahead: int = 0) -> str:
+        return self.lx[self.i + ahead]
 
     def _at_end(self) -> bool:
         return self.i >= self.n
 
-    def _advance(self) -> Token:
-        tok = self.toks[self.i]
+    def _advance(self) -> str:
+        lexeme = self.lx[self.i]
         self.i += 1
-        return tok
+        return lexeme
 
     def _is(self, *lexemes: str, ahead: int = 0) -> bool:
         """A token's lexeme decides its kind, so a fixed token is tested by
         its lexeme alone."""
-        return self.toks[self.i + ahead].lexeme in lexemes
+        return self.lx[self.i + ahead] in lexemes
 
-    def _eat(self, *lexemes: str) -> Token | None:
-        return self._advance() if self._is(*lexemes) else None
+    def _eat(self, *lexemes: str) -> str | None:
+        """Consume the next token and return its lexeme when it is one of
+        lexemes; None otherwise. No lexeme is empty, so the result is true
+        exactly when a token was consumed."""
+        lexeme = self.lx[self.i]
+        if lexeme in lexemes:
+            self.i += 1
+            return lexeme
+        return None
 
-    def _expect(self, *lexemes: str) -> Token:
+    def _expect(self, *lexemes: str) -> str:
         """Consume the next token, which must be one of lexemes."""
-        tok = self._eat(*lexemes)
-        if tok is None:
+        lexeme = self.lx[self.i]
+        if lexeme not in lexemes:
             raise _Fail()
-        return tok
+        self.i += 1
+        return lexeme
 
     def _check(self, kind: TokenKind, ahead: int = 0) -> bool:
-        return self.toks[self.i + ahead].kind == kind
+        return self.kd[self.i + ahead] is kind
 
-    def _match(self, kind: TokenKind) -> Token | None:
-        return self._advance() if self._check(kind) else None
+    def _match(self, kind: TokenKind) -> str | None:
+        """Consume the next token and return its lexeme when it is of kind;
+        None otherwise."""
+        i = self.i
+        if self.kd[i] is kind:
+            self.i = i + 1
+            return self.lx[i]
+        return None
 
     def _here(self) -> tuple[int, int]:
         """Offsets of the next token; past the end, of the last token; with
         no tokens at all, of the whole text."""
-        if not self._at_end():
-            tok = self.toks[self.i]
-        elif self.n:
-            tok = self.toks[self.n - 1]
-        else:
-            return 0, len(self.file.text)
-        return tok.start, tok.end
+        i = self.i
+        if i < self.n:
+            return self.starts[i], self.ends[i]
+        if self.n:
+            return self.starts[-1], self.ends[-1]
+        return 0, len(self.file.text)
 
     def _offsets_from(self, start_idx: int) -> tuple[int, int]:
         """Offsets from token start_idx through the last consumed token;
         tokens are in source order, so the first starts it and the last
         ends it. Past the end, the offsets of `_here`."""
+        i = self.i
+        if start_idx < i <= self.n:
+            return self.starts[start_idx], self.ends[i - 1]
         if start_idx >= self.n:
             return self._here()
-        last = self.toks[max(start_idx, min(self.i, self.n) - 1)]
-        return self.toks[start_idx].start, last.end
+        return (self.starts[start_idx],
+                self.ends[max(start_idx, min(i, self.n) - 1)])
 
     def _at(self, start_idx: int) -> tuple[int, int, SourceFile]:
         """A node's leading fields: its offsets from token start_idx through
@@ -155,26 +180,26 @@ class Parser:
         self._record(message, severity)
         raise _Damage()
 
-    def _expect_punct(self, lexeme: str, what: str) -> Token:
-        tok = self._eat(lexeme)
-        if tok is None:
+    def _expect_punct(self, lexeme: str, what: str) -> None:
+        if self._eat(lexeme) is None:
             self._damage(f"expected '{lexeme}' {what}")
-        return tok
 
     def _skip_to(self, stops, openers=_OPENERS, closers=_CLOSERS) -> None:
         """Consume tokens up to the first lexeme in stops outside brackets,
         which stays unconsumed. Only openers and closers count as brackets;
         a closer outside brackets that is no stop is consumed."""
+        lx, i, n = self.lx, self.i, self.n
         depth = 0
-        while not self._at_end():
-            lexeme = self._peek().lexeme
+        while i < n:
+            lexeme = lx[i]
             if depth == 0 and lexeme in stops:
-                return
+                break
             if lexeme in openers:
                 depth += 1
             elif lexeme in closers and depth:
                 depth -= 1
-            self._advance()
+            i += 1
+        self.i = i
 
     def _skip_group(self, open_: str, close: str) -> bool:
         """Consume an open_-opened region through its matching close; nothing
@@ -203,7 +228,7 @@ class Parser:
         while not self._at_end():
             if self._is("pragma", "import"):
                 start = self.i
-                kind = self._peek().lexeme
+                kind = self._peek()
                 if not self._skip_directive():
                     self._record(f"expected ';' after {kind} directive",
                                  span=self._span_from(start))
@@ -245,33 +270,32 @@ class Parser:
             kind = ContractKind.ABSTRACT
             self._advance()  # 'contract'
         else:
-            word = self._advance().lexeme
+            word = self._advance()
             kind = {"contract": ContractKind.CONTRACT,
                     "interface": ContractKind.INTERFACE,
                     "library": ContractKind.LIBRARY}[word]
-        name_tok = self._match(TokenKind.IDENTIFIER)
-        if name_tok is None:
+        name = self._match(TokenKind.IDENTIFIER)
+        if name is None:
             self._record("expected contract name")
             self._skip_top_level()
             return None
         bases: list[str] = []
         if self._eat("is"):
             while True:
-                base = self._match(TokenKind.IDENTIFIER)
-                if base is None:
+                path = self._match(TokenKind.IDENTIFIER)
+                if path is None:
                     break
-                path = base.lexeme
                 while self._eat("."):
                     part = self._match(TokenKind.IDENTIFIER)
                     if part is None:
                         break
-                    path += "." + part.lexeme
+                    path += "." + part
                 self._skip_group("(", ")")
                 bases.append(path)
                 if not self._eat(","):
                     break
-        contract = ContractDef(*self._at(start), name_tok.lexeme, kind, bases,
-                               [], [], [])
+        contract = ContractDef(*self._at(start), name, kind, bases, [], [],
+                               [])
         if self._eat("{") is None:
             self._record("expected '{' to open contract body")
             self._skip_top_level()
@@ -326,8 +350,8 @@ class Parser:
             visibility = ""
             is_constant = is_immutable = False
             while True:
-                if tok := self._eat(*_VISIBILITY):
-                    visibility = tok.lexeme
+                if word := self._eat(*_VISIBILITY):
+                    visibility = word
                 elif self._eat("constant"):
                     is_constant = True
                 elif self._eat("immutable"):
@@ -336,8 +360,8 @@ class Parser:
                     self._skip_group("(", ")")
                 else:
                     break
-            name_tok = self._match(TokenKind.IDENTIFIER)
-            if name_tok is None:
+            name = self._match(TokenKind.IDENTIFIER)
+            if name is None:
                 raise _Fail()
             init: Expr | None = None
             if self._eat("="):
@@ -351,7 +375,7 @@ class Parser:
             if self._eat(";") is None:
                 self._record("expected ';' after state variable declaration")
                 self._skip_to_semicolon()
-            return StateVarDecl(*self._at(mark), name_tok.lexeme, type_name,
+            return StateVarDecl(*self._at(mark), name, type_name,
                                 visibility, is_constant, is_immutable, init)
         except _Fail:
             self.i = mark
@@ -360,8 +384,8 @@ class Parser:
     def _parse_event(self) -> EventDef | None:
         start = self.i
         self._advance()  # 'event'
-        name_tok = self._match(TokenKind.IDENTIFIER)
-        if name_tok is None:
+        name = self._match(TokenKind.IDENTIFIER)
+        if name is None:
             self._record("expected event name")
             self._skip_to_semicolon()
             return None
@@ -373,7 +397,7 @@ class Parser:
         if self._eat(";") is None:
             self._record("expected ';' after event declaration")
             self._skip_to_semicolon()
-        event = EventDef(*self._at(start), name_tok.lexeme, params)
+        event = EventDef(*self._at(start), name, params)
         indexed_count = sum(param.indexed for param in params)
         if indexed_count > 3:
             self._record(
@@ -384,13 +408,11 @@ class Parser:
 
     def _parse_function_like(self) -> FunctionDef | None:
         start = self.i
-        kind = self._advance().lexeme
+        kind = self._advance()
         name = ""
         if kind in ("function", "modifier"):
-            name_tok = self._match(TokenKind.IDENTIFIER)
-            if name_tok is not None:
-                name = name_tok.lexeme
-            elif kind == "modifier":
+            name = self._match(TokenKind.IDENTIFIER) or ""
+            if not name and kind == "modifier":
                 self._record("expected modifier name")
             # 'function ()' is the legacy unnamed fallback: keep name empty.
         params: list[Param] = []
@@ -401,10 +423,10 @@ class Parser:
         visibility = ""
         mutability = ""
         while not self._at_end() and not self._is("{", ";", "}"):
-            if tok := self._eat(*_VISIBILITY):
-                visibility = tok.lexeme
-            elif tok := self._eat(*_MUTABILITY):
-                mutability = tok.lexeme
+            if word := self._eat(*_VISIBILITY):
+                visibility = word
+            elif word := self._eat(*_MUTABILITY):
+                mutability = word
             elif self._eat("override"):
                 self._skip_group("(", ")")
             elif self._eat("returns"):
@@ -450,23 +472,21 @@ class Parser:
     def _param(self, start: int, type_name: str) -> Param:
         location = self._location()
         self._eat("indexed")  # tolerated if misplaced
-        pname = self._match(TokenKind.IDENTIFIER)
-        return Param(*self._at(start), pname.lexeme if pname else "",
-                     type_name, location)
+        name = self._match(TokenKind.IDENTIFIER) or ""
+        return Param(*self._at(start), name, type_name, location)
 
     def _event_param(self, start: int, type_name: str) -> EventParam:
         indexed = self._eat("indexed") is not None
-        pname = self._match(TokenKind.IDENTIFIER)
-        return EventParam(*self._at(start), pname.lexeme if pname else None,
-                          type_name, indexed)
+        name = self._match(TokenKind.IDENTIFIER)
+        return EventParam(*self._at(start), name, type_name, indexed)
 
     def _location(self) -> DataLocation:
-        tok = self._eat("memory", "storage", "calldata")
-        return DataLocation(tok.lexeme) if tok else DataLocation.DEFAULT
+        word = self._eat("memory", "storage", "calldata")
+        return DataLocation(word) if word else DataLocation.DEFAULT
 
     def _parse_type_name(self) -> str:
-        tok = self._peek()
-        if tok.lexeme == "mapping":
+        word = self._peek()
+        if word == "mapping":
             self._advance()
             self._expect("(")
             with self._chain_link():
@@ -476,9 +496,9 @@ class Parser:
                 value = self._parse_type_name()
             self._expect(")")
             base = f"mapping({key} => {value})"
-        elif is_elementary_type(tok.lexeme):
+        elif is_elementary_type(word):
             self._advance()
-            base = tok.lexeme
+            base = word
             if base == "address" and self._eat("payable"):
                 base = "address payable"
         elif (base := self._dotted_name()) is None:
@@ -487,19 +507,18 @@ class Parser:
             start = self.i
             if not self._skip_group("[", "]"):
                 raise _Fail()
-            base += "".join(t.lexeme for t in self.toks[start:self.i])
+            base += "".join(self.lx[start:self.i])
         return base
 
     def _dotted_name(self) -> str | None:
         """An identifier and the identifiers '.' joins to it; None when the
         next token is no identifier."""
-        tok = self._match(TokenKind.IDENTIFIER)
-        if tok is None:
+        name = self._match(TokenKind.IDENTIFIER)
+        if name is None:
             return None
-        name = tok.lexeme
         while self._is(".") and self._check(TokenKind.IDENTIFIER, 1):
             self._advance()
-            name += "." + self._advance().lexeme
+            name += "." + self._advance()
         return name
 
     # ------------------------------------------------------------- statements
@@ -542,7 +561,7 @@ class Parser:
         start = self.i
         if self._at_end():
             self._damage("unexpected end of input in block")
-        word = self._peek().lexeme
+        word = self._peek()
         if word == "{":
             return self._parse_block()
         if word == "if":
@@ -608,11 +627,12 @@ class Parser:
             return decl
         if self._is("revert") and self._check(TokenKind.IDENTIFIER, 1):
             # revert CustomError(args);
-            rtok = self._advance()
+            self._advance()
             inner = self._expr_or_damage("unsupported revert statement")
             self._expect_punct(";", "after revert statement")
             at = self._at(start)
-            callee = Identifier(rtok.start, rtok.end, self.file, rtok.lexeme)
+            callee = Identifier(self.starts[start], self.ends[start],
+                                self.file, "revert")
             return ExprStmt(*at, Call(*at, callee, [inner]))
         expr = self._expr_or_damage("unsupported or malformed statement")
         self._expect_punct(";", "after expression statement")
@@ -634,7 +654,7 @@ class Parser:
 
     def _condition(self) -> Expr:
         """The keyword of an if or while and its parenthesized condition."""
-        word = self._advance().lexeme
+        word = self._advance()
         self._expect_punct("(", f"after {word}")
         cond = self._expr_or_damage(f"unsupported {word} condition")
         self._expect_punct(")", f"after {word} condition")
@@ -704,8 +724,8 @@ class Parser:
         try:
             type_name = self._parse_type_name()
             location = self._location()
-            name_tok = self._match(TokenKind.IDENTIFIER)
-            if name_tok is None or not self._is(";", "="):
+            name = self._match(TokenKind.IDENTIFIER)
+            if name is None or not self._is(";", "="):
                 raise _Fail()
         except _Fail:
             self.i = mark
@@ -715,7 +735,7 @@ class Parser:
         if self._eat("="):
             init = self._expr_or_damage("unsupported initializer expression")
         self._expect_punct(";", "after variable declaration")
-        return LocalVarDecl(*self._at(mark), name_tok.lexeme, type_name,
+        return LocalVarDecl(*self._at(mark), name, type_name,
                             location, init)
 
     # ------------------------------------------------------------ expressions
@@ -744,12 +764,12 @@ class Parser:
     def _parse_assignment(self) -> Expr:
         start = self.i
         lhs = self._parse_conditional()
-        tok = self._peek()
-        if tok.lexeme in ASSIGN_OPS:
+        op = self._peek()
+        if op in ASSIGN_OPS:
             self._advance()
             with self._chain_link():
                 rhs = self._parse_assignment()
-            return Assignment(*self._at(start), lhs, rhs, tok.lexeme)
+            return Assignment(*self._at(start), lhs, rhs, op)
         return lhs
 
     def _parse_conditional(self) -> Expr:
@@ -767,40 +787,38 @@ class Parser:
         start = self.i
         lhs = self._parse_unary()
         while True:
-            tok = self._peek()
-            prec = _BINARY_PREC.get(tok.lexeme)
+            op = self._peek()
+            prec = _BINARY_PREC.get(op)
             if prec is None or prec < min_prec:
                 return lhs
             self._advance()
             # '**' binds right; everything else binds left.
             with self._chain_link():
-                rhs = self._parse_binary(prec if tok.lexeme == "**"
-                                         else prec + 1)
-            lhs = Binary(*self._at(start), tok.lexeme, lhs, rhs)
+                rhs = self._parse_binary(prec if op == "**" else prec + 1)
+            lhs = Binary(*self._at(start), op, lhs, rhs)
 
     def _parse_unary(self) -> Expr:
-        tok = self._peek()
-        if tok.lexeme in _UNARY_OPS:
+        op = self._peek()
+        if op in _UNARY_OPS:
             start = self.i
             self._advance()
             with self._chain_link():
                 operand = self._parse_unary()
-            return Unary(*self._at(start), tok.lexeme, operand)
+            return Unary(*self._at(start), op, operand)
         return self._parse_postfix()
 
     def _parse_postfix(self) -> Expr:
         start = self.i
         expr = self._parse_primary()
         while True:
-            word = self._peek().lexeme
+            word = self._peek()
             if word == ".":
-                member = self._peek(1)
-                if member.kind not in (TokenKind.IDENTIFIER,
-                                       TokenKind.KEYWORD):
+                if self.kd[self.i + 1] not in (TokenKind.IDENTIFIER,
+                                               TokenKind.KEYWORD):
                     return expr
                 self._advance()
-                self._advance()
-                expr = MemberAccess(*self._at(start), expr, member.lexeme)
+                member = self._advance()
+                expr = MemberAccess(*self._at(start), expr, member)
                 continue
             if word == "[":
                 self._advance()
@@ -874,47 +892,50 @@ class Parser:
         return options
 
     def _parse_primary(self) -> Expr:
-        tok = self._peek()
-        if tok.kind == TokenKind.NUMBER:
-            self._advance()
-            text = tok.lexeme
-            kind = LiteralKind.NUMBER
+        i = self.i
+        kind, text = self.kd[i], self.lx[i]
+        if kind is TokenKind.IDENTIFIER or text == "payable" or \
+                is_elementary_type(text):
+            # An identifier, or a type cast callee: address(x), uint(x),
+            # payable(x), ...
+            self.i = i + 1
+            return Identifier(self.starts[i], self.ends[i], self.file, text)
+        if kind is TokenKind.NUMBER:
+            literal = LiteralKind.NUMBER
             if len(text) == _HEX_ADDRESS_LEN and text.lower().startswith("0x"):
-                kind = LiteralKind.HEX_ADDRESS
-            return Literal(tok.start, tok.end, self.file, kind, text)
-        if tok.kind == TokenKind.STRING:
-            self._advance()
-            return Literal(tok.start, tok.end, self.file, LiteralKind.STRING,
-                           tok.lexeme)
-        if tok.lexeme in ("true", "false"):
-            self._advance()
-            return Literal(tok.start, tok.end, self.file, LiteralKind.BOOL,
-                           tok.lexeme)
-        if tok.kind == TokenKind.IDENTIFIER:
-            self._advance()
-            return Identifier(tok.start, tok.end, self.file, tok.lexeme)
-        if tok.lexeme == "payable" or is_elementary_type(tok.lexeme):
-            # Type cast callee: address(x), uint(x), payable(x), ...
-            self._advance()
-            return Identifier(tok.start, tok.end, self.file, tok.lexeme)
-        if tok.lexeme == "new":
-            start = self.i
+                literal = LiteralKind.HEX_ADDRESS
+        elif kind is TokenKind.STRING:
+            literal = LiteralKind.STRING
+        elif text in ("true", "false"):
+            literal = LiteralKind.BOOL
+        elif text == "new":
             self._advance()
             type_name = self._parse_type_name()
             # Synthetic callee name; the space keeps it from colliding with
             # any real identifier during resolution.
-            return Identifier(*self._at(start), "new " + type_name)
-        if tok.lexeme == "(":
+            return Identifier(*self._at(i), "new " + type_name)
+        elif text == "(":
             self._advance()
             expr = self._parse_expression()
             self._expect(")")  # tuple or damaged grouping
             return expr
-        raise _Fail()
+        else:
+            raise _Fail()
+        self.i = i + 1
+        return Literal(self.starts[i], self.ends[i], self.file, literal, text)
 
 
 def parse(tokens: list[Token], file: SourceFile) -> SourceUnit:
-    """Parse a token stream produced by tokenize() on the same file."""
-    parser = Parser(tokens, file)
+    """Parse a token list produced by tokenize() on the same file. The
+    parser reads columns, so they are built from the list first."""
+    return _parse(LexResult([tok.kind for tok in tokens],
+                            [tok.lexeme for tok in tokens],
+                            [tok.start for tok in tokens],
+                            [tok.end for tok in tokens], [], [], []), file)
+
+
+def _parse(lexed: LexResult, file: SourceFile) -> SourceUnit:
+    parser = Parser(lexed, file)
     try:
         return parser.parse_unit()
     except RecursionError:
@@ -931,7 +952,7 @@ def parse_file(file: SourceFile,
     """Lex (unless lexed, from this file, is given) and parse, folding lex
     errors into the unit's error list."""
     lexed = lexed or lex(file)
-    unit = parse(lexed.tokens, file)
+    unit = _parse(lexed, file)
     unit.parse_errors[:0] = [ParseError(err.kind, err.span, "error")
                              for err in lexed.errors]
     return unit

@@ -16,8 +16,9 @@ from typing import Callable, Mapping, NamedTuple
 
 from emitlint.evolution import FilePair, LineDiff, Revision
 from emitlint.lexer import (
-    _OPERATORS, ASSIGN_OPS, KEYWORDS, LexError, LexResult, Token, TokenKind,
-    is_elementary_type, lex,
+    _COMMENT, _ERROR_KINDS, _OPEN_COMMENT, _OPEN_STRING, _OPERATORS, _STRING,
+    _TOKEN_KINDS, _TOKEN_RE, ASSIGN_OPS, KEYWORDS, LexError, LexResult, Token,
+    TokenKind, is_elementary_type, lex,
 )
 from emitlint.nodes import (
     Assignment, Binary, Block, EmitStmt, Expr, ExprStmt, FunctionDef,
@@ -683,13 +684,14 @@ def reference_kill_sets(chunk: str) -> tuple[set[str], set[str]]:
     passed: set[str] = set()
     file = SourceFile.from_text("<chunk>", chunk)
     lexed = lex(file)
+    tokens = lexed.tokens
     dropped: set[int] = set()
     for m in extract_emits_regex(file, lexed):
         if m.in_comment_or_string:
             continue
         a, b = m.start, m.end
         depth = 0
-        for idx, tok in enumerate(lexed.tokens):
+        for idx, tok in enumerate(tokens):
             if tok.start < a:
                 continue
             punct = tok.lexeme if tok.kind == TokenKind.PUNCT else ""
@@ -697,7 +699,7 @@ def reference_kill_sets(chunk: str) -> tuple[set[str], set[str]]:
                 break
             depth += (punct == "(") - (punct == ")")
             dropped.add(idx)
-    toks = [tok for idx, tok in enumerate(lexed.tokens) if idx not in dropped]
+    toks = [tok for idx, tok in enumerate(tokens) if idx not in dropped]
     for idx, tok in enumerate(toks):
         if tok.kind == TokenKind.OPERATOR and tok.lexeme in ASSIGN_OPS:
             j = idx - 1
@@ -765,16 +767,65 @@ class SpanToken(NamedTuple):
     span: Span
 
 
-def with_token_spans(file: SourceFile, result: LexResult) -> LexResult:
+class TokenLexResult(NamedTuple):
+    """A lex result with one object per token, as the reference lexers
+    build it; `lex` keeps token columns instead."""
+    tokens: list
+    errors: list[LexError]
+    comment_ranges: list[tuple[int, int]]
+    string_ranges: list[tuple[int, int]]
+
+
+def with_token_spans(file: SourceFile, result: LexResult) -> TokenLexResult:
     """result with each token's offsets converted to a SpanToken."""
-    tokens = [SpanToken(tok.kind, tok.lexeme,
-                        file.span_from_offsets(tok.start, tok.end))
-              for tok in result.tokens]
-    return LexResult(tokens, result.errors, result.comment_ranges,
-                     result.string_ranges)
+    tokens = [SpanToken(kind, lexeme, file.span_from_offsets(start, end))
+              for kind, lexeme, start, end in zip(
+                  result.kinds, result.lexemes, result.starts, result.ends)]
+    return TokenLexResult(tokens, result.errors, result.comment_ranges,
+                          result.string_ranges)
 
 
-def reference_lex(file: SourceFile) -> LexResult:
+def columns_of(result: TokenLexResult) -> LexResult:
+    """result, whose tokens are Token objects, with its tokens as the
+    columns `lex` returns."""
+    tokens = result.tokens
+    return LexResult([tok.kind for tok in tokens],
+                     [tok.lexeme for tok in tokens],
+                     [tok.start for tok in tokens],
+                     [tok.end for tok in tokens], result.errors,
+                     result.comment_ranges, result.string_ranges)
+
+
+def reference_token_lex(file: SourceFile) -> TokenLexResult:
+    """`lex` as it was before it kept token columns: the same regex walk,
+    one Token built per token."""
+    tokens: list[Token] = []
+    errors: list[LexError] = []
+    comments: list[tuple[int, int]] = []
+    strings: list[tuple[int, int]] = []
+    token_kind = _TOKEN_KINDS.get
+    for m in _TOKEN_RE.finditer(file.text):
+        group = m.lastindex
+        kind = token_kind(group)
+        if kind is not None:
+            a, b = m.span(group)
+            tokens.append(Token(kind, m[group], a, b))
+            if group == _STRING:
+                strings.append((a, b))
+        elif group == _COMMENT:
+            comments.append(m.span(group))
+        elif group is not None:
+            a, b = m.span(group)
+            if group == _OPEN_COMMENT:
+                comments.append((a, b))
+            elif group == _OPEN_STRING:
+                strings.append((a, b))
+            errors.append(LexError(_ERROR_KINDS[group],
+                                   file.span_from_offsets(a, b)))
+    return TokenLexResult(tokens, errors, comments, strings)
+
+
+def reference_lex(file: SourceFile) -> TokenLexResult:
     """The hand-written per-character lexer that `lexer.lex` replaced; the
     differential lexer test compares the two."""
     text = file.text
@@ -876,7 +927,7 @@ def reference_lex(file: SourceFile) -> LexResult:
             bad_start = i
         i += 1
     flush_bad(n)
-    return LexResult(tokens, errors, comments, strings)
+    return TokenLexResult(tokens, errors, comments, strings)
 
 
 # The lexer before it folded whitespace into each token's match and decided
@@ -932,7 +983,7 @@ def reference_group_lex(file: SourceFile) -> LexResult:
         elif group in _GROUP_ERROR_KINDS:
             errors.append(LexError(_GROUP_ERROR_KINDS[group],
                                    file.span_from_offsets(a, b)))
-    return LexResult(tokens, errors, comments, strings)
+    return columns_of(TokenLexResult(tokens, errors, comments, strings))
 
 
 def reference_classify_lines(file: SourceFile,
@@ -996,7 +1047,7 @@ class ReferenceSkipParser(Parser):
             return False
         depth = 0
         while not self._at_end():
-            lexeme = self._advance().lexeme
+            lexeme = self._advance()
             if lexeme == open_:
                 depth += 1
             elif lexeme == close:
@@ -1008,7 +1059,7 @@ class ReferenceSkipParser(Parser):
     def _skip_to_semicolon(self) -> None:
         depth = 0
         while not self._at_end():
-            lexeme = self._peek().lexeme
+            lexeme = self._peek()
             if lexeme in _OPENERS:
                 depth += 1
             elif lexeme in _CLOSERS:
@@ -1029,7 +1080,7 @@ class ReferenceSkipParser(Parser):
                     "pragma", "import", "contract", "interface", "library",
                     "abstract"):
                 return
-            lexeme = self._advance().lexeme
+            lexeme = self._advance()
             if lexeme == "{":
                 depth += 1
             elif lexeme == "}":
@@ -1039,7 +1090,7 @@ class ReferenceSkipParser(Parser):
     def _skip_param(self) -> None:
         depth = 0
         while not self._at_end():
-            lexeme = self._peek().lexeme
+            lexeme = self._peek()
             if lexeme == "(":
                 depth += 1
             elif lexeme == ")":
@@ -1080,7 +1131,7 @@ class ReferenceSkipParser(Parser):
         start = self.i
         depth = 0
         while not self._at_end():
-            lexeme = self._peek().lexeme
+            lexeme = self._peek()
             if lexeme in _OPENERS:
                 depth += 1
             elif lexeme in _CLOSERS:

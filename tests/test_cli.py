@@ -191,6 +191,31 @@ def test_lint_config_enabled_empty_runs_no_check(capsys, tmp_path):
     assert out.splitlines()[-1].endswith(", 0 finding(s)")
 
 
+@pytest.mark.parametrize("enabled", [
+    None, ["DEBUG_EVENT,EVENT_OVERUSE"], [" "], [""], ["DEBUG_EVENT", ","],
+])
+def test_lint_config_enabled_item_names_one_check(capsys, tmp_path, enabled):
+    """Each item of a config file's "enabled" array names exactly one check
+    id: an item that joins two with ',' or is blank stops lint with one
+    stderr line and exit 2, as an --enable value naming no check does. None
+    stands for tests/fixtures/configs/enabled_two_ids.json, the shape CI
+    runs."""
+    if enabled is None:
+        path = fixture_path("configs", "enabled_two_ids.json")
+        item = json.loads(path.read_text())["enabled"][0]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"enabled": enabled}))
+        item = enabled[-1]
+    code, out, err = run(capsys, "lint", str(fixture_path("lint_tree")),
+                         "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f'emitlint: {path}: "enabled" items must each name one check id, '
+        f"not {item!r}"]
+
+
 def test_lint_config_file_and_flag_override(capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

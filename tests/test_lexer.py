@@ -5,9 +5,9 @@ from emitlint.lexer import TokenKind, is_elementary_type, lex, tokenize
 from emitlint.source import SourceFile
 
 from helpers import (
-    FIXTURES, classify_word, front_end_inputs, reference_group_lex,
-    reference_lex, snippet_corpus, span_text, src, sweep_inputs,
-    with_token_spans,
+    FIXTURES, bench_tree, classify_word, front_end_inputs,
+    reference_group_lex, reference_lex, reference_token_lex, snippet_corpus,
+    span_text, src, sweep_inputs, with_token_spans,
 )
 
 
@@ -243,3 +243,36 @@ def test_word_kinds_follow_classify_word():
                 assert tok.kind == classify_word(tok.lexeme), tok
                 kinds.add(tok.kind)
     assert kinds == {TokenKind.KEYWORD, TokenKind.IDENTIFIER}
+
+
+def test_columns_match_the_token_building_lexer():
+    """The four token columns equal, field by field, the Tokens that `lex`
+    built before it kept columns, and the `tokens` view equals that list;
+    errors, comment ranges and string ranges are equal too. Inputs: the
+    front-end inputs, the fixtures, and both perfbench lint trees at seeds
+    1-3."""
+    files = front_end_inputs()
+    files += [SourceFile.load(p) for p in sorted(FIXTURES.rglob("*.sol"))]
+    files += [file for workload in ("project", "monolith")
+              for seed in (1, 2, 3) for file in bench_tree(workload, seed)]
+    for file in files:
+        result, expected = lex(file), reference_token_lex(file)
+        where = repr(file.text[:200])
+        assert result.kinds == [tok.kind for tok in expected.tokens], where
+        assert result.lexemes == [tok.lexeme for tok in expected.tokens], \
+            where
+        assert result.starts == [tok.start for tok in expected.tokens], where
+        assert result.ends == [tok.end for tok in expected.tokens], where
+        assert result.tokens == expected.tokens, where
+        assert (result.errors, result.comment_ranges, result.string_ranges) \
+            == expected[1:], where
+
+
+def test_tokens_view_is_built_on_each_read():
+    """`tokens` is a view of the columns, not a cache: each read is a new
+    list, and it follows the columns."""
+    result = lex(src("emit E(a);"))
+    first = result.tokens
+    assert first == result.tokens and first is not result.tokens
+    result.lexemes[1] = "F"
+    assert result.tokens[1].lexeme == "F" and first[1].lexeme == "E"

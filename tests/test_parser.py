@@ -1,11 +1,14 @@
+import json
 import random
+from pathlib import Path
 
 from emitlint.checks import run_checks
 from emitlint.lexer import lex
 from emitlint.nodes import (
     Assignment, Binary, Call, Conditional, ContractKind, DataLocation,
     EmitStmt, ExprStmt, Identifier, If, Literal, LiteralKind, LocalVarDecl,
-    MemberAccess, Unary, Unparsed, While, walk_expr, walk_statements,
+    MemberAccess, ParseError, Unary, Unparsed, While, walk_expr,
+    walk_statements,
 )
 from emitlint.parser import Parser, has_fatal_errors, parse, parse_file
 from emitlint.source import SourceFile
@@ -17,6 +20,7 @@ from helpers import (
 )
 
 RECEIPT_TEXT = fixture_file("client_receipt.sol").text
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_client_receipt_shape():
@@ -625,6 +629,21 @@ RECOVERY_CASES = (
     "contract C { struct S { uint a;",
     "contract C { function f() public { g(1, S{a: 1, b: (2",
     "contract { import \"a\"; } contract B {}",
+    # The first token is a closer or an opener, so recovery starts at index
+    # 0; the input ends inside an emit's arguments or a mapping type, so
+    # lookahead runs into the end of the tokens.
+    "{ emit E(1); } contract C { function f() public { emit E(2); } }",
+    ") contract C { function f() public { emit E(1); } }",
+    "} contract C { event E(uint a); }",
+    "{", ")", "}", "contract", "pragma", "emit E(", "mapping(",
+    "contract C { function f() public { emit E(",
+    "contract C { function f(uint a) public { emit E(a, ",
+    "contract C { function f() public { emit E(a[",
+    "contract C { mapping(",
+    "contract C { mapping(uint => ",
+    "contract C { function f() public { mapping(",
+    "contract C { function f(mapping(",
+    "contract C { event E(mapping(",
 )
 
 
@@ -634,7 +653,33 @@ def test_skip_rule_matches_the_five_recovery_loops():
     five hand-written loops it replaced."""
     files = front_end_inputs() + [src(text) for text in RECOVERY_CASES]
     for file in files:
-        tokens = lex(file).tokens
-        units = [repr(cls(tokens, file).parse_unit())
+        lexed = lex(file)
+        units = [repr(cls(lexed, file).parse_unit())
                  for cls in (Parser, ReferenceSkipParser)]
         assert units[0] == units[1], repr(file.text[:200])
+
+
+def test_recovery_cases_match_their_snapshots():
+    """Each recovery case parses to the tree and errors recorded in
+    tests/golden/recovery_parse.json, the `repr` of `parse_file` taken when
+    the parser still read Token objects. The cases that start at a closer or
+    end inside an emit or a mapping reach the first and the last tokens,
+    where an index of 0 is false and lookahead reads the end entries."""
+    snapshots = json.loads((GOLDEN / "recovery_parse.json").read_text())
+    assert sorted(snapshots) == sorted(RECOVERY_CASES)
+    for text in RECOVERY_CASES:
+        assert repr(parse_file(src(text))) == snapshots[text], text
+
+
+def test_both_parse_entry_points_agree():
+    """`parse(tokens, file)`, the token-list entry point, and `parse_file`,
+    which parses from the lexer's columns, give the same tree and errors
+    once the lex errors that `parse_file` folds in are put first."""
+    files = [SourceFile.load(p) for p in sorted(FIXTURES.rglob("*.sol"))]
+    files += front_end_inputs() + [src(text) for text in RECOVERY_CASES]
+    for file in files:
+        lexed = lex(file)
+        unit = parse(lexed.tokens, file)
+        unit.parse_errors[:0] = [ParseError(err.kind, err.span, "error")
+                                 for err in lexed.errors]
+        assert repr(unit) == repr(parse_file(file)), repr(file.text[:200])
