@@ -11,12 +11,9 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .dataflow import (
-    equalities_at, has_call, kill_names, resolve_variable, writes,
-)
+from .dataflow import _flow, has_call, kill_names, resolve_variable, writes
 from .metrics import FileAnalysis
 from .nodes import (
     Assignment, Block, Call, EmitStmt, Expr, FunctionDef, Identifier,
@@ -95,6 +92,7 @@ def _sort_key(diag: Diagnostic):
 def _storage_reads(fn: FunctionDef, emits: Iterable[EmitStmt],
                    tree: ScopeTree, path: str) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
+    flow = None  # started at the first storage read; most functions have none
     for emit in emits:
         facts = None
         for arg in emit.args:
@@ -104,8 +102,9 @@ def _storage_reads(fn: FunctionDef, emits: Iterable[EmitStmt],
             if sym is None or sym.location_class != LocationClass.STORAGE:
                 continue
             if facts is None:
-                facts = equalities_at(emit, fn, tree)
-            candidates = [f for f in facts if f.storage_sym == sym]
+                flow = flow or _flow(fn.body.stmts, {}, tree)
+                facts = next((f for seen, f in flow if seen is emit), {})
+            candidates = [f for f in facts.values() if f.storage_sym == sym]
             if not candidates:
                 continue
             best = min(candidates, key=lambda f: f.memory_sym.decl_start)
@@ -157,18 +156,12 @@ def _arg_names(emit: EmitStmt) -> set[str]:
     return {name for arg in emit.args for name in identifier_names(arg)}
 
 
-def _emit_arg_symbols(emit: EmitStmt, tree: ScopeTree) -> set[Symbol]:
-    syms = {resolve_variable(name, emit.start, tree)
-            for name in _arg_names(emit)}
-    syms.discard(None)
-    return syms
-
-
-def _operation_touching(stmt: Stmt, emit_syms: set[Symbol],
-                        tree: ScopeTree) -> str | None:
-    """Description of the first operation in stmt that rewrites or transfers
-    with one of the emitted symbols, if any: an assignment to it, or an
-    argument (not the receiver) of a transfer-like member call."""
+def _operations(stmt: Stmt,
+                tree: ScopeTree) -> Iterator[tuple[str, Symbol | None]]:
+    """Each operation in stmt that rewrites or transfers with a variable,
+    described, with the symbol it touches: an assignment to the variable,
+    or its use as an argument (not the receiver) of a transfer-like member
+    call."""
     for write, root in writes(stmt):
         if isinstance(write, Assignment):
             what = f"assignment to '{root.name}'"
@@ -179,34 +172,37 @@ def _operation_touching(stmt: Stmt, emit_syms: set[Symbol],
             what = f"{write.callee.member} call using '{root.name}'"
         else:
             continue
-        if resolve_at(root.name, root.start, tree) in emit_syms:
-            return what
-    return None
+        yield what, resolve_at(root.name, root.start, tree)
 
 
 def _placements(blocks: list[Block], tree: ScopeTree,
                 path: str) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     for block in blocks:
-        for idx, stmt in enumerate(block.stmts):
-            if not isinstance(stmt, EmitStmt):
-                continue
-            emit_syms = _emit_arg_symbols(stmt, tree)
-            if not emit_syms:
-                continue
-            for later in block.stmts[idx + 1:]:
-                hit = _operation_touching(later, emit_syms, tree)
-                if hit is None:
-                    continue
-                message = (
-                    f"emit {stmt.event_name} comes before a later {hit} at "
-                    f"line {later.span.start_line}; move the emit after the "
-                    f"operation so the log records the final value"
-                )
-                diags.append(Diagnostic(CheckId.EMIT_BEFORE_OP,
-                                        Severity.WARNING, path, stmt.span,
-                                        message))
-                break
+        # The emits still waiting for an operation on one of their
+        # arguments' symbols, by symbol; each is reported at the first.
+        waiting: dict[Symbol, list[EmitStmt]] = {}
+        reported: set[int] = set()
+        for later in block.stmts:
+            for hit, sym in _operations(later, tree) if waiting else ():
+                for emit in waiting.pop(sym, ()):
+                    if emit.start in reported:
+                        continue
+                    reported.add(emit.start)
+                    message = (
+                        f"emit {emit.event_name} comes before a later {hit} "
+                        f"at line {later.span.start_line}; move the emit "
+                        f"after the operation so the log records the final "
+                        f"value"
+                    )
+                    diags.append(Diagnostic(CheckId.EMIT_BEFORE_OP,
+                                            Severity.WARNING, path,
+                                            emit.span, message))
+            if isinstance(later, EmitStmt):
+                for name in _arg_names(later):
+                    sym = resolve_variable(name, later.start, tree)
+                    if sym is not None:
+                        waiting.setdefault(sym, []).append(later)
     return diags
 
 
@@ -236,35 +232,42 @@ def _redundancies(blocks: list[Block], tree: ScopeTree, path: str,
                   file: SourceFile) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     for block in blocks:
-        # An emit whose own arguments call or write may log a value no
-        # other emit can repeat, so it pairs with none.
-        emits = [(i, s, Counter(_arg_key(arg, s, tree, file)
-                                for arg in s.args), _arg_names(s))
-                 for i, s in enumerate(block.stmts)
-                 if isinstance(s, EmitStmt)
-                 and not has_call(s) and not kill_names(s)]
-        for (i, first, first_args, first_names), \
-                (j, second, second_args, second_names) in \
-                combinations(emits, 2):
-            if first.args and not (first_args - second_args):
-                subset, superset = first, second
-            elif second.args and not (second_args - first_args):
-                subset, superset = second, first
-            else:
+        # The pairable emits so far, and for each name the index of the last
+        # statement since the first of them that may invalidate it.
+        earlier = []
+        last_kill: dict[str, int] = {}
+        for j, second in enumerate(block.stmts):
+            # An emit whose own arguments call or write may log a value no
+            # other emit can repeat, so it pairs with none.
+            if not isinstance(second, EmitStmt) or has_call(second) or \
+                    kill_names(second):
+                for nested in walk_statements(second) if earlier else ():
+                    for name in kill_names(nested):
+                        last_kill[name] = j
                 continue
-            killed: set[str] = set()
-            for between in block.stmts[i + 1:j]:
-                for nested in walk_statements(between):
-                    killed |= kill_names(nested)
-            if first_names & second_names & killed:
-                continue
-            message = (
-                f"emit {subset.event_name} logs values that emit "
-                f"{superset.event_name} at line {superset.span.start_line} "
-                f"already records; the duplicate log costs gas"
-            )
-            diags.append(Diagnostic(CheckId.REDUNDANT_EVENT, Severity.INFO,
-                                    path, subset.span, message))
+            second_args = Counter(_arg_key(arg, second, tree, file)
+                                  for arg in second.args)
+            second_names = _arg_names(second)
+            for i, first, first_args, first_names in earlier:
+                if first.args and not (first_args - second_args):
+                    subset, superset = first, second
+                elif second.args and not (second_args - first_args):
+                    subset, superset = second, first
+                else:
+                    continue
+                if any(last_kill.get(name, -1) > i
+                       for name in first_names & second_names):
+                    continue
+                message = (
+                    f"emit {subset.event_name} logs values that emit "
+                    f"{superset.event_name} at line "
+                    f"{superset.span.start_line} already records; the "
+                    f"duplicate log costs gas"
+                )
+                diags.append(Diagnostic(CheckId.REDUNDANT_EVENT,
+                                        Severity.INFO, path, subset.span,
+                                        message))
+            earlier.append((j, second, second_args, second_names))
     return diags
 
 

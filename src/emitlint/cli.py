@@ -107,35 +107,21 @@ def _checked(value, kind, what: str):
     raise ValueError(f"{what}, not {_json_type(value)}")
 
 
-def _parse_check_ids(raw: str) -> frozenset[CheckId]:
+def _check_ids(raw: str, prefix: str, count_error: str,
+               single: bool = False) -> frozenset[CheckId]:
+    """The check ids a comma-separated value names. A value naming none,
+    or more than one when single, is the error prefix + count_error; an
+    unknown id is the error prefix + "unknown check id: <id>"."""
+    parts = [part.strip() for part in raw.split(",")]
+    if not any(parts) or single and len(parts) > 1:
+        raise ValueError(prefix + count_error)
     ids = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, parts):
         try:
             ids.append(CheckId(part))
         except ValueError:
-            raise ValueError(f"unknown check id: {part}")
+            raise ValueError(f"{prefix}unknown check id: {part}") from None
     return frozenset(ids)
-
-
-def _flag_check_ids(flag: str, raw: str) -> frozenset[CheckId]:
-    """The check ids a --enable or --disable value names; a value that
-    names none, such as "" or ",", is an error."""
-    ids = _parse_check_ids(raw)
-    if not ids:
-        raise ValueError(f"{flag} {raw!r} names no check id")
-    return ids
-
-
-def _config_check_id(where: str, item: str) -> CheckId:
-    """The check id an item of a config file's "enabled" array names; an
-    item that names none or several is an error."""
-    if "," in item or not item.strip():
-        raise ValueError(f'{where}: "enabled" items must each name one check '
-                         f"id, not {item!r}")
-    return next(iter(_parse_check_ids(item)))
 
 
 def load_config(ns: argparse.Namespace) -> CheckConfig:
@@ -154,9 +140,10 @@ def load_config(ns: argparse.Namespace) -> CheckConfig:
         if "enabled" in data:
             ids = _checked(data["enabled"], list, f'{where}: "enabled" must '
                            "be a JSON array of check ids")
-            enabled = frozenset(_config_check_id(where, _checked(
-                item, str, f'{where}: "enabled" items must be strings'))
-                for item in ids)
+            enabled = frozenset().union(*(_check_ids(_checked(
+                item, str, f'{where}: "enabled" items must be strings'),
+                f"{where}: ", '"enabled" items must each name one check id, '
+                f"not {item!r}", single=True) for item in ids))
         if "debugEventFormB" in data:
             form_b = _checked(data["debugEventFormB"], bool,
                               f'{where}: "debugEventFormB" must be a boolean')
@@ -167,9 +154,11 @@ def load_config(ns: argparse.Namespace) -> CheckConfig:
             raise ValueError(f"overuse threshold {ns.overuse_threshold!r} "
                              "has a zero denominator") from None
     if ns.enable is not None:
-        enabled = _flag_check_ids("--enable", ns.enable)
+        enabled = _check_ids(ns.enable, "", f"--enable {ns.enable!r} names "
+                             "no check id")
     if ns.disable is not None:
-        enabled = enabled - _flag_check_ids("--disable", ns.disable)
+        enabled -= _check_ids(ns.disable, "", f"--disable {ns.disable!r} "
+                              "names no check id")
     if ns.debug_form_b:
         form_b = True
     return CheckConfig(overuse_threshold=threshold, enabled=enabled,

@@ -145,33 +145,34 @@ def _apply_stmt(stmt: Stmt, facts: _FactMap, tree: ScopeTree) -> _FactMap:
     return facts
 
 
-def _flow(stmts: list[Stmt], facts: _FactMap, tree: ScopeTree,
-          before_emit: dict[int, _FactMap]) -> None:
-    """One forward pass from facts holding before stmts. Records, by id, the
-    facts holding just before each emit, in nested blocks, branches and loop
-    bodies too."""
+def _flow(stmts: list[Stmt], facts: _FactMap,
+          tree: ScopeTree) -> Iterator[tuple[EmitStmt, _FactMap]]:
+    """One forward pass from facts holding before stmts. Yields each emit,
+    in nested blocks, branches and loop bodies too, with the facts holding
+    just before it, in preorder (the order of FunctionWalk.emits)."""
     for stmt in stmts:
         if isinstance(stmt, EmitStmt):
-            before_emit[id(stmt)] = facts
+            yield stmt, facts
         elif isinstance(stmt, Block):
-            _flow(stmt.stmts, facts, tree, before_emit)
+            yield from _flow(stmt.stmts, facts, tree)
         elif isinstance(stmt, If):
             # The condition is the if statement's own expression.
             branch_facts = _kill_own_effects(stmt, facts, tree)
             for branch in (stmt.then, stmt.otherwise):
                 if branch is not None:
-                    _flow([branch], branch_facts, tree, before_emit)
+                    yield from _flow([branch], branch_facts, tree)
         elif isinstance(stmt, (For, While)):
             # Loop header joins the back edge: facts cannot cross it.
-            _flow([stmt.body], {}, tree, before_emit)
+            yield from _flow([stmt.body], {}, tree)
         facts = _apply_stmt(stmt, facts, tree)
 
 
 def equalities_at(emit: EmitStmt, fn: FunctionDef,
                   tree: ScopeTree) -> list[EqualityFact]:
-    """Equality facts holding immediately before the emit executes."""
+    """Equality facts holding immediately before the emit executes. The
+    flow runs only up to the emit."""
     if fn.body is None:
         return []
-    before_emit: dict[int, _FactMap] = {}
-    _flow(fn.body.stmts, {}, tree, before_emit)
-    return list(before_emit.get(id(emit), {}).values())
+    facts = next((facts for seen, facts in _flow(fn.body.stmts, {}, tree)
+                  if seen is emit), {})
+    return list(facts.values())

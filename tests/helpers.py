@@ -6,24 +6,37 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import itertools
 import operator
 import random
 import re
 import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
+from collections import Counter
 from typing import Callable, Mapping, NamedTuple
 
+from emitlint.checks import (
+    SLOAD_GAS, TRANSFER_LIKE_CALLEES, CheckConfig, CheckId, Diagnostic,
+    Severity, Suggestion, _arg_key, _arg_names, _debug_forms, _sort_key,
+    check_overuse,
+)
+from emitlint.dataflow import (
+    EqualityFact, _apply_stmt, _kill_own_effects, has_call, kill_names,
+    resolve_variable, writes,
+)
 from emitlint.evolution import FilePair, LineDiff, Revision
 from emitlint.lexer import (
     _COMMENT, _ERROR_KINDS, _OPEN_COMMENT, _OPEN_STRING, _OPERATORS, _STRING,
     _TOKEN_KINDS, _TOKEN_RE, ASSIGN_OPS, KEYWORDS, LexError, LexResult, Token,
     TokenKind, is_elementary_type, lex,
 )
+from emitlint.metrics import FileAnalysis
 from emitlint.nodes import (
-    Assignment, Binary, Block, EmitStmt, Expr, ExprStmt, FunctionDef,
-    Identifier, If, Literal, LiteralKind, LocalVarDecl, Node, SourceUnit,
-    Stmt, iter_functions, walk_statements,
+    Assignment, Binary, Block, Call, EmitStmt, Expr, ExprStmt, For,
+    FunctionDef, Identifier, If, Literal, LiteralKind, LocalVarDecl,
+    MemberAccess, Node, SourceUnit, Stmt, While, iter_functions,
+    root_identifier, walk_statements,
 )
 from emitlint.parser import _CLOSERS, _OPENERS, Parser, _Fail, parse_file
 from emitlint.scan import (
@@ -33,6 +46,7 @@ from emitlint.scan import (
 from emitlint.source import SourceFile, Span
 from emitlint.symbols import (
     LocationClass, Scope, ScopeTree, Symbol, SymbolKind, build_symbols,
+    resolve_at,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -1142,3 +1156,166 @@ class ReferenceSkipParser(Parser):
                 break
             self._advance()
         return self._raw_text(start) if self.i > start else ""
+
+
+# ------------------------------------------------ reference lint rules
+
+def _reference_flow(stmts: list[Stmt], facts, tree: ScopeTree,
+                    before_emit: dict) -> None:
+    """The equality flow before it yielded: one whole pass recording, by
+    id(), the facts holding just before every emit of the function."""
+    for stmt in stmts:
+        if isinstance(stmt, EmitStmt):
+            before_emit[id(stmt)] = facts
+        elif isinstance(stmt, Block):
+            _reference_flow(stmt.stmts, facts, tree, before_emit)
+        elif isinstance(stmt, If):
+            branch_facts = _kill_own_effects(stmt, facts, tree)
+            for branch in (stmt.then, stmt.otherwise):
+                if branch is not None:
+                    _reference_flow([branch], branch_facts, tree, before_emit)
+        elif isinstance(stmt, (For, While)):
+            _reference_flow([stmt.body], {}, tree, before_emit)
+        facts = _apply_stmt(stmt, facts, tree)
+
+
+def reference_equalities_at(emit: EmitStmt, fn: FunctionDef,
+                            tree: ScopeTree) -> list[EqualityFact]:
+    """`equalities_at` as it ran the whole function's flow for each query."""
+    if fn.body is None:
+        return []
+    before_emit: dict = {}
+    _reference_flow(fn.body.stmts, {}, tree, before_emit)
+    return list(before_emit.get(id(emit), {}).values())
+
+
+def reference_storage_reads(fn: FunctionDef, emits, tree: ScopeTree,
+                            path: str) -> list[Diagnostic]:
+    """GAS_STORAGE_PARAM with one `reference_equalities_at` query per emit
+    that reads storage."""
+    diags: list[Diagnostic] = []
+    for emit in emits:
+        facts = None
+        for arg in emit.args:
+            if not isinstance(arg, Identifier):
+                continue
+            sym = resolve_at(arg.name, arg.start, tree)
+            if sym is None or sym.location_class != LocationClass.STORAGE:
+                continue
+            if facts is None:
+                facts = reference_equalities_at(emit, fn, tree)
+            candidates = [f for f in facts if f.storage_sym == sym]
+            if not candidates:
+                continue
+            best = min(candidates, key=lambda f: f.memory_sym.decl_start)
+            mem = best.memory_sym.name
+            message = (
+                f"emit {emit.event_name} logs storage variable "
+                f"'{sym.name}', which costs an extra Sload "
+                f"(~{SLOAD_GAS} gas); in-scope memory variable '{mem}' "
+                f"holds the same value here"
+            )
+            diags.append(Diagnostic(
+                CheckId.GAS_STORAGE_PARAM, Severity.WARNING, path,
+                emit.span, message, Suggestion(arg.span, mem)))
+    return diags
+
+
+def _reference_operation_touching(stmt: Stmt, emit_syms: set[Symbol],
+                                  tree: ScopeTree) -> str | None:
+    for write, root in writes(stmt):
+        if isinstance(write, Assignment):
+            what = f"assignment to '{root.name}'"
+        elif isinstance(write, Call) and \
+                isinstance(write.callee, MemberAccess) and \
+                write.callee.member in TRANSFER_LIKE_CALLEES and \
+                root is not root_identifier(write.callee.base):
+            what = f"{write.callee.member} call using '{root.name}'"
+        else:
+            continue
+        if resolve_at(root.name, root.start, tree) in emit_syms:
+            return what
+    return None
+
+
+def reference_placements(blocks: list[Block], tree: ScopeTree,
+                         path: str) -> list[Diagnostic]:
+    """EMIT_BEFORE_OP walking every later statement of the block for each
+    emit, in emit order."""
+    diags: list[Diagnostic] = []
+    for block in blocks:
+        for idx, stmt in enumerate(block.stmts):
+            if not isinstance(stmt, EmitStmt):
+                continue
+            emit_syms = {resolve_variable(name, stmt.start, tree)
+                         for name in _arg_names(stmt)} - {None}
+            if not emit_syms:
+                continue
+            for later in block.stmts[idx + 1:]:
+                hit = _reference_operation_touching(later, emit_syms, tree)
+                if hit is None:
+                    continue
+                message = (
+                    f"emit {stmt.event_name} comes before a later {hit} at "
+                    f"line {later.span.start_line}; move the emit after the "
+                    f"operation so the log records the final value"
+                )
+                diags.append(Diagnostic(CheckId.EMIT_BEFORE_OP,
+                                        Severity.WARNING, path, stmt.span,
+                                        message))
+                break
+    return diags
+
+
+def reference_redundancies(blocks: list[Block], tree: ScopeTree, path: str,
+                           file: SourceFile) -> list[Diagnostic]:
+    """REDUNDANT_EVENT over every pair of pairable emits, walking the
+    statements between the two for kills, in pair order."""
+    diags: list[Diagnostic] = []
+    for block in blocks:
+        emits = [(i, s, Counter(_arg_key(arg, s, tree, file)
+                                for arg in s.args), _arg_names(s))
+                 for i, s in enumerate(block.stmts)
+                 if isinstance(s, EmitStmt)
+                 and not has_call(s) and not kill_names(s)]
+        for (i, first, first_args, first_names), \
+                (j, second, second_args, second_names) in \
+                itertools.combinations(emits, 2):
+            if first.args and not (first_args - second_args):
+                subset, superset = first, second
+            elif second.args and not (second_args - first_args):
+                subset, superset = second, first
+            else:
+                continue
+            killed: set[str] = set()
+            for between in block.stmts[i + 1:j]:
+                for nested in walk_statements(between):
+                    killed |= kill_names(nested)
+            if first_names & second_names & killed:
+                continue
+            message = (
+                f"emit {subset.event_name} logs values that emit "
+                f"{superset.event_name} at line {superset.span.start_line} "
+                f"already records; the duplicate log costs gas"
+            )
+            diags.append(Diagnostic(CheckId.REDUNDANT_EVENT, Severity.INFO,
+                                    path, subset.span, message))
+    return diags
+
+
+def reference_run_checks(file: SourceFile,
+                         cfg: CheckConfig | None = None) -> list[Diagnostic]:
+    """`run_checks`' diagnostics with the storage-read, placement and
+    redundancy rules above in place of the forward passes. Every check
+    runs: cfg sets only the threshold and debug form B."""
+    cfg = cfg or CheckConfig()
+    analysis = FileAnalysis.build(file)
+    tree = build_symbols(analysis.unit)
+    diags = check_overuse(analysis.loc, analysis.emit_count, cfg, file.path)
+    for walk in analysis.functions:
+        diags += reference_storage_reads(walk.fn, walk.emits, tree, file.path)
+        diags += reference_placements(walk.blocks, tree, file.path)
+        diags += reference_redundancies(walk.blocks, tree, file.path, file)
+        diags += _debug_forms(walk.emits, cfg, file.path)
+    diags.sort(key=_sort_key)
+    return diags

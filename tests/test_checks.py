@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import emitlint
+from emitlint import checks, dataflow
 from emitlint.checks import (
     CheckConfig, CheckId, Severity, check_debug_event, check_emit_before_op,
     check_gas_storage_param, check_overuse, check_redundant_event, run_checks,
@@ -14,7 +15,8 @@ from emitlint.nodes import iter_functions
 from emitlint.scan import LocStats
 
 from helpers import (
-    SpanCounts, bench_tree, fixture_file, parsed, span_text, src,
+    SpanCounts, bench_tree, fixture_file, front_end_inputs, parsed,
+    reference_run_checks, snippet_corpus, span_text, src,
 )
 
 
@@ -581,3 +583,53 @@ def test_each_function_body_is_walked_once_per_run_checks(monkeypatch):
                   if fn.body is not None]
         assert bodies, file.path
         assert [walks[id(b)] for b in bodies] == [1] * len(bodies), file.path
+
+
+def test_forward_passes_match_the_reference_rules():
+    """`run_checks` diagnostics, with the default config and with debug
+    form B, equal those of the rules that re-walked per emit or per pair
+    (`reference_run_checks`). Inputs: the front-end inputs, which hold the
+    robustness sweep and both perfbench lint trees and history sides at
+    seeds 1-5, and 300 snippets."""
+    files = front_end_inputs() + snippet_corpus(300)
+    total = 0
+    for cfg in (CheckConfig(), CheckConfig(debug_event_form_b=True)):
+        for file in files:
+            diags = run_checks(file, cfg).diagnostics
+            assert diags == reference_run_checks(file, cfg), \
+                repr(file.text[:200])
+            total += len(diags)
+    assert total > 5000, total
+
+
+def _storage_copy_pairs(n: int):
+    body = "".join("        m = total;\n        emit E(total);\n"
+                   for _ in range(n))
+    return src("contract C {\n    uint total;\n    event E(uint v);\n"
+               "    function f() public {\n        uint m;\n" + body +
+               "    }\n}\n")
+
+
+def test_rule_work_grows_linearly_with_the_emits(monkeypatch):
+    """One function of n `m = total; emit E(total);` pairs: the write walks
+    the rules and the equality flow make grow with n, not with the pairs
+    of emits or the statements between them. Every emit pairs with every
+    other, so the findings still grow with n squared."""
+    calls = 0
+    real = dataflow.writes
+
+    def counting(stmt):
+        nonlocal calls
+        calls += 1
+        return real(stmt)
+
+    monkeypatch.setattr(dataflow, "writes", counting)
+    monkeypatch.setattr(checks, "writes", counting)
+    counts, findings = [], []
+    for n in (40, 80, 160):
+        calls = 0
+        findings.append(len(run_checks(_storage_copy_pairs(n)).diagnostics))
+        counts.append(calls)
+    assert findings == [822, 3242, 12882]
+    assert all(later <= 2.2 * earlier
+               for earlier, later in zip(counts, counts[1:])), counts

@@ -216,6 +216,22 @@ def test_lint_config_enabled_item_names_one_check(capsys, tmp_path, enabled):
         f"not {item!r}"]
 
 
+def test_lint_config_unknown_check_id_names_the_config_file(capsys):
+    """An unknown id in a config file's "enabled" array is reported with
+    the file's path, as every other config error is; the same id given to
+    --enable is reported without one. Both exit 2. The config is
+    tests/fixtures/configs/unknown_id.json, the shape CI runs."""
+    path = fixture_path("configs", "unknown_id.json")
+    code, out, err = run(capsys, "lint", str(fixture_path("lint_tree")),
+                         "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"emitlint: {path}: unknown check id: NOPE"]
+    code, out, err = run(capsys, "lint", str(fixture_path("lint_tree")),
+                         "--enable", "NOPE")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["emitlint: unknown check id: NOPE"]
+
+
 def test_lint_config_file_and_flag_override(capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
