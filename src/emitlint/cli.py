@@ -124,19 +124,31 @@ def _check_ids(raw: str, prefix: str, count_error: str,
     return frozenset(ids)
 
 
+def _load_json_object(path: str) -> dict:
+    """The JSON object a file holds. A file that is not UTF-8, not JSON or
+    not an object is ValueError "<path>: <reason>"."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return _checked(data, dict, f"{path}: top level must be a JSON object")
+
+
 def load_config(ns: argparse.Namespace) -> CheckConfig:
     threshold = Fraction(1, 10)
     enabled = frozenset(CheckId)
     form_b = False
     if ns.config is not None:
         where = ns.config
-        with open(where, "r", encoding="utf-8") as fh:
-            data = _checked(json.load(fh), dict,
-                            f"{where}: top level must be a JSON object")
+        data = _load_json_object(where)
         if "overuseThreshold" in data:
-            threshold = Fraction(str(_checked(
-                data["overuseThreshold"], (int, float),
-                f'{where}: "overuseThreshold" must be a number')))
+            value = _checked(data["overuseThreshold"], (int, float),
+                             f'{where}: "overuseThreshold" must be a number')
+            if not 0 < value <= 1:  # NaN and infinities included
+                raise ValueError(f'{where}: "overuseThreshold" must be in '
+                                 f"(0, 1], not {value}")
+            threshold = Fraction(str(value))
         if "enabled" in data:
             ids = _checked(data["enabled"], list, f'{where}: "enabled" must '
                            "be a JSON array of check ids")
@@ -239,7 +251,7 @@ def _format_diag_text(diag: Diagnostic, color: bool) -> str:
 def run_lint(ns: argparse.Namespace) -> int:
     try:
         cfg = load_config(ns)
-    except (ValueError, OSError, RecursionError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"emitlint: {exc}", file=sys.stderr)
         return EXIT_ERROR
     files, _ = _load_files(ns.paths)
@@ -302,12 +314,10 @@ def run_metrics(ns: argparse.Namespace) -> int:
 def load_manifest(path: str) -> tuple[list[Revision], list[str]]:
     """Revisions of a manifest, plus one message per revision skipped because
     an entry or a pair is not an object or a file cannot be read. Raises
-    ValueError when the top level is not an object or "revisions" or a
-    revision's "pairs" is not an array."""
+    ValueError when the file is not UTF-8 or not JSON, the top level is not
+    an object, or "revisions" or a revision's "pairs" is not an array."""
     base = Path(path).parent
-    with open(path, "r", encoding="utf-8") as fh:
-        data = _checked(json.load(fh), dict,
-                        f"{path}: top level must be a JSON object")
+    data = _load_json_object(path)
     entries = _checked(data.get("revisions", []), list,
                        f'{path}: "revisions" must be a JSON array')
     revisions: list[Revision] = []
@@ -408,7 +418,7 @@ def summarize_reports(reports: list[RevisionReport]) -> dict:
 def run_diff(ns: argparse.Namespace) -> int:
     try:
         revisions, errors = load_manifest(ns.manifest)
-    except (OSError, ValueError, RecursionError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"emitlint: {exc}", file=sys.stderr)
         return EXIT_ERROR
     for err in errors:

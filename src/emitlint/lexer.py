@@ -95,7 +95,6 @@ KEYWORDS = frozenset({
 # words are keywords: KEYWORDS and these.
 _ELEMENTARY = (r"u?int(?:[0-9]+)?|bytes(?:[1-9]|[12][0-9]|3[0-2])?|byte|bool"
                r"|address|string|u?fixed(?:[0-9]+x[0-9]+)?")
-_ELEMENTARY_RE = re.compile(f"(?:{_ELEMENTARY})\\Z")
 
 # Longest-match-first operator table.
 _OPERATORS = (
@@ -158,10 +157,6 @@ _ERROR_KINDS = {
     _OPEN_STRING: "UnterminatedString",
     _BAD: "UnexpectedCharacter",
 }
-
-
-def is_elementary_type(word: str) -> bool:
-    return bool(_ELEMENTARY_RE.match(word))
 
 
 def lex(file: SourceFile) -> LexResult:

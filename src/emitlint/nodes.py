@@ -28,7 +28,7 @@ class LiteralKind(Enum):
     HEX_ADDRESS = "HexAddress"
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     """Base of every node: the offsets [start, end) of its text in file.
     Most spans are never read, so a span is converted only on read."""
@@ -43,56 +43,56 @@ class Node:
 
 # ---------------------------------------------------------------- expressions
 
-@dataclass
+@dataclass(slots=True)
 class Identifier(Node):
     name: str
 
 
-@dataclass
+@dataclass(slots=True)
 class MemberAccess(Node):
     base: "Expr"
     member: str
 
 
-@dataclass
+@dataclass(slots=True)
 class IndexAccess(Node):
     base: "Expr"
     index: Optional["Expr"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Call(Node):
     callee: "Expr"
     args: list["Expr"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Literal(Node):
     kind: LiteralKind
     text: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Binary(Node):
     op: str
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass
+@dataclass(slots=True)
 class Unary(Node):
     op: str
     operand: "Expr"
 
 
-@dataclass
+@dataclass(slots=True)
 class Assignment(Node):
     lhs: "Expr"
     rhs: "Expr"
     op: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Conditional(Node):
     cond: "Expr"
     then: "Expr"
@@ -107,19 +107,19 @@ Expr = Union[
 
 # ----------------------------------------------------------------- statements
 
-@dataclass
+@dataclass(slots=True)
 class Block(Node):
     stmts: list["Stmt"]
 
 
-@dataclass
+@dataclass(slots=True)
 class If(Node):
     cond: Expr
     then: "Stmt"
     otherwise: Optional["Stmt"]
 
 
-@dataclass
+@dataclass(slots=True)
 class For(Node):
     init: Optional["Stmt"]
     cond: Optional[Expr]
@@ -127,19 +127,19 @@ class For(Node):
     body: "Stmt"
 
 
-@dataclass
+@dataclass(slots=True)
 class While(Node):
     cond: Expr
     body: "Stmt"
 
 
-@dataclass
+@dataclass(slots=True)
 class EmitStmt(Node):
     event_name: str
     args: list[Expr]
 
 
-@dataclass
+@dataclass(slots=True)
 class LocalVarDecl(Node):
     name: str
     type_name: str
@@ -147,17 +147,17 @@ class LocalVarDecl(Node):
     init: Optional[Expr]
 
 
-@dataclass
+@dataclass(slots=True)
 class ExprStmt(Node):
     expr: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Return(Node):
     expr: Optional[Expr]
 
 
-@dataclass
+@dataclass(slots=True)
 class Unparsed(Node):
     raw_text: str
 
@@ -169,27 +169,27 @@ Stmt = Union[
 
 # --------------------------------------------------------------- declarations
 
-@dataclass
+@dataclass(slots=True)
 class Param(Node):
     name: str
     type_name: str
     data_location: DataLocation
 
 
-@dataclass
+@dataclass(slots=True)
 class EventParam(Node):
     name: Optional[str]
     type_name: str
     indexed: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class EventDef(Node):
     name: str
     params: list[EventParam]
 
 
-@dataclass
+@dataclass(slots=True)
 class FunctionDef(Node):
     name: str  # empty for constructor/fallback/receive
     kind: str  # function | constructor | fallback | receive | modifier
@@ -200,7 +200,7 @@ class FunctionDef(Node):
     body: Optional[Block]
 
 
-@dataclass
+@dataclass(slots=True)
 class StateVarDecl(Node):
     name: str
     type_name: str
@@ -217,7 +217,7 @@ class ContractKind(Enum):
     ABSTRACT = "abstract"
 
 
-@dataclass
+@dataclass(slots=True)
 class ContractDef(Node):
     name: str
     kind: ContractKind
@@ -227,20 +227,20 @@ class ContractDef(Node):
     functions: list[FunctionDef]
 
 
-@dataclass
+@dataclass(slots=True)
 class Directive(Node):
     kind: str  # pragma | import
     text: str
 
 
-@dataclass
+@dataclass(slots=True)
 class ParseError:
     message: str
     span: Span
     severity: str = "error"  # error | warning
 
 
-@dataclass
+@dataclass(slots=True)
 class SourceUnit(Node):
     pragmas: list[Directive]
     contracts: list[ContractDef]

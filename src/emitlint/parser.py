@@ -16,16 +16,26 @@ i has lexeme `lx[i]`, kind `kd[i]` and offsets `starts[i]`, `ends[i]`. The
 helpers that consume or look at one token return its lexeme. `parse_file`
 hands the parser the columns of its one lex; `parse(tokens, file)` builds
 them from a token list.
+
+Expressions and statements take two fast paths, each giving the node the
+general path would give:
+- an identifier, or a number other than 42 characters long (which may be a
+  hex address), whose next lexeme is none of `.`, `[`, `(`, `{`, `++` and
+  `--` is a leaf: `_parse_unary` builds its node directly, without
+  `_parse_postfix` and `_parse_primary`;
+- a statement that starts with an identifier is no declaration when the
+  next token is no identifier and none of `.`, `[`, `memory`, `storage` and
+  `calldata`: `_try_local_decl` returns at once, without parsing a type name
+  and backtracking.
+An elementary type name is a keyword not in KEYWORDS, since the lexer makes
+every elementary type name a keyword.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Callable
 
-from .lexer import (
-    ASSIGN_OPS, LexResult, Token, TokenKind, is_elementary_type, lex,
-)
+from .lexer import ASSIGN_OPS, KEYWORDS, LexResult, Token, TokenKind, lex
 from .nodes import (
     Assignment, Binary, Block, Call, Conditional, ContractDef, ContractKind,
     DataLocation, Directive, EmitStmt, EventDef, EventParam, Expr, ExprStmt,
@@ -48,6 +58,9 @@ _BINARY_PREC = {
     "**": 11,
 }
 _UNARY_OPS = frozenset({"!", "~", "-", "+", "++", "--"})
+_POSTFIX_STARTS = frozenset({".", "[", "(", "{", "++", "--"})
+# What may follow the first identifier of a local declaration's type.
+_DECL_SECOND = frozenset({".", "[", "memory", "storage", "calldata"})
 _OPENERS = frozenset({"(", "[", "{"})
 _CLOSERS = frozenset({")", "]", "}"})
 _ARG_ENDS = _CLOSERS | {",", ";"}
@@ -55,12 +68,16 @@ _FILE_LEVEL = frozenset({"pragma", "import", "contract", "interface",
                          "library", "abstract"})
 
 _HEX_ADDRESS_LEN = 42  # 0x + 40 hex digits
+_IDENTIFIER = TokenKind.IDENTIFIER
+_KEYWORD = TokenKind.KEYWORD
+_NUMBER = TokenKind.NUMBER
 
 # Adversarial nesting must not exhaust the interpreter stack; beyond these
 # depths the region is skipped as damage instead. Links of right-recursive
 # chains (assignments, conditional else-branches, binary right operands,
 # prefix operators, nested mapping types) are counted apart from nested
 # expressions, so bounding them leaves the nesting limit where it was.
+# Each link is counted inline, at the place it recurses.
 _MAX_STMT_DEPTH = 120
 _MAX_EXPR_DEPTH = 80
 _MAX_CHAIN_DEPTH = 100
@@ -166,6 +183,9 @@ class Parser:
     def _at(self, start_idx: int) -> tuple[int, int, SourceFile]:
         """A node's leading fields: its offsets from token start_idx through
         the last consumed token, and the file."""
+        i = self.i
+        if start_idx < i <= self.n:
+            return self.starts[start_idx], self.ends[i - 1], self.file
         return (*self._offsets_from(start_idx), self.file)
 
     def _span_from(self, start_idx: int) -> Span:
@@ -485,19 +505,26 @@ class Parser:
         return DataLocation(word) if word else DataLocation.DEFAULT
 
     def _parse_type_name(self) -> str:
-        word = self._peek()
+        i = self.i
+        word = self.lx[i]
         if word == "mapping":
-            self._advance()
+            self.i = i + 1
             self._expect("(")
-            with self._chain_link():
+            # The key and the value are each one link; both are entered at
+            # the same depth, so one test covers them.
+            if self.chain_depth >= _MAX_CHAIN_DEPTH:
+                raise _Fail()
+            self.chain_depth += 1
+            try:
                 key = self._parse_type_name()
-            self._expect("=>")
-            with self._chain_link():
+                self._expect("=>")
                 value = self._parse_type_name()
+            finally:
+                self.chain_depth -= 1
             self._expect(")")
             base = f"mapping({key} => {value})"
-        elif is_elementary_type(word):
-            self._advance()
+        elif self.kd[i] is _KEYWORD and word not in KEYWORDS:
+            self.i = i + 1
             base = word
             if base == "address" and self._eat("payable"):
                 base = "address payable"
@@ -527,7 +554,8 @@ class Parser:
         start = self.i
         self._advance()  # '{'
         stmts: list[Stmt] = []
-        while not self._at_end() and not self._is("}"):
+        lx, n = self.lx, self.n
+        while self.i < n and lx[self.i] != "}":
             stmts.append(self._parse_stmt())
         if self._eat("}") is None:
             self._record("expected '}' to close block")
@@ -721,6 +749,10 @@ class Parser:
 
     def _try_local_decl(self) -> LocalVarDecl | None:
         mark = self.i
+        kd = self.kd
+        if kd[mark] is _IDENTIFIER and kd[mark + 1] is not _IDENTIFIER \
+                and self.lx[mark + 1] not in _DECL_SECOND:
+            return None
         try:
             type_name = self._parse_type_name()
             location = self._location()
@@ -749,26 +781,19 @@ class Parser:
         finally:
             self.expr_depth -= 1
 
-    @contextmanager
-    def _chain_link(self):
-        """One more link of a right-recursive chain. A context manager, not
-        a wrapper call, so each link costs one interpreter frame."""
-        if self.chain_depth >= _MAX_CHAIN_DEPTH:
-            raise _Fail()
-        self.chain_depth += 1
-        try:
-            yield
-        finally:
-            self.chain_depth -= 1
-
     def _parse_assignment(self) -> Expr:
         start = self.i
         lhs = self._parse_conditional()
         op = self._peek()
         if op in ASSIGN_OPS:
-            self._advance()
-            with self._chain_link():
+            self.i += 1
+            if self.chain_depth >= _MAX_CHAIN_DEPTH:
+                raise _Fail()
+            self.chain_depth += 1
+            try:
                 rhs = self._parse_assignment()
+            finally:
+                self.chain_depth -= 1
             return Assignment(*self._at(start), lhs, rhs, op)
         return lhs
 
@@ -778,33 +803,59 @@ class Parser:
         if self._eat("?"):
             then = self._parse_expression()
             self._expect(":")
-            with self._chain_link():
+            if self.chain_depth >= _MAX_CHAIN_DEPTH:
+                raise _Fail()
+            self.chain_depth += 1
+            try:
                 otherwise = self._parse_conditional()
+            finally:
+                self.chain_depth -= 1
             return Conditional(*self._at(start), cond, then, otherwise)
         return cond
 
     def _parse_binary(self, min_prec: int) -> Expr:
         start = self.i
         lhs = self._parse_unary()
+        lx = self.lx
         while True:
-            op = self._peek()
+            op = lx[self.i]
             prec = _BINARY_PREC.get(op)
             if prec is None or prec < min_prec:
                 return lhs
-            self._advance()
-            # '**' binds right; everything else binds left.
-            with self._chain_link():
+            self.i += 1
+            if self.chain_depth >= _MAX_CHAIN_DEPTH:
+                raise _Fail()
+            self.chain_depth += 1
+            try:
+                # '**' binds right; everything else binds left.
                 rhs = self._parse_binary(prec if op == "**" else prec + 1)
+            finally:
+                self.chain_depth -= 1
             lhs = Binary(*self._at(start), op, lhs, rhs)
 
     def _parse_unary(self) -> Expr:
-        op = self._peek()
-        if op in _UNARY_OPS:
-            start = self.i
-            self._advance()
-            with self._chain_link():
+        i = self.i
+        word = self.lx[i]
+        if word in _UNARY_OPS:
+            self.i = i + 1
+            if self.chain_depth >= _MAX_CHAIN_DEPTH:
+                raise _Fail()
+            self.chain_depth += 1
+            try:
                 operand = self._parse_unary()
-            return Unary(*self._at(start), op, operand)
+            finally:
+                self.chain_depth -= 1
+            return Unary(*self._at(i), word, operand)
+        kind = self.kd[i]
+        if (kind is _IDENTIFIER or kind is _NUMBER
+                and len(word) != _HEX_ADDRESS_LEN) \
+                and self.lx[i + 1] not in _POSTFIX_STARTS:
+            # A leaf: what _parse_postfix and _parse_primary would build.
+            self.i = i + 1
+            if kind is _IDENTIFIER:
+                return Identifier(self.starts[i], self.ends[i], self.file, word)
+            return Literal(self.starts[i], self.ends[i], self.file,
+                           LiteralKind.NUMBER, word)
         return self._parse_postfix()
 
     def _parse_postfix(self) -> Expr:
@@ -894,13 +945,13 @@ class Parser:
     def _parse_primary(self) -> Expr:
         i = self.i
         kind, text = self.kd[i], self.lx[i]
-        if kind is TokenKind.IDENTIFIER or text == "payable" or \
-                is_elementary_type(text):
+        if kind is _IDENTIFIER or text == "payable" or \
+                kind is _KEYWORD and text not in KEYWORDS:
             # An identifier, or a type cast callee: address(x), uint(x),
             # payable(x), ...
             self.i = i + 1
             return Identifier(self.starts[i], self.ends[i], self.file, text)
-        if kind is TokenKind.NUMBER:
+        if kind is _NUMBER:
             literal = LiteralKind.NUMBER
             if len(text) == _HEX_ADDRESS_LEN and text.lower().startswith("0x"):
                 literal = LiteralKind.HEX_ADDRESS

@@ -11,6 +11,7 @@ import operator
 import random
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from collections import Counter
@@ -27,18 +28,21 @@ from emitlint.dataflow import (
 )
 from emitlint.evolution import FilePair, LineDiff, Revision
 from emitlint.lexer import (
-    _COMMENT, _ERROR_KINDS, _OPEN_COMMENT, _OPEN_STRING, _OPERATORS, _STRING,
-    _TOKEN_KINDS, _TOKEN_RE, ASSIGN_OPS, KEYWORDS, LexError, LexResult, Token,
-    TokenKind, is_elementary_type, lex,
+    _COMMENT, _ELEMENTARY, _ERROR_KINDS, _OPEN_COMMENT, _OPEN_STRING,
+    _OPERATORS, _STRING, _TOKEN_KINDS, _TOKEN_RE, ASSIGN_OPS, KEYWORDS,
+    LexError, LexResult, Token, TokenKind, lex,
 )
 from emitlint.metrics import FileAnalysis
 from emitlint.nodes import (
-    Assignment, Binary, Block, Call, EmitStmt, Expr, ExprStmt, For,
-    FunctionDef, Identifier, If, Literal, LiteralKind, LocalVarDecl,
-    MemberAccess, Node, SourceUnit, Stmt, While, iter_functions,
+    Assignment, Binary, Block, Call, Conditional, EmitStmt, Expr, ExprStmt,
+    For, FunctionDef, Identifier, If, Literal, LiteralKind, LocalVarDecl,
+    MemberAccess, Node, SourceUnit, Stmt, Unary, While, iter_functions,
     root_identifier, walk_statements,
 )
-from emitlint.parser import _CLOSERS, _OPENERS, Parser, _Fail, parse_file
+from emitlint.parser import (
+    _BINARY_PREC, _CLOSERS, _HEX_ADDRESS_LEN, _MAX_CHAIN_DEPTH, _OPENERS,
+    _UNARY_OPS, Parser, _Fail, parse_file,
+)
 from emitlint.scan import (
     _IDENT_RE, EMIT_PATTERN, LINE_BLANK, LINE_CODE, LINE_COMMENT,
     RegexEmitMatch, extract_emits_regex,
@@ -747,6 +751,15 @@ def reference_kill_sets(chunk: str) -> tuple[set[str], set[str]]:
 
 # ------------------------------------------------------- reference lexer
 
+_ELEMENTARY_RE = re.compile(f"(?:{_ELEMENTARY})\\Z")
+
+
+def is_elementary_type(word: str) -> bool:
+    """The elementary type names as a regex test on the word; the parser
+    reads the token kind instead."""
+    return bool(_ELEMENTARY_RE.match(word))
+
+
 def classify_word(word: str) -> TokenKind:
     """The keyword rule as a function: a word is a keyword exactly when it
     is in KEYWORDS or an elementary type. `lex` decides it in its regex."""
@@ -1156,6 +1169,156 @@ class ReferenceSkipParser(Parser):
                 break
             self._advance()
         return self._raw_text(start) if self.i > start else ""
+
+
+class ReferenceExprParser(Parser):
+    """The parser's expression path before its fast paths: every operand
+    goes through `_parse_postfix` and `_parse_primary`, each chain link
+    through a context manager, every statement that starts with an
+    identifier through a type-name parse and a backtrack, and elementary
+    type names through a regex. The expression differential test compares
+    the two."""
+
+    def _at(self, start_idx: int) -> tuple[int, int, SourceFile]:
+        return (*self._offsets_from(start_idx), self.file)
+
+    def _parse_block(self) -> Block:
+        start = self.i
+        self._advance()  # '{'
+        stmts: list[Stmt] = []
+        while not self._at_end() and not self._is("}"):
+            stmts.append(self._parse_stmt())
+        if self._eat("}") is None:
+            self._record("expected '}' to close block")
+        return Block(*self._at(start), stmts)
+
+    def _parse_type_name(self) -> str:
+        word = self._peek()
+        if word == "mapping":
+            self._advance()
+            self._expect("(")
+            with self._chain_link():
+                key = self._parse_type_name()
+            self._expect("=>")
+            with self._chain_link():
+                value = self._parse_type_name()
+            self._expect(")")
+            base = f"mapping({key} => {value})"
+        elif is_elementary_type(word):
+            self._advance()
+            base = word
+            if base == "address" and self._eat("payable"):
+                base = "address payable"
+        elif (base := self._dotted_name()) is None:
+            raise _Fail()
+        while self._is("["):
+            start = self.i
+            if not self._skip_group("[", "]"):
+                raise _Fail()
+            base += "".join(self.lx[start:self.i])
+        return base
+
+    def _try_local_decl(self) -> LocalVarDecl | None:
+        mark = self.i
+        try:
+            type_name = self._parse_type_name()
+            location = self._location()
+            name = self._match(TokenKind.IDENTIFIER)
+            if name is None or not self._is(";", "="):
+                raise _Fail()
+        except _Fail:
+            self.i = mark
+            return None
+        init: Expr | None = None
+        if self._eat("="):
+            init = self._expr_or_damage("unsupported initializer expression")
+        self._expect_punct(";", "after variable declaration")
+        return LocalVarDecl(*self._at(mark), name, type_name,
+                            location, init)
+
+    @contextmanager
+    def _chain_link(self):
+        if self.chain_depth >= _MAX_CHAIN_DEPTH:
+            raise _Fail()
+        self.chain_depth += 1
+        try:
+            yield
+        finally:
+            self.chain_depth -= 1
+
+    def _parse_assignment(self) -> Expr:
+        start = self.i
+        lhs = self._parse_conditional()
+        op = self._peek()
+        if op in ASSIGN_OPS:
+            self._advance()
+            with self._chain_link():
+                rhs = self._parse_assignment()
+            return Assignment(*self._at(start), lhs, rhs, op)
+        return lhs
+
+    def _parse_conditional(self) -> Expr:
+        start = self.i
+        cond = self._parse_binary(1)
+        if self._eat("?"):
+            then = self._parse_expression()
+            self._expect(":")
+            with self._chain_link():
+                otherwise = self._parse_conditional()
+            return Conditional(*self._at(start), cond, then, otherwise)
+        return cond
+
+    def _parse_binary(self, min_prec: int) -> Expr:
+        start = self.i
+        lhs = self._parse_unary()
+        while True:
+            op = self._peek()
+            prec = _BINARY_PREC.get(op)
+            if prec is None or prec < min_prec:
+                return lhs
+            self._advance()
+            with self._chain_link():
+                rhs = self._parse_binary(prec if op == "**" else prec + 1)
+            lhs = Binary(*self._at(start), op, lhs, rhs)
+
+    def _parse_unary(self) -> Expr:
+        op = self._peek()
+        if op in _UNARY_OPS:
+            start = self.i
+            self._advance()
+            with self._chain_link():
+                operand = self._parse_unary()
+            return Unary(*self._at(start), op, operand)
+        return self._parse_postfix()
+
+    def _parse_primary(self) -> Expr:
+        i = self.i
+        kind, text = self.kd[i], self.lx[i]
+        if kind is TokenKind.IDENTIFIER or text == "payable" or \
+                is_elementary_type(text):
+            self.i = i + 1
+            return Identifier(self.starts[i], self.ends[i], self.file, text)
+        if kind is TokenKind.NUMBER:
+            literal = LiteralKind.NUMBER
+            if len(text) == _HEX_ADDRESS_LEN and text.lower().startswith("0x"):
+                literal = LiteralKind.HEX_ADDRESS
+        elif kind is TokenKind.STRING:
+            literal = LiteralKind.STRING
+        elif text in ("true", "false"):
+            literal = LiteralKind.BOOL
+        elif text == "new":
+            self._advance()
+            type_name = self._parse_type_name()
+            return Identifier(*self._at(i), "new " + type_name)
+        elif text == "(":
+            self._advance()
+            expr = self._parse_expression()
+            self._expect(")")
+            return expr
+        else:
+            raise _Fail()
+        self.i = i + 1
+        return Literal(self.starts[i], self.ends[i], self.file, literal, text)
 
 
 # ------------------------------------------------ reference lint rules

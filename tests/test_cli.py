@@ -232,6 +232,21 @@ def test_lint_config_unknown_check_id_names_the_config_file(capsys):
     assert err.splitlines() == ["emitlint: unknown check id: NOPE"]
 
 
+@pytest.mark.parametrize("args,path,message", [
+    (["lint", str(fixture_path("lint_tree")), "--config"],
+     fixture_path("configs", "not_json.json"),
+     "Expecting ',' delimiter: line 2 column 1 (char 28)"),
+    (["diff", "--manifest"], fixture_path("manifests", "not_json.json"),
+     "Expecting value: line 2 column 1 (char 16)"),
+])
+def test_not_json_file_is_named_in_its_error(capsys, args, path, message):
+    """A config or manifest file that is not JSON is reported with its
+    path, exit 2. The files are the shapes CI runs."""
+    code, out, err = run(capsys, *args, str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"emitlint: {path}: {message}"]
+
+
 def test_lint_config_file_and_flag_override(capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -435,8 +450,10 @@ def test_diff_unreadable_manifest_exit_two(capsys, tmp_path):
 
 
 def _write_manifest(tmp_path, data) -> str:
+    """data as JSON; bytes are written as they are."""
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps(data))
+    manifest.write_bytes(data if isinstance(data, bytes)
+                         else json.dumps(data).encode())
     return str(manifest)
 
 
@@ -454,6 +471,11 @@ def _fine_revision(tmp_path) -> dict:
      '"revisions" must be a JSON array, not an object'),
     ({"revisions": [{"id": "r", "pairs": "x.sol"}]},
      'revision r: "pairs" must be a JSON array, not a string'),
+    (b'{"revisions": [}',
+     "Expecting value: line 1 column 16 (char 15)"),
+    (b'{"revisions": [], "note": "\xff"}',
+     "'utf-8' codec can't decode byte 0xff in position 27: invalid start "
+     "byte"),
 ])
 def test_diff_malformed_manifest_shape_exit_two(capsys, tmp_path, data,
                                                 message):
@@ -625,15 +647,33 @@ def test_deeply_nested_source_is_damage_not_a_traceback(capsys, tmp_path,
     (["GAS_STORAGE_PARAM"], "top level must be a JSON object, not an array"),
     ({"debugEventFormB": "false"},
      '"debugEventFormB" must be a boolean, not a string'),
+    (b"", "Expecting value: line 1 column 1 (char 0)"),
+    (b'{"enabled": ["DEBUG_EVENT"]',
+     "Expecting ',' delimiter: line 1 column 28 (char 27)"),
+    (b'{"enabled": ["\xff"]}',
+     "'utf-8' codec can't decode byte 0xff in position 14: invalid start "
+     "byte"),
+    (b'{"overuseThreshold": NaN}',
+     '"overuseThreshold" must be in (0, 1], not nan'),
+    (b'{"overuseThreshold": 1e400}',
+     '"overuseThreshold" must be in (0, 1], not inf'),
+    (b'{"overuseThreshold": 1e-400}',
+     '"overuseThreshold" must be in (0, 1], not 0.0'),
+    ({"overuseThreshold": 2}, '"overuseThreshold" must be in (0, 1], not 2'),
+    ({"overuseThreshold": 0}, '"overuseThreshold" must be in (0, 1], not 0'),
 ])
 def test_lint_malformed_config_exit_two(capsys, tmp_path, config, message):
+    """config as JSON; bytes are written as they are. The file is checked
+    also when a flag overrides its threshold."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    code, out, err = run(capsys, "lint", str(fixture_path("lint_tree")),
-                         "--config", str(path))
-    assert code == 2
-    assert out == ""
-    assert err.splitlines() == [f"emitlint: {path}: {message}"]
+    path.write_bytes(config if isinstance(config, bytes)
+                     else json.dumps(config).encode())
+    for flags in ([], ["--overuse-threshold", "0.5"]):
+        code, out, err = run(capsys, "lint", str(fixture_path("lint_tree")),
+                             "--config", str(path), *flags)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"emitlint: {path}: {message}"]
 
 
 def test_usage_error_exit_two(capsys):

@@ -1,11 +1,11 @@
 import random
 from pathlib import Path
 
-from emitlint.lexer import TokenKind, is_elementary_type, lex, tokenize
+from emitlint.lexer import TokenKind, lex, tokenize
 from emitlint.source import SourceFile
 
 from helpers import (
-    FIXTURES, bench_tree, classify_word, front_end_inputs,
+    FIXTURES, bench_tree, classify_word, front_end_inputs, is_elementary_type,
     reference_group_lex, reference_lex, reference_token_lex, snippet_corpus,
     span_text, src, sweep_inputs, with_token_spans,
 )

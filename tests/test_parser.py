@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 from emitlint.checks import run_checks
@@ -14,9 +15,9 @@ from emitlint.parser import Parser, has_fatal_errors, parse, parse_file
 from emitlint.source import SourceFile
 
 from helpers import (
-    FIXTURES, ReferenceSkipParser, emits_of, fixture_file, front_end_inputs,
-    nodes_in, parsed, snippet_corpus, span_contains, span_text, spans_in, src,
-    structural_eq,
+    FIXTURES, ReferenceExprParser, ReferenceSkipParser, emits_of,
+    fixture_file, front_end_inputs, nodes_in, parsed, snippet_corpus,
+    span_contains, span_text, spans_in, src, structural_eq,
 )
 
 RECEIPT_TEXT = fixture_file("client_receipt.sol").text
@@ -651,11 +652,17 @@ def test_skip_rule_matches_the_five_recovery_loops():
     """`Parser._skip_to` with each caller's stops and brackets parses every
     front-end input and recovery case to the same tree and errors as the
     five hand-written loops it replaced."""
-    files = front_end_inputs() + [src(text) for text in RECOVERY_CASES]
+    _assert_same_parse(front_end_inputs() + [src(t) for t in RECOVERY_CASES],
+                       ReferenceSkipParser)
+
+
+def _assert_same_parse(files: list[SourceFile], reference) -> None:
+    """`Parser` and reference parse each file to the same tree, offsets
+    and errors."""
     for file in files:
         lexed = lex(file)
         units = [repr(cls(lexed, file).parse_unit())
-                 for cls in (Parser, ReferenceSkipParser)]
+                 for cls in (Parser, reference)]
         assert units[0] == units[1], repr(file.text[:200])
 
 
@@ -683,3 +690,85 @@ def test_both_parse_entry_points_agree():
         unit.parse_errors[:0] = [ParseError(err.kind, err.span, "error")
                                  for err in lexed.errors]
         assert repr(unit) == repr(parse_file(file)), repr(file.text[:200])
+
+
+def _nesting_cases() -> list[str]:
+    """Chains of each kind of link, parenthesized expressions and blocks,
+    each at 79/80/81 and 99/100/101 levels: around the expression budget
+    (80) and the chain budget (100)."""
+    cases = []
+    for n in (79, 80, 81, 99, 100, 101):
+        for link, end in (("- ", "x"), ("!", "c"), ("x = ", "x"),
+                          ("c ? x : ", "x"), ("x ** ", "x"), ("x + ", "x")):
+            cases.append("contract C { function f(uint x, bool c) public { "
+                         f"x = {link * n}{end}; }} }}")
+        mapping = "mapping(uint => " * n + "uint" + ")" * n
+        cases.append(f"contract C {{ {mapping} m; function f() public {{ "
+                     f"{mapping} storage r = m; }} }}")
+        cases.append("contract C { function f(uint x) public { x = "
+                     + "(" * n + "x" + ")" * n + "; } }")
+        cases.append("contract C { function f() public { " + "{" * n
+                     + "emit E(x);" + "}" * n + " } }")
+    return cases
+
+
+# Leaves before each lexeme that ends the leaf fast path, numbers either
+# side of an address's length, declarations each token after the first
+# identifier allows, and elementary type names as casts and types.
+FAST_PATH_CASES = (
+    "contract C { function f() public { x = y; x = y.z; x = y[1]; x = y(1);"
+    " x = y{value: 1}(2); x = y++; x = y--; x = 1.5e3; x = 0x" + "ab" * 20
+    + "; x = 0X" + "AB" * 20 + "; x = " + "1" * 42 + "; x = " + "1" * 41
+    + "; x = " + "1" * 43 + "; } }",
+    "contract C { function f() public { x = y.; x = y{; } }",
+    "contract C { function f() public { T t; T.U u = v; T[] memory a;"
+    " T storage s = t; T calldata c; T memory; T = 1; T ++; T; f(g); } }",
+    "contract C { function f() public { uint x = uint(y); address payable"
+    " a = payable(b); bytes32 h = bytes32(0); uint[] memory l = new"
+    " uint[](3); string memory s = string(b); for (i = 0; i < n; i++) {"
+    " emit E(uint256(i) ** 2 ** 3, -i, !c ? a : b); } } }",
+    "contract C { function f() public { x = y",
+    "contract C { function f() public { x",
+    "contract C { uint constant K = 10 ** 18; mapping(address => uint)"
+    " public m; function f() public { return a + b * c; } }",
+)
+
+
+def test_expression_fast_paths_match_the_reference_parser():
+    """The leaf fast path, the declaration pre-check, the inline chain
+    budget and the elementary-type test from the token kind parse every
+    input to the same tree, offsets and errors as the expression path they
+    replaced (`ReferenceExprParser`). front_end_inputs() holds the
+    robustness sweep and both perfbench trees and history sides at seeds
+    1-5."""
+    files = front_end_inputs() + snippet_corpus(300)
+    files += [src(text) for text in (RECOVERY_CASES + FAST_PATH_CASES
+                                     + tuple(_nesting_cases()))]
+    _assert_same_parse(files, ReferenceExprParser)
+
+
+def test_leaf_operands_take_the_fast_paths(monkeypatch):
+    """One function of n `x = y + 1;` statements: no statement parses a
+    type name, no leaf operand goes through `_parse_postfix` or
+    `_parse_primary`, and no node has a `__dict__`."""
+    calls = Counter()
+    for name in ("_parse_type_name", "_parse_postfix", "_parse_primary"):
+        def counting(self, *args, _name=name, _real=getattr(Parser, name)):
+            calls[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(Parser, name, counting)
+    for n in (10, 100, 1000):
+        calls.clear()
+        unit = parse_file(src("contract C { function f() public {"
+                              + " x = y + 1;" * n + " } }"))
+        assert unit.parse_errors == []
+        stmts = unit.contracts[0].functions[0].body.stmts
+        assert len(stmts) == n
+        assert all(isinstance(s.expr.rhs, Binary) for s in stmts)
+        assert calls == Counter(), n
+        assert not any(hasattr(node, "__dict__") for node in nodes_in(unit))
+    # The counters see the general path: a member access and a declaration.
+    calls.clear()
+    parse_file(src("contract C { function f() public { x = y.z; T t; } }"))
+    assert calls == Counter(_parse_type_name=1, _parse_postfix=1,
+                            _parse_primary=1)
