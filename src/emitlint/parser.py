@@ -17,16 +17,16 @@ helpers that consume or look at one token return its lexeme. `parse_file`
 hands the parser the columns of its one lex; `parse(tokens, file)` builds
 them from a token list.
 
-Expressions and statements take two fast paths, each giving the node the
-general path would give:
-- an identifier, or a number other than 42 characters long (which may be a
-  hex address), whose next lexeme is none of `.`, `[`, `(`, `{`, `++` and
-  `--` is a leaf: `_parse_unary` builds its node directly, without
-  `_parse_postfix` and `_parse_primary`;
-- a statement that starts with an identifier is no declaration when the
-  next token is no identifier and none of `.`, `[`, `memory`, `storage` and
-  `calldata`: `_try_local_decl` returns at once, without parsing a type name
-  and backtracking.
+Expressions take one path. `_parse_operation` reads prefix operators, or
+one operand and its postfix operators, then binary operators by precedence,
+then `?:` and an assignment; each nested link is one call of it, so one
+frame. An identifier or number operand is built in place; any other goes
+through `_parse_primary`.
+Statements take one pre-check, giving the node the general path would give:
+a statement that starts with an identifier is no declaration when the next
+token is no identifier and none of `.`, `[`, `memory`, `storage` and
+`calldata`, so `_try_local_decl` returns at once, without parsing a type
+name and backtracking.
 An elementary type name is a keyword not in KEYWORDS, since the lexer makes
 every elementary type name a keyword.
 """
@@ -57,6 +57,12 @@ _BINARY_PREC = {
     "*": 10, "/": 10, "%": 10,
     "**": 11,
 }
+# Levels of `Parser._parse_operation` outside the binary ones: an
+# assignment holds every operator, a conditional all but an assignment, and
+# the operand of a prefix operator no binary operator.
+_ASSIGNMENT = -1
+_CONDITIONAL = 0
+_PREFIX = max(_BINARY_PREC.values()) + 1
 _UNARY_OPS = frozenset({"!", "~", "-", "+", "++", "--"})
 _POSTFIX_STARTS = frozenset({".", "[", "(", "{", "++", "--"})
 # What may follow the first identifier of a local declaration's type.
@@ -77,7 +83,7 @@ _NUMBER = TokenKind.NUMBER
 # chains (assignments, conditional else-branches, binary right operands,
 # prefix operators, nested mapping types) are counted apart from nested
 # expressions, so bounding them leaves the nesting limit where it was.
-# Each link is counted inline, at the place it recurses.
+# An expression link is counted at the entry of `Parser._parse_operation`.
 _MAX_STMT_DEPTH = 120
 _MAX_EXPR_DEPTH = 80
 _MAX_CHAIN_DEPTH = 100
@@ -413,17 +419,19 @@ class Parser:
         if self._eat("("):
             params = self._param_list("event parameter", "event declaration",
                                       self._event_param)
-        self._eat("anonymous")
+        # A log holds 4 topics; all but an anonymous event's take the first
+        # for the signature.
+        topics = 4 if self._eat("anonymous") else 3
         if self._eat(";") is None:
             self._record("expected ';' after event declaration")
             self._skip_to_semicolon()
         event = EventDef(*self._at(start), name, params)
         indexed_count = sum(param.indexed for param in params)
-        if indexed_count > 3:
+        if indexed_count > topics:
             self._record(
                 f"event {event.name} declares {indexed_count} indexed "
-                "parameters; the log format supports at most 3 topics",
-                "warning", event.span)
+                f"parameters; the log format supports at most {topics} "
+                "topics", "warning", event.span)
         return event
 
     def _parse_function_like(self) -> FunctionDef | None:
@@ -777,121 +785,89 @@ class Parser:
             raise _Fail()
         self.expr_depth += 1
         try:
-            return self._parse_assignment()
+            return self._parse_operation(_ASSIGNMENT, False)
         finally:
             self.expr_depth -= 1
 
-    def _parse_assignment(self) -> Expr:
-        start = self.i
-        lhs = self._parse_conditional()
-        op = self._peek()
-        if op in ASSIGN_OPS:
-            self.i += 1
-            if self.chain_depth >= _MAX_CHAIN_DEPTH:
+    def _parse_operation(self, level: int, link: bool = True) -> Expr:
+        """Prefix operators, or one operand and its postfix operators; then
+        the binary operators that bind at level or tighter, '**' to the
+        right; then, below the binary levels, '?:' and an assignment. Each
+        call but an expression's first is one chain link."""
+        depth = self.chain_depth
+        if link:
+            if depth >= _MAX_CHAIN_DEPTH:
                 raise _Fail()
-            self.chain_depth += 1
-            try:
-                rhs = self._parse_assignment()
-            finally:
-                self.chain_depth -= 1
-            return Assignment(*self._at(start), lhs, rhs, op)
-        return lhs
-
-    def _parse_conditional(self) -> Expr:
-        start = self.i
-        cond = self._parse_binary(1)
-        if self._eat("?"):
-            then = self._parse_expression()
-            self._expect(":")
-            if self.chain_depth >= _MAX_CHAIN_DEPTH:
-                raise _Fail()
-            self.chain_depth += 1
-            try:
-                otherwise = self._parse_conditional()
-            finally:
-                self.chain_depth -= 1
-            return Conditional(*self._at(start), cond, then, otherwise)
-        return cond
-
-    def _parse_binary(self, min_prec: int) -> Expr:
-        start = self.i
-        lhs = self._parse_unary()
-        lx = self.lx
-        while True:
-            op = lx[self.i]
-            prec = _BINARY_PREC.get(op)
-            if prec is None or prec < min_prec:
-                return lhs
-            self.i += 1
-            if self.chain_depth >= _MAX_CHAIN_DEPTH:
-                raise _Fail()
-            self.chain_depth += 1
-            try:
-                # '**' binds right; everything else binds left.
-                rhs = self._parse_binary(prec if op == "**" else prec + 1)
-            finally:
-                self.chain_depth -= 1
-            lhs = Binary(*self._at(start), op, lhs, rhs)
-
-    def _parse_unary(self) -> Expr:
-        i = self.i
-        word = self.lx[i]
-        if word in _UNARY_OPS:
-            self.i = i + 1
-            if self.chain_depth >= _MAX_CHAIN_DEPTH:
-                raise _Fail()
-            self.chain_depth += 1
-            try:
-                operand = self._parse_unary()
-            finally:
-                self.chain_depth -= 1
-            return Unary(*self._at(i), word, operand)
-        kind = self.kd[i]
-        if (kind is _IDENTIFIER or kind is _NUMBER
-                and len(word) != _HEX_ADDRESS_LEN) \
-                and self.lx[i + 1] not in _POSTFIX_STARTS:
-            # A leaf: what _parse_postfix and _parse_primary would build.
-            self.i = i + 1
-            if kind is _IDENTIFIER:
-                return Identifier(self.starts[i], self.ends[i], self.file, word)
-            return Literal(self.starts[i], self.ends[i], self.file,
-                           LiteralKind.NUMBER, word)
-        return self._parse_postfix()
-
-    def _parse_postfix(self) -> Expr:
-        start = self.i
-        expr = self._parse_primary()
-        while True:
-            word = self._peek()
-            if word == ".":
-                if self.kd[self.i + 1] not in (TokenKind.IDENTIFIER,
-                                               TokenKind.KEYWORD):
-                    return expr
-                self._advance()
-                member = self._advance()
-                expr = MemberAccess(*self._at(start), expr, member)
-                continue
-            if word == "[":
-                self._advance()
-                index = None
-                if not self._is("]"):
-                    index = self._parse_expression()
-                self._expect("]")
-                expr = IndexAccess(*self._at(start), expr, index)
-                continue
-            if word in ("(", "{"):
-                options = [] if word == "(" else self._try_call_options()
-                if options is None:
-                    return expr
-                self._expect("(")
-                args = options + self._parse_call_args()
-                expr = Call(*self._at(start), expr, args)
-                continue
-            if word in ("++", "--"):
-                self._advance()
-                expr = Unary(*self._at(start), word, expr)
-                continue
+            self.chain_depth = depth + 1
+        try:
+            start = i = self.i
+            lx = self.lx
+            word = lx[i]
+            if word in _UNARY_OPS:
+                self.i = i + 1
+                operand = self._parse_operation(_PREFIX)
+                expr = Unary(*self._at(start), word, operand)
+            else:
+                kind = self.kd[i]
+                if kind is _IDENTIFIER:
+                    self.i = i + 1
+                    expr = Identifier(self.starts[i], self.ends[i], self.file,
+                                      word)
+                elif kind is _NUMBER:
+                    self.i = i + 1
+                    literal = LiteralKind.NUMBER
+                    if len(word) == _HEX_ADDRESS_LEN \
+                            and word.lower().startswith("0x"):
+                        literal = LiteralKind.HEX_ADDRESS
+                    expr = Literal(self.starts[i], self.ends[i], self.file,
+                                   literal, word)
+                else:
+                    expr = self._parse_primary()
+                while (word := lx[self.i]) in _POSTFIX_STARTS:
+                    if word == ".":
+                        if self.kd[self.i + 1] not in (_IDENTIFIER, _KEYWORD):
+                            break
+                        self.i += 2
+                        expr = MemberAccess(*self._at(start), expr,
+                                            lx[self.i - 1])
+                    elif word == "[":
+                        self.i += 1
+                        index = None
+                        if not self._is("]"):
+                            index = self._parse_expression()
+                        self._expect("]")
+                        expr = IndexAccess(*self._at(start), expr, index)
+                    elif word in ("++", "--"):
+                        self.i += 1
+                        expr = Unary(*self._at(start), word, expr)
+                    else:  # '(' or '{'
+                        options = [] if word == "(" else \
+                            self._try_call_options()
+                        if options is None:
+                            break
+                        self._expect("(")
+                        args = options + self._parse_call_args()
+                        expr = Call(*self._at(start), expr, args)
+            while (prec := _BINARY_PREC.get(op := lx[self.i])) is not None \
+                    and prec >= level:
+                self.i += 1
+                rhs = self._parse_operation(prec if op == "**" else prec + 1)
+                expr = Binary(*self._at(start), op, expr, rhs)
+            if level > _CONDITIONAL:
+                return expr
+            if lx[self.i] == "?":
+                self.i += 1
+                then = self._parse_expression()
+                self._expect(":")
+                otherwise = self._parse_operation(_CONDITIONAL)
+                expr = Conditional(*self._at(start), expr, then, otherwise)
+            if level == _ASSIGNMENT and (op := lx[self.i]) in ASSIGN_OPS:
+                self.i += 1
+                rhs = self._parse_operation(_ASSIGNMENT)
+                expr = Assignment(*self._at(start), expr, rhs, op)
             return expr
+        finally:
+            self.chain_depth = depth
 
     def _parse_call_args(self) -> list[Expr]:
         args: list[Expr] = []
@@ -945,17 +921,11 @@ class Parser:
     def _parse_primary(self) -> Expr:
         i = self.i
         kind, text = self.kd[i], self.lx[i]
-        if kind is _IDENTIFIER or text == "payable" or \
-                kind is _KEYWORD and text not in KEYWORDS:
-            # An identifier, or a type cast callee: address(x), uint(x),
-            # payable(x), ...
+        if text == "payable" or kind is _KEYWORD and text not in KEYWORDS:
+            # A type cast callee: address(x), uint(x), payable(x), ...
             self.i = i + 1
             return Identifier(self.starts[i], self.ends[i], self.file, text)
-        if kind is _NUMBER:
-            literal = LiteralKind.NUMBER
-            if len(text) == _HEX_ADDRESS_LEN and text.lower().startswith("0x"):
-                literal = LiteralKind.HEX_ADDRESS
-        elif kind is TokenKind.STRING:
+        if kind is TokenKind.STRING:
             literal = LiteralKind.STRING
         elif text in ("true", "false"):
             literal = LiteralKind.BOOL

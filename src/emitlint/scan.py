@@ -8,12 +8,13 @@ The emit matcher applies one fixed pattern with a non-greedy argument capture.
 It deliberately keeps the pattern's known weaknesses so that counts stay
 reproducible:
 - it stops at the first closing parenthesis;
+- it needs whitespace before `emit`, so `a;emit E(x);` is not matched;
 - it matches inside comments and strings; such hits are flagged rather than
-  dropped, letting callers choose;
-- a match ends in `\s*`, which takes the whitespace the next match's leading
-  `\s+` needs. In `// emit A()` followed by `emit B(1);` on the next line,
-  B is never matched, so emit pairing in `diff`, churn's emit total and the
-  regex fallback count all miss it.
+  dropped, letting callers choose.
+The pattern ends in `\s*`, which would take the whitespace that the next
+match's leading `\s+` needs, so each search resumes at the previous match's
+closing parenthesis rather than at its end: in `// emit A()` followed by
+`emit B(1);` on the next line, both A and B match.
 """
 
 from __future__ import annotations
@@ -122,16 +123,18 @@ def extract_emits_regex(file: SourceFile, lexed: LexResult | None = None
     ends = [b for _, b in covered]
     padded = "\n" + file.text
     matches: list[RegexEmitMatch] = []
-    for m in EMIT_PATTERN.finditer(padded):
+    search = EMIT_PATTERN.search
+    pos = 0
+    while (m := search(padded, pos)) is not None:
+        pos = m.end(2)  # ')' in padded; one past it in file.text
         name = m.group(1)
         if not _IDENT_RE.match(name):
             continue
         whole = m.group(0)
         lead = len(whole) - len(whole.lstrip())
         emit_off = m.start() + lead - 1
-        end_off = m.end(2)  # one past ')' after removing the pad offset
         i = bisect_right(ends, emit_off)
         flagged = i < len(covered) and covered[i][0] <= emit_off
-        matches.append(RegexEmitMatch(name, m.group(2), emit_off, end_off,
+        matches.append(RegexEmitMatch(name, m.group(2), emit_off, pos,
                                       flagged, file))
     return matches

@@ -35,13 +35,13 @@ from emitlint.lexer import (
 from emitlint.metrics import FileAnalysis
 from emitlint.nodes import (
     Assignment, Binary, Block, Call, Conditional, EmitStmt, Expr, ExprStmt,
-    For, FunctionDef, Identifier, If, Literal, LiteralKind, LocalVarDecl,
-    MemberAccess, Node, SourceUnit, Stmt, Unary, While, iter_functions,
-    root_identifier, walk_statements,
+    For, FunctionDef, Identifier, If, IndexAccess, Literal, LiteralKind,
+    LocalVarDecl, MemberAccess, Node, SourceUnit, Stmt, Unary, While,
+    iter_functions, root_identifier, walk_statements,
 )
 from emitlint.parser import (
-    _BINARY_PREC, _CLOSERS, _HEX_ADDRESS_LEN, _MAX_CHAIN_DEPTH, _OPENERS,
-    _UNARY_OPS, Parser, _Fail, parse_file,
+    _BINARY_PREC, _CLOSERS, _HEX_ADDRESS_LEN, _MAX_CHAIN_DEPTH,
+    _MAX_EXPR_DEPTH, _OPENERS, _UNARY_OPS, Parser, _Fail, parse_file,
 )
 from emitlint.scan import (
     _IDENT_RE, EMIT_PATTERN, LINE_BLANK, LINE_CODE, LINE_COMMENT,
@@ -377,12 +377,17 @@ def _mutate(rng: random.Random, text: str) -> str:
 
 def sweep_inputs() -> list[str]:
     """The robustness sweep's seeded inputs: every fixture and snippet, token
-    soup, and mutated fixtures and snippets."""
+    soup, and mutated fixtures and snippets. The fixtures under nesting/
+    sit at the parser's budgets; they are swept as they are but not
+    mutated, so the seeded draws stay those of the other bases."""
     rng = random.Random(SWEEP_SEED)
-    bases = [p.read_text(encoding="utf-8")
-             for p in sorted(FIXTURES.rglob("*.sol"))]
+    paths = sorted(FIXTURES.rglob("*.sol"))
+    bases = [p.read_text(encoding="utf-8") for p in paths
+             if p.parent.name != "nesting"]
     bases += [f.text for f in snippet_corpus()]
     texts = list(bases)
+    texts += [p.read_text(encoding="utf-8") for p in paths
+              if p.parent.name == "nesting"]
     texts += [_soup(rng) for _ in range(SOUP_INPUTS)]
     texts += [_mutate(rng, rng.choice(bases)) for _ in range(MUTATED_INPUTS)]
     return texts
@@ -1045,11 +1050,14 @@ def reference_classify_lines(file: SourceFile,
 def reference_extract_emits_regex(file: SourceFile, lexed: LexResult
                                   ) -> list[RegexEmitMatch]:
     """The emit matcher as it was before it bisected: each match's flag
-    tests every comment and string range in turn."""
+    tests every comment and string range in turn. Each search starts at
+    the previous match's `)`."""
     covered = lexed.comment_ranges + lexed.string_ranges
     padded = "\n" + file.text
     matches: list[RegexEmitMatch] = []
-    for m in EMIT_PATTERN.finditer(padded):
+    pos = 0
+    while m := EMIT_PATTERN.search(padded, pos):
+        pos = m.end(2)
         name = m.group(1)
         if not _IDENT_RE.match(name):
             continue
@@ -1172,12 +1180,13 @@ class ReferenceSkipParser(Parser):
 
 
 class ReferenceExprParser(Parser):
-    """The parser's expression path before its fast paths: every operand
-    goes through `_parse_postfix` and `_parse_primary`, each chain link
-    through a context manager, every statement that starts with an
-    identifier through a type-name parse and a backtrack, and elementary
-    type names through a regex. The expression differential test compares
-    the two."""
+    """The parser's expression path before its fast paths and its one
+    precedence loop: five methods, one per level (assignment, conditional,
+    binary, prefix, postfix), every operand through `_parse_postfix` and
+    `_parse_primary`, each chain link through a context manager, every
+    statement that starts with an identifier through a type-name parse and
+    a backtrack, and elementary type names through a regex. The expression
+    differential test compares the two."""
 
     def _at(self, start_idx: int) -> tuple[int, int, SourceFile]:
         return (*self._offsets_from(start_idx), self.file)
@@ -1246,6 +1255,15 @@ class ReferenceExprParser(Parser):
         finally:
             self.chain_depth -= 1
 
+    def _parse_expression(self) -> Expr:
+        if self.expr_depth >= _MAX_EXPR_DEPTH:
+            raise _Fail()
+        self.expr_depth += 1
+        try:
+            return self._parse_assignment()
+        finally:
+            self.expr_depth -= 1
+
     def _parse_assignment(self) -> Expr:
         start = self.i
         lhs = self._parse_conditional()
@@ -1290,6 +1308,41 @@ class ReferenceExprParser(Parser):
                 operand = self._parse_unary()
             return Unary(*self._at(start), op, operand)
         return self._parse_postfix()
+
+    def _parse_postfix(self) -> Expr:
+        start = self.i
+        expr = self._parse_primary()
+        while True:
+            word = self._peek()
+            if word == ".":
+                if self.kd[self.i + 1] not in (TokenKind.IDENTIFIER,
+                                               TokenKind.KEYWORD):
+                    return expr
+                self._advance()
+                member = self._advance()
+                expr = MemberAccess(*self._at(start), expr, member)
+                continue
+            if word == "[":
+                self._advance()
+                index = None
+                if not self._is("]"):
+                    index = self._parse_expression()
+                self._expect("]")
+                expr = IndexAccess(*self._at(start), expr, index)
+                continue
+            if word in ("(", "{"):
+                options = [] if word == "(" else self._try_call_options()
+                if options is None:
+                    return expr
+                self._expect("(")
+                args = options + self._parse_call_args()
+                expr = Call(*self._at(start), expr, args)
+                continue
+            if word in ("++", "--"):
+                self._advance()
+                expr = Unary(*self._at(start), word, expr)
+                continue
+            return expr
 
     def _parse_primary(self) -> Expr:
         i = self.i

@@ -1,10 +1,13 @@
 import json
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
+import emitlint.parser as parser_module
 from emitlint.checks import run_checks
 from emitlint.lexer import lex
+from emitlint.metrics import count_file_emits
 from emitlint.nodes import (
     Assignment, Binary, Call, Conditional, ContractKind, DataLocation,
     EmitStmt, ExprStmt, Identifier, If, Literal, LiteralKind, LocalVarDecl,
@@ -103,6 +106,9 @@ contract Impl is Base, IThing {
 
 
 def test_more_than_three_indexed_params_is_warning_not_failure():
+    """A log holds 4 topics. An event takes one for its signature, so more
+    than 3 indexed parameters draw a warning; an anonymous event takes
+    none, so only more than 4 do."""
     text = """contract C {
     event Busy(uint indexed a, uint indexed b, uint indexed c, uint indexed d);
 }
@@ -113,6 +119,15 @@ def test_more_than_three_indexed_params_is_warning_not_failure():
     warnings = [e for e in unit.parse_errors if e.severity == "warning"]
     assert any("indexed" in w.message for w in warnings)
     assert not has_fatal_errors(unit)
+
+    for count, messages in ((4, []), (5, [
+            "event Anon declares 5 indexed parameters; the log format "
+            "supports at most 4 topics"])):
+        params = ", ".join(f"uint indexed p{i}" for i in range(count))
+        _, unit, _ = parsed(f"contract C {{ event Anon({params}) anonymous; }}")
+        assert [p.indexed for p in unit.contracts[0].events[0].params] == \
+            [True] * count
+        assert [e.message for e in unit.parse_errors] == messages, count
 
 
 def test_state_var_declarations():
@@ -658,12 +673,19 @@ def test_skip_rule_matches_the_five_recovery_loops():
 
 def _assert_same_parse(files: list[SourceFile], reference) -> None:
     """`Parser` and reference parse each file to the same tree, offsets
-    and errors."""
-    for file in files:
-        lexed = lex(file)
-        units = [repr(cls(lexed, file).parse_unit())
-                 for cls in (Parser, reference)]
-        assert units[0] == units[1], repr(file.text[:200])
+    and errors. A reference may take more interpreter frames per nesting
+    level, so the stack is raised for both: a file within the budgets then
+    parses in full on each side, not only where the stack holds it."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4000))
+    try:
+        for file in files:
+            lexed = lex(file)
+            units = [repr(cls(lexed, file).parse_unit())
+                     for cls in (Parser, reference)]
+            assert units[0] == units[1], repr(file.text[:200])
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_recovery_cases_match_their_snapshots():
@@ -749,10 +771,10 @@ def test_expression_fast_paths_match_the_reference_parser():
 
 def test_leaf_operands_take_the_fast_paths(monkeypatch):
     """One function of n `x = y + 1;` statements: no statement parses a
-    type name, no leaf operand goes through `_parse_postfix` or
-    `_parse_primary`, and no node has a `__dict__`."""
+    type name, no leaf operand goes through `_parse_primary`, and no node
+    has a `__dict__`."""
     calls = Counter()
-    for name in ("_parse_type_name", "_parse_postfix", "_parse_primary"):
+    for name in ("_parse_type_name", "_parse_primary"):
         def counting(self, *args, _name=name, _real=getattr(Parser, name)):
             calls[_name] += 1
             return _real(self, *args)
@@ -767,8 +789,76 @@ def test_leaf_operands_take_the_fast_paths(monkeypatch):
         assert all(isinstance(s.expr.rhs, Binary) for s in stmts)
         assert calls == Counter(), n
         assert not any(hasattr(node, "__dict__") for node in nodes_in(unit))
-    # The counters see the general path: a member access and a declaration.
+    # The counters see the general path: a parenthesized operand, a string
+    # operand and a declaration. A member access reads its leaf in place.
     calls.clear()
-    parse_file(src("contract C { function f() public { x = y.z; T t; } }"))
-    assert calls == Counter(_parse_type_name=1, _parse_postfix=1,
-                            _parse_primary=1)
+    parse_file(src('contract C { function f() public { x = (y); x = "s";'
+                   " x = y.z; T t; } }"))
+    assert calls == Counter(_parse_type_name=1, _parse_primary=2)
+
+
+def _peak_parser_frames(text: str) -> int:
+    """The most frames of parser.py on the stack at once while text parses.
+    A profile hook counts them from the parse's own entry, so the caller's
+    stack does not count."""
+    file = src(text)
+    lexed = lex(file)
+    depth = peak = 0
+
+    def hook(frame, event, arg):
+        nonlocal depth, peak
+        if frame.f_code.co_filename == parser_module.__file__:
+            if event == "call":
+                depth += 1
+                peak = max(peak, depth)
+            elif event == "return":
+                depth -= 1
+
+    sys.setprofile(hook)
+    try:
+        parse_file(file, lexed)
+    finally:
+        sys.setprofile(None)
+    return peak
+
+
+def test_nesting_levels_cost_fixed_parser_frames():
+    """Each parenthesis, call or index level adds 3 parser frames
+    (`_parse_expression`, `_parse_operation`, and `_parse_primary` or
+    `_parse_call_args` or none), each chain link of every kind adds 1, and
+    a left-associative operator adds none."""
+    levels = {
+        "parenthesis": (lambda n: "(" * n + "x" + ")" * n, 3),
+        "call": (lambda n: "f(" * n + "x" + ")" * n, 3),
+        "member call": (lambda n: "a.f(" * n + "x" + ")" * n, 3),
+        "index": (lambda n: "a[" * n + "x" + "]" * n, 2),
+        "unary minus": (lambda n: "- " * n + "x", 1),
+        "unary not": (lambda n: "!" * n + "c", 1),
+        "assignment": (lambda n: "x = " * n + "x", 1),
+        "conditional": (lambda n: "c ? x : " * n + "x", 1),
+        "power": (lambda n: "x ** " * n + "x", 1),
+        "sum": (lambda n: "x + " * n + "x", 0),
+    }
+    for name, (expr, frames) in levels.items():
+        peaks = [_peak_parser_frames(
+            "contract C { function f(uint x, bool c) public { "
+            f"x = {expr(n)}; }} }}") for n in (10, 11, 30)]
+        assert peaks[1] - peaks[0] == frames, (name, peaks)
+        assert peaks[2] - peaks[0] == 20 * frames, (name, peaks)
+    peaks = [_peak_parser_frames("contract C { " + "mapping(uint => " * n
+                                 + "uint" + ")" * n + " m; }")
+             for n in (10, 11)]
+    assert peaks[1] - peaks[0] == 1
+
+
+def test_file_within_every_budget_parses_without_the_stack_fallback():
+    """119 nested `if`s around an emit whose argument nests 79
+    parentheses around 99 `!` links: each budget (120 statements, 80
+    expressions, 100 chain links) holds it, and so does the interpreter
+    stack. The file parses with no error, and its emit is counted from
+    the tree."""
+    file = SourceFile.load(FIXTURES / "nesting" / "within_budgets.sol")
+    unit = parse_file(file)
+    assert unit.parse_errors == []
+    assert len(emits_of(unit.contracts[0].functions[0])) == 1
+    assert count_file_emits(file) == (1, "ast")

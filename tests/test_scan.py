@@ -185,28 +185,37 @@ def test_emit_matches_match_the_linear_flag_reference():
     assert flags == {False, True}
 
 
-def test_comment_match_swallows_the_whitespace_before_the_next_emit():
-    """A known weakness the fixed pattern keeps: a match ends in `\\s*`, so
-    a match inside a comment takes the newline and indent that the next
-    line's `\\s+emit` needs, and that emit is never matched. Pairing,
-    churn's emit total and the regex fallback count all miss it."""
+def test_comment_match_leaves_the_whitespace_before_the_next_emit():
+    """The fixed pattern ends in `\\s*`, so a match inside a comment takes
+    the newline and indent that the next line's `\\s+emit` needs; the next
+    search starts at the match's `)`, so that emit is matched all the same.
+    Pairing, churn's emit total and the regex fallback count all see it."""
     body = ["// emit A()", "emit B(1);"]
     assert [(m.event_name, m.in_comment_or_string)
-            for m in extract_emits_regex(src(shop(body)))] == [("A", True)]
+            for m in extract_emits_regex(src(shop(body)))] == \
+        [("A", True), ("B", False)]
     assert count_file_emits(src(shop(body))) == (1, "ast")
-    # A missing ';' sends the count to the regex fallback: 0, not 1.
+    # A missing ';' sends the count to the regex fallback, which finds B.
     assert count_file_emits(src(shop(["// emit A()", "emit B(1)"]))) == \
-        (0, "regex")
-    report = analyze_revision(
-        shop_revision(body, ["// emit A()", "emit B(2);"]))
-    assert report.changes == []
-    # The one match counted is A, inside its comment; B's edit churns none.
-    assert (report.churn.churned_emits, report.churn.total_emits) == (0, 1)
-    # Without the comment line, the same edit is a change of B.
-    report = analyze_revision(shop_revision(body[1:], ["emit B(2);"]))
-    assert [c.category for c in report.changes] == \
-        [ChangeCategory.PARAMETER_CHANGE]
-    assert (report.churn.churned_emits, report.churn.total_emits) == (2, 1)
+        (1, "regex")
+    # The edit of B is a change of B, with or without the comment line
+    # before it; the comment's match only adds to churn's emit total.
+    for lines, total in ((body, 2), (body[1:], 1)):
+        report = analyze_revision(
+            shop_revision(lines, [*lines[:-1], "emit B(2);"]))
+        assert [c.category for c in report.changes] == \
+            [ChangeCategory.PARAMETER_CHANGE]
+        assert (report.churn.churned_emits, report.churn.total_emits) == \
+            (2, total)
+
+
+def test_emit_glued_to_the_previous_token_is_not_matched():
+    """A known weakness the fixed pattern keeps: it needs whitespace before
+    `emit`, so after `a;` the emit is not matched, though the tree counts
+    it."""
+    file = src(shop(["uint local = 1;emit B(local);"]))
+    assert extract_emits_regex(file) == []
+    assert count_file_emits(file) == (1, "ast")
 
 
 def test_digit_led_match_is_dropped():
