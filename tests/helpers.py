@@ -26,7 +26,7 @@ from emitlint.dataflow import (
     EqualityFact, _apply_stmt, _kill_own_effects, has_call, kill_names,
     resolve_variable, writes,
 )
-from emitlint.evolution import FilePair, LineDiff, Revision
+from emitlint.evolution import DiffOp, FilePair, LineDiff, Revision
 from emitlint.lexer import (
     _COMMENT, _ELEMENTARY, _ERROR_KINDS, _OPEN_COMMENT, _OPEN_STRING,
     _OPERATORS, _STRING, _TOKEN_KINDS, _TOKEN_RE, ASSIGN_OPS, KEYWORDS,
@@ -553,6 +553,64 @@ def shop_revision(before_body, after_body, rev_id: str = "r") -> Revision:
 
 
 # ------------------------------------------------------------------ oracles
+
+_NEG = -(10 ** 9)
+
+
+def reference_myers(a: list[str], b: list[str]) -> list[DiffOp]:
+    """The greedy forward Myers diff, kept as the oracle for the
+    integer-coded one in evolution.py: each pass copies the whole frontier
+    dict into the trace."""
+    n, m = len(a), len(b)
+    v: dict[int, int] = {1: 0}
+    trace: list[dict[int, int]] = []
+    final_d = 0
+    for d in range(n + m + 1):
+        trace.append(dict(v))
+        done = False
+        for k in range(-d, d + 1, 2):
+            if k == -d or (k != d and v.get(k - 1, _NEG) < v.get(k + 1, _NEG)):
+                x = v.get(k + 1, 0)
+            else:
+                x = v.get(k - 1, _NEG) + 1
+            y = x - k
+            while x < n and y < m and a[x] == b[y]:
+                x += 1
+                y += 1
+            v[k] = x
+            if x >= n and y >= m:
+                final_d = d
+                done = True
+                break
+        if done:
+            break
+    ops: list[DiffOp] = []
+    x, y = n, m
+    for d in range(final_d, 0, -1):
+        vd = trace[d]
+        k = x - y
+        if k == -d or (k != d and vd.get(k - 1, _NEG) < vd.get(k + 1, _NEG)):
+            prev_k = k + 1
+        else:
+            prev_k = k - 1
+        prev_x = vd.get(prev_k, 0)
+        prev_y = prev_x - prev_k
+        while x > prev_x and y > prev_y:
+            ops.append(DiffOp("keep", x, y, a[x - 1]))
+            x -= 1
+            y -= 1
+        if x == prev_x:
+            ops.append(DiffOp("add", None, prev_y + 1, b[prev_y]))
+        else:
+            ops.append(DiffOp("delete", prev_x + 1, None, a[prev_x]))
+        x, y = prev_x, prev_y
+    while x > 0 and y > 0:
+        ops.append(DiffOp("keep", x, y, a[x - 1]))
+        x -= 1
+        y -= 1
+    ops.reverse()
+    return ops
+
 
 def replay(diff: LineDiff) -> str:
     """The after text rebuilt from a diff's kept and added lines."""

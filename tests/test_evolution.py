@@ -1,14 +1,19 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import emitlint.evolution as evolution
 from emitlint.evolution import (
     ChangeCategory, RevisionAnalysis, analyze_revision, churn,
     classify_independence, diff_lines, pair_emit_changes,
 )
+from emitlint.cli import load_manifest
 
-from helpers import line_text, make_revision, replay, src
+from helpers import (
+    FIXTURES, line_text, make_revision, reference_myers, replay, src,
+)
 
 
 # ------------------------------------------------------------------ diffing
@@ -69,6 +74,77 @@ def test_diff_is_minimal_on_lcs_shapes():
     diff = diff_lines(before, after)
     edits = sum(1 for op in diff.ops if op.kind != "keep")
     assert edits == 2  # move one line: one delete plus one add
+
+
+def _tie_heavy_lines(rng: random.Random, alphabet: list[str],
+                     count: int) -> list[str]:
+    """count lines drawn from alphabet, with runs of '}' and blank lines."""
+    lines: list[str] = []
+    while len(lines) < count:
+        roll = rng.random()
+        if roll < 0.2:
+            lines += ["}"] * rng.randint(1, 4)
+        elif roll < 0.3:
+            lines += [""] * rng.randint(1, 2)
+        else:
+            lines.append(rng.choice(alphabet))
+    return lines[:count]
+
+
+def _reference_script(a: list[str], b: list[str]) -> list[tuple]:
+    return [(op.kind, op.before_line, op.after_line)
+            for op in reference_myers(a, b)]
+
+
+def test_edit_script_matches_the_reference_myers():
+    """The integer-coded diff keeps the reference's tie-break, step for step,
+    on small alphabets where ties are common: '}' and blank runs, shared
+    prefixes, empty sides, and a line repeated on one side, of which the
+    first copy is kept."""
+    rng = random.Random(22)
+    cases = [([], []), (["x"], []), ([], ["x"]), (["x"], ["x", "x"]),
+             (["}", "}"], ["}"]), (["", "}"], ["}", "", "}"])]
+    for _ in range(3000):
+        alphabet = [f"line {i};" for i in range(rng.randint(2, 16))]
+        shared = _tie_heavy_lines(rng, alphabet, rng.choice(
+            (0, rng.randint(1, 6))))
+        cases.append(
+            (shared + _tie_heavy_lines(rng, alphabet, rng.randint(0, 20)),
+             shared + _tie_heavy_lines(rng, alphabet, rng.randint(0, 20))))
+    for a, b in cases:
+        assert evolution._myers(a, b) == _reference_script(a, b), (a, b)
+
+
+def test_fixture_and_case_diffs_match_the_reference_myers():
+    """Every file pair of the fixture manifests and of the revision cases
+    diffs to the reference's ops, texts included."""
+    pairs = [pair
+             for manifest in sorted(FIXTURES.glob("manifests/*/manifest.json"))
+             for rev in load_manifest(str(manifest))[0]
+             for pair in rev.file_pairs]
+    assert len(pairs) == 8
+    pairs += [pair for _, rev in _DIFFERENTIAL_REVISIONS
+              for pair in rev.file_pairs]
+    for pair in pairs:
+        expected = reference_myers(evolution._split_lines(pair.before),
+                                   evolution._split_lines(pair.after))
+        assert diff_lines(pair.before, pair.after).ops == expected
+
+
+def test_whole_file_rewrite_diff_peaks_under_4_mb():
+    """A 300-line rewrite with every line distinct takes D = 600 passes; the
+    trace keeps only the entries the traceback reads (the reference's
+    dict-per-pass trace peaks near 13 MB here)."""
+    before = src("\n".join(f"uint before{i} = {i};" for i in range(300)))
+    after = src("\n".join(f"uint after{i} = {i};" for i in range(300)))
+    tracemalloc.start()
+    try:
+        diff = diff_lines(before, after)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [op.kind for op in diff.ops] == ["delete"] * 300 + ["add"] * 300
+    assert peak < 4 * 2 ** 20
 
 
 # -------------------------------------------------------------------- churn
@@ -329,7 +405,6 @@ def test_analyze_revision_fills_independence_and_churn():
 
 # ------------------------------------------------- shared revision analysis
 
-import emitlint.evolution as evolution
 import emitlint.scan as scan
 from emitlint.lexer import TokenKind, lex
 from emitlint.scan import (
@@ -744,17 +819,17 @@ def test_analyze_revision_diffs_and_lexes_each_side_once(monkeypatch,
                                                          whole_file):
     diffs = []
     lexed = []
-    real_diff, real_lex = evolution.diff_lines, evolution.lex
+    real_diff, real_lex = evolution._myers, evolution.lex
 
-    def counting_diff(before, after):
-        diffs.append((before, after))
-        return real_diff(before, after)
+    def counting_diff(a, b):
+        diffs.append((a, b))
+        return real_diff(a, b)
 
     def counting_lex(file):
         lexed.append(id(file))
         return real_lex(file)
 
-    monkeypatch.setattr(evolution, "diff_lines", counting_diff)
+    monkeypatch.setattr(evolution, "_myers", counting_diff)
     monkeypatch.setattr(evolution, "lex", counting_lex)
     monkeypatch.setattr(scan, "lex", counting_lex)
     rev = make_revision(

@@ -26,6 +26,9 @@ _INPUTS = {"lint_tree": "lint_tree", "token": "realistic_token.sol",
 _MANIFEST = "manifests/basic/manifest.json"
 # Emits whose arguments run past the matcher's first ')'.
 _EXTENT = "manifests/extent/manifest.json"
+# Whole-file rewrites that keep runs of '}' and blank lines, where the diff's
+# tie-break decides which lines are kept.
+_REWRITE = "manifests/rewrite/manifest.json"
 
 # Snapshot name -> argv, with paths relative to tests/fixtures.
 CASES = {
@@ -41,6 +44,10 @@ CASES = {
     "diff_extent_json": ["diff", "--manifest", _EXTENT, "--format", "json"],
     "diff_extent_json_whole_file": ["diff", "--manifest", _EXTENT,
                                     "--format", "json", "--whole-file-kill"],
+    "diff_rewrite_text": ["diff", "--manifest", _REWRITE],
+    "diff_rewrite_json": ["diff", "--manifest", _REWRITE, "--format", "json"],
+    "diff_rewrite_json_whole_file": ["diff", "--manifest", _REWRITE,
+                                     "--format", "json", "--whole-file-kill"],
 }
 
 
