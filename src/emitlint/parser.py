@@ -17,11 +17,12 @@ helpers that consume or look at one token return its lexeme. `parse_file`
 hands the parser the columns of its one lex; `parse(tokens, file)` builds
 them from a token list.
 
-Expressions take one path. `_parse_operation` reads prefix operators, or
+Expressions take one path. `_parse_expression` reads prefix operators, or
 one operand and its postfix operators, then binary operators by precedence,
 then `?:` and an assignment; each nested link is one call of it, so one
 frame. An identifier or number operand is built in place; any other goes
-through `_parse_primary`.
+through `_parse_primary`. `_parse_stmt` dispatches on a statement's first
+word itself, so a nested statement is two frames.
 Statements take one pre-check, giving the node the general path would give:
 a statement that starts with an identifier is no declaration when the next
 token is no identifier and none of `.`, `[`, `memory`, `storage` and
@@ -57,7 +58,7 @@ _BINARY_PREC = {
     "*": 10, "/": 10, "%": 10,
     "**": 11,
 }
-# Levels of `Parser._parse_operation` outside the binary ones: an
+# Levels of `Parser._parse_expression` outside the binary ones: an
 # assignment holds every operator, a conditional all but an assignment, and
 # the operand of a prefix operator no binary operator.
 _ASSIGNMENT = -1
@@ -83,7 +84,7 @@ _NUMBER = TokenKind.NUMBER
 # chains (assignments, conditional else-branches, binary right operands,
 # prefix operators, nested mapping types) are counted apart from nested
 # expressions, so bounding them leaves the nesting limit where it was.
-# An expression link is counted at the entry of `Parser._parse_operation`.
+# Both are counted at the entry of `Parser._parse_expression`.
 _MAX_STMT_DEPTH = 120
 _MAX_EXPR_DEPTH = 80
 _MAX_CHAIN_DEPTH = 100
@@ -573,106 +574,109 @@ class Parser:
         """A statement; nested too deep or damaged, the region it covers
         survives as Unparsed."""
         start = self.i
-        if self.stmt_depth < _MAX_STMT_DEPTH:
-            self.stmt_depth += 1
-            try:
-                return self._parse_stmt_inner()
-            except _Damage:
-                pass
-            finally:
-                self.stmt_depth -= 1
-        else:
-            self._record("statement nesting too deep; region skipped")
-        if not self._skip_group("{", "}"):
-            self._skip_to_semicolon()
-        if self.i == start and not self._at_end():
-            self._advance()  # guarantee progress
-        return Unparsed(*self._at(start), self._raw_text(start))
-
-    def _unparsed_stmt(self, start: int, message: str) -> Unparsed:
-        self._record(message, "warning", self._span_from(start))
-        return Unparsed(*self._at(start), self._raw_text(start))
-
-    def _parse_stmt_inner(self) -> Stmt:
-        start = self.i
-        if self._at_end():
-            self._damage("unexpected end of input in block")
-        word = self._peek()
-        if word == "{":
-            return self._parse_block()
-        if word == "if":
-            return self._parse_if()
-        if word == "while":
-            return self._parse_while()
-        if word == "for":
-            return self._parse_for()
-        if word == "emit":
-            return self._parse_emit()
-        if word == "return":
-            self._advance()
-            expr = None
-            if not self._is(";"):
-                try:
-                    expr = self._parse_expression()
-                except _Fail:
-                    # Tuple returns and other unsupported shapes.
-                    self._skip_to_semicolon()
-                    return self._unparsed_stmt(
-                        start, "unsupported return expression skipped")
-            self._expect_punct(";", "after return statement")
-            return Return(*self._at(start), expr)
-        if word == "unchecked":
-            self._advance()
-            if self._is("{"):
+        self.stmt_depth += 1
+        try:
+            if self.stmt_depth > _MAX_STMT_DEPTH:
+                self._damage("statement nesting too deep; region skipped")
+            if start >= self.n:
+                self._damage("unexpected end of input in block")
+            word = self.lx[start]
+            if word == "{":
                 return self._parse_block()
-            self._damage("expected '{' after unchecked")
-        if word == "assembly":
-            self._advance()
-            self._match(TokenKind.STRING)
-            self._skip_group("(", ")")
-            self._skip_group("{", "}")
-            return self._unparsed_stmt(start, "inline assembly block skipped")
-        if word == "try":
-            self._skip_try()
-            return self._unparsed_stmt(start, "try/catch statement skipped")
-        if word == "do":
-            self._advance()
-            self._skip_group("{", "}")
-            self._skip_to_semicolon()
-            return self._unparsed_stmt(start, "do/while statement skipped")
-        if word in ("break", "continue"):
-            self._advance()
-            self._eat(";")
-            # Fully understood and cannot contain an emit: no report.
-            return Unparsed(*self._at(start), self._raw_text(start))
-        if word == "delete":
-            self._skip_to_semicolon()
-            return Unparsed(*self._at(start), self._raw_text(start))
-        if word == "(":
-            # Tuple assignments and parenthesized heads.
+            if word == "if":
+                return self._parse_if()
+            if word == "while":
+                return self._parse_while()
+            if word == "for":
+                return self._parse_for()
+            if word == "emit":
+                return self._parse_emit()
+            if word == "return":
+                self._advance()
+                expr = None
+                if not self._is(";"):
+                    try:
+                        expr = self._parse_expression()
+                    except _Fail:
+                        # Tuple returns and other unsupported shapes.
+                        self._skip_to_semicolon()
+                        return self._unparsed(
+                            start, "unsupported return expression skipped")
+                self._expect_punct(";", "after return statement")
+                return Return(*self._at(start), expr)
+            if word == "unchecked":
+                self._advance()
+                if self._is("{"):
+                    return self._parse_block()
+                self._damage("expected '{' after unchecked")
+            if word == "assembly":
+                self._advance()
+                self._match(TokenKind.STRING)
+                self._skip_group("(", ")")
+                self._skip_group("{", "}")
+                return self._unparsed(start, "inline assembly block skipped")
+            if word == "try":
+                self._skip_try()
+                return self._unparsed(start, "try/catch statement skipped")
+            if word == "do":
+                self._advance()
+                self._skip_group("{", "}")
+                self._skip_to_semicolon()
+                return self._unparsed(start, "do/while statement skipped")
+            if word in ("break", "continue"):
+                self._advance()
+                self._eat(";")
+                # Fully understood and cannot contain an emit: no report.
+                return self._unparsed(start)
+            if word == "delete":
+                self._skip_to_semicolon()
+                return self._unparsed(start)
+            decl = self._try_local_decl()
+            if decl is not None:
+                return decl
+            if word == "revert" and self._check(TokenKind.IDENTIFIER, 1):
+                # revert CustomError(args);
+                self._advance()
+                inner = self._expr_or_damage("unsupported revert statement")
+                self._expect_punct(";", "after revert statement")
+                at = self._at(start)
+                callee = Identifier(self.starts[start], self.ends[start],
+                                    self.file, "revert")
+                return ExprStmt(*at, Call(*at, callee, [inner]))
             try:
                 expr = self._parse_expression()
             except _Fail:
+                if word != "(":
+                    self._damage("unsupported or malformed statement")
+                # Tuple assignments and other parenthesized heads.
                 self.i = start
                 self._skip_to_semicolon()
-                return self._unparsed_stmt(start, "tuple statement skipped")
+                return self._unparsed(start, "tuple statement skipped")
             self._expect_punct(";", "after expression statement")
             return ExprStmt(*self._at(start), expr)
-        decl = self._try_local_decl()
-        if decl is not None:
-            return decl
-        if self._is("revert") and self._check(TokenKind.IDENTIFIER, 1):
-            # revert CustomError(args);
-            self._advance()
-            inner = self._expr_or_damage("unsupported revert statement")
-            self._expect_punct(";", "after revert statement")
-            at = self._at(start)
-            callee = Identifier(self.starts[start], self.ends[start],
-                                self.file, "revert")
-            return ExprStmt(*at, Call(*at, callee, [inner]))
-        expr = self._expr_or_damage("unsupported or malformed statement")
-        self._expect_punct(";", "after expression statement")
-        return ExprStmt(*self._at(start), expr)
+        except _Damage:
+            pass
+        finally:
+            self.stmt_depth -= 1
+        self._skip_damage()
+        if self.i == start and not self._at_end():
+            self._advance()  # guarantee progress
+        return self._unparsed(start)
+
+    def _skip_damage(self) -> None:
+        """A '{' through the first closer outside brackets, so a stray '{'
+        cannot run on past the enclosing '}'; else `_skip_to_semicolon`."""
+        if self._eat("{"):
+            self._skip_to(_CLOSERS)
+            self._eat(*_CLOSERS)
+        else:
+            self._skip_to_semicolon()
+
+    def _unparsed(self, start: int, warning: str | None = None) -> Unparsed:
+        """The tokens from start on as text, warning recorded over them."""
+        if warning is not None:
+            self._record(warning, "warning", self._span_from(start))
+        return Unparsed(*self._at(start), self._raw_text(start))
 
     def _expr_or_damage(self, message: str) -> Expr:
         try:
@@ -700,9 +704,7 @@ class Parser:
         start = self.i
         cond = self._condition()
         then = self._parse_stmt()
-        otherwise = None
-        if self._eat("else"):
-            otherwise = self._parse_stmt()
+        otherwise = self._parse_stmt() if self._eat("else") else None
         return If(*self._at(start), cond, then, otherwise)
 
     def _parse_while(self) -> Stmt:
@@ -727,9 +729,8 @@ class Parser:
         if self._eat(";") is None:
             cond = self._expr_or_damage("unsupported for-loop condition")
             self._expect_punct(";", "after for-loop condition")
-        post = None
-        if not self._is(")"):
-            post = self._expr_or_damage("unsupported for-loop update")
+        post = None if self._is(")") else \
+            self._expr_or_damage("unsupported for-loop update")
         self._expect_punct(")", "after for-loop header")
         body = self._parse_stmt()
         return For(*self._at(start), init, cond, post, body)
@@ -780,32 +781,28 @@ class Parser:
 
     # ------------------------------------------------------------ expressions
 
-    def _parse_expression(self) -> Expr:
-        if self.expr_depth >= _MAX_EXPR_DEPTH:
-            raise _Fail()
-        self.expr_depth += 1
-        try:
-            return self._parse_operation(_ASSIGNMENT, False)
-        finally:
-            self.expr_depth -= 1
-
-    def _parse_operation(self, level: int, link: bool = True) -> Expr:
+    def _parse_expression(self, level: int = _ASSIGNMENT,
+                          link: bool = False) -> Expr:
         """Prefix operators, or one operand and its postfix operators; then
         the binary operators that bind at level or tighter, '**' to the
-        right; then, below the binary levels, '?:' and an assignment. Each
-        call but an expression's first is one chain link."""
-        depth = self.chain_depth
+        right; then, below the binary levels, '?:' and an assignment. A call
+        with link is one chain link, any other one nested expression."""
+        chain, nested = self.chain_depth, self.expr_depth
         if link:
-            if depth >= _MAX_CHAIN_DEPTH:
+            if chain >= _MAX_CHAIN_DEPTH:
                 raise _Fail()
-            self.chain_depth = depth + 1
+            self.chain_depth = chain + 1
+        else:
+            if nested >= _MAX_EXPR_DEPTH:
+                raise _Fail()
+            self.expr_depth = nested + 1
         try:
             start = i = self.i
             lx = self.lx
             word = lx[i]
             if word in _UNARY_OPS:
                 self.i = i + 1
-                operand = self._parse_operation(_PREFIX)
+                operand = self._parse_expression(_PREFIX, True)
                 expr = Unary(*self._at(start), word, operand)
             else:
                 kind = self.kd[i]
@@ -851,7 +848,8 @@ class Parser:
             while (prec := _BINARY_PREC.get(op := lx[self.i])) is not None \
                     and prec >= level:
                 self.i += 1
-                rhs = self._parse_operation(prec if op == "**" else prec + 1)
+                rhs = self._parse_expression(
+                    prec if op == "**" else prec + 1, True)
                 expr = Binary(*self._at(start), op, expr, rhs)
             if level > _CONDITIONAL:
                 return expr
@@ -859,15 +857,16 @@ class Parser:
                 self.i += 1
                 then = self._parse_expression()
                 self._expect(":")
-                otherwise = self._parse_operation(_CONDITIONAL)
+                otherwise = self._parse_expression(_CONDITIONAL, True)
                 expr = Conditional(*self._at(start), expr, then, otherwise)
             if level == _ASSIGNMENT and (op := lx[self.i]) in ASSIGN_OPS:
                 self.i += 1
-                rhs = self._parse_operation(_ASSIGNMENT)
+                rhs = self._parse_expression(_ASSIGNMENT, True)
                 expr = Assignment(*self._at(start), expr, rhs, op)
             return expr
         finally:
-            self.chain_depth = depth
+            self.chain_depth = chain
+            self.expr_depth = nested
 
     def _parse_call_args(self) -> list[Expr]:
         args: list[Expr] = []

@@ -4,7 +4,8 @@ Every named declaration is classified as storage-backed (state variables and
 explicitly storage-located parameters/locals of reference type) or
 memory-class (everything a function can touch without an Sload: value-typed
 parameters and locals, and memory/calldata reference values). Event, function,
-and contract names carry no data location.
+and contract names carry no data location, and neither do constant and
+immutable state variables, whose values are in the code, not in storage.
 
 State variables of base contracts declared in the same file are imported into
 the derived contract's scope; cross-file inheritance is out of scope.
@@ -18,7 +19,7 @@ from enum import Enum
 
 from .nodes import (
     Block, ContractDef, DataLocation, For, FunctionDef, LocalVarDecl, Node,
-    Param, SourceUnit, Stmt, statement_children,
+    Param, SourceUnit, StateVarDecl, Stmt, statement_children,
 )
 from .source import SourceFile, Span
 
@@ -182,6 +183,15 @@ class _Builder:
                   location_class_for(kind, decl.type_name,
                                      decl.data_location), decl)
 
+    def _add_state_var(self, scope: Scope, var: StateVarDecl,
+                       unique: bool = True) -> None:
+        """A constant or immutable is no storage slot: its value is in the
+        code, so reading it costs no Sload."""
+        location_class = LocationClass.NOT_APPLICABLE \
+            if var.is_constant or var.is_immutable else LocationClass.STORAGE
+        self._add(scope, var.name, SymbolKind.STATE_VAR, var.type_name,
+                  location_class, var, unique)
+
     def build(self) -> ScopeTree:
         root = self._new_scope(None, self.unit)
         by_name = {c.name: c for c in self.unit.contracts}
@@ -196,15 +206,12 @@ class _Builder:
                         by_name: dict[str, ContractDef]) -> None:
         scope = self._new_scope(root, contract)
         for var in contract.state_vars:
-            self._add(scope, var.name, SymbolKind.STATE_VAR, var.type_name,
-                      LocationClass.STORAGE, var)
+            self._add_state_var(scope, var)
         for parent in self._linearized_bases(contract, by_name):
             for var in parent.state_vars:
                 if any(s.name == var.name for s in scope.symbols):
                     continue  # derived declaration wins
-                self._add(scope, var.name, SymbolKind.STATE_VAR,
-                          var.type_name, LocationClass.STORAGE, var,
-                          unique=False)
+                self._add_state_var(scope, var, unique=False)
         for event in contract.events:
             self._add(scope, event.name, SymbolKind.EVENT_NAME, "",
                       LocationClass.NOT_APPLICABLE, event)

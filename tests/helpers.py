@@ -1129,8 +1129,9 @@ def reference_extract_emits_regex(file: SourceFile, lexed: LexResult
 
 class ReferenceSkipParser(Parser):
     """The parser with the five recovery loops that `Parser._skip_to`
-    replaced, each tracking bracket depth its own way; the recovery
-    differential test compares the two."""
+    replaced, each tracking bracket depth its own way, and a loop of the
+    same kind for `Parser._skip_damage`; the recovery differential test
+    compares the two."""
 
     def _skip_to(self, stops, openers=_OPENERS, closers=_CLOSERS) -> None:
         raise AssertionError("the reference parser has its own loops")
@@ -1219,6 +1220,21 @@ class ReferenceSkipParser(Parser):
             self._skip_group("{", "}")
             if not self._is("catch"):
                 return
+
+    def _skip_damage(self) -> None:
+        if not self._is("{"):
+            self._skip_to_semicolon()
+            return
+        self._advance()
+        depth = 0
+        while not self._at_end():
+            lexeme = self._advance()
+            if lexeme in _OPENERS:
+                depth += 1
+            elif lexeme in _CLOSERS:
+                if depth == 0:
+                    return
+                depth -= 1
 
     def _skip_call_arg(self) -> str:
         start = self.i

@@ -74,6 +74,21 @@ def test_gas_no_storage_args_no_diags():
     assert _gas(text) == []
 
 
+@pytest.mark.parametrize("declaration", [
+    "uint256 constant X = 5;", "uint256 immutable X = 5;"])
+@pytest.mark.parametrize("inherited", [False, True])
+def test_gas_constant_and_immutable_args_cost_no_sload(declaration,
+                                                       inherited):
+    """Neither kind is read with an Sload, so logging one where a local
+    holds the same value is no finding; a plain state variable is one."""
+    body = ("event E(uint256 v); function f() public { "
+            "uint256 m = X; emit E(X); }")
+    for decl, found in ((declaration, 0), ("uint256 X;", 1)):
+        text = (f"contract B {{ {decl} }} contract C is B {{ {body} }}"
+                if inherited else f"contract C {{ {decl} {body} }}")
+        assert len(_gas(text)) == found, text
+
+
 def test_gas_two_storage_args_two_diagnostics_on_one_emit():
     text = """contract C {
     uint public first;

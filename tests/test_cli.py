@@ -367,7 +367,7 @@ def test_metrics_multi_dir_totals_equal_manual_sum(capsys):
     code, out, _ = run(capsys, "metrics", str(fixture_path("gas")),
                        str(fixture_path("lint_tree")), "--format", "json")
     data = json.loads(out)
-    assert data["fileCount"] == 15
+    assert data["fileCount"] == 16
     assert data["totalEmitCount"] == sum(f["emitCount"]
                                          for f in data["perFile"])
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import emitlint.parser as parser_module
 from emitlint.checks import run_checks
 from emitlint.lexer import lex
-from emitlint.metrics import count_file_emits
+from emitlint.metrics import FileAnalysis, count_file_emits
 from emitlint.nodes import (
     Assignment, Binary, Call, Conditional, ContractKind, DataLocation,
     EmitStmt, ExprStmt, Identifier, If, Literal, LiteralKind, LocalVarDecl,
@@ -372,6 +372,55 @@ def test_damage_before_a_brace_skips_only_the_braced_group():
     assert isinstance(damaged, Unparsed)
     assert damaged.raw_text == "if { x = 1; }"
     assert isinstance(emit, EmitStmt) and emit.event_name == "E"
+
+
+def test_stray_brace_in_damage_stops_at_the_first_closer():
+    """Damage at a '{' skips through the first closer of any kind, so a
+    stray '{' in a condition does not run the skip through the function's
+    '}': the next function and both emits survive."""
+    text = ('contract C { event Noted(string s, uint a);\n'
+            'function f0(uint a, uint b) public { if ( { a > b) '
+            '{ emit Noted("x", a); } }\n'
+            'function f1(uint a) public { emit Noted("y", a); } }\n')
+    analysis = FileAnalysis.build(src(text))
+    assert [(w.fn.name, len(w.emits)) for w in analysis.functions] == [
+        ("f0", 1), ("f1", 1)]
+    damaged = analysis.unit.contracts[0].functions[0].body.stmts[0]
+    assert isinstance(damaged, Unparsed)
+    assert damaged.raw_text == "if ( { a > b)"
+
+
+def test_parenthesized_statement_head_is_an_expression_statement():
+    _, unit, _ = parsed("contract C { function f(uint a, uint b) public { "
+                        "(a) = b; } }")
+    assert unit.parse_errors == []
+    stmt = unit.contracts[0].functions[0].body.stmts[0]
+    assert isinstance(stmt, ExprStmt) and isinstance(stmt.expr, Assignment)
+    assert (stmt.expr.lhs.name, stmt.expr.rhs.name) == ("a", "b")
+
+
+def test_unchecked_without_a_brace_is_damage():
+    text = ("contract C { event E(uint v); function f(uint x) public { "
+            "unchecked x = 1; emit E(x); } }")
+    _, unit, _ = parsed(text)
+    assert [e.message for e in unit.parse_errors] == [
+        "expected '{' after unchecked"]
+    damaged, emit = unit.contracts[0].functions[0].body.stmts
+    assert isinstance(damaged, Unparsed)
+    assert damaged.raw_text == "unchecked x = 1;"
+    assert isinstance(emit, EmitStmt)
+
+
+def test_override_lists_and_dotted_bases_are_read():
+    _, unit, _ = parsed("contract C is Lib.Base { uint public override(A) x;"
+                        " function f() public override(A, B) {} }")
+    assert unit.parse_errors == []
+    contract = unit.contracts[0]
+    assert contract.bases == ["Lib.Base"]
+    var, = contract.state_vars
+    assert (var.name, var.visibility) == ("x", "public")
+    fn, = contract.functions
+    assert (fn.name, fn.visibility, fn.body.stmts) == ("f", "public", [])
 
 
 def test_spans_nest_within_parents():
@@ -823,15 +872,17 @@ def _peak_parser_frames(text: str) -> int:
 
 
 def test_nesting_levels_cost_fixed_parser_frames():
-    """Each parenthesis, call or index level adds 3 parser frames
-    (`_parse_expression`, `_parse_operation`, and `_parse_primary` or
-    `_parse_call_args` or none), each chain link of every kind adds 1, and
-    a left-associative operator adds none."""
+    """Each parenthesis or call level adds 2 parser frames
+    (`_parse_expression`, and `_parse_primary` or `_parse_call_args`), an
+    index level and each chain link of every kind 1, and a
+    left-associative operator none. Each statement level adds 2
+    (`_parse_stmt`, and `_parse_block`, `_parse_if`, `_parse_while` or
+    `_parse_for`)."""
     levels = {
-        "parenthesis": (lambda n: "(" * n + "x" + ")" * n, 3),
-        "call": (lambda n: "f(" * n + "x" + ")" * n, 3),
-        "member call": (lambda n: "a.f(" * n + "x" + ")" * n, 3),
-        "index": (lambda n: "a[" * n + "x" + "]" * n, 2),
+        "parenthesis": (lambda n: "(" * n + "x" + ")" * n, 2),
+        "call": (lambda n: "f(" * n + "x" + ")" * n, 2),
+        "member call": (lambda n: "a.f(" * n + "x" + ")" * n, 2),
+        "index": (lambda n: "a[" * n + "x" + "]" * n, 1),
         "unary minus": (lambda n: "- " * n + "x", 1),
         "unary not": (lambda n: "!" * n + "c", 1),
         "assignment": (lambda n: "x = " * n + "x", 1),
@@ -839,16 +890,63 @@ def test_nesting_levels_cost_fixed_parser_frames():
         "power": (lambda n: "x ** " * n + "x", 1),
         "sum": (lambda n: "x + " * n + "x", 0),
     }
-    for name, (expr, frames) in levels.items():
+    statements = {
+        "block": (lambda n: "{" * n + "x = 1;" + "}" * n, 2),
+        "if": (lambda n: "if (c) " * n + "x = 1;", 2),
+        "while": (lambda n: "while (c) " * n + "x = 1;", 2),
+        "for": (lambda n: "for (;;) " * n + "x = 1;", 2),
+        "unchecked": (lambda n: "unchecked { " * n + "x = 1;" + "}" * n,
+                      2),
+    }
+    rows = [(name, lambda n, expr=expr: f"x = {expr(n)};", frames)
+            for name, (expr, frames) in levels.items()]
+    rows += [(name, stmt, frames)
+             for name, (stmt, frames) in statements.items()]
+    for name, stmt, frames in rows:
         peaks = [_peak_parser_frames(
             "contract C { function f(uint x, bool c) public { "
-            f"x = {expr(n)}; }} }}") for n in (10, 11, 30)]
+            f"{stmt(n)} }} }}") for n in (10, 11, 30)]
         assert peaks[1] - peaks[0] == frames, (name, peaks)
         assert peaks[2] - peaks[0] == 20 * frames, (name, peaks)
     peaks = [_peak_parser_frames("contract C { " + "mapping(uint => " * n
                                  + "uint" + ")" * n + " m; }")
              for n in (10, 11)]
     assert peaks[1] - peaks[0] == 1
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _parse_under_limit(path: Path, headroom: int) -> list[str]:
+    """The messages of parsing path with the recursion limit set to the
+    caller's stack depth plus headroom."""
+    file = SourceFile.load(path)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + headroom)
+    try:
+        unit = parse_file(file)
+    finally:
+        sys.setrecursionlimit(limit)
+    return [e.message for e in unit.parse_errors]
+
+
+def test_file_within_every_budget_parses_in_560_frames_of_headroom():
+    """The file at all three budgets peaks at about 505 parser frames, so
+    560 frames above the caller hold it in full."""
+    assert _parse_under_limit(FIXTURES / "nesting" / "within_budgets.sol",
+                              560) == []
+
+
+def test_stack_exhaustion_falls_back_to_one_fatal_error():
+    """With 300 frames above the caller the file at the budgets exhausts the
+    stack; the whole file is then one fatal error, not a traceback."""
+    messages = _parse_under_limit(
+        FIXTURES / "nesting" / "within_budgets.sol", 300)
+    assert messages == ["nesting too deep to parse; file skipped"]
 
 
 def test_file_within_every_budget_parses_without_the_stack_fallback():

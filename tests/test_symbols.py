@@ -149,6 +149,30 @@ contract Child is Base {
     assert sym.location_class == LocationClass.STORAGE
 
 
+def test_constant_and_immutable_state_vars_are_not_storage():
+    """A constant or immutable is no storage slot, in its own contract and
+    where a derived contract inherits it; a plain state variable is."""
+    text = """contract Base {
+    uint constant LIMIT = 5;
+    uint plain;
+}
+contract Child is Base {
+    address immutable owner;
+    event E(uint v, address a);
+    function f() public {
+        emit E(LIMIT + plain, owner);
+    }
+}
+"""
+    _, unit, tree = parsed(text)
+    emit = emits_of(unit.contracts[1].functions[0])[0]
+    classes = {name: resolve(name, emit.span, tree).location_class
+               for name in ("LIMIT", "plain", "owner")}
+    assert classes == {"LIMIT": LocationClass.NOT_APPLICABLE,
+                       "plain": LocationClass.STORAGE,
+                       "owner": LocationClass.NOT_APPLICABLE}
+
+
 def test_derived_state_var_shadows_the_base_one():
     text = """contract Base {
     uint public shared;
