@@ -38,7 +38,10 @@ found by bisecting the start offsets, and the kill scan reads the lexeme and
 kind columns of the tokens outside the closed matches.
 
 Each revision is analyzed once. `RevisionAnalysis.build` diffs every file
-pair once and lexes every present side once, and keeps only the answers: the
+pair once. It lexes the after side in full and re-lexes the before side from
+the after side's tokens: the edit script's keep runs, taken as character
+ranges, are copied and only the edited lines are lexed again (`lexer._relex`).
+A side without a partner is lexed in full. It keeps only the answers: the
 churn report, the classified changes, whether the revision changes emit lines
 only, and the kill sets. Each side is summed up in a `SideAnalysis`: its
 churned and total code lines, its emit total, its matches on changed lines
@@ -56,7 +59,7 @@ from enum import Enum
 from fractions import Fraction
 import re
 
-from .lexer import ASSIGN_OPS, LexResult, TokenKind, lex
+from .lexer import ASSIGN_OPS, LexResult, TokenKind, _relex, lex
 from .scan import (
     LINE_BLANK, LINE_CODE, RegexEmitMatch, classify_lines, extract_emits_regex,
 )
@@ -177,6 +180,46 @@ def diff_lines(before: SourceFile | None, after: SourceFile | None) -> LineDiff:
                      for kind, old, new in _myers(a, b)])
 
 
+def _edits(before: SourceFile | None, after: SourceFile | None
+           ) -> tuple[set[int], set[int], list[tuple[int, int, int]]]:
+    """The deleted lines, the added lines and the keep runs of the edit
+    script from before to after. A keep run is given as (start, end, shift):
+    before's text [start, end) is after's [start + shift, end + shift). It
+    takes the newline after its last line only when both sides have one."""
+    a, b = _split_lines(before), _split_lines(after)
+    deleted: set[int] = set()
+    added: set[int] = set()
+    runs: list[tuple[int, int, int]] = []
+    i = j = 0  # lines of each side the script has passed
+
+    def keep(count: int) -> None:
+        start = before.line_starts[i]
+        last = i + count  # the line past the run, 0-based
+        end = before.line_starts[last] - 1 if last < len(a) \
+            else len(before.text)
+        if last < len(a) and j + count < len(b):
+            end += 1  # the newline both sides have
+        runs.append((start, end, after.line_starts[j] - start))
+
+    for kind, old, new in _myers(a, b):
+        if kind == "keep":
+            continue
+        count = old - 1 - i if kind == "delete" else new - 1 - j
+        if count:
+            keep(count)
+            i += count
+            j += count
+        if kind == "delete":
+            deleted.add(old)
+            i += 1
+        else:
+            added.add(new)
+            j += 1
+    if i < len(a):
+        keep(len(a) - i)
+    return deleted, added, runs
+
+
 # ----------------------------------------------------------- revision model
 
 @dataclass(frozen=True)
@@ -286,13 +329,13 @@ class SideAnalysis:
     passed: frozenset[str]
 
     @classmethod
-    def build(cls, file: SourceFile, changed: set[int],
+    def build(cls, file: SourceFile, lexed: LexResult, changed: set[int],
               whole_file: bool) -> SideAnalysis:
-        """changed holds the deleted lines of a before side, or the added
-        lines of an after side. Kill sets are scanned per run of consecutive
-        changed non-emit lines (every non-emit line in whole-file mode), over
-        the tokens that start on the run's lines and lie outside emits."""
-        lexed = lex(file)
+        """lexed is lex(file). changed holds the deleted lines of a before
+        side, or the added lines of an after side. Kill sets are scanned per
+        run of consecutive changed non-emit lines (every non-emit line in
+        whole-file mode), over the tokens that start on the run's lines and
+        lie outside emits."""
         starts = file.line_starts
         matches = extract_emits_regex(file, lexed)
         changed_emits: list[tuple[RegexEmitMatch, int]] = []
@@ -412,21 +455,26 @@ class RevisionAnalysis:
     @classmethod
     def build(cls, rev: Revision,
               whole_file: bool = False) -> RevisionAnalysis:
-        """Each file pair is diffed once and each present side lexed once.
-        A pair's totals are read from its after side, or from the before
-        side of a deleted file."""
+        """Each file pair is diffed once. Its after side is lexed in full;
+        its before side is re-lexed from the after side's tokens, copied
+        across the keep runs of the edit script, or lexed in full when it is
+        alone or either side has a lex error. A pair's totals are read from
+        its after side, or from the before side of a deleted file."""
         sides: list[SideAnalysis] = []
         changes: list[EventUseChange] = []
         total_loc = total_emits = 0
         for pair in rev.file_pairs:
-            script = _myers(_split_lines(pair.before),
-                            _split_lines(pair.after))
-            deleted = {old for kind, old, _ in script if kind == "delete"}
-            added = {new for kind, _, new in script if kind == "add"}
-            before = SideAnalysis.build(pair.before, deleted, whole_file) \
-                if pair.before is not None else None
-            after = SideAnalysis.build(pair.after, added, whole_file) \
-                if pair.after is not None else None
+            deleted, added, runs = _edits(pair.before, pair.after)
+            before = after = None
+            if pair.after is not None:
+                lexed = lex(pair.after)
+                after = SideAnalysis.build(pair.after, lexed, added,
+                                           whole_file)
+            if pair.before is not None:
+                lexed = lex(pair.before) if after is None else _relex(
+                    pair.before, lexed, len(pair.after.text), runs)
+                before = SideAnalysis.build(pair.before, lexed, deleted,
+                                            whole_file)
             primary = after if after is not None else before
             total_loc += primary.total_loc
             total_emits += primary.total_emits

@@ -122,7 +122,7 @@ def test_fixture_and_case_diffs_match_the_reference_myers():
              for manifest in sorted(FIXTURES.glob("manifests/*/manifest.json"))
              for rev in load_manifest(str(manifest))[0]
              for pair in rev.file_pairs]
-    assert len(pairs) == 8
+    assert len(pairs) == 15
     pairs += [pair for _, rev in _DIFFERENTIAL_REVISIONS
               for pair in rev.file_pairs]
     for pair in pairs:
@@ -405,6 +405,7 @@ def test_analyze_revision_fills_independence_and_churn():
 
 # ------------------------------------------------- shared revision analysis
 
+import emitlint.lexer as lexer
 import emitlint.scan as scan
 from emitlint.lexer import TokenKind, lex
 from emitlint.scan import (
@@ -817,9 +818,14 @@ def test_kill_text_inside_a_natspec_block_does_not_kill():
 @pytest.mark.parametrize("whole_file", [False, True])
 def test_analyze_revision_diffs_and_lexes_each_side_once(monkeypatch,
                                                          whole_file):
+    """One diff per file pair. Each after side is lexed in full once; a
+    before side with an after side is re-lexed from the after side's tokens
+    and never lexed in full; a lone side is lexed in full once."""
     diffs = []
     lexed = []
-    real_diff, real_lex = evolution._myers, evolution.lex
+    relexed = []
+    real_diff, real_lex, real_relex = (evolution._myers, evolution.lex,
+                                       evolution._relex)
 
     def counting_diff(a, b):
         diffs.append((a, b))
@@ -829,17 +835,26 @@ def test_analyze_revision_diffs_and_lexes_each_side_once(monkeypatch,
         lexed.append(id(file))
         return real_lex(file)
 
+    def counting_relex(file, base, base_size, runs):
+        relexed.append(id(file))
+        return real_relex(file, base, base_size, runs)
+
     monkeypatch.setattr(evolution, "_myers", counting_diff)
     monkeypatch.setattr(evolution, "lex", counting_lex)
+    monkeypatch.setattr(evolution, "_relex", counting_relex)
     monkeypatch.setattr(scan, "lex", counting_lex)
+    monkeypatch.setattr(lexer, "lex", counting_lex)
     rev = make_revision(
-        "three",
+        "four",
         ("a.sol", make_snippet(1), make_snippet(1).replace("a > b", "a < b")),
         ("b.sol", None, make_snippet(2)),
-        ("c.sol", make_snippet(3), "x = 1;\n" + make_snippet(3)))
+        ("c.sol", make_snippet(3), "x = 1;\n" + make_snippet(3)),
+        ("d.sol", make_snippet(4), None))
     report = analyze_revision(rev, whole_file)
     assert report.changes
     assert len(diffs) == len(rev.file_pairs)
-    present = [id(f) for p in rev.file_pairs for f in (p.before, p.after)
-               if f is not None]
-    assert sorted(lexed) == sorted(present)
+    pairs = rev.file_pairs
+    assert sorted(lexed) == sorted(
+        id(p.after) if p.after is not None else id(p.before) for p in pairs)
+    assert relexed == [id(p.before) for p in pairs
+                       if p.before is not None and p.after is not None]

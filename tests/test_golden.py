@@ -29,6 +29,10 @@ _EXTENT = "manifests/extent/manifest.json"
 # Whole-file rewrites that keep runs of '}' and blank lines, where the diff's
 # tie-break decides which lines are kept.
 _REWRITE = "manifests/rewrite/manifest.json"
+# Edits where the before side's re-lex must copy, stop and fall back with
+# care: a split number, a block comment over kept lines, unterminated
+# strings, the first and last lines, no final newline, CRLF.
+_RELEX = "manifests/relex/manifest.json"
 
 # Snapshot name -> argv, with paths relative to tests/fixtures.
 CASES = {
@@ -48,6 +52,8 @@ CASES = {
     "diff_rewrite_json": ["diff", "--manifest", _REWRITE, "--format", "json"],
     "diff_rewrite_json_whole_file": ["diff", "--manifest", _REWRITE,
                                      "--format", "json", "--whole-file-kill"],
+    "diff_relex_text": ["diff", "--manifest", _RELEX],
+    "diff_relex_json": ["diff", "--manifest", _RELEX, "--format", "json"],
 }
 
 
