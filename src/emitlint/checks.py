@@ -180,9 +180,11 @@ def _placements(blocks: list[Block], tree: ScopeTree,
     diags: list[Diagnostic] = []
     for block in blocks:
         # The emits still waiting for an operation on one of their
-        # arguments' symbols, by symbol; each is reported at the first.
+        # arguments' symbols, by symbol; each is reported at the first. The
+        # block's last statement has no later one, so it never waits.
         waiting: dict[Symbol, list[EmitStmt]] = {}
         reported: set[int] = set()
+        final = block.stmts[-1] if block.stmts else None
         for later in block.stmts:
             for hit, sym in _operations(later, tree) if waiting else ():
                 for emit in waiting.pop(sym, ()):
@@ -198,7 +200,7 @@ def _placements(blocks: list[Block], tree: ScopeTree,
                     diags.append(Diagnostic(CheckId.EMIT_BEFORE_OP,
                                             Severity.WARNING, path,
                                             emit.span, message))
-            if isinstance(later, EmitStmt):
+            if isinstance(later, EmitStmt) and later is not final:
                 for name in _arg_names(later):
                     sym = resolve_variable(name, later.start, tree)
                     if sym is not None:
@@ -228,19 +230,40 @@ def _arg_key(arg: Expr, emit: EmitStmt, tree: ScopeTree,
     return ("expr", "".join(file.text[arg.start:arg.end].split()))
 
 
+def _included(subset: Counter, superset: Counter) -> bool:
+    """Whether every argument key of subset is in superset, as many times."""
+    return not subset - superset
+
+
 def _redundancies(blocks: list[Block], tree: ScopeTree, path: str,
                   file: SourceFile) -> list[Diagnostic]:
+    """REDUNDANT_EVENT over each block that holds two emits or more among its
+    own statements; a pair can form in no other. One emit can include
+    another only if both have arguments and share an argument key, so each
+    pairable emit looks its partners up by key among the earlier ones: a
+    superset in the intersection of its keys' posting lists, shortest
+    first, and a subset under one of its keys, since each earlier emit is
+    filed under one signature key, the one with the shortest posting list
+    when it was filed. The candidates are tested in statement order, so the
+    findings come in the order a test of every earlier emit would give."""
     diags: list[Diagnostic] = []
     for block in blocks:
+        if sum(isinstance(stmt, EmitStmt) for stmt in block.stmts) < 2:
+            continue
         # The pairable emits so far, and for each name the index of the last
         # statement since the first of them that may invalidate it.
         earlier = []
         last_kill: dict[str, int] = {}
+        # By argument key, the positions in earlier of the emits holding
+        # it, and of the emits filed under it.
+        holding: dict[tuple, set[int]] = {}
+        filed: dict[tuple, list[int]] = {}
         for j, second in enumerate(block.stmts):
-            # An emit whose own arguments call or write may log a value no
-            # other emit can repeat, so it pairs with none.
-            if not isinstance(second, EmitStmt) or has_call(second) or \
-                    kill_names(second):
+            # An emit without arguments includes no other and is included in
+            # none; one whose own arguments call or write may log a value no
+            # other emit can repeat. Neither pairs.
+            if not isinstance(second, EmitStmt) or not second.args or \
+                    has_call(second) or kill_names(second):
                 for nested in walk_statements(second) if earlier else ():
                     for name in kill_names(nested):
                         last_kill[name] = j
@@ -248,10 +271,16 @@ def _redundancies(blocks: list[Block], tree: ScopeTree, path: str,
             second_args = Counter(_arg_key(arg, second, tree, file)
                                   for arg in second.args)
             second_names = _arg_names(second)
-            for i, first, first_args, first_names in earlier:
-                if first.args and not (first_args - second_args):
+            keys = sorted(second_args,
+                          key=lambda key: len(holding.get(key, ())))
+            found = set.intersection(*(holding.get(key, set())
+                                       for key in keys))
+            found.update(*(filed.get(key, ()) for key in keys))
+            for n in sorted(found):
+                i, first, first_args, first_names = earlier[n]
+                if _included(first_args, second_args):
                     subset, superset = first, second
-                elif second.args and not (second_args - first_args):
+                elif _included(second_args, first_args):
                     subset, superset = second, first
                 else:
                     continue
@@ -267,6 +296,9 @@ def _redundancies(blocks: list[Block], tree: ScopeTree, path: str,
                 diags.append(Diagnostic(CheckId.REDUNDANT_EVENT,
                                         Severity.INFO, path, subset.span,
                                         message))
+            filed.setdefault(keys[0], []).append(len(earlier))
+            for key in keys:
+                holding.setdefault(key, set()).add(len(earlier))
             earlier.append((j, second, second_args, second_names))
     return diags
 
@@ -346,7 +378,10 @@ def run_checks(file: SourceFile,
                cfg: CheckConfig | None = None) -> FileCheckResult:
     """Analyze one file and run every enabled check, diagnostics sorted by
     position then check id. Each function's statements are walked once, and
-    each check reads that walk's blocks or emits."""
+    each check reads that walk's blocks or emits. The placement and
+    redundancy checks work only where a finding can fire: no emit that ends
+    its block is resolved for placement, and no block with fewer than two
+    emits of its own is keyed for redundancy."""
     cfg = cfg or CheckConfig()
     enabled = cfg.enabled
     analysis = FileAnalysis.build(file)

@@ -61,7 +61,7 @@ import re
 
 from .lexer import ASSIGN_OPS, LexResult, TokenKind, _relex, lex
 from .scan import (
-    LINE_BLANK, LINE_CODE, RegexEmitMatch, classify_lines, extract_emits_regex,
+    LINE_CODE, RegexEmitMatch, classify_lines, extract_emits_regex,
 )
 from .source import SourceFile
 
@@ -321,7 +321,7 @@ class SideAnalysis:
     matches and feed the emit lines and the kill sets. Only the answers are
     kept."""
     churned_loc: int  # changed code lines
-    total_loc: int
+    total_loc: int | None  # None when not counted
     total_emits: int  # matches in comments and strings included
     changed_emits: tuple[tuple[RegexEmitMatch, int], ...]  # first lines
     emit_only: bool  # every changed code line is an emit line
@@ -330,12 +330,13 @@ class SideAnalysis:
 
     @classmethod
     def build(cls, file: SourceFile, lexed: LexResult, changed: set[int],
-              whole_file: bool) -> SideAnalysis:
+              whole_file: bool, count_total: bool) -> SideAnalysis:
         """lexed is lex(file). changed holds the deleted lines of a before
         side, or the added lines of an after side. Kill sets are scanned per
         run of consecutive changed non-emit lines (every non-emit line in
         whole-file mode), over the tokens that start on the run's lines and
-        lie outside emits."""
+        lie outside emits. Without count_total, only the changed lines are
+        classified, and total_loc is None."""
         starts = file.line_starts
         matches = extract_emits_regex(file, lexed)
         changed_emits: list[tuple[RegexEmitMatch, int]] = []
@@ -389,11 +390,20 @@ class SideAnalysis:
             a, p = _scan_kill_sets(kept_lexemes[lo:hi], kept_kinds[lo:hi])
             assigned |= a
             passed |= p
-        # The line past the last one, empty after a final newline, is blank.
-        kinds = classify_lines(file, lexed) + [LINE_BLANK]
-        code_changed = {line for line in changed
-                        if kinds[line - 1] == LINE_CODE}
-        return cls(len(code_changed), kinds.count(LINE_CODE), len(matches),
+        # A changed line past the last one, empty after a final newline, is
+        # blank.
+        ordered = sorted(line for line in changed if line <= file.line_count)
+        if count_total:
+            kinds = classify_lines(file, lexed)
+            total_loc = kinds.count(LINE_CODE)
+            changed_kinds = [kinds[line - 1] for line in ordered]
+        else:
+            total_loc = None
+            changed_kinds = classify_lines(file, lexed,
+                                           [line - 1 for line in ordered])
+        code_changed = {line for line, kind in zip(ordered, changed_kinds)
+                        if kind == LINE_CODE}
+        return cls(len(code_changed), total_loc, len(matches),
                    tuple(changed_emits), code_changed <= emit_lines,
                    frozenset(assigned), frozenset(passed))
 
@@ -459,7 +469,8 @@ class RevisionAnalysis:
         its before side is re-lexed from the after side's tokens, copied
         across the keep runs of the edit script, or lexed in full when it is
         alone or either side has a lex error. A pair's totals are read from
-        its after side, or from the before side of a deleted file."""
+        its after side, or from the before side of a deleted file; a before
+        side with an after side classifies only its deleted lines."""
         sides: list[SideAnalysis] = []
         changes: list[EventUseChange] = []
         total_loc = total_emits = 0
@@ -469,12 +480,12 @@ class RevisionAnalysis:
             if pair.after is not None:
                 lexed = lex(pair.after)
                 after = SideAnalysis.build(pair.after, lexed, added,
-                                           whole_file)
+                                           whole_file, True)
             if pair.before is not None:
                 lexed = lex(pair.before) if after is None else _relex(
                     pair.before, lexed, len(pair.after.text), runs)
                 before = SideAnalysis.build(pair.before, lexed, deleted,
-                                            whole_file)
+                                            whole_file, after is None)
             primary = after if after is not None else before
             total_loc += primary.total_loc
             total_emits += primary.total_emits

@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .lexer import LexResult, lex
 from .source import SourceFile, Span
@@ -63,10 +64,11 @@ class RegexEmitMatch:
         return self.file.span_from_offsets(self.start, self.end)
 
 
-def classify_lines(file: SourceFile,
-                   lexed: LexResult | None = None) -> list[str]:
-    """Per-line classification, index 0 = line 1. lexed, when given, must
-    come from this file.
+def classify_lines(file: SourceFile, lexed: LexResult | None = None,
+                   lines: Iterable[int] | None = None) -> list[str]:
+    """Per-line classification, index 0 = line 1; or, when lines is given as
+    ascending 0-based line indexes, the kinds of those lines, in order.
+    lexed, when given, must come from this file.
 
     Each line searches for its first character other than space, tab or
     CR. A hit inside a comment makes the line a comment line so far, and
@@ -78,7 +80,7 @@ def classify_lines(file: SourceFile,
     starts = file.line_starts
     kinds: list[str] = []
     ci = 0
-    for line in range(file.line_count):
+    for line in range(file.line_count) if lines is None else lines:
         pos = starts[line]
         end = starts[line + 1] - 1 if line + 1 < len(starts) else len(text)
         kind = LINE_BLANK

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import functools
 import importlib.util
-import itertools
 import operator
 import random
 import re
@@ -1560,7 +1559,8 @@ def reference_placements(blocks: list[Block], tree: ScopeTree,
 def reference_redundancies(blocks: list[Block], tree: ScopeTree, path: str,
                            file: SourceFile) -> list[Diagnostic]:
     """REDUNDANT_EVENT over every pair of pairable emits, walking the
-    statements between the two for kills, in pair order."""
+    statements between the two for kills; pairs come in the order of their
+    later emit, then of their earlier one."""
     diags: list[Diagnostic] = []
     for block in blocks:
         emits = [(i, s, Counter(_arg_key(arg, s, tree, file)
@@ -1568,28 +1568,29 @@ def reference_redundancies(blocks: list[Block], tree: ScopeTree, path: str,
                  for i, s in enumerate(block.stmts)
                  if isinstance(s, EmitStmt)
                  and not has_call(s) and not kill_names(s)]
-        for (i, first, first_args, first_names), \
-                (j, second, second_args, second_names) in \
-                itertools.combinations(emits, 2):
-            if first.args and not (first_args - second_args):
-                subset, superset = first, second
-            elif second.args and not (second_args - first_args):
-                subset, superset = second, first
-            else:
-                continue
-            killed: set[str] = set()
-            for between in block.stmts[i + 1:j]:
-                for nested in walk_statements(between):
-                    killed |= kill_names(nested)
-            if first_names & second_names & killed:
-                continue
-            message = (
-                f"emit {subset.event_name} logs values that emit "
-                f"{superset.event_name} at line {superset.span.start_line} "
-                f"already records; the duplicate log costs gas"
-            )
-            diags.append(Diagnostic(CheckId.REDUNDANT_EVENT, Severity.INFO,
-                                    path, subset.span, message))
+        for n, (j, second, second_args, second_names) in enumerate(emits):
+            for i, first, first_args, first_names in emits[:n]:
+                if first.args and not (first_args - second_args):
+                    subset, superset = first, second
+                elif second.args and not (second_args - first_args):
+                    subset, superset = second, first
+                else:
+                    continue
+                killed: set[str] = set()
+                for between in block.stmts[i + 1:j]:
+                    for nested in walk_statements(between):
+                        killed |= kill_names(nested)
+                if first_names & second_names & killed:
+                    continue
+                message = (
+                    f"emit {subset.event_name} logs values that emit "
+                    f"{superset.event_name} at line "
+                    f"{superset.span.start_line} already records; the "
+                    f"duplicate log costs gas"
+                )
+                diags.append(Diagnostic(CheckId.REDUNDANT_EVENT,
+                                        Severity.INFO, path, subset.span,
+                                        message))
     return diags
 
 

@@ -1,3 +1,4 @@
+import random
 import re
 import sys
 from collections import Counter
@@ -16,7 +17,8 @@ from emitlint.scan import LocStats
 
 from helpers import (
     SpanCounts, bench_tree, fixture_file, front_end_inputs, parsed,
-    reference_run_checks, snippet_corpus, span_text, src,
+    reference_redundancies, reference_run_checks, snippet_corpus, span_text,
+    src,
 )
 
 
@@ -648,3 +650,117 @@ def test_rule_work_grows_linearly_with_the_emits(monkeypatch):
     assert findings == [822, 3242, 12882]
     assert all(later <= 2.2 * earlier
                for earlier, later in zip(counts, counts[1:])), counts
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap module.name so each call adds one to the returned counter's
+    "calls"."""
+    counter = Counter()
+    real = getattr(module, name)
+
+    def counting(*args):
+        counter["calls"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return counter
+
+
+def test_a_block_with_one_emit_keys_no_arguments(monkeypatch):
+    """REDUNDANT_EVENT skips a block with fewer than two emits among its own
+    statements, since no pair can form there: no argument is keyed. The
+    block with two emits is keyed and reported."""
+    one = ("contract C {\n    uint total;\n    event E(uint v);\n"
+           "    function f(uint a) public {\n        total = a;\n"
+           "        if (a > 1) {\n            emit E(a);\n        }\n"
+           "        emit E(total);\n    }\n}\n")
+    two = one.replace("emit E(total);", "emit E(total);\n        emit E(total);")
+    keyed = _counting(monkeypatch, checks, "_arg_key")
+    assert _redundant(one) == []
+    assert keyed["calls"] == 0
+    assert len(_redundant(two)) == 1
+    assert keyed["calls"] == 2
+
+
+def test_a_block_final_emit_resolves_no_names_for_placement(monkeypatch):
+    """EMIT_BEFORE_OP resolves no argument of an emit that ends its block:
+    no later operation can report it. The same emit before the write is
+    resolved and reported."""
+    text = ("contract C {\n    uint total;\n    event E(uint v);\n"
+            "    function f(uint a) public {\n%s    }\n}\n")
+    resolved = _counting(monkeypatch, checks, "resolve_variable")
+    assert _placement(text % "        total = a;\n        emit E(total);\n") \
+        == []
+    assert resolved["calls"] == 0
+    diags = _placement(text % "        emit E(total);\n        total = a;\n")
+    assert [d.check_id for d in diags] == [CheckId.EMIT_BEFORE_OP]
+    assert resolved["calls"] > 0
+
+
+def _emit_run(n: int, args: str):
+    """One function of n emits in one block; args is formatted with i."""
+    body = "".join(f"        emit E({args.format(i=i)});\n" for i in range(n))
+    return src("contract C {\n    uint total;\n    event E(uint v);\n"
+               "    function f() public {\n" + body + "    }\n}\n")
+
+
+@pytest.mark.parametrize("args", ["{i}", "total, {i}"])
+def test_redundancy_subset_tests_grow_linearly_with_the_emits(monkeypatch,
+                                                              args):
+    """One block of n distinct emits, `emit E(i);` or `emit E(total, i);`:
+    no emit includes another, and the argument-key index finds each emit's
+    candidates without testing every earlier emit, so the subset tests grow
+    with n, not with n squared."""
+    tested = _counting(monkeypatch, checks, "_included")
+    counts = []
+    for n in (500, 1_000, 2_000):
+        tested.clear()
+        assert not any(d.check_id == CheckId.REDUNDANT_EVENT
+                       for d in run_checks(_emit_run(n, args)).diagnostics)
+        counts.append(tested["calls"])
+    assert all(count <= 2 * n
+               for count, n in zip(counts, (500, 1_000, 2_000))), counts
+
+
+_MIXED_ARGS = ("a", "b", "total", "1", "a + 1", "s.y", "a")
+_MIXED_OTHER = ("a = 2;", "g(b);", "s.y = a;", "uint c = a;", "total++;",
+                "if (a > b) { emit E(a); emit E(a, b); }")
+
+
+def _mixed_blocks(rng: random.Random):
+    """A function whose long block mixes emits of repeated argument keys
+    with kills, calls and nested blocks."""
+    stmts = []
+    for _ in range(rng.randint(5, 40)):
+        if rng.random() < 0.7:
+            args = ", ".join(rng.choice(_MIXED_ARGS)
+                             for _ in range(rng.randint(0, 3)))
+            stmts.append(f"emit {rng.choice('EF')}({args});")
+        else:
+            stmts.append(rng.choice(_MIXED_OTHER))
+    body = "".join(f"        {stmt}\n" for stmt in stmts)
+    return src("contract C {\n    struct S { uint y; }\n    S s;\n"
+               "    uint total;\n    event E(uint v);\n"
+               "    function g(uint v) internal {}\n"
+               "    function f(uint a, uint b) public {\n" + body +
+               "    }\n}\n")
+
+
+def test_redundancy_findings_come_in_the_pairwise_order():
+    """check_redundant_event lists its findings unsorted, in the order a
+    test of each emit against every earlier one gives (the later emit
+    first, then the earlier), on the inputs of the test above and on 300
+    generated blocks of repeated argument keys."""
+    rng = random.Random(25)
+    files = front_end_inputs() + snippet_corpus(300) + \
+        [_mixed_blocks(rng) for _ in range(300)]
+    total = 0
+    for file in files:
+        result = run_checks(file)
+        for walk in result.analysis.functions:
+            got = check_redundant_event(walk.fn, result.tree, file.path, file)
+            assert got == reference_redundancies(walk.blocks, result.tree,
+                                                 file.path, file), \
+                repr(file.text[:200])
+            total += len(got)
+    assert total > 2_000, total

@@ -858,3 +858,39 @@ def test_analyze_revision_diffs_and_lexes_each_side_once(monkeypatch,
         id(p.after) if p.after is not None else id(p.before) for p in pairs)
     assert relexed == [id(p.before) for p in pairs
                        if p.before is not None and p.after is not None]
+
+
+def test_a_before_side_with_an_after_side_classifies_only_its_deleted_lines(
+        monkeypatch):
+    """Only the side that gives a pair's totals, the after side or a lone
+    side, has every line classified; a before side with an after side
+    classifies just its deleted lines. The report is the same."""
+    rev = make_revision(
+        "four",
+        ("a.sol", make_snippet(1), make_snippet(1).replace("a > b", "a < b")),
+        ("b.sol", None, make_snippet(2)),
+        ("c.sol", make_snippet(3), "x = 1;\n" + make_snippet(3)),
+        ("d.sol", make_snippet(4),
+         make_snippet(4).replace("a", "x") + "// end\n"),
+        ("e.sol", make_snippet(5), None))
+    plain = analyze_revision(rev)
+    classified = []
+    real = evolution.classify_lines
+
+    def recording(file, lexed, lines=None):
+        classified.append((id(file), None if lines is None else list(lines)))
+        return real(file, lexed, lines)
+
+    monkeypatch.setattr(evolution, "classify_lines", recording)
+    assert analyze_revision(rev) == plain
+    want = []
+    for p in rev.file_pairs:
+        if p.after is not None:
+            want.append((id(p.after), None))
+        if p.before is not None:
+            deleted = evolution._edits(p.before, p.after)[0]
+            want.append((id(p.before), None if p.after is None else
+                         [line - 1 for line in sorted(deleted)
+                          if line <= p.before.line_count]))
+    assert classified == want
+    assert any(lines for _, lines in classified)

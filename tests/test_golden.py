@@ -33,12 +33,18 @@ _REWRITE = "manifests/rewrite/manifest.json"
 # care: a split number, a block comment over kept lines, unterminated
 # strings, the first and last lines, no final newline, CRLF.
 _RELEX = "manifests/relex/manifest.json"
+# Blocks with zero to three emits of their own, emits that end a block and
+# emits nested in an `if`: where EMIT_BEFORE_OP and REDUNDANT_EVENT can fire
+# and where they cannot.
+_BLOCKS = "lint_rules/blocks.sol"
 
 # Snapshot name -> argv, with paths relative to tests/fixtures.
 CASES = {
     **{f"{cmd}_{name}_{fmt}": [cmd, path, "--format", fmt]
        for cmd in ("lint", "metrics")
        for name, path in _INPUTS.items()
+       for fmt in ("text", "json")},
+    **{f"lint_blocks_{fmt}": ["lint", _BLOCKS, "--format", fmt]
        for fmt in ("text", "json")},
     "diff_basic_text": ["diff", "--manifest", _MANIFEST],
     "diff_basic_json": ["diff", "--manifest", _MANIFEST, "--format", "json"],

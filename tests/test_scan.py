@@ -1,3 +1,5 @@
+import random
+
 from emitlint.evolution import ChangeCategory, analyze_revision
 from emitlint.lexer import lex
 from emitlint.metrics import count_file_emits
@@ -221,6 +223,23 @@ def test_emit_glued_to_the_previous_token_is_not_matched():
 def test_digit_led_match_is_dropped():
     # \w+ would accept a digit-led name; such hits are not emit statements.
     assert extract_emits_regex(src(" emit 9bad(x);")) == []
+
+
+def test_classifying_some_lines_gives_their_kinds_in_the_whole_file():
+    """classify_lines over chosen lines gives those lines' kinds in the
+    whole-file classification: every line, none, and seeded random subsets,
+    on the fixtures and the snippets."""
+    rng = random.Random(25)
+    files = [fixture_file(p.relative_to(FIXTURES))
+             for p in sorted(FIXTURES.rglob("*.sol"))] + snippet_corpus()
+    for file in files:
+        lexed = lex(file)
+        kinds = classify_lines(file, lexed)
+        every = range(file.line_count)
+        for lines in (every, [], *(sorted(rng.sample(every, k))
+                                   for k in (1, 3, len(every) // 2))):
+            assert classify_lines(file, lexed, lines) == \
+                [kinds[line] for line in lines], (file.path, lines)
 
 
 def test_a_given_lex_gives_what_a_fresh_lex_gives():

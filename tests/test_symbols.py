@@ -13,8 +13,8 @@ from emitlint.symbols import (
 )
 
 from helpers import (
-    FIXTURES, emits_of, in_scope_memory_symbols, parsed, reference_scope_at,
-    snippet_corpus, span_contains, src,
+    FIXTURES, emits_of, in_scope_memory_symbols, parsed, reference_run_checks,
+    reference_scope_at, snippet_corpus, span_contains, src,
 )
 
 
@@ -320,7 +320,9 @@ def test_location_class_for_table():
 
 def _record_lookups(monkeypatch, files):
     """Run every check on each file; returns the check results and
-    (tree, offset) for every scope lookup the checks made."""
+    (tree, offset) for every scope lookup the checks made. The reference
+    rules run too, since they resolve every emit's arguments, where the
+    forward passes skip the emits that cannot be reported."""
     lookup = ScopeTree.scope_at
     calls = []
 
@@ -331,6 +333,8 @@ def _record_lookups(monkeypatch, files):
     with monkeypatch.context() as patch:
         patch.setattr(ScopeTree, "scope_at", recording)
         results = [run_checks(file) for file in files]
+        for file in files:
+            reference_run_checks(file)
     return results, calls
 
 
