@@ -38,16 +38,18 @@ found by bisecting the start offsets, and the kill scan reads the lexeme and
 kind columns of the tokens outside the closed matches.
 
 Each revision is analyzed once. `RevisionAnalysis.build` diffs every file
-pair once. It lexes the after side in full and re-lexes the before side from
-the after side's tokens: the edit script's keep runs, taken as character
-ranges, are copied and only the edited lines are lexed again (`lexer._relex`).
-A side without a partner is lexed in full. It keeps only the answers: the
-churn report, the classified changes, whether the revision changes emit lines
-only, and the kill sets. Each side is summed up in a `SideAnalysis`: its
-churned and total code lines, its emit total, its matches on changed lines
-with their first lines, its emit-only flag and its kill sets.
-`analyze_revision` builds one per revision; `churn`, `pair_emit_changes` and
-`classify_independence` each build one and read a single answer.
+pair once and builds each side's `SideAnalysis` the same way, from that side
+alone. One scan of the side's text finds its comment and string ranges
+(`lexer.scan_ranges`), which give the line kinds and the regex matches; its
+tokens are lexed only over the line windows they are read on: the changed
+lines, every line in whole-file mode, and each emit's extent. The analysis
+keeps only the answers: the churn report, the classified changes, whether
+the revision changes emit lines only, and the kill sets. Each side is summed
+up in a `SideAnalysis`: its churned and total code lines, its emit total,
+its matches on changed lines with their first lines, its emit-only flag and
+its kill sets. `analyze_revision` builds one per revision; `churn`,
+`pair_emit_changes` and `classify_independence` each build one and read a
+single answer.
 """
 
 from __future__ import annotations
@@ -59,13 +61,15 @@ from enum import Enum
 from fractions import Fraction
 import re
 
-from .lexer import ASSIGN_OPS, LexResult, TokenKind, _relex, lex
+from .lexer import ASSIGN_OPS, LexResult, TokenKind, _scan, scan_ranges
 from .scan import (
     LINE_CODE, RegexEmitMatch, classify_lines, extract_emits_regex,
 )
 from .source import SourceFile
 
 _IDENT_TOKEN_RE = re.compile(r"[A-Za-z_]\w*")
+# The tokens at which `_close` stops.
+_STOP_RE = re.compile("[;{}]")
 
 
 # ------------------------------------------------------------------ diffing
@@ -181,43 +185,17 @@ def diff_lines(before: SourceFile | None, after: SourceFile | None) -> LineDiff:
 
 
 def _edits(before: SourceFile | None, after: SourceFile | None
-           ) -> tuple[set[int], set[int], list[tuple[int, int, int]]]:
-    """The deleted lines, the added lines and the keep runs of the edit
-    script from before to after. A keep run is given as (start, end, shift):
-    before's text [start, end) is after's [start + shift, end + shift). It
-    takes the newline after its last line only when both sides have one."""
-    a, b = _split_lines(before), _split_lines(after)
+           ) -> tuple[set[int], set[int]]:
+    """The deleted lines and the added lines of the edit script from before
+    to after."""
     deleted: set[int] = set()
     added: set[int] = set()
-    runs: list[tuple[int, int, int]] = []
-    i = j = 0  # lines of each side the script has passed
-
-    def keep(count: int) -> None:
-        start = before.line_starts[i]
-        last = i + count  # the line past the run, 0-based
-        end = before.line_starts[last] - 1 if last < len(a) \
-            else len(before.text)
-        if last < len(a) and j + count < len(b):
-            end += 1  # the newline both sides have
-        runs.append((start, end, after.line_starts[j] - start))
-
-    for kind, old, new in _myers(a, b):
-        if kind == "keep":
-            continue
-        count = old - 1 - i if kind == "delete" else new - 1 - j
-        if count:
-            keep(count)
-            i += count
-            j += count
+    for kind, old, new in _myers(_split_lines(before), _split_lines(after)):
         if kind == "delete":
             deleted.add(old)
-            i += 1
-        else:
+        elif kind == "add":
             added.add(new)
-            j += 1
-    if i < len(a):
-        keep(len(a) - i)
-    return deleted, added, runs
+    return deleted, added
 
 
 # ----------------------------------------------------------- revision model
@@ -316,10 +294,10 @@ def _changed_tokens(before: RegexEmitMatch | None,
 @dataclass(frozen=True)
 class SideAnalysis:
     """What churn, pairing and independence read from one side of a file
-    pair. The file is lexed once; its comment and string ranges feed the line
-    kinds and the regex emit matches, and its token columns close the
-    matches and feed the emit lines and the kill sets. Only the answers are
-    kept."""
+    pair. One scan of the file finds its comment and string ranges, which
+    feed the line kinds and the regex emit matches; the token columns that
+    close the matches and feed the emit lines and the kill sets are lexed
+    only over the lines they are read on. Only the answers are kept."""
     churned_loc: int  # changed code lines
     total_loc: int | None  # None when not counted
     total_emits: int  # matches in comments and strings included
@@ -329,16 +307,26 @@ class SideAnalysis:
     passed: frozenset[str]
 
     @classmethod
-    def build(cls, file: SourceFile, lexed: LexResult, changed: set[int],
-              whole_file: bool, count_total: bool) -> SideAnalysis:
-        """lexed is lex(file). changed holds the deleted lines of a before
-        side, or the added lines of an after side. Kill sets are scanned per
-        run of consecutive changed non-emit lines (every non-emit line in
-        whole-file mode), over the tokens that start on the run's lines and
-        lie outside emits. Without count_total, only the changed lines are
-        classified, and total_loc is None."""
-        starts = file.line_starts
+    def build(cls, file: SourceFile, changed: set[int], whole_file: bool,
+              count_total: bool) -> SideAnalysis:
+        """changed holds the deleted lines of a before side, or the added
+        lines of an after side. The tokens are lexed over `_windows`: the
+        changed lines (every line in whole-file mode) and each emit's
+        extent. Kill sets are scanned per run of consecutive changed
+        non-emit lines (every non-emit line in whole-file mode), over the
+        tokens that start on the run's lines and lie outside emits. Without
+        count_total, only the changed lines are classified, and total_loc is
+        None."""
+        text = file.text
+        # The side's ranges, and its tokens in the windows only.
+        lexed = LexResult([], [], [], [], [], *scan_ranges(text))
         matches = extract_emits_regex(file, lexed)
+        lines = set(range(1, file.line_count + 1)) if whole_file \
+            else changed
+        for a, b in _windows(file, lexed, lines, matches):
+            _scan(text, a, b, (lexed.kinds, lexed.lexemes, lexed.starts,
+                               lexed.ends, [], []), [])
+        starts = file.line_starts
         changed_emits: list[tuple[RegexEmitMatch, int]] = []
         # The start, end, lexeme and kind columns of the tokens outside the
         # closed matches.
@@ -353,10 +341,10 @@ class SideAnalysis:
                     kept_column += column[prev:lo]
                 prev = max(prev, hi)
             first = bisect_right(starts, m.start)
-            lines = range(first, bisect_right(starts, m.end - 1) + 1)
+            own = range(first, bisect_right(starts, m.end - 1) + 1)
             if not m.in_comment_or_string:
-                touched.update(lines)
-            if not changed.isdisjoint(lines):
+                touched.update(own)
+            if not changed.isdisjoint(own):
                 changed_emits.append((m, first))
         for column, kept_column in zip(columns, kept):
             kept_column += column[prev:]
@@ -364,12 +352,10 @@ class SideAnalysis:
 
         def line_bounds(first: int, last: int) -> tuple[int, int]:
             """Index range of the kept tokens that start on these lines."""
-            end = starts[last] if last < len(starts) else len(file.text)
+            end = starts[last] if last < len(starts) else len(text)
             lo = bisect_left(kept_starts, starts[first - 1])
             return lo, bisect_left(kept_starts, end, lo)
 
-        lines = set(range(1, file.line_count + 1)) if whole_file \
-            else changed
         emit_lines: set[int] = set()
         for line in touched & lines:
             lo, hi = line_bounds(line, line)
@@ -465,27 +451,21 @@ class RevisionAnalysis:
     @classmethod
     def build(cls, rev: Revision,
               whole_file: bool = False) -> RevisionAnalysis:
-        """Each file pair is diffed once. Its after side is lexed in full;
-        its before side is re-lexed from the after side's tokens, copied
-        across the keep runs of the edit script, or lexed in full when it is
-        alone or either side has a lex error. A pair's totals are read from
-        its after side, or from the before side of a deleted file; a before
-        side with an after side classifies only its deleted lines."""
+        """Each file pair is diffed once, and each side is analyzed from its
+        own text and changed lines. A pair's totals are read from its after
+        side, or from the before side of a deleted file; a before side with
+        an after side classifies only its deleted lines."""
         sides: list[SideAnalysis] = []
         changes: list[EventUseChange] = []
         total_loc = total_emits = 0
         for pair in rev.file_pairs:
-            deleted, added, runs = _edits(pair.before, pair.after)
+            deleted, added = _edits(pair.before, pair.after)
             before = after = None
             if pair.after is not None:
-                lexed = lex(pair.after)
-                after = SideAnalysis.build(pair.after, lexed, added,
-                                           whole_file, True)
+                after = SideAnalysis.build(pair.after, added, whole_file, True)
             if pair.before is not None:
-                lexed = lex(pair.before) if after is None else _relex(
-                    pair.before, lexed, len(pair.after.text), runs)
-                before = SideAnalysis.build(pair.before, lexed, deleted,
-                                            whole_file, after is None)
+                before = SideAnalysis.build(pair.before, deleted, whole_file,
+                                            after is None)
             primary = after if after is not None else before
             total_loc += primary.total_loc
             total_emits += primary.total_emits
@@ -517,6 +497,59 @@ class RevisionAnalysis:
         if self.passes_kill_test(change):
             return Independence.HEURISTIC_INDEPENDENT
         return Independence.DEPENDENT
+
+
+def _windows(file: SourceFile, lexed: LexResult, lines: set[int],
+             matches: list[RegexEmitMatch]) -> list[list[int]]:
+    """The character windows [a, b) of file whose tokens a side reads, in
+    order and merged where they touch: the given lines, and for each match
+    outside comments and strings, its first line through the line of the
+    first ';', '{' or '}' outside them after the match, or to EOF, so that
+    `_close` stays in its window. A window starts and ends at a line start
+    outside every comment and string, or at EOF; there `_scan` gives the
+    tokens of a full lex."""
+    text, starts = file.text, file.line_starts
+    n = len(text)
+    covered = sorted(lexed.comment_ranges + lexed.string_ranges)
+    ends = [b for _, b in covered]
+
+    def holder(off: int) -> tuple[int, int] | None:
+        """The range that holds off past its first character."""
+        i = bisect_right(ends, off)
+        return covered[i] if i < len(covered) and covered[i][0] < off \
+            else None
+
+    def line_after(off: int) -> int:
+        """The first line start past off, or EOF."""
+        i = bisect_right(starts, off)
+        return starts[i] if i < len(starts) else n
+
+    spans: list[list[int]] = []  # runs of consecutive lines, then extents
+    for line in sorted(lines):
+        if spans and spans[-1][1] == starts[line - 1]:
+            spans[-1][1] = line_after(starts[line - 1])
+        else:
+            spans.append([starts[line - 1], line_after(starts[line - 1])])
+    for m in matches:
+        if m.in_comment_or_string:
+            continue
+        pos = m.end
+        while (stop := _STOP_RE.search(text, pos)) is not None and \
+                (r := holder(stop.start())) is not None:
+            pos = r[1]
+        spans.append([starts[bisect_right(starts, m.start) - 1],
+                      n if stop is None else line_after(stop.start())])
+    windows: list[list[int]] = []
+    for a, b in sorted(spans):
+        while (r := holder(a)) is not None:
+            a = starts[bisect_right(starts, r[0]) - 1]
+        while (r := holder(b)) is not None:
+            b = line_after(r[1] - 1)
+        if windows and a <= windows[-1][1]:
+            windows[-1][1] = max(windows[-1][1], b)
+        else:
+            windows.append([a, b])
+    return windows
 
 
 def _close(m: RegexEmitMatch, lexed: LexResult

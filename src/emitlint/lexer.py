@@ -17,23 +17,18 @@ Recovery: an unterminated string abandons the current line and resumes at the
 next one; an unterminated block comment swallows the rest of the file. Both
 are recorded as lex errors rather than raised.
 
-Re-lexing: `lex` runs the one token loop, `_scan`, over the whole text. The
-private `_relex` builds the same LexResult for a text that shares runs of
-characters with one already lexed, such as the before side of an edit and
-its after side: it copies the lexed side's matches across the shared runs,
-shifted, and runs `_scan` only over bounded windows around the edits. A
-match that ends at e reads at most 3 characters past e; the worst case is a
-number followed by `e`, a sign and a non-digit, as `1` in `1e+x`. So a
-copied match ends at least 3 characters before its run does, unless the
-run reaches the end of both texts; and of a window's matches only those
-that end 3 characters before the window does are kept, unless the window
-reaches the end of the text.
+Partial lexing: `diff` lexes only the lines each side reads, and two facts
+make that exact. Outside comments and strings, every `/` and every quote
+starts a token, since no other token class holds one; so `scan_ranges`
+finds the comment and string ranges with no tokens, by skipping everything
+else. And only comments and strings hold a newline; so `_scan` started at a
+line start outside every range, and stopped at another, gives exactly the
+tokens that `lex` gives between the two.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
@@ -139,7 +134,8 @@ def _first_letter_alternation(words) -> str:
 # last match is the trailing whitespace, if any, and `\Z` (lastindex None).
 (_COMMENT, _OPEN_COMMENT, _STRING, _OPEN_STRING, _KEYWORD, _WORD, _NUMBER,
  _OPERATOR, _PUNCT, _BAD) = range(1, 11)
-_TOKEN_RE = re.compile("[ \t\r\n]*(?:" + "|".join(f"({p})" for p in (
+# The comment and string classes, shared with _RANGE_RE.
+_RANGES = (
     r"//[^\n]*|/\*(?s:.*?)\*/",
     r"/\*(?s:.*)",
     # A backslash escapes any next character, a newline included.
@@ -148,6 +144,9 @@ _TOKEN_RE = re.compile("[ \t\r\n]*(?:" + "|".join(f"({p})" for p in (
     # Reached only when no closing quote matched, so it runs to the next
     # unescaped newline or to EOF, taking a trailing backslash with it.
     r"""["'][^\\\n]*(?:\\(?s:.)[^\\\n]*)*\\?""",
+)
+_TOKEN_RE = re.compile("[ \t\r\n]*(?:" + "|".join(f"({p})" for p in (
+    *_RANGES,
     # A keyword is a whole word: the lookahead rejects `uint256x`, `bytes33`.
     f"(?:{_first_letter_alternation(KEYWORDS)}|{_ELEMENTARY})"
     r"(?![A-Za-z0-9_$])",
@@ -201,6 +200,25 @@ def _scan(text: str, pos: int, endpos: int, columns: tuple[list, ...],
             errors.append((group, a, b))
 
 
+# Text free of '/' and quotes, a comment or string class (numbered as in
+# _TOKEN_RE), or a '/' that starts no comment.
+_RANGE_RE = re.compile("[^/\"']+|" + "|".join(f"({p})" for p in _RANGES)
+                       + "|/")
+
+
+def scan_ranges(text: str
+                ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The comment_ranges and string_ranges of lex on text, found without
+    its tokens."""
+    comments: list[tuple[int, int]] = []
+    strings: list[tuple[int, int]] = []
+    for m in _RANGE_RE.finditer(text):
+        group = m.lastindex
+        if group is not None:
+            (comments if group < _STRING else strings).append(m.span())
+    return comments, strings
+
+
 def lex(file: SourceFile) -> LexResult:
     columns: tuple[list, ...] = ([], [], [], [], [], [])
     errors: list[tuple[int, int, int]] = []
@@ -210,146 +228,6 @@ def lex(file: SourceFile) -> LexResult:
                      [LexError(_ERROR_KINDS[group],
                                file.span_from_offsets(a, b))
                       for group, a, b in errors], comments, strings)
-
-
-# A match that ends at e reads at most this many characters from e on: `1`
-# in `1e+x` reads `e`, `+` and `x` before it settles for `1`.
-_READ_PAST = 3
-# How far a re-lex window reaches after one that found no way back to
-# copying; it doubles after each such window.
-_REACH = 48
-_END = itemgetter(1)
-
-
-def _relex(file: SourceFile, base: LexResult, base_size: int,
-           runs: list[tuple[int, int, int]]) -> LexResult:
-    """lex(file), built from base, the LexResult of a text of base_size
-    characters that holds each run (start, end, shift) of file's text at
-    [start + shift, end + shift). The runs are disjoint and in order.
-
-    A match depends on nothing before its start. So where a match of file's
-    text ends at e inside a run and e + shift is a token end of base, the
-    two walks go on alike, and base's matches are copied, shifted, up to the
-    run's copy limit. The rest is lexed in windows, each reaching just past
-    the end of base's first token in the next run, and keeping the matches
-    that end _READ_PAST characters before the window does. Copying resumes
-    at the first kept token end that maps into base; failing that, the next
-    window starts at the last kept match and reaches _REACH characters,
-    then twice as far each time. A lex error on either side falls back to
-    lex(file)."""
-    text = file.text
-    n = len(text)
-    if base.errors:
-        return lex(file)
-    spans = []  # (start, copy limit, shift) of the runs that can be copied
-    for start, end, shift in runs:
-        limit = n if end == n and end + shift == base_size \
-            else end - _READ_PAST
-        if limit > start:
-            spans.append((start, limit, shift))
-    columns: tuple[list, ...] = ([], [], [], [], [], [])
-    kinds, lexemes, starts, ends, comments, strings = columns
-    errors: list[tuple[int, int, int]] = []
-    b_ends = base.ends
-    pos = ri = reach = 0
-    synced = bool(spans) and spans[0][0] == 0 and spans[0][2] == 0
-    while True:
-        if synced:
-            # pos and pos + shift end a match on both sides: copy.
-            _, limit, shift = spans[ri]
-            q, q_limit = pos + shift, limit + shift
-            i = bisect_left(base.starts, q)
-            j = bisect_right(b_ends, q_limit, i)
-            kinds += base.kinds[i:j]
-            lexemes += base.lexemes[i:j]
-            if shift:
-                starts += [b - shift for b in base.starts[i:j]]
-                ends += [b - shift for b in b_ends[i:j]]
-            else:
-                starts += base.starts[i:j]
-                ends += b_ends[i:j]
-            comments += _shifted(base.comment_ranges, q, q_limit, shift)
-            strings += _shifted(base.string_ranges, q, q_limit, shift)
-            if limit == n:
-                break
-            pos = max(pos, ends[-1] if ends else 0,
-                      comments[-1][1] if comments else 0)
-            ri += 1
-            reach = 0
-            synced = False
-        while ri < len(spans) and spans[ri][1] <= pos:
-            ri += 1
-        if ri == len(spans):
-            window = n
-        elif reach:
-            window = min(n, max(pos, spans[ri][0]) + reach)
-        else:
-            # Reach just past the end of base's first token in the run.
-            start, limit, shift = spans[ri]
-            k = bisect_left(b_ends, start + shift)
-            window = min(n, _READ_PAST + min(
-                limit, b_ends[k] - shift if k < len(b_ends) else n))
-        t0 = len(ends)
-        _scan(text, pos, window, columns, errors)
-        cutoff = window if window == n else max(pos, window - _READ_PAST)
-        if any(b <= cutoff for _, _, b in errors):
-            return lex(file)
-        errors.clear()
-        t = _truncate(columns, cutoff)
-        found = _sync_point(ends, t0, t, spans, ri, b_ends)
-        if found is not None:
-            k, ri = found
-            pos = ends[k]
-            _truncate(columns, pos)
-            synced = True
-        elif window == n:
-            break
-        else:
-            pos = max(pos, ends[-1] if ends else 0,
-                      comments[-1][1] if comments else 0)
-            reach = 2 * reach or _REACH
-    return LexResult(kinds, lexemes, starts, ends, [], comments, strings)
-
-
-def _shifted(ranges: list[tuple[int, int]], lo: int, hi: int, shift: int
-             ) -> list[tuple[int, int]]:
-    """The ranges that lie in [lo, hi], moved back by shift."""
-    i = bisect_left(ranges, (lo,))
-    j = bisect_right(ranges, hi, i, key=_END)
-    return [(a - shift, b - shift) for a, b in ranges[i:j]]
-
-
-def _truncate(columns: tuple[list, ...], cutoff: int) -> int:
-    """Drop the tokens, comments and strings that end past cutoff from the
-    columns (kinds, lexemes, starts, ends, comments, strings); the number of
-    tokens left."""
-    kinds, lexemes, starts, ends, comments, strings = columns
-    t = bisect_right(ends, cutoff)
-    for column in (kinds, lexemes, starts, ends):
-        del column[t:]
-    del comments[bisect_right(comments, cutoff, key=_END):]
-    del strings[bisect_right(strings, cutoff, key=_END):]
-    return t
-
-
-def _sync_point(ends: list[int], lo: int, hi: int,
-                spans: list[tuple[int, int, int]], ri: int,
-                base_ends: list[int]) -> tuple[int, int] | None:
-    """The first k in [lo, hi) and the index of its span, from ri on, such
-    that ends[k] lies in the span before its copy limit and maps to a token
-    end in base_ends; None if there is none."""
-    while lo < hi and ri < len(spans):
-        start, limit, shift = spans[ri]
-        k = bisect_left(ends, start, lo, hi)
-        while k < hi and ends[k] < limit:
-            q = ends[k] + shift
-            i = bisect_left(base_ends, q)
-            if i < len(base_ends) and base_ends[i] == q:
-                return k, ri
-            k += 1
-        lo = k
-        ri += 1
-    return None
 
 
 def tokenize(file: SourceFile) -> list[Token]:

@@ -818,32 +818,36 @@ def test_kill_text_inside_a_natspec_block_does_not_kill():
 @pytest.mark.parametrize("whole_file", [False, True])
 def test_analyze_revision_diffs_and_lexes_each_side_once(monkeypatch,
                                                          whole_file):
-    """One diff per file pair. Each after side is lexed in full once; a
-    before side with an after side is re-lexed from the after side's tokens
-    and never lexed in full; a lone side is lexed in full once."""
+    """One diff per file pair and one range scan per side. `lex` is never
+    called: a side's tokens are lexed over its windows, which are the whole
+    text in whole-file mode or for a side without a partner, and less than
+    it otherwise."""
     diffs = []
-    lexed = []
-    relexed = []
-    real_diff, real_lex, real_relex = (evolution._myers, evolution.lex,
-                                       evolution._relex)
+    scanned = []
+    windows = {}
+    real_diff, real_ranges, real_windows = (
+        evolution._myers, evolution.scan_ranges, evolution._windows)
 
     def counting_diff(a, b):
         diffs.append((a, b))
         return real_diff(a, b)
 
-    def counting_lex(file):
-        lexed.append(id(file))
-        return real_lex(file)
+    def counting_ranges(text):
+        scanned.append(id(text))
+        return real_ranges(text)
 
-    def counting_relex(file, base, base_size, runs):
-        relexed.append(id(file))
-        return real_relex(file, base, base_size, runs)
+    def recording_windows(file, *args):
+        windows[id(file.text)] = real_windows(file, *args)
+        return windows[id(file.text)]
+
+    def no_lex(file):
+        raise AssertionError(f"lex({file.path})")
 
     monkeypatch.setattr(evolution, "_myers", counting_diff)
-    monkeypatch.setattr(evolution, "lex", counting_lex)
-    monkeypatch.setattr(evolution, "_relex", counting_relex)
-    monkeypatch.setattr(scan, "lex", counting_lex)
-    monkeypatch.setattr(lexer, "lex", counting_lex)
+    monkeypatch.setattr(evolution, "scan_ranges", counting_ranges)
+    monkeypatch.setattr(evolution, "_windows", recording_windows)
+    monkeypatch.setattr(scan, "lex", no_lex)
+    monkeypatch.setattr(lexer, "lex", no_lex)
     rev = make_revision(
         "four",
         ("a.sol", make_snippet(1), make_snippet(1).replace("a > b", "a < b")),
@@ -853,11 +857,20 @@ def test_analyze_revision_diffs_and_lexes_each_side_once(monkeypatch,
     report = analyze_revision(rev, whole_file)
     assert report.changes
     assert len(diffs) == len(rev.file_pairs)
-    pairs = rev.file_pairs
-    assert sorted(lexed) == sorted(
-        id(p.after) if p.after is not None else id(p.before) for p in pairs)
-    assert relexed == [id(p.before) for p in pairs
-                       if p.before is not None and p.after is not None]
+    texts = [file.text for p in rev.file_pairs
+             for file in (p.after, p.before) if file is not None]
+    assert sorted(scanned) == sorted(map(id, texts))
+    assert sorted(windows) == sorted(scanned)
+    for p in rev.file_pairs:
+        for file in (p.before, p.after):
+            if file is None:
+                continue
+            read = sum(b - a for a, b in windows[id(file.text)])
+            # A side without a partner has every line changed.
+            if whole_file or None in (p.before, p.after):
+                assert read == len(file.text)
+            else:
+                assert read < len(file.text)
 
 
 def test_a_before_side_with_an_after_side_classifies_only_its_deleted_lines(
@@ -888,7 +901,7 @@ def test_a_before_side_with_an_after_side_classifies_only_its_deleted_lines(
         if p.after is not None:
             want.append((id(p.after), None))
         if p.before is not None:
-            deleted = evolution._edits(p.before, p.after)[0]
+            deleted, _ = evolution._edits(p.before, p.after)
             want.append((id(p.before), None if p.after is None else
                          [line - 1 for line in sorted(deleted)
                           if line <= p.before.line_count]))

@@ -29,9 +29,9 @@ _EXTENT = "manifests/extent/manifest.json"
 # Whole-file rewrites that keep runs of '}' and blank lines, where the diff's
 # tie-break decides which lines are kept.
 _REWRITE = "manifests/rewrite/manifest.json"
-# Edits where the before side's re-lex must copy, stop and fall back with
-# care: a split number, a block comment over kept lines, unterminated
-# strings, the first and last lines, no final newline, CRLF.
+# Edits whose line windows must start or end outside a comment or string:
+# a split number, a block comment over kept lines, unterminated strings, the
+# first and last lines, no final newline, CRLF.
 _RELEX = "manifests/relex/manifest.json"
 # Blocks with zero to three emits of their own, emits that end a block and
 # emits nested in an `if`: where EMIT_BEFORE_OP and REDUNDANT_EVENT can fire
@@ -60,6 +60,8 @@ CASES = {
                                      "--format", "json", "--whole-file-kill"],
     "diff_relex_text": ["diff", "--manifest", _RELEX],
     "diff_relex_json": ["diff", "--manifest", _RELEX, "--format", "json"],
+    "diff_relex_json_whole_file": ["diff", "--manifest", _RELEX,
+                                   "--format", "json", "--whole-file-kill"],
 }
 
 

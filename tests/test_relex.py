@@ -1,7 +1,8 @@
-"""The before side's re-lex: `lexer._relex` copies the after side's tokens
-across the keep runs of the edit script and lexes only the rest, and must
-give exactly what `lex(before)` gives, column for column and range for
-range."""
+"""`diff` lexes only the lines each side reads. `lexer.scan_ranges` finds a
+side's comment and string ranges without its tokens, and `_scan` runs only
+over the line windows of `evolution._windows`. Each must give what a full
+`lex` gives: the same ranges, and the same `SideAnalysis` as one built from
+a full lex of the side."""
 
 import random
 
@@ -10,97 +11,52 @@ import pytest
 import emitlint.evolution as evolution
 import emitlint.lexer as lexer
 from emitlint.cli import load_manifest
-from emitlint.lexer import LexResult, lex
+from emitlint.evolution import SideAnalysis, analyze_revision
+from emitlint.lexer import lex, scan_ranges
 from emitlint.source import SourceFile
 
-from helpers import FIXTURES, src
-from test_evolution import _DIFFERENTIAL_REVISIONS
-
-_FIELDS = ("kinds", "lexemes", "starts", "ends", "comment_ranges",
-           "string_ranges", "errors")
+from helpers import FIXTURES, make_revision, src
+from test_evolution import _DIFFERENTIAL_REVISIONS, _context_revisions
 
 
-def relex(before: SourceFile, after: SourceFile) -> LexResult:
-    """before's LexResult, re-lexed from after's as RevisionAnalysis does."""
-    runs = evolution._edits(before, after)[2]
-    return lexer._relex(before, lex(after), len(after.text), runs)
+def full_lex_build(file: SourceFile, changed: set[int], whole_file: bool,
+                   count_total: bool) -> SideAnalysis:
+    """SideAnalysis.build with the ranges and the tokens of a full lex."""
+    lexed = lex(file)
+    real = evolution.scan_ranges, evolution._windows
+    evolution.scan_ranges = lambda text: (lexed.comment_ranges,
+                                          lexed.string_ranges)
+    evolution._windows = lambda file, *_: [[0, len(file.text)]]
+    try:
+        return SideAnalysis.build(file, changed, whole_file, count_total)
+    finally:
+        evolution.scan_ranges, evolution._windows = real
 
 
-def assert_relex_equals_lex(before: SourceFile, after: SourceFile) -> None:
-    got, want = relex(before, after), lex(before)
-    for name in _FIELDS:
-        assert getattr(got, name) == getattr(want, name), \
-            (name, before.text, after.text)
+def assert_windows_equal_full_lex(before: SourceFile | None,
+                                  after: SourceFile | None,
+                                  whole_file: bool) -> None:
+    """Both sides of a pair, built as RevisionAnalysis builds them."""
+    deleted, added = evolution._edits(before, after)
+    for file, changed, count_total in ((after, added, True),
+                                       (before, deleted, after is None)):
+        if file is not None:
+            args = file, changed, whole_file, count_total
+            assert SideAnalysis.build(*args) == full_lex_build(*args), \
+                (file.text, sorted(changed), whole_file)
 
 
-# ----------------------------------------------------- pinned number cases
-
-def _prefix_relex(before: str, after: str) -> LexResult:
-    """before re-lexed from after with the common prefix as its one run."""
-    p = 0
-    while before[p] == after[p]:
-        p += 1
-    return lexer._relex(src(before), lex(src(after)), len(after),
-                        [(0, p, 0)])
-
-
-def test_number_split_by_a_one_character_edit():
-    """`1.a` lexes as `1`, `.`, `a`. With `x = 1.` kept, a copy margin of
-    one character would take that `1` into `x = 1.5;` and miss `1.5`."""
-    assert _prefix_relex("x = 1.5;", "x = 1.a;").lexemes == \
-        ["x", "=", "1.5", ";"]
-    assert _prefix_relex("x = 1.a;", "x = 1.5;").lexemes == \
-        ["x", "=", "1", ".", "a", ";"]
+def starts_inside_a_range(file: SourceFile, lines: set[int]) -> bool:
+    """Whether one of lines starts inside a comment or a string, so its
+    window must start earlier."""
+    lexed = lex(file)
+    ranges = lexed.comment_ranges + lexed.string_ranges
+    return any(a < file.line_starts[line - 1] < b
+               for line in lines if line <= len(file.line_starts)
+               for a, b in ranges)
 
 
-def test_exponent_needs_three_characters_of_margin():
-    """`1` in `1e+x` reads three characters past its end: `e`, `+` and
-    `x`. With `y = 1e+` kept, a margin under three would copy that `1`."""
-    assert _prefix_relex("y = 1e+5;", "y = 1e+x;").lexemes == \
-        ["y", "=", "1e+5", ";"]
-    assert _prefix_relex("y = 1e+x;", "y = 1e+5;").lexemes == \
-        ["y", "=", "1", "e", "+", "x", ";"]
-
-
-def test_block_comment_opened_in_an_edit_swallows_kept_lines():
-    body = "".join(f"uint v{i} = {i};\n" for i in range(20))
-    before = src("/* note\n" + body + "*/\nuint w;\n")
-    after = src("// note\n" + body + "*/\nuint w;\n")
-    got = relex(before, after)
-    assert got.lexemes == ["uint", "w", ";"]
-    assert_relex_equals_lex(before, after)
-    assert_relex_equals_lex(after, before)
-
-
-def test_lex_error_on_either_side_falls_back_to_a_full_lex(monkeypatch):
-    full = []
-    real_lex = lexer.lex
-    monkeypatch.setattr(lexer, "lex",
-                        lambda file: full.append(file.text) or real_lex(file))
-    clean = src('string s = "a";\nuint x;\n')
-    broken = src('string s = "a;\nuint x;\n')
-    got = lexer._relex(broken, real_lex(clean), len(clean.text),
-                       evolution._edits(broken, clean)[2])
-    assert got == real_lex(broken) and got.errors
-    got = lexer._relex(clean, real_lex(broken), len(broken.text),
-                       evolution._edits(clean, broken)[2])
-    assert got == real_lex(clean) and not got.errors
-    assert full == [broken.text, clean.text]
-
-
-def test_keep_runs_are_character_ranges_equal_on_both_sides():
-    before = src("a;\nb;\nc;\nd;")
-    after = src("a;\nx;\nc;\nd;\n")
-    deleted, added, runs = evolution._edits(before, after)
-    assert (deleted, added) == ({2}, {2, 5})
-    for start, end, shift in runs:
-        assert before.text[start:end] == \
-            after.text[start + shift:end + shift]
-    # 'd;' ends the before text without a newline, so the run stops there.
-    assert runs == [(0, 3, 0), (6, 11, 0)]
-
-
-# ---------------------------------------------------- seeded differential
+# ----------------------------------------------------------------- ranges
 
 _SNIPPETS = ("/*", "*/", "//", '"', "'", "\\\n", "1.5", "1.a", "1e+5", "1e+x",
              "0x", ">>=", "\n", "\r\n", " ", "x", ";", "}")
@@ -110,6 +66,85 @@ def _fixture_texts() -> list[str]:
     return [path.read_text(encoding="utf-8")
             for path in sorted(FIXTURES.rglob("*.sol"))]
 
+
+def _assert_ranges_equal_lex(text: str) -> None:
+    lexed = lex(src(text))
+    assert scan_ranges(text) == (lexed.comment_ranges,
+                                 lexed.string_ranges), text
+
+
+def test_range_scan_equals_lex_on_every_fixture():
+    texts = _fixture_texts()
+    assert len(texts) >= 50
+    for text in texts:
+        _assert_ranges_equal_lex(text)
+
+
+def test_range_scan_equals_lex_on_seeded_splices():
+    """5,000 fixture texts with one to six splices of comment and string
+    openers and closers, backslashes, numbers and '/=' at random points."""
+    rng = random.Random(27)
+    splices = _SNIPPETS + ("\\", "1e+", "/=")
+    texts = _fixture_texts()
+    unterminated = 0
+    for _ in range(5000):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 6)):
+            at = rng.randint(0, len(text))
+            text = text[:at] + rng.choice(splices) + \
+                text[at + rng.choice((0, 0, 1, 2)):]
+        _assert_ranges_equal_lex(text)
+        unterminated += bool(lex(src(text)).errors)
+    assert unterminated >= 1000
+
+
+# ---------------------------------------------------------- pinned cases
+
+def test_number_split_by_a_one_character_edit():
+    """`1.a` lexes as `1`, `.`, `a`, and `1e+x` as `1`, `e`, `+`, `x`: an
+    edit of one character splits or joins a number. Each side reads its own
+    tokens, whatever the other side holds."""
+    for old, new in (("x = 1.5;", "x = 1.a;"), ("y = 1e+5;", "y = 1e+x;")):
+        for before, after in ((old, new), (new, old)):
+            for whole_file in (False, True):
+                assert_windows_equal_full_lex(
+                    src(f"{before}\nemit A({before[0]});\n"),
+                    src(f"{after}\nemit A({after[0]});\n"), whole_file)
+
+
+def test_block_comment_opened_in_an_edit_swallows_kept_lines():
+    body = "".join(f"uint v{i} = {i};\n" for i in range(20))
+    before = src("/* note\n" + body + "*/\nuint w;\n")
+    after = src("// note\n" + body + "*/\nuint w;\nw = 1;\n")
+    for whole_file in (False, True):
+        assert_windows_equal_full_lex(before, after, whole_file)
+        assert_windows_equal_full_lex(after, before, whole_file)
+
+
+def test_a_string_continued_past_a_changed_line():
+    """A window that would end inside a string ends after it instead: the
+    string beside the emit makes its changed line no emit line."""
+    before = src('x = 1;\nemit A(x); "a\\\nb";\ny = 2;\n')
+    after = src('x = 1;\nemit A(z); "a\\\nb";\ny = 2;\n')
+    for whole_file in (False, True):
+        assert_windows_equal_full_lex(before, after, whole_file)
+    rev = make_revision("r", ("a.sol", before.text, after.text))
+    assert not evolution.RevisionAnalysis.build(rev).emit_only
+
+
+def test_a_lex_error_needs_no_fallback():
+    """An unterminated string or comment on either side: the windows still
+    give a full lex's answers, and SideAnalysis reads no lex error."""
+    clean = src('string s = "a";\nuint x;\nx = 1;\nemit A(x);\n')
+    for broken in (src('string s = "a;\nuint x;\nx = 2;\nemit A(x);\n'),
+                   src('/* string s = "a";\nuint x;\nx = 2;\nemit A(x);\n')):
+        assert lex(broken).errors
+        for whole_file in (False, True):
+            assert_windows_equal_full_lex(broken, clean, whole_file)
+            assert_windows_equal_full_lex(clean, broken, whole_file)
+
+
+# ---------------------------------------------------- seeded differential
 
 def _edit(rng: random.Random, text: str) -> str:
     """One random edit: an insert, a delete or a replacement from _SNIPPETS,
@@ -134,29 +169,6 @@ def _edit(rng: random.Random, text: str) -> str:
         + text[at + cut:]
 
 
-def _char_runs(rng: random.Random, before: str, after: str
-               ) -> list[tuple[int, int, int]]:
-    """Keep runs at character grain: the common prefix and suffix of the two
-    texts, each cut into pieces at random points, some pieces dropped. Any
-    disjoint ranges of equal text are valid runs, and run ends that fall
-    inside tokens test the copy margin."""
-    n, m = len(before), len(after)
-    p = 0
-    while p < min(n, m) and before[p] == after[p]:
-        p += 1
-    s = 0
-    while s < min(n, m) - p and before[n - 1 - s] == after[m - 1 - s]:
-        s += 1
-    runs = []
-    for start, end, shift in ((0, p, 0), (n - s, n, m - n)):
-        cuts = sorted(rng.randint(start, end)
-                      for _ in range(rng.randint(0, 3)))
-        for a, b in zip([start] + cuts, cuts + [end]):
-            if b > a and rng.random() < 0.8:
-                runs.append((a, b, shift))
-    return runs
-
-
 def _seeded_cases(seed: int, count: int):
     """count (before, after) pairs: 1-4 edits of a fixture file, taken in
     either direction."""
@@ -172,30 +184,19 @@ def _seeded_cases(seed: int, count: int):
 
 
 def test_relex_equals_lex_on_seeded_edits_of_the_fixtures():
-    """3,000 cases, with the keep runs of the line diff; at least half of
-    them lex without errors on both sides, so they take the copying path."""
-    copied = 0
+    """3,000 cases in both kill modes. Many of them hold a lex error, and
+    many have a changed line that starts inside a comment or a string."""
+    errors = inside = 0
     for before, after in _seeded_cases(24, 3000):
         before, after = src(before), src(after)
-        assert_relex_equals_lex(before, after)
-        copied += not (lex(before).errors or lex(after).errors)
-    assert copied >= 1500
-
-
-def test_relex_equals_lex_with_runs_cut_inside_tokens(monkeypatch):
-    """3,000 cases with keep runs at character grain, so runs end inside
-    numbers, words and operators, and re-lex windows that grow from as
-    little as one character, so windows end inside them too."""
-    rng = random.Random(25)
-    for before, after in _seeded_cases(26, 3000):
-        monkeypatch.setattr(lexer, "_REACH", rng.choice((1, 2, 5, 48)))
-        runs = _char_runs(rng, before, after)
-        before, after = src(before), src(after)
-        got = lexer._relex(before, lex(after), len(after.text), runs)
-        want = lex(before)
-        for name in _FIELDS:
-            assert getattr(got, name) == getattr(want, name), \
-                (name, before.text, after.text, runs)
+        for whole_file in (False, True):
+            assert_windows_equal_full_lex(before, after, whole_file)
+        errors += bool(lex(before).errors or lex(after).errors)
+        deleted, added = evolution._edits(before, after)
+        inside += starts_inside_a_range(before, deleted) or \
+            starts_inside_a_range(after, added)
+    assert errors >= 500
+    assert inside >= 150
 
 
 def _manifest_and_case_pairs():
@@ -205,16 +206,51 @@ def _manifest_and_case_pairs():
              for pair in rev.file_pairs]
     pairs += [pair for _, rev in _DIFFERENTIAL_REVISIONS
               for pair in rev.file_pairs]
-    return [pair for pair in pairs
-            if pair.before is not None and pair.after is not None]
+    return pairs
 
 
 def test_relex_equals_lex_on_every_manifest_and_case_pair():
     pairs = _manifest_and_case_pairs()
     assert len(pairs) > 50
     for pair in pairs:
-        assert_relex_equals_lex(pair.before, pair.after)
-        assert_relex_equals_lex(pair.after, pair.before)
+        for whole_file in (False, True):
+            assert_windows_equal_full_lex(pair.before, pair.after,
+                                          whole_file)
+            assert_windows_equal_full_lex(pair.after, pair.before,
+                                          whole_file)
+
+
+def test_windows_equal_a_full_lex_on_context_revisions():
+    """Edits of multi-line comments, NatSpec and strings, where changed
+    lines start inside a range of their side."""
+    inside = 0
+    for rev in _context_revisions(2000):
+        [pair] = rev.file_pairs
+        for whole_file in (False, True):
+            assert_windows_equal_full_lex(pair.before, pair.after,
+                                          whole_file)
+        deleted, added = evolution._edits(pair.before, pair.after)
+        inside += starts_inside_a_range(pair.before, deleted) or \
+            starts_inside_a_range(pair.after, added)
+    assert inside >= 200
+
+
+def test_windows_start_and_end_at_line_starts_outside_every_range():
+    for before, after in _seeded_cases(28, 500):
+        before, after = src(before), src(after)
+        deleted, added = evolution._edits(before, after)
+        for file, changed in ((before, deleted), (after, added)):
+            lexed = lex(file)
+            ranges = lexed.comment_ranges + lexed.string_ranges
+            windows = evolution._windows(
+                file, lexed, changed, evolution.extract_emits_regex(
+                    file, lexed))
+            bounds = [x for window in windows for x in window]
+            assert bounds == sorted(bounds)
+            assert all(a < b for a, b in zip(bounds[1::2], bounds[2::2]))
+            for x in bounds:
+                assert x == len(file.text) or x in file.line_starts
+                assert not any(a < x < b for a, b in ranges)
 
 
 # ------------------------------------------------------------------- work
@@ -235,21 +271,21 @@ class _CountingRegex:
 @pytest.mark.parametrize("edit", ["uint y = 1;", "emit Moved(a, b);", ""])
 def test_one_line_edit_relexes_a_fixed_number_of_matches(monkeypatch, edit):
     """A one-line edit in the middle of a 500-, 1,000- and 2,000-line file
-    re-lexes the same number of matches, give or take a constant."""
+    lexes the same number of matches on its two sides together, give or
+    take a constant."""
     counts = []
     for lines in (500, 1000, 2000):
         body = [f"        total{i} = total{i} + {i}; // step {i}"
                 for i in range(lines)]
-        after = src("\n".join(body) + "\n")
+        after = "\n".join(body) + "\n"
         body[lines // 2] = "        " + edit
-        before = src("\n".join(body) + "\n")
-        base = lex(after)
-        runs = evolution._edits(before, after)[2]
+        rev = make_revision("r", ("a.sol", "\n".join(body) + "\n", after))
+        want = analyze_revision(rev)
         counter = _CountingRegex(lexer._TOKEN_RE)
         monkeypatch.setattr(lexer, "_TOKEN_RE", counter)
-        got = lexer._relex(before, base, len(after.text), runs)
+        got = analyze_revision(rev)
         monkeypatch.undo()
-        assert got == lex(before)
+        assert got == want
         counts.append(counter.matches)
     assert max(counts) - min(counts) <= 2, counts
-    assert max(counts) < 40, counts
+    assert max(counts) < 60, counts

@@ -5,15 +5,20 @@ twice, and on a parse with no errors
 counts as many emits from the AST as the textual matcher finds outside
 comments and strings."""
 
+import gc
+
 from emitlint.checks import run_checks
+from emitlint.cli import load_manifest
 from emitlint.evolution import FilePair, Revision, analyze_revision
 from emitlint.metrics import compute_metrics
 from emitlint.scan import extract_emits_regex
 from emitlint.source import SourceFile, Span
 
 from helpers import (
-    child_nodes, count_ast_emits, nodes_in, spans_in, src, sweep_inputs,
+    FIXTURES, child_nodes, count_ast_emits, nodes_in, spans_in, src,
+    sweep_inputs,
 )
+from test_evolution import _DIFFERENTIAL_REVISIONS
 
 
 def _inside(span: Span, file: SourceFile) -> bool:
@@ -71,3 +76,34 @@ def test_every_analysis_survives_seeded_damage():
         before = after
     assert clean >= 100, clean
     assert pairs >= 40_000, pairs
+
+
+def test_the_analyses_leave_no_cyclic_garbage():
+    """Reference counting frees all that lint, metrics and diff build: with
+    the collector off, nothing is left for it to find. A change that makes
+    reference cycles fails here rather than growing memory unseen."""
+    files = [SourceFile.load(path) for path in sorted(FIXTURES.rglob("*.sol"))]
+    revisions = [rev for manifest in sorted(
+                     FIXTURES.glob("manifests/*/manifest.json"))
+                 for rev in load_manifest(str(manifest))[0]]
+    revisions += [rev for _, rev in _DIFFERENTIAL_REVISIONS]
+    assert len(files) >= 50 and len(revisions) >= 90
+    runs = {
+        "run_checks": lambda: [run_checks(file) for file in files],
+        "compute_metrics": lambda: compute_metrics(files),
+        "analyze_revision": lambda: [analyze_revision(rev, whole_file)
+                                     for rev in revisions
+                                     for whole_file in (False, True)],
+    }
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        left = {}
+        for name, run in runs.items():
+            run()
+            left[name] = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert left == dict.fromkeys(runs, 0)
