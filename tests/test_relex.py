@@ -112,6 +112,22 @@ def test_number_split_by_a_one_character_edit():
                     src(f"{after}\nemit A({after[0]});\n"), whole_file)
 
 
+def test_exponent_needs_three_characters_of_margin():
+    """`1` in `1e+x` reads three characters past its end: `e`, `+` and
+    `x`. A window ends only at a line start, so that look-ahead stays inside
+    it: an emit argument edited between `1e+5` and `1e+x` lexes as in a
+    full lex, either way."""
+    assert lex(src("y = 1e+5;")).lexemes == ["y", "=", "1e+5", ";"]
+    assert lex(src("y = 1e+x;")).lexemes == \
+        ["y", "=", "1", "e", "+", "x", ";"]
+    old, new = "emit A(1e+5);\n", "emit A(1e+x);\n"
+    for before, after in ((old, new), (new, old)):
+        for whole_file in (False, True):
+            assert_windows_equal_full_lex(src("uint y;\n" + before),
+                                          src("uint y;\n" + after),
+                                          whole_file)
+
+
 def test_block_comment_opened_in_an_edit_swallows_kept_lines():
     body = "".join(f"uint v{i} = {i};\n" for i in range(20))
     before = src("/* note\n" + body + "*/\nuint w;\n")
