@@ -32,24 +32,26 @@ arguments.
 
 The matcher stops at the first ')'. Each match outside comments and strings
 is closed once, on to the ')' that closes its arguments, and churn, pairing,
-the emit lines and the kill scan all read that one extent. Tokens are read
-as the lexer's columns, by index: a match's tokens and a line's tokens are
-found by bisecting the start offsets, and the kill scan reads the lexeme and
-kind columns of the tokens outside the closed matches.
+the emit lines and the kill scan all read that one extent. A match with no
+'(' in its arguments and its ')' outside comments and strings is closed
+already; any other is closed from its own tokens, lexed from its emit
+keyword to the first ';', '{' or '}' outside comments and strings. Tokens
+are read as the lexer's columns, by index: a match's tokens and a line's
+tokens are found by bisecting the start offsets, and the kill scan reads the
+lexeme and kind columns of the tokens outside the closed matches.
 
 Each revision is analyzed once. `RevisionAnalysis.build` diffs every file
 pair once and builds each side's `SideAnalysis` the same way, from that side
 alone. One scan of the side's text finds its comment and string ranges
 (`lexer.scan_ranges`), which give the line kinds and the regex matches; its
-tokens are lexed only over the line windows they are read on: the changed
-lines, every line in whole-file mode, and each emit's extent. The analysis
-keeps only the answers: the churn report, the classified changes, whether
-the revision changes emit lines only, and the kill sets. Each side is summed
-up in a `SideAnalysis`: its churned and total code lines, its emit total,
-its matches on changed lines with their first lines, its emit-only flag and
-its kill sets. `analyze_revision` builds one per revision; `churn`,
-`pair_emit_changes` and `classify_independence` each build one and read a
-single answer.
+tokens are lexed only over the lines they are read on: the changed lines,
+or every line in whole-file mode. The analysis keeps only the answers: the
+churn report, the classified changes, whether the revision changes emit
+lines only, and the kill sets. Each side is summed up in a `SideAnalysis`:
+its churned and total code lines, its emit total, its matches on changed
+lines with their first lines, its emit-only flag and its kill sets.
+`analyze_revision` builds one per revision; `churn`, `pair_emit_changes` and
+`classify_independence` each build one and read a single answer.
 """
 
 from __future__ import annotations
@@ -61,14 +63,15 @@ from enum import Enum
 from fractions import Fraction
 import re
 
-from .lexer import ASSIGN_OPS, LexResult, TokenKind, _scan, scan_ranges
+from .lexer import ASSIGN_OPS, TokenKind, _scan, scan_ranges
 from .scan import (
-    LINE_CODE, RegexEmitMatch, classify_lines, extract_emits_regex,
+    LINE_CODE, RangeHolder, RegexEmitMatch, classify_lines,
+    extract_emits_regex, range_holder,
 )
 from .source import SourceFile
 
 _IDENT_TOKEN_RE = re.compile(r"[A-Za-z_]\w*")
-# The tokens at which `_close` stops.
+# The characters at which `_close` stops, outside comments and strings.
 _STOP_RE = re.compile("[;{}]")
 
 
@@ -296,8 +299,9 @@ class SideAnalysis:
     """What churn, pairing and independence read from one side of a file
     pair. One scan of the file finds its comment and string ranges, which
     feed the line kinds and the regex emit matches; the token columns that
-    close the matches and feed the emit lines and the kill sets are lexed
-    only over the lines they are read on. Only the answers are kept."""
+    feed the emit lines and the kill sets are lexed only over the lines
+    they are read on, and each match is closed from its own tokens. Only
+    the answers are kept."""
     churned_loc: int  # changed code lines
     total_loc: int | None  # None when not counted
     total_emits: int  # matches in comments and strings included
@@ -311,19 +315,21 @@ class SideAnalysis:
               count_total: bool) -> SideAnalysis:
         """changed holds the deleted lines of a before side, or the added
         lines of an after side. The tokens are lexed over `_windows`: the
-        changed lines (every line in whole-file mode) and each emit's
-        extent. Kill sets are scanned per run of consecutive changed
-        non-emit lines (every non-emit line in whole-file mode), over the
-        tokens that start on the run's lines and lie outside emits. Without
-        count_total, only the changed lines are classified, and total_loc is
-        None."""
+        changed lines, or every line in whole-file mode. A closed match's
+        tokens are found there by bisecting its offsets; those outside the
+        windows are never read. Kill sets are scanned per run of
+        consecutive changed non-emit lines (every non-emit line in
+        whole-file mode), over the tokens that start on the run's lines and
+        lie outside emits. Without count_total, only the changed lines are
+        classified, and total_loc is None."""
         text = file.text
         # The side's ranges, and its tokens in the windows only.
-        lexed = LexResult([], [], [], [], [], *scan_ranges(text))
+        lexed = scan_ranges(text)
+        holder = range_holder(lexed)
         matches = extract_emits_regex(file, lexed)
         lines = set(range(1, file.line_count + 1)) if whole_file \
             else changed
-        for a, b in _windows(file, lexed, lines, matches):
+        for a, b in _windows(file, holder, lines):
             _scan(text, a, b, (lexed.kinds, lexed.lexemes, lexed.starts,
                                lexed.ends, [], []), [])
         starts = file.line_starts
@@ -336,10 +342,11 @@ class SideAnalysis:
         prev = 0
         for m in matches:
             if not m.in_comment_or_string:
-                m, lo, hi = _close(m, lexed)
+                m = _close(m, holder)
+                lo = bisect_left(lexed.starts, m.start)
                 for column, kept_column in zip(columns, kept):
                     kept_column += column[prev:lo]
-                prev = max(prev, hi)
+                prev = max(prev, bisect_left(lexed.starts, m.end, lo))
             first = bisect_right(starts, m.start)
             own = range(first, bisect_right(starts, m.end - 1) + 1)
             if not m.in_comment_or_string:
@@ -499,86 +506,66 @@ class RevisionAnalysis:
         return Independence.DEPENDENT
 
 
-def _windows(file: SourceFile, lexed: LexResult, lines: set[int],
-             matches: list[RegexEmitMatch]) -> list[list[int]]:
-    """The character windows [a, b) of file whose tokens a side reads, in
-    order and merged where they touch: the given lines, and for each match
-    outside comments and strings, its first line through the line of the
-    first ';', '{' or '}' outside them after the match, or to EOF, so that
-    `_close` stays in its window. A window starts and ends at a line start
-    outside every comment and string, or at EOF; there `_scan` gives the
-    tokens of a full lex."""
+def _windows(file: SourceFile, holder: RangeHolder, lines: set[int]
+             ) -> list[list[int]]:
+    """The character windows [a, b) of file that hold the given lines, in
+    order and merged where they touch; holder is the file's `range_holder`.
+    Each line's window is moved to start and end at a line start outside
+    every comment and string, or at EOF; there `_scan` gives the tokens of
+    a full lex."""
     text, starts = file.text, file.line_starts
     n = len(text)
-    covered = sorted(lexed.comment_ranges + lexed.string_ranges)
-    ends = [b for _, b in covered]
-
-    def holder(off: int) -> tuple[int, int] | None:
-        """The range that holds off past its first character."""
-        i = bisect_right(ends, off)
-        return covered[i] if i < len(covered) and covered[i][0] < off \
-            else None
 
     def line_after(off: int) -> int:
         """The first line start past off, or EOF."""
         i = bisect_right(starts, off)
         return starts[i] if i < len(starts) else n
 
-    spans: list[list[int]] = []  # runs of consecutive lines, then extents
-    for line in sorted(lines):
-        if spans and spans[-1][1] == starts[line - 1]:
-            spans[-1][1] = line_after(starts[line - 1])
-        else:
-            spans.append([starts[line - 1], line_after(starts[line - 1])])
-    for m in matches:
-        if m.in_comment_or_string:
-            continue
-        pos = m.end
-        while (stop := _STOP_RE.search(text, pos)) is not None and \
-                (r := holder(stop.start())) is not None:
-            pos = r[1]
-        spans.append([starts[bisect_right(starts, m.start) - 1],
-                      n if stop is None else line_after(stop.start())])
     windows: list[list[int]] = []
-    for a, b in sorted(spans):
+    for line in sorted(lines):
+        a = starts[line - 1]
+        b = line_after(a)
         while (r := holder(a)) is not None:
             a = starts[bisect_right(starts, r[0]) - 1]
         while (r := holder(b)) is not None:
             b = line_after(r[1] - 1)
         if windows and a <= windows[-1][1]:
-            windows[-1][1] = max(windows[-1][1], b)
+            windows[-1][1] = b
         else:
             windows.append([a, b])
     return windows
 
 
-def _close(m: RegexEmitMatch, lexed: LexResult
-           ) -> tuple[RegexEmitMatch, int, int]:
-    """The match m, outside comments and strings, closed; and the index range
-    of its tokens in lexed, the file's columns. The match stops at the first
-    ')', so a nested call or cast, or a ')' in a string or comment, leaves
-    the argument list open: carry on to the ')' that closes it, but not past
-    a ';', '{' or '}'. The closed match runs to its last token, and its
-    raw_args hold the whole argument list."""
-    starts, lexemes = lexed.starts, lexed.lexemes
-    lo = bisect_left(starts, m.start)
-    hi = bisect_left(starts, m.end, lo)
+def _close(m: RegexEmitMatch, holder: RangeHolder) -> RegexEmitMatch:
+    """The match m, outside comments and strings, closed; holder is its
+    file's `range_holder`. The match stops at the first ')', so a nested
+    call or cast, or a ')' in a string or comment, leaves the argument list
+    open: carry on to the ')' that closes it, but not past the stop, the
+    first ';', '{' or '}' outside comments and strings. Only the tokens
+    from m to the stop are lexed. The closed match runs to its last token,
+    and its raw_args hold the whole argument list."""
     # With no '(' in its arguments and its ')' a token, the match already
     # closes the argument list.
-    if "(" not in m.raw_args and starts[hi - 1] == m.end - 1:
-        return m, lo, hi
-    inside = lexemes[lo:hi]
-    depth = inside.count("(") - inside.count(")")
-    while depth > 0 and hi < len(lexemes):
-        lexeme = lexemes[hi]
-        if lexeme in (";", "{", "}"):
-            break
-        depth += (lexeme == "(") - (lexeme == ")")
+    if "(" not in m.raw_args and holder(m.end - 1) is None:
+        return m
+    text = m.file.text
+    pos = m.end
+    while (stop := _STOP_RE.search(text, pos)) is not None and \
+            (r := holder(stop.start())) is not None:
+        pos = r[1]
+    columns: tuple[list, ...] = ([], [], [], [], [], [])
+    _scan(text, m.start, len(text) if stop is None else stop.start(),
+          columns, [])
+    _, lexemes, starts, ends, _, _ = columns
+    # Every token of the match counts; past it, walk while the list is open.
+    depth = hi = 0
+    while hi < len(lexemes) and (depth > 0 or starts[hi] < m.end):
+        depth += (lexemes[hi] == "(") - (lexemes[hi] == ")")
         hi += 1
-    end = lexed.ends[hi - 1]
+    end = ends[hi - 1]
     args = m.end - 1 - len(m.raw_args)  # just past the '('
-    raw_args = m.file.text[args:starts[hi - 1] if depth == 0 else end]
-    return replace(m, raw_args=raw_args, end=end), lo, hi
+    raw_args = text[args:starts[hi - 1] if depth == 0 else end]
+    return replace(m, raw_args=raw_args, end=end)
 
 
 def _scan_kill_sets(lexemes: list[str], kinds: list[TokenKind]

@@ -17,13 +17,16 @@ Recovery: an unterminated string abandons the current line and resumes at the
 next one; an unterminated block comment swallows the rest of the file. Both
 are recorded as lex errors rather than raised.
 
-Partial lexing: `diff` lexes only the lines each side reads, and two facts
-make that exact. Outside comments and strings, every `/` and every quote
-starts a token, since no other token class holds one; so `scan_ranges`
+Partial lexing: `diff` lexes only the lines each side reads, and three
+facts make that exact. Outside comments and strings, every `/` and every
+quote starts a token, since no other token class holds one; so `scan_ranges`
 finds the comment and string ranges with no tokens, by skipping everything
-else. And only comments and strings hold a newline; so `_scan` started at a
-line start outside every range, and stopped at another, gives exactly the
-tokens that `lex` gives between the two.
+else. Only comments and strings hold a newline; so `_scan` started at a line
+start outside every range, and stopped at another, gives exactly the tokens
+that `lex` gives between the two. And an emit keyword outside every range is
+a token start, while a `;`, `{` or `}` outside every range is a token of one
+character; so `_scan` from the one to the next of the other gives exactly
+the tokens of a full lex between them.
 """
 
 from __future__ import annotations
@@ -206,17 +209,16 @@ _RANGE_RE = re.compile("[^/\"']+|" + "|".join(f"({p})" for p in _RANGES)
                        + "|/")
 
 
-def scan_ranges(text: str
-                ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+def scan_ranges(text: str) -> LexResult:
     """The comment_ranges and string_ranges of lex on text, found without
-    its tokens."""
-    comments: list[tuple[int, int]] = []
-    strings: list[tuple[int, int]] = []
+    its tokens: a LexResult with empty token columns and no errors."""
+    result = LexResult([], [], [], [], [], [], [])
     for m in _RANGE_RE.finditer(text):
         group = m.lastindex
         if group is not None:
-            (comments if group < _STRING else strings).append(m.span())
-    return comments, strings
+            (result.comment_ranges if group < _STRING
+             else result.string_ranges).append(m.span())
+    return result
 
 
 def lex(file: SourceFile) -> LexResult:

@@ -22,9 +22,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .lexer import LexResult, lex
+from .lexer import LexResult, scan_ranges
 from .source import SourceFile, Span
 
 EMIT_PATTERN = re.compile(r"\s+emit\s+(\w+)\s*\(([\s\S]*?)\)\s*")
@@ -37,6 +37,9 @@ _NON_SPACE_RE = re.compile(r"[^ \t\r\n]")
 LINE_CODE = "code"
 LINE_COMMENT = "comment"
 LINE_BLANK = "blank"
+
+# The lookup that `range_holder` builds.
+RangeHolder = Callable[[int], "tuple[int, int] | None"]
 
 
 @dataclass(frozen=True)
@@ -68,13 +71,14 @@ def classify_lines(file: SourceFile, lexed: LexResult | None = None,
                    lines: Iterable[int] | None = None) -> list[str]:
     """Per-line classification, index 0 = line 1; or, when lines is given as
     ascending 0-based line indexes, the kinds of those lines, in order.
-    lexed, when given, must come from this file.
+    lexed, when given, must come from this file; without it the comment
+    ranges are scanned, not lexed.
 
     Each line searches for its first character other than space, tab or
     CR. A hit inside a comment makes the line a comment line so far, and
     the search goes on from the end of that comment; the first hit outside
     every comment makes it a code line."""
-    ranges = (lexed or lex(file)).comment_ranges
+    ranges = (lexed or scan_ranges(file.text)).comment_ranges
     text = file.text
     search = _NON_SPACE_RE.search
     starts = file.line_starts
@@ -110,19 +114,14 @@ def count_loc(file: SourceFile, lexed: LexResult | None = None) -> LocStats:
 def extract_emits_regex(file: SourceFile, lexed: LexResult | None = None
                         ) -> list[RegexEmitMatch]:
     """All textual emit matches in source order; lexed, when given, must come
-    from this file.
+    from this file; without it the ranges are scanned, not lexed.
 
     The pattern requires whitespace before the emit keyword, so the text is
     searched with one synthetic leading newline; a match at the very start of
     the file is therefore not missed. A match runs from the emit keyword
     through the first closing parenthesis.
     """
-    lexed = lexed or lex(file)
-    # Comments and strings never overlap, so sorted by start they are
-    # sorted by end too, and the one range that can hold an offset is the
-    # first that ends after it.
-    covered = sorted(lexed.comment_ranges + lexed.string_ranges)
-    ends = [b for _, b in covered]
+    holder = range_holder(lexed or scan_ranges(file.text))
     padded = "\n" + file.text
     matches: list[RegexEmitMatch] = []
     search = EMIT_PATTERN.search
@@ -135,8 +134,23 @@ def extract_emits_regex(file: SourceFile, lexed: LexResult | None = None
         whole = m.group(0)
         lead = len(whole) - len(whole.lstrip())
         emit_off = m.start() + lead - 1
-        i = bisect_right(ends, emit_off)
-        flagged = i < len(covered) and covered[i][0] <= emit_off
         matches.append(RegexEmitMatch(name, m.group(2), emit_off, pos,
-                                      flagged, file))
+                                      holder(emit_off) is not None, file))
     return matches
+
+
+def range_holder(lexed: LexResult) -> RangeHolder:
+    """The lookup of the comment or string range of lexed that holds an
+    offset past its first character, or None. A range starts with '/' or a
+    quote, so at any other character None means outside every range. Ranges
+    never overlap, so the one that can hold an offset is the first, by
+    start, that ends past it."""
+    covered = sorted(lexed.comment_ranges + lexed.string_ranges)
+    ends = [b for _, b in covered]
+
+    def holder(off: int) -> tuple[int, int] | None:
+        i = bisect_right(ends, off)
+        return covered[i] if i < len(covered) and covered[i][0] < off \
+            else None
+
+    return holder

@@ -130,18 +130,16 @@ def is_reference_type(type_name: str) -> bool:
     return False
 
 
-def location_class_for(kind: SymbolKind, type_name: str,
+def location_class_for(type_name: str,
                        data_location: DataLocation) -> LocationClass:
-    if kind == SymbolKind.STATE_VAR:
+    """The class of a parameter or a local variable; a state variable's is
+    decided by `_Builder._add_state_var`."""
+    if data_location == DataLocation.STORAGE and is_reference_type(type_name):
         return LocationClass.STORAGE
-    if kind in (SymbolKind.PARAM, SymbolKind.LOCAL_VAR):
-        if data_location == DataLocation.STORAGE and is_reference_type(type_name):
-            return LocationClass.STORAGE
-        # Explicit memory/calldata, value types, and location-defaulted
-        # reference values (memory for internal, calldata for external
-        # parameters) all stay off storage.
-        return LocationClass.MEMORY
-    return LocationClass.NOT_APPLICABLE
+    # Explicit memory/calldata, value types, and location-defaulted
+    # reference values (memory for internal, calldata for external
+    # parameters) all stay off storage.
+    return LocationClass.MEMORY
 
 
 class _Builder:
@@ -180,8 +178,7 @@ class _Builder:
     def _add_variable(self, scope: Scope, kind: SymbolKind,
                       decl: Param | LocalVarDecl) -> None:
         self._add(scope, decl.name, kind, decl.type_name,
-                  location_class_for(kind, decl.type_name,
-                                     decl.data_location), decl)
+                  location_class_for(decl.type_name, decl.data_location), decl)
 
     def _add_state_var(self, scope: Scope, var: StateVarDecl,
                        unique: bool = True) -> None:

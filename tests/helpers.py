@@ -10,8 +10,9 @@ import operator
 import random
 import re
 import sys
+from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from collections import Counter
 from typing import Callable, Mapping, NamedTuple
@@ -377,16 +378,19 @@ def _mutate(rng: random.Random, text: str) -> str:
 def sweep_inputs() -> list[str]:
     """The robustness sweep's seeded inputs: every fixture and snippet, token
     soup, and mutated fixtures and snippets. The fixtures under nesting/
-    sit at the parser's budgets; they are swept as they are but not
-    mutated, so the seeded draws stay those of the other bases."""
+    sit at the parser's budgets, and the emit-closing manifest's sides
+    under manifests/close/ came after the draws were set; both are swept
+    as they are but not mutated, so the seeded draws stay those of the
+    other bases."""
     rng = random.Random(SWEEP_SEED)
     paths = sorted(FIXTURES.rglob("*.sol"))
+    unmutated = ("nesting", "close")
     bases = [p.read_text(encoding="utf-8") for p in paths
-             if p.parent.name != "nesting"]
+             if p.parent.name not in unmutated]
     bases += [f.text for f in snippet_corpus()]
     texts = list(bases)
     texts += [p.read_text(encoding="utf-8") for p in paths
-              if p.parent.name == "nesting"]
+              if p.parent.name in unmutated]
     texts += [_soup(rng) for _ in range(SOUP_INPUTS)]
     texts += [_mutate(rng, rng.choice(bases)) for _ in range(MUTATED_INPUTS)]
     return texts
@@ -1124,6 +1128,31 @@ def reference_extract_emits_regex(file: SourceFile, lexed: LexResult
         matches.append(RegexEmitMatch(name, m.group(2), emit_off, m.end(2),
                                       flagged, file))
     return matches
+
+
+def reference_close(m: RegexEmitMatch, lexed: LexResult) -> RegexEmitMatch:
+    """`evolution._close` as it was when each side was lexed over windows
+    that held every emit's extent: the match m, outside comments and
+    strings, closed by a walk over lexed, the file's full columns, from the
+    first token past the match to the ')' that closes its arguments, but
+    not past a ';', '{' or '}' token."""
+    starts, lexemes = lexed.starts, lexed.lexemes
+    lo = bisect_left(starts, m.start)
+    hi = bisect_left(starts, m.end, lo)
+    if "(" not in m.raw_args and starts[hi - 1] == m.end - 1:
+        return m
+    inside = lexemes[lo:hi]
+    depth = inside.count("(") - inside.count(")")
+    while depth > 0 and hi < len(lexemes):
+        lexeme = lexemes[hi]
+        if lexeme in (";", "{", "}"):
+            break
+        depth += (lexeme == "(") - (lexeme == ")")
+        hi += 1
+    end = lexed.ends[hi - 1]
+    args = m.end - 1 - len(m.raw_args)  # just past the '('
+    raw_args = m.file.text[args:starts[hi - 1] if depth == 0 else end]
+    return replace(m, raw_args=raw_args, end=end)
 
 
 class ReferenceSkipParser(Parser):

@@ -122,7 +122,7 @@ def test_fixture_and_case_diffs_match_the_reference_myers():
              for manifest in sorted(FIXTURES.glob("manifests/*/manifest.json"))
              for rev in load_manifest(str(manifest))[0]
              for pair in rev.file_pairs]
-    assert len(pairs) == 15
+    assert len(pairs) == 19
     pairs += [pair for _, rev in _DIFFERENTIAL_REVISIONS
               for pair in rev.file_pairs]
     for pair in pairs:
@@ -406,7 +406,6 @@ def test_analyze_revision_fills_independence_and_churn():
 # ------------------------------------------------- shared revision analysis
 
 import emitlint.lexer as lexer
-import emitlint.scan as scan
 from emitlint.lexer import TokenKind, lex
 from emitlint.scan import (
     LINE_CODE, classify_lines, count_loc, extract_emits_regex,
@@ -846,7 +845,6 @@ def test_analyze_revision_diffs_and_lexes_each_side_once(monkeypatch,
     monkeypatch.setattr(evolution, "_myers", counting_diff)
     monkeypatch.setattr(evolution, "scan_ranges", counting_ranges)
     monkeypatch.setattr(evolution, "_windows", recording_windows)
-    monkeypatch.setattr(scan, "lex", no_lex)
     monkeypatch.setattr(lexer, "lex", no_lex)
     rev = make_revision(
         "four",

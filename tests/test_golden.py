@@ -33,6 +33,11 @@ _REWRITE = "manifests/rewrite/manifest.json"
 # a split number, a block comment over kept lines, unterminated strings, the
 # first and last lines, no final newline, CRLF.
 _RELEX = "manifests/relex/manifest.json"
+# Argument lists the matcher leaves open: closed past a comment or a string
+# that holds ';', '{' or '}', left open at a ';' after a bad character or
+# an unterminated string, or open to EOF; a nested emit whose first line
+# starts inside a block comment; an emit whose only '(' is in a string.
+_CLOSE = "manifests/close/manifest.json"
 # Blocks with zero to three emits of their own, emits that end a block and
 # emits nested in an `if`: where EMIT_BEFORE_OP and REDUNDANT_EVENT can fire
 # and where they cannot.
@@ -61,6 +66,10 @@ CASES = {
     "diff_relex_text": ["diff", "--manifest", _RELEX],
     "diff_relex_json": ["diff", "--manifest", _RELEX, "--format", "json"],
     "diff_relex_json_whole_file": ["diff", "--manifest", _RELEX,
+                                   "--format", "json", "--whole-file-kill"],
+    "diff_close_text": ["diff", "--manifest", _CLOSE],
+    "diff_close_json": ["diff", "--manifest", _CLOSE, "--format", "json"],
+    "diff_close_json_whole_file": ["diff", "--manifest", _CLOSE,
                                    "--format", "json", "--whole-file-kill"],
 }
 

@@ -1,10 +1,13 @@
 """`diff` lexes only the lines each side reads. `lexer.scan_ranges` finds a
-side's comment and string ranges without its tokens, and `_scan` runs only
-over the line windows of `evolution._windows`. Each must give what a full
-`lex` gives: the same ranges, and the same `SideAnalysis` as one built from
-a full lex of the side."""
+side's comment and string ranges without its tokens, `_scan` runs only over
+the line windows of `evolution._windows`, and `evolution._close` lexes an
+open emit from its keyword to its stop. Each must give what a full `lex`
+gives: the same ranges, the same closed matches as the walk over a full lex
+(`reference_close`), and the same `SideAnalysis` as one built from a full
+lex of the side."""
 
 import random
+import re
 
 import pytest
 
@@ -13,20 +16,24 @@ import emitlint.lexer as lexer
 from emitlint.cli import load_manifest
 from emitlint.evolution import SideAnalysis, analyze_revision
 from emitlint.lexer import lex, scan_ranges
+from emitlint.scan import extract_emits_regex, range_holder
 from emitlint.source import SourceFile
 
-from helpers import FIXTURES, make_revision, src
+from helpers import (
+    FIXTURES, bench_history_sides, bench_tree, make_revision,
+    reference_close, src,
+)
 from test_evolution import _DIFFERENTIAL_REVISIONS, _context_revisions
 
 
 def full_lex_build(file: SourceFile, changed: set[int], whole_file: bool,
                    count_total: bool) -> SideAnalysis:
-    """SideAnalysis.build with the ranges and the tokens of a full lex."""
-    lexed = lex(file)
+    """SideAnalysis.build with the ranges and the tokens of a full lex and
+    no windows. It shares `_close`, which the close tests below check
+    against `reference_close`."""
     real = evolution.scan_ranges, evolution._windows
-    evolution.scan_ranges = lambda text: (lexed.comment_ranges,
-                                          lexed.string_ranges)
-    evolution._windows = lambda file, *_: [[0, len(file.text)]]
+    evolution.scan_ranges = lambda text: lex(file)
+    evolution._windows = lambda *_: []
     try:
         return SideAnalysis.build(file, changed, whole_file, count_total)
     finally:
@@ -69,8 +76,10 @@ def _fixture_texts() -> list[str]:
 
 def _assert_ranges_equal_lex(text: str) -> None:
     lexed = lex(src(text))
-    assert scan_ranges(text) == (lexed.comment_ranges,
-                                 lexed.string_ranges), text
+    scanned = scan_ranges(text)
+    assert (scanned.comment_ranges, scanned.string_ranges) == \
+        (lexed.comment_ranges, lexed.string_ranges), text
+    assert scanned.starts == scanned.kinds == scanned.errors == []
 
 
 def test_range_scan_equals_lex_on_every_fixture():
@@ -258,15 +267,74 @@ def test_windows_start_and_end_at_line_starts_outside_every_range():
         for file, changed in ((before, deleted), (after, added)):
             lexed = lex(file)
             ranges = lexed.comment_ranges + lexed.string_ranges
-            windows = evolution._windows(
-                file, lexed, changed, evolution.extract_emits_regex(
-                    file, lexed))
+            windows = evolution._windows(file, range_holder(lexed), changed)
             bounds = [x for window in windows for x in window]
             assert bounds == sorted(bounds)
             assert all(a < b for a, b in zip(bounds[1::2], bounds[2::2]))
             for x in bounds:
                 assert x == len(file.text) or x in file.line_starts
                 assert not any(a < x < b for a, b in ranges)
+
+
+# ------------------------------------------------------------------ close
+
+def _assert_close_equals_reference(file: SourceFile) -> tuple[int, int]:
+    """Every match outside comments and strings closes as the walk over a
+    full lex closes it. Returns the number of such matches and the number
+    that took the walk."""
+    lexed = lex(file)
+    holder = range_holder(lexed)
+    matches = walked = 0
+    for m in extract_emits_regex(file, lexed):
+        if m.in_comment_or_string:
+            continue
+        assert evolution._close(m, holder) == reference_close(m, lexed), \
+            (file.text, m)
+        matches += 1
+        walked += "(" in m.raw_args or holder(m.end - 1) is not None
+    return matches, walked
+
+
+def test_close_equals_the_full_lex_walk_on_fixtures_and_benchmark_inputs():
+    """Every fixture, and the trees and manifest sides of seeds 1-3 of both
+    benchmark workloads."""
+    files = [src(text) for text in _fixture_texts()]
+    for workload in ("project", "monolith"):
+        for seed in (1, 2, 3):
+            files += bench_tree(workload, seed)
+            files += bench_history_sides(workload, seed)
+    matches = walked = 0
+    for file in files:
+        m, w = _assert_close_equals_reference(file)
+        matches += m
+        walked += w
+    assert matches > 3000 and walked > 20, (matches, walked)
+
+
+_CLOSE_SPLICES = ("(", ")", ";", "{", "}", '"', "'", "//", "/*", "*/", "\\",
+                  "@", "\n")
+
+
+def test_close_equals_the_full_lex_walk_on_seeded_splices():
+    """20,000 pieces of fixture text around an emit, each with one to four
+    splices of parentheses, stops, quotes, comment marks, backslashes, a
+    bad character and newlines, mostly just past the emit keyword."""
+    rng = random.Random(31)
+    pieces = [text[max(0, m.start() - 80):m.start() + 160]
+              for text in _fixture_texts()
+              for m in re.finditer(r"\bemit\b", text)]
+    assert len(pieces) > 100
+    walked = 0
+    for _ in range(20_000):
+        text = rng.choice(pieces)
+        emit = text.find("emit")
+        for _ in range(rng.randint(1, 4)):
+            at = rng.randint(emit + 5, len(text)) if rng.random() < 0.8 \
+                else rng.randint(0, len(text))
+            text = text[:at] + rng.choice(_CLOSE_SPLICES) + \
+                text[at + rng.choice((0, 0, 1)):]
+        walked += _assert_close_equals_reference(src(text))[1]
+    assert walked >= 1000, walked
 
 
 # ------------------------------------------------------------------- work
@@ -305,3 +373,25 @@ def test_one_line_edit_relexes_a_fixed_number_of_matches(monkeypatch, edit):
         counts.append(counter.matches)
     assert max(counts) - min(counts) <= 2, counts
     assert max(counts) < 60, counts
+
+
+def test_emits_off_the_edit_lex_no_token(monkeypatch):
+    """A one-line edit in a file of 500, 1,000 and 2,000 self-closing emits
+    lexes the same number of matches, both sides together, at every size:
+    only the edited line is lexed, and an emit whose ')' closes its
+    arguments is closed with no token read. An emit whose argument list the
+    matcher leaves open is still lexed, each from its keyword to its stop."""
+    counts = []
+    for emits in (500, 1000, 2000):
+        body = [f"        emit Logged{i}(a, {i});" for i in range(emits)]
+        after = "\n".join(body) + "\n"
+        body[emits // 2] = "        uint y = 1;"
+        rev = make_revision("r", ("a.sol", "\n".join(body) + "\n", after))
+        want = analyze_revision(rev)
+        counter = _CountingRegex(lexer._TOKEN_RE)
+        monkeypatch.setattr(lexer, "_TOKEN_RE", counter)
+        got = analyze_revision(rev)
+        monkeypatch.undo()
+        assert got == want
+        counts.append(counter.matches)
+    assert counts[0] == counts[1] == counts[2], counts

@@ -1,5 +1,6 @@
 import random
 
+import emitlint.lexer as lexer
 from emitlint.evolution import ChangeCategory, analyze_revision
 from emitlint.lexer import lex
 from emitlint.metrics import count_file_emits
@@ -185,6 +186,29 @@ def test_emit_matches_match_the_linear_flag_reference():
             repr(file.text[:200])
         flags.update(m.in_comment_or_string for m in matches)
     assert flags == {False, True}
+
+
+def test_line_counts_and_matches_scan_ranges_without_lexing(monkeypatch):
+    """Without a `lexed`, `count_loc` and `extract_emits_regex` read only
+    the file's comment and string ranges, so they scan those and lex no
+    token; they answer as they do from a full lex, on every fixture."""
+    files = [fixture_file(*p.relative_to(FIXTURES).parts)
+             for p in sorted(FIXTURES.rglob("*.sol"))]
+    want = [(count_loc(f, lex(f)), extract_emits_regex(f, lex(f)))
+            for f in files]
+    scans = []
+    real_scan = lexer._scan
+
+    def counting_scan(*args):
+        scans.append(args[1:3])
+        real_scan(*args)
+
+    monkeypatch.setattr(lexer, "_scan", counting_scan)
+    got = [(count_loc(f), extract_emits_regex(f)) for f in files]
+    assert scans == []
+    assert got == want
+    lex(files[0])
+    assert scans, "the counter sees lex"
 
 
 def test_comment_match_leaves_the_whitespace_before_the_next_emit():

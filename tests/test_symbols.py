@@ -304,18 +304,16 @@ def test_is_reference_type():
 
 
 def test_location_class_for_table():
-    assert location_class_for(SymbolKind.STATE_VAR, "uint",
-                              DataLocation.DEFAULT) == LocationClass.STORAGE
-    assert location_class_for(SymbolKind.PARAM, "uint[]",
+    """Parameters and locals; state variables are classed by the builder
+    (test_constant_and_immutable_state_vars_are_not_storage)."""
+    assert location_class_for("uint[]",
                               DataLocation.STORAGE) == LocationClass.STORAGE
-    assert location_class_for(SymbolKind.PARAM, "uint[]",
+    assert location_class_for("uint[]",
                               DataLocation.MEMORY) == LocationClass.MEMORY
-    assert location_class_for(SymbolKind.PARAM, "uint",
+    assert location_class_for("uint",
                               DataLocation.DEFAULT) == LocationClass.MEMORY
-    assert location_class_for(SymbolKind.LOCAL_VAR, "bytes",
+    assert location_class_for("bytes",
                               DataLocation.CALLDATA) == LocationClass.MEMORY
-    assert location_class_for(SymbolKind.EVENT_NAME, "",
-                              DataLocation.DEFAULT) == LocationClass.NOT_APPLICABLE
 
 
 def _record_lookups(monkeypatch, files):
