@@ -15,7 +15,7 @@ from .evolution import (
     Independence, LineDiff, Revision, RevisionReport, analyze_revision,
     churn, classify_independence, diff_lines, pair_emit_changes,
 )
-from .lexer import LexError, Token, TokenKind, tokenize
+from .lexer import LexError, Token, TokenKind
 from .metrics import FileMetrics, ProjectMetrics, compute_metrics
 from .nodes import ParseError, SourceUnit
 from .parser import parse, parse_file
@@ -40,5 +40,5 @@ __all__ = [
     "analyze_revision", "build_symbols", "churn", "classify_independence",
     "compute_metrics", "count_loc", "diff_lines", "equalities_at",
     "extract_emits_regex", "pair_emit_changes", "parse", "parse_file",
-    "resolve", "resolve_at", "run_checks", "tokenize",
+    "resolve", "resolve_at", "run_checks",
 ]

@@ -35,21 +35,21 @@ is closed once, on to the ')' that closes its arguments, and churn, pairing,
 the emit lines and the kill scan all read that one extent. A match with no
 '(' in its arguments and its ')' outside comments and strings is closed
 already; any other is closed from its own tokens, lexed from its emit
-keyword to the first ';', '{' or '}' outside comments and strings. Tokens
-are read as the lexer's columns, by index: a match's tokens and a line's
-tokens are found by bisecting the start offsets, and the kill scan reads the
-lexeme and kind columns of the tokens outside the closed matches.
+keyword to the first ';', '{' or '}' outside comments and strings. A
+side's other tokens are lexed only outside its closed matches, so the emit
+lines and the kill scan read the lexer's columns as they come, by index: a
+line's tokens are found by bisecting the start offsets.
 
 Each revision is analyzed once. `RevisionAnalysis.build` diffs every file
 pair once and builds each side's `SideAnalysis` the same way, from that side
 alone. One scan of the side's text finds its comment and string ranges
 (`lexer.scan_ranges`), which give the line kinds and the regex matches; its
-tokens are lexed only over the lines they are read on: the changed lines,
-or every line in whole-file mode. The analysis keeps only the answers: the
-churn report, the classified changes, whether the revision changes emit
-lines only, and the kill sets. Each side is summed up in a `SideAnalysis`:
-its churned and total code lines, its emit total, its matches on changed
-lines with their first lines, its emit-only flag and its kill sets.
+tokens are lexed only on the lines read, the changed lines or every line in
+whole-file mode, outside the closed matches. The analysis keeps only the
+answers: the churn report, the classified changes, whether the revision
+changes emit lines only, and the kill sets. Each side is summed up in a
+`SideAnalysis`: its churned and total code lines, its emit total, its
+changed matches with their first lines, its emit-only flag and kill sets.
 `analyze_revision` builds one per revision; `churn`, `pair_emit_changes` and
 `classify_independence` each build one and read a single answer.
 """
@@ -298,10 +298,10 @@ def _changed_tokens(before: RegexEmitMatch | None,
 class SideAnalysis:
     """What churn, pairing and independence read from one side of a file
     pair. One scan of the file finds its comment and string ranges, which
-    feed the line kinds and the regex emit matches; the token columns that
-    feed the emit lines and the kill sets are lexed only over the lines
-    they are read on, and each match is closed from its own tokens. Only
-    the answers are kept."""
+    feed the line kinds and the regex emit matches; each match is closed
+    from its own tokens, and the token columns that feed the emit lines and
+    the kill sets are lexed only outside the closed matches, on the lines
+    they are read on. Only the answers are kept."""
     churned_loc: int  # changed code lines
     total_loc: int | None  # None when not counted
     total_emits: int  # matches in comments and strings included
@@ -314,61 +314,48 @@ class SideAnalysis:
     def build(cls, file: SourceFile, changed: set[int], whole_file: bool,
               count_total: bool) -> SideAnalysis:
         """changed holds the deleted lines of a before side, or the added
-        lines of an after side. The tokens are lexed over `_windows`: the
-        changed lines, or every line in whole-file mode. A closed match's
-        tokens are found there by bisecting its offsets; those outside the
-        windows are never read. Kill sets are scanned per run of
-        consecutive changed non-emit lines (every non-emit line in
-        whole-file mode), over the tokens that start on the run's lines and
-        lie outside emits. Without count_total, only the changed lines are
-        classified, and total_loc is None."""
+        lines of an after side. The matches are closed first; the tokens
+        are then lexed over the gaps that the closed matches leave in
+        `_windows`, the changed lines or every line in whole-file mode
+        (`_lex_gaps`). Kill sets are scanned per run of consecutive changed
+        non-emit lines (every non-emit line in whole-file mode), over the
+        tokens that start on the run's lines. Without count_total, only the
+        changed lines are classified, and total_loc is None."""
         text = file.text
-        # The side's ranges, and its tokens in the windows only.
-        lexed = scan_ranges(text)
-        holder = range_holder(lexed)
-        matches = extract_emits_regex(file, lexed)
-        lines = set(range(1, file.line_count + 1)) if whole_file \
-            else changed
-        for a, b in _windows(file, holder, lines):
-            _scan(text, a, b, (lexed.kinds, lexed.lexemes, lexed.starts,
-                               lexed.ends, [], []), [])
+        ranges = scan_ranges(text)
+        holder = range_holder(ranges)
+        matches = extract_emits_regex(file, ranges)
         starts = file.line_starts
         changed_emits: list[tuple[RegexEmitMatch, int]] = []
-        # The start, end, lexeme and kind columns of the tokens outside the
-        # closed matches.
-        columns = (lexed.starts, lexed.ends, lexed.lexemes, lexed.kinds)
-        kept: tuple[list, ...] = ([], [], [], [])
+        closed: list[RegexEmitMatch] = []
         touched: set[int] = set()  # lines a closed match touches
-        prev = 0
         for m in matches:
             if not m.in_comment_or_string:
                 m = _close(m, holder)
-                lo = bisect_left(lexed.starts, m.start)
-                for column, kept_column in zip(columns, kept):
-                    kept_column += column[prev:lo]
-                prev = max(prev, bisect_left(lexed.starts, m.end, lo))
+                closed.append(m)
             first = bisect_right(starts, m.start)
             own = range(first, bisect_right(starts, m.end - 1) + 1)
             if not m.in_comment_or_string:
                 touched.update(own)
             if not changed.isdisjoint(own):
                 changed_emits.append((m, first))
-        for column, kept_column in zip(columns, kept):
-            kept_column += column[prev:]
-        kept_starts, kept_ends, kept_lexemes, kept_kinds = kept
+        lines = set(range(1, file.line_count + 1)) if whole_file \
+            else changed
+        kinds, lexemes, tok_starts, tok_ends = _lex_gaps(
+            text, _windows(file, holder, lines), closed)
 
         def line_bounds(first: int, last: int) -> tuple[int, int]:
-            """Index range of the kept tokens that start on these lines."""
+            """Index range of the tokens that start on these lines."""
             end = starts[last] if last < len(starts) else len(text)
-            lo = bisect_left(kept_starts, starts[first - 1])
-            return lo, bisect_left(kept_starts, end, lo)
+            lo = bisect_left(tok_starts, starts[first - 1])
+            return lo, bisect_left(tok_starts, end, lo)
 
         emit_lines: set[int] = set()
         for line in touched & lines:
             lo, hi = line_bounds(line, line)
             # No code or string besides the emits and ';'.
-            if all(lexeme == ";" for lexeme in kept_lexemes[lo:hi]) and not (
-                    lo and kept_ends[lo - 1] > starts[line - 1]):
+            if all(lexeme == ";" for lexeme in lexemes[lo:hi]) and not (
+                    lo and tok_ends[lo - 1] > starts[line - 1]):
                 emit_lines.add(line)
         runs: list[list[int]] = []  # [first, last] line of each run
         for line in sorted(lines - emit_lines):
@@ -380,19 +367,19 @@ class SideAnalysis:
         passed: set[str] = set()
         for first, last in runs:
             lo, hi = line_bounds(first, last)
-            a, p = _scan_kill_sets(kept_lexemes[lo:hi], kept_kinds[lo:hi])
+            a, p = _scan_kill_sets(lexemes[lo:hi], kinds[lo:hi])
             assigned |= a
             passed |= p
         # A changed line past the last one, empty after a final newline, is
         # blank.
         ordered = sorted(line for line in changed if line <= file.line_count)
         if count_total:
-            kinds = classify_lines(file, lexed)
-            total_loc = kinds.count(LINE_CODE)
-            changed_kinds = [kinds[line - 1] for line in ordered]
+            line_kinds = classify_lines(file, ranges)
+            total_loc = line_kinds.count(LINE_CODE)
+            changed_kinds = [line_kinds[line - 1] for line in ordered]
         else:
             total_loc = None
-            changed_kinds = classify_lines(file, lexed,
+            changed_kinds = classify_lines(file, ranges,
                                            [line - 1 for line in ordered])
         code_changed = {line for line, kind in zip(ordered, changed_kinds)
                         if kind == LINE_CODE}
@@ -536,6 +523,25 @@ def _windows(file: SourceFile, holder: RangeHolder, lines: set[int]
     return windows
 
 
+def _lex_gaps(text: str, windows: list[list[int]],
+              closed: list[RegexEmitMatch]) -> tuple[list, ...]:
+    """The kinds, lexemes, starts and ends columns of the tokens in the
+    windows outside the closed matches, in source order. A gap resumes at
+    the latest end so far, since one closed match may hold another."""
+    columns: tuple[list, ...] = ([], [], [], [], [])
+    i = pos = 0
+    for a, b in windows:
+        pos = max(pos, a)
+        while i < len(closed) and closed[i].start < b:
+            if closed[i].start > pos:
+                _scan(text, pos, closed[i].start, columns, [])
+            pos = max(pos, closed[i].end)
+            i += 1
+        if pos < b:
+            _scan(text, pos, b, columns, [])
+    return columns[:4]
+
+
 def _close(m: RegexEmitMatch, holder: RangeHolder) -> RegexEmitMatch:
     """The match m, outside comments and strings, closed; holder is its
     file's `range_holder`. The match stops at the first ')', so a nested
@@ -553,10 +559,10 @@ def _close(m: RegexEmitMatch, holder: RangeHolder) -> RegexEmitMatch:
     while (stop := _STOP_RE.search(text, pos)) is not None and \
             (r := holder(stop.start())) is not None:
         pos = r[1]
-    columns: tuple[list, ...] = ([], [], [], [], [], [])
+    columns: tuple[list, ...] = ([], [], [], [], [])
     _scan(text, m.start, len(text) if stop is None else stop.start(),
           columns, [])
-    _, lexemes, starts, ends, _, _ = columns
+    _, lexemes, starts, ends, _ = columns
     # Every token of the match counts; past it, walk while the list is open.
     depth = hi = 0
     while hi < len(lexemes) and (depth > 0 or starts[hi] < m.end):

@@ -9,25 +9,25 @@ comes before the word alternative, so no word is looked up afterwards.
 Comments and whitespace are consumed, never emitted as tokens. The tokens
 are kept as four parallel columns, `kinds`, `lexemes`, `starts` and `ends`,
 with no object per token; `LexResult.tokens` builds `Token`s from them on
-each read, for callers that want objects. Comment and string ranges are kept
-on the side so later passes can classify lines and decide whether a textual
-match falls inside a comment or a string literal.
+each read, for callers that want objects. The comment and string ranges are
+kept on the side as one list in source order, so later passes can classify
+lines and decide whether a textual match falls inside a comment or a string
+literal.
 
 Recovery: an unterminated string abandons the current line and resumes at the
 next one; an unterminated block comment swallows the rest of the file. Both
 are recorded as lex errors rather than raised.
 
-Partial lexing: `diff` lexes only the lines each side reads, and three
+Partial lexing: `diff` lexes only the tokens each side reads, and three
 facts make that exact. Outside comments and strings, every `/` and every
 quote starts a token, since no other token class holds one; so `scan_ranges`
 finds the comment and string ranges with no tokens, by skipping everything
 else. Only comments and strings hold a newline; so `_scan` started at a line
 start outside every range, and stopped at another, gives exactly the tokens
 that `lex` gives between the two. And an emit keyword outside every range is
-a token start, while a `;`, `{` or `}` outside every range is a token of one
-character; so `_scan` from the one to the next of the other gives exactly
-the tokens of a full lex between them.
-"""
+a token start, a `;`, `{` or `}` outside every range is a token of one
+character, and a closed emit ends at a token's end; so `_scan` between two
+such points gives exactly the tokens of a full lex between them."""
 
 from __future__ import annotations
 
@@ -65,6 +65,11 @@ class Token:
     end: int
 
 
+# The half-open character-offset ranges of the comments and strings of a
+# text, in source order; a range is a comment when its text starts with '/'.
+Ranges = list[tuple[int, int]]
+
+
 @dataclass(frozen=True)
 class LexError:
     kind: str  # UnterminatedString | UnterminatedComment | UnexpectedCharacter
@@ -80,9 +85,7 @@ class LexResult:
     starts: list[int]
     ends: list[int]
     errors: list[LexError]
-    # Half-open character-offset ranges, in source order.
-    comment_ranges: list[tuple[int, int]]
-    string_ranges: list[tuple[int, int]]
+    ranges: Ranges
 
     @property
     def tokens(self) -> list[Token]:
@@ -177,9 +180,9 @@ _ERROR_KINDS = {
 def _scan(text: str, pos: int, endpos: int, columns: tuple[list, ...],
           errors: list[tuple[int, int, int]]) -> None:
     """Append the matches of text[pos:endpos] to columns, the lists kinds,
-    lexemes, starts, ends, comments and strings of a LexResult; an error is
-    appended to errors as its group and offsets."""
-    kinds, lexemes, starts, ends, comments, strings = columns
+    lexemes, starts, ends and ranges of a LexResult; an error is appended to
+    errors as its group and offsets."""
+    kinds, lexemes, starts, ends, ranges = columns
     token_kind = _TOKEN_KINDS.get
     for m in _TOKEN_RE.finditer(text, pos, endpos):
         group = m.lastindex
@@ -191,16 +194,13 @@ def _scan(text: str, pos: int, endpos: int, columns: tuple[list, ...],
             starts.append(a)
             ends.append(b)
             if group == _STRING:
-                strings.append((a, b))
-        elif group == _COMMENT:
-            comments.append(m.span(group))
+                ranges.append((a, b))
         elif group is not None:
-            a, b = m.span(group)
-            if group == _OPEN_COMMENT:
-                comments.append((a, b))
-            elif group == _OPEN_STRING:
-                strings.append((a, b))
-            errors.append((group, a, b))
+            span = m.span(group)
+            if group != _BAD:
+                ranges.append(span)
+            if group != _COMMENT:
+                errors.append((group, *span))
 
 
 # Text free of '/' and quotes, a comment or string class (numbered as in
@@ -209,29 +209,18 @@ _RANGE_RE = re.compile("[^/\"']+|" + "|".join(f"({p})" for p in _RANGES)
                        + "|/")
 
 
-def scan_ranges(text: str) -> LexResult:
-    """The comment_ranges and string_ranges of lex on text, found without
-    its tokens: a LexResult with empty token columns and no errors."""
-    result = LexResult([], [], [], [], [], [], [])
-    for m in _RANGE_RE.finditer(text):
-        group = m.lastindex
-        if group is not None:
-            (result.comment_ranges if group < _STRING
-             else result.string_ranges).append(m.span())
-    return result
+def scan_ranges(text: str) -> Ranges:
+    """The ranges of lex on text, found without its tokens."""
+    return [m.span() for m in _RANGE_RE.finditer(text)
+            if m.lastindex is not None]
 
 
 def lex(file: SourceFile) -> LexResult:
-    columns: tuple[list, ...] = ([], [], [], [], [], [])
+    columns: tuple[list, ...] = ([], [], [], [], [])
     errors: list[tuple[int, int, int]] = []
     _scan(file.text, 0, len(file.text), columns, errors)
-    kinds, lexemes, starts, ends, comments, strings = columns
+    kinds, lexemes, starts, ends, ranges = columns
     return LexResult(kinds, lexemes, starts, ends,
                      [LexError(_ERROR_KINDS[group],
                                file.span_from_offsets(a, b))
-                      for group, a, b in errors], comments, strings)
-
-
-def tokenize(file: SourceFile) -> list[Token]:
-    """Token stream with comments and whitespace dropped."""
-    return lex(file).tokens
+                      for group, a, b in errors], ranges)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .lexer import LexResult, lex
+from .lexer import Ranges, lex
 from .nodes import FunctionWalk, SourceUnit, iter_functions, walk_function
 from .parser import has_fatal_errors, parse_file
 from .scan import LocStats, count_loc, extract_emits_regex
@@ -37,8 +37,8 @@ class FileAnalysis:
         lexed = lex(file)
         unit = parse_file(file, lexed)
         functions = tuple(map(walk_function, iter_functions(unit)))
-        count, method = _count_emits(file, unit, lexed, functions)
-        return cls(file, unit, count_loc(file, lexed), count, method,
+        count, method = _count_emits(file, unit, lexed.ranges, functions)
+        return cls(file, unit, count_loc(file, lexed.ranges), count, method,
                    functions)
 
 
@@ -64,21 +64,22 @@ def count_file_emits(file: SourceFile, unit: SourceUnit | None = None
                      ) -> tuple[int, str]:
     """Emit count and the method used. unit, when given, must come from this
     file; without it the file is lexed and parsed here."""
-    lexed = None
+    ranges = None
     if unit is None:
         lexed = lex(file)
         unit = parse_file(file, lexed)
-    return _count_emits(file, unit, lexed,
+        ranges = lexed.ranges
+    return _count_emits(file, unit, ranges,
                         map(walk_function, iter_functions(unit)))
 
 
-def _count_emits(file: SourceFile, unit: SourceUnit, lexed: LexResult | None,
+def _count_emits(file: SourceFile, unit: SourceUnit, ranges: Ranges | None,
                  functions: Iterable[FunctionWalk]) -> tuple[int, str]:
     """On a fatal parse error, the regex count outside comments and strings;
     otherwise the AST count over the function walks, which are read only
     then."""
     if has_fatal_errors(unit):
-        matches = extract_emits_regex(file, lexed)
+        matches = extract_emits_regex(file, ranges)
         return sum(1 for m in matches if not m.in_comment_or_string), "regex"
     return sum(len(f.emits) for f in functions), "ast"
 

@@ -900,21 +900,31 @@ class Parser:
 
     def _try_call_options(self) -> list[Expr] | None:
         """Parse '{name: expr, ...}' call options; None if the brace does not
-        open that shape. Option values are folded into the argument list."""
+        open that shape. Option values are folded into the argument list;
+        damaged options are skipped with a warning, and the call keeps none."""
         if not (self._is("{")
                 and self._check(TokenKind.IDENTIFIER, 1)
                 and self._is(":", ahead=2)):
             return None
+        start = self.i
         self._advance()  # '{'
         options: list[Expr] = []
-        while True:
-            if self._match(TokenKind.IDENTIFIER) is None:
-                raise _Fail()
-            self._expect(":")
-            options.append(self._parse_expression())
-            if not self._eat(","):
-                break
-        self._expect("}")
+        try:
+            while True:
+                if self._match(TokenKind.IDENTIFIER) is None:
+                    raise _Fail()
+                self._expect(":")
+                options.append(self._parse_expression())
+                if not self._eat(","):
+                    break
+            self._expect("}")
+        except _Fail:
+            self.i = start
+            if not self._skip_group("{", "}"):
+                raise
+            self._record("damaged call options skipped", "warning",
+                         self._span_from(start))
+            return []
         return options
 
     def _parse_primary(self) -> Expr:
@@ -946,12 +956,12 @@ class Parser:
 
 
 def parse(tokens: list[Token], file: SourceFile) -> SourceUnit:
-    """Parse a token list produced by tokenize() on the same file. The
-    parser reads columns, so they are built from the list first."""
+    """Parse the token list `lex(file).tokens` of the same file. The parser
+    reads columns, so they are built from the list first."""
     return _parse(LexResult([tok.kind for tok in tokens],
                             [tok.lexeme for tok in tokens],
                             [tok.start for tok in tokens],
-                            [tok.end for tok in tokens], [], [], []), file)
+                            [tok.end for tok in tokens], [], []), file)
 
 
 def _parse(lexed: LexResult, file: SourceFile) -> SourceUnit:

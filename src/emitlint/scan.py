@@ -24,7 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .lexer import LexResult, scan_ranges
+from .lexer import Ranges, scan_ranges
 from .source import SourceFile, Span
 
 EMIT_PATTERN = re.compile(r"\s+emit\s+(\w+)\s*\(([\s\S]*?)\)\s*")
@@ -67,19 +67,19 @@ class RegexEmitMatch:
         return self.file.span_from_offsets(self.start, self.end)
 
 
-def classify_lines(file: SourceFile, lexed: LexResult | None = None,
+def classify_lines(file: SourceFile, ranges: Ranges | None = None,
                    lines: Iterable[int] | None = None) -> list[str]:
     """Per-line classification, index 0 = line 1; or, when lines is given as
     ascending 0-based line indexes, the kinds of those lines, in order.
-    lexed, when given, must come from this file; without it the comment
-    ranges are scanned, not lexed.
+    ranges, when given, are this file's comment and string ranges; without
+    them they are scanned.
 
     Each line searches for its first character other than space, tab or
     CR. A hit inside a comment makes the line a comment line so far, and
     the search goes on from the end of that comment; the first hit outside
     every comment makes it a code line."""
-    ranges = (lexed or scan_ranges(file.text)).comment_ranges
     text = file.text
+    ranges = scan_ranges(text) if ranges is None else ranges
     search = _NON_SPACE_RE.search
     starts = file.line_starts
     kinds: list[str] = []
@@ -92,7 +92,8 @@ def classify_lines(file: SourceFile, lexed: LexResult | None = None,
             off = m.start()
             while ci < len(ranges) and ranges[ci][1] <= off:
                 ci += 1
-            if ci == len(ranges) or off < ranges[ci][0]:
+            if ci == len(ranges) or off < ranges[ci][0] or \
+                    text[ranges[ci][0]] != "/":
                 kind = LINE_CODE
                 break
             kind = LINE_COMMENT
@@ -101,8 +102,8 @@ def classify_lines(file: SourceFile, lexed: LexResult | None = None,
     return kinds
 
 
-def count_loc(file: SourceFile, lexed: LexResult | None = None) -> LocStats:
-    kinds = classify_lines(file, lexed)
+def count_loc(file: SourceFile, ranges: Ranges | None = None) -> LocStats:
+    kinds = classify_lines(file, ranges)
     return LocStats(
         total_lines=len(kinds),
         code_lines=kinds.count(LINE_CODE),
@@ -111,17 +112,18 @@ def count_loc(file: SourceFile, lexed: LexResult | None = None) -> LocStats:
     )
 
 
-def extract_emits_regex(file: SourceFile, lexed: LexResult | None = None
+def extract_emits_regex(file: SourceFile, ranges: Ranges | None = None
                         ) -> list[RegexEmitMatch]:
-    """All textual emit matches in source order; lexed, when given, must come
-    from this file; without it the ranges are scanned, not lexed.
+    """All textual emit matches in source order; ranges, when given, are
+    this file's comment and string ranges; without them they are scanned.
 
     The pattern requires whitespace before the emit keyword, so the text is
     searched with one synthetic leading newline; a match at the very start of
     the file is therefore not missed. A match runs from the emit keyword
     through the first closing parenthesis.
     """
-    holder = range_holder(lexed or scan_ranges(file.text))
+    holder = range_holder(scan_ranges(file.text) if ranges is None
+                          else ranges)
     padded = "\n" + file.text
     matches: list[RegexEmitMatch] = []
     search = EMIT_PATTERN.search
@@ -139,18 +141,16 @@ def extract_emits_regex(file: SourceFile, lexed: LexResult | None = None
     return matches
 
 
-def range_holder(lexed: LexResult) -> RangeHolder:
-    """The lookup of the comment or string range of lexed that holds an
-    offset past its first character, or None. A range starts with '/' or a
-    quote, so at any other character None means outside every range. Ranges
-    never overlap, so the one that can hold an offset is the first, by
-    start, that ends past it."""
-    covered = sorted(lexed.comment_ranges + lexed.string_ranges)
-    ends = [b for _, b in covered]
+def range_holder(ranges: Ranges) -> RangeHolder:
+    """The lookup of the comment or string range that holds an offset past
+    its first character, or None. A range starts with '/' or a quote, so at
+    any other character None means outside every range. Ranges never overlap
+    and come in source order, so the one that can hold an offset is the
+    first that ends past it."""
+    ends = [b for _, b in ranges]
 
     def holder(off: int) -> tuple[int, int] | None:
         i = bisect_right(ends, off)
-        return covered[i] if i < len(covered) and covered[i][0] < off \
-            else None
+        return ranges[i] if i < len(ranges) and ranges[i][0] < off else None
 
     return holder

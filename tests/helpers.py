@@ -94,6 +94,15 @@ def bench_history_sides(workload: str, seed: int) -> list[SourceFile]:
             for side in (plan.before, plan.after) if side is not None]
 
 
+def bench_revisions(workload: str, seed: int) -> list[Revision]:
+    """The revisions of a perfbench workload's manifest."""
+    return [make_revision(rev_id, *((plan.path,
+                                     plan.before and plan.before.text,
+                                     plan.after and plan.after.text)
+                                    for plan in plans))
+            for rev_id, plans in _bench_corpus(workload, seed).revisions]
+
+
 def parsed(text: str, path: str = "test.sol"):
     """(file, unit, tree) for inline source text."""
     file = src(text, path)
@@ -375,22 +384,29 @@ def _mutate(rng: random.Random, text: str) -> str:
     return text
 
 
+# The fixture directories, relative to FIXTURES, whose files the robustness
+# sweep mutates: those that held fixtures when its draws were set. Files in
+# any other directory are swept as they are, so a new fixture directory
+# shifts no seeded draw.
+SWEEP_MUTATED_DIRS = (
+    ".", "gas", "lint_rules", "lint_tree", "robust", "manifests/basic",
+    "manifests/extent", "manifests/relex", "manifests/rewrite",
+)
+
+
 def sweep_inputs() -> list[str]:
     """The robustness sweep's seeded inputs: every fixture and snippet, token
-    soup, and mutated fixtures and snippets. The fixtures under nesting/
-    sit at the parser's budgets, and the emit-closing manifest's sides
-    under manifests/close/ came after the draws were set; both are swept
-    as they are but not mutated, so the seeded draws stay those of the
-    other bases."""
+    soup, and mutated fixtures and snippets. Only the fixtures under
+    SWEEP_MUTATED_DIRS are mutated."""
     rng = random.Random(SWEEP_SEED)
     paths = sorted(FIXTURES.rglob("*.sol"))
-    unmutated = ("nesting", "close")
-    bases = [p.read_text(encoding="utf-8") for p in paths
-             if p.parent.name not in unmutated]
+    mutated = {p: p.parent.relative_to(FIXTURES).as_posix()
+               in SWEEP_MUTATED_DIRS for p in paths}
+    bases = [p.read_text(encoding="utf-8") for p in paths if mutated[p]]
     bases += [f.text for f in snippet_corpus()]
     texts = list(bases)
     texts += [p.read_text(encoding="utf-8") for p in paths
-              if p.parent.name in unmutated]
+              if not mutated[p]]
     texts += [_soup(rng) for _ in range(SOUP_INPUTS)]
     texts += [_mutate(rng, rng.choice(bases)) for _ in range(MUTATED_INPUTS)]
     return texts
@@ -770,7 +786,7 @@ def reference_kill_sets(chunk: str) -> tuple[set[str], set[str]]:
     lexed = lex(file)
     tokens = lexed.tokens
     dropped: set[int] = set()
-    for m in extract_emits_regex(file, lexed):
+    for m in extract_emits_regex(file, lexed.ranges):
         if m.in_comment_or_string:
             continue
         a, b = m.start, m.end
@@ -862,11 +878,12 @@ class SpanToken(NamedTuple):
 
 class TokenLexResult(NamedTuple):
     """A lex result with one object per token, as the reference lexers
-    build it; `lex` keeps token columns instead."""
+    build it; `lex` keeps token columns instead. The reference lexers
+    collect the comment and the string ranges apart; `ranges` merges them
+    in source order, as `lex` keeps them."""
     tokens: list
     errors: list[LexError]
-    comment_ranges: list[tuple[int, int]]
-    string_ranges: list[tuple[int, int]]
+    ranges: list[tuple[int, int]]
 
 
 def with_token_spans(file: SourceFile, result: LexResult) -> TokenLexResult:
@@ -874,8 +891,7 @@ def with_token_spans(file: SourceFile, result: LexResult) -> TokenLexResult:
     tokens = [SpanToken(kind, lexeme, file.span_from_offsets(start, end))
               for kind, lexeme, start, end in zip(
                   result.kinds, result.lexemes, result.starts, result.ends)]
-    return TokenLexResult(tokens, result.errors, result.comment_ranges,
-                          result.string_ranges)
+    return TokenLexResult(tokens, result.errors, result.ranges)
 
 
 def columns_of(result: TokenLexResult) -> LexResult:
@@ -886,7 +902,7 @@ def columns_of(result: TokenLexResult) -> LexResult:
                      [tok.lexeme for tok in tokens],
                      [tok.start for tok in tokens],
                      [tok.end for tok in tokens], result.errors,
-                     result.comment_ranges, result.string_ranges)
+                     result.ranges)
 
 
 def reference_token_lex(file: SourceFile) -> TokenLexResult:
@@ -915,7 +931,7 @@ def reference_token_lex(file: SourceFile) -> TokenLexResult:
                 strings.append((a, b))
             errors.append(LexError(_ERROR_KINDS[group],
                                    file.span_from_offsets(a, b)))
-    return TokenLexResult(tokens, errors, comments, strings)
+    return TokenLexResult(tokens, errors, sorted(comments + strings))
 
 
 def reference_lex(file: SourceFile) -> TokenLexResult:
@@ -1020,7 +1036,7 @@ def reference_lex(file: SourceFile) -> TokenLexResult:
             bad_start = i
         i += 1
     flush_bad(n)
-    return TokenLexResult(tokens, errors, comments, strings)
+    return TokenLexResult(tokens, errors, sorted(comments + strings))
 
 
 # The lexer before it folded whitespace into each token's match and decided
@@ -1076,15 +1092,16 @@ def reference_group_lex(file: SourceFile) -> LexResult:
         elif group in _GROUP_ERROR_KINDS:
             errors.append(LexError(_GROUP_ERROR_KINDS[group],
                                    file.span_from_offsets(a, b)))
-    return columns_of(TokenLexResult(tokens, errors, comments, strings))
+    return columns_of(TokenLexResult(tokens, errors,
+                                     sorted(comments + strings)))
 
 
 def reference_classify_lines(file: SourceFile,
-                             lexed: LexResult) -> list[str]:
+                             ranges: list[tuple[int, int]]) -> list[str]:
     """The per-character line classifier that `scan.classify_lines`
     replaced: it steps through every character of each line, comments
-    included."""
-    ranges = lexed.comment_ranges
+    included. It reads the comment ranges of ranges only."""
+    ranges = [(a, b) for a, b in ranges if file.text[a] == "/"]
     kinds: list[str] = []
     ci = 0
     for line in range(1, file.line_count + 1):
@@ -1108,12 +1125,12 @@ def reference_classify_lines(file: SourceFile,
     return kinds
 
 
-def reference_extract_emits_regex(file: SourceFile, lexed: LexResult
+def reference_extract_emits_regex(file: SourceFile,
+                                  ranges: list[tuple[int, int]]
                                   ) -> list[RegexEmitMatch]:
     """The emit matcher as it was before it bisected: each match's flag
     tests every comment and string range in turn. Each search starts at
     the previous match's `)`."""
-    covered = lexed.comment_ranges + lexed.string_ranges
     padded = "\n" + file.text
     matches: list[RegexEmitMatch] = []
     pos = 0
@@ -1124,7 +1141,7 @@ def reference_extract_emits_regex(file: SourceFile, lexed: LexResult
             continue
         whole = m.group(0)
         emit_off = m.start() + len(whole) - len(whole.lstrip()) - 1
-        flagged = any(a <= emit_off < b for a, b in covered)
+        flagged = any(a <= emit_off < b for a, b in ranges)
         matches.append(RegexEmitMatch(name, m.group(2), emit_off, m.end(2),
                                       flagged, file))
     return matches
@@ -1153,6 +1170,33 @@ def reference_close(m: RegexEmitMatch, lexed: LexResult) -> RegexEmitMatch:
     args = m.end - 1 - len(m.raw_args)  # just past the '('
     raw_args = m.file.text[args:starts[hi - 1] if depth == 0 else end]
     return replace(m, raw_args=raw_args, end=end)
+
+
+def reference_token_cut(file: SourceFile, windows: list[list[int]],
+                        closed: list[RegexEmitMatch]) -> tuple[list, ...]:
+    """The kinds, lexemes, starts and ends columns that `SideAnalysis.build`
+    kept before it lexed only the gaps between its closed matches: the
+    tokens of a full lex that start in the windows, less those that start
+    inside a closed match, cut by bisecting each match's offsets."""
+    lexed = lex(file)
+    full = (lexed.kinds, lexed.lexemes, lexed.starts, lexed.ends)
+    columns: tuple[list, ...] = ([], [], [], [])
+    for a, b in windows:
+        lo = bisect_left(lexed.starts, a)
+        hi = bisect_left(lexed.starts, b, lo)
+        for column, whole in zip(columns, full):
+            column += whole[lo:hi]
+    starts = columns[2]
+    kept: tuple[list, ...] = ([], [], [], [])
+    prev = 0
+    for m in closed:
+        lo = bisect_left(starts, m.start)
+        for column, kept_column in zip(columns, kept):
+            kept_column += column[prev:lo]
+        prev = max(prev, bisect_left(starts, m.end, lo))
+    for column, kept_column in zip(columns, kept):
+        kept_column += column[prev:]
+    return kept
 
 
 class ReferenceSkipParser(Parser):

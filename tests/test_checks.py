@@ -172,6 +172,15 @@ def test_config_validates_threshold():
         CheckConfig(overuse_threshold=Fraction(3, 2))
 
 
+def test_a_float_threshold_is_read_as_its_decimal_fraction():
+    """0.25 becomes Fraction(1, 4) through its decimal text, not the
+    binary value of the float."""
+    assert CheckConfig(overuse_threshold=0.25).overuse_threshold == \
+        Fraction(1, 4)
+    assert CheckConfig(overuse_threshold=0.1).overuse_threshold == \
+        Fraction(1, 10)
+
+
 # -------------------------------------------------------- placement check
 
 def test_emit_before_assignment_of_emitted_symbol():

@@ -1,3 +1,4 @@
+import io
 import json
 import sys
 from collections import Counter
@@ -283,6 +284,31 @@ def test_no_color_respected(capsys):
     _, out, _ = run(capsys, "lint",
                     str(fixture_path("gas", "pos_01_setdelay.sol")))
     assert "\x1b[" not in out
+
+
+class _Terminal(io.StringIO):
+    """A captured stdout that reports itself as a terminal."""
+
+    def isatty(self):
+        return True
+
+
+@pytest.mark.parametrize("color", [True, False])
+def test_text_findings_are_coloured_on_a_terminal_unless_no_color(
+        monkeypatch, color):
+    """On a terminal, each finding's severity is painted, unless NO_COLOR
+    is set."""
+    if color:
+        monkeypatch.delenv("NO_COLOR")
+    terminal = _Terminal()
+    monkeypatch.setattr(sys, "stdout", terminal)
+    assert main(["lint", str(fixture_path("gas", "pos_01_setdelay.sol"))]) \
+        == 1
+    out = terminal.getvalue()
+    if color:
+        assert "\x1b[33mwarning\x1b[0m GAS_STORAGE_PARAM" in out
+    else:
+        assert "\x1b[" not in out and "warning GAS_STORAGE_PARAM" in out
 
 
 # ------------------------------------------------------------------- metrics

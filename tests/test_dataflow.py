@@ -7,7 +7,7 @@ from emitlint.dataflow import equalities_at, kill_names
 from helpers import (
     UnsupportedConstruct, brute_force_equalities, distinct_inputs, emits_of,
     gen_branching_contract, gen_straight_line_contract, parsed,
-    reached_equalities,
+    reached_equalities, span_text,
 )
 
 
@@ -141,6 +141,28 @@ def test_unanalyzable_function_yields_empty():
 }
 """
     assert _facts(text) == []
+
+
+def test_a_function_without_a_body_has_no_equalities():
+    """`equalities_at` on a declaration with no body returns [] at once."""
+    _, unit, tree = parsed("""contract C {
+    function f(uint a) external;
+    function g(uint a) public { emit E(a); }
+}
+""")
+    f, g = unit.contracts[0].functions
+    assert f.body is None
+    assert equalities_at(emits_of(g)[0], f, tree) == []
+
+
+def test_a_fact_is_established_at_its_assignment():
+    """`EqualityFact.established_at` spans the statement that made the
+    fact: here `delay = delay_;`."""
+    file, unit, tree = parsed(body("delay = delay_;",
+                                   "emit DelaySet(delay);"))
+    fn = unit.contracts[0].functions[0]
+    [fact] = equalities_at(emits_of(fn)[0], fn, tree)
+    assert span_text(file, fact.established_at) == "delay = delay_;"
 
 
 def test_kill_names_per_write_form():

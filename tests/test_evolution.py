@@ -428,15 +428,13 @@ def _oracle_extents(file):
     with comments blanked and strings filled, to the ')' that closes its
     arguments, but not past ';', '{' or '}'; then back over trailing
     blanks."""
-    lexed = lex(file)
+    ranges = lex(file).ranges
     quiet = list(file.text)  # parens count outside comments and strings
-    for a, b in lexed.comment_ranges:
-        quiet[a:b] = " " * (b - a)
-    for a, b in lexed.string_ranges:
-        quiet[a:b] = "_" * (b - a)
+    for a, b in ranges:
+        quiet[a:b] = (" " if file.text[a] == "/" else "_") * (b - a)
     quiet = "".join(quiet)
     extents = []
-    for m in extract_emits_regex(file, lexed):
+    for m in extract_emits_regex(file, ranges):
         a, b = m.start, m.end
         if not m.in_comment_or_string:
             depth = quiet[a:b].count("(") - quiet[a:b].count(")")
@@ -454,13 +452,14 @@ def _oracle_emit_lines(file):
     """Lines touched by an emit outside comments and strings, where the text
     left after blanking out those emits and the comments holds only ';' and
     spaces."""
-    blanked = lex(file).comment_ranges[:]
+    text = file.text
+    blanked = [(a, b) for a, b in lex(file).ranges if text[a] == "/"]
     lines = set()
     for flagged, a, b, own in _oracle_extents(file):
         if not flagged:
             blanked.append((a, b))
             lines |= own
-    masked = list(file.text)
+    masked = list(text)
     for a, b in blanked:
         masked[a:b] = [ch if ch == "\n" else " " for ch in masked[a:b]]
     rows = "".join(masked).split("\n")
@@ -504,7 +503,7 @@ def _reference_kill_sets(rev, whole_file):
                 continue
             if whole_file:
                 lines = set(range(1, file.line_count + 1))
-            lexed = lex(file)
+            ranges = lex(file).ranges
             emit_lines = _oracle_emit_lines(file)
             runs = []
             for line in sorted(lines - emit_lines):
@@ -512,7 +511,6 @@ def _reference_kill_sets(rev, whole_file):
                     runs[-1].append(line)
                 else:
                     runs.append([line])
-            ranges = lexed.comment_ranges + lexed.string_ranges
             for run in runs:
                 start = file.line_starts[run[0] - 1]
                 in_context |= any(a < start < b for a, b in ranges)
@@ -888,9 +886,9 @@ def test_a_before_side_with_an_after_side_classifies_only_its_deleted_lines(
     classified = []
     real = evolution.classify_lines
 
-    def recording(file, lexed, lines=None):
+    def recording(file, ranges, lines=None):
         classified.append((id(file), None if lines is None else list(lines)))
-        return real(file, lexed, lines)
+        return real(file, ranges, lines)
 
     monkeypatch.setattr(evolution, "classify_lines", recording)
     assert analyze_revision(rev) == plain

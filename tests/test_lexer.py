@@ -1,7 +1,7 @@
 import random
 from pathlib import Path
 
-from emitlint.lexer import TokenKind, lex, tokenize
+from emitlint.lexer import TokenKind, lex
 from emitlint.source import SourceFile
 
 from helpers import (
@@ -16,11 +16,11 @@ def kinds(tokens):
 
 
 def test_empty_input_yields_no_tokens():
-    assert tokenize(src("")) == []
+    assert lex(src("")).tokens == []
 
 
 def test_emit_statement_tokens():
-    toks = tokenize(src("emit Deposit(msg.sender, _id, msg.value);"))
+    toks = lex(src("emit Deposit(msg.sender, _id, msg.value);")).tokens
     # Hand-tokenized: emit Deposit ( msg . sender , _id , msg . value ) ;
     assert len(toks) == 14
     assert toks[0].kind == TokenKind.KEYWORD and toks[0].lexeme == "emit"
@@ -30,7 +30,7 @@ def test_emit_statement_tokens():
 
 
 def test_line_comment_dropped():
-    toks = tokenize(src("uint x = 0x2A; // hi"))
+    toks = lex(src("uint x = 0x2A; // hi")).tokens
     # Hand-tokenized: uint x = 0x2A ;  (comment consumed)
     assert [t.lexeme for t in toks] == ["uint", "x", "=", "0x2A", ";"]
     assert kinds(toks) == [TokenKind.KEYWORD, TokenKind.IDENTIFIER,
@@ -41,17 +41,17 @@ def test_line_comment_dropped():
 def test_block_comment_dropped_and_recorded():
     result = lex(src("uint /* note\n more */ x;"))
     assert [t.lexeme for t in result.tokens] == ["uint", "x", ";"]
-    assert len(result.comment_ranges) == 1
+    assert result.ranges == [(5, 21)]
 
 
 def test_string_literals_both_quotes():
-    toks = tokenize(src("emit E(\"a b\", 'c');"))
+    toks = lex(src("emit E(\"a b\", 'c');")).tokens
     strings = [t for t in toks if t.kind == TokenKind.STRING]
     assert [t.lexeme for t in strings] == ['"a b"', "'c'"]
 
 
 def test_string_escapes():
-    toks = tokenize(src(r'x = "a\"b\\c";'))
+    toks = lex(src(r'x = "a\"b\\c";')).tokens
     strings = [t for t in toks if t.kind == TokenKind.STRING]
     assert len(strings) == 1
     assert strings[0].lexeme == r'"a\"b\\c"'
@@ -85,19 +85,19 @@ def test_non_ascii_digits_are_unexpected_characters():
 
 
 def test_operators_longest_match():
-    toks = tokenize(src("a >>= b << c != d ** e"))
+    toks = lex(src("a >>= b << c != d ** e")).tokens
     ops = [t.lexeme for t in toks if t.kind == TokenKind.OPERATOR]
     assert ops == [">>=", "<<", "!=", "**"]
 
 
 def test_number_forms():
-    toks = tokenize(src("x = 1_000 + 0xAb_c + 1e18 + 2.5;"))
+    toks = lex(src("x = 1_000 + 0xAb_c + 1e18 + 2.5;")).tokens
     nums = [t.lexeme for t in toks if t.kind == TokenKind.NUMBER]
     assert nums == ["1_000", "0xAb_c", "1e18", "2.5"]
 
 
 def test_elementary_types_are_keywords():
-    toks = tokenize(src("uint256 a; bytes32 b; address c; MyType d;"))
+    toks = lex(src("uint256 a; bytes32 b; address c; MyType d;")).tokens
     assert toks[0].kind == TokenKind.KEYWORD
     assert toks[3].kind == TokenKind.KEYWORD
     assert toks[6].kind == TokenKind.KEYWORD
@@ -107,7 +107,7 @@ def test_elementary_types_are_keywords():
 def test_keywords_are_whole_words():
     """A type name followed by more word characters is one identifier, and
     an elementary type's digits are ASCII."""
-    toks = tokenize(src("uint256x bytes33 ufixed128x18 $x uint8$ int\u0663"))
+    toks = lex(src("uint256x bytes33 ufixed128x18 $x uint8$ int\u0663")).tokens
     assert [(t.lexeme, t.kind) for t in toks] == [
         ("uint256x", TokenKind.IDENTIFIER), ("bytes33", TokenKind.IDENTIFIER),
         ("ufixed128x18", TokenKind.KEYWORD), ("$x", TokenKind.IDENTIFIER),
@@ -119,7 +119,7 @@ def test_keywords_are_whole_words():
 
 def test_spans_reproduce_lexemes():
     file = src('contract C {\n    uint a = "x\\ny";\n    // c\n}\n')
-    for tok in tokenize(file):
+    for tok in lex(file).tokens:
         assert file.text[tok.start:tok.end] == tok.lexeme
         span = file.span_from_offsets(tok.start, tok.end)
         assert span_text(file, span) == tok.lexeme
@@ -137,7 +137,7 @@ def test_tokens_ordered_and_nonoverlapping_with_reconstruction():
             assert start >= pos, "tokens overlap or are out of order"
             gap = file.text[pos:start]
             without_comments = gap
-            for a, b in result.comment_ranges:
+            for a, b in result.ranges:
                 if pos <= a and b <= start:
                     without_comments = without_comments.replace(
                         file.text[a:b], "", 1)
@@ -218,7 +218,7 @@ def test_each_lexeme_has_one_kind():
     every fixture and snippet, token soup and mutated sources."""
     kind_of: dict[str, TokenKind] = {}
     for i, text in enumerate(sweep_inputs()):
-        for tok in tokenize(src(text)):
+        for tok in lex(src(text)).tokens:
             assert kind_of.setdefault(tok.lexeme, tok.kind) == tok.kind, \
                 (i, tok)
     assert set(kind_of.values()) == set(TokenKind)
@@ -264,8 +264,7 @@ def test_columns_match_the_token_building_lexer():
         assert result.starts == [tok.start for tok in expected.tokens], where
         assert result.ends == [tok.end for tok in expected.tokens], where
         assert result.tokens == expected.tokens, where
-        assert (result.errors, result.comment_ranges, result.string_ranges) \
-            == expected[1:], where
+        assert (result.errors, result.ranges) == expected[1:], where
 
 
 def test_tokens_view_is_built_on_each_read():

@@ -4,6 +4,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import emitlint.parser as parser_module
 from emitlint.checks import run_checks
 from emitlint.lexer import lex
@@ -226,6 +228,70 @@ def test_call_options_folded_into_args():
     assert call.callee.member == "call"
     assert any(isinstance(a, Identifier) and a.name == "amount"
                for a in call.args)
+
+
+_DAMAGED_OPTIONS_TEXT = """contract C {{
+    function f() public {{
+        x.call{}(""); emit Paid(1);
+    }}
+    function g() public {{ emit Other(2); }}
+}}
+"""
+
+
+@pytest.mark.parametrize("options", ["{value: 1, }", "{value: 1 2}",
+                                     "{value: }"])
+def test_damaged_call_options_are_skipped_with_a_warning(options):
+    """Damaged options after `{ name :` are skipped through their '}', so
+    that brace no longer ends the function: both emits stay in the tree,
+    the call keeps its arguments but no options, one warning spans the
+    group, and the emit count comes from the tree."""
+    file = src(_DAMAGED_OPTIONS_TEXT.format(options))
+    unit = parse_file(file)
+    f, g = unit.contracts[0].functions
+    assert [e.event_name for e in emits_of(f) + emits_of(g)] == \
+        ["Paid", "Other"]
+    call = f.body.stmts[0].expr
+    assert isinstance(call, Call)
+    assert [a.text for a in call.args] == ['""']
+    [warning] = unit.parse_errors
+    assert (warning.message, warning.severity) == \
+        ("damaged call options skipped", "warning")
+    assert span_text(file, warning.span) == options
+    assert count_file_emits(file) == (2, "ast")
+
+
+def test_unclosed_damaged_call_options_still_lose_the_emits():
+    """The limit of the skip: options with no '}' of their own run on to
+    the function's '}', so the call still fails there; the statement and
+    the emits after it are lost, and the count falls back to the regex."""
+    file = src(_DAMAGED_OPTIONS_TEXT.format('{value: 1 2(""'))
+    unit = parse_file(file)
+    assert not any(emits_of(fn) for fn in unit.contracts[0].functions)
+    assert has_fatal_errors(unit)
+    assert count_file_emits(file) == (2, "regex")
+
+
+def test_a_dotted_base_with_no_name_after_the_dot_keeps_its_prefix():
+    """`is A.` then `{`: the dotted name stops at the missing part, and
+    the base is `A`, with no error."""
+    unit = parse_file(src("contract C is A. { }"))
+    assert unit.contracts[0].bases == ["A"]
+    assert unit.parse_errors == []
+
+
+def test_an_empty_call_argument_damages_only_its_statement():
+    """In `x = f(, 1);` the first argument is empty, so the skip over it as
+    opaque text makes no progress and the call fails: the statement is
+    kept as Unparsed with one error, and the emit after it parses."""
+    unit = parse_file(src("contract C { function f() public "
+                          "{ x = f(, 1); emit E(1); } }"))
+    stmts = unit.contracts[0].functions[0].body.stmts
+    assert isinstance(stmts[0], Unparsed)
+    assert stmts[0].raw_text == "x = f(, 1);"
+    assert isinstance(stmts[1], EmitStmt)
+    assert [(e.message, e.severity) for e in unit.parse_errors] == \
+        [("unsupported or malformed statement", "error")]
 
 
 def test_struct_enum_using_skipped_silently():

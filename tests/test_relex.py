@@ -1,10 +1,12 @@
-"""`diff` lexes only the lines each side reads. `lexer.scan_ranges` finds a
-side's comment and string ranges without its tokens, `_scan` runs only over
-the line windows of `evolution._windows`, and `evolution._close` lexes an
-open emit from its keyword to its stop. Each must give what a full `lex`
-gives: the same ranges, the same closed matches as the walk over a full lex
-(`reference_close`), and the same `SideAnalysis` as one built from a full
-lex of the side."""
+"""`diff` lexes only the tokens each side reads. `lexer.scan_ranges` finds a
+side's comment and string ranges without its tokens, `evolution._close`
+lexes an open emit from its keyword to its stop, and `evolution._lex_gaps`
+lexes the line windows of `evolution._windows` only outside the closed
+matches. Each must give what a full `lex` gives: the same ranges, the same
+closed matches as the walk over a full lex (`reference_close`), the same
+tokens as a full lex cut to the windows and around the closed matches
+(`reference_token_cut`), and the same `SideAnalysis` as one built from a
+full lex of the side."""
 
 import random
 import re
@@ -20,24 +22,25 @@ from emitlint.scan import extract_emits_regex, range_holder
 from emitlint.source import SourceFile
 
 from helpers import (
-    FIXTURES, bench_history_sides, bench_tree, make_revision,
-    reference_close, src,
+    FIXTURES, bench_history_sides, bench_revisions, bench_tree,
+    make_revision, reference_close, reference_token_cut, src,
 )
 from test_evolution import _DIFFERENTIAL_REVISIONS, _context_revisions
 
 
 def full_lex_build(file: SourceFile, changed: set[int], whole_file: bool,
                    count_total: bool) -> SideAnalysis:
-    """SideAnalysis.build with the ranges and the tokens of a full lex and
-    no windows. It shares `_close`, which the close tests below check
-    against `reference_close`."""
-    real = evolution.scan_ranges, evolution._windows
-    evolution.scan_ranges = lambda text: lex(file)
-    evolution._windows = lambda *_: []
+    """SideAnalysis.build with the tokens of a full lex of the whole text,
+    less those inside the closed matches (`reference_token_cut`), in place
+    of the gap scans over the windows. It shares `_close`, which the close
+    tests below check against `reference_close`."""
+    real = evolution._lex_gaps
+    evolution._lex_gaps = lambda text, windows, closed: \
+        reference_token_cut(file, [[0, len(text)]], closed)
     try:
         return SideAnalysis.build(file, changed, whole_file, count_total)
     finally:
-        evolution.scan_ranges, evolution._windows = real
+        evolution._lex_gaps = real
 
 
 def assert_windows_equal_full_lex(before: SourceFile | None,
@@ -56,8 +59,7 @@ def assert_windows_equal_full_lex(before: SourceFile | None,
 def starts_inside_a_range(file: SourceFile, lines: set[int]) -> bool:
     """Whether one of lines starts inside a comment or a string, so its
     window must start earlier."""
-    lexed = lex(file)
-    ranges = lexed.comment_ranges + lexed.string_ranges
+    ranges = lex(file).ranges
     return any(a < file.line_starts[line - 1] < b
                for line in lines if line <= len(file.line_starts)
                for a, b in ranges)
@@ -75,11 +77,7 @@ def _fixture_texts() -> list[str]:
 
 
 def _assert_ranges_equal_lex(text: str) -> None:
-    lexed = lex(src(text))
-    scanned = scan_ranges(text)
-    assert (scanned.comment_ranges, scanned.string_ranges) == \
-        (lexed.comment_ranges, lexed.string_ranges), text
-    assert scanned.starts == scanned.kinds == scanned.errors == []
+    assert scan_ranges(text) == lex(src(text)).ranges, text
 
 
 def test_range_scan_equals_lex_on_every_fixture():
@@ -265,15 +263,76 @@ def test_windows_start_and_end_at_line_starts_outside_every_range():
         before, after = src(before), src(after)
         deleted, added = evolution._edits(before, after)
         for file, changed in ((before, deleted), (after, added)):
-            lexed = lex(file)
-            ranges = lexed.comment_ranges + lexed.string_ranges
-            windows = evolution._windows(file, range_holder(lexed), changed)
+            ranges = lex(file).ranges
+            windows = evolution._windows(file, range_holder(ranges), changed)
             bounds = [x for window in windows for x in window]
             assert bounds == sorted(bounds)
             assert all(a < b for a, b in zip(bounds[1::2], bounds[2::2]))
             for x in bounds:
                 assert x == len(file.text) or x in file.line_starts
                 assert not any(a < x < b for a, b in ranges)
+
+
+# ------------------------------------------------------------------- gaps
+
+def _assert_gaps_equal_token_cut(file: SourceFile, changed: set[int]) -> int:
+    """In both kill modes, the gap scans over the side's windows give the
+    columns of `reference_token_cut` over the same windows and closed
+    matches. Returns the number of closed matches that start inside an
+    earlier one."""
+    holder = range_holder(scan_ranges(file.text))
+    closed = [evolution._close(m, holder) for m in extract_emits_regex(file)
+              if not m.in_comment_or_string]
+    for lines in (changed, set(range(1, file.line_count + 1))):
+        windows = evolution._windows(file, holder, lines)
+        assert evolution._lex_gaps(file.text, windows, closed) == \
+            reference_token_cut(file, windows, closed), \
+            (file.text, sorted(lines))
+    held = reach = 0
+    for m in closed:
+        held += m.start < reach
+        reach = max(reach, m.end)
+    return held
+
+
+def test_gap_scans_equal_the_token_cut_of_a_full_lex():
+    """Every fixture with a seeded third of its lines changed; both sides of
+    every manifest and case pair and of the context revisions; and the
+    manifest sides of seeds 1-3 of both benchmark workloads."""
+    rng = random.Random(28)
+    sides = []
+    for text in _fixture_texts():
+        file = src(text)
+        lines = range(1, file.line_count + 1)
+        sides.append((file, set(rng.sample(lines, len(lines) // 3))))
+    pairs = _manifest_and_case_pairs()
+    pairs += [pair for rev in _context_revisions(2000)
+              for pair in rev.file_pairs]
+    pairs += [pair for workload in ("project", "monolith")
+              for seed in (1, 2, 3) for rev in bench_revisions(workload, seed)
+              for pair in rev.file_pairs]
+    for pair in pairs:
+        deleted, added = evolution._edits(pair.before, pair.after)
+        sides += [(file, changed) for file, changed in
+                  ((pair.before, deleted), (pair.after, added))
+                  if file is not None]
+    assert len(sides) > 4000
+    for file, changed in sides:
+        _assert_gaps_equal_token_cut(file, changed)
+
+
+def test_a_closed_match_inside_another_lexes_no_token():
+    """`emit A(")", emit B(1), (x));`: A's first ')' lies in a string, so A
+    closes past B, and B's closed match lies inside A's. The gap after B
+    resumes at A's end, so no token of A is lexed and the line stays an
+    emit line."""
+    before = src('x = 1;\n    emit A(")", emit B(1), (x));\ny = 2;\n')
+    after = src('x = 1;\n    emit A(")", emit B(2), (x));\ny = 2;\n')
+    assert _assert_gaps_equal_token_cut(after, {2}) == 1
+    for whole_file in (False, True):
+        assert_windows_equal_full_lex(before, after, whole_file)
+    rev = make_revision("r", ("a.sol", before.text, after.text))
+    assert evolution.RevisionAnalysis.build(rev).emit_only
 
 
 # ------------------------------------------------------------------ close
@@ -283,9 +342,9 @@ def _assert_close_equals_reference(file: SourceFile) -> tuple[int, int]:
     full lex closes it. Returns the number of such matches and the number
     that took the walk."""
     lexed = lex(file)
-    holder = range_holder(lexed)
+    holder = range_holder(lexed.ranges)
     matches = walked = 0
-    for m in extract_emits_regex(file, lexed):
+    for m in extract_emits_regex(file, lexed.ranges):
         if m.in_comment_or_string:
             continue
         assert evolution._close(m, holder) == reference_close(m, lexed), \

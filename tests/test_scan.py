@@ -78,9 +78,9 @@ def test_line_kinds_match_the_per_character_reference():
     corpora."""
     seen = set()
     for file in front_end_inputs():
-        lexed = lex(file)
-        kinds = classify_lines(file, lexed)
-        assert kinds == reference_classify_lines(file, lexed), \
+        ranges = lex(file).ranges
+        kinds = classify_lines(file, ranges)
+        assert kinds == reference_classify_lines(file, ranges), \
             repr(file.text[:200])
         seen.update(kinds)
     assert seen == {LINE_CODE, LINE_COMMENT, LINE_BLANK}
@@ -180,22 +180,22 @@ def test_emit_matches_match_the_linear_flag_reference():
     perfbench corpora."""
     flags = set()
     for file in front_end_inputs():
-        lexed = lex(file)
-        matches = extract_emits_regex(file, lexed)
-        assert matches == reference_extract_emits_regex(file, lexed), \
+        ranges = lex(file).ranges
+        matches = extract_emits_regex(file, ranges)
+        assert matches == reference_extract_emits_regex(file, ranges), \
             repr(file.text[:200])
         flags.update(m.in_comment_or_string for m in matches)
     assert flags == {False, True}
 
 
 def test_line_counts_and_matches_scan_ranges_without_lexing(monkeypatch):
-    """Without a `lexed`, `count_loc` and `extract_emits_regex` read only
+    """Without `ranges`, `count_loc` and `extract_emits_regex` read only
     the file's comment and string ranges, so they scan those and lex no
     token; they answer as they do from a full lex, on every fixture."""
     files = [fixture_file(*p.relative_to(FIXTURES).parts)
              for p in sorted(FIXTURES.rglob("*.sol"))]
-    want = [(count_loc(f, lex(f)), extract_emits_regex(f, lex(f)))
-            for f in files]
+    want = [(count_loc(f, lex(f).ranges),
+             extract_emits_regex(f, lex(f).ranges)) for f in files]
     scans = []
     real_scan = lexer._scan
 
@@ -257,12 +257,12 @@ def test_classifying_some_lines_gives_their_kinds_in_the_whole_file():
     files = [fixture_file(p.relative_to(FIXTURES))
              for p in sorted(FIXTURES.rglob("*.sol"))] + snippet_corpus()
     for file in files:
-        lexed = lex(file)
-        kinds = classify_lines(file, lexed)
+        ranges = lex(file).ranges
+        kinds = classify_lines(file, ranges)
         every = range(file.line_count)
         for lines in (every, [], *(sorted(rng.sample(every, k))
                                    for k in (1, 3, len(every) // 2))):
-            assert classify_lines(file, lexed, lines) == \
+            assert classify_lines(file, ranges, lines) == \
                 [kinds[line] for line in lines], (file.path, lines)
 
 
@@ -273,9 +273,10 @@ def test_a_given_lex_gives_what_a_fresh_lex_gives():
              for p in sorted(FIXTURES.rglob("*.sol"))] + snippet_corpus()
     for file in files:
         lexed = lex(file)
-        assert classify_lines(file) == classify_lines(file, lexed), file.path
-        assert count_loc(file) == count_loc(file, lexed), file.path
+        assert classify_lines(file) == classify_lines(file, lexed.ranges), \
+            file.path
+        assert count_loc(file) == count_loc(file, lexed.ranges), file.path
         assert extract_emits_regex(file) == \
-            extract_emits_regex(file, lexed), file.path
+            extract_emits_regex(file, lexed.ranges), file.path
         assert repr(parse_file(file)) == repr(parse_file(file, lexed)), \
             file.path

@@ -6,7 +6,7 @@ from emitlint import symbols
 from emitlint.checks import run_checks
 from emitlint.nodes import DataLocation
 from emitlint.parser import has_fatal_errors
-from emitlint.source import SourceFile
+from emitlint.source import SourceFile, Span
 from emitlint.symbols import (
     BUILTINS, LocationClass, Scope, ScopeTree, SymbolKind, is_reference_type,
     location_class_for, resolve,
@@ -104,6 +104,12 @@ def test_builtins_resolve_not_applicable():
         sym = resolve(name, emit.span, tree)
         assert sym is BUILTINS[name]
         assert sym.location_class == LocationClass.NOT_APPLICABLE
+
+
+def test_a_builtin_declaration_span_is_empty():
+    """A builtin has no file, so its declaration span is all zeros."""
+    assert BUILTINS["msg"].file is None
+    assert BUILTINS["msg"].decl_span == Span(0, 0, 0, 0)
 
 
 def test_use_before_declaration_is_unresolved():
