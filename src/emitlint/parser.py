@@ -901,7 +901,7 @@ class Parser:
     def _try_call_options(self) -> list[Expr] | None:
         """Parse '{name: expr, ...}' call options; None if the brace does not
         open that shape. Option values are folded into the argument list;
-        damaged options are skipped with a warning, and the call keeps none."""
+        damaged options before a '(' are skipped with a warning, no options."""
         if not (self._is("{")
                 and self._check(TokenKind.IDENTIFIER, 1)
                 and self._is(":", ahead=2)):
@@ -919,8 +919,9 @@ class Parser:
                     break
             self._expect("}")
         except _Fail:
-            self.i = start
-            if not self._skip_group("{", "}"):
+            failed, self.i = self.i, start
+            if not (self._skip_group("{", "}") and self._is("(")):
+                self.i = failed
                 raise
             self._record("damaged call options skipped", "warning",
                          self._span_from(start))

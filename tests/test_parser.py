@@ -261,15 +261,33 @@ def test_damaged_call_options_are_skipped_with_a_warning(options):
     assert count_file_emits(file) == (2, "ast")
 
 
+def _messages(unit) -> list[tuple[str, str]]:
+    return [(e.message, e.severity) for e in unit.parse_errors]
+
+
 def test_unclosed_damaged_call_options_still_lose_the_emits():
     """The limit of the skip: options with no '}' of their own run on to
-    the function's '}', so the call still fails there; the statement and
-    the emits after it are lost, and the count falls back to the regex."""
+    the function's '}', where no '(' follows, so the skip is abandoned and
+    records nothing; the call fails as before, the statement and the emits
+    after it are lost, and the count falls back to the regex."""
     file = src(_DAMAGED_OPTIONS_TEXT.format('{value: 1 2(""'))
     unit = parse_file(file)
     assert not any(emits_of(fn) for fn in unit.contracts[0].functions)
+    assert _messages(unit) == [("unsupported or malformed statement",
+                                "error")]
     assert has_fatal_errors(unit)
     assert count_file_emits(file) == (2, "regex")
+
+
+def test_a_damaged_struct_literal_argument_is_not_skipped_as_options():
+    """In `g(S{a: 1 2})` no '(' follows the group, so it is not call
+    options: the argument is kept as opaque text with its one warning."""
+    unit = parse_file(src("contract C { function f() public "
+                          "{ g(S{a: 1 2}); } }"))
+    [stmt] = unit.contracts[0].functions[0].body.stmts
+    assert [a.name for a in stmt.expr.args] == ["<S{a: 1 2}>"]
+    assert _messages(unit) == [
+        ("unsupported call argument kept as opaque text", "warning")]
 
 
 def test_a_dotted_base_with_no_name_after_the_dot_keeps_its_prefix():

@@ -30,17 +30,19 @@ from test_evolution import _DIFFERENTIAL_REVISIONS, _context_revisions
 
 def full_lex_build(file: SourceFile, changed: set[int], whole_file: bool,
                    count_total: bool) -> SideAnalysis:
-    """SideAnalysis.build with the tokens of a full lex of the whole text,
-    less those inside the closed matches (`reference_token_cut`), in place
-    of the gap scans over the windows. It shares `_close`, which the close
+    """SideAnalysis.build with the ranges of a full lex in place of
+    `scan_ranges`, and the tokens of a full lex of the whole text, less
+    those inside the closed matches (`reference_token_cut`), in place of
+    the gap scans over the windows. It shares `_close`, which the close
     tests below check against `reference_close`."""
-    real = evolution._lex_gaps
+    real = evolution.scan_ranges, evolution._lex_gaps
+    evolution.scan_ranges = lambda text: lex(file).ranges
     evolution._lex_gaps = lambda text, windows, closed: \
         reference_token_cut(file, [[0, len(text)]], closed)
     try:
         return SideAnalysis.build(file, changed, whole_file, count_total)
     finally:
-        evolution._lex_gaps = real
+        evolution.scan_ranges, evolution._lex_gaps = real
 
 
 def assert_windows_equal_full_lex(before: SourceFile | None,
