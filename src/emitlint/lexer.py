@@ -5,6 +5,9 @@ takes the whitespace before its token, and the number of the group that
 matched names the token's class. Keywords are decided by the regex too: a
 keyword alternative, built from KEYWORDS and the elementary type names,
 comes before the word alternative, so no word is looked up afterwards.
+The alternatives come commonest first, punctuation and words; the order
+changes no match, because a token's first character names its class (the
+comment above `_TOKEN_RE` gives the rule and its two shared characters).
 
 Comments and whitespace are consumed, never emitted as tokens. The tokens
 are kept as four parallel columns, `kinds`, `lexemes`, `starts` and `ends`,
@@ -138,8 +141,16 @@ def _first_letter_alternation(words) -> str:
 # offset the first alternative that matches wins, and every character
 # starts some match, so `finditer` walks the whole text with no gaps. Its
 # last match is the trailing whitespace, if any, and `\Z` (lastindex None).
-(_COMMENT, _OPEN_COMMENT, _STRING, _OPEN_STRING, _KEYWORD, _WORD, _NUMBER,
- _OPERATOR, _PUNCT, _BAD) = range(1, 11)
+#
+# The commonest tokens come first, and the order changes no match: the
+# first character of a token names its class. Punctuation starts with one
+# of `(){}[];,.?:`, a keyword or word with a letter, `_` or `$`, a comment
+# with `/`, a string with a quote, a number with a digit, and an operator or
+# bad character with none of these. Only keyword and word share a first
+# character, and `/` starts both comments and operators; there the keyword
+# and the comment classes come first.
+(_PUNCT, _KEYWORD, _WORD, _COMMENT, _OPEN_COMMENT, _STRING, _OPEN_STRING,
+ _NUMBER, _OPERATOR, _BAD) = range(1, 11)
 # The comment and string classes, shared with _RANGE_RE.
 _RANGES = (
     r"//[^\n]*|/\*(?s:.*?)\*/",
@@ -152,15 +163,15 @@ _RANGES = (
     r"""["'][^\\\n]*(?:\\(?s:.)[^\\\n]*)*\\?""",
 )
 _TOKEN_RE = re.compile("[ \t\r\n]*(?:" + "|".join(f"({p})" for p in (
-    *_RANGES,
+    r"[(){}\[\];,.?:]",
     # A keyword is a whole word: the lookahead rejects `uint256x`, `bytes33`.
     f"(?:{_first_letter_alternation(KEYWORDS)}|{_ELEMENTARY})"
     r"(?![A-Za-z0-9_$])",
     r"[A-Za-z_$][A-Za-z0-9_$]*",
+    *_RANGES,
     # Solidity numbers are ASCII: `\d` would also take other scripts' digits.
     r"0[xX][0-9a-fA-F_]+|[0-9][0-9_]*(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?",
     "|".join(map(re.escape, _OPERATORS)),
-    r"[(){}\[\];,.?:]",
     # Characters that start none of the classes above.
     r"""[^ \t\r\n"'A-Za-z_$0-9=+\-*/%!<>&|^~(){}\[\];,.?:]+""",
 )) + r"|\Z)")
@@ -203,8 +214,8 @@ def _scan(text: str, pos: int, endpos: int, columns: tuple[list, ...],
                 errors.append((group, *span))
 
 
-# Text free of '/' and quotes, a comment or string class (numbered as in
-# _TOKEN_RE), or a '/' that starts no comment.
+# Text free of '/' and quotes, a comment or string class, or a '/' that
+# starts no comment; only the classes hold a group.
 _RANGE_RE = re.compile("[^/\"']+|" + "|".join(f"({p})" for p in _RANGES)
                        + "|/")
 

@@ -574,6 +574,7 @@ class Parser:
         """A statement; nested too deep or damaged, the region it covers
         survives as Unparsed."""
         start = self.i
+        recorded = len(self.errors)
         self.stmt_depth += 1
         try:
             if self.stmt_depth > _MAX_STMT_DEPTH:
@@ -655,7 +656,11 @@ class Parser:
             self._expect_punct(";", "after expression statement")
             return ExprStmt(*self._at(start), expr)
         except _Damage:
-            pass
+            # The warnings recorded since the statement began are about text
+            # that is now Unparsed; the damage's own record is the last one.
+            *inner, damage = self.errors[recorded:]
+            self.errors[recorded:] = [
+                *(e for e in inner if e.severity != "warning"), damage]
         finally:
             self.stmt_depth -= 1
         self._skip_damage()

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import sys
@@ -6,9 +7,10 @@ from functools import partial
 
 import pytest
 
+from emitlint import cli
 from emitlint.cli import main
 
-from helpers import fixture_path
+from helpers import FIXTURES, fixture_path
 
 
 @pytest.fixture(autouse=True)
@@ -759,3 +761,55 @@ def test_non_utf8_file_reported_and_skipped(capsys, tmp_path):
     assert code == 0  # good.sol analyzed, no findings
     assert "bad.sol" in err
     assert "1 file(s) analyzed" in out
+
+
+# ------------------------------------------------------------- the collector
+
+def test_main_runs_no_collection_and_restores_the_collector(capsys,
+                                                            monkeypatch):
+    """`main` pauses the cyclic collector for the command it runs: with the
+    collector on, `lint`, `metrics` and `diff` on the fixtures start no
+    collection while `main` is on the stack. (The allocations made during
+    the pause still count, so the first one after it may start a young
+    collection.) The caller's setting comes back after a command, a command
+    that raises and an argparse error, whether it was on or off."""
+    commands = [
+        ("lint", str(FIXTURES)),
+        ("metrics", str(FIXTURES)),
+        ("diff", "--manifest",
+         str(fixture_path("manifests", "basic", "manifest.json"))),
+    ]
+    starts = []
+
+    def hook(phase, info):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not main.__code__:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            starts.append(info["generation"])
+
+    def failing_lint(ns):
+        raise RuntimeError("lint failed")
+
+    was_enabled = gc.isenabled()
+    gc.callbacks.append(hook)
+    try:
+        gc.enable()
+        for argv in commands:
+            run(capsys, *argv)
+            assert gc.isenabled()
+        assert starts == []
+        monkeypatch.setattr(cli, "run_lint", failing_lint)
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert run(capsys, *commands[1])[0] == 0
+            assert gc.isenabled() is enabled
+            with pytest.raises(RuntimeError, match="lint failed"):
+                main(list(commands[0]))
+            assert gc.isenabled() is enabled
+            assert run(capsys, "lint", "--no-such-option")[0] == 2
+            assert gc.isenabled() is enabled
+        assert starts == []
+    finally:
+        gc.callbacks.remove(hook)
+        (gc.enable if was_enabled else gc.disable)()

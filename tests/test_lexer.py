@@ -160,13 +160,16 @@ def test_determinism():
 # escapes (an escaped LF or CRLF continues a string), comment openers and
 # closers, line endings, characters that start no token (form feed,
 # vertical tab, NBSP, U+2028, NUL, '@#', a backtick), number prefixes, a
-# non-ASCII digit, and operators that share a prefix.
+# non-ASCII digit, operators that share a prefix, every punctuation
+# character (the class the token regex tries first), and punctuation or '$'
+# glued to a word or a number.
 _LEX_FRAGMENTS = (
     '"', "'", "\\", "\\\n", "\\\r\n", "/*", "*/", "//", "/", "*",
     "\n", "\r\n", "\r", "\t", " ", "\f", "\v", "\u00a0", "\u2028", "\x00",
     "@#", "$", "`", "0x", "0xAb_", "1e", "1e18", "2.5", ".5", "1_0", "\u0663",
     ">>=", "<<=", "=>", "**", "&&", "||", "!=", "=", "-", "~", "emit",
     "uint8", "x", "\u00e9",
+    "(", ")", "[", "]", "{", "}", ";", ",", ".", "?", ":", "x.5", "1.", "a$b",
 )
 
 

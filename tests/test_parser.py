@@ -290,6 +290,31 @@ def test_a_damaged_struct_literal_argument_is_not_skipped_as_options():
         ("unsupported call argument kept as opaque text", "warning")]
 
 
+def test_a_damaged_statement_drops_the_warnings_made_inside_it():
+    """`x = f(S{a: 1}) y;` keeps its argument as opaque text, then misses
+    its ';': the statement becomes Unparsed, so the argument's warning goes
+    with it and only the damage's error is left. A warning made before the
+    statement, and an error-severity damage record, stay."""
+    unit = parse_file(src("contract C { function f() public "
+                          "{ g(S{a: 1}); x = f(S{a: 1}) y; emit E(1); } }"))
+    stmts = unit.contracts[0].functions[0].body.stmts
+    assert [type(s) for s in stmts] == [ExprStmt, Unparsed, EmitStmt]
+    assert stmts[1].raw_text == "x = f(S{a: 1}) y;"
+    assert _messages(unit) == [
+        ("unsupported call argument kept as opaque text", "warning"),
+        ("expected ';' after expression statement", "error")]
+
+
+def test_a_damage_warning_is_kept_when_its_statement_is_unparsed():
+    """A damage record may itself be a warning, as for an emit argument that
+    does not parse. It is the last record, so it stays, while the opaque
+    argument's warning before it goes."""
+    unit = parse_file(src("contract C { function f() public "
+                          "{ emit E(g(S{a: 1}), ]); } }"))
+    assert _messages(unit) == [
+        ("unsupported expression in emit arguments", "warning")]
+
+
 def test_a_dotted_base_with_no_name_after_the_dot_keeps_its_prefix():
     """`is A.` then `{`: the dotted name stops at the missing part, and
     the base is `A`, with no error."""

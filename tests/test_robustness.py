@@ -15,8 +15,8 @@ from emitlint.scan import extract_emits_regex
 from emitlint.source import SourceFile, Span
 
 from helpers import (
-    FIXTURES, child_nodes, count_ast_emits, nodes_in, spans_in, src,
-    sweep_inputs,
+    FIXTURES, bench_revisions, bench_tree, child_nodes, count_ast_emits,
+    nodes_in, spans_in, src, sweep_inputs,
 )
 from test_evolution import _DIFFERENTIAL_REVISIONS
 
@@ -80,13 +80,18 @@ def test_every_analysis_survives_seeded_damage():
 
 def test_the_analyses_leave_no_cyclic_garbage():
     """Reference counting frees all that lint, metrics and diff build: with
-    the collector off, nothing is left for it to find. A change that makes
-    reference cycles fails here rather than growing memory unseen."""
+    the collector off, nothing is left for it to find. `cli.main` pauses the
+    collector on that ground. A change that makes reference cycles fails
+    here rather than growing memory unseen. The inputs are every fixture,
+    manifest and revision case, and both perfbench corpora."""
     files = [SourceFile.load(path) for path in sorted(FIXTURES.rglob("*.sol"))]
     revisions = [rev for manifest in sorted(
                      FIXTURES.glob("manifests/*/manifest.json"))
                  for rev in load_manifest(str(manifest))[0]]
     revisions += [rev for _, rev in _DIFFERENTIAL_REVISIONS]
+    for workload in ("project", "monolith"):
+        files += bench_tree(workload, 1)
+        revisions += bench_revisions(workload, 1)
     assert len(files) >= 50 and len(revisions) >= 90
     runs = {
         "run_checks": lambda: [run_checks(file) for file in files],
