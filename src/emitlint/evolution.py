@@ -34,11 +34,13 @@ The matcher stops at the first ')'. Each match outside comments and strings
 is closed once, on to the ')' that closes its arguments, and churn, pairing,
 the emit lines and the kill scan all read that one extent. A match with no
 '(' in its arguments and its ')' outside comments and strings is closed
-already; any other is closed from its own tokens, lexed from its emit
-keyword to the first ';', '{' or '}' outside comments and strings. A
-side's other tokens are lexed only outside its closed matches, so the emit
-lines and the kill scan read the lexer's columns as they come, by index: a
-line's tokens are found by bisecting the start offsets.
+already; any other is open, and is closed from the tokens up to its stop,
+the first ';', '{' or '}' outside comments and strings. The open matches
+that share a stop share one lex, from the first one's emit keyword to the
+stop, and one pass that pairs its parentheses. A side's other tokens are
+lexed only outside its closed matches, so the emit lines and the kill scan
+read the lexer's columns as they come, by index: a line's tokens are found
+by bisecting the start offsets.
 
 Each revision is analyzed once. `RevisionAnalysis.build` diffs every file
 pair once and builds each side's `SideAnalysis` the same way, from that side
@@ -73,6 +75,8 @@ from .source import SourceFile
 _IDENT_TOKEN_RE = re.compile(r"[A-Za-z_]\w*")
 # The characters at which `_close` stops, outside comments and strings.
 _STOP_RE = re.compile("[;{}]")
+# The tokens past which an assignment operator reaches no identifier.
+_KILL_BOUNDS = frozenset(";,{}()")
 
 
 # ------------------------------------------------------------------ diffing
@@ -270,6 +274,8 @@ def _ident_tokens(raw_args: str) -> list[str]:
 def _minus(tokens: list[str], other: list[str]) -> list[str]:
     """The words of tokens that other lacks, counted with multiplicity; of a
     word's occurrences the first ones are kept, in order."""
+    if not tokens or not other:
+        return tokens
     extra = Counter(tokens) - Counter(other)
     kept: list[str] = []
     for tok in tokens:
@@ -298,10 +304,10 @@ def _changed_tokens(before: RegexEmitMatch | None,
 class SideAnalysis:
     """What churn, pairing and independence read from one side of a file
     pair. One scan of the file finds its comment and string ranges, which
-    feed the line kinds and the regex emit matches; each match is closed
-    from its own tokens, and the token columns that feed the emit lines and
-    the kill sets are lexed only outside the closed matches, on the lines
-    they are read on. Only the answers are kept."""
+    feed the line kinds and the regex emit matches; the matches are closed
+    from their own tokens, one lex per stop, and the token columns that
+    feed the emit lines and the kill sets are lexed only outside the closed
+    matches, on the lines they are read on. Only the answers are kept."""
     churned_loc: int  # changed code lines
     total_loc: int | None  # None when not counted
     total_emits: int  # matches in comments and strings included
@@ -324,15 +330,12 @@ class SideAnalysis:
         text = file.text
         ranges = scan_ranges(text)
         holder = range_holder(ranges)
-        matches = extract_emits_regex(file, ranges)
+        matches = _close(text, extract_emits_regex(file, ranges), holder)
         starts = file.line_starts
         changed_emits: list[tuple[RegexEmitMatch, int]] = []
-        closed: list[RegexEmitMatch] = []
+        closed = [m for m in matches if not m.in_comment_or_string]
         touched: set[int] = set()  # lines a closed match touches
         for m in matches:
-            if not m.in_comment_or_string:
-                m = _close(m, holder)
-                closed.append(m)
             first = bisect_right(starts, m.start)
             own = range(first, bisect_right(starts, m.end - 1) + 1)
             if not m.in_comment_or_string:
@@ -542,74 +545,105 @@ def _lex_gaps(text: str, windows: list[list[int]],
     return columns[:4]
 
 
-def _close(m: RegexEmitMatch, holder: RangeHolder) -> RegexEmitMatch:
-    """The match m, outside comments and strings, closed; holder is its
-    file's `range_holder`. The match stops at the first ')', so a nested
-    call or cast, or a ')' in a string or comment, leaves the argument list
-    open: carry on to the ')' that closes it, but not past the stop, the
-    first ';', '{' or '}' outside comments and strings. Only the tokens
-    from m to the stop are lexed. The closed match runs to its last token,
-    and its raw_args hold the whole argument list."""
-    # With no '(' in its arguments and its ')' a token, the match already
-    # closes the argument list.
-    if "(" not in m.raw_args and holder(m.end - 1) is None:
-        return m
-    text = m.file.text
-    pos = m.end
-    while (stop := _STOP_RE.search(text, pos)) is not None and \
-            (r := holder(stop.start())) is not None:
-        pos = r[1]
-    columns: tuple[list, ...] = ([], [], [], [], [])
-    _scan(text, m.start, len(text) if stop is None else stop.start(),
-          columns, [])
-    _, lexemes, starts, ends, _ = columns
-    # Every token of the match counts; past it, walk while the list is open.
-    depth = hi = 0
-    while hi < len(lexemes) and (depth > 0 or starts[hi] < m.end):
-        depth += (lexemes[hi] == "(") - (lexemes[hi] == ")")
-        hi += 1
-    end = ends[hi - 1]
-    args = m.end - 1 - len(m.raw_args)  # just past the '('
-    raw_args = text[args:starts[hi - 1] if depth == 0 else end]
-    return replace(m, raw_args=raw_args, end=end)
+def _close(text: str, matches: list[RegexEmitMatch], holder: RangeHolder
+           ) -> list[RegexEmitMatch]:
+    """The matches of text, in source order, with each one outside comments
+    and strings closed; holder is the text's `range_holder`. A match stops
+    at the first ')', so a nested call or cast, or a ')' in a string or
+    comment, leaves its argument list open: carry on to the ')' that closes
+    it, but not past its stop, the first ';', '{' or '}' outside comments
+    and strings. The closed match runs to its last token, and its raw_args
+    hold the whole argument list.
+
+    The open matches that share a stop share one lex, from the first one's
+    emit keyword to the stop, and one pass pairs each '(' of it with its
+    ')'. A match is closed by the ')' paired with its own '(': a walk from
+    its keyword, counting parentheses, ends there, since no ')' lies in the
+    match before its last character. With no such ')', it runs to the last
+    token before the stop."""
+    closed = list(matches)
+    groups: list[tuple[int, list[int]]] = []  # (stop, open match indexes)
+    stop = -1
+    for i, m in enumerate(matches):
+        # With no '(' in its arguments and its ')' a token, a match already
+        # closes the argument list.
+        if m.in_comment_or_string or (
+                "(" not in m.raw_args and holder(m.end - 1) is None):
+            continue
+        # Matches come in source order, so a stop at or past this match's
+        # end is its stop too.
+        if stop < m.end:
+            pos = m.end
+            while (found := _STOP_RE.search(text, pos)) is not None and \
+                    (r := holder(found.start())) is not None:
+                pos = r[1]
+            stop = len(text) if found is None else found.start()
+            groups.append((stop, []))
+        groups[-1][1].append(i)
+    for stop, group in groups:
+        columns: tuple[list, ...] = ([], [], [], [], [])
+        _scan(text, matches[group[0]].start, stop, columns, [])
+        _, lexemes, starts, ends, _ = columns
+        pairs: dict[int, int] = {}  # '(' index -> its ')' index
+        opened: list[int] = []
+        for j, lexeme in enumerate(lexemes):
+            if lexeme == "(":
+                opened.append(j)
+            elif lexeme == ")" and opened:
+                pairs[opened.pop()] = j
+        for i in group:
+            m = matches[i]
+            # The emit keyword and the name come before the '('.
+            lo = lexemes.index("(", bisect_left(starts, m.start))
+            last = pairs.get(lo, len(lexemes) - 1)
+            args = m.end - 1 - len(m.raw_args)  # just past the '('
+            raw_args = text[args:starts[last] if lo in pairs else ends[last]]
+            closed[i] = replace(m, raw_args=raw_args, end=ends[last])
+    return closed
 
 
 def _scan_kill_sets(lexemes: list[str], kinds: list[TokenKind]
                     ) -> tuple[set[str], set[str]]:
     """Identifiers assigned to, and identifiers passed inside call argument
     lists, in a run of a file's tokens, given as its lexeme and kind
-    columns."""
+    columns.
+
+    An identifier is assigned when an assignment operator follows it with
+    no ';', ',', brace or parenthesis between, or when '++' or '--' stands
+    next to it. It is passed when it lies inside the parentheses of a call,
+    an identifier followed by '(', up to the ')' that closes them or the end
+    of the run. One pass from the end finds the assignments, and one pass
+    from the start pairs the parentheses on a stack that counts the calls
+    still open."""
     assigned: set[str] = set()
     passed: set[str] = set()
     identifier = TokenKind.IDENTIFIER
     n = len(lexemes)
-    for idx, lexeme in enumerate(lexemes):
+    pending = False  # an assignment operator follows, in the same part
+    for idx in range(n - 1, -1, -1):
+        lexeme = lexemes[idx]
         if lexeme in ASSIGN_OPS:
-            j = idx - 1
-            while j >= 0:
-                prev = lexemes[j]
-                if prev in (";", ",", "{", "}", "(", ")"):
-                    break
-                if kinds[j] is identifier:
-                    assigned.add(prev)
-                j -= 1
+            pending = True
+        elif lexeme in _KILL_BOUNDS:
+            pending = False
         elif lexeme in ("++", "--"):
             for j in (idx - 1, idx + 1):
                 if 0 <= j < n and kinds[j] is identifier:
                     assigned.add(lexemes[j])
-        elif kinds[idx] is identifier and idx + 1 < n and \
-                lexemes[idx + 1] == "(":
-            depth = 0
-            for j in range(idx + 1, n):
-                word = lexemes[j]
-                if word == "(":
-                    depth += 1
-                elif word == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                elif kinds[j] is identifier and j > idx + 1:
-                    passed.add(word)
+        elif pending and kinds[idx] is identifier:
+            assigned.add(lexeme)
+    calls: list[bool] = []  # per open '(', whether a call opened it
+    open_calls = 0
+    for idx, lexeme in enumerate(lexemes):
+        if lexeme == "(":
+            call = idx > 0 and kinds[idx - 1] is identifier
+            calls.append(call)
+            open_calls += call
+        elif lexeme == ")":
+            if calls:
+                open_calls -= calls.pop()
+        elif open_calls and kinds[idx] is identifier:
+            passed.add(lexeme)
     return assigned, passed
 
 

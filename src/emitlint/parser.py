@@ -601,6 +601,7 @@ class Parser:
                     except _Fail:
                         # Tuple returns and other unsupported shapes.
                         self._skip_to_semicolon()
+                        self._drop_warnings(recorded)
                         return self._unparsed(
                             start, "unsupported return expression skipped")
                 self._expect_punct(";", "after return statement")
@@ -652,15 +653,15 @@ class Parser:
                 # Tuple assignments and other parenthesized heads.
                 self.i = start
                 self._skip_to_semicolon()
+                self._drop_warnings(recorded)
                 return self._unparsed(start, "tuple statement skipped")
             self._expect_punct(";", "after expression statement")
             return ExprStmt(*self._at(start), expr)
         except _Damage:
-            # The warnings recorded since the statement began are about text
-            # that is now Unparsed; the damage's own record is the last one.
-            *inner, damage = self.errors[recorded:]
-            self.errors[recorded:] = [
-                *(e for e in inner if e.severity != "warning"), damage]
+            # The damage's own record is the last one.
+            damage = self.errors.pop()
+            self._drop_warnings(recorded)
+            self.errors.append(damage)
         finally:
             self.stmt_depth -= 1
         self._skip_damage()
@@ -676,6 +677,12 @@ class Parser:
             self._eat(*_CLOSERS)
         else:
             self._skip_to_semicolon()
+
+    def _drop_warnings(self, recorded: int) -> None:
+        """Drop the warnings recorded since errors[recorded]: they are about
+        text that is now Unparsed."""
+        self.errors[recorded:] = [e for e in self.errors[recorded:]
+                                  if e.severity != "warning"]
 
     def _unparsed(self, start: int, warning: str | None = None) -> Unparsed:
         """The tokens from start on as text, warning recorded over them."""

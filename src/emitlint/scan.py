@@ -15,6 +15,20 @@ The pattern ends in `\s*`, which would take the whitespace that the next
 match's leading `\s+` needs, so each search resumes at the previous match's
 closing parenthesis rather than at its end: in `// emit A()` followed by
 `emit B(1);` on the next line, both A and B match.
+
+The matcher tries the pattern only where a match can begin, so its cost
+grows linearly with the text. The pattern starts with `\s+` and so has no
+literal prefix: a search tries it at every whitespace character, and each
+try runs to the end of the whitespace run before it fails, about w * w / 2
+steps for a run of w characters. Instead, `str.find` gives each `emit`, and
+the pattern is matched once, from the character before it, when that
+character lies at or past the point where the search would resume. This
+finds what the search finds: `\s+` cannot take the `e`, so a match takes the
+whole run before its keyword whatever the character it starts at, and its
+groups and end do not depend on that character. Every match ends at a `)`
+past its keyword, so the keywords after the last `)` are not tried; else an
+unclosed `emit A(x` would try its lazy argument capture on to the end of the
+text.
 """
 
 from __future__ import annotations
@@ -120,24 +134,30 @@ def extract_emits_regex(file: SourceFile, ranges: Ranges | None = None
     The pattern requires whitespace before the emit keyword, so the text is
     searched with one synthetic leading newline; a match at the very start of
     the file is therefore not missed. A match runs from the emit keyword
-    through the first closing parenthesis.
+    through the first closing parenthesis. The pattern is tried only from
+    the character before each keyword (see the module docstring).
     """
+    padded = "\n" + file.text
+    # Every match ends at a ')' past its keyword.
+    last = padded.rfind(")")
+    if last < 0:
+        return []
     holder = range_holder(scan_ranges(file.text) if ranges is None
                           else ranges)
-    padded = "\n" + file.text
     matches: list[RegexEmitMatch] = []
-    search = EMIT_PATTERN.search
+    match, find = EMIT_PATTERN.match, padded.find
     pos = 0
-    while (m := search(padded, pos)) is not None:
-        pos = m.end(2)  # ')' in padded; one past it in file.text
-        name = m.group(1)
-        if not _IDENT_RE.match(name):
-            continue
-        whole = m.group(0)
-        lead = len(whole) - len(whole.lstrip())
-        emit_off = m.start() + lead - 1
-        matches.append(RegexEmitMatch(name, m.group(2), emit_off, pos,
-                                      holder(emit_off) is not None, file))
+    q = find("emit", 0, last)
+    while q != -1:
+        # The keyword at q in padded is at q - 1 in file.text.
+        if q - 1 >= pos and (m := match(padded, q - 1)) is not None:
+            pos = m.end(2)  # ')' in padded; one past it in file.text
+            name = m.group(1)
+            if _IDENT_RE.match(name):
+                matches.append(RegexEmitMatch(name, m.group(2), q - 1, pos,
+                                              holder(q - 1) is not None,
+                                              file))
+        q = find("emit", q + 1, last)
     return matches
 
 

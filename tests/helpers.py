@@ -442,6 +442,50 @@ def front_end_inputs() -> list[SourceFile]:
     return files
 
 
+# Characters that `\s` and str.isspace take as whitespace, and the lexer
+# does not.
+_UNICODE_SPACES = ("\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028",
+                   "\u3000")
+_EMIT_SPLICES = (
+    *_UNICODE_SPACES, *(f"{ws}emit{ws}E{ws}(x)" for ws in _UNICODE_SPACES),
+    " ", "\n", "(", ")", ";", "{", "}", '"', "'", "//", "/*", "*/", "\\", "@",
+    "emit", "emitemit", " emitemit F(y)", " emit ", " emit F(", " emit F x",
+    " emit F;", ")emit F(1)", ") emit F(1)", "emit F(1)emit G(2)",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def emit_splice_inputs() -> tuple[SourceFile, ...]:
+    """20,000 seeded pieces of fixture text around an emit, each with one
+    to four splices: Unicode whitespace, `emitemit`, emits nested in
+    another's arguments, a name with no `(`, a `)` that the next `emit`
+    follows, parentheses, stops, quotes and comment marks. One piece in ten
+    starts with `emit`, one has no `)` at all, and one has a `)` only
+    before its last `emit`."""
+    rng = random.Random(30)
+    pieces = [text[max(0, m.start() - 80):m.start() + 160]
+              for path in sorted(FIXTURES.rglob("*.sol"))
+              for text in [path.read_text(encoding="utf-8")]
+              for m in re.finditer(r"\bemit\b", text)]
+    files = []
+    for _ in range(20_000):
+        text = rng.choice(pieces)
+        for _ in range(rng.randint(1, 4)):
+            at = rng.randint(0, len(text))
+            text = text[:at] + rng.choice(_EMIT_SPLICES) + \
+                text[at + rng.choice((0, 0, 1)):]
+        shape = rng.randrange(10)
+        if shape == 0:
+            text = "emit " + text
+        elif shape == 1:
+            text = text.replace(")", "")
+        elif shape == 2:
+            last = text.rfind("emit")
+            text = text[:last] + text[last:].replace(")", "")
+        files.append(src(text))
+    return tuple(files)
+
+
 # ------------------------------------------- straight-line function generator
 
 def gen_straight_line_contract(rng: random.Random, index: int):
@@ -828,6 +872,41 @@ def reference_kill_sets(chunk: str) -> tuple[set[str], set[str]]:
                         break
                 elif t.kind == TokenKind.IDENTIFIER and j > idx + 1:
                     passed.add(t.lexeme)
+    return assigned, passed
+
+
+def reference_scan_kill_sets(lexemes: list[str], kinds: list[TokenKind]
+                             ) -> tuple[set[str], set[str]]:
+    """`evolution._scan_kill_sets` as it was before it took one pass per
+    set: each assignment operator walks back to the nearest ';', ',', brace
+    or parenthesis, and each call walks on to the ')' that closes it."""
+    assigned: set[str] = set()
+    passed: set[str] = set()
+    identifier = TokenKind.IDENTIFIER
+    n = len(lexemes)
+    for idx, lexeme in enumerate(lexemes):
+        if lexeme in ASSIGN_OPS:
+            j = idx - 1
+            while j >= 0 and lexemes[j] not in (";", ",", "{", "}", "(", ")"):
+                if kinds[j] is identifier:
+                    assigned.add(lexemes[j])
+                j -= 1
+        elif lexeme in ("++", "--"):
+            for j in (idx - 1, idx + 1):
+                if 0 <= j < n and kinds[j] is identifier:
+                    assigned.add(lexemes[j])
+        elif kinds[idx] is identifier and idx + 1 < n and \
+                lexemes[idx + 1] == "(":
+            depth = 0
+            for j in range(idx + 1, n):
+                if lexemes[j] == "(":
+                    depth += 1
+                elif lexemes[j] == ")":
+                    depth -= 1
+                    if depth == 0:
+                        break
+                elif kinds[j] is identifier:
+                    passed.add(lexemes[j])
     return assigned, passed
 
 

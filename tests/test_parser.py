@@ -315,6 +315,27 @@ def test_a_damage_warning_is_kept_when_its_statement_is_unparsed():
         ("unsupported expression in emit arguments", "warning")]
 
 
+@pytest.mark.parametrize("stmt, warning", [
+    ("return g(S{a: 1}) + ];", "unsupported return expression skipped"),
+    ("return (g(S{a: 1}), 2);", "unsupported return expression skipped"),
+    ("(g(S{a: 1}), b) = (1, 2);", "tuple statement skipped"),
+])
+def test_a_skipped_return_or_tuple_drops_the_warnings_made_inside_it(
+        stmt, warning):
+    """A return expression or a parenthesized head that does not parse
+    leaves its statement Unparsed with one warning of its own; the opaque
+    argument's warning made inside it goes, as on the damage path. A
+    warning made before the statement stays."""
+    unit = parse_file(src("contract C { function f() public "
+                          f"{{ g(S{{a: 1}}); {stmt} emit E(1); }} }}"))
+    stmts = unit.contracts[0].functions[0].body.stmts
+    assert [type(s) for s in stmts] == [ExprStmt, Unparsed, EmitStmt]
+    assert stmts[1].raw_text == stmt
+    assert _messages(unit) == [
+        ("unsupported call argument kept as opaque text", "warning"),
+        (warning, "warning")]
+
+
 def test_a_dotted_base_with_no_name_after_the_dot_keeps_its_prefix():
     """`is A.` then `{`: the dotted name stops at the missing part, and
     the base is `A`, with no error."""

@@ -1,12 +1,12 @@
 """`diff` lexes only the tokens each side reads. `lexer.scan_ranges` finds a
 side's comment and string ranges without its tokens, `evolution._close`
-lexes an open emit from its keyword to its stop, and `evolution._lex_gaps`
-lexes the line windows of `evolution._windows` only outside the closed
-matches. Each must give what a full `lex` gives: the same ranges, the same
-closed matches as the walk over a full lex (`reference_close`), the same
-tokens as a full lex cut to the windows and around the closed matches
-(`reference_token_cut`), and the same `SideAnalysis` as one built from a
-full lex of the side."""
+lexes the open emits that share a stop once, from the first one's keyword
+to the stop, and `evolution._lex_gaps` lexes the line windows of
+`evolution._windows` only outside the closed matches. Each must give what a
+full `lex` gives: the same ranges, the same closed matches as the walk over
+a full lex (`reference_close`), the same tokens as a full lex cut to the
+windows and around the closed matches (`reference_token_cut`), and the same
+`SideAnalysis` as one built from a full lex of the side."""
 
 import random
 import re
@@ -23,7 +23,8 @@ from emitlint.source import SourceFile
 
 from helpers import (
     FIXTURES, bench_history_sides, bench_revisions, bench_tree,
-    make_revision, reference_close, reference_token_cut, src,
+    emit_splice_inputs, make_revision, reference_close, reference_token_cut,
+    src,
 )
 from test_evolution import _DIFFERENTIAL_REVISIONS, _context_revisions
 
@@ -283,8 +284,8 @@ def _assert_gaps_equal_token_cut(file: SourceFile, changed: set[int]) -> int:
     matches. Returns the number of closed matches that start inside an
     earlier one."""
     holder = range_holder(scan_ranges(file.text))
-    closed = [evolution._close(m, holder) for m in extract_emits_regex(file)
-              if not m.in_comment_or_string]
+    matches = evolution._close(file.text, extract_emits_regex(file), holder)
+    closed = [m for m in matches if not m.in_comment_or_string]
     for lines in (changed, set(range(1, file.line_count + 1))):
         windows = evolution._windows(file, holder, lines)
         assert evolution._lex_gaps(file.text, windows, closed) == \
@@ -345,12 +346,15 @@ def _assert_close_equals_reference(file: SourceFile) -> tuple[int, int]:
     that took the walk."""
     lexed = lex(file)
     holder = range_holder(lexed.ranges)
+    found = extract_emits_regex(file, lexed.ranges)
+    closed = evolution._close(file.text, found, holder)
+    assert len(closed) == len(found)
     matches = walked = 0
-    for m in extract_emits_regex(file, lexed.ranges):
+    for m, got in zip(found, closed):
         if m.in_comment_or_string:
+            assert got is m
             continue
-        assert evolution._close(m, holder) == reference_close(m, lexed), \
-            (file.text, m)
+        assert got == reference_close(m, lexed), (file.text, m)
         matches += 1
         walked += "(" in m.raw_args or holder(m.end - 1) is not None
     return matches, walked
@@ -398,6 +402,15 @@ def test_close_equals_the_full_lex_walk_on_seeded_splices():
     assert walked >= 1000, walked
 
 
+def test_close_equals_the_full_lex_walk_on_the_emit_splices():
+    """The seeded emit splices that the matcher's differential reads:
+    Unicode whitespace, emits nested in another's arguments, and texts with
+    no ')' or none past the last emit."""
+    walked = sum(_assert_close_equals_reference(file)[1]
+                 for file in emit_splice_inputs())
+    assert walked >= 1000, walked
+
+
 # ------------------------------------------------------------------- work
 
 class _CountingRegex:
@@ -436,12 +449,39 @@ def test_one_line_edit_relexes_a_fixed_number_of_matches(monkeypatch, edit):
     assert max(counts) < 60, counts
 
 
+def test_open_emits_that_share_a_stop_lex_it_once(monkeypatch):
+    """A side that adds 500, 1,000 and 2,000 lines `emit A(b(c) x`, whose
+    argument lists stay open up to one '}', hands `_scan` no more
+    characters than the side holds: its open emits share one lex of their
+    stop region. A lex per emit, each from its keyword to the stop, would
+    hand it about k * n / 2 characters."""
+    real_scan = evolution._scan
+    for k in (500, 1000, 2000):
+        text = "contract C { function f() public {\n" + \
+            "    emit A(b(c) x\n" * k + "    }\n}\n"
+        file = src(text)
+        handed = []
+
+        def counting_scan(text, pos, endpos, *rest):
+            handed.append(endpos - pos)
+            real_scan(text, pos, endpos, *rest)
+
+        monkeypatch.setattr(evolution, "_scan", counting_scan)
+        side = SideAnalysis.build(file, set(range(2, k + 2)), False, True)
+        monkeypatch.undo()
+        assert sum(handed) <= len(text), (k, sum(handed), len(text))
+        # Each argument list runs on to the last token before the '}'.
+        assert len(side.changed_emits) == k
+        assert {m.end for m, _ in side.changed_emits} == {text.rindex("x") + 1}
+
+
 def test_emits_off_the_edit_lex_no_token(monkeypatch):
     """A one-line edit in a file of 500, 1,000 and 2,000 self-closing emits
     lexes the same number of matches, both sides together, at every size:
     only the edited line is lexed, and an emit whose ')' closes its
-    arguments is closed with no token read. An emit whose argument list the
-    matcher leaves open is still lexed, each from its keyword to its stop."""
+    arguments is closed with no token read. The emits whose argument lists
+    the matcher leaves open are still lexed, once per stop, from the first
+    one's keyword to that stop."""
     counts = []
     for emits in (500, 1000, 2000):
         body = [f"        emit Logged{i}(a, {i});" for i in range(emits)]

@@ -1,6 +1,7 @@
 import random
 
 import emitlint.lexer as lexer
+import emitlint.scan as scan
 from emitlint.evolution import ChangeCategory, analyze_revision
 from emitlint.lexer import lex
 from emitlint.metrics import count_file_emits
@@ -11,9 +12,9 @@ from emitlint.scan import (
 )
 
 from helpers import (
-    FIXTURES, count_ast_emits, fixture_file, front_end_inputs,
-    reference_classify_lines, reference_extract_emits_regex, shop,
-    shop_revision, snippet_corpus, span_text, src,
+    FIXTURES, count_ast_emits, emit_splice_inputs, fixture_file,
+    front_end_inputs, reference_classify_lines, reference_extract_emits_regex,
+    shop, shop_revision, snippet_corpus, span_text, src,
 )
 
 
@@ -175,11 +176,12 @@ def test_crlf_input_classifies_like_lf():
 
 
 def test_emit_matches_match_the_linear_flag_reference():
-    """Bisecting the comment and string ranges flags each match as testing
-    every range in turn does, on the sweep, the edge cases and the
-    perfbench corpora."""
+    """Trying the pattern once per keyword finds what the reference's
+    search finds, and bisecting the comment and string ranges flags each
+    match as testing every range in turn does, on the sweep, the edge
+    cases, the perfbench corpora and the seeded emit splices."""
     flags = set()
-    for file in front_end_inputs():
+    for file in (*front_end_inputs(), *emit_splice_inputs()):
         ranges = lex(file).ranges
         matches = extract_emits_regex(file, ranges)
         assert matches == reference_extract_emits_regex(file, ranges), \
@@ -242,6 +244,50 @@ def test_emit_glued_to_the_previous_token_is_not_matched():
     file = src(shop(["uint local = 1;emit B(local);"]))
     assert extract_emits_regex(file) == []
     assert count_file_emits(file) == (1, "ast")
+
+
+class _CountingPattern:
+    """Stands in for scan.EMIT_PATTERN and counts the offsets at which the
+    pattern is tried: one per `match`, and, per `search`, every offset from
+    its start up to its match, or to the end of the text."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.tries = 0
+
+    def match(self, text, pos=0):
+        self.tries += 1
+        return self.pattern.match(text, pos)
+
+    def search(self, text, pos=0):
+        m = self.pattern.search(text, pos)
+        self.tries += (len(text) if m is None else m.start() + 1) - pos
+        return m
+
+
+def test_the_pattern_is_tried_at_most_once_per_emit(monkeypatch):
+    """Before a whitespace run of 1,000, 10,000 and 100,000 characters, and
+    over 500, 1,000 and 2,000 `emit A(x` with no ')' after them, the
+    pattern is tried at most once per `emit` in the text, and never past
+    the last ')'. A search would try it at every character of the run, each
+    try running on to the run's end."""
+    counter = _CountingPattern(scan.EMIT_PATTERN)
+    monkeypatch.setattr(scan, "EMIT_PATTERN", counter)
+    for width in (1000, 10_000, 100_000):
+        text = "contract C {\n" + " " * width + \
+            "uint x = f(1);\n    emit A(x);\n}\n"
+        counter.tries = 0
+        assert [m.event_name for m in extract_emits_regex(src(text))] == ["A"]
+        assert counter.tries <= text.count("emit"), (width, counter.tries)
+    for count in (500, 1000, 2000):
+        for text in (" emit A(x" * count, "f(1);" + " emit A(x" * count):
+            counter.tries = 0
+            assert extract_emits_regex(src(text)) == []
+            assert counter.tries == 0, (count, counter.tries)
+        # One ')' at the end closes the first emit, which holds the rest.
+        counter.tries = 0
+        assert len(extract_emits_regex(src(" emit A(x" * count + ")"))) == 1
+        assert counter.tries == 1, (count, counter.tries)
 
 
 def test_digit_led_match_is_dropped():
