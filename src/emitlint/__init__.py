@@ -12,7 +12,7 @@ from .checks import (
 from .dataflow import EqualityFact, equalities_at
 from .evolution import (
     ChangeCategory, ChurnReport, DiffOp, EventUseChange, FilePair,
-    Independence, LineDiff, Revision, RevisionReport, analyze_revision,
+    Independence, LineDiff, Revision, RevisionAnalysis, analyze_revision,
     churn, classify_independence, diff_lines, pair_emit_changes,
 )
 from .lexer import LexError, Token, TokenKind
@@ -35,7 +35,7 @@ __all__ = [
     "DiffOp", "EqualityFact", "EventUseChange", "FileMetrics", "FilePair",
     "Independence", "LexError", "LineDiff", "LocStats", "LocationClass",
     "ParseError", "ProjectMetrics", "RegexEmitMatch", "Revision",
-    "RevisionReport", "ScopeTree", "Severity", "SourceFile", "SourceUnit",
+    "RevisionAnalysis", "ScopeTree", "Severity", "SourceFile", "SourceUnit",
     "Span", "Suggestion", "Symbol", "SymbolKind", "Token", "TokenKind",
     "analyze_revision", "build_symbols", "churn", "classify_independence",
     "compute_metrics", "count_loc", "diff_lines", "equalities_at",

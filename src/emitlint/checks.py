@@ -324,10 +324,11 @@ def _is_variable_arg(arg: Expr) -> bool:
 
 def _debug_forms(emits: Iterable[EmitStmt], cfg: CheckConfig,
                  path: str) -> list[Diagnostic]:
+    """DEBUG_EVENT over one function's emits, given in source order."""
     diags: list[Diagnostic] = []
-    by_name: dict[str, dict[int, EmitStmt]] = defaultdict(dict)
+    by_name: dict[str, list[EmitStmt]] = defaultdict(list)
     for emit in emits:
-        by_name[emit.event_name][emit.start] = emit
+        by_name[emit.event_name].append(emit)
         if not emit.args:
             shape = ("logs no values; empty events are a typical debug "
                      "leftover; delete it once debugging is done")
@@ -343,10 +344,10 @@ def _debug_forms(emits: Iterable[EmitStmt], cfg: CheckConfig,
             continue
         diags.append(Diagnostic(CheckId.DEBUG_EVENT, Severity.HINT, path,
                                 emit.span, f"emit {emit.event_name} {shape}"))
-    for name, by_start in by_name.items():
-        if len(by_start) < 2:
+    for name, same in by_name.items():
+        if len(same) < 2:
             continue
-        spans = [by_start[start].span for start in sorted(by_start)]
+        spans = [emit.span for emit in same]
         places = ", ".join(f"{s.start_line}:{s.start_col}" for s in spans)
         diags.append(Diagnostic(
             CheckId.DEBUG_EVENT, Severity.HINT, path, spans[0],

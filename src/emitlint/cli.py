@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .checks import CheckConfig, CheckId, Diagnostic, _sort_key, run_checks
 from .evolution import (
-    FilePair, Independence, Revision, RevisionReport, analyze_revision,
+    FilePair, Independence, Revision, RevisionAnalysis, analyze_revision,
 )
 from .metrics import ProjectMetrics, compute_metrics
 from .source import SourceFile, Span
@@ -386,7 +386,7 @@ def _change_to_dict(change) -> dict:
     }
 
 
-def _report_to_dict(report: RevisionReport) -> dict:
+def _report_to_dict(report: RevisionAnalysis) -> dict:
     c = report.churn
     return {
         "id": report.revision_id,
@@ -402,7 +402,7 @@ def _report_to_dict(report: RevisionReport) -> dict:
     }
 
 
-def summarize_reports(reports: list[RevisionReport]) -> dict:
+def summarize_reports(reports: list[RevisionAnalysis]) -> dict:
     labels = Counter(ch.independence for rep in reports for ch in rep.changes)
     total = sum(labels.values())
     absolute = labels[Independence.ABSOLUTE_INDEPENDENT]

@@ -48,19 +48,20 @@ alone. One scan of the side's text finds its comment and string ranges
 (`lexer.scan_ranges`), which give the line kinds and the regex matches; its
 tokens are lexed only on the lines read, the changed lines or every line in
 whole-file mode, outside the closed matches. The analysis keeps only the
-answers: the churn report, the classified changes, whether the revision
-changes emit lines only, and the kill sets. Each side is summed up in a
-`SideAnalysis`: its churned and total code lines, its emit total, its
-changed matches with their first lines, its emit-only flag and kill sets.
-`analyze_revision` builds one per revision; `churn`, `pair_emit_changes` and
-`classify_independence` each build one and read a single answer.
+answers: the churn report, the classified changes, each labelled with its
+independence, whether the revision changes emit lines only, and the kill
+sets. Each side is summed up in a `SideAnalysis`: its churned and total
+code lines, its emit total, its changed matches with their first lines, its
+emit-only flag and kill sets. `analyze_revision` returns the one analysis of
+a revision; `churn`, `pair_emit_changes` and `classify_independence` each
+build one and read a single answer.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 import re
@@ -437,8 +438,10 @@ def _pair_changes(path: str, before: SideAnalysis | None,
 @dataclass(frozen=True)
 class RevisionAnalysis:
     """The answers churn, pairing and independence give for one revision:
-    the churn report, the classified changes, whether the revision changes
-    emit lines only, and the kill sets unioned over all sides."""
+    the churn report, the classified changes with their independence
+    labels, whether the revision changes emit lines only, and the kill sets
+    unioned over all sides."""
+    revision_id: str
     churn: ChurnReport
     changes: list[EventUseChange]
     emit_only: bool
@@ -451,7 +454,8 @@ class RevisionAnalysis:
         """Each file pair is diffed once, and each side is analyzed from its
         own text and changed lines. A pair's totals are read from its after
         side, or from the before side of a deleted file; a before side with
-        an after side classifies only its deleted lines."""
+        an after side classifies only its deleted lines. Each change is
+        labelled once the emit-only flag and the kill sets are known."""
         sides: list[SideAnalysis] = []
         changes: list[EventUseChange] = []
         total_loc = total_emits = 0
@@ -476,9 +480,13 @@ class RevisionAnalysis:
             churned_emits, total_emits,
             Fraction(churned_emits, total_emits) if total_emits
             else Fraction(0))
-        return cls(churn, changes, all(side.emit_only for side in sides),
-                   frozenset().union(*(side.assigned for side in sides)),
-                   frozenset().union(*(side.passed for side in sides)))
+        analysis = cls(rev.id, churn, changes,
+                       all(side.emit_only for side in sides),
+                       frozenset().union(*(side.assigned for side in sides)),
+                       frozenset().union(*(side.passed for side in sides)))
+        for change in changes:
+            change.independence = analysis.independence(change)
+        return analysis
 
     def passes_kill_test(self, change: EventUseChange) -> bool:
         """True when none of the change's argument tokens is reassigned or
@@ -500,25 +508,20 @@ def _windows(file: SourceFile, holder: RangeHolder, lines: set[int]
              ) -> list[list[int]]:
     """The character windows [a, b) of file that hold the given lines, in
     order and merged where they touch; holder is the file's `range_holder`.
-    Each line's window is moved to start and end at a line start outside
-    every comment and string, or at EOF; there `_scan` gives the tokens of
-    a full lex."""
+    Each line runs from its start to the next line start or EOF, and an edge
+    that falls inside a comment or string moves out to that range's own
+    edge, its start for a window's start and its end for a window's end.
+    Every edge is then a token boundary of a full lex, where `_scan` gives
+    that lex's tokens."""
     text, starts = file.text, file.line_starts
-    n = len(text)
-
-    def line_after(off: int) -> int:
-        """The first line start past off, or EOF."""
-        i = bisect_right(starts, off)
-        return starts[i] if i < len(starts) else n
-
     windows: list[list[int]] = []
     for line in sorted(lines):
         a = starts[line - 1]
-        b = line_after(a)
-        while (r := holder(a)) is not None:
-            a = starts[bisect_right(starts, r[0]) - 1]
-        while (r := holder(b)) is not None:
-            b = line_after(r[1] - 1)
+        b = starts[line] if line < len(starts) else len(text)
+        if (r := holder(a)) is not None:
+            a = r[0]
+        if (r := holder(b)) is not None:
+            b = r[1]
         if windows and a <= windows[-1][1]:
             windows[-1][1] = b
         else:
@@ -654,7 +657,8 @@ def churn(rev: Revision) -> ChurnReport:
 
 
 def pair_emit_changes(rev: Revision) -> list[EventUseChange]:
-    """Match deleted-side and added-side emits into classified changes."""
+    """Match deleted-side and added-side emits into classified changes,
+    labelled as in the default kill mode."""
     return RevisionAnalysis.build(rev).changes
 
 
@@ -663,18 +667,6 @@ def classify_independence(rev: Revision, change: EventUseChange,
     return RevisionAnalysis.build(rev, whole_file).independence(change)
 
 
-# ------------------------------------------------------------------ reports
-
-@dataclass
-class RevisionReport:
-    revision_id: str
-    churn: ChurnReport
-    changes: list[EventUseChange] = field(default_factory=list)
-
-
 def analyze_revision(rev: Revision,
-                     whole_file_kill: bool = False) -> RevisionReport:
-    analysis = RevisionAnalysis.build(rev, whole_file_kill)
-    for change in analysis.changes:
-        change.independence = analysis.independence(change)
-    return RevisionReport(rev.id, analysis.churn, analysis.changes)
+                     whole_file_kill: bool = False) -> RevisionAnalysis:
+    return RevisionAnalysis.build(rev, whole_file_kill)

@@ -21,16 +21,17 @@ Recovery: an unterminated string abandons the current line and resumes at the
 next one; an unterminated block comment swallows the rest of the file. Both
 are recorded as lex errors rather than raised.
 
-Partial lexing: `diff` lexes only the tokens each side reads, and three
-facts make that exact. Outside comments and strings, every `/` and every
-quote starts a token, since no other token class holds one; so `scan_ranges`
-finds the comment and string ranges with no tokens, by skipping everything
-else. Only comments and strings hold a newline; so `_scan` started at a line
-start outside every range, and stopped at another, gives exactly the tokens
-that `lex` gives between the two. And an emit keyword outside every range is
-a token start, a `;`, `{` or `}` outside every range is a token of one
-character, and a closed emit ends at a token's end; so `_scan` between two
-such points gives exactly the tokens of a full lex between them."""
+Partial lexing: `diff` lexes only the tokens each side reads, by one
+rule: `_scan` started at a token boundary of a full lex, and stopped at
+another, gives exactly that lex's tokens between the two. Outside comments
+and strings, every `/` and every quote starts a token, since no other token
+class holds one; so `scan_ranges` finds the comment and string ranges with
+no tokens, by skipping everything else. The boundaries `diff` starts and
+stops at are these: a line start outside every range, since only comments
+and strings hold a newline; a comment or string's own start or end; an emit
+keyword outside every range, which starts a token; a stop, a `;`, `{` or `}`
+outside every range, which is a token of one character; and a closed emit's
+end, which is a token's end."""
 
 from __future__ import annotations
 

@@ -618,6 +618,31 @@ def test_analyze_revision_agrees_with_public_readers(name, rev, whole_file):
                for ch in report.changes)
 
 
+@pytest.mark.parametrize("whole_file", [False, True])
+def test_every_public_reader_returns_labelled_changes(whole_file):
+    """`analyze_revision` returns the revision's one `RevisionAnalysis`,
+    and it and `pair_emit_changes` return changes already labelled: each
+    with the label `classify_independence` gives in the reader's kill mode,
+    the default one for `pair_emit_changes`."""
+    revs = [rev for _, rev in _DIFFERENTIAL_REVISIONS]
+    revs += [rev
+             for manifest in sorted(FIXTURES.glob("manifests/*/manifest.json"))
+             for rev in load_manifest(str(manifest))[0]]
+    labelled = 0
+    for rev in revs:
+        report = analyze_revision(rev, whole_file)
+        assert isinstance(report, RevisionAnalysis)
+        assert report.revision_id == rev.id
+        for changes, mode in ((report.changes, whole_file),
+                              (pair_emit_changes(rev), False)):
+            for change in changes:
+                assert change.independence is not None, (rev.id, change)
+                assert change.independence == classify_independence(
+                    rev, change, mode), (rev.id, change)
+                labelled += 1
+    assert labelled > 200, labelled
+
+
 def test_revision_analysis_converts_no_position(monkeypatch):
     """Regex matches keep offsets, and each match's lines are read once from
     the line starts, so churn, pairing and independence build no Span."""

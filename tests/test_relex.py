@@ -10,6 +10,7 @@ windows and around the closed matches (`reference_token_cut`), and the same
 
 import random
 import re
+from bisect import bisect_right
 
 import pytest
 
@@ -124,9 +125,10 @@ def test_number_split_by_a_one_character_edit():
 
 def test_exponent_needs_three_characters_of_margin():
     """`1` in `1e+x` reads three characters past its end: `e`, `+` and
-    `x`. A window ends only at a line start, so that look-ahead stays inside
-    it: an emit argument edited between `1e+5` and `1e+x` lexes as in a
-    full lex, either way."""
+    `x`. A window ends at a line start or at a comment or string's end,
+    never right after a number, so that look-ahead stays inside it: an emit
+    argument edited between `1e+5` and `1e+x` lexes as in a full lex,
+    either way."""
     assert lex(src("y = 1e+5;")).lexemes == ["y", "=", "1e+5", ";"]
     assert lex(src("y = 1e+x;")).lexemes == \
         ["y", "=", "1", "e", "+", "x", ";"]
@@ -261,9 +263,18 @@ def test_windows_equal_a_full_lex_on_context_revisions():
     assert inside >= 200
 
 
-def test_windows_start_and_end_at_line_starts_outside_every_range():
-    for before, after in _seeded_cases(28, 500):
-        before, after = src(before), src(after)
+def test_window_edges_are_line_starts_or_range_edges_never_inside_one():
+    """A window starts at a line start or at the start of a comment or
+    string, and ends at a line start, at the end of a comment or string, or
+    at EOF; no edge lies strictly inside a range. A line edge inside a range
+    moves out to that range's own edge. Seeded edits of the fixtures, and
+    the context revisions, whose changed lines start inside ranges."""
+    pairs = [(src(before), src(after))
+             for before, after in _seeded_cases(28, 500)]
+    pairs += [(pair.before, pair.after) for rev in _context_revisions(2000)
+              for pair in rev.file_pairs]
+    moved = 0
+    for before, after in pairs:
         deleted, added = evolution._edits(before, after)
         for file, changed in ((before, deleted), (after, added)):
             ranges = lex(file).ranges
@@ -271,9 +282,67 @@ def test_windows_start_and_end_at_line_starts_outside_every_range():
             bounds = [x for window in windows for x in window]
             assert bounds == sorted(bounds)
             assert all(a < b for a, b in zip(bounds[1::2], bounds[2::2]))
+            range_starts = {a for a, _ in ranges}
+            range_ends = {b for _, b in ranges}
+            for a, b in windows:
+                assert a in file.line_starts or a in range_starts
+                assert b == len(file.text) or b in file.line_starts or \
+                    b in range_ends
+                moved += a not in file.line_starts
+                moved += b != len(file.text) and b not in file.line_starts
             for x in bounds:
-                assert x == len(file.text) or x in file.line_starts
                 assert not any(a < x < b for a, b in ranges)
+    assert moved >= 500, moved
+
+
+def _inside_a_full_lex_piece(file: SourceFile):
+    """Whether an offset lies strictly inside a token, comment or string of
+    a full lex of file."""
+    lexed = lex(file)
+    pieces = sorted(set(zip(lexed.starts, lexed.ends)) | set(lexed.ranges))
+    starts = [a for a, _ in pieces]
+
+    def inside(x: int) -> bool:
+        i = bisect_right(starts, x) - 1
+        return i >= 0 and pieces[i][0] < x < pieces[i][1]
+
+    return inside
+
+
+def test_every_scan_starts_and_stops_at_a_token_boundary(monkeypatch):
+    """No scan that `_close` or `_lex_gaps` starts during
+    `SideAnalysis.build` starts or stops strictly inside a token, comment
+    or string of the side's full lex: there `_scan` gives that lex's
+    tokens. Both sides of the seeded edits and of every manifest and case
+    pair, in both kill modes."""
+    real_scan = evolution._scan
+    edges: list[tuple[int, int]] = []
+
+    def recording_scan(text, pos, endpos, *rest):
+        edges.append((pos, endpos))
+        real_scan(text, pos, endpos, *rest)
+
+    monkeypatch.setattr(evolution, "_scan", recording_scan)
+    pairs = [(src(before), src(after))
+             for before, after in _seeded_cases(24, 3000)]
+    pairs += [(pair.before, pair.after)
+              for pair in _manifest_and_case_pairs()]
+    scans = off_line = 0
+    for before, after in pairs:
+        deleted, added = evolution._edits(before, after)
+        for file, changed in ((before, deleted), (after, added)):
+            if file is None:
+                continue
+            inside = _inside_a_full_lex_piece(file)
+            for whole_file in (False, True):
+                edges.clear()
+                SideAnalysis.build(file, changed, whole_file, True)
+                for pos, endpos in edges:
+                    assert not inside(pos) and not inside(endpos), \
+                        (file.text, sorted(changed), whole_file, pos, endpos)
+                    off_line += pos not in file.line_starts
+                scans += len(edges)
+    assert scans > 10_000 and off_line > 1000, (scans, off_line)
 
 
 # ------------------------------------------------------------------- gaps
