@@ -83,6 +83,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parse_args keeps nothing between calls, and building the tree
+# costs a sizeable share of a small command.
+_PARSER = build_arg_parser()
+
+
 # ----------------------------------------------------------- config handling
 
 def _json_type(value) -> str:
@@ -458,13 +463,12 @@ def main(argv: list[str] | None = None) -> int:
     analyses make no reference cycles, so reference counting frees all they
     build, and the collector's passes over their live objects are pure cost,
     growing with the size of one file. The caller's setting comes back on
-    every exit."""
+    every exit. The arguments are parsed by the one parser built at import."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        parser = build_arg_parser()
         try:
-            ns = parser.parse_args(argv)
+            ns = _PARSER.parse_args(argv)
         except SystemExit as exc:
             return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
         if ns.command == "lint":

@@ -47,7 +47,12 @@ pair once and builds each side's `SideAnalysis` the same way, from that side
 alone. One scan of the side's text finds its comment and string ranges
 (`lexer.scan_ranges`), which give the line kinds and the regex matches; its
 tokens are lexed only on the lines read, the changed lines or every line in
-whole-file mode, outside the closed matches. The analysis keeps only the
+whole-file mode, outside the closed matches. Only the changed lines are
+classified. The side that gives a pair's totals, the after side or a lone
+side, counts its code lines and finds every match; a before side with an
+after side counts nothing, and finds only the matches that can reach its
+windows, those whose keyword lies between a safe start before its first
+window and the end of its last (see `scan`). The analysis keeps only the
 answers: the churn report, the classified changes, each labelled with its
 independence, whether the revision changes emit lines only, and the kill
 sets. Each side is summed up in a `SideAnalysis`: its churned and total
@@ -68,8 +73,8 @@ import re
 
 from .lexer import ASSIGN_OPS, TokenKind, _scan, scan_ranges
 from .scan import (
-    LINE_CODE, RangeHolder, RegexEmitMatch, classify_lines,
-    extract_emits_regex, range_holder,
+    LINE_CODE, RangeHolder, RegexEmitMatch, _count_code_lines,
+    classify_lines, extract_emits_regex, range_holder,
 )
 from .source import SourceFile
 
@@ -308,10 +313,12 @@ class SideAnalysis:
     feed the line kinds and the regex emit matches; the matches are closed
     from their own tokens, one lex per stop, and the token columns that
     feed the emit lines and the kill sets are lexed only outside the closed
-    matches, on the lines they are read on. Only the answers are kept."""
+    matches, on the lines they are read on. Only the answers are kept. A
+    side that gives no totals, a before side with an after side, counts
+    none: its total_loc and total_emits are None."""
     churned_loc: int  # changed code lines
     total_loc: int | None  # None when not counted
-    total_emits: int  # matches in comments and strings included
+    total_emits: int | None  # matches in comments and strings included
     changed_emits: tuple[tuple[RegexEmitMatch, int], ...]  # first lines
     emit_only: bool  # every changed code line is an emit line
     assigned: frozenset[str]
@@ -326,12 +333,23 @@ class SideAnalysis:
         `_windows`, the changed lines or every line in whole-file mode
         (`_lex_gaps`). Kill sets are scanned per run of consecutive changed
         non-emit lines (every non-emit line in whole-file mode), over the
-        tokens that start on the run's lines. Without count_total, only the
-        changed lines are classified, and total_loc is None."""
+        tokens that start on the run's lines. Only the changed lines are
+        classified. With count_total, the code lines are counted as
+        `count_loc` counts them and every match is found; without it,
+        only the matches that can reach the windows are (see the module
+        docstring of `scan`), and the totals are None."""
         text = file.text
         ranges = scan_ranges(text)
         holder = range_holder(ranges)
-        matches = _close(text, extract_emits_regex(file, ranges), holder)
+        lines = set(range(1, file.line_count + 1)) if whole_file \
+            else changed
+        windows = _windows(file, holder, lines)
+        if count_total:
+            window = None
+        else:  # no keyword is tried where there is no window
+            window = (windows[0][0], windows[-1][1]) if windows else (0, 0)
+        matches = _close(text, extract_emits_regex(file, ranges, window),
+                         holder)
         starts = file.line_starts
         changed_emits: list[tuple[RegexEmitMatch, int]] = []
         closed = [m for m in matches if not m.in_comment_or_string]
@@ -343,10 +361,8 @@ class SideAnalysis:
                 touched.update(own)
             if not changed.isdisjoint(own):
                 changed_emits.append((m, first))
-        lines = set(range(1, file.line_count + 1)) if whole_file \
-            else changed
-        kinds, lexemes, tok_starts, tok_ends = _lex_gaps(
-            text, _windows(file, holder, lines), closed)
+        kinds, lexemes, tok_starts, tok_ends = _lex_gaps(text, windows,
+                                                         closed)
 
         def line_bounds(first: int, last: int) -> tuple[int, int]:
             """Index range of the tokens that start on these lines."""
@@ -377,17 +393,13 @@ class SideAnalysis:
         # A changed line past the last one, empty after a final newline, is
         # blank.
         ordered = sorted(line for line in changed if line <= file.line_count)
-        if count_total:
-            line_kinds = classify_lines(file, ranges)
-            total_loc = line_kinds.count(LINE_CODE)
-            changed_kinds = [line_kinds[line - 1] for line in ordered]
-        else:
-            total_loc = None
-            changed_kinds = classify_lines(file, ranges,
-                                           [line - 1 for line in ordered])
+        changed_kinds = classify_lines(file, ranges,
+                                       [line - 1 for line in ordered])
         code_changed = {line for line, kind in zip(ordered, changed_kinds)
                         if kind == LINE_CODE}
-        return cls(len(code_changed), total_loc, len(matches),
+        return cls(len(code_changed),
+                   _count_code_lines(text, ranges) if count_total else None,
+                   len(matches) if count_total else None,
                    tuple(changed_emits), code_changed <= emit_lines,
                    frozenset(assigned), frozenset(passed))
 
@@ -454,8 +466,8 @@ class RevisionAnalysis:
         """Each file pair is diffed once, and each side is analyzed from its
         own text and changed lines. A pair's totals are read from its after
         side, or from the before side of a deleted file; a before side with
-        an after side classifies only its deleted lines. Each change is
-        labelled once the emit-only flag and the kill sets are known."""
+        an after side counts none. Each change is labelled once the
+        emit-only flag and the kill sets are known."""
         sides: list[SideAnalysis] = []
         changes: list[EventUseChange] = []
         total_loc = total_emits = 0

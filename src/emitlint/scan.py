@@ -29,12 +29,30 @@ groups and end do not depend on that character. Every match ends at a `)`
 past its keyword, so the keywords after the last `)` are not tried; else an
 unclosed `emit A(x` would try its lazy argument capture on to the end of the
 text.
+
+A caller that reads only the matches that can reach a window [a, b) of the
+text may try the keywords from a safe start before a up to b. `diff` closes
+an open match at its stop, the first `;`, `{` or `}` outside comments and
+strings past its `)`. The safe start is the last `)` before the last such
+stop t before a. A match whose keyword lies before that `)` ends at it or
+before it, since only word and space characters come between a keyword and
+its `(`; so the whole-text search resumes at or before it and tries every
+later keyword afresh, and a search started there finds the same matches. And
+such a match stops at t or before it, so even closed it ends before a. The
+walk back to t steps over each comment and string in one step and searches
+only the text between them, so it is linear in the text.
+
+The line counter counts without a kind per line. With each comment put down
+to its newlines and space, tab and CR deleted, a line is left empty unless
+it holds code; with only space, tab and CR deleted, a line is left empty
+when it is blank. The comment lines are the rest. Counting the empty pieces
+of two `split("\n")` gives what classifying every line gives.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -47,6 +65,7 @@ _IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
 
 # Space, tab and CR leave a line blank; a newline ends it.
 _NON_SPACE_RE = re.compile(r"[^ \t\r\n]")
+_DROP_SPACES = str.maketrans("", "", " \t\r")
 
 LINE_CODE = "code"
 LINE_COMMENT = "comment"
@@ -116,17 +135,44 @@ def classify_lines(file: SourceFile, ranges: Ranges | None = None,
     return kinds
 
 
+def _filled_lines(text: str) -> int:
+    """The lines of text that hold a character other than space, tab and
+    CR."""
+    pieces = text.translate(_DROP_SPACES).split("\n")
+    return len(pieces) - pieces.count("")
+
+
+def _count_code_lines(text: str, ranges: Ranges) -> int:
+    """The code lines of text, given its comment and string ranges: the
+    filled lines once each comment is put down to its newlines."""
+    parts: list[str] = []
+    pos = 0
+    for a, b in ranges:
+        if text[a] == "/":
+            parts.append(text[pos:a])
+            if text[a + 1] == "*":  # only a block comment holds a newline
+                parts.append("\n" * text.count("\n", a, b))
+            pos = b
+    parts.append(text[pos:])
+    return _filled_lines("".join(parts))
+
+
 def count_loc(file: SourceFile, ranges: Ranges | None = None) -> LocStats:
-    kinds = classify_lines(file, ranges)
-    return LocStats(
-        total_lines=len(kinds),
-        code_lines=kinds.count(LINE_CODE),
-        comment_lines=kinds.count(LINE_COMMENT),
-        blank_lines=kinds.count(LINE_BLANK),
-    )
+    """The counts of the line kinds that classify_lines gives, counted
+    without a kind per line (see the module docstring); ranges, when given,
+    are this file's comment and string ranges; without them they are
+    scanned."""
+    text = file.text
+    total = file.line_count
+    code = _count_code_lines(text, scan_ranges(text) if ranges is None
+                             else ranges)
+    blank = total - _filled_lines(text)
+    return LocStats(total_lines=total, code_lines=code,
+                    comment_lines=total - code - blank, blank_lines=blank)
 
 
-def extract_emits_regex(file: SourceFile, ranges: Ranges | None = None
+def extract_emits_regex(file: SourceFile, ranges: Ranges | None = None,
+                        window: tuple[int, int] | None = None
                         ) -> list[RegexEmitMatch]:
     """All textual emit matches in source order; ranges, when given, are
     this file's comment and string ranges; without them they are scanned.
@@ -136,18 +182,29 @@ def extract_emits_regex(file: SourceFile, ranges: Ranges | None = None
     the file is therefore not missed. A match runs from the emit keyword
     through the first closing parenthesis. The pattern is tried only from
     the character before each keyword (see the module docstring).
+
+    With a window (a, b), only the keywords from the safe start before a up
+    to b are tried: the matches are those of the whole text whose keyword
+    lies there, which include every match that reaches the window, closed
+    up to its stop or not (see the module docstring).
     """
     padded = "\n" + file.text
     # Every match ends at a ')' past its keyword.
     last = padded.rfind(")")
     if last < 0:
         return []
-    holder = range_holder(scan_ranges(file.text) if ranges is None
-                          else ranges)
+    ranges = scan_ranges(file.text) if ranges is None else ranges
+    pos = 0
+    if window is not None:
+        # The keywords at padded offsets up to b, so at file offsets before
+        # b; and, with the safe start's file offset as the resume point in
+        # padded, every keyword past that ')' is tried.
+        last = min(last, window[1] + 4)
+        pos = _safe_start(file.text, ranges, window[0])
+    holder = range_holder(ranges)
     matches: list[RegexEmitMatch] = []
     match, find = EMIT_PATTERN.match, padded.find
-    pos = 0
-    q = find("emit", 0, last)
+    q = find("emit", pos, last)
     while q != -1:
         # The keyword at q in padded is at q - 1 in file.text.
         if q - 1 >= pos and (m := match(padded, q - 1)) is not None:
@@ -159,6 +216,23 @@ def extract_emits_regex(file: SourceFile, ranges: Ranges | None = None
                                               file))
         q = find("emit", q + 1, last)
     return matches
+
+
+def _safe_start(text: str, ranges: Ranges, edge: int) -> int:
+    """The last ')' before the last ';', '{' or '}' outside ranges before
+    the offset edge, or 0 when there is none. The stop is searched for in
+    the text between two ranges, one such gap at a time from edge
+    backwards, so each range is stepped over at once."""
+    i = bisect_left(ranges, (edge,))  # the ranges that start before edge
+    t = edge
+    while True:
+        lo = ranges[i - 1][1] if i else 0
+        stop = max(text.rfind(c, lo, t) for c in ";{}")
+        if stop >= 0 or not i:
+            break
+        i -= 1
+        t = ranges[i][0]
+    return max(text.rfind(")", 0, stop), 0) if stop > 0 else 0
 
 
 def range_holder(ranges: Ranges) -> RangeHolder:

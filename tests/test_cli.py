@@ -813,3 +813,36 @@ def test_main_runs_no_collection_and_restores_the_collector(capsys,
     finally:
         gc.callbacks.remove(hook)
         (gc.enable if was_enabled else gc.disable)()
+
+
+# -------------------------------------------------------------- one parser
+
+def test_one_parser_answers_each_call_as_a_fresh_one_does(capsys,
+                                                         monkeypatch):
+    """`main` parses with the one parser built at import. Over a sequence
+    in which each call leaves out what the call before it set, every call
+    prints and exits as it does with a parser built for it alone: an
+    argparse error, then a valid call; `--format json`, then text;
+    `--whole-file-kill`, then without it; `--enable`, then without it."""
+    tree = str(fixture_path("lint_tree"))
+    manifest = str(fixture_path("manifests", "relex", "manifest.json"))
+    calls = [
+        ["lint", tree, "--overuse-threshold"],
+        ["lint", tree],
+        ["metrics", "--format", "json", tree],
+        ["metrics", tree],
+        ["diff", "--manifest", manifest, "--whole-file-kill"],
+        ["diff", "--manifest", manifest],
+        ["lint", "--enable", "DEBUG_EVENT", tree],
+        ["lint", tree],
+    ]
+    shared = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", cli.build_arg_parser())
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 1, 0, 0, 0, 0, 1, 1]
+    # Each call prints other output than the one before it.
+    outs = [out for _, out, _ in shared]
+    assert all(outs[i] != outs[i + 1] for i in range(0, len(outs), 2))

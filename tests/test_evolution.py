@@ -921,11 +921,13 @@ def test_analyze_revision_diffs_and_lexes_each_side_once(monkeypatch,
                 assert read < len(file.text)
 
 
-def test_a_before_side_with_an_after_side_classifies_only_its_deleted_lines(
-        monkeypatch):
-    """Only the side that gives a pair's totals, the after side or a lone
-    side, has every line classified; a before side with an after side
-    classifies just its deleted lines. The report is the same."""
+def test_every_side_classifies_only_its_changed_lines(monkeypatch):
+    """Every side classifies just its changed lines: the deleted lines of a
+    before side, the added lines of an after side. The totals come from the
+    line counter, run once on the side that gives a pair's totals, the
+    after side or a lone side. Only that side searches the whole text for
+    emits; a before side with an after side searches around its windows.
+    The report is the same."""
     rev = make_revision(
         "four",
         ("a.sol", make_snippet(1), make_snippet(1).replace("a > b", "a < b")),
@@ -935,23 +937,42 @@ def test_a_before_side_with_an_after_side_classifies_only_its_deleted_lines(
          make_snippet(4).replace("a", "x") + "// end\n"),
         ("e.sol", make_snippet(5), None))
     plain = analyze_revision(rev)
-    classified = []
-    real = evolution.classify_lines
+    classified, counted, searched = [], [], []
+    real_classify, real_count, real_search = (
+        evolution.classify_lines, evolution._count_code_lines,
+        evolution.extract_emits_regex)
 
-    def recording(file, ranges, lines=None):
+    def recording_classify(file, ranges, lines=None):
         classified.append((id(file), None if lines is None else list(lines)))
-        return real(file, ranges, lines)
+        return real_classify(file, ranges, lines)
 
-    monkeypatch.setattr(evolution, "classify_lines", recording)
+    def recording_count(text, ranges):
+        counted.append(id(text))
+        return real_count(text, ranges)
+
+    def recording_search(file, ranges, window=None):
+        searched.append((id(file), window is None))
+        return real_search(file, ranges, window)
+
+    monkeypatch.setattr(evolution, "classify_lines", recording_classify)
+    monkeypatch.setattr(evolution, "_count_code_lines", recording_count)
+    monkeypatch.setattr(evolution, "extract_emits_regex", recording_search)
     assert analyze_revision(rev) == plain
-    want = []
+    want_classified, want_counted, want_searched = [], [], []
     for p in rev.file_pairs:
-        if p.after is not None:
-            want.append((id(p.after), None))
-        if p.before is not None:
-            deleted, _ = evolution._edits(p.before, p.after)
-            want.append((id(p.before), None if p.after is None else
-                         [line - 1 for line in sorted(deleted)
-                          if line <= p.before.line_count]))
-    assert classified == want
+        deleted, added = evolution._edits(p.before, p.after)
+        for file, changed in ((p.after, added), (p.before, deleted)):
+            if file is None:
+                continue
+            totals = file is p.after or p.after is None
+            want_classified.append((id(file), [
+                line - 1 for line in sorted(changed)
+                if line <= file.line_count]))
+            want_searched.append((id(file), totals))
+            if totals:
+                want_counted.append(id(file.text))
+    assert classified == want_classified
+    assert counted == want_counted
+    assert searched == want_searched
     assert any(lines for _, lines in classified)
+    assert not all(whole for _, whole in searched)

@@ -6,7 +6,9 @@ to the stop, and `evolution._lex_gaps` lexes the line windows of
 full `lex` gives: the same ranges, the same closed matches as the walk over
 a full lex (`reference_close`), the same tokens as a full lex cut to the
 windows and around the closed matches (`reference_token_cut`), and the same
-`SideAnalysis` as one built from a full lex of the side."""
+`SideAnalysis` as one built from a full lex of the side. A before side with
+an after side searches for emits only from a safe start before its windows
+(`scan._safe_start`), and must answer as a whole-text search does."""
 
 import random
 import re
@@ -16,6 +18,7 @@ import pytest
 
 import emitlint.evolution as evolution
 import emitlint.lexer as lexer
+import emitlint.scan as scan
 from emitlint.cli import load_manifest
 from emitlint.evolution import SideAnalysis, analyze_revision
 from emitlint.lexer import lex, scan_ranges
@@ -480,6 +483,114 @@ def test_close_equals_the_full_lex_walk_on_the_emit_splices():
     assert walked >= 1000, walked
 
 
+# --------------------------------------------------------- bounded search
+
+# The fields of a side that RevisionAnalysis.build reads, totals aside.
+_READ_FIELDS = ("churned_loc", "changed_emits", "emit_only", "assigned",
+                "passed")
+
+
+def _assert_bounded_equals_whole(file: SourceFile, changed: set[int],
+                                 whole_file: bool) -> bool:
+    """A before side built with the bounded emit search answers as one
+    built with the whole-text search, and counts no totals. Its matches are
+    the whole text's matches whose keyword lies from the safe start to the
+    end of the last window, and every match before the safe start ends,
+    closed, before the first window. Whether the safe start lies past 0."""
+    bounded = SideAnalysis.build(file, changed, whole_file, False)
+    whole = SideAnalysis.build(file, changed, whole_file, True)
+    assert [getattr(bounded, f) for f in _READ_FIELDS] == \
+        [getattr(whole, f) for f in _READ_FIELDS], \
+        (file.text, sorted(changed), whole_file)
+    assert (bounded.total_loc, bounded.total_emits) == (None, None)
+    lines = set(range(1, file.line_count + 1)) if whole_file else changed
+    ranges = scan_ranges(file.text)
+    holder = range_holder(ranges)
+    windows = evolution._windows(file, holder, lines)
+    if not windows:
+        return False
+    a, b = windows[0][0], windows[-1][1]
+    start = scan._safe_start(file.text, ranges, a)
+    every = extract_emits_regex(file, ranges)
+    assert extract_emits_regex(file, ranges, (a, b)) == \
+        [m for m in every if start <= m.start < b], file.text
+    for m in evolution._close(file.text, every, holder):
+        if m.start < start:
+            assert m.end <= a, (file.text, m)
+    return start > 0
+
+
+def _before_sides(pairs):
+    """The before side of each pair that has both, with its deleted
+    lines."""
+    for before, after in pairs:
+        if before is not None and after is not None:
+            yield before, evolution._edits(before, after)[0]
+
+
+def test_bounded_search_equals_the_whole_search_on_seeded_edits():
+    """The 3,000 seeded edits of the fixtures, in both kill modes."""
+    bounded = 0
+    for file, deleted in _before_sides(
+            (src(before), src(after))
+            for before, after in _seeded_cases(24, 3000)):
+        for whole_file in (False, True):
+            bounded += _assert_bounded_equals_whole(file, deleted,
+                                                    whole_file)
+    assert bounded >= 1000, bounded
+
+
+def test_bounded_search_equals_the_whole_search_on_pairs_and_contexts():
+    """Every manifest and case pair, taken both ways, and the context
+    revisions, whose changed lines start inside comments and strings."""
+    pairs = [(pair.before, pair.after)
+             for pair in _manifest_and_case_pairs()]
+    pairs += [(after, before) for before, after in pairs]
+    pairs += [(pair.before, pair.after) for rev in _context_revisions(2000)
+              for pair in rev.file_pairs]
+    bounded = 0
+    for file, deleted in _before_sides(pairs):
+        for whole_file in (False, True):
+            bounded += _assert_bounded_equals_whole(file, deleted,
+                                                    whole_file)
+    assert bounded >= 1000, bounded
+
+
+_HEAD = ["contract C {", "    function f() public {", "        x = g(1);"]
+_TAIL = ["        z = 3;", "    }", "}", ""]
+
+
+@pytest.mark.parametrize("body, edited", [
+    # An open emit whose continuation line is edited.
+    (["        emit A(f(x),", "            y);"], 2),
+    # An open emit whose stop lies in the window.
+    (["        emit A(b(c),", "            d", "        );"], 3),
+    # A match inside a comment just before the window, whose ')' lies in
+    # the window.
+    (["        // emit A(", "        y = f(z);"], 2),
+    (["        /* emit A( */", "        y = f(z);"], 2),
+    # A ';' or ')' inside a string just before the window is no stop.
+    (['        emit A(f(x), "q;",', "            y);"], 2),
+    (["        emit A(f(x),", '            ");)",', "            y);"], 3),
+    (['        s = ";)"; emit A(f(x),', "            y);"], 2),
+    # A ';' inside a comment just before the window is no stop either.
+    (["        emit A(f(x), // ;", "            y);"], 2),
+    # A stop inside the arguments: the match runs past the last stop before
+    # the window, so the search starts at the ')' before that stop.
+    (["        emit A(x;", "            y);"], 2),
+])
+def test_bounded_search_keeps_the_emits_that_reach_the_window(body, edited):
+    """Shapes where a match that starts before the window reaches into it:
+    the bounded search still finds it, and the side answers as the whole
+    search does."""
+    lines = _HEAD + body + _TAIL
+    file = src("\n".join(lines))
+    changed = {len(_HEAD) + edited}
+    assert _assert_bounded_equals_whole(file, changed, False)
+    side = SideAnalysis.build(file, changed, False, False)
+    assert [m.event_name for m, _ in side.changed_emits] == ["A"], body
+
+
 # ------------------------------------------------------------------- work
 
 class _CountingRegex:
@@ -565,3 +676,40 @@ def test_emits_off_the_edit_lex_no_token(monkeypatch):
         assert got == want
         counts.append(counter.matches)
     assert counts[0] == counts[1] == counts[2], counts
+
+
+class _CountingPattern:
+    """Stands in for scan.EMIT_PATTERN and counts its `match` calls."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.tries = 0
+
+    def match(self, text, pos=0):
+        self.tries += 1
+        return self.pattern.match(text, pos)
+
+
+def test_a_before_side_tries_the_emits_near_its_edit_only(monkeypatch):
+    """A one-line edit near the end of a file of 500, 1,000 and 2,000
+    emits tries the emit pattern once on the before side at every size:
+    only at the edited line, past the safe start just before it. The after
+    side, which counts the totals, tries it at every emit."""
+    counter = _CountingPattern(scan.EMIT_PATTERN)
+    tries = []
+    for emits in (500, 1000, 2000):
+        body = [f"        emit Logged{i}(a, {i});" for i in range(emits)]
+        after = src("\n".join(body) + "\n")
+        body[-3] = "        emit Moved(a, b);"
+        before = src("\n".join(body) + "\n")
+        deleted, _ = evolution._edits(before, after)
+        monkeypatch.setattr(scan, "EMIT_PATTERN", counter)
+        counter.tries = 0
+        side = SideAnalysis.build(before, deleted, False, False)
+        tries.append(counter.tries)
+        counter.tries = 0
+        SideAnalysis.build(after, set(), False, True)
+        assert counter.tries == emits
+        monkeypatch.undo()
+        assert [m.event_name for m, _ in side.changed_emits] == ["Moved"]
+    assert tries == [1, 1, 1], tries

@@ -87,6 +87,52 @@ def test_line_kinds_match_the_per_character_reference():
     assert seen == {LINE_CODE, LINE_COMMENT, LINE_BLANK}
 
 
+def _kind_counts(file):
+    kinds = classify_lines(file)
+    return scan.LocStats(len(kinds), kinds.count(LINE_CODE),
+                         kinds.count(LINE_COMMENT), kinds.count(LINE_BLANK))
+
+
+# The characters that decide a line's kind: comment and string openers,
+# the escape, the newline, and CR, which leaves a line blank, beside form
+# feed, which does not.
+_LINE_SPLICES = ("/", "*", '"', "'", "\\", "\r", "\f", "\n")
+
+
+def test_line_counter_equals_the_counts_of_the_line_kinds():
+    """Counting without a kind per line gives the counts of the kinds
+    `classify_lines` gives: on the sweep (every fixture among it), the edge
+    cases, the perfbench trees and history sides of seeds 1-5, 3,000
+    seeded splices of the characters that decide a line's kind, and the
+    empty text, a text with no final newline and a lone CR."""
+    rng = random.Random(32)
+    bases = [p.read_text(encoding="utf-8")
+             for p in sorted(FIXTURES.rglob("*.sol"))]
+    spliced = []
+    for _ in range(3000):
+        text = rng.choice(bases)
+        at = rng.randrange(len(text) + 1)
+        text = text[max(0, at - 200):at + 200]
+        for _ in range(rng.randint(1, 6)):
+            at = rng.randint(0, len(text))
+            text = text[:at] + rng.choice(_LINE_SPLICES) * \
+                rng.choice((1, 1, 2, 3)) + text[at + rng.choice((0, 1)):]
+        spliced.append(src(text))
+    files = [*front_end_inputs(), *spliced,
+             *map(src, ("", "uint a;\n// b", "\r"))]
+    seen = [0, 0, 0]
+    for file in files:
+        stats = count_loc(file)
+        assert stats == _kind_counts(file), repr(file.text[:200])
+        assert count_loc(file, lex(file).ranges) == stats
+        seen[0] += bool(stats.code_lines)
+        seen[1] += bool(stats.comment_lines)
+        seen[2] += bool(stats.blank_lines)
+    assert min(seen) > 1000, seen
+    assert count_loc(src("\r")) == scan.LocStats(1, 0, 0, 1)
+    assert count_loc(src("uint a;\n// b")) == scan.LocStats(2, 1, 1, 0)
+
+
 # ------------------------------------------------------------- emit matching
 
 def test_client_receipt_matches_deposit():
