@@ -141,6 +141,19 @@ def _load_json_object(path: str) -> dict:
     return _checked(data, dict, f"{path}: top level must be a JSON object")
 
 
+def _threshold(value, what: str) -> Fraction:
+    """value, a JSON number or the flag's decimal or ratio, as a Fraction
+    in (0, 1]; otherwise ValueError "<what> must be in (0, 1], not
+    <value>"."""
+    try:
+        ratio = Fraction(str(value))
+    except (ValueError, ZeroDivisionError):  # NaN and infinities included
+        ratio = None
+    if ratio is None or not 0 < ratio <= 1:
+        raise ValueError(f"{what} must be in (0, 1], not {value!r}")
+    return ratio
+
+
 def load_config(ns: argparse.Namespace) -> CheckConfig:
     threshold = Fraction(1, 10)
     enabled = frozenset(CheckId)
@@ -149,12 +162,10 @@ def load_config(ns: argparse.Namespace) -> CheckConfig:
         where = ns.config
         data = _load_json_object(where)
         if "overuseThreshold" in data:
-            value = _checked(data["overuseThreshold"], (int, float),
-                             f'{where}: "overuseThreshold" must be a number')
-            if not 0 < value <= 1:  # NaN and infinities included
-                raise ValueError(f'{where}: "overuseThreshold" must be in '
-                                 f"(0, 1], not {value}")
-            threshold = Fraction(str(value))
+            threshold = _threshold(_checked(
+                data["overuseThreshold"], (int, float),
+                f'{where}: "overuseThreshold" must be a number'),
+                f'{where}: "overuseThreshold"')
         if "enabled" in data:
             ids = _checked(data["enabled"], list, f'{where}: "enabled" must '
                            "be a JSON array of check ids")
@@ -166,11 +177,7 @@ def load_config(ns: argparse.Namespace) -> CheckConfig:
             form_b = _checked(data["debugEventFormB"], bool,
                               f'{where}: "debugEventFormB" must be a boolean')
     if ns.overuse_threshold is not None:
-        try:
-            threshold = Fraction(ns.overuse_threshold)
-        except ZeroDivisionError:
-            raise ValueError(f"overuse threshold {ns.overuse_threshold!r} "
-                             "has a zero denominator") from None
+        threshold = _threshold(ns.overuse_threshold, "--overuse-threshold")
     if ns.enable is not None:
         enabled = _check_ids(ns.enable, "", f"--enable {ns.enable!r} names "
                              "no check id")

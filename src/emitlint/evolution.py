@@ -45,21 +45,22 @@ by bisecting the start offsets.
 Each revision is analyzed once. `RevisionAnalysis.build` diffs every file
 pair once and builds each side's `SideAnalysis` the same way, from that side
 alone. One scan of the side's text finds its comment and string ranges
-(`lexer.scan_ranges`), which give the line kinds and the regex matches; its
-tokens are lexed only on the lines read, the changed lines or every line in
-whole-file mode, outside the closed matches. Only the changed lines are
-classified. The side that gives a pair's totals, the after side or a lone
-side, counts its code lines and finds every match; a before side with an
-after side counts nothing, and finds only the matches that can reach its
-windows, those whose keyword lies between a safe start before its first
-window and the end of its last (see `scan`). The analysis keeps only the
-answers: the churn report, the classified changes, each labelled with its
-independence, whether the revision changes emit lines only, and the kill
-sets. Each side is summed up in a `SideAnalysis`: its churned and total
-code lines, its emit total, its changed matches with their first lines, its
-emit-only flag and kill sets. `analyze_revision` returns the one analysis of
-a revision; `churn`, `pair_emit_changes` and `classify_independence` each
-build one and read a single answer.
+(`lexer.scan_ranges`), which give the side's code rows and its regex
+matches; its tokens are lexed only on the lines read, the changed lines or
+every line in whole-file mode, outside the closed matches. The code rows
+are `scan`'s one code-line rule, built once per side: a changed line is a
+code line when its row is filled. The side that gives a pair's totals, the
+after side or a lone side, counts its filled rows and finds every match; a
+before side with an after side counts nothing, and finds only the matches
+that can reach its windows, those whose keyword lies between a safe start
+before its first window and the end of its last (see `scan`). The analysis
+keeps only the answers: the churn report, the classified changes, each
+labelled with its independence, whether the revision changes emit lines
+only, and the kill sets. Each side is summed up in a `SideAnalysis`: its
+churned and total code lines, its emit total, its changed matches with their
+first lines, its emit-only flag and kill sets. `analyze_revision` returns
+the one analysis of a revision; `churn`, `pair_emit_changes` and
+`classify_independence` each build one and read a single answer.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ import re
 
 from .lexer import ASSIGN_OPS, TokenKind, _scan, scan_ranges
 from .scan import (
-    LINE_CODE, RangeHolder, RegexEmitMatch, _count_code_lines,
-    classify_lines, extract_emits_regex, range_holder,
+    RangeHolder, RegexEmitMatch, _code_rows, _filled, extract_emits_regex,
+    range_holder,
 )
 from .source import SourceFile
 
@@ -310,7 +311,7 @@ def _changed_tokens(before: RegexEmitMatch | None,
 class SideAnalysis:
     """What churn, pairing and independence read from one side of a file
     pair. One scan of the file finds its comment and string ranges, which
-    feed the line kinds and the regex emit matches; the matches are closed
+    feed the code rows and the regex emit matches; the matches are closed
     from their own tokens, one lex per stop, and the token columns that
     feed the emit lines and the kill sets are lexed only outside the closed
     matches, on the lines they are read on. Only the answers are kept. A
@@ -333,11 +334,12 @@ class SideAnalysis:
         `_windows`, the changed lines or every line in whole-file mode
         (`_lex_gaps`). Kill sets are scanned per run of consecutive changed
         non-emit lines (every non-emit line in whole-file mode), over the
-        tokens that start on the run's lines. Only the changed lines are
-        classified. With count_total, the code lines are counted as
-        `count_loc` counts them and every match is found; without it,
-        only the matches that can reach the windows are (see the module
-        docstring of `scan`), and the totals are None."""
+        tokens that start on the run's lines. The side's code rows are
+        built once: each changed line reads its own row, and with
+        count_total the filled rows are the code lines, as `count_loc`
+        counts them, and every match is found; without it, only the matches
+        that can reach the windows are (see the module docstring of
+        `scan`), and the totals are None."""
         text = file.text
         ranges = scan_ranges(text)
         holder = range_holder(ranges)
@@ -390,15 +392,10 @@ class SideAnalysis:
             a, p = _scan_kill_sets(lexemes[lo:hi], kinds[lo:hi])
             assigned |= a
             passed |= p
-        # A changed line past the last one, empty after a final newline, is
-        # blank.
-        ordered = sorted(line for line in changed if line <= file.line_count)
-        changed_kinds = classify_lines(file, ranges,
-                                       [line - 1 for line in ordered])
-        code_changed = {line for line, kind in zip(ordered, changed_kinds)
-                        if kind == LINE_CODE}
+        rows = _code_rows(text, ranges)
+        code_changed = {line for line in changed if rows[line - 1]}
         return cls(len(code_changed),
-                   _count_code_lines(text, ranges) if count_total else None,
+                   _filled(rows) if count_total else None,
                    len(matches) if count_total else None,
                    tuple(changed_emits), code_changed <= emit_lines,
                    frozenset(assigned), frozenset(passed))

@@ -1,8 +1,14 @@
 r"""Line accounting and the lightweight textual emit matcher.
 
-Line classification: a line is blank when it holds only whitespace, a comment
-line when all of its non-blank content lies inside comments, and a code line
-otherwise. A line mixing code and a trailing comment counts as code.
+Lines: a line is blank when it holds only space, tab and CR, a comment line
+when all of its other content lies inside comments, and a code line
+otherwise. A line mixing code and a trailing comment counts as code. One
+rule decides the code lines: with each comment put down to its newlines and
+space, tab and CR deleted, the text splits on newlines into rows, one per
+line, and a row is left empty unless its line holds code. `count_loc` counts
+the filled rows, and `diff` reads the row of each changed line. The blank
+lines are the empty rows of the raw text under the same deletions; the
+comment lines are the rest.
 
 The emit matcher applies one fixed pattern with a non-greedy argument capture.
 It deliberately keeps the pattern's known weaknesses so that counts stay
@@ -41,12 +47,6 @@ later keyword afresh, and a search started there finds the same matches. And
 such a match stops at t or before it, so even closed it ends before a. The
 walk back to t steps over each comment and string in one step and searches
 only the text between them, so it is linear in the text.
-
-The line counter counts without a kind per line. With each comment put down
-to its newlines and space, tab and CR deleted, a line is left empty unless
-it holds code; with only space, tab and CR deleted, a line is left empty
-when it is blank. The comment lines are the rest. Counting the empty pieces
-of two `split("\n")` gives what classifying every line gives.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from .lexer import Ranges, scan_ranges
 from .source import SourceFile, Span
@@ -63,13 +63,8 @@ EMIT_PATTERN = re.compile(r"\s+emit\s+(\w+)\s*\(([\s\S]*?)\)\s*")
 
 _IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
 
-# Space, tab and CR leave a line blank; a newline ends it.
-_NON_SPACE_RE = re.compile(r"[^ \t\r\n]")
+# Space, tab and CR leave a line blank.
 _DROP_SPACES = str.maketrans("", "", " \t\r")
-
-LINE_CODE = "code"
-LINE_COMMENT = "comment"
-LINE_BLANK = "blank"
 
 # The lookup that `range_holder` builds.
 RangeHolder = Callable[[int], "tuple[int, int] | None"]
@@ -100,51 +95,11 @@ class RegexEmitMatch:
         return self.file.span_from_offsets(self.start, self.end)
 
 
-def classify_lines(file: SourceFile, ranges: Ranges | None = None,
-                   lines: Iterable[int] | None = None) -> list[str]:
-    """Per-line classification, index 0 = line 1; or, when lines is given as
-    ascending 0-based line indexes, the kinds of those lines, in order.
-    ranges, when given, are this file's comment and string ranges; without
-    them they are scanned.
-
-    Each line searches for its first character other than space, tab or
-    CR. A hit inside a comment makes the line a comment line so far, and
-    the search goes on from the end of that comment; the first hit outside
-    every comment makes it a code line."""
-    text = file.text
-    ranges = scan_ranges(text) if ranges is None else ranges
-    search = _NON_SPACE_RE.search
-    starts = file.line_starts
-    kinds: list[str] = []
-    ci = 0
-    for line in range(file.line_count) if lines is None else lines:
-        pos = starts[line]
-        end = starts[line + 1] - 1 if line + 1 < len(starts) else len(text)
-        kind = LINE_BLANK
-        while (m := search(text, pos, end)) is not None:
-            off = m.start()
-            while ci < len(ranges) and ranges[ci][1] <= off:
-                ci += 1
-            if ci == len(ranges) or off < ranges[ci][0] or \
-                    text[ranges[ci][0]] != "/":
-                kind = LINE_CODE
-                break
-            kind = LINE_COMMENT
-            pos = ranges[ci][1]
-        kinds.append(kind)
-    return kinds
-
-
-def _filled_lines(text: str) -> int:
-    """The lines of text that hold a character other than space, tab and
-    CR."""
-    pieces = text.translate(_DROP_SPACES).split("\n")
-    return len(pieces) - pieces.count("")
-
-
-def _count_code_lines(text: str, ranges: Ranges) -> int:
-    """The code lines of text, given its comment and string ranges: the
-    filled lines once each comment is put down to its newlines."""
+def _code_rows(text: str, ranges: Ranges) -> list[str]:
+    """One row per line of text, given its comment and string ranges: row i
+    is filled exactly when line i + 1 is a code line. Each comment is put
+    down to its newlines, so the rows line up with the lines; a text that
+    ends in a newline has one more row, empty."""
     parts: list[str] = []
     pos = 0
     for a, b in ranges:
@@ -154,19 +109,22 @@ def _count_code_lines(text: str, ranges: Ranges) -> int:
                 parts.append("\n" * text.count("\n", a, b))
             pos = b
     parts.append(text[pos:])
-    return _filled_lines("".join(parts))
+    return "".join(parts).translate(_DROP_SPACES).split("\n")
+
+
+def _filled(rows: list[str]) -> int:
+    return len(rows) - rows.count("")
 
 
 def count_loc(file: SourceFile, ranges: Ranges | None = None) -> LocStats:
-    """The counts of the line kinds that classify_lines gives, counted
-    without a kind per line (see the module docstring); ranges, when given,
-    are this file's comment and string ranges; without them they are
-    scanned."""
+    """The code, comment and blank lines of file (see the module
+    docstring); ranges, when given, are this file's comment and string
+    ranges; without them they are scanned."""
     text = file.text
     total = file.line_count
-    code = _count_code_lines(text, scan_ranges(text) if ranges is None
-                             else ranges)
-    blank = total - _filled_lines(text)
+    code = _filled(_code_rows(text, scan_ranges(text) if ranges is None
+                              else ranges))
+    blank = total - _filled(_code_rows(text, []))
     return LocStats(total_lines=total, code_lines=code,
                     comment_lines=total - code - blank, blank_lines=blank)
 

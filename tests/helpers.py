@@ -44,8 +44,7 @@ from emitlint.parser import (
     _MAX_EXPR_DEPTH, _OPENERS, _UNARY_OPS, Parser, _Fail, parse_file,
 )
 from emitlint.scan import (
-    _IDENT_RE, EMIT_PATTERN, LINE_BLANK, LINE_CODE, LINE_COMMENT,
-    RegexEmitMatch, extract_emits_regex,
+    _IDENT_RE, EMIT_PATTERN, RegexEmitMatch, extract_emits_regex,
 )
 from emitlint.source import SourceFile, Span
 from emitlint.symbols import (
@@ -1175,10 +1174,15 @@ def reference_group_lex(file: SourceFile) -> LexResult:
                                      sorted(comments + strings)))
 
 
+LINE_CODE = "code"
+LINE_COMMENT = "comment"
+LINE_BLANK = "blank"
+
+
 def reference_classify_lines(file: SourceFile,
                              ranges: list[tuple[int, int]]) -> list[str]:
-    """The per-character line classifier that `scan.classify_lines`
-    replaced: it steps through every character of each line, comments
+    """The kind of every line, index 0 = line 1, from a per-character
+    classifier: it steps through every character of each line, comments
     included. It reads the comment ranges of ranges only."""
     ranges = [(a, b) for a, b in ranges if file.text[a] == "/"]
     kinds: list[str] = []

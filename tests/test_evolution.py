@@ -407,13 +407,12 @@ def test_analyze_revision_fills_independence_and_churn():
 
 import emitlint.lexer as lexer
 from emitlint.lexer import TokenKind, lex
-from emitlint.scan import (
-    LINE_CODE, classify_lines, count_loc, extract_emits_regex,
-)
+from emitlint.scan import count_loc, extract_emits_regex
 
 from helpers import (
-    SpanCounts, classify_word, front_end_inputs, make_snippet,
-    reference_kill_sets, reference_scan_kill_sets, shop,
+    LINE_CODE, SpanCounts, classify_word, front_end_inputs, make_snippet,
+    reference_classify_lines, reference_kill_sets, reference_scan_kill_sets,
+    shop,
 )
 
 
@@ -469,7 +468,7 @@ def _oracle_emit_lines(file):
 
 
 def _oracle_code_line(file, line):
-    kinds = classify_lines(file)
+    kinds = reference_classify_lines(file, lex(file).ranges)
     return 1 <= line <= len(kinds) and kinds[line - 1] == LINE_CODE
 
 
@@ -922,12 +921,12 @@ def test_analyze_revision_diffs_and_lexes_each_side_once(monkeypatch,
 
 
 def test_every_side_classifies_only_its_changed_lines(monkeypatch):
-    """Every side classifies just its changed lines: the deleted lines of a
-    before side, the added lines of an after side. The totals come from the
-    line counter, run once on the side that gives a pair's totals, the
-    after side or a lone side. Only that side searches the whole text for
-    emits; a before side with an after side searches around its windows.
-    The report is the same."""
+    """Every side builds its code rows exactly once and reads the rows of
+    just its changed lines: the deleted lines of a before side, the added
+    lines of an after side. The side that gives a pair's totals, the after
+    side or a lone side, also counts its filled rows, and only that side
+    searches the whole text for emits; a before side with an after side
+    searches around its windows. The report is the same."""
     rev = make_revision(
         "four",
         ("a.sol", make_snippet(1), make_snippet(1).replace("a > b", "a < b")),
@@ -937,42 +936,38 @@ def test_every_side_classifies_only_its_changed_lines(monkeypatch):
          make_snippet(4).replace("a", "x") + "// end\n"),
         ("e.sol", make_snippet(5), None))
     plain = analyze_revision(rev)
-    classified, counted, searched = [], [], []
-    real_classify, real_count, real_search = (
-        evolution.classify_lines, evolution._count_code_lines,
-        evolution.extract_emits_regex)
+    built, searched = [], []
+    real_rows = evolution._code_rows
+    real_search = evolution.extract_emits_regex
 
-    def recording_classify(file, ranges, lines=None):
-        classified.append((id(file), None if lines is None else list(lines)))
-        return real_classify(file, ranges, lines)
+    class Rows(list):
+        """Rows that record the lines read one at a time."""
 
-    def recording_count(text, ranges):
-        counted.append(id(text))
-        return real_count(text, ranges)
+        def __getitem__(self, i):
+            built[-1][1].add(i)
+            return super().__getitem__(i)
+
+    def recording_rows(text, ranges):
+        built.append((id(text), set()))
+        return Rows(real_rows(text, ranges))
 
     def recording_search(file, ranges, window=None):
         searched.append((id(file), window is None))
         return real_search(file, ranges, window)
 
-    monkeypatch.setattr(evolution, "classify_lines", recording_classify)
-    monkeypatch.setattr(evolution, "_count_code_lines", recording_count)
+    monkeypatch.setattr(evolution, "_code_rows", recording_rows)
     monkeypatch.setattr(evolution, "extract_emits_regex", recording_search)
     assert analyze_revision(rev) == plain
-    want_classified, want_counted, want_searched = [], [], []
+    want_built, want_searched = [], []
     for p in rev.file_pairs:
         deleted, added = evolution._edits(p.before, p.after)
         for file, changed in ((p.after, added), (p.before, deleted)):
             if file is None:
                 continue
-            totals = file is p.after or p.after is None
-            want_classified.append((id(file), [
-                line - 1 for line in sorted(changed)
-                if line <= file.line_count]))
-            want_searched.append((id(file), totals))
-            if totals:
-                want_counted.append(id(file.text))
-    assert classified == want_classified
-    assert counted == want_counted
+            want_built.append((id(file.text), {line - 1 for line in changed}))
+            want_searched.append((id(file),
+                                  file is p.after or p.after is None))
+    assert built == want_built
     assert searched == want_searched
-    assert any(lines for _, lines in classified)
+    assert any(read for _, read in built)
     assert not all(whole for _, whole in searched)

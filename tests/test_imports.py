@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used: read by the module,
-listed in its `__all__`, or quoted in an annotation."""
+listed in its `__all__`, or quoted in an annotation. Every private name a
+module defines is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -44,6 +45,72 @@ def _used(tree: ast.Module) -> set[str]:
                         isinstance(part.value, str):
                     used |= _used(ast.parse(part.value, mode="eval"))
     return used
+
+
+def _private_defined(tree: ast.Module) -> dict[str, int]:
+    """Private name -> line of every module-level function, class and
+    constant whose name starts with one `_`."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            defined = [t.id for target in targets for t in ast.walk(target)
+                       if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in defined:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def _unread_private(sources: dict[str, str]) -> list[str]:
+    """"<module>:<line>: <name>" for each private module-level name that
+    no module of sources reads, by name or as an attribute; importing it
+    does not count."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        read |= _used(tree)
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)}
+    return [f"{name}:{line}: {private}"
+            for name, tree in trees.items()
+            for private, line in _private_defined(tree).items()
+            if private not in read]
+
+
+def _package_sources() -> dict[str, str]:
+    return {path.name: path.read_text(encoding="utf-8")
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_every_private_name_is_read_in_the_package():
+    sources = _package_sources()
+    assert len(sources) > 10
+    unread = _unread_private(sources)
+    assert not unread, unread
+
+
+def test_the_private_check_sees_a_helper_left_behind():
+    """A helper that only an import names, or that nothing names, is
+    found; one read in another module, by name or as an attribute, is
+    not."""
+    sources = _package_sources()
+    line = sources["scan.py"].count("\n") + 3
+    sources["scan.py"] += "\n\ndef _count_code_lines(text, ranges):\n" \
+        "    return 0\n"
+    assert _unread_private(sources) == [f"scan.py:{line}: _count_code_lines"]
+    unread = _unread_private({
+        "a.py": "_A = 1\n_B, (_C, d) = 2, (3, 4)\n\n\ndef _f():\n"
+                "    return _A\n\n\nclass _K:\n    pass\n",
+        "b.py": "from a import _B, _f\nimport a\nx = a._C\n"})
+    assert sorted(unread) == ["a.py:2: _B", "a.py:5: _f", "a.py:9: _K"]
 
 
 def test_no_module_imports_a_name_it_does_not_use():

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import emitlint.lexer as lexer
@@ -6,15 +7,14 @@ from emitlint.evolution import ChangeCategory, analyze_revision
 from emitlint.lexer import lex
 from emitlint.metrics import count_file_emits
 from emitlint.parser import parse_file
-from emitlint.scan import (
-    EMIT_PATTERN, LINE_BLANK, LINE_CODE, LINE_COMMENT, classify_lines,
-    count_loc, extract_emits_regex,
-)
+from emitlint.scan import EMIT_PATTERN, _code_rows, count_loc, \
+    extract_emits_regex
 
 from helpers import (
-    FIXTURES, count_ast_emits, emit_splice_inputs, fixture_file,
-    front_end_inputs, reference_classify_lines, reference_extract_emits_regex,
-    shop, shop_revision, snippet_corpus, span_text, src,
+    FIXTURES, LINE_BLANK, LINE_CODE, LINE_COMMENT, count_ast_emits,
+    emit_splice_inputs, fixture_file, front_end_inputs,
+    reference_classify_lines, reference_extract_emits_regex, shop,
+    shop_revision, snippet_corpus, span_text, src,
 )
 
 
@@ -49,12 +49,12 @@ def test_block_comment_spanning_lines():
 
 def test_block_comment_with_trailing_code_is_code():
     file = src("/* x */ uint a;\n")
-    assert classify_lines(file) == [LINE_CODE]
+    assert count_loc(file) == scan.LocStats(1, 1, 0, 0)
 
 
 def test_comment_markers_inside_strings_do_not_comment():
     file = src('string x = "// not a comment";\n')
-    assert classify_lines(file) == [LINE_CODE]
+    assert count_loc(file) == scan.LocStats(1, 1, 0, 0)
 
 
 def test_empty_file_counts_zero():
@@ -63,32 +63,8 @@ def test_empty_file_counts_zero():
     assert stats.code_lines == 0
 
 
-def test_classification_is_per_line_additive():
-    for file in snippet_corpus(10):
-        kinds = classify_lines(file)
-        stats = count_loc(file)
-        assert len(kinds) == stats.total_lines
-        assert kinds.count(LINE_CODE) == stats.code_lines
-        assert kinds.count(LINE_COMMENT) == stats.comment_lines
-        assert kinds.count(LINE_BLANK) == stats.blank_lines
-
-
-def test_line_kinds_match_the_per_character_reference():
-    """Jumping over comment ranges classifies every line as stepping through
-    each character does, on the sweep, the edge cases and the perfbench
-    corpora."""
-    seen = set()
-    for file in front_end_inputs():
-        ranges = lex(file).ranges
-        kinds = classify_lines(file, ranges)
-        assert kinds == reference_classify_lines(file, ranges), \
-            repr(file.text[:200])
-        seen.update(kinds)
-    assert seen == {LINE_CODE, LINE_COMMENT, LINE_BLANK}
-
-
 def _kind_counts(file):
-    kinds = classify_lines(file)
+    kinds = reference_classify_lines(file, lex(file).ranges)
     return scan.LocStats(len(kinds), kinds.count(LINE_CODE),
                          kinds.count(LINE_COMMENT), kinds.count(LINE_BLANK))
 
@@ -98,13 +74,15 @@ def _kind_counts(file):
 # feed, which does not.
 _LINE_SPLICES = ("/", "*", '"', "'", "\\", "\r", "\f", "\n")
 
+# The empty text, a text with no final newline, a lone CR and a text that
+# ends in a newline.
+_LINE_EDGE_TEXTS = ("", "uint a;\n// b", "\r", "uint a;\n")
 
-def test_line_counter_equals_the_counts_of_the_line_kinds():
-    """Counting without a kind per line gives the counts of the kinds
-    `classify_lines` gives: on the sweep (every fixture among it), the edge
-    cases, the perfbench trees and history sides of seeds 1-5, 3,000
-    seeded splices of the characters that decide a line's kind, and the
-    empty text, a text with no final newline and a lone CR."""
+
+@functools.lru_cache(maxsize=None)
+def _line_splice_inputs():
+    """3,000 seeded pieces of fixture text, each with one to six splices of
+    the characters that decide a line's kind."""
     rng = random.Random(32)
     bases = [p.read_text(encoding="utf-8")
              for p in sorted(FIXTURES.rglob("*.sol"))]
@@ -118,10 +96,39 @@ def test_line_counter_equals_the_counts_of_the_line_kinds():
             text = text[:at] + rng.choice(_LINE_SPLICES) * \
                 rng.choice((1, 1, 2, 3)) + text[at + rng.choice((0, 1)):]
         spliced.append(src(text))
-    files = [*front_end_inputs(), *spliced,
-             *map(src, ("", "uint a;\n// b", "\r"))]
+    return tuple(spliced)
+
+
+def _line_inputs():
+    return [*front_end_inputs(), *_line_splice_inputs(),
+            *map(src, _LINE_EDGE_TEXTS)]
+
+
+def test_code_rows_are_filled_exactly_on_the_code_lines():
+    """The one code-line rule: row i of `_code_rows` is filled exactly when
+    the per-character reference says line i + 1 is code, and the rows past
+    the last line are empty. The rows line up with the text's lines. On the
+    sweep (every fixture among it), the edge cases, the perfbench trees and
+    history sides of seeds 1-5, 3,000 seeded splices of the characters that
+    decide a line's kind, and the edge texts."""
+    seen = set()
+    for file in _line_inputs():
+        ranges = lexer.scan_ranges(file.text)
+        rows = _code_rows(file.text, ranges)
+        kinds = reference_classify_lines(file, ranges)
+        assert len(rows) == file.text.count("\n") + 1
+        assert [bool(row) for row in rows[:file.line_count]] == \
+            [kind == LINE_CODE for kind in kinds], repr(file.text[:200])
+        assert not any(rows[file.line_count:]), repr(file.text[:200])
+        seen.update(kinds)
+    assert seen == {LINE_CODE, LINE_COMMENT, LINE_BLANK}
+
+
+def test_line_counter_equals_the_counts_of_the_line_kinds():
+    """The line counter gives the counts of the kinds that the
+    per-character reference gives, on the inputs of the code-row test."""
     seen = [0, 0, 0]
-    for file in files:
+    for file in _line_inputs():
         stats = count_loc(file)
         assert stats == _kind_counts(file), repr(file.text[:200])
         assert count_loc(file, lex(file).ranges) == stats
@@ -341,23 +348,6 @@ def test_digit_led_match_is_dropped():
     assert extract_emits_regex(src(" emit 9bad(x);")) == []
 
 
-def test_classifying_some_lines_gives_their_kinds_in_the_whole_file():
-    """classify_lines over chosen lines gives those lines' kinds in the
-    whole-file classification: every line, none, and seeded random subsets,
-    on the fixtures and the snippets."""
-    rng = random.Random(25)
-    files = [fixture_file(p.relative_to(FIXTURES))
-             for p in sorted(FIXTURES.rglob("*.sol"))] + snippet_corpus()
-    for file in files:
-        ranges = lex(file).ranges
-        kinds = classify_lines(file, ranges)
-        every = range(file.line_count)
-        for lines in (every, [], *(sorted(rng.sample(every, k))
-                                   for k in (1, 3, len(every) // 2))):
-            assert classify_lines(file, ranges, lines) == \
-                [kinds[line] for line in lines], (file.path, lines)
-
-
 def test_a_given_lex_gives_what_a_fresh_lex_gives():
     """Each per-file question answers the same whether it lexes the file
     itself or is handed the file's one lex."""
@@ -365,8 +355,8 @@ def test_a_given_lex_gives_what_a_fresh_lex_gives():
              for p in sorted(FIXTURES.rglob("*.sol"))] + snippet_corpus()
     for file in files:
         lexed = lex(file)
-        assert classify_lines(file) == classify_lines(file, lexed.ranges), \
-            file.path
+        assert reference_classify_lines(file, lexer.scan_ranges(file.text)) \
+            == reference_classify_lines(file, lexed.ranges), file.path
         assert count_loc(file) == count_loc(file, lexed.ranges), file.path
         assert extract_emits_regex(file) == \
             extract_emits_regex(file, lexed.ranges), file.path
