@@ -3,7 +3,8 @@ import random
 
 import emitlint.lexer as lexer
 import emitlint.scan as scan
-from emitlint.evolution import ChangeCategory, analyze_revision
+from emitlint.evolution import ChangeCategory, SideAnalysis, \
+    analyze_revision
 from emitlint.lexer import lex
 from emitlint.metrics import count_file_emits
 from emitlint.parser import parse_file
@@ -104,7 +105,7 @@ def _line_inputs():
             *map(src, _LINE_EDGE_TEXTS)]
 
 
-def test_code_rows_are_filled_exactly_on_the_code_lines():
+def test_line_kinds_match_the_per_character_reference():
     """The one code-line rule: row i of `_code_rows` is filled exactly when
     the per-character reference says line i + 1 is code, and the rows past
     the last line are empty. The rows line up with the text's lines. On the
@@ -122,6 +123,22 @@ def test_code_rows_are_filled_exactly_on_the_code_lines():
         assert not any(rows[file.line_count:]), repr(file.text[:200])
         seen.update(kinds)
     assert seen == {LINE_CODE, LINE_COMMENT, LINE_BLANK}
+
+
+def test_classification_is_per_line_additive():
+    """The per-line views add up to the line counter's totals: one kind per
+    line, each kind counted as `count_loc` counts it, and the filled code
+    rows are the code lines."""
+    for file in snippet_corpus(10):
+        ranges = lexer.scan_ranges(file.text)
+        kinds = reference_classify_lines(file, ranges)
+        stats = count_loc(file)
+        assert len(kinds) == stats.total_lines
+        assert kinds.count(LINE_CODE) == stats.code_lines
+        assert kinds.count(LINE_COMMENT) == stats.comment_lines
+        assert kinds.count(LINE_BLANK) == stats.blank_lines
+        assert sum(map(bool, _code_rows(file.text, ranges))) == \
+            stats.code_lines
 
 
 def test_line_counter_equals_the_counts_of_the_line_kinds():
@@ -346,6 +363,25 @@ def test_the_pattern_is_tried_at_most_once_per_emit(monkeypatch):
 def test_digit_led_match_is_dropped():
     # \w+ would accept a digit-led name; such hits are not emit statements.
     assert extract_emits_regex(src(" emit 9bad(x);")) == []
+
+
+def test_classifying_some_lines_gives_their_kinds_in_the_whole_file():
+    """A side's changed lines count as code exactly where the whole-file
+    classification says code: every line, none, and seeded random subsets,
+    on the fixtures and the snippets, with and without the totals."""
+    rng = random.Random(25)
+    files = [fixture_file(p.relative_to(FIXTURES))
+             for p in sorted(FIXTURES.rglob("*.sol"))] + snippet_corpus()
+    for file in files:
+        kinds = reference_classify_lines(file, lexer.scan_ranges(file.text))
+        every = range(1, file.line_count + 1)
+        for lines in (every, [], *(sorted(rng.sample(every, k))
+                                   for k in (1, 3, len(every) // 2))):
+            want = sum(kinds[line - 1] == LINE_CODE for line in lines)
+            for count_total in (False, True):
+                side = SideAnalysis.build(file, set(lines), False,
+                                          count_total)
+                assert side.churned_loc == want, (file.path, lines)
 
 
 def test_a_given_lex_gives_what_a_fresh_lex_gives():
