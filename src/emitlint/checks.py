@@ -63,10 +63,16 @@ class Diagnostic:
     suggestion: Optional[Suggestion] = None
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
+def _threshold(value, what: str) -> Fraction:
+    """value, a number or its decimal or ratio text, as a Fraction in
+    (0, 1]; otherwise ValueError "<what> must be in (0, 1], not <value>"."""
+    try:
+        ratio = Fraction(str(value))
+    except (ValueError, ZeroDivisionError):  # NaN and infinities included
+        ratio = None
+    if ratio is None or not 0 < ratio <= 1:
+        raise ValueError(f"{what} must be in (0, 1], not {value!r}")
+    return ratio
 
 
 @dataclass
@@ -76,9 +82,8 @@ class CheckConfig:
     debug_event_form_b: bool = False
 
     def __post_init__(self):
-        self.overuse_threshold = _as_fraction(self.overuse_threshold)
-        if not 0 < self.overuse_threshold <= 1:
-            raise ValueError("overuse threshold must be in (0, 1]")
+        self.overuse_threshold = _threshold(self.overuse_threshold,
+                                            "overuse threshold")
         self.enabled = frozenset(self.enabled)
 
 

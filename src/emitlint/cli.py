@@ -20,7 +20,9 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from .checks import CheckConfig, CheckId, Diagnostic, _sort_key, run_checks
+from .checks import (
+    CheckConfig, CheckId, Diagnostic, _sort_key, _threshold, run_checks,
+)
 from .evolution import (
     FilePair, Independence, Revision, RevisionAnalysis, analyze_revision,
 )
@@ -139,19 +141,6 @@ def _load_json_object(path: str) -> dict:
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from None
     return _checked(data, dict, f"{path}: top level must be a JSON object")
-
-
-def _threshold(value, what: str) -> Fraction:
-    """value, a JSON number or the flag's decimal or ratio, as a Fraction
-    in (0, 1]; otherwise ValueError "<what> must be in (0, 1], not
-    <value>"."""
-    try:
-        ratio = Fraction(str(value))
-    except (ValueError, ZeroDivisionError):  # NaN and infinities included
-        ratio = None
-    if ratio is None or not 0 < ratio <= 1:
-        raise ValueError(f"{what} must be in (0, 1], not {value!r}")
-    return ratio
 
 
 def load_config(ns: argparse.Namespace) -> CheckConfig:

@@ -95,20 +95,33 @@ class RegexEmitMatch:
         return self.file.span_from_offsets(self.start, self.end)
 
 
-def _code_rows(text: str, ranges: Ranges) -> list[str]:
-    """One row per line of text, given its comment and string ranges: row i
-    is filled exactly when line i + 1 is a code line. Each comment is put
-    down to its newlines, so the rows line up with the lines; a text that
-    ends in a newline has one more row, empty."""
+def _code_rows(text: str, ranges: Ranges, lo: int = 0,
+               hi: int | None = None) -> list[str]:
+    """One row per line of text[lo:hi], given the text's comment and string
+    ranges; lo is a line start, and hi a line start or the end of the text
+    (the default). Row i is filled exactly when line i + 1 of the slice is
+    a code line. Each comment is put down to its newlines, so the rows line
+    up with the lines; a slice that ends in a newline has one more row,
+    empty. A range that crosses lo or hi is cut there: only a block comment
+    or a string can cross a line start."""
+    if hi is None:
+        hi = len(text)
+    i = bisect_left(ranges, (lo,))
+    inside = ranges[i:bisect_left(ranges, (hi,), i)]
+    if inside and inside[-1][1] > hi:
+        inside[-1] = (inside[-1][0], hi)
     parts: list[str] = []
-    pos = 0
-    for a, b in ranges:
+    pos = lo
+    if i and ranges[i - 1][1] > lo and text[ranges[i - 1][0]] == "/":
+        pos = min(ranges[i - 1][1], hi)
+        parts.append("\n" * text.count("\n", lo, pos))
+    for a, b in inside:
         if text[a] == "/":
             parts.append(text[pos:a])
             if text[a + 1] == "*":  # only a block comment holds a newline
                 parts.append("\n" * text.count("\n", a, b))
             pos = b
-    parts.append(text[pos:])
+    parts.append(text[pos:hi])
     return "".join(parts).translate(_DROP_SPACES).split("\n")
 
 

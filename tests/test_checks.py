@@ -172,6 +172,16 @@ def test_config_validates_threshold():
         CheckConfig(overuse_threshold=Fraction(3, 2))
 
 
+@pytest.mark.parametrize("value", ["abc", 0, 2, True])
+def test_a_bad_threshold_is_named_in_the_error(value):
+    """A library caller gets the message the CLI gives, with the value;
+    True is no number here, as in a config file."""
+    with pytest.raises(ValueError) as info:
+        CheckConfig(overuse_threshold=value)
+    assert str(info.value) == \
+        f"overuse threshold must be in (0, 1], not {value!r}"
+
+
 def test_a_float_threshold_is_read_as_its_decimal_fraction():
     """0.25 becomes Fraction(1, 4) through its decimal text, not the
     binary value of the float."""

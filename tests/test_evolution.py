@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -91,16 +92,11 @@ def _tie_heavy_lines(rng: random.Random, alphabet: list[str],
     return lines[:count]
 
 
-def _reference_script(a: list[str], b: list[str]) -> list[tuple]:
-    return [(op.kind, op.before_line, op.after_line)
-            for op in reference_myers(a, b)]
-
-
 def test_edit_script_matches_the_reference_myers():
-    """The integer-coded diff keeps the reference's tie-break, step for step,
-    on small alphabets where ties are common: '}' and blank runs, shared
-    prefixes, empty sides, and a line repeated on one side, of which the
-    first copy is kept."""
+    """The search over the lines both sides hold keeps the reference's
+    tie-break, op for op, on small alphabets where ties are common: '}' and
+    blank runs, shared prefixes, empty sides, and a line repeated on one
+    side, of which the first copy is kept."""
     rng = random.Random(22)
     cases = [([], []), (["x"], []), ([], ["x"]), (["x"], ["x", "x"]),
              (["}", "}"], ["}"]), (["", "}"], ["}", "", "}"])]
@@ -112,7 +108,38 @@ def test_edit_script_matches_the_reference_myers():
             (shared + _tie_heavy_lines(rng, alphabet, rng.randint(0, 20)),
              shared + _tie_heavy_lines(rng, alphabet, rng.randint(0, 20))))
     for a, b in cases:
-        assert evolution._myers(a, b) == _reference_script(a, b), (a, b)
+        assert evolution._ops(a, b) == reference_myers(a, b), (a, b)
+
+
+def test_every_small_pair_diffs_as_the_reference_myers():
+    """All pairs of up to 4 lines over {0, 1, A} and {0, 1, B}: A and B are
+    held by one side only, so the search drops them, and 0 and 1 give the
+    ties."""
+    sides = [[list(a) for n in range(5)
+              for a in itertools.product(("0", "1", other), repeat=n)]
+             for other in ("A", "B")]
+    for a in sides[0]:
+        for b in sides[1]:
+            assert evolution._ops(a, b) == reference_myers(a, b), (a, b)
+
+
+def test_one_sided_lines_diff_as_the_reference_myers():
+    """Seeded pairs in which about half the lines are held by one side
+    only, between shared '}', blank and alphabet lines, after a shared
+    prefix or none."""
+    rng = random.Random(34)
+    for _ in range(4000):
+        alphabet = [f"line {i};" for i in range(rng.randint(1, 8))]
+        shared = _tie_heavy_lines(rng, alphabet, rng.choice(
+            (0, rng.randint(1, 5))))
+
+        def side(tag):
+            return [f"{tag} {i};" if rng.random() < 0.5 else line
+                    for i, line in enumerate(_tie_heavy_lines(
+                        rng, alphabet, rng.randint(0, 30)))]
+
+        a, b = shared + side("before"), shared + side("after")
+        assert evolution._ops(a, b) == reference_myers(a, b), (a, b)
 
 
 def test_fixture_and_case_diffs_match_the_reference_myers():
@@ -132,19 +159,46 @@ def test_fixture_and_case_diffs_match_the_reference_myers():
 
 
 def test_whole_file_rewrite_diff_peaks_under_4_mb():
-    """A 300-line rewrite with every line distinct takes D = 600 passes; the
-    trace keeps only the entries the traceback reads (the reference's
-    dict-per-pass trace peaks near 13 MB here)."""
-    before = src("\n".join(f"uint before{i} = {i};" for i in range(300)))
-    after = src("\n".join(f"uint after{i} = {i};" for i in range(300)))
+    """A 300-line file reversed keeps one line, and every line recurs on
+    the other side, so the search takes D = 598 passes; the trace keeps only
+    the entries the traceback reads (the reference's dict-per-pass trace
+    peaks near 13 MB here)."""
+    lines = [f"uint v{i} = {i};" for i in range(300)]
+    before, after = src("\n".join(lines)), src("\n".join(lines[::-1]))
     tracemalloc.start()
     try:
         diff = diff_lines(before, after)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [op.kind for op in diff.ops] == ["delete"] * 300 + ["add"] * 300
+    assert [op.kind for op in diff.ops].count("keep") == 1
+    assert replay(diff) == after.text
     assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("shape", ["rewrite", "insertion"])
+def test_one_sided_lines_diff_in_linear_memory(shape):
+    """A 4,000-line rewrite with every line distinct, and 4,000 lines
+    inserted into a 4-line file: every changed line is held by one side
+    only, so the search runs over no line or over the 4 kept ones, and the
+    edits of `diff` peak under 2 MB."""
+    if shape == "rewrite":
+        before = [f"uint before{i} = {i};" for i in range(4000)]
+        after = [f"uint after{i} = {i};" for i in range(4000)]
+        want = set(range(1, 4001)), set(range(1, 4001))
+    else:
+        before = ["a;", "b;", "c;", "d;"]
+        after = before[:2] + [f"x{i};" for i in range(4000)] + before[2:]
+        want = set(), set(range(3, 4003))
+    before, after = src("\n".join(before)), src("\n".join(after))
+    tracemalloc.start()
+    try:
+        edits = evolution._edits(before, after)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert edits == want
+    assert peak < 2 * 2 ** 20
 
 
 # -------------------------------------------------------------------- churn
@@ -874,7 +928,7 @@ def test_analyze_revision_diffs_and_lexes_each_side_once(monkeypatch,
     scanned = []
     windows = {}
     real_diff, real_ranges, real_windows = (
-        evolution._myers, evolution.scan_ranges, evolution._windows)
+        evolution._kept_runs, evolution.scan_ranges, evolution._windows)
 
     def counting_diff(a, b):
         diffs.append((a, b))
@@ -891,7 +945,7 @@ def test_analyze_revision_diffs_and_lexes_each_side_once(monkeypatch,
     def no_lex(file):
         raise AssertionError(f"lex({file.path})")
 
-    monkeypatch.setattr(evolution, "_myers", counting_diff)
+    monkeypatch.setattr(evolution, "_kept_runs", counting_diff)
     monkeypatch.setattr(evolution, "scan_ranges", counting_ranges)
     monkeypatch.setattr(evolution, "_windows", recording_windows)
     monkeypatch.setattr(lexer, "lex", no_lex)
@@ -924,9 +978,11 @@ def test_every_side_classifies_only_its_changed_lines(monkeypatch):
     """Every side builds its code rows exactly once and reads the rows of
     just its changed lines: the deleted lines of a before side, the added
     lines of an after side. The side that gives a pair's totals, the after
-    side or a lone side, also counts its filled rows, and only that side
-    searches the whole text for emits; a before side with an after side
-    searches around its windows. The report is the same."""
+    side or a lone side, builds the rows of its whole text and counts the
+    filled ones, and only that side searches the whole text for emits; a
+    before side with an after side builds rows only from its first to its
+    last deleted line, and searches around its windows. The report is the
+    same."""
     rev = make_revision(
         "four",
         ("a.sol", make_snippet(1), make_snippet(1).replace("a > b", "a < b")),
@@ -944,12 +1000,13 @@ def test_every_side_classifies_only_its_changed_lines(monkeypatch):
         """Rows that record the lines read one at a time."""
 
         def __getitem__(self, i):
-            built[-1][1].add(i)
+            built[-1][2].add(built[-1][1][0] + i)
             return super().__getitem__(i)
 
-    def recording_rows(text, ranges):
-        built.append((id(text), set()))
-        return Rows(real_rows(text, ranges))
+    def recording_rows(text, ranges, lo, hi):
+        first = text.count("\n", 0, lo) + 1
+        built.append((id(text), (first, text.count("\n", 0, hi) + 1), set()))
+        return Rows(real_rows(text, ranges, lo, hi))
 
     def recording_search(file, ranges, window=None):
         searched.append((id(file), window is None))
@@ -964,10 +1021,16 @@ def test_every_side_classifies_only_its_changed_lines(monkeypatch):
         for file, changed in ((p.after, added), (p.before, deleted)):
             if file is None:
                 continue
-            want_built.append((id(file.text), {line - 1 for line in changed}))
-            want_searched.append((id(file),
-                                  file is p.after or p.after is None))
+            totals = file is p.after or p.after is None
+            # The lines from the first row to the line that holds the end
+            # of the last one.
+            span = (1, file.text.count("\n") + 1) if totals else (
+                min(changed), max(changed) + 1) if changed else (1, 1)
+            want_built.append((id(file.text), span, changed))
+            want_searched.append((id(file), totals))
     assert built == want_built
     assert searched == want_searched
-    assert any(read for _, read in built)
+    assert any(read for *_, read in built)
+    assert any(span != (1, 1) and span[1] - span[0] < 10
+               for _, span, _ in built)
     assert not all(whole for _, whole in searched)

@@ -556,6 +556,38 @@ def test_bounded_search_equals_the_whole_search_on_pairs_and_contexts():
     assert bounded >= 1000, bounded
 
 
+def test_windowed_rows_equal_the_whole_text_rows():
+    """A before side with an after side builds code rows only from its
+    first to its last deleted line, cutting the block comments that cross
+    those edges; its rows equal the whole text's rows there, and its
+    churned_loc counts the deleted lines that the whole text's rows fill.
+    The 3,000 seeded edits of the fixtures and every manifest and case
+    pair, taken both ways."""
+    pairs = [(src(before), src(after))
+             for before, after in _seeded_cases(24, 3000)]
+    pairs += [(pair.before, pair.after)
+              for pair in _manifest_and_case_pairs()]
+    pairs += [(after, before) for before, after in pairs]
+    cut = 0
+    for file, deleted in _before_sides(pairs):
+        if not deleted:
+            continue
+        text, starts = file.text, file.line_starts
+        ranges = scan_ranges(text)
+        whole = scan._code_rows(text, ranges)
+        first, last = min(deleted), max(deleted)
+        lo = starts[first - 1]
+        hi = starts[last] if last < len(starts) else len(text)
+        rows = scan._code_rows(text, ranges, lo, hi)
+        assert rows[:last - first + 1] == whole[first - 1:last], \
+            (text, sorted(deleted))
+        side = SideAnalysis.build(file, deleted, False, False)
+        assert side.churned_loc == sum(1 for line in deleted
+                                       if whole[line - 1]), text
+        cut += any(a < edge < b for a, b in ranges for edge in (lo, hi))
+    assert cut >= 100, cut
+
+
 _HEAD = ["contract C {", "    function f() public {", "        x = g(1);"]
 _TAIL = ["        z = 3;", "    }", "}", ""]
 
