@@ -60,16 +60,9 @@ class ProjectMetrics:
     per_file: tuple[FileMetrics, ...]
 
 
-def count_file_emits(file: SourceFile, unit: SourceUnit | None = None
-                     ) -> tuple[int, str]:
-    """Emit count and the method used. unit, when given, must come from this
-    file; without it the file is lexed and parsed here."""
-    ranges = None
-    if unit is None:
-        lexed = lex(file)
-        unit = parse_file(file, lexed)
-        ranges = lexed.ranges
-    return _count_emits(file, unit, ranges,
+def count_file_emits(file: SourceFile, unit: SourceUnit) -> tuple[int, str]:
+    """Emit count and the method used; unit must come from this file."""
+    return _count_emits(file, unit, None,
                         map(walk_function, iter_functions(unit)))
 
 

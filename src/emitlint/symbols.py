@@ -9,6 +9,9 @@ immutable state variables, whose values are in the code, not in storage.
 
 State variables of base contracts declared in the same file are imported into
 the derived contract's scope; cross-file inheritance is out of scope.
+
+Each scope also keeps its declarations by name, so a lookup reads only its
+own name's declarations.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ class Symbol:
     """A declaration; decl_start/decl_end are the offsets of its text."""
     name: str
     kind: SymbolKind
-    declared_type: str
     location_class: LocationClass
     decl_start: int
     decl_end: int
@@ -76,6 +78,9 @@ class Scope:
     depth: int
     file: SourceFile = field(repr=False, compare=False)
     symbols: list[Symbol] = field(default_factory=list)
+    # The same symbols by name, each list in declaration order.
+    named: dict[str, list[Symbol]] = field(default_factory=dict, repr=False,
+                                           compare=False)
     # Child scopes in source order and their start offsets, for bisection.
     children: list[Scope] = field(default_factory=list, repr=False,
                                   compare=False)
@@ -109,7 +114,7 @@ class ScopeTree:
 BUILTIN_NAMES = ("msg", "block", "tx", "this", "address", "abi")
 
 BUILTINS = {
-    name: Symbol(name, SymbolKind.BUILTIN, "", LocationClass.NOT_APPLICABLE,
+    name: Symbol(name, SymbolKind.BUILTIN, LocationClass.NOT_APPLICABLE,
                  0, 0, -1)
     for name in BUILTIN_NAMES
 }
@@ -163,37 +168,39 @@ class _Builder:
         return scope
 
     def _add(self, scope: Scope, name: str, kind: SymbolKind,
-             declared_type: str, location_class: LocationClass, decl: Node,
-             unique: bool = True) -> None:
-        sym = Symbol(name, kind, declared_type, location_class, decl.start,
-                     decl.end, scope.scope_id, decl.file)
-        if unique:
-            for existing in scope.symbols:
-                if existing.name == sym.name and existing.kind == sym.kind:
+             location_class: LocationClass, decl: Node) -> None:
+        """A second declaration of a name and kind in one scope is skipped
+        with a warning; function names are exempt, since overloads share
+        one."""
+        sym = Symbol(name, kind, location_class, decl.start, decl.end,
+                     scope.scope_id, decl.file)
+        same_name = scope.named.setdefault(name, [])
+        if kind != SymbolKind.FUNCTION_NAME:
+            for existing in same_name:
+                if existing.kind == kind:
                     self.tree.warnings.append(
                         DuplicateDeclaration(sym, existing))
                     return
+        same_name.append(sym)
         scope.symbols.append(sym)
 
     def _add_variable(self, scope: Scope, kind: SymbolKind,
                       decl: Param | LocalVarDecl) -> None:
-        self._add(scope, decl.name, kind, decl.type_name,
+        self._add(scope, decl.name, kind,
                   location_class_for(decl.type_name, decl.data_location), decl)
 
-    def _add_state_var(self, scope: Scope, var: StateVarDecl,
-                       unique: bool = True) -> None:
+    def _add_state_var(self, scope: Scope, var: StateVarDecl) -> None:
         """A constant or immutable is no storage slot: its value is in the
         code, so reading it costs no Sload."""
         location_class = LocationClass.NOT_APPLICABLE \
             if var.is_constant or var.is_immutable else LocationClass.STORAGE
-        self._add(scope, var.name, SymbolKind.STATE_VAR, var.type_name,
-                  location_class, var, unique)
+        self._add(scope, var.name, SymbolKind.STATE_VAR, location_class, var)
 
     def build(self) -> ScopeTree:
         root = self._new_scope(None, self.unit)
         by_name = {c.name: c for c in self.unit.contracts}
         for contract in self.unit.contracts:
-            self._add(root, contract.name, SymbolKind.CONTRACT_NAME, "",
+            self._add(root, contract.name, SymbolKind.CONTRACT_NAME,
                       LocationClass.NOT_APPLICABLE, contract)
         for contract in self.unit.contracts:
             self._build_contract(root, contract, by_name)
@@ -206,16 +213,15 @@ class _Builder:
             self._add_state_var(scope, var)
         for parent in self._linearized_bases(contract, by_name):
             for var in parent.state_vars:
-                if any(s.name == var.name for s in scope.symbols):
-                    continue  # derived declaration wins
-                self._add_state_var(scope, var, unique=False)
+                if var.name not in scope.named:  # derived declaration wins
+                    self._add_state_var(scope, var)
         for event in contract.events:
-            self._add(scope, event.name, SymbolKind.EVENT_NAME, "",
+            self._add(scope, event.name, SymbolKind.EVENT_NAME,
                       LocationClass.NOT_APPLICABLE, event)
         for fn in contract.functions:
             if fn.name:
-                self._add(scope, fn.name, SymbolKind.FUNCTION_NAME, "",
-                          LocationClass.NOT_APPLICABLE, fn, unique=False)
+                self._add(scope, fn.name, SymbolKind.FUNCTION_NAME,
+                          LocationClass.NOT_APPLICABLE, fn)
         for fn in contract.functions:
             self._build_function(scope, fn)
 
@@ -260,9 +266,8 @@ def resolve_at(name: str, offset: int, tree: ScopeTree) -> Symbol | None:
     Builtin names resolve to location-free pseudo-symbols."""
     scope = tree.scope_at(offset)
     while scope is not None:
-        for sym in scope.symbols:
-            if sym.name == name and (sym.kind != SymbolKind.LOCAL_VAR
-                                     or sym.decl_start <= offset):
+        for sym in scope.named.get(name, ()):
+            if sym.kind != SymbolKind.LOCAL_VAR or sym.decl_start <= offset:
                 return sym
         scope = tree.scopes[scope.parent_id] if scope.parent_id is not None else None
     return BUILTINS.get(name)

@@ -48,8 +48,8 @@ from emitlint.scan import (
 )
 from emitlint.source import SourceFile, Span
 from emitlint.symbols import (
-    LocationClass, Scope, ScopeTree, Symbol, SymbolKind, build_symbols,
-    resolve_at,
+    BUILTINS, LocationClass, Scope, ScopeTree, Symbol, SymbolKind,
+    build_symbols, resolve_at,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -119,6 +119,13 @@ def emits_of(fn) -> list[EmitStmt]:
 def count_ast_emits(unit: SourceUnit) -> int:
     """The AST emit count, walked apart from `metrics`."""
     return sum(len(emits_of(fn)) for fn in iter_functions(unit))
+
+
+def counted_emits(file: SourceFile) -> tuple[int, str]:
+    """The file's emit count and counting method, as `metrics` reports
+    them."""
+    analysis = FileAnalysis.build(file)
+    return analysis.emit_count, analysis.method
 
 
 def span_text(file: SourceFile, span: Span) -> str:
@@ -711,6 +718,22 @@ def reference_scope_at(tree: ScopeTree, line: int, col: int) -> Scope:
                 scope.depth >= best.depth:
             best = scope
     return best
+
+
+def reference_resolve_at(name: str, offset: int,
+                         tree: ScopeTree) -> Symbol | None:
+    """The scan over each enclosing scope's whole symbol list that the
+    by-name index `Scope.named` replaced in `symbols.resolve_at`; the
+    differential resolution test compares the two."""
+    scope = tree.scope_at(offset)
+    while scope is not None:
+        for sym in scope.symbols:
+            if sym.name == name and (sym.kind != SymbolKind.LOCAL_VAR
+                                     or sym.decl_start <= offset):
+                return sym
+        scope = tree.scopes[scope.parent_id] \
+            if scope.parent_id is not None else None
+    return BUILTINS.get(name)
 
 
 class UnsupportedConstruct(Exception):

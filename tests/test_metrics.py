@@ -1,9 +1,9 @@
 from fractions import Fraction
 
-from emitlint.metrics import compute_metrics, count_file_emits
+from emitlint.metrics import compute_metrics
 from emitlint.parser import parse_file
 
-from helpers import SpanCounts, fixture_file, src
+from helpers import SpanCounts, counted_emits, fixture_file, src
 
 
 def _filler_contract(code_lines: int, emits: int, name="Filler") -> str:
@@ -56,7 +56,7 @@ def test_three_file_totals():
 
 def test_ast_method_used_on_clean_files():
     file = src(_filler_contract(30, 2))
-    count, method = count_file_emits(file)
+    count, method = counted_emits(file)
     assert (count, method) == (2, "ast")
 
 
@@ -65,8 +65,8 @@ def test_regex_fallback_on_fatal_parse_error_same_count():
     result when emits live outside comments and strings."""
     clean = _filler_contract(30, 2)
     broken = clean.replace("v = v + 0;", "v = v + 0", 1)
-    good_count, good_method = count_file_emits(src(clean))
-    bad_count, bad_method = count_file_emits(src(broken, "broken.sol"))
+    good_count, good_method = counted_emits(src(clean))
+    bad_count, bad_method = counted_emits(src(broken, "broken.sol"))
     assert good_method == "ast"
     assert bad_method == "regex"
     assert good_count == bad_count == 2
@@ -81,7 +81,7 @@ def test_regex_fallback_excludes_commented_emits():
     }
 }
 """
-    count, method = count_file_emits(src(text))
+    count, method = counted_emits(src(text))
     assert method == "regex"  # missing semicolon is fatal
     assert count == 1
 

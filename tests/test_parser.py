@@ -9,7 +9,7 @@ import pytest
 import emitlint.parser as parser_module
 from emitlint.checks import run_checks
 from emitlint.lexer import lex
-from emitlint.metrics import FileAnalysis, count_file_emits
+from emitlint.metrics import FileAnalysis
 from emitlint.nodes import (
     Assignment, Binary, Call, Conditional, ContractKind, DataLocation,
     EmitStmt, ExprStmt, Identifier, If, Literal, LiteralKind, LocalVarDecl,
@@ -20,9 +20,9 @@ from emitlint.parser import Parser, has_fatal_errors, parse, parse_file
 from emitlint.source import SourceFile
 
 from helpers import (
-    FIXTURES, ReferenceExprParser, ReferenceSkipParser, emits_of,
-    fixture_file, front_end_inputs, nodes_in, parsed, snippet_corpus,
-    span_contains, span_text, spans_in, src, structural_eq,
+    FIXTURES, ReferenceExprParser, ReferenceSkipParser, counted_emits,
+    emits_of, fixture_file, front_end_inputs, nodes_in, parsed,
+    snippet_corpus, span_contains, span_text, spans_in, src, structural_eq,
 )
 
 RECEIPT_TEXT = fixture_file("client_receipt.sol").text
@@ -258,7 +258,7 @@ def test_damaged_call_options_are_skipped_with_a_warning(options):
     assert (warning.message, warning.severity) == \
         ("damaged call options skipped", "warning")
     assert span_text(file, warning.span) == options
-    assert count_file_emits(file) == (2, "ast")
+    assert counted_emits(file) == (2, "ast")
 
 
 def _messages(unit) -> list[tuple[str, str]]:
@@ -276,7 +276,7 @@ def test_unclosed_damaged_call_options_still_lose_the_emits():
     assert _messages(unit) == [("unsupported or malformed statement",
                                 "error")]
     assert has_fatal_errors(unit)
-    assert count_file_emits(file) == (2, "regex")
+    assert counted_emits(file) == (2, "regex")
 
 
 def test_a_damaged_struct_literal_argument_is_not_skipped_as_options():
@@ -1089,4 +1089,4 @@ def test_file_within_every_budget_parses_without_the_stack_fallback():
     unit = parse_file(file)
     assert unit.parse_errors == []
     assert len(emits_of(unit.contracts[0].functions[0])) == 1
-    assert count_file_emits(file) == (1, "ast")
+    assert counted_emits(file) == (1, "ast")

@@ -6,14 +6,13 @@ import emitlint.scan as scan
 from emitlint.evolution import ChangeCategory, SideAnalysis, \
     analyze_revision
 from emitlint.lexer import lex
-from emitlint.metrics import count_file_emits
 from emitlint.parser import parse_file
 from emitlint.scan import EMIT_PATTERN, _code_rows, count_loc, \
     extract_emits_regex
 
 from helpers import (
     FIXTURES, LINE_BLANK, LINE_CODE, LINE_COMMENT, count_ast_emits,
-    emit_splice_inputs, fixture_file, front_end_inputs,
+    counted_emits, emit_splice_inputs, fixture_file, front_end_inputs,
     reference_classify_lines, reference_extract_emits_regex, shop,
     shop_revision, snippet_corpus, span_text, src,
 )
@@ -292,9 +291,9 @@ def test_comment_match_leaves_the_whitespace_before_the_next_emit():
     assert [(m.event_name, m.in_comment_or_string)
             for m in extract_emits_regex(src(shop(body)))] == \
         [("A", True), ("B", False)]
-    assert count_file_emits(src(shop(body))) == (1, "ast")
+    assert counted_emits(src(shop(body))) == (1, "ast")
     # A missing ';' sends the count to the regex fallback, which finds B.
-    assert count_file_emits(src(shop(["// emit A()", "emit B(1)"]))) == \
+    assert counted_emits(src(shop(["// emit A()", "emit B(1)"]))) == \
         (1, "regex")
     # The edit of B is a change of B, with or without the comment line
     # before it; the comment's match only adds to churn's emit total.
@@ -313,7 +312,7 @@ def test_emit_glued_to_the_previous_token_is_not_matched():
     it."""
     file = src(shop(["uint local = 1;emit B(local);"]))
     assert extract_emits_regex(file) == []
-    assert count_file_emits(file) == (1, "ast")
+    assert counted_emits(file) == (1, "ast")
 
 
 class _CountingPattern:

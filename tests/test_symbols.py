@@ -1,20 +1,24 @@
 import bisect
 import math
 import random
+import sys
+
+import pytest
 
 from emitlint import symbols
 from emitlint.checks import run_checks
-from emitlint.nodes import DataLocation
-from emitlint.parser import has_fatal_errors
+from emitlint.nodes import DataLocation, EmitStmt, Identifier
+from emitlint.parser import has_fatal_errors, parse_file
 from emitlint.source import SourceFile, Span
 from emitlint.symbols import (
-    BUILTINS, LocationClass, Scope, ScopeTree, SymbolKind, is_reference_type,
-    location_class_for, resolve,
+    BUILTINS, LocationClass, Scope, ScopeTree, SymbolKind, build_symbols,
+    is_reference_type, location_class_for, resolve, resolve_at,
 )
 
 from helpers import (
-    FIXTURES, emits_of, in_scope_memory_symbols, parsed, reference_run_checks,
-    reference_scope_at, snippet_corpus, span_contains, src,
+    FIXTURES, bench_tree, emits_of, in_scope_memory_symbols, nodes_in, parsed,
+    reference_resolve_at, reference_run_checks, reference_scope_at,
+    snippet_corpus, span_contains, src, sweep_inputs,
 )
 
 
@@ -211,6 +215,49 @@ def test_duplicate_state_var_warns_first_wins():
     assert tree.warnings[0].symbol.name == "twice"
     scope = tree.scopes[1]
     assert sum(1 for s in scope.symbols if s.name == "twice") == 1
+
+
+def test_one_duplicate_rule_for_every_kind_but_function_names():
+    """A second declaration of a name and kind in one scope is skipped with
+    a warning. Overloads share a function name, and names of other kinds
+    may repeat it; a base's variable is imported only when the derived
+    contract declares no such name, so no base raises a warning."""
+    text = """contract A {
+    uint shared;
+    uint onlyA;
+}
+contract B {
+    uint shared;
+    uint onlyB;
+}
+contract C is A, B {
+    uint shared;
+    uint twice;
+    uint twice;
+    event Touch(uint v);
+    function Touch() public {}
+    function Touch(uint v) public {}
+}
+"""
+    _, _, tree = parsed(text)
+    scope = tree.scopes[3]
+    assert [(s.name, s.kind) for s in scope.symbols] == [
+        ("shared", SymbolKind.STATE_VAR), ("twice", SymbolKind.STATE_VAR),
+        ("onlyA", SymbolKind.STATE_VAR), ("onlyB", SymbolKind.STATE_VAR),
+        ("Touch", SymbolKind.EVENT_NAME), ("Touch", SymbolKind.FUNCTION_NAME),
+        ("Touch", SymbolKind.FUNCTION_NAME),
+    ]
+    lines = [s.decl_span.start_line for s in scope.symbols]
+    assert lines == [10, 11, 3, 7, 13, 14, 15]
+    [warning] = tree.warnings
+    assert (warning.symbol.name, warning.symbol.kind) == \
+        ("twice", SymbolKind.STATE_VAR)
+    assert (warning.symbol.decl_span.start_line,
+            warning.original.decl_span.start_line) == (12, 11)
+    assert warning.original is scope.symbols[1]
+    for scope in tree.scopes:
+        assert {name: [s for s in scope.symbols if s.name == name]
+                for name in {s.name for s in scope.symbols}} == scope.named
 
 
 def test_in_scope_memory_symbols_setdelay():
@@ -477,3 +524,107 @@ def test_lookup_work_grows_with_depth_not_scope_count(monkeypatch):
         assert max(counts) <= 2 * levels * math.log2(widest)
         per_lookup[n_functions] = sum(counts) / len(counts)
     assert per_lookup[1_000] < 2 * per_lookup[100]
+
+
+def _locals_shape(n: int) -> SourceFile:
+    """One function of n locals, each then emitted and reassigned."""
+    body = "".join(f"        uint v{i} = {i};\n        emit E(v{i});\n"
+                   f"        v{i} = 0;\n" for i in range(n))
+    return src("contract C {\n    event E(uint v);\n"
+               "    function f() public {\n" + body + "    }\n}\n",
+               f"locals_{n}.sol")
+
+
+def _state_vars_shape(n: int) -> SourceFile:
+    """A contract of n state variables deriving from a base of n, with
+    every derived variable emitted in one function."""
+    base = "".join(f"    uint b{i};\n" for i in range(n))
+    derived = "".join(f"    uint d{i};\n" for i in range(n))
+    emits = "".join(f"        emit E(d{i});\n" for i in range(n))
+    return src("contract Base {\n" + base + "}\ncontract Derived is Base {\n"
+               + derived + "    event E(uint v);\n    function f() public {\n"
+               + emits + "    }\n}\n", f"state_vars_{n}.sol")
+
+
+def _symbol_line_events(file: SourceFile) -> int:
+    """Lines run in symbols.py while every check runs on the file."""
+    events = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return count_lines
+
+    def in_symbols(frame, event, arg):
+        if frame.f_code.co_filename == symbols.__file__:
+            return count_lines
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(in_symbols)
+    try:
+        run_checks(file)
+    finally:
+        sys.settrace(previous)
+    return events
+
+
+@pytest.mark.parametrize("shape", [_locals_shape, _state_vars_shape],
+                         ids=["locals", "state_vars"])
+def test_symbol_work_grows_linearly_with_declarations(shape):
+    """Building the table and every lookup the checks make read only the
+    looked-up name's declarations, so the lines run in symbols.py at most
+    about double when the declarations double. A scan of each scope's
+    whole symbol list nearly quadruples them."""
+    counts = [_symbol_line_events(shape(250))]
+    for n in (500, 1_000):
+        counts.append(_symbol_line_events(shape(n)))
+        assert counts[-1] <= 2.2 * counts[-2], counts
+
+
+def _declared_names(scope: Scope) -> set[str]:
+    """Names declared in the scope and in every scope it holds."""
+    names = set(scope.named)
+    for child in scope.children:
+        names |= _declared_names(child)
+    return names
+
+
+def test_resolution_finds_what_the_scan_of_each_enclosing_scope_finds():
+    """`resolve_at` returns the very symbol that the scan over each enclosing
+    scope's whole symbol list returns: at every identifier, and at every
+    emit's start for its event name, each identifier in its arguments and
+    each name declared anywhere in its function, so locals declared later
+    or in other blocks are asked for too. The inputs are the robustness
+    sweep (every fixture, the snippets, token soup and mutated files) and
+    the seed-1 perfbench lint trees."""
+    files = [src(text) for text in sweep_inputs()]
+    files += bench_tree("project", 1) + bench_tree("monolith", 1)
+    lookups = resolved = passed_over = 0
+    for file in files:
+        unit = parse_file(file)
+        tree = build_symbols(unit)
+        for node in nodes_in(unit):
+            if isinstance(node, Identifier):
+                names = {node.name}
+            elif isinstance(node, EmitStmt):
+                function = tree.scope_at(node.start)
+                while function.depth > 2:
+                    function = tree.scopes[function.parent_id]
+                names = _declared_names(function) | {node.event_name} | {
+                    ident.name for ident in nodes_in(node.args)
+                    if isinstance(ident, Identifier)}
+            else:
+                continue
+            for name in sorted(names):
+                found = resolve_at(name, node.start, tree)
+                assert found is reference_resolve_at(name, node.start, tree), \
+                    (file.path, name, node.start)
+                lookups += 1
+                resolved += found is not None
+                passed_over += any(
+                    s.kind == SymbolKind.LOCAL_VAR and s.decl_start > node.start
+                    for s in tree.scope_at(node.start).named.get(name, ()))
+    assert lookups > 20_000
+    assert resolved > lookups // 2
+    assert passed_over > 0
