@@ -418,8 +418,7 @@ class SideAnalysis:
                 touched.update(own)
             if not changed.isdisjoint(own):
                 changed_emits.append((m, first))
-        kinds, lexemes, tok_starts, tok_ends = _lex_gaps(text, windows,
-                                                         closed)
+        kinds, lexemes, tok_starts = _lex_gaps(text, windows, closed)
 
         def line_bounds(first: int, last: int) -> tuple[int, int]:
             """Index range of the tokens that start on these lines."""
@@ -432,7 +431,8 @@ class SideAnalysis:
             lo, hi = line_bounds(line, line)
             # No code or string besides the emits and ';'.
             if all(lexeme == ";" for lexeme in lexemes[lo:hi]) and not (
-                    lo and tok_ends[lo - 1] > starts[line - 1]):
+                    lo and tok_starts[lo - 1] + len(lexemes[lo - 1])
+                    > starts[line - 1]):
                 emit_lines.add(line)
         runs: list[list[int]] = []  # [first, last] line of each run
         for line in sorted(lines - emit_lines):
@@ -599,10 +599,11 @@ def _windows(file: SourceFile, holder: RangeHolder, lines: set[int]
 
 def _lex_gaps(text: str, windows: list[list[int]],
               closed: list[RegexEmitMatch]) -> tuple[list, ...]:
-    """The kinds, lexemes, starts and ends columns of the tokens in the
-    windows outside the closed matches, in source order. A gap resumes at
-    the latest end so far, since one closed match may hold another."""
-    columns: tuple[list, ...] = ([], [], [], [], [])
+    """The kinds, lexemes and starts columns of the tokens in the windows
+    outside the closed matches, in source order; a token ends at its start
+    plus its lexeme's length. A gap resumes at the latest end so far, since
+    one closed match may hold another."""
+    columns: tuple[list, ...] = ([], [], [], [])
     i = pos = 0
     for a, b in windows:
         pos = max(pos, a)
@@ -613,7 +614,7 @@ def _lex_gaps(text: str, windows: list[list[int]],
             i += 1
         if pos < b:
             _scan(text, pos, b, columns, [])
-    return columns[:4]
+    return columns[:3]
 
 
 def _close(text: str, matches: list[RegexEmitMatch], holder: RangeHolder
@@ -652,9 +653,9 @@ def _close(text: str, matches: list[RegexEmitMatch], holder: RangeHolder
             groups.append((stop, []))
         groups[-1][1].append(i)
     for stop, group in groups:
-        columns: tuple[list, ...] = ([], [], [], [], [])
+        columns: tuple[list, ...] = ([], [], [], [])
         _scan(text, matches[group[0]].start, stop, columns, [])
-        _, lexemes, starts, ends, _ = columns
+        _, lexemes, starts, _ = columns
         pairs: dict[int, int] = {}  # '(' index -> its ')' index
         opened: list[int] = []
         for j, lexeme in enumerate(lexemes):
@@ -668,8 +669,9 @@ def _close(text: str, matches: list[RegexEmitMatch], holder: RangeHolder
             lo = lexemes.index("(", bisect_left(starts, m.start))
             last = pairs.get(lo, len(lexemes) - 1)
             args = m.end - 1 - len(m.raw_args)  # just past the '('
-            raw_args = text[args:starts[last] if lo in pairs else ends[last]]
-            closed[i] = replace(m, raw_args=raw_args, end=ends[last])
+            end = starts[last] + len(lexemes[last])
+            raw_args = text[args:starts[last] if lo in pairs else end]
+            closed[i] = replace(m, raw_args=raw_args, end=end)
     return closed
 
 

@@ -10,12 +10,14 @@ changes no match, because a token's first character names its class (the
 comment above `_TOKEN_RE` gives the rule and its two shared characters).
 
 Comments and whitespace are consumed, never emitted as tokens. The tokens
-are kept as four parallel columns, `kinds`, `lexemes`, `starts` and `ends`,
-with no object per token; `LexResult.tokens` builds `Token`s from them on
-each read, for callers that want objects. The comment and string ranges are
-kept on the side as one list in source order, so later passes can classify
-lines and decide whether a textual match falls inside a comment or a string
-literal.
+are kept as three parallel columns, `kinds`, `lexemes` and `starts`, with no
+object per token; a token ends at `starts[i] + len(lexemes[i])`, so no end
+column is kept. One scan keeps one string object per distinct lexeme, so a
+name used a thousand times is stored once. `LexResult.tokens` builds
+`Token`s from the columns on each read, for callers that want objects. The
+comment and string ranges are kept on the side as one list in source order,
+so later passes can classify lines and decide whether a textual match falls
+inside a comment or a string literal.
 
 Recovery: an unterminated string abandons the current line and resumes at the
 next one; an unterminated block comment swallows the rest of the file. Both
@@ -83,19 +85,20 @@ class LexError:
 @dataclass
 class LexResult:
     """Token i has kind kinds[i], text lexemes[i] and the half-open
-    character-offset range [starts[i], ends[i])."""
+    character-offset range [starts[i], starts[i] + len(lexemes[i])): the
+    lexeme is the token's text, so its length gives the end."""
     kinds: list[TokenKind]
     lexemes: list[str]
     starts: list[int]
-    ends: list[int]
     errors: list[LexError]
     ranges: Ranges
 
     @property
     def tokens(self) -> list[Token]:
         """The columns as Token objects, built afresh on each read."""
-        return list(map(Token, self.kinds, self.lexemes, self.starts,
-                        self.ends))
+        return [Token(kind, lexeme, start, start + len(lexeme))
+                for kind, lexeme, start in zip(self.kinds, self.lexemes,
+                                               self.starts)]
 
 
 KEYWORDS = frozenset({
@@ -192,21 +195,23 @@ _ERROR_KINDS = {
 def _scan(text: str, pos: int, endpos: int, columns: tuple[list, ...],
           errors: list[tuple[int, int, int]]) -> None:
     """Append the matches of text[pos:endpos] to columns, the lists kinds,
-    lexemes, starts, ends and ranges of a LexResult; an error is appended to
-    errors as its group and offsets."""
-    kinds, lexemes, starts, ends, ranges = columns
+    lexemes, starts and ranges of a LexResult; an error is appended to
+    errors as its group and offsets. Equal lexemes of one scan are one
+    string object."""
+    kinds, lexemes, starts, ranges = columns
     token_kind = _TOKEN_KINDS.get
+    shared = {}.setdefault
     for m in _TOKEN_RE.finditer(text, pos, endpos):
         group = m.lastindex
         kind = token_kind(group)
         if kind is not None:
-            a, b = m.span(group)
+            lexeme = m[group]
+            a = m.start(group)
             kinds.append(kind)
-            lexemes.append(m[group])
+            lexemes.append(shared(lexeme, lexeme))
             starts.append(a)
-            ends.append(b)
             if group == _STRING:
-                ranges.append((a, b))
+                ranges.append((a, a + len(lexeme)))
         elif group is not None:
             span = m.span(group)
             if group != _BAD:
@@ -228,11 +233,11 @@ def scan_ranges(text: str) -> Ranges:
 
 
 def lex(file: SourceFile) -> LexResult:
-    columns: tuple[list, ...] = ([], [], [], [], [])
+    columns: tuple[list, ...] = ([], [], [], [])
     errors: list[tuple[int, int, int]] = []
     _scan(file.text, 0, len(file.text), columns, errors)
-    kinds, lexemes, starts, ends, ranges = columns
-    return LexResult(kinds, lexemes, starts, ends,
+    kinds, lexemes, starts, ranges = columns
+    return LexResult(kinds, lexemes, starts,
                      [LexError(_ERROR_KINDS[group],
                                file.span_from_offsets(a, b))
                       for group, a, b in errors], ranges)

@@ -22,9 +22,10 @@ from .source import SourceFile
 class FileAnalysis:
     """One file lexed once; the tokens feed the parse, and the comment and
     string ranges feed the line counts and, on fallback, the regex count.
-    The lex result itself is not kept: nothing reads it later, and holding
-    the tokens through the checks raises peak memory. Each function is
-    walked once; the walks give the AST emit count and feed the checks."""
+    Only the ranges outlive the parse: the lex result is dropped before the
+    first function walk, so no token column is alive through the walks,
+    `count_loc` or the checks. Each function is walked once; the walks give
+    the AST emit count and feed the checks."""
     file: SourceFile
     unit: SourceUnit
     loc: LocStats
@@ -36,9 +37,11 @@ class FileAnalysis:
     def build(cls, file: SourceFile) -> FileAnalysis:
         lexed = lex(file)
         unit = parse_file(file, lexed)
+        ranges = lexed.ranges
+        del lexed
         functions = tuple(map(walk_function, iter_functions(unit)))
-        count, method = _count_emits(file, unit, lexed.ranges, functions)
-        return cls(file, unit, count_loc(file, lexed.ranges), count, method,
+        count, method = _count_emits(file, unit, ranges, functions)
+        return cls(file, unit, count_loc(file, ranges), count, method,
                    functions)
 
 

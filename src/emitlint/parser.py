@@ -12,10 +12,11 @@ first stop lexeme outside brackets and leave that stop. Each caller names its
 stops and which bracket kinds count.
 
 The parser reads the lexer's columns, not Token objects: the token at index
-i has lexeme `lx[i]`, kind `kd[i]` and offsets `starts[i]`, `ends[i]`. The
-helpers that consume or look at one token return its lexeme. `parse_file`
-hands the parser the columns of its one lex; `parse(tokens, file)` builds
-them from a token list.
+i has lexeme `lx[i]`, kind `kd[i]` and offsets `starts[i]` and
+`starts[i] + len(lx[i])`. The helpers that consume or look at one token
+return its lexeme. `parse_file` hands the parser the columns of its one lex,
+which it borrows rather than copies; `parse(tokens, file)` builds them from
+a token list.
 
 Expressions take one path. `_parse_expression` reads prefix operators, or
 one operand and its postfix operators, then binary operators by precedence,
@@ -100,16 +101,15 @@ class _Damage(Exception):
 
 class Parser:
     def __init__(self, lexed: LexResult, file: SourceFile):
-        """lexed must come from file. Past the real tokens the lexeme and
-        kind columns hold three end entries, which match no lexeme and no
-        kind; lookahead reaches at most two tokens past the next one. The
-        offset columns are read only at real tokens, so they are not
-        copied."""
+        """lexed must come from file. Its columns are borrowed, not
+        copied: `parse_unit` appends three end entries to the lexeme and
+        kind columns, which match no lexeme and no kind, and removes them
+        on every exit; lookahead reaches at most two tokens past the next
+        one. The start column is read only at real tokens."""
         self.n = len(lexed.lexemes)
-        self.lx = [*lexed.lexemes, "", "", ""]
-        self.kd = [*lexed.kinds, None, None, None]
+        self.lx = lexed.lexemes
+        self.kd = lexed.kinds
         self.starts = lexed.starts
-        self.ends = lexed.ends
         self.file = file
         self.i = 0
         self.errors: list[ParseError] = []
@@ -165,14 +165,16 @@ class Parser:
             return self.lx[i]
         return None
 
+    def _end(self, i: int) -> int:
+        """The end offset of token i."""
+        return self.starts[i] + len(self.lx[i])
+
     def _here(self) -> tuple[int, int]:
         """Offsets of the next token; past the end, of the last token; with
         no tokens at all, of the whole text."""
-        i = self.i
-        if i < self.n:
-            return self.starts[i], self.ends[i]
-        if self.n:
-            return self.starts[-1], self.ends[-1]
+        i = min(self.i, self.n - 1)
+        if i >= 0:
+            return self.starts[i], self._end(i)
         return 0, len(self.file.text)
 
     def _offsets_from(self, start_idx: int) -> tuple[int, int]:
@@ -181,18 +183,18 @@ class Parser:
         ends it. Past the end, the offsets of `_here`."""
         i = self.i
         if start_idx < i <= self.n:
-            return self.starts[start_idx], self.ends[i - 1]
+            return self.starts[start_idx], self._end(i - 1)
         if start_idx >= self.n:
             return self._here()
         return (self.starts[start_idx],
-                self.ends[max(start_idx, min(i, self.n) - 1)])
+                self._end(max(start_idx, min(i, self.n) - 1)))
 
     def _at(self, start_idx: int) -> tuple[int, int, SourceFile]:
         """A node's leading fields: its offsets from token start_idx through
         the last consumed token, and the file."""
         i = self.i
         if start_idx < i <= self.n:
-            return self.starts[start_idx], self.ends[i - 1], self.file
+            return self.starts[start_idx], self._end(i - 1), self.file
         return (*self._offsets_from(start_idx), self.file)
 
     def _span_from(self, start_idx: int) -> Span:
@@ -250,26 +252,35 @@ class Parser:
     # ------------------------------------------------------------- top level
 
     def parse_unit(self) -> SourceUnit:
-        pragmas: list[Directive] = []
-        contracts: list[ContractDef] = []
-        while not self._at_end():
-            if self._is("pragma", "import"):
-                start = self.i
-                kind = self._peek()
-                if not self._skip_directive():
-                    self._record(f"expected ';' after {kind} directive",
-                                 span=self._span_from(start))
-                pragmas.append(Directive(*self._at(start), kind,
-                                         self._raw_text(start)))
-                continue
-            if self._is("contract", "interface", "library") or (
-                    self._is("abstract") and self._is("contract", ahead=1)):
-                contract = self._parse_contract()
-                if contract is not None:
-                    contracts.append(contract)
-                continue
-            self._record("unexpected token at file level")
-            self._skip_top_level()
+        """Parse the whole token stream. The end entries are appended to the
+        borrowed columns here and removed on every exit, an exception
+        included, so the lex result is left as it came."""
+        self.lx += ("", "", "")
+        self.kd += (None, None, None)
+        try:
+            pragmas: list[Directive] = []
+            contracts: list[ContractDef] = []
+            while not self._at_end():
+                if self._is("pragma", "import"):
+                    start = self.i
+                    kind = self._peek()
+                    if not self._skip_directive():
+                        self._record(f"expected ';' after {kind} directive",
+                                     span=self._span_from(start))
+                    pragmas.append(Directive(*self._at(start), kind,
+                                             self._raw_text(start)))
+                    continue
+                if self._is("contract", "interface", "library") or (
+                        self._is("abstract")
+                        and self._is("contract", ahead=1)):
+                    contract = self._parse_contract()
+                    if contract is not None:
+                        contracts.append(contract)
+                    continue
+                self._record("unexpected token at file level")
+                self._skip_top_level()
+        finally:
+            del self.lx[self.n:], self.kd[self.n:]
         return SourceUnit(0, len(self.file.text), self.file, pragmas,
                           contracts, self.errors)
 
@@ -642,7 +653,7 @@ class Parser:
                 inner = self._expr_or_damage("unsupported revert statement")
                 self._expect_punct(";", "after revert statement")
                 at = self._at(start)
-                callee = Identifier(self.starts[start], self.ends[start],
+                callee = Identifier(self.starts[start], self._end(start),
                                     self.file, "revert")
                 return ExprStmt(*at, Call(*at, callee, [inner]))
             try:
@@ -820,16 +831,16 @@ class Parser:
                 kind = self.kd[i]
                 if kind is _IDENTIFIER:
                     self.i = i + 1
-                    expr = Identifier(self.starts[i], self.ends[i], self.file,
-                                      word)
+                    a = self.starts[i]
+                    expr = Identifier(a, a + len(word), self.file, word)
                 elif kind is _NUMBER:
                     self.i = i + 1
                     literal = LiteralKind.NUMBER
                     if len(word) == _HEX_ADDRESS_LEN \
                             and word.lower().startswith("0x"):
                         literal = LiteralKind.HEX_ADDRESS
-                    expr = Literal(self.starts[i], self.ends[i], self.file,
-                                   literal, word)
+                    a = self.starts[i]
+                    expr = Literal(a, a + len(word), self.file, literal, word)
                 else:
                     expr = self._parse_primary()
                 while (word := lx[self.i]) in _POSTFIX_STARTS:
@@ -946,7 +957,7 @@ class Parser:
         if text == "payable" or kind is _KEYWORD and text not in KEYWORDS:
             # A type cast callee: address(x), uint(x), payable(x), ...
             self.i = i + 1
-            return Identifier(self.starts[i], self.ends[i], self.file, text)
+            return Identifier(self.starts[i], self._end(i), self.file, text)
         if kind is TokenKind.STRING:
             literal = LiteralKind.STRING
         elif text in ("true", "false"):
@@ -965,7 +976,7 @@ class Parser:
         else:
             raise _Fail()
         self.i = i + 1
-        return Literal(self.starts[i], self.ends[i], self.file, literal, text)
+        return Literal(self.starts[i], self._end(i), self.file, literal, text)
 
 
 def parse(tokens: list[Token], file: SourceFile) -> SourceUnit:
@@ -973,8 +984,7 @@ def parse(tokens: list[Token], file: SourceFile) -> SourceUnit:
     reads columns, so they are built from the list first."""
     return _parse(LexResult([tok.kind for tok in tokens],
                             [tok.lexeme for tok in tokens],
-                            [tok.start for tok in tokens],
-                            [tok.end for tok in tokens], [], []), file)
+                            [tok.start for tok in tokens], [], []), file)
 
 
 def _parse(lexed: LexResult, file: SourceFile) -> SourceUnit:

@@ -989,9 +989,10 @@ class TokenLexResult(NamedTuple):
 
 def with_token_spans(file: SourceFile, result: LexResult) -> TokenLexResult:
     """result with each token's offsets converted to a SpanToken."""
-    tokens = [SpanToken(kind, lexeme, file.span_from_offsets(start, end))
-              for kind, lexeme, start, end in zip(
-                  result.kinds, result.lexemes, result.starts, result.ends)]
+    tokens = [SpanToken(kind, lexeme,
+                        file.span_from_offsets(start, start + len(lexeme)))
+              for kind, lexeme, start in zip(
+                  result.kinds, result.lexemes, result.starts)]
     return TokenLexResult(tokens, result.errors, result.ranges)
 
 
@@ -1001,8 +1002,7 @@ def columns_of(result: TokenLexResult) -> LexResult:
     tokens = result.tokens
     return LexResult([tok.kind for tok in tokens],
                      [tok.lexeme for tok in tokens],
-                     [tok.start for tok in tokens],
-                     [tok.end for tok in tokens], result.errors,
+                     [tok.start for tok in tokens], result.errors,
                      result.ranges)
 
 
@@ -1272,7 +1272,7 @@ def reference_close(m: RegexEmitMatch, lexed: LexResult) -> RegexEmitMatch:
             break
         depth += (lexeme == "(") - (lexeme == ")")
         hi += 1
-    end = lexed.ends[hi - 1]
+    end = starts[hi - 1] + len(lexemes[hi - 1])
     args = m.end - 1 - len(m.raw_args)  # just past the '('
     raw_args = m.file.text[args:starts[hi - 1] if depth == 0 else end]
     return replace(m, raw_args=raw_args, end=end)
@@ -1280,20 +1280,20 @@ def reference_close(m: RegexEmitMatch, lexed: LexResult) -> RegexEmitMatch:
 
 def reference_token_cut(file: SourceFile, windows: list[list[int]],
                         closed: list[RegexEmitMatch]) -> tuple[list, ...]:
-    """The kinds, lexemes, starts and ends columns that `SideAnalysis.build`
+    """The kinds, lexemes and starts columns that `SideAnalysis.build`
     kept before it lexed only the gaps between its closed matches: the
     tokens of a full lex that start in the windows, less those that start
     inside a closed match, cut by bisecting each match's offsets."""
     lexed = lex(file)
-    full = (lexed.kinds, lexed.lexemes, lexed.starts, lexed.ends)
-    columns: tuple[list, ...] = ([], [], [], [])
+    full = (lexed.kinds, lexed.lexemes, lexed.starts)
+    columns: tuple[list, ...] = ([], [], [])
     for a, b in windows:
         lo = bisect_left(lexed.starts, a)
         hi = bisect_left(lexed.starts, b, lo)
         for column, whole in zip(columns, full):
             column += whole[lo:hi]
     starts = columns[2]
-    kept: tuple[list, ...] = ([], [], [], [])
+    kept: tuple[list, ...] = ([], [], [])
     prev = 0
     for m in closed:
         lo = bisect_left(starts, m.start)
@@ -1602,7 +1602,8 @@ class ReferenceExprParser(Parser):
         if kind is TokenKind.IDENTIFIER or text == "payable" or \
                 is_elementary_type(text):
             self.i = i + 1
-            return Identifier(self.starts[i], self.ends[i], self.file, text)
+            return Identifier(self.starts[i], self.starts[i] + len(text),
+                              self.file, text)
         if kind is TokenKind.NUMBER:
             literal = LiteralKind.NUMBER
             if len(text) == _HEX_ADDRESS_LEN and text.lower().startswith("0x"):
@@ -1623,7 +1624,8 @@ class ReferenceExprParser(Parser):
         else:
             raise _Fail()
         self.i = i + 1
-        return Literal(self.starts[i], self.ends[i], self.file, literal, text)
+        return Literal(self.starts[i], self.starts[i] + len(text), self.file,
+                       literal, text)
 
 
 # ------------------------------------------------ reference lint rules

@@ -249,8 +249,9 @@ def test_word_kinds_follow_classify_word():
 
 
 def test_columns_match_the_token_building_lexer():
-    """The four token columns equal, field by field, the Tokens that `lex`
-    built before it kept columns, and the `tokens` view equals that list;
+    """The three token columns and each token's end, its start plus its
+    lexeme's length, equal, field by field, the Tokens that `lex` built
+    before it kept columns, and the `tokens` view equals that list;
     errors, comment ranges and string ranges are equal too. Inputs: the
     front-end inputs, the fixtures, and both perfbench lint trees at seeds
     1-3."""
@@ -265,9 +266,26 @@ def test_columns_match_the_token_building_lexer():
         assert result.lexemes == [tok.lexeme for tok in expected.tokens], \
             where
         assert result.starts == [tok.start for tok in expected.tokens], where
-        assert result.ends == [tok.end for tok in expected.tokens], where
+        assert [start + len(lexeme) for start, lexeme in zip(
+            result.starts, result.lexemes)] == \
+            [tok.end for tok in expected.tokens], where
         assert result.tokens == expected.tokens, where
         assert (result.errors, result.ranges) == expected[1:], where
+
+
+def test_equal_lexemes_of_a_lex_are_one_string_object():
+    """`lex` keeps one string object per distinct lexeme, so a name or
+    keyword used many times is stored once. Inputs: every fixture file and
+    every text of the robustness sweep."""
+    files = [SourceFile.load(p) for p in sorted(FIXTURES.rglob("*.sol"))]
+    files += [src(text) for text in sweep_inputs()]
+    repeated = 0
+    for file in files:
+        lexemes = lex(file).lexemes
+        distinct = len(set(lexemes))
+        assert len(set(map(id, lexemes))) == distinct, file.text[:200]
+        repeated += len(lexemes) - distinct
+    assert repeated > 10_000, repeated
 
 
 def test_tokens_view_is_built_on_each_read():

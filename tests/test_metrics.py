@@ -1,6 +1,8 @@
+import weakref
 from fractions import Fraction
 
-from emitlint.metrics import compute_metrics
+from emitlint import metrics
+from emitlint.metrics import FileAnalysis, compute_metrics
 from emitlint.parser import parse_file
 
 from helpers import SpanCounts, counted_emits, fixture_file, src
@@ -107,3 +109,28 @@ def test_metrics_converts_no_node_position(monkeypatch):
     compute_metrics([token])
     assert counts.reads == 0
     assert counts.conversions == len(warnings)
+
+
+def test_build_drops_the_lex_result_before_the_walks(monkeypatch):
+    """`FileAnalysis.build` keeps only the comment and string ranges once
+    the parse returns: at every function walk the lex result is gone, so
+    no token column is alive through the walks, `count_loc` or the
+    checks."""
+    real_lex, real_walk = metrics.lex, metrics.walk_function
+    lexed: list[weakref.ref] = []
+    alive: list[bool] = []
+
+    def recording_lex(file):
+        result = real_lex(file)
+        lexed.append(weakref.ref(result))
+        return result
+
+    def checking_walk(fn):
+        alive.append(lexed[-1]() is not None)
+        return real_walk(fn)
+
+    monkeypatch.setattr(metrics, "lex", recording_lex)
+    monkeypatch.setattr(metrics, "walk_function", checking_walk)
+    analysis = FileAnalysis.build(src(_filler_contract(20, 2)))
+    assert len(lexed) == 1 and analysis.emit_count == 2
+    assert alive == [False]

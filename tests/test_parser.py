@@ -8,7 +8,7 @@ import pytest
 
 import emitlint.parser as parser_module
 from emitlint.checks import run_checks
-from emitlint.lexer import lex
+from emitlint.lexer import LexResult, lex
 from emitlint.metrics import FileAnalysis
 from emitlint.nodes import (
     Assignment, Binary, Call, Conditional, ContractKind, DataLocation,
@@ -1051,14 +1051,16 @@ def _stack_depth() -> int:
     return depth
 
 
-def _parse_under_limit(path: Path, headroom: int) -> list[str]:
-    """The messages of parsing path with the recursion limit set to the
-    caller's stack depth plus headroom."""
+def _parse_under_limit(path: Path, headroom: int,
+                       lexed: LexResult | None = None) -> list[str]:
+    """The messages of parsing path, from lexed (a lex of path) if given,
+    with the recursion limit set to the caller's stack depth plus
+    headroom."""
     file = SourceFile.load(path)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + headroom)
     try:
-        unit = parse_file(file)
+        unit = parse_file(file, lexed)
     finally:
         sys.setrecursionlimit(limit)
     return [e.message for e in unit.parse_errors]
@@ -1077,6 +1079,28 @@ def test_stack_exhaustion_falls_back_to_one_fatal_error():
     messages = _parse_under_limit(
         FIXTURES / "nesting" / "within_budgets.sol", 300)
     assert messages == ["nesting too deep to parse; file skipped"]
+
+
+def test_parse_file_leaves_the_borrowed_lex_result_as_it_came():
+    """The parser borrows the lexeme and kind columns of the lex result it
+    is given and appends its three end entries to them; every exit removes
+    them, so after `parse_file(file, lexed)` lexed equals a fresh
+    `lex(file)`. Inputs: a clean fixture, the damaged one, every recovery
+    case (some run lookahead into the end entries), and a file whose parse
+    exhausts the stack and ends in "nesting too deep to parse"."""
+    files = [fixture_file("client_receipt.sol"),
+             fixture_file("robust", "broken.sol")]
+    files += [src(text) for text in RECOVERY_CASES]
+    for file in files:
+        lexed = lex(file)
+        parse_file(file, lexed)
+        assert lexed == lex(file), file.text
+    assert has_fatal_errors(parse_file(files[1]))
+    path = FIXTURES / "nesting" / "within_budgets.sol"
+    lexed = lex(SourceFile.load(path))
+    assert _parse_under_limit(path, 300, lexed) == [
+        "nesting too deep to parse; file skipped"]
+    assert lexed == lex(SourceFile.load(path))
 
 
 def test_file_within_every_budget_parses_without_the_stack_fallback():

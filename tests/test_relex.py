@@ -302,7 +302,8 @@ def _inside_a_full_lex_piece(file: SourceFile):
     """Whether an offset lies strictly inside a token, comment or string of
     a full lex of file."""
     lexed = lex(file)
-    pieces = sorted(set(zip(lexed.starts, lexed.ends)) | set(lexed.ranges))
+    pieces = sorted({(start, start + len(lexeme)) for start, lexeme in zip(
+        lexed.starts, lexed.lexemes)} | set(lexed.ranges))
     starts = [a for a, _ in pieces]
 
     def inside(x: int) -> bool:

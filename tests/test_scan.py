@@ -45,6 +45,11 @@ def test_block_comment_spanning_lines():
     stats = count_loc(file)
     assert stats.comment_lines == 3
     assert stats.code_lines == 2
+    # An empty or whitespace-only line inside a block comment is blank, not
+    # comment-only: only the opening, the `x` and the closing line count as
+    # comment lines.
+    file = src("contract A {\n/*\n\n   \n x\n*/\n  uint a;\n}\n")
+    assert count_loc(file) == scan.LocStats(8, 3, 3, 2)
 
 
 def test_block_comment_with_trailing_code_is_code():
