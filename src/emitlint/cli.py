@@ -144,39 +144,39 @@ def _load_json_object(path: str) -> dict:
 
 
 def load_config(ns: argparse.Namespace) -> CheckConfig:
-    threshold = Fraction(1, 10)
-    enabled = frozenset(CheckId)
-    form_b = False
+    """CheckConfig() with what the config file, then the flags, set."""
+    config = CheckConfig()
     if ns.config is not None:
         where = ns.config
         data = _load_json_object(where)
         if "overuseThreshold" in data:
-            threshold = _threshold(_checked(
+            config.overuse_threshold = _threshold(_checked(
                 data["overuseThreshold"], (int, float),
                 f'{where}: "overuseThreshold" must be a number'),
                 f'{where}: "overuseThreshold"')
         if "enabled" in data:
             ids = _checked(data["enabled"], list, f'{where}: "enabled" must '
                            "be a JSON array of check ids")
-            enabled = frozenset().union(*(_check_ids(_checked(
+            config.enabled = frozenset().union(*(_check_ids(_checked(
                 item, str, f'{where}: "enabled" items must be strings'),
                 f"{where}: ", '"enabled" items must each name one check id, '
                 f"not {item!r}", single=True) for item in ids))
         if "debugEventFormB" in data:
-            form_b = _checked(data["debugEventFormB"], bool,
-                              f'{where}: "debugEventFormB" must be a boolean')
+            config.debug_event_form_b = _checked(
+                data["debugEventFormB"], bool,
+                f'{where}: "debugEventFormB" must be a boolean')
     if ns.overuse_threshold is not None:
-        threshold = _threshold(ns.overuse_threshold, "--overuse-threshold")
+        config.overuse_threshold = _threshold(ns.overuse_threshold,
+                                              "--overuse-threshold")
     if ns.enable is not None:
-        enabled = _check_ids(ns.enable, "", f"--enable {ns.enable!r} names "
-                             "no check id")
+        config.enabled = _check_ids(ns.enable, "", f"--enable {ns.enable!r} "
+                                    "names no check id")
     if ns.disable is not None:
-        enabled -= _check_ids(ns.disable, "", f"--disable {ns.disable!r} "
-                              "names no check id")
+        config.enabled -= _check_ids(ns.disable, "", f"--disable "
+                                     f"{ns.disable!r} names no check id")
     if ns.debug_form_b:
-        form_b = True
-    return CheckConfig(overuse_threshold=threshold, enabled=enabled,
-                       debug_event_form_b=form_b)
+        config.debug_event_form_b = True
+    return config
 
 
 # ------------------------------------------------------------ file discovery

@@ -80,16 +80,15 @@ from fractions import Fraction
 from itertools import compress, count
 import re
 
-from .lexer import ASSIGN_OPS, TokenKind, _scan, scan_ranges
+from .lexer import ASSIGN_OPS, Ranges, TokenKind, _scan, scan_ranges
 from .scan import (
-    RangeHolder, RegexEmitMatch, _code_rows, _filled, extract_emits_regex,
-    range_holder,
+    STOPS, RegexEmitMatch, _code_rows, _filled, extract_emits_regex, range_at,
 )
 from .source import SourceFile
 
 _IDENT_TOKEN_RE = re.compile(r"[A-Za-z_]\w*")
 # The characters at which `_close` stops, outside comments and strings.
-_STOP_RE = re.compile("[;{}]")
+_STOP_RE = re.compile(f"[{re.escape(STOPS)}]")
 # The tokens past which an assignment operator reaches no identifier.
 _KILL_BOUNDS = frozenset(";,{}()")
 
@@ -397,16 +396,15 @@ class SideAnalysis:
         module docstring of `scan`), and the totals are None."""
         text = file.text
         ranges = scan_ranges(text)
-        holder = range_holder(ranges)
         lines = set(range(1, file.line_count + 1)) if whole_file \
             else changed
-        windows = _windows(file, holder, lines)
+        windows = _windows(file, ranges, lines)
         if count_total:
             window = None
         else:  # no keyword is tried where there is no window
             window = (windows[0][0], windows[-1][1]) if windows else (0, 0)
         matches = _close(text, extract_emits_regex(file, ranges, window),
-                         holder)
+                         ranges)
         starts = file.line_starts
         changed_emits: list[tuple[RegexEmitMatch, int]] = []
         closed = [m for m in matches if not m.in_comment_or_string]
@@ -572,13 +570,14 @@ class RevisionAnalysis:
         return Independence.DEPENDENT
 
 
-def _windows(file: SourceFile, holder: RangeHolder, lines: set[int]
+def _windows(file: SourceFile, ranges: Ranges, lines: set[int]
              ) -> list[list[int]]:
     """The character windows [a, b) of file that hold the given lines, in
-    order and merged where they touch; holder is the file's `range_holder`.
-    Each line runs from its start to the next line start or EOF, and an edge
-    that falls inside a comment or string moves out to that range's own
-    edge, its start for a window's start and its end for a window's end.
+    order and merged where they touch; ranges are the file's comment and
+    string ranges, searched in place by `range_at`. Each line runs from its
+    start to the next line start or EOF, and an edge that falls inside a
+    comment or string moves out to that range's own edge, its start for a
+    window's start and its end for a window's end.
     Every edge is then a token boundary of a full lex, where `_scan` gives
     that lex's tokens."""
     text, starts = file.text, file.line_starts
@@ -586,9 +585,9 @@ def _windows(file: SourceFile, holder: RangeHolder, lines: set[int]
     for line in sorted(lines):
         a = starts[line - 1]
         b = starts[line] if line < len(starts) else len(text)
-        if (r := holder(a)) is not None:
+        if (r := range_at(ranges, a)) is not None:
             a = r[0]
-        if (r := holder(b)) is not None:
+        if (r := range_at(ranges, b)) is not None:
             b = r[1]
         if windows and a <= windows[-1][1]:
             windows[-1][1] = b
@@ -617,15 +616,16 @@ def _lex_gaps(text: str, windows: list[list[int]],
     return columns[:3]
 
 
-def _close(text: str, matches: list[RegexEmitMatch], holder: RangeHolder
+def _close(text: str, matches: list[RegexEmitMatch], ranges: Ranges
            ) -> list[RegexEmitMatch]:
     """The matches of text, in source order, with each one outside comments
-    and strings closed; holder is the text's `range_holder`. A match stops
-    at the first ')', so a nested call or cast, or a ')' in a string or
-    comment, leaves its argument list open: carry on to the ')' that closes
-    it, but not past its stop, the first ';', '{' or '}' outside comments
-    and strings. The closed match runs to its last token, and its raw_args
-    hold the whole argument list.
+    and strings closed; ranges are the text's comment and string ranges,
+    searched in place by `range_at`. A match stops at the first ')', so a
+    nested call or cast, or a ')' in a string or comment, leaves its
+    argument list open: carry on to the ')' that closes it, but not past its
+    stop, the first of `scan.STOPS` (';', '{' or '}') outside comments and
+    strings. The closed match runs to its last token, and its raw_args hold
+    the whole argument list.
 
     The open matches that share a stop share one lex, from the first one's
     emit keyword to the stop, and one pass pairs each '(' of it with its
@@ -639,15 +639,15 @@ def _close(text: str, matches: list[RegexEmitMatch], holder: RangeHolder
     for i, m in enumerate(matches):
         # With no '(' in its arguments and its ')' a token, a match already
         # closes the argument list.
-        if m.in_comment_or_string or (
-                "(" not in m.raw_args and holder(m.end - 1) is None):
+        if m.in_comment_or_string or ("(" not in m.raw_args
+                                      and range_at(ranges, m.end - 1) is None):
             continue
         # Matches come in source order, so a stop at or past this match's
         # end is its stop too.
         if stop < m.end:
             pos = m.end
             while (found := _STOP_RE.search(text, pos)) is not None and \
-                    (r := holder(found.start())) is not None:
+                    (r := range_at(ranges, found.start())) is not None:
                 pos = r[1]
             stop = len(text) if found is None else found.start()
             groups.append((stop, []))

@@ -38,15 +38,15 @@ text.
 
 A caller that reads only the matches that can reach a window [a, b) of the
 text may try the keywords from a safe start before a up to b. `diff` closes
-an open match at its stop, the first `;`, `{` or `}` outside comments and
-strings past its `)`. The safe start is the last `)` before the last such
-stop t before a. A match whose keyword lies before that `)` ends at it or
-before it, since only word and space characters come between a keyword and
-its `(`; so the whole-text search resumes at or before it and tries every
-later keyword afresh, and a search started there finds the same matches. And
-such a match stops at t or before it, so even closed it ends before a. The
-walk back to t steps over each comment and string in one step and searches
-only the text between them, so it is linear in the text.
+an open match at its stop, the first of `STOPS` (`;`, `{` or `}`) outside
+comments and strings past its `)`. The safe start is the last `)` before the
+last such stop t before a. A match whose keyword lies before that `)` ends
+at it or before it, since only word and space characters come between a
+keyword and its `(`; so the whole-text search resumes at or before it and
+tries every later keyword afresh, and a search started there finds the same
+matches. And such a match stops at t or before it, so even closed it ends
+before a. The walk back to t steps over each comment and string in one step
+and searches only the text between them, so it is linear in the text.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable
+from operator import itemgetter
 
 from .lexer import Ranges, scan_ranges
 from .source import SourceFile, Span
@@ -66,8 +66,9 @@ _IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
 # Space, tab and CR leave a line blank.
 _DROP_SPACES = str.maketrans("", "", " \t\r")
 
-# The lookup that `range_holder` builds.
-RangeHolder = Callable[[int], "tuple[int, int] | None"]
+# An open emit match stops at the first of these outside comments and strings.
+STOPS = ";{}"
+_END = itemgetter(1)  # a range's end, the key `range_at` bisects by
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,6 @@ def extract_emits_regex(file: SourceFile, ranges: Ranges | None = None,
         # padded, every keyword past that ')' is tried.
         last = min(last, window[1] + 4)
         pos = _safe_start(file.text, ranges, window[0])
-    holder = range_holder(ranges)
     matches: list[RegexEmitMatch] = []
     match, find = EMIT_PATTERN.match, padded.find
     q = find("emit", pos, last)
@@ -182,9 +182,9 @@ def extract_emits_regex(file: SourceFile, ranges: Ranges | None = None,
             pos = m.end(2)  # ')' in padded; one past it in file.text
             name = m.group(1)
             if _IDENT_RE.match(name):
+                hidden = range_at(ranges, q - 1) is not None
                 matches.append(RegexEmitMatch(name, m.group(2), q - 1, pos,
-                                              holder(q - 1) is not None,
-                                              file))
+                                              hidden, file))
         q = find("emit", q + 1, last)
     return matches
 
@@ -198,7 +198,7 @@ def _safe_start(text: str, ranges: Ranges, edge: int) -> int:
     t = edge
     while True:
         lo = ranges[i - 1][1] if i else 0
-        stop = max(text.rfind(c, lo, t) for c in ";{}")
+        stop = max(text.rfind(c, lo, t) for c in STOPS)
         if stop >= 0 or not i:
             break
         i -= 1
@@ -206,16 +206,11 @@ def _safe_start(text: str, ranges: Ranges, edge: int) -> int:
     return max(text.rfind(")", 0, stop), 0) if stop > 0 else 0
 
 
-def range_holder(ranges: Ranges) -> RangeHolder:
-    """The lookup of the comment or string range that holds an offset past
-    its first character, or None. A range starts with '/' or a quote, so at
-    any other character None means outside every range. Ranges never overlap
-    and come in source order, so the one that can hold an offset is the
-    first that ends past it."""
-    ends = [b for _, b in ranges]
-
-    def holder(off: int) -> tuple[int, int] | None:
-        i = bisect_right(ends, off)
-        return ranges[i] if i < len(ranges) and ranges[i][0] < off else None
-
-    return holder
+def range_at(ranges: Ranges, offset: int) -> tuple[int, int] | None:
+    """The comment or string range that holds the offset past its first
+    character, or None. A range starts with '/' or a quote, so at any other
+    character None means outside every range. Ranges never overlap and come
+    in source order, so the one that can hold an offset is the first that
+    ends past it, found by bisecting the ranges by their ends in place."""
+    i = bisect_right(ranges, offset, key=_END)
+    return ranges[i] if i < len(ranges) and ranges[i][0] < offset else None

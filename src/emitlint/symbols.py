@@ -10,8 +10,8 @@ immutable state variables, whose values are in the code, not in storage.
 State variables of base contracts declared in the same file are imported into
 the derived contract's scope; cross-file inheritance is out of scope.
 
-Each scope also keeps its declarations by name, so a lookup reads only its
-own name's declarations.
+Each scope keeps its declarations only by name, so a lookup reads only its
+own name's declarations; `Scope.symbols` lists them all, name by name.
 """
 
 from __future__ import annotations
@@ -77,10 +77,8 @@ class Scope:
     end: int
     depth: int
     file: SourceFile = field(repr=False, compare=False)
-    symbols: list[Symbol] = field(default_factory=list)
-    # The same symbols by name, each list in declaration order.
-    named: dict[str, list[Symbol]] = field(default_factory=dict, repr=False,
-                                           compare=False)
+    # The symbols by name, each list in declaration order.
+    named: dict[str, list[Symbol]] = field(default_factory=dict)
     # Child scopes in source order and their start offsets, for bisection.
     children: list[Scope] = field(default_factory=list, repr=False,
                                   compare=False)
@@ -90,6 +88,11 @@ class Scope:
     @property
     def span(self) -> Span:
         return self.file.span_from_offsets(self.start, self.end)
+
+    @property
+    def symbols(self) -> list[Symbol]:
+        """The symbols of `named`, name by name in first-declared order."""
+        return [sym for same in self.named.values() for sym in same]
 
 
 @dataclass
@@ -182,7 +185,6 @@ class _Builder:
                         DuplicateDeclaration(sym, existing))
                     return
         same_name.append(sym)
-        scope.symbols.append(sym)
 
     def _add_variable(self, scope: Scope, kind: SymbolKind,
                       decl: Param | LocalVarDecl) -> None:

@@ -130,6 +130,24 @@ def test_gas_suggestion_is_memory_class_and_backed_by_fact():
                    tree).location_class == LocationClass.MEMORY
 
 
+@pytest.mark.parametrize("params, body, suggestions", [
+    ("", "uint[] storage ptr = data; uint[] memory copy = ptr; emit E(ptr);",
+     ["copy"]),
+    ("uint[] storage arr", "uint[] memory copy = arr; emit E(arr);",
+     ["copy"]),
+    ("", "uint[] storage ptr = data; emit E(ptr);", []),
+])
+def test_gas_storage_pointers_of_reference_type(params, body, suggestions):
+    """A storage-located array, local or parameter, is read with an Sload
+    like a state variable; a memory copy of it is the suggested argument,
+    and with no copy there is no finding."""
+    text = (f"contract C {{ uint[] data; event E(uint[] v); "
+            f"function f({params}) internal {{ {body} }} }}")
+    diags = [d for d in run_checks(src(text)).diagnostics
+             if d.check_id == CheckId.GAS_STORAGE_PARAM]
+    assert [d.suggestion.replacement_text for d in diags] == suggestions
+
+
 # ---------------------------------------------------------- overuse check
 
 def _loc(code):

@@ -22,7 +22,7 @@ import emitlint.scan as scan
 from emitlint.cli import load_manifest
 from emitlint.evolution import SideAnalysis, analyze_revision
 from emitlint.lexer import lex, scan_ranges
-from emitlint.scan import extract_emits_regex, range_holder
+from emitlint.scan import extract_emits_regex, range_at
 from emitlint.source import SourceFile
 
 from helpers import (
@@ -281,7 +281,7 @@ def test_window_edges_are_line_starts_or_range_edges_never_inside_one():
         deleted, added = evolution._edits(before, after)
         for file, changed in ((before, deleted), (after, added)):
             ranges = lex(file).ranges
-            windows = evolution._windows(file, range_holder(ranges), changed)
+            windows = evolution._windows(file, ranges, changed)
             bounds = [x for window in windows for x in window]
             assert bounds == sorted(bounds)
             assert all(a < b for a, b in zip(bounds[1::2], bounds[2::2]))
@@ -356,11 +356,11 @@ def _assert_gaps_equal_token_cut(file: SourceFile, changed: set[int]) -> int:
     columns of `reference_token_cut` over the same windows and closed
     matches. Returns the number of closed matches that start inside an
     earlier one."""
-    holder = range_holder(scan_ranges(file.text))
-    matches = evolution._close(file.text, extract_emits_regex(file), holder)
+    ranges = scan_ranges(file.text)
+    matches = evolution._close(file.text, extract_emits_regex(file), ranges)
     closed = [m for m in matches if not m.in_comment_or_string]
     for lines in (changed, set(range(1, file.line_count + 1))):
-        windows = evolution._windows(file, holder, lines)
+        windows = evolution._windows(file, ranges, lines)
         assert evolution._lex_gaps(file.text, windows, closed) == \
             reference_token_cut(file, windows, closed), \
             (file.text, sorted(lines))
@@ -418,9 +418,8 @@ def _assert_close_equals_reference(file: SourceFile) -> tuple[int, int]:
     full lex closes it. Returns the number of such matches and the number
     that took the walk."""
     lexed = lex(file)
-    holder = range_holder(lexed.ranges)
     found = extract_emits_regex(file, lexed.ranges)
-    closed = evolution._close(file.text, found, holder)
+    closed = evolution._close(file.text, found, lexed.ranges)
     assert len(closed) == len(found)
     matches = walked = 0
     for m, got in zip(found, closed):
@@ -429,7 +428,8 @@ def _assert_close_equals_reference(file: SourceFile) -> tuple[int, int]:
             continue
         assert got == reference_close(m, lexed), (file.text, m)
         matches += 1
-        walked += "(" in m.raw_args or holder(m.end - 1) is not None
+        walked += "(" in m.raw_args or \
+            range_at(lexed.ranges, m.end - 1) is not None
     return matches, walked
 
 
@@ -506,8 +506,7 @@ def _assert_bounded_equals_whole(file: SourceFile, changed: set[int],
     assert (bounded.total_loc, bounded.total_emits) == (None, None)
     lines = set(range(1, file.line_count + 1)) if whole_file else changed
     ranges = scan_ranges(file.text)
-    holder = range_holder(ranges)
-    windows = evolution._windows(file, holder, lines)
+    windows = evolution._windows(file, ranges, lines)
     if not windows:
         return False
     a, b = windows[0][0], windows[-1][1]
@@ -515,7 +514,7 @@ def _assert_bounded_equals_whole(file: SourceFile, changed: set[int],
     every = extract_emits_regex(file, ranges)
     assert extract_emits_regex(file, ranges, (a, b)) == \
         [m for m in every if start <= m.start < b], file.text
-    for m in evolution._close(file.text, every, holder):
+    for m in evolution._close(file.text, every, ranges):
         if m.start < start:
             assert m.end <= a, (file.text, m)
     return start > 0

@@ -260,6 +260,28 @@ contract C is A, B {
                 for name in {s.name for s in scope.symbols}} == scope.named
 
 
+def test_scope_symbols_list_each_name_in_one_run():
+    """`Scope.symbols` is a view of `Scope.named`: names in the order each
+    was first declared, each name's declarations in declaration order, so
+    declarations of one name that are not next to each other come out
+    together. `named` takes part in `==`."""
+    text = """contract C {
+    function f(uint a) public {}
+    function g() public {}
+    function f(bytes memory b) public {}
+}
+"""
+    _, _, tree = parsed(text)
+    scope = tree.scopes[1]
+    assert [(s.name, s.decl_span.start_line) for s in scope.symbols] == [
+        ("f", 2), ("f", 4), ("g", 3)]
+    other = parsed(text)[2].scopes[1]
+    assert other == scope
+    other.named.pop("g")
+    assert other != scope
+    assert "named=" in repr(scope)
+
+
 def test_in_scope_memory_symbols_setdelay():
     _, unit, tree = parsed(SETDELAY_TEXT)
     emit = _first_emit(unit)
