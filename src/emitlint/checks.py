@@ -47,13 +47,13 @@ class Severity(Enum):
     HINT = "hint"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Suggestion:
     replace_span: Span
     replacement_text: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Diagnostic:
     check_id: CheckId
     severity: Severity

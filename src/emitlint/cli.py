@@ -18,6 +18,7 @@ import os
 import sys
 from collections import Counter
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .checks import (
@@ -179,6 +180,66 @@ def load_config(ns: argparse.Namespace) -> CheckConfig:
     return config
 
 
+# ------------------------------------------------------------- JSON reports
+
+# How json writes the floats that have no JSON number.
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value) -> str:
+    """The text json.dumps(value, indent=2) gives for a report: dicts with
+    str keys, lists, str, int, float, bool and None; any other type is a
+    TypeError. json.dumps with an indent runs its pure-Python encoder; this
+    writer shares only its C string escaper."""
+    parts: list[str] = []
+    _write_json(value, "\n", parts)
+    return "".join(parts)
+
+
+def _write_json(value, newline: str, parts: list[str]) -> None:
+    """Append value's text to parts; newline starts its enclosing line."""
+    if isinstance(value, str):
+        parts.append(_quote(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        parts.append(_FLOAT_WORDS.get(text, text))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        opener = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(opener + _quote(key) + ": ")
+            _write_json(item, inner, parts)
+            opener = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        opener = "[" + inner
+        for item in value:
+            parts.append(opener)
+            _write_json(item, inner, parts)
+            opener = "," + inner
+        parts.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not "
+                        "JSON serializable")
+
+
 # ------------------------------------------------------------ file discovery
 
 def collect_source_files(paths: list[str],
@@ -262,7 +323,7 @@ def run_lint(ns: argparse.Namespace) -> int:
         diagnostics.extend(run_checks(file, cfg).diagnostics)
     diagnostics.sort(key=_sort_key)
     if ns.format == "json":
-        print(json.dumps([_diag_to_dict(d) for d in diagnostics], indent=2))
+        print(_json_text([_diag_to_dict(d) for d in diagnostics]))
     else:
         color = _use_color(sys.stdout)
         for diag in diagnostics:
@@ -299,7 +360,7 @@ def run_metrics(ns: argparse.Namespace) -> int:
     files, errors = _load_files(ns.paths)
     pm = compute_metrics(files)
     if ns.format == "json":
-        print(json.dumps(_metrics_to_dict(pm), indent=2))
+        print(_json_text(_metrics_to_dict(pm)))
     else:
         print(f"files analyzed: {pm.file_count}")
         print(f"code lines: {pm.total_code_loc}")
@@ -428,10 +489,10 @@ def run_diff(ns: argparse.Namespace) -> int:
     reports = [analyze_revision(rev, ns.whole_file_kill) for rev in revisions]
     summary = summarize_reports(reports)
     if ns.format == "json":
-        print(json.dumps({
+        print(_json_text({
             "revisions": [_report_to_dict(r) for r in reports],
             "summary": summary,
-        }, indent=2))
+        }))
     else:
         for rep in reports:
             c = rep.churn

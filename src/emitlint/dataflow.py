@@ -30,7 +30,7 @@ from .source import SourceFile, Span
 from .symbols import LocationClass, ScopeTree, Symbol, SymbolKind, resolve_at
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EqualityFact:
     """storage_sym and memory_sym hold the same value from the statement at
     the offsets [start, end) of file on."""

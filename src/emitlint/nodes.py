@@ -279,7 +279,7 @@ def iter_emits(fn: FunctionDef) -> Iterator[EmitStmt]:
     return iter(walk_function(fn).emits)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FunctionWalk:
     """One walk of a function's statements: its blocks and its emits, each
     in preorder."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 _NEWLINE_RE = re.compile("\n")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Span:
     start_line: int
     start_col: int

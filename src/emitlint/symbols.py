@@ -43,9 +43,14 @@ class LocationClass(Enum):
     NOT_APPLICABLE = "NotApplicable"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Symbol:
-    """A declaration; decl_start/decl_end are the offsets of its text."""
+    """A declaration; decl_start/decl_end are the offsets of its text.
+
+    Like the other records built per declaration or per finding (`Span`,
+    `Diagnostic`, `Suggestion`, `EqualityFact`), it is not frozen, since a
+    frozen `__init__` pays one `object.__setattr__` per field; `unsafe_hash`
+    gives it the hash a frozen record has. Treat it as read-only."""
     name: str
     kind: SymbolKind
     location_class: LocationClass
@@ -68,7 +73,7 @@ class DuplicateDeclaration:
     original: Symbol
 
 
-@dataclass
+@dataclass(slots=True)
 class Scope:
     """A lexical scope over the offsets [start, end) of file."""
     scope_id: int
@@ -156,14 +161,10 @@ class _Builder:
         self.tree = ScopeTree(scopes=[])
 
     def _new_scope(self, parent: Scope | None, node: Node) -> Scope:
-        scope = Scope(
-            scope_id=len(self.tree.scopes),
-            parent_id=parent.scope_id if parent else None,
-            start=node.start,
-            end=node.end,
-            depth=parent.depth + 1 if parent else 0,
-            file=node.file,
-        )
+        scope = Scope(len(self.tree.scopes),
+                      parent.scope_id if parent else None, node.start,
+                      node.end, parent.depth + 1 if parent else 0, node.file,
+                      {}, [], [])
         self.tree.scopes.append(scope)
         if parent is not None:
             parent.children.append(scope)

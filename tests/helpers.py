@@ -85,6 +85,13 @@ def bench_tree(workload: str, seed: int) -> tuple[SourceFile, ...]:
                  for s in _bench_corpus(workload, seed).files)
 
 
+def write_bench_corpus(workload: str, seed: int,
+                       root: Path) -> tuple[Path, Path]:
+    """Write a perfbench workload's lint tree and revision manifest under
+    root; their paths."""
+    return _bench_corpus(workload, seed).write(root)
+
+
 def bench_history_sides(workload: str, seed: int) -> list[SourceFile]:
     """Every before and after file of a perfbench workload's revisions."""
     return [src(side.text, side.path)

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import random
 import sys
 from collections import Counter
 from functools import partial
@@ -10,7 +11,9 @@ import pytest
 from emitlint import cli
 from emitlint.cli import main
 
-from helpers import FIXTURES, fixture_path
+from helpers import FIXTURES, fixture_path, write_bench_corpus
+
+GOLDEN = FIXTURES.parent / "golden"
 
 
 @pytest.fixture(autouse=True)
@@ -848,3 +851,75 @@ def test_one_parser_answers_each_call_as_a_fresh_one_does(capsys,
     # Each call prints other output than the one before it.
     outs = [out for _, out, _ in shared]
     assert all(outs[i] != outs[i + 1] for i in range(0, len(outs), 2))
+
+
+# -------------------------------------------------------------- JSON reports
+
+def _random_text(rng) -> str:
+    """Quotes, backslashes, control characters, non-ASCII, astral and lone
+    surrogate code points, and plain letters."""
+    pool = ('"', "\\", "/", "\x00", "\x1f", "\x7f", "\t", "\n", "\r", "\b",
+            "\f", "é", "ß", "中", "\u2028", "\ufeff", "\U0001F600",
+            "\U00010348", "\ud800", "a", "Z", " ", "0")
+    return "".join(rng.choice(pool) for _ in range(rng.randrange(8)))
+
+
+_FLOATS = (0.0, -0.0, 1e16, 1e-7, 0.1 + 0.2, 1.5, -2.5e300, 5e-324,
+           float("nan"), float("inf"), float("-inf"))
+
+
+def _random_value(rng, depth: int = 0):
+    """A report-shaped value: containers nest at most four deep."""
+    pick = rng.randrange(10 if depth < 4 else 7)
+    if pick == 0:
+        return _random_text(rng)
+    if pick == 1:
+        return rng.choice((0, -1, 2 ** 63, -(2 ** 100), 10 ** 30,
+                           rng.randint(-10 ** 6, 10 ** 6)))
+    if pick == 2:
+        return rng.choice(_FLOATS + (rng.uniform(-1e6, 1e6),))
+    if pick == 3:
+        return rng.choice((True, False))
+    if pick == 4:
+        return None
+    if pick == 5:
+        return rng.choice(([], {}))
+    if pick in (6, 7):
+        return [_random_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+    return {_random_text(rng): _random_value(rng, depth + 1)
+            for _ in range(rng.randrange(5))}
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN.glob("*json*.out")),
+                         ids=lambda path: path.name)
+def test_report_writer_matches_json_dumps_on_the_goldens(golden):
+    report = json.loads(golden.read_text())
+    assert cli._json_text(report) == json.dumps(report, indent=2)
+
+
+@pytest.mark.parametrize("workload", ["project", "monolith"])
+def test_reports_print_as_json_dumps_indents(capsys, tmp_path, workload):
+    """The seed-1 `lint`, `metrics` and `diff` reports of a perfbench
+    workload print the text `json.dumps(report, indent=2)` gives."""
+    tree, manifest = write_bench_corpus(workload, 1, tmp_path)
+    for argv in (["lint", "--format", "json", str(tree)],
+                 ["metrics", "--format", "json", str(tree)],
+                 ["diff", "--format", "json", "--manifest", str(manifest)]):
+        _, out, _ = run(capsys, *argv)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
+def test_report_writer_matches_json_dumps_on_random_values():
+    rng = random.Random(39)
+    values = [_random_value(rng) for _ in range(2000)]
+    assert sum(isinstance(v, (list, dict)) and bool(v) for v in values) > 500
+    for value in values:
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, [{"a": {"b"}}], {1: "a"}, {"a": {None: 0}}, (1, 2), b"x",
+], ids=["set", "nested-set", "int-key", "none-key", "tuple", "bytes"])
+def test_report_writer_refuses_types_no_report_holds(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
