@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from collections import Counter
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -471,10 +470,8 @@ def summarize_reports(reports: list[RevisionAnalysis]) -> dict:
     independent = absolute + labels[Independence.HEURISTIC_INDEPENDENT]
     return {
         "changeCount": total,
-        "absoluteIndependentFraction":
-            float(Fraction(absolute, total)) if total else 0.0,
-        "independentFraction":
-            float(Fraction(independent, total)) if total else 0.0,
+        "absoluteIndependentFraction": absolute / total if total else 0.0,
+        "independentFraction": independent / total if total else 0.0,
     }
 
 

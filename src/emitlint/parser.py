@@ -177,28 +177,21 @@ class Parser:
             return self.starts[i], self._end(i)
         return 0, len(self.file.text)
 
-    def _offsets_from(self, start_idx: int) -> tuple[int, int]:
-        """Offsets from token start_idx through the last consumed token;
-        tokens are in source order, so the first starts it and the last
-        ends it. Past the end, the offsets of `_here`."""
-        i = self.i
-        if start_idx < i <= self.n:
-            return self.starts[start_idx], self._end(i - 1)
-        if start_idx >= self.n:
-            return self._here()
-        return (self.starts[start_idx],
-                self._end(max(start_idx, min(i, self.n) - 1)))
-
     def _at(self, start_idx: int) -> tuple[int, int, SourceFile]:
         """A node's leading fields: its offsets from token start_idx through
-        the last consumed token, and the file."""
+        the last consumed token, and the file. Tokens are in source order,
+        so the first starts it and the last ends it. Past the end, the
+        offsets of `_here`."""
         i = self.i
         if start_idx < i <= self.n:
             return self.starts[start_idx], self._end(i - 1), self.file
-        return (*self._offsets_from(start_idx), self.file)
+        if start_idx >= self.n:
+            return (*self._here(), self.file)
+        return (self.starts[start_idx],
+                self._end(max(start_idx, min(i, self.n) - 1)), self.file)
 
     def _span_from(self, start_idx: int) -> Span:
-        return self.file.span_from_offsets(*self._offsets_from(start_idx))
+        return self.file.span_from_offsets(*self._at(start_idx)[:2])
 
     def _record(self, message: str, severity: str = "error",
                 span: Span | None = None) -> None:
@@ -246,7 +239,7 @@ class Parser:
         self._eat(";")
 
     def _raw_text(self, start_idx: int) -> str:
-        a, b = self._offsets_from(start_idx)
+        a, b, _ = self._at(start_idx)
         return self.file.text[a:b]
 
     # ------------------------------------------------------------- top level
@@ -341,7 +334,7 @@ class Parser:
             while not self._at_end() and not self._is("}"):
                 self._parse_member(contract)
             self._eat("}")
-        contract.start, contract.end = self._offsets_from(start)
+        contract.start, contract.end = self._at(start)[:2]
         return contract
 
     # ---------------------------------------------------------------- members

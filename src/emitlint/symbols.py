@@ -84,11 +84,6 @@ class Scope:
     file: SourceFile = field(repr=False, compare=False)
     # The symbols by name, each list in declaration order.
     named: dict[str, list[Symbol]] = field(default_factory=dict)
-    # Child scopes in source order and their start offsets, for bisection.
-    children: list[Scope] = field(default_factory=list, repr=False,
-                                  compare=False)
-    child_starts: list[int] = field(default_factory=list, repr=False,
-                                    compare=False)
 
     @property
     def span(self) -> Span:
@@ -102,21 +97,20 @@ class Scope:
 
 @dataclass
 class ScopeTree:
+    """The scopes in preorder, and the edges where a scope starts or a
+    non-root scope ends, in source order, each with the deepest scope from
+    there to the next edge."""
     scopes: list[Scope]
     warnings: list[DuplicateDeclaration] = field(default_factory=list)
+    edges: list[int] = field(default_factory=list, repr=False, compare=False)
+    deepest: list[Scope] = field(default_factory=list, repr=False,
+                                 compare=False)
 
     def scope_at(self, offset: int) -> Scope:
-        """Deepest scope holding the offset; the root when none does. Each
-        scope lies inside its parent, and siblings cover disjoint ranges in
-        source order, so one bisection per level finds the only child that
-        can hold the offset."""
-        scope = self.scopes[0]
-        while scope.children:
-            i = bisect_right(scope.child_starts, offset) - 1
-            if i < 0 or offset >= scope.children[i].end:
-                break
-            scope = scope.children[i]
-        return scope
+        """Deepest scope holding the offset; the root when none does: the
+        last edge's scope is the root, and an offset before the first reads
+        it too."""
+        return self.deepest[bisect_right(self.edges, offset) - 1]
 
 
 BUILTIN_NAMES = ("msg", "block", "tx", "this", "address", "abi")
@@ -164,12 +158,15 @@ class _Builder:
         scope = Scope(len(self.tree.scopes),
                       parent.scope_id if parent else None, node.start,
                       node.end, parent.depth + 1 if parent else 0, node.file,
-                      {}, [], [])
+                      {})
         self.tree.scopes.append(scope)
-        if parent is not None:
-            parent.children.append(scope)
-            parent.child_starts.append(node.start)
+        self._edge(node.start, scope)
         return scope
+
+    def _edge(self, offset: int, scope: Scope) -> None:
+        """From the offset on, up to the next edge, scope is the deepest."""
+        self.tree.edges.append(offset)
+        self.tree.deepest.append(scope)
 
     def _add(self, scope: Scope, name: str, kind: SymbolKind,
              location_class: LocationClass, decl: Node) -> None:
@@ -227,6 +224,7 @@ class _Builder:
                           LocationClass.NOT_APPLICABLE, fn)
         for fn in contract.functions:
             self._build_function(scope, fn)
+        self._edge(contract.end, root)
 
     def _linearized_bases(self, contract: ContractDef,
                           by_name: dict[str, ContractDef]):
@@ -248,15 +246,18 @@ class _Builder:
                 self._add_variable(scope, SymbolKind.PARAM, param)
         if fn.body is not None:
             self._build_stmt(scope, fn.body)
+        self._edge(fn.end, contract_scope)
 
     def _build_stmt(self, scope: Scope, stmt: Stmt) -> None:
         """A block and a for loop (its initializer included) open a scope."""
         if isinstance(stmt, LocalVarDecl):
             self._add_variable(scope, SymbolKind.LOCAL_VAR, stmt)
-        if isinstance(stmt, (Block, For)):
-            scope = self._new_scope(scope, stmt)
+        opens = isinstance(stmt, (Block, For))
+        inner = self._new_scope(scope, stmt) if opens else scope
         for child in statement_children(stmt):
-            self._build_stmt(scope, child)
+            self._build_stmt(inner, child)
+        if opens:
+            self._edge(stmt.end, scope)
 
 
 def build_symbols(unit: SourceUnit) -> ScopeTree:

@@ -716,9 +716,9 @@ def in_scope_memory_symbols(at: int, tree: ScopeTree) -> list[Symbol]:
 
 
 def reference_scope_at(tree: ScopeTree, line: int, col: int) -> Scope:
-    """The linear scan over every scope's line and column span that the tree
-    descent `ScopeTree.scope_at` replaced; the differential scope test
-    compares the two."""
+    """The deepest scope whose line and column span holds the point, by a
+    linear scan over every scope; the differential scope test compares it
+    with the edge-table lookup `ScopeTree.scope_at`."""
     best = tree.scopes[0]
     for scope in tree.scopes:
         if contains_point(scope.span, line, col) and \
@@ -1448,7 +1448,13 @@ class ReferenceExprParser(Parser):
     differential test compares the two."""
 
     def _at(self, start_idx: int) -> tuple[int, int, SourceFile]:
-        return (*self._offsets_from(start_idx), self.file)
+        """The general rule, without the parser's fast path: from token
+        start_idx through the last consumed token, at least start_idx
+        itself; past the end, the offsets of `_here`."""
+        if start_idx >= self.n:
+            return (*self._here(), self.file)
+        last = max(start_idx, min(self.i, self.n) - 1)
+        return self.starts[start_idx], self._end(last), self.file
 
     def _parse_block(self) -> Block:
         start = self.i

@@ -4,6 +4,7 @@ import json
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -433,6 +434,34 @@ def test_diff_manifest_json(capsys):
     assert data["summary"]["changeCount"] == 2
     assert data["summary"]["absoluteIndependentFraction"] == 0.5
     assert data["summary"]["independentFraction"] == 1.0
+
+
+def test_summary_fractions_are_the_correctly_rounded_quotients(monkeypatch):
+    """The summary divides the label counts with int true division, which
+    rounds correctly as `float(Fraction(a, b))` does, counts above 2**53
+    included. The counts stand in for `summarize_reports`' label tally."""
+    rng = random.Random(41)
+    Independence = cli.Independence
+    monkeypatch.setattr(cli, "Counter", lambda changes: labels)
+    above = 0
+    for _ in range(2_000):
+        top = 2 ** rng.choice((10, 53, 60, 100))
+        labels = Counter({
+            Independence.ABSOLUTE_INDEPENDENT: rng.randrange(top),
+            Independence.HEURISTIC_INDEPENDENT: rng.randrange(top),
+            Independence.DEPENDENT: rng.randrange(1, top),
+        })
+        summary = cli.summarize_reports([])
+        total = sum(labels.values())
+        absolute = labels[Independence.ABSOLUTE_INDEPENDENT]
+        independent = absolute + labels[Independence.HEURISTIC_INDEPENDENT]
+        assert summary["changeCount"] == total
+        assert summary["absoluteIndependentFraction"] == \
+            float(Fraction(absolute, total))
+        assert summary["independentFraction"] == \
+            float(Fraction(independent, total))
+        above += total > 2 ** 53
+    assert above > 500
 
 
 def test_diff_emit_only_manifest_fraction_one(capsys, tmp_path):

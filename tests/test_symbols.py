@@ -452,7 +452,7 @@ def _mutated_sources(bases: list[str], count: int, seed: int):
 
 def test_descent_finds_the_scope_the_linear_scan_finds(monkeypatch):
     """At every offset the checks look up, on clean and damaged files, the
-    offset descent returns the very scope that the linear scan over line
+    edge-table lookup returns the very scope that the linear scan over line
     and column spans does."""
     files = [SourceFile.load(p) for p in sorted(FIXTURES.rglob("*.sol"))]
     files += snippet_corpus()
@@ -475,13 +475,17 @@ def test_descent_finds_the_scope_the_linear_scan_finds(monkeypatch):
                                   (scope.end, scope.span.end)):
                 assert tree.scope_at(offset) is \
                     reference_scope_at(tree, *point), point
-            # What the descent relies on: children lie inside their parent
-            # and siblings are disjoint, in source order.
-            assert all(span_contains(scope.span, child.span)
-                       for child in scope.children)
-            assert all(a.end <= b.start for a, b in
-                       zip(scope.children, scope.children[1:]))
-            assert scope.child_starts == [c.start for c in scope.children]
+        # What the edge table relies on: each scope lies inside its parent,
+        # siblings are disjoint and in source order, and so the edges never
+        # decrease.
+        last_child = {}
+        for scope in tree.scopes[1:]:
+            parent = tree.scopes[scope.parent_id]
+            assert span_contains(parent.span, scope.span)
+            previous = last_child.get(parent.scope_id)
+            assert previous is None or previous.end <= scope.start
+            last_child[parent.scope_id] = scope
+        assert tree.edges == sorted(tree.edges)
     assert sum(has_fatal_errors(result.analysis.unit)
                for result in results[-len(mutated):]) > 500
 
@@ -506,17 +510,34 @@ def _wide_contract(n_functions: int) -> SourceFile:
     return src("\n".join(lines) + "\n", f"wide_{n_functions}.sol")
 
 
-def test_lookup_work_grows_with_depth_not_scope_count(monkeypatch):
-    """Offsets compared per lookup (bisection reads plus every read of a
-    scope's start or end) stay within depth x log2(children), however many
-    scopes the file has."""
+def _deep_contract(depth: int) -> SourceFile:
+    """One function whose emits sit inside depth nested blocks, and after
+    the blocks close."""
+    return src("contract Deep {\n    uint total;\n    event E(uint a, uint b);\n"
+               "    function f(uint a) public {\n        "
+               + "{ " * depth + "emit E(a, total); total = a; " + "} " * depth
+               + "\n        emit E(a, total);\n    }\n}\n",
+               f"deep_{depth}.sol")
+
+
+def test_lookup_reads_log_many_offsets_at_any_depth(monkeypatch):
+    """Offsets read per lookup (the entries its bisection reads plus every
+    read of a scope's start or end) stay within 2 x log2(2 x scopes) + 2,
+    however deep the offset lies: in wide contracts of 100 and 1,000
+    functions, and inside and after 100 nested blocks."""
     compared = 0
 
-    class CountedReads(list):
+    class CountedReads:
+        def __init__(self, items):
+            self.items = items
+
+        def __len__(self):
+            return len(self.items)
+
         def __getitem__(self, index):
             nonlocal compared
             compared += 1
-            return list.__getitem__(self, index)
+            return self.items[index]
 
     def counting_attribute(scope, name):
         nonlocal compared
@@ -524,28 +545,34 @@ def test_lookup_work_grows_with_depth_not_scope_count(monkeypatch):
             compared += 1
         return object.__getattribute__(scope, name)
 
-    def counting_bisect(starts, point):
-        return bisect.bisect_right(CountedReads(starts), point)
+    def counting_bisect(items, point):
+        return bisect.bisect_right(CountedReads(items), point)
 
-    per_lookup = {}
-    for n_functions in (100, 1_000):
-        _, calls = _record_lookups(monkeypatch, [_wide_contract(n_functions)])
+    scopes, depths = {}, {}
+    for file in (_wide_contract(100), _wide_contract(1_000),
+                 _deep_contract(100)):
+        _, calls = _record_lookups(monkeypatch, [file])
         tree = calls[0][0]
-        assert len(tree.scopes) > 5 * n_functions
-        levels = 1 + max(scope.depth for scope in tree.scopes)
-        widest = max(len(scope.children) for scope in tree.scopes)
-        assert widest == n_functions
+        offsets = [offset for _, offset in calls]
+        offsets += [scope.start for scope in tree.scopes]
+        offsets += [scope.end for scope in tree.scopes]
+        scopes[file.path] = len(tree.scopes)
+        depths[file.path] = {tree.scope_at(offset).depth
+                             for _, offset in calls}
+        bound = 2 * math.ceil(math.log2(2 * len(tree.scopes))) + 2
         counts = []
         with monkeypatch.context() as patch:
             patch.setattr(Scope, "__getattribute__", counting_attribute)
             patch.setattr(symbols, "bisect_right", counting_bisect)
-            for _, offset in calls:
+            for offset in offsets:
                 compared = 0
                 tree.scope_at(offset)
                 counts.append(compared)
-        assert max(counts) <= 2 * levels * math.log2(widest)
-        per_lookup[n_functions] = sum(counts) / len(counts)
-    assert per_lookup[1_000] < 2 * per_lookup[100]
+        assert max(counts) <= bound, (file.path, max(counts), bound)
+    assert scopes["wide_1000.sol"] > 5_000
+    # The checks look up offsets inside all 100 blocks (the function's body
+    # is at depth 3) and after they close.
+    assert depths["deep_100.sol"] == {3, 103}
 
 
 def _locals_shape(n: int) -> SourceFile:
@@ -604,11 +631,13 @@ def test_symbol_work_grows_linearly_with_declarations(shape):
         assert counts[-1] <= 2.2 * counts[-2], counts
 
 
-def _declared_names(scope: Scope) -> set[str]:
-    """Names declared in the scope and in every scope it holds."""
-    names = set(scope.named)
-    for child in scope.children:
-        names |= _declared_names(child)
+def _declared_names(tree: ScopeTree) -> list[set[str]]:
+    """By scope id, the names declared in each scope and in every scope it
+    holds. Scopes are in preorder, so walking them backwards adds each
+    scope's names to its parent after all of its own descendants'."""
+    names = [set(scope.named) for scope in tree.scopes]
+    for scope in reversed(tree.scopes[1:]):
+        names[scope.parent_id] |= names[scope.scope_id]
     return names
 
 
@@ -626,6 +655,7 @@ def test_resolution_finds_what_the_scan_of_each_enclosing_scope_finds():
     for file in files:
         unit = parse_file(file)
         tree = build_symbols(unit)
+        declared = _declared_names(tree)
         for node in nodes_in(unit):
             if isinstance(node, Identifier):
                 names = {node.name}
@@ -633,7 +663,7 @@ def test_resolution_finds_what_the_scan_of_each_enclosing_scope_finds():
                 function = tree.scope_at(node.start)
                 while function.depth > 2:
                     function = tree.scopes[function.parent_id]
-                names = _declared_names(function) | {node.event_name} | {
+                names = declared[function.scope_id] | {node.event_name} | {
                     ident.name for ident in nodes_in(node.args)
                     if isinstance(ident, Identifier)}
             else:
